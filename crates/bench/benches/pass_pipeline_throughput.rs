@@ -18,15 +18,12 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_ir::Module;
 use zkvmopt_passes::{run_pass, OptLevel, PassConfig, PassExecutor, PassManager};
+use zkvmopt_stats::geomean;
 use zkvmopt_workloads::Workload;
 
 /// Pipeline repetitions per measurement — the tuner's duplicate-candidate /
 /// fixpoint shape.
 const REPEATS: usize = 8;
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
 
 /// Lower every workload once; passes run on clones of these base modules.
 /// CI smoke mode (`ZKVMOPT_BENCH_SMOKE=1`) uses the reduced representative
@@ -160,17 +157,12 @@ fn report(suite: &[(&'static Workload, Module)]) {
             ("repeats", REPEATS as f64),
         ],
     );
-    if std::env::var("ZKVMOPT_SPEEDUP_ADVISORY").is_ok_and(|v| v == "1") {
-        if g < 1.5 {
-            eprintln!("ADVISORY: geomean {g:.2}x below the 1.5x bar (noisy runner?)");
-        }
-    } else {
-        assert!(
-            g >= 1.5,
-            "cached pass manager must be >=1.5x the uncached loop on repeated \
-             pipelines (got {g:.2}x)"
-        );
-    }
+    zkvmopt_bench::gate_speedup(
+        "cached pass manager vs the uncached loop on repeated pipelines",
+        g,
+        1.5,
+        1,
+    );
 }
 
 fn bench(c: &mut Criterion) {

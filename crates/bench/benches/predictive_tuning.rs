@@ -30,13 +30,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use zkvmopt_bench::trajectory;
 use zkvmopt_core::{BatchEvaluator, SuiteRunner};
+use zkvmopt_stats::geomean;
 use zkvmopt_tuner::{tune_suite, Predictor, ServiceConfig, TuneDb, TuneDbEntry, TuneTarget};
 use zkvmopt_vm::VmKind;
 use zkvmopt_workloads::Workload;
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
 
 /// Smoke mode keeps the suite small enough for `cargo bench -- --test`;
 /// the full run goes leave-one-out over the whole 58-program suite.

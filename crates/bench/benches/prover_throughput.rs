@@ -12,7 +12,7 @@
 //!    modelled cost as sequential proving, for every backend.
 //!
 //! The report then measures the multi-core advantage of the parallel
-//! per-segment fan-out (advisory below 4 cores, like the lockstep bench)
+//! per-segment fan-out (advisory below 4 cores, like `tuner_throughput`)
 //! and end-to-end proofs/sec per backend; Criterion measures the full
 //! pipeline. Segment limits are scaled down from the production profiles so
 //! every workload splits into several segments — this is the "heavy
@@ -22,16 +22,13 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_core::suite::CompiledWorkload;
 use zkvmopt_core::{OptLevel, OptProfile, SuiteRunner};
 use zkvmopt_prover::{check_segment_accounting, prove_segmented, standard_backends};
+use zkvmopt_stats::geomean;
 use zkvmopt_vm::{Engine, ExecConfig, ExecutionReport, SegmentRecord, VmKind, VmProfile};
 use zkvmopt_workloads::Workload;
 
 /// Segment limit divisor vs the production profiles: small segments turn
 /// every suite program into a multi-segment proving job.
 const SEGMENT_SCALE: u64 = 64;
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
 
 /// The bench's VM profile: production cost model, scaled-down segments.
 fn profile(kind: VmKind) -> VmProfile {
@@ -194,22 +191,9 @@ fn report(runs: &[SegmentedRun]) {
             ("runs", runs.len() as f64),
         ],
     );
-    // Advisory below 4 cores (and in CI), hard gate otherwise: per-segment
-    // proving is embarrassingly parallel, so multi-core proving must not be
-    // slower than sequential once real cores are available.
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    if std::env::var("ZKVMOPT_SPEEDUP_ADVISORY").is_ok_and(|v| v == "1") || cores < 4 {
-        if speedup < 1.0 {
-            eprintln!(
-                "ADVISORY: parallel proving {speedup:.2}x below the 1.0x bar ({cores} cores)"
-            );
-        }
-    } else {
-        assert!(
-            speedup >= 1.0,
-            "parallel segment proving must beat sequential on {cores} cores (got {speedup:.2}x)"
-        );
-    }
+    // Per-segment proving is embarrassingly parallel, so multi-core proving
+    // must not be slower than sequential once real cores (>= 4) are available.
+    zkvmopt_bench::gate_speedup("parallel vs sequential segment proving", speedup, 1.0, 4);
 }
 
 fn bench(c: &mut Criterion) {

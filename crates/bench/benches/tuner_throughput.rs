@@ -25,13 +25,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use zkvmopt_bench::trajectory;
 use zkvmopt_core::{BatchEvaluator, SuiteRunner};
 use zkvmopt_passes::PassConfig;
+use zkvmopt_stats::geomean;
 use zkvmopt_tuner::{tune_suite, Candidate, EvalResult, ServiceConfig, TuneDb, TuneTarget};
 use zkvmopt_vm::VmKind;
 use zkvmopt_workloads::Workload;
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
 
 /// Workload groups tuned as independent suites (small programs: candidate
 /// evaluation cost is compile + execute, so tiny kernels keep the bench
@@ -216,24 +213,9 @@ fn report(suite: &[Group]) {
         ],
     );
 
-    // Wall-clock ratios are noisy (and meaningless on single-core runners);
-    // CI sets ZKVMOPT_SPEEDUP_ADVISORY=1 to report without gating, and
-    // machines with fewer than 4 cores cannot demonstrate a 2x parallel
-    // speedup at all, so they self-downgrade. The determinism / budget /
-    // warm-start asserts above always gate.
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    if std::env::var("ZKVMOPT_SPEEDUP_ADVISORY").is_ok_and(|v| v == "1") || cores < 4 {
-        if g < 2.0 {
-            eprintln!(
-                "ADVISORY: geomean {g:.2}x below the 2x bar ({cores} cores; noisy or small runner?)"
-            );
-        }
-    } else {
-        assert!(
-            g >= 2.0,
-            "island service must be >=2x sequential at equal budget (got {g:.2}x)"
-        );
-    }
+    // Fewer than 4 cores cannot demonstrate a 2x parallel speedup at all.
+    // The determinism / budget / warm-start asserts above always gate.
+    zkvmopt_bench::gate_speedup("island service vs sequential at equal budget", g, 2.0, 4);
 }
 
 fn bench(c: &mut Criterion) {

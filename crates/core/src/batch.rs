@@ -2,11 +2,13 @@
 //! fitness backend.
 //!
 //! The island-model tuner evaluates thousands of pass-sequence candidates
-//! across worker threads, and for a candidate the dominant cost is the
-//! *compile* (passes + codegen on a module clone), not the execution.
-//! [`SuiteRunner`]'s compiled-program cache is `&mut self` and would
-//! serialize those compiles behind a lock, so the service instead snapshots
-//! what it needs up front into a [`BatchEvaluator`]:
+//! across worker threads. The compile (passes + codegen on a module clone)
+//! owns a traffic-dependent share of each evaluation — the benchmark's
+//! `core.compile_share` reads 0.95 on `-O3`-neighbour candidates, 0.14 on
+//! random sequences, 0.66 on a cold search — and [`SuiteRunner`]'s
+//! compiled-program cache is `&mut self` and would serialize those compiles
+//! behind a lock, so the service instead snapshots what it needs up front
+//! into a [`BatchEvaluator`]:
 //!
 //! - each workload's **lowered base module** (lexed/parsed/lowered exactly
 //!   once, shared read-only),
@@ -18,16 +20,13 @@
 //!
 //! Evaluation is then a pure `&self` function of the candidate: clone the
 //! module, apply the profile, codegen, pre-decode, execute. No shared
-//! mutable state, so any number of threads evaluate concurrently
-//! ([`BatchEvaluator::eval_batch`] fans a batch out itself; the tuner's
-//! workers call [`BatchEvaluator::eval`] directly). Construct one via
-//! [`SuiteRunner::batch_evaluator`], which reuses the runner's lowered-module
-//! cache and baseline machinery.
+//! mutable state, so any number of threads evaluate concurrently (the
+//! tuner's workers call [`BatchEvaluator::eval_classified`] directly).
+//! Construct one via [`SuiteRunner::batch_evaluator`], which reuses the
+//! runner's lowered-module cache and baseline machinery.
 
 use crate::{OptLevel, OptProfile, PipelineError, StudyError, SuiteRunner};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use zkvmopt_ir::{stable_module_fingerprint, FeatureVector, Module};
 use zkvmopt_passes::PassConfig;
 use zkvmopt_tuner::{Candidate, EvalResult, TuneTarget};
@@ -59,17 +58,6 @@ struct Entry {
     /// Cycles under the fixed `-O3` pipeline — the reference the predictive
     /// tuner normalizes tuned results against.
     o3_cycles: u64,
-}
-
-/// One candidate evaluation request for [`BatchEvaluator::eval_batch`].
-#[derive(Debug, Clone)]
-pub struct BatchJob {
-    /// Index of the target workload (see [`BatchEvaluator::names`]).
-    pub workload: usize,
-    /// The candidate pass sequence.
-    pub passes: Vec<&'static str>,
-    /// The candidate's pass parameters.
-    pub config: PassConfig,
 }
 
 /// Immutable, `Sync` fitness oracle over a fixed set of workloads on one VM.
@@ -257,121 +245,6 @@ impl BatchEvaluator {
                 .map_err(|e| e.class())
         }
     }
-
-    /// Evaluate one distinct candidate for `lanes` identical requests at
-    /// once: one compile, one decode, one lockstep cohort. Per-lane results
-    /// equal [`BatchEvaluator::eval`] exactly (the engine guarantees
-    /// lockstep lanes are bit-identical to solo runs).
-    fn eval_group(
-        &self,
-        widx: usize,
-        passes: &[&'static str],
-        cfg: &PassConfig,
-        lanes: usize,
-    ) -> Vec<Option<u64>> {
-        let e = &self.entries[widx];
-        let profile = OptProfile::sequence("candidate", passes.to_vec(), cfg.clone());
-        let compiled = catch_unwind(AssertUnwindSafe(|| {
-            let mut m = e.module.clone();
-            profile.apply(&mut m);
-            zkvmopt_ir::verify::verify_module(&m).map_err(|err| PipelineError::Verify {
-                message: err.to_string(),
-            })?;
-            zkvmopt_riscv::compile_module(&m, &profile.backend).map_err(PipelineError::from)
-        }))
-        .unwrap_or_else(|payload| Err(PipelineError::from_panic(payload)));
-        let Ok(program) = compiled else {
-            return vec![None; lanes];
-        };
-        let budget = self.candidate_budget(widx);
-        let decoded = DecodedProgram::decode(&program);
-        let config = ExecConfig {
-            inputs: e.inputs.clone(),
-            max_cycles: budget,
-        };
-        let cohort: Vec<(VmProfile, ExecConfig)> = (0..lanes)
-            .map(|_| (VmProfile::for_kind(self.vm), config.clone()))
-            .collect();
-        Engine::run_lockstep(&decoded, &cohort)
-            .into_iter()
-            .map(|r| match r {
-                Ok(exec)
-                    if exec.journal == e.baseline_journal && exec.exit_code == e.baseline_exit =>
-                {
-                    Some(exec.total_cycles)
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Evaluate a batch of candidates across `threads` worker threads
-    /// (`0` = all available cores). Requests for the same `(workload,
-    /// candidate)` are grouped: each distinct candidate compiles and
-    /// decodes once and its requests run as one lockstep cohort, so the
-    /// tuner's fan-out amortizes everything but the per-lane accounting.
-    /// Results come back in job order regardless of scheduling, and equal
-    /// `eval` job-for-job.
-    pub fn eval_batch(&self, jobs: &[BatchJob], threads: usize) -> Vec<Option<u64>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        // Group job indices by identical (workload, candidate) requests,
-        // preserving first-seen order. The candidate identity is the same
-        // cache key the suite runner uses (passes + parameters).
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut index: HashMap<(usize, String), usize> = HashMap::new();
-        for (i, j) in jobs.iter().enumerate() {
-            let key = (
-                j.workload,
-                OptProfile::sequence("candidate", j.passes.clone(), j.config.clone()).cache_key(),
-            );
-            match index.get(&key) {
-                Some(&g) => groups[g].push(i),
-                None => {
-                    index.insert(key, groups.len());
-                    groups.push(vec![i]);
-                }
-            }
-        }
-        let results: Vec<std::sync::Mutex<Option<u64>>> =
-            jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let run_group = |members: &[usize]| {
-            let j = &jobs[members[0]];
-            let values = self.eval_group(j.workload, &j.passes, &j.config, members.len());
-            for (&m, v) in members.iter().zip(values) {
-                *results[m].lock().expect("result slot") = v;
-            }
-        };
-        let workers = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            threads
-        }
-        .min(groups.len());
-        if workers <= 1 {
-            for g in &groups {
-                run_group(g);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= groups.len() {
-                            break;
-                        }
-                        run_group(&groups[i]);
-                    });
-                }
-            });
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("slot"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -412,28 +285,6 @@ mod tests {
         assert_ne!(a.fingerprint(0), a.fingerprint(1));
         assert_eq!(a.names(), vec!["loop-sum", "fibonacci"]);
         assert!(a.baseline_cycles(0) > 0);
-    }
-
-    #[test]
-    fn eval_batch_matches_serial_eval_in_job_order() {
-        let ev = evaluator(&["loop-sum", "fibonacci"]);
-        let seqs: [&[&'static str]; 3] = [&["mem2reg"], &["mem2reg", "gvn"], &["dce"]];
-        let mut jobs = Vec::new();
-        for w in 0..ev.len() {
-            for seq in seqs {
-                jobs.push(BatchJob {
-                    workload: w,
-                    passes: seq.to_vec(),
-                    config: PassConfig::default(),
-                });
-            }
-        }
-        let parallel = ev.eval_batch(&jobs, 4);
-        let serial = ev.eval_batch(&jobs, 1);
-        assert_eq!(parallel, serial);
-        for (j, r) in jobs.iter().zip(&serial) {
-            assert_eq!(*r, ev.eval(j.workload, &j.passes, &j.config));
-        }
     }
 
     /// An evaluator whose baseline cannot even execute must fail at

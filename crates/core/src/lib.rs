@@ -35,7 +35,7 @@ pub mod batch;
 pub mod error;
 pub mod suite;
 
-pub use batch::{BatchEvaluator, BatchJob};
+pub use batch::BatchEvaluator;
 pub use error::PipelineError;
 pub use suite::{MatrixCell, SuiteRunner};
 pub use zkvmopt_passes::OptLevel;

@@ -1,9 +1,12 @@
 //! The batched suite runner: compile once, execute many.
 //!
 //! Every experiment in the paper re-executes the 58-program suite thousands
-//! of times (the opt-level matrices, the 160/1600-iteration autotuner runs),
-//! so the driver's hot path is *executions per second*, not compiles.
-//! [`SuiteRunner`] makes that explicit:
+//! of times (the opt-level matrices, the 160/1600-iteration autotuner runs).
+//! Which stage owns an evaluation depends on the traffic — the benchmark's
+//! `core.compile_share` reads 0.95 on `-O3`-neighbour candidates, 0.14 on
+//! random sequences, 0.66 on a cold search and 0.46 on the study matrix —
+//! so [`SuiteRunner`] caches the compile side and keeps execution a plain
+//! engine call:
 //!
 //! - the **lowered base module** of each workload is cached, so a workload's
 //!   source is lexed/parsed/lowered exactly once no matter how many profiles
@@ -13,9 +16,7 @@
 //!   [`DecodedProgram`] block cache);
 //! - executions fan out `{program × profile}` pairs through the
 //!   block-dispatch engine, optionally across threads
-//!   ([`SuiteRunner::run_matrix`]); each pair advances **all requested VM
-//!   kinds in one lockstep cohort** ([`Engine::run_lockstep`]), so block
-//!   lookup and dispatch are amortized across the VM dimension.
+//!   ([`SuiteRunner::run_matrix`]).
 //!
 //! `bench/`'s impact matrices, the tuner fitness loops, and the report
 //! generator all run on top of this.
@@ -33,7 +34,7 @@ use zkvmopt_vm::{
     DecodedProgram, Engine, ExecConfig, ExecutionReport, SegmentRecord, VmKind, VmProfile,
 };
 use zkvmopt_workloads::Workload;
-use zkvmopt_x86sim::{run_x86, X86Model};
+use zkvmopt_x86sim::{run_x86, X86Model, X86Report};
 
 /// A workload compiled under one profile: emitted code plus the engine's
 /// pre-decoded block representation, shareable across any number of runs.
@@ -183,7 +184,9 @@ impl SuiteRunner {
     ) -> Result<RunReport, StudyError> {
         let max_cycles = self.max_cycles;
         let cw = self.compile(w, profile)?;
-        execute(cw, &w.inputs, vm, with_x86, max_cycles)
+        let exec = execute(cw, &w.inputs, vm, max_cycles)?;
+        let x86 = with_x86.then(|| run_native(cw, &w.inputs)).transpose()?;
+        Ok(run_report(cw, exec, x86))
     }
 
     /// Compile (cached) and execute `w` under `profile` on `vm` with
@@ -266,9 +269,8 @@ impl SuiteRunner {
         }
         // Phase 2: the cache is now read-only; fan executions out over a
         // shared work queue of `{workload × profile}` pair jobs borrowing the
-        // compiled programs. Each pair advances every requested VM kind in
-        // one lockstep cohort, so the per-cell work is the per-VM accounting
-        // rather than a full dispatch walk per VM.
+        // compiled programs. The x86 native baseline is VM-independent, so
+        // it runs at most once per pair and is cloned into each VM's report.
         struct Job<'a> {
             w: &'a Workload,
             p: &'a OptProfile,
@@ -306,15 +308,18 @@ impl SuiteRunner {
                     let job = &jobs[i];
                     let cells: Vec<MatrixCell> = match &job.cw {
                         Ok(cw) => {
-                            let runs = execute_pair(cw, &job.w.inputs, vms, with_x86, max_cycles);
+                            let x86 = with_x86.then(|| run_native(cw, &job.w.inputs));
+                            let cell = |vm| {
+                                let exec = execute(cw, &job.w.inputs, vm, max_cycles)?;
+                                let r = run_report(cw, exec, x86.clone().transpose()?);
+                                check_and_measure(job.w, job.p, vm, r, None)
+                            };
                             vms.iter()
-                                .zip(runs)
-                                .map(|(&vm, run)| MatrixCell {
+                                .map(|&vm| MatrixCell {
                                     workload: job.w.name,
                                     profile: job.p.name.clone(),
                                     vm,
-                                    result: run
-                                        .and_then(|r| check_and_measure(job.w, job.p, vm, r, None)),
+                                    result: cell(vm),
                                 })
                                 .collect()
                         }
@@ -345,91 +350,40 @@ impl SuiteRunner {
     }
 }
 
-/// Execute a compiled workload through the block-dispatch engine and build
-/// the full [`RunReport`] (proving model, x86 timing when requested).
+/// Execute a compiled workload through the block-dispatch engine.
 fn execute(
     cw: &CompiledWorkload,
     inputs: &[i32],
     vm: VmKind,
-    with_x86: bool,
     max_cycles: u64,
-) -> Result<RunReport, StudyError> {
+) -> Result<ExecutionReport, StudyError> {
     let config = ExecConfig {
         inputs: inputs.to_vec(),
         max_cycles,
     };
-    let exec = Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
+    Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
         .run()
-        .map_err(|e| StudyError::Exec(e.to_string()))?;
-    let model = ProvingModel::for_kind(vm);
-    let prove_ms = model.proving_time_ms(&exec);
+        .map_err(|e| StudyError::Exec(e.to_string()))
+}
+
+/// The VM-independent x86 native baseline for a compiled workload.
+fn run_native(cw: &CompiledWorkload, inputs: &[i32]) -> Result<X86Report, StudyError> {
+    run_x86(&cw.program, &X86Model::default(), inputs).map_err(|e| StudyError::Exec(e.to_string()))
+}
+
+/// Build the full [`RunReport`] for one execution (proving model, x86
+/// timing when measured).
+fn run_report(cw: &CompiledWorkload, exec: ExecutionReport, x86: Option<X86Report>) -> RunReport {
+    let prove_ms = ProvingModel::for_kind(exec.kind).proving_time_ms(&exec);
     let exec_ms = exec.exec_time_ms;
-    let x86 = if with_x86 {
-        Some(
-            run_x86(&cw.program, &X86Model::default(), inputs)
-                .map_err(|e| StudyError::Exec(e.to_string()))?,
-        )
-    } else {
-        None
-    };
-    Ok(RunReport {
+    RunReport {
         exec,
         prove_ms,
         exec_ms,
         x86,
         code_size: cw.program.len(),
         spilled_vregs: cw.program.spilled_vregs,
-    })
-}
-
-/// Execute one compiled workload for every VM kind at once through
-/// [`Engine::run_lockstep`], returning per-VM results in `vms` order. The
-/// cohort shares block lookup, dispatch, and (for pure blocks) the op-fetch
-/// loop; the x86 native baseline is VM-independent, so it runs once per
-/// pair and is cloned into each VM's report.
-fn execute_pair(
-    cw: &CompiledWorkload,
-    inputs: &[i32],
-    vms: &[VmKind],
-    with_x86: bool,
-    max_cycles: u64,
-) -> Vec<Result<RunReport, StudyError>> {
-    let config = ExecConfig {
-        inputs: inputs.to_vec(),
-        max_cycles,
-    };
-    let lanes: Vec<(VmProfile, ExecConfig)> = vms
-        .iter()
-        .map(|&vm| (VmProfile::for_kind(vm), config.clone()))
-        .collect();
-    let execs = Engine::run_lockstep(&cw.decoded, &lanes);
-    let x86 = if with_x86 {
-        Some(run_x86(&cw.program, &X86Model::default(), inputs).map_err(|e| e.to_string()))
-    } else {
-        None
-    };
-    execs
-        .into_iter()
-        .map(|r| {
-            let exec = r.map_err(|e| StudyError::Exec(e.to_string()))?;
-            let x86_run = match &x86 {
-                Some(Ok(x)) => Some(x.clone()),
-                Some(Err(e)) => return Err(StudyError::Exec(e.clone())),
-                None => None,
-            };
-            let model = ProvingModel::for_kind(exec.kind);
-            let prove_ms = model.proving_time_ms(&exec);
-            let exec_ms = exec.exec_time_ms;
-            Ok(RunReport {
-                exec,
-                prove_ms,
-                exec_ms,
-                x86: x86_run,
-                code_size: cw.program.len(),
-                spilled_vregs: cw.program.spilled_vregs,
-            })
-        })
-        .collect()
+    }
 }
 
 fn check_and_measure(

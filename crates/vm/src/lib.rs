@@ -15,17 +15,15 @@
 //! and dispatch runs block-at-a-time through a direct-indexed block cache.
 //! Blocks without ecall instructions execute with batched cycle/segment
 //! accounting (memory blocks resolve loads/stores through a per-segment
-//! residency pre-probe), hot block heads chain into superblock traces keyed
-//! by observed branch direction with safe deopt back to dispatch, and
-//! [`Engine::run_lockstep`] advances N machine states through one shared
-//! decoded program in a structure-of-arrays register layout (the tuner's
-//! candidate fan-out). Everything stays bit-identical to the original
-//! decode-per-step interpreter (`machine::Machine`), which is kept behind
-//! the `reference` cargo feature (and `cfg(test)`) as the differential
-//! oracle. The engine reports the paper's cost components: **dynamic
-//! instruction count**, **paging cycles**, and **total cycles**, plus the
-//! journal used by the workspace's differential tests and advisory
-//! [`EngineStats`] counters explaining how each run was executed.
+//! residency pre-probe), and hot block heads chain into superblock traces
+//! keyed by observed branch direction with safe deopt back to dispatch.
+//! Everything stays bit-identical to the original decode-per-step
+//! interpreter (`machine::Machine`), which is kept behind the `reference`
+//! cargo feature (and `cfg(test)`) as the differential oracle. The engine
+//! reports the paper's cost components: **dynamic instruction count**,
+//! **paging cycles**, and **total cycles**, plus the journal used by the
+//! workspace's differential tests and advisory [`EngineStats`] counters
+//! explaining how each run was executed.
 //!
 //! ## Example
 //!

@@ -115,15 +115,14 @@ impl VmProfile {
 /// batched memory path skip full paging checks.
 ///
 /// These counters describe *how* the engine ran, not *what* it computed:
-/// they are excluded from the bit-identity contract (the reference
-/// interpreter reports all zeros, and under [`crate::Engine::run_lockstep`]
-/// trace formation is shared across the cohort, making the attribution
-/// scheduling-dependent). Every architectural observable — cycles, paging,
-/// segments, journal, exit — stays bit-identical regardless of these values.
+/// they are excluded from the engine-vs-reference bit-identity contract (the
+/// reference interpreter reports all zeros). They are deterministic per run —
+/// a pure function of (program, profile, config). Every architectural
+/// observable — cycles, paging, segments, journal, exit — stays bit-identical
+/// regardless of these values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Superblock traces formed (attributed to the lane whose block entry
-    /// crossed the formation threshold).
+    /// Superblock traces formed.
     pub traces_formed: u64,
     /// Early trace exits taken (deopts back to block dispatch because an
     /// observed successor diverged from the trace's trained direction).

@@ -1,10 +1,10 @@
 //! Page-0 footprint regressions for the *batched* execution tiers: the
-//! hoisted memory-block pre-probe (`exec_mem`), superblock traces, and
-//! lockstep convoys all funnel loads/stores through the same per-lane
-//! residency probe that once used page 0 as its empty sentinel. Each test
-//! here drives a block whose memory footprint starts at page 0 through one
-//! of those tiers and checks the null guard still fires (exact address and
-//! pc) and paging is still charged — bit-identical to the stepped path.
+//! hoisted memory-block pre-probe (`exec_mem`) and superblock traces both
+//! funnel loads/stores through the same per-lane residency probe that once
+//! used page 0 as its empty sentinel. Each test here drives a block whose
+//! memory footprint starts at page 0 through one of those tiers and checks
+//! the null guard still fires (exact address and pc) and paging is still
+//! charged — bit-identical to the stepped path.
 
 use zkvmopt_riscv::inst::{AluImmOp, BranchCond, MemWidth};
 use zkvmopt_riscv::{Inst, Program, Reg};
@@ -82,7 +82,8 @@ fn run(p: &Program, profile: VmProfile) -> Result<ExecutionReport, ExecError> {
 
 /// Batched memory block (entered at its head, in budget → `exec_mem`): a
 /// null-guard violation mid-block must fault at the exact address and pc
-/// the stepped path reports, even though a legal page-0 access precedes it.
+/// the stepped path reports, even though a legal page-0 access precedes
+/// it — under both VM kinds' page sizes.
 #[test]
 fn mem_block_null_guard_faults_at_exact_pc() {
     let p = program(vec![
@@ -96,12 +97,13 @@ fn mem_block_null_guard_faults_at_exact_pc() {
         },
         Inst::Ecall,
     ]);
-    let r = run(&p, VmProfile::risc_zero());
-    assert_eq!(
-        r,
-        Err(ExecError::MemFault { addr: 0x10, pc: 3 }),
-        "batched mem block must preserve the null guard"
-    );
+    for kind in VmKind::BOTH {
+        assert_eq!(
+            run(&p, VmProfile::for_kind(kind)),
+            Err(ExecError::MemFault { addr: 0x10, pc: 3 }),
+            "batched mem block must preserve the null guard ({kind})"
+        );
+    }
 }
 
 /// A probe already caching a *legal* page must not let a later sub-0x100
@@ -172,58 +174,5 @@ fn page0_trace_matches_stepped_dispatch() {
         assert_eq!(fast.exit_code, stepped.exit_code, "exit ({kind})");
         assert_eq!(fast.journal, stepped.journal, "journal ({kind})");
         assert_eq!(fast.page_ins, 1, "loop footprint is one page ({kind})");
-    }
-}
-
-/// Lockstep convoys (tight `exec_mem` path: >= 2 lanes at one pc) over the
-/// page-0 loop must match each lane's solo run bit for bit.
-#[test]
-fn lockstep_page0_loop_matches_solo() {
-    let p = page0_loop();
-    let d = DecodedProgram::decode(&p);
-    let jobs = vec![
-        (VmProfile::risc_zero(), ExecConfig::default()),
-        (VmProfile::risc_zero(), ExecConfig::default()),
-        (VmProfile::sp1(), ExecConfig::default()),
-    ];
-    for (job, r) in jobs.iter().zip(Engine::run_lockstep(&d, &jobs)) {
-        let lane = r.expect("lockstep lane runs");
-        let solo = Engine::new(&d, job.0.clone(), job.1.clone())
-            .run()
-            .expect("solo runs");
-        assert_eq!(lane.user_cycles, solo.user_cycles);
-        assert_eq!(lane.paging_cycles, solo.paging_cycles);
-        assert_eq!(lane.page_ins, solo.page_ins);
-        assert_eq!(lane.page_outs, solo.page_outs);
-        assert_eq!(lane.segments, solo.segments);
-        assert_eq!(lane.mix, solo.mix);
-        assert_eq!(lane.journal, solo.journal);
-        assert_eq!(lane.exit_code, solo.exit_code);
-    }
-}
-
-/// Every lockstep lane must see the null-guard fault a tight convoy's
-/// memory block raises, at the same address and pc as the solo engine.
-#[test]
-fn lockstep_null_guard_faults_every_lane() {
-    let p = program(vec![
-        addi(Reg::T1, Reg::ZERO, 0x200),
-        lw(Reg::A0, Reg::T1, 0),
-        addi(Reg::T2, Reg::ZERO, 0x10),
-        lw(Reg::A1, Reg::T2, 0), // 3: faults in every lane
-        Inst::Jal {
-            rd: Reg::ZERO,
-            target: 5,
-        },
-        Inst::Ecall,
-    ]);
-    let d = DecodedProgram::decode(&p);
-    let jobs = vec![
-        (VmProfile::risc_zero(), ExecConfig::default()),
-        (VmProfile::risc_zero(), ExecConfig::default()),
-        (VmProfile::sp1(), ExecConfig::default()),
-    ];
-    for r in Engine::run_lockstep(&d, &jobs) {
-        assert_eq!(r, Err(ExecError::MemFault { addr: 0x10, pc: 3 }));
     }
 }

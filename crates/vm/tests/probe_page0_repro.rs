@@ -3,8 +3,8 @@
 //! the first access to any page-0 address vacuously "hit" — swallowing the
 //! null-guard `MemFault` for `addr < 0x100` and eliding the page-in charge
 //! for legal page-0 addresses. These tests pin the fixed semantics on the
-//! stepped path; `page0_blocks.rs` covers the batched-block, superblock
-//! -trace, and lockstep paths.
+//! stepped path; `page0_blocks.rs` covers the batched-block and
+//! superblock-trace paths.
 
 use zkvmopt_riscv::inst::{AluImmOp, MemWidth};
 use zkvmopt_riscv::{Inst, Program, Reg};

@@ -1,24 +1,26 @@
-//! Engine v3 cross-checks: lockstep multi-state rollouts are **bit-identical**
-//! to sequential solo runs, and superblock traces deoptimize safely when a
-//! trained branch direction flips mid-run.
+//! Engine v3 cross-checks against the step-interpreter oracle
+//! (`vm::Machine`) where `tests/differential.rs` does not look: tiny and
+//! random cycle budgets (so `CycleLimit` fires mid-block, mid-trace, and on
+//! the first instruction), inputs the suite never ships, and a superblock
+//! trace whose trained branch direction flips mid-run.
 //!
-//! Lockstep is a scheduling optimization, not a semantic mode: every lane in
-//! a cohort must report exactly the cycles, paging, journal, and exit it
-//! would have reported running alone — including lanes that err out under
-//! tiny cycle budgets while their neighbours run to completion. Wall-clock
-//! time and the advisory `EngineStats` counters are the only fields allowed
-//! to differ (trace formation credit is scheduling-dependent by design).
+//! Batched blocks and traces are dispatch optimizations, not semantic
+//! modes: every run must report exactly the cycles, paging, journal, exit —
+//! or error — the oracle reports. Wall-clock time and the advisory
+//! `EngineStats` counters (all zero in the oracle) are the only fields
+//! allowed to differ.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use zkvm_opt::riscv::TargetCostModel;
+use zkvm_opt::riscv::{Program, TargetCostModel};
 use zkvm_opt::vm::{
-    DecodedProgram, Engine, ExecConfig, ExecError, ExecutionReport, VmKind, VmProfile,
+    DecodedProgram, Engine, ExecConfig, ExecError, ExecutionReport, Machine, VmKind, VmProfile,
 };
 
 struct Compiled {
     name: &'static str,
-    prog: DecodedProgram,
+    program: Program,
+    decoded: DecodedProgram,
     inputs: Vec<i32>,
 }
 
@@ -36,7 +38,8 @@ fn suite() -> &'static [Compiled] {
                     .unwrap_or_else(|e| panic!("{}: codegen: {e}", w.name));
                 Compiled {
                     name: w.name,
-                    prog: DecodedProgram::decode(&p),
+                    decoded: DecodedProgram::decode(&p),
+                    program: p,
                     inputs: w.inputs.clone(),
                 }
             })
@@ -45,14 +48,14 @@ fn suite() -> &'static [Compiled] {
 }
 
 /// Field-by-field report identity, excluding wall-clock time and the
-/// advisory trace/probe counters (which legitimately depend on how lanes
-/// were scheduled). `exec_time_ms` is derived from cycles and stays in.
+/// advisory trace/probe counters (which the oracle does not keep).
+/// `exec_time_ms` is derived from cycles and stays in.
 fn assert_lane_matches(
-    lockstep: &Result<ExecutionReport, ExecError>,
-    solo: &Result<ExecutionReport, ExecError>,
+    engine: &Result<ExecutionReport, ExecError>,
+    oracle: &Result<ExecutionReport, ExecError>,
     ctx: &str,
 ) {
-    match (lockstep, solo) {
+    match (engine, oracle) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.kind, b.kind, "{ctx}: kind");
             assert_eq!(a.instret, b.instret, "{ctx}: instret");
@@ -74,39 +77,31 @@ fn assert_lane_matches(
             );
         }
         (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}: error"),
-        (a, b) => panic!("{ctx}: lockstep {a:?} vs solo {b:?}"),
+        (a, b) => panic!("{ctx}: engine {a:?} vs oracle {b:?}"),
     }
 }
 
-/// Run a cohort over `jobs` in lockstep and each job solo, and demand
-/// bit-identical outcomes lane by lane.
-fn check_cohort(c: &Compiled, jobs: &[(VmKind, u64, Vec<i32>)]) {
-    let lanes: Vec<(VmProfile, ExecConfig)> = jobs
-        .iter()
-        .map(|(kind, budget, inputs)| {
-            (
-                VmProfile::for_kind(*kind),
-                ExecConfig {
-                    inputs: inputs.clone(),
-                    max_cycles: *budget,
-                },
-            )
-        })
-        .collect();
-    let lockstep = Engine::run_lockstep(&c.prog, &lanes);
-    assert_eq!(lockstep.len(), lanes.len(), "{}: lane count", c.name);
-    for (l, ((profile, config), got)) in lanes.iter().zip(&lockstep).enumerate() {
-        let solo = Engine::new(&c.prog, profile.clone(), config.clone()).run();
-        let ctx = format!("{} lane {l} (budget {})", c.name, config.max_cycles);
-        assert_lane_matches(got, &solo, &ctx);
+/// Run each job through the engine and through the oracle, and demand
+/// bit-identical outcomes job by job.
+fn check_jobs(c: &Compiled, jobs: &[(VmKind, u64, Vec<i32>)]) {
+    for (kind, budget, inputs) in jobs {
+        let profile = VmProfile::for_kind(*kind);
+        let config = ExecConfig {
+            inputs: inputs.clone(),
+            max_cycles: *budget,
+        };
+        let engine = Engine::new(&c.decoded, profile.clone(), config.clone()).run();
+        let oracle = Machine::new(&c.program, profile, config).run();
+        let ctx = format!("{} on {kind} (budget {budget}, inputs {inputs:?})", c.name);
+        assert_lane_matches(&engine, &oracle, &ctx);
     }
 }
 
-/// Mixed VM kinds and the pinned tiny budgets from `engine_limits.rs` in one
-/// cohort: lanes hit `CycleLimit` at different blocks while a generous lane
-/// runs to halt, so the convoy splits, shrinks, and finalizes incrementally.
+/// Both VM kinds under the pinned tiny budgets from `engine_limits.rs`:
+/// `CycleLimit` lands on the first instruction, mid-block, and mid-trace,
+/// beside a generous budget that runs to halt.
 #[test]
-fn lockstep_matches_sequential_across_the_suite() {
+fn engine_matches_reference_under_tiny_budgets_across_the_suite() {
     for c in suite() {
         let jobs: Vec<(VmKind, u64, Vec<i32>)> = VmKind::BOTH
             .iter()
@@ -116,32 +111,32 @@ fn lockstep_matches_sequential_across_the_suite() {
                     .map(move |budget| (kind, budget, c.inputs.clone()))
             })
             .collect();
-        check_cohort(c, &jobs);
+        check_jobs(c, &jobs);
     }
 }
 
-/// A cohort whose lanes disagree on *inputs* (not just budgets) diverges at
-/// the first input-dependent branch; every group downstream of the split
-/// must still account exactly like a solo run.
+/// Inputs the suite never ships steer input-dependent branches down paths
+/// the golden runs do not take; every one must still account exactly like
+/// the oracle.
 #[test]
-fn lockstep_with_divergent_inputs_matches_sequential() {
+fn engine_matches_reference_on_divergent_inputs() {
     for c in suite() {
         let arity = c.inputs.len();
         let jobs: Vec<(VmKind, u64, Vec<i32>)> = [0i32, 1, 7, 1_000_000]
             .iter()
             .map(|&fill| (VmKind::RiscZero, 2_000_000, vec![fill; arity]))
             .collect();
-        check_cohort(c, &jobs);
+        check_jobs(c, &jobs);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Random per-lane budgets (skewed tiny so mid-block exits are common),
-    /// random shared fill input, every workload, kinds interleaved.
+    /// Random budgets (skewed tiny so mid-block exits are common), random
+    /// shared fill input, every workload, kinds interleaved.
     #[test]
-    fn random_budget_cohorts_match_sequential(
+    fn engine_matches_reference_under_random_budgets(
         budgets in proptest::collection::vec(0u64..4096, 6..7),
         fill in -2_000_000_000i32..2_000_000_000,
         arity in 0usize..4,
@@ -156,7 +151,7 @@ proptest! {
                     (kind, b, inputs.clone())
                 })
                 .collect();
-            check_cohort(c, &jobs);
+            check_jobs(c, &jobs);
         }
     }
 }

@@ -2,11 +2,10 @@
 //! page-0 probe-sentinel regression class. Random programs whose loads and
 //! stores are biased into `0x0..0x500` — straddling the `addr < 0x100` null
 //! guard and the legal remainder of page 0 — must behave identically under
-//! the reference step interpreter, the solo block-dispatch engine, the
-//! stepped-only segmented dispatch, and lockstep convoys, on every
-//! architectural observable (cycles, paging, segments, mix, journal, fault
-//! address/pc). Hot-loop variants drive the same footprints through
-//! superblock traces.
+//! the reference step interpreter, the solo block-dispatch engine, and the
+//! stepped-only segmented dispatch, on every architectural observable
+//! (cycles, paging, segments, mix, journal, fault address/pc). Hot-loop
+//! variants drive the same footprints through superblock traces.
 
 use proptest::prelude::*;
 use zkvm_opt::riscv::inst::{AluImmOp, BranchCond, MemWidth};
@@ -158,7 +157,7 @@ fn check_program(p: &Program) {
 
         // Stepped-only segmented dispatch; per-segment records must also
         // sum bit-identically to the report totals.
-        let segmented = Engine::new(&d, profile.clone(), ExecConfig::default()).run_segmented();
+        let segmented = Engine::new(&d, profile, ExecConfig::default()).run_segmented();
         match segmented {
             Ok((report, records)) => {
                 assert_outcomes_match("segmented", kind, &Ok(report.clone()), &reference);
@@ -175,13 +174,6 @@ fn check_program(p: &Program) {
             Err(ref e) => {
                 assert_eq!(Err(e.clone()), reference, "segmented error ({kind})");
             }
-        }
-
-        // Lockstep convoys (two same-profile lanes exercise the tight
-        // convoy paths) lane-checked against the reference.
-        let jobs = vec![(profile.clone(), ExecConfig::default()); 2];
-        for r in Engine::run_lockstep(&d, &jobs) {
-            assert_outcomes_match("lockstep", kind, &r, &reference);
         }
     }
 }
