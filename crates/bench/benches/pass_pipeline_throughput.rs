@@ -13,11 +13,22 @@
 //! rebuilds `Cfg`/`DomTree`/`LoopForest` from scratch; the cached executor
 //! converges once and then skips passes that provably cannot change anything.
 //! The acceptance bar is a ≥1.5× geomean over the suite (advisory under CI
-//! noise via `ZKVMOPT_SPEEDUP_ADVISORY=1`, like `engine_throughput`).
+//! noise via `ZKVMOPT_SPEEDUP_ADVISORY=1`, like `engine_throughput`). Both
+//! sides run the same pass bodies, so the ratio says nothing about how fast
+//! a pass is — a 3× faster pass layer left it at 2.3×.
+//!
+//! The pass layer in absolute units is the second table: for every registry
+//! entry, ns per IR instruction entering the pass, over the suite from the
+//! lowered and the `-O1` starting points. The ten most expensive entries are
+//! printed and recorded — the names behind the benchmark's
+//! `passes.ms.other` — with the geomean over all entries as the headline
+//! (`passes_ns_per_ir_inst_geomean`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_ir::Module;
-use zkvmopt_passes::{run_pass, OptLevel, PassConfig, PassExecutor, PassManager};
+use zkvmopt_passes::{
+    find_pass, is_noop_pass, pass_names, run_pass, OptLevel, PassConfig, PassExecutor, PassManager,
+};
 use zkvmopt_stats::geomean;
 use zkvmopt_workloads::Workload;
 
@@ -104,6 +115,45 @@ fn bit_identity_gate(suite: &[(&'static Workload, Module)]) {
     );
 }
 
+/// ns per IR instruction entering the pass, per (non-no-op) registry entry,
+/// most expensive first: each entry runs once, through a fresh executor, on a
+/// clone of every suite module as lowered and after `-O1` (best of two).
+fn per_pass_cost(suite: &[(&'static Workload, Module)]) -> Vec<(&'static str, f64)> {
+    let cfg = PassConfig::default();
+    let starts: Vec<Module> = suite
+        .iter()
+        .flat_map(|(_, base)| {
+            let mut o1 = base.clone();
+            PassManager::for_level(OptLevel::O1).run(&mut o1, &cfg);
+            [base.clone(), o1]
+        })
+        .collect();
+    let insts: usize = starts.iter().map(Module::size).sum();
+    let mut rows: Vec<(&'static str, f64)> = pass_names()
+        .iter()
+        .filter(|name| !is_noop_pass(name))
+        .map(|&name| {
+            let entry = find_pass(name).expect("registered");
+            let ns = (0..2)
+                .map(|_| {
+                    let mut ns = 0u128;
+                    for start in &starts {
+                        let mut m = start.clone();
+                        let t = std::time::Instant::now();
+                        black_box(PassExecutor::new().run_entry(entry, &mut m, &cfg));
+                        ns += t.elapsed().as_nanos();
+                    }
+                    ns
+                })
+                .min()
+                .expect("two rounds");
+            (name, ns as f64 / insts as f64)
+        })
+        .collect();
+    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+    rows
+}
+
 fn report(suite: &[(&'static Workload, Module)]) {
     zkvmopt_bench::header(
         "Pass-pipeline throughput: analysis-cached PassManager vs uncached run_pass (-O2)",
@@ -149,14 +199,33 @@ fn report(suite: &[(&'static Workload, Module)]) {
         "\ngeomean speedup over the {}-program suite: {g:.2}x",
         suite.len()
     );
-    zkvmopt_bench::trajectory::record(
-        "pass_pipeline_throughput",
-        &[
-            ("geomean_speedup", g),
-            ("workloads", suite.len() as f64),
-            ("repeats", REPEATS as f64),
-        ],
+
+    let costs = per_pass_cost(suite);
+    let cost_geomean = geomean(&costs.iter().map(|(_, ns)| *ns).collect::<Vec<_>>());
+    println!(
+        "\n{:<28} {:>14}   (top 10 of {} registry entries; lowered + -O1 starts)",
+        "pass",
+        "ns / IR inst",
+        costs.len()
     );
+    for (name, ns) in costs.iter().take(10) {
+        println!("{name:<28} {ns:>14.1}");
+    }
+    println!("{:<28} {cost_geomean:>14.1}", "geomean, all entries");
+
+    let top: Vec<(String, f64)> = costs
+        .iter()
+        .take(10)
+        .map(|(name, ns)| (format!("ns_per_ir_inst.{name}"), *ns))
+        .collect();
+    let mut metrics: Vec<(&str, f64)> = vec![
+        ("geomean_speedup", g),
+        ("workloads", suite.len() as f64),
+        ("repeats", REPEATS as f64),
+        ("passes_ns_per_ir_inst_geomean", cost_geomean),
+    ];
+    metrics.extend(top.iter().map(|(k, v)| (k.as_str(), *v)));
+    zkvmopt_bench::trajectory::record("pass_pipeline_throughput", &metrics);
     zkvmopt_bench::gate_speedup(
         "cached pass manager vs the uncached loop on repeated pipelines",
         g,

@@ -5,7 +5,13 @@ use std::collections::HashSet;
 
 /// Precomputed CFG adjacency for a function.
 ///
-/// Built once per pass invocation; cheap relative to the transformations.
+/// Building one is linear in the function (a reachability walk, an adjacency
+/// fill, an RPO walk) but not free: it allocates per block. Analyses read it
+/// through the [`AnalysisCache`](crate::analysis::AnalysisCache); a transform
+/// that edits the block graph builds its own, and should build it once per
+/// *structural change* at most — `simplifycfg` shares one `Cfg` across its
+/// steps until a step changes the graph, and contracts a whole chain of
+/// blocks against a single one — never once per rewritten block or value.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     preds: Vec<Vec<BlockId>>,

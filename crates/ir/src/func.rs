@@ -2,7 +2,6 @@
 
 use crate::inst::{Op, Operand, Term};
 use crate::ty::Ty;
-use std::collections::HashSet;
 
 /// Index of an SSA value within a [`Function`]'s value arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -230,28 +229,51 @@ impl Function {
 
     /// Replace every use of value `from` (in instructions and terminators of
     /// reachable and unreachable blocks alike) with operand `to`.
+    ///
+    /// Cost: one sweep over the whole value arena (tombstones included — it
+    /// is never compacted) plus every terminator, per call. A pass that
+    /// replaces many values should record them in a [`Substitution`] and pay
+    /// for one sweep with [`Function::substitute_uses`].
     pub fn replace_all_uses(&mut self, from: ValueId, to: Operand) {
-        // Collect instruction ids first to appease the borrow checker.
-        let all: Vec<ValueId> = (0..self.values.len() as u32).map(ValueId).collect();
-        for v in all {
-            if let ValueDef::Inst(op) = &mut self.values[v.index()].def {
-                op.for_each_operand_mut(|o| {
-                    if *o == Operand::Value(from) {
-                        *o = to;
-                    }
-                });
+        let from = Operand::Value(from);
+        let rewrite = |o: &mut Operand| {
+            if *o == from {
+                *o = to;
+            }
+        };
+        for vd in &mut self.values {
+            if let ValueDef::Inst(op) = &mut vd.def {
+                op.for_each_operand_mut(rewrite);
             }
         }
         for b in &mut self.blocks {
-            b.term.for_each_operand_mut(|o| {
-                if *o == Operand::Value(from) {
-                    *o = to;
-                }
-            });
+            b.term.for_each_operand_mut(rewrite);
+        }
+    }
+
+    /// Apply every replacement recorded in `subst` at once: the bulk form of
+    /// [`Function::replace_all_uses`], one arena sweep however many values
+    /// are replaced. Each operand is rewritten to [`Substitution::resolve`]
+    /// of itself.
+    pub fn substitute_uses(&mut self, subst: &Substitution) {
+        if subst.is_empty() {
+            return;
+        }
+        for vd in &mut self.values {
+            if let ValueDef::Inst(op) = &mut vd.def {
+                subst.resolve_op(op);
+            }
+        }
+        for b in &mut self.blocks {
+            b.term.for_each_operand_mut(|o| *o = subst.resolve(*o));
         }
     }
 
     /// Number of uses of `v` across all instructions and terminators.
+    ///
+    /// Cost: one sweep over the whole value arena and every terminator, per
+    /// call; a caller asking about many values should count all uses in one
+    /// sweep of its own.
     pub fn use_count(&self, v: ValueId) -> usize {
         let mut n = 0;
         for vd in &self.values {
@@ -280,11 +302,11 @@ impl Function {
 
     /// Blocks reachable from entry, in depth-first preorder.
     pub fn reachable_blocks(&self) -> Vec<BlockId> {
-        let mut seen: HashSet<BlockId> = HashSet::new();
+        let mut seen = vec![false; self.blocks.len()];
         let mut order = Vec::new();
         let mut stack = vec![self.entry];
         while let Some(b) = stack.pop() {
-            if !seen.insert(b) {
+            if std::mem::replace(&mut seen[b.index()], true) {
                 continue;
             }
             order.push(b);
@@ -317,6 +339,73 @@ impl Function {
             }
         }
         false
+    }
+}
+
+/// A pending batch of `from → to` use replacements, applied in one sweep by
+/// [`Function::substitute_uses`].
+///
+/// [`Function::replace_all_uses`] costs a whole-arena sweep per call, which
+/// makes a pass that replaces one value per rewritten instruction quadratic
+/// in function size. Such a pass records each replacement here (O(1)), reads
+/// the operands it inspects through [`resolve`](Substitution::resolve) while
+/// the batch is pending, and rewrites the function once at the end.
+///
+/// Resolution chases chains (`a → b`, later `b → c` resolves `a` to `c`), so
+/// a pending batch reads exactly as the same replacements applied eagerly
+/// one by one, provided no replacement's target had already been replaced
+/// away when it was recorded — which holds whenever targets are taken from
+/// resolved operands.
+#[derive(Debug, Clone, Default)]
+pub struct Substitution {
+    /// Replacement per value index; shorter than the arena when the tail has
+    /// none.
+    map: Vec<Option<Operand>>,
+    /// Number of values with a replacement (also bounds a chase).
+    len: usize,
+}
+
+impl Substitution {
+    /// An empty batch.
+    pub fn new() -> Substitution {
+        Substitution::default()
+    }
+
+    /// Whether no replacement has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Record that every use of `from` becomes `to` (overwriting an earlier
+    /// replacement of `from`).
+    pub fn insert(&mut self, from: ValueId, to: Operand) {
+        if self.map.len() <= from.index() {
+            self.map.resize(from.index() + 1, None);
+        }
+        if self.map[from.index()].replace(to).is_none() {
+            self.len += 1;
+        }
+    }
+
+    /// What `o` reads as once the batch is applied: follows replacement
+    /// chains to their end. A value replaced by itself resolves to itself,
+    /// and a (malformed) longer cycle stops after one pass over the batch.
+    pub fn resolve(&self, mut o: Operand) -> Operand {
+        for _ in 0..=self.len {
+            match o {
+                Operand::Value(v) => match self.map.get(v.index()) {
+                    Some(Some(n)) if *n != o => o = *n,
+                    _ => return o,
+                },
+                Operand::Const { .. } => return o,
+            }
+        }
+        o
+    }
+
+    /// Rewrite every operand of `op` to its resolution.
+    pub fn resolve_op(&self, op: &mut Op) {
+        op.for_each_operand_mut(|o| *o = self.resolve(*o));
     }
 }
 
@@ -459,6 +548,50 @@ mod tests {
             Term::Ret(Some(o)) => assert!(o.is_const_val(7)),
             t => panic!("unexpected term {t:?}"),
         }
+    }
+
+    #[test]
+    fn substitution_reads_as_the_eager_replacements_it_batches() {
+        // v1 = p + 1; v2 = v1 + 1; v3 = v2 + v1; ret v3
+        let mut f = sample();
+        let add = |f: &mut Function, a: Operand, b: Operand| {
+            f.add_inst(
+                f.entry,
+                Op::Bin {
+                    op: BinOp::Add,
+                    a,
+                    b,
+                },
+                Some(Ty::I32),
+            )
+        };
+        let v1 = ValueId(1);
+        let v2 = add(&mut f, Operand::val(v1), Operand::i32(1));
+        let v3 = add(&mut f, Operand::val(v2), Operand::val(v1));
+        f.blocks[0].term = Term::Ret(Some(Operand::val(v3)));
+
+        // v2 -> v1, then v1 -> 7 (a chain), and v3 -> v3 (a self-map).
+        let mut eager = f.clone();
+        eager.replace_all_uses(v2, Operand::val(v1));
+        eager.replace_all_uses(v1, Operand::i32(7));
+        eager.replace_all_uses(v3, Operand::val(v3));
+
+        let mut subst = Substitution::new();
+        assert!(subst.is_empty());
+        subst.insert(v2, Operand::val(v1));
+        subst.insert(v1, Operand::i32(7));
+        subst.insert(v3, Operand::val(v3));
+        assert_eq!(subst.resolve(Operand::val(v2)), Operand::i32(7));
+        assert_eq!(subst.resolve(Operand::val(v3)), Operand::val(v3));
+        assert_eq!(
+            subst.resolve(Operand::val(ValueId(0))),
+            Operand::val(ValueId(0))
+        );
+        let mut bulk = f.clone();
+        bulk.substitute_uses(&subst);
+        assert_eq!(bulk, eager);
+        assert_eq!(bulk.use_count(v1), 0);
+        assert_eq!(bulk.use_count(v3), 1, "the terminator still returns v3");
     }
 
     #[test]

@@ -3,43 +3,81 @@
 use crate::framework::{FunctionContext, ModuleInfo};
 use crate::util;
 use crate::PassConfig;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use zkvmopt_ir::analysis::AnalysisCache;
-use zkvmopt_ir::{BlockId, Function, Op, Operand, ValueId};
+use zkvmopt_ir::func::Substitution;
+use zkvmopt_ir::{
+    BinOp, BlockId, CastKind, FuncId, Function, GlobalId, Op, Operand, Pred, Ty, ValueId,
+};
 
-/// Hashable key for pure expressions (commutative operands canonicalized).
-fn expr_key(f: &Function, op: &Op) -> Option<String> {
-    let fmt = |o: &Operand| format!("{o:?}");
+/// Structural key of a pure expression: two instructions compute the same
+/// value exactly when their keys are equal (commutative operands are put in
+/// one canonical order).
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum ExprKey {
+    Bin(BinOp, Operand, Operand),
+    Icmp(Pred, Operand, Operand),
+    Select(Operand, Operand, Operand),
+    Gep(Operand, Operand, u32, i32),
+    GlobalAddr(GlobalId),
+    Cast(CastKind, Operand, Ty),
+    /// Only readnone calls are CSE-able; the caller checks the attribute.
+    Call(FuncId, Vec<Operand>),
+    /// A load from memory that is never written (`gvn` only).
+    Load(Operand, Ty),
+}
+
+/// Any total order on operands serves to canonicalize a commutative pair.
+fn operand_rank(o: &Operand) -> (bool, i64, Ty) {
+    match o {
+        Operand::Value(v) => (false, v.0 as i64, Ty::I1),
+        Operand::Const { value, ty } => (true, *value, *ty),
+    }
+}
+
+fn expr_key(op: &Op) -> Option<ExprKey> {
     Some(match op {
         Op::Bin { op, a, b } => {
-            let (x, y) = (fmt(a), fmt(b));
-            let (x, y) = if op.commutative() && y < x {
-                (y, x)
+            if op.commutative() && operand_rank(b) < operand_rank(a) {
+                ExprKey::Bin(*op, *b, *a)
             } else {
-                (x, y)
-            };
-            format!("bin:{op:?}:{x}:{y}")
+                ExprKey::Bin(*op, *a, *b)
+            }
         }
-        Op::Icmp { pred, a, b } => format!("icmp:{pred:?}:{}:{}", fmt(a), fmt(b)),
-        Op::Select { c, t, f: fo } => format!("sel:{}:{}:{}", fmt(c), fmt(t), fmt(fo)),
+        Op::Icmp { pred, a, b } => ExprKey::Icmp(*pred, *a, *b),
+        Op::Select { c, t, f } => ExprKey::Select(*c, *t, *f),
         Op::Gep {
             base,
             index,
             stride,
             offset,
-        } => {
-            format!("gep:{}:{}:{stride}:{offset}", fmt(base), fmt(index))
-        }
-        Op::GlobalAddr(g) => format!("ga:{g:?}"),
-        Op::Cast { kind, v, to } => format!("cast:{kind:?}:{}:{to:?}", fmt(v)),
-        Op::Call { callee, args } => {
-            // Only readnone calls are CSE-able; caller checks the attribute.
-            let _ = f;
-            let a: Vec<String> = args.iter().map(fmt).collect();
-            format!("call:{callee:?}:{}", a.join(":"))
-        }
+        } => ExprKey::Gep(*base, *index, *stride, *offset),
+        Op::GlobalAddr(g) => ExprKey::GlobalAddr(*g),
+        Op::Cast { kind, v, to } => ExprKey::Cast(*kind, *v, *to),
+        Op::Call { callee, args } => ExprKey::Call(*callee, args.clone()),
         _ => return None,
     })
+}
+
+/// Bring the `gep`/`copy` chain that [`util::ptr_base`] walks from `o` up to
+/// date with the pending replacements: alias queries read the operands of
+/// instructions other than the one being visited.
+fn materialize_ptr_chain(f: &mut Function, subst: &Substitution, o: Operand) {
+    if subst.is_empty() {
+        return;
+    }
+    let mut cur = o;
+    for _ in 0..64 {
+        let Operand::Value(v) = cur else { return };
+        let Some(op) = f.op_mut(v) else { return };
+        subst.resolve_op(op);
+        cur = match op {
+            Op::Gep { base, .. } => *base,
+            Op::Copy(x) => *x,
+            _ => return,
+        };
+    }
 }
 
 /// Block-local common-subexpression elimination with store-to-load
@@ -55,70 +93,76 @@ pub fn early_cse(
 
 fn early_cse_function(f: &mut Function, info: &ModuleInfo) -> bool {
     let mut changed = false;
+    // Replacements stay pending (one arena sweep at the end, not one per
+    // eliminated instruction); every op is resolved in place before it is
+    // read.
+    let mut subst = Substitution::new();
     for b in f.block_ids() {
-        let mut avail: HashMap<String, ValueId> = HashMap::new();
+        let mut avail: HashMap<ExprKey, ValueId> = HashMap::new();
         // Memory state: pointer operand -> last known value (from store or load).
         let mut mem: HashMap<Operand, Operand> = HashMap::new();
         let insts = f.blocks[b.index()].insts.clone();
         for v in insts {
-            let Some(op) = f.op(v).cloned() else { continue };
-            match &op {
+            let Some(op) = f.op_mut(v) else { continue };
+            subst.resolve_op(op);
+            let op = op.clone();
+            // `Some(prev)` when an earlier instruction already computes `op`.
+            let mut lookup = |op: &Op| -> Option<ValueId> {
+                let key = expr_key(op)?;
+                match avail.entry(key) {
+                    Entry::Occupied(e) => Some(*e.get()),
+                    Entry::Vacant(e) => {
+                        e.insert(v);
+                        None
+                    }
+                }
+            };
+            let known = match &op {
                 Op::Load { ptr, .. } => {
-                    if let Some(known) = mem.get(ptr) {
-                        f.replace_all_uses(v, *known);
-                        f.remove_inst(b, v);
-                        changed = true;
-                    } else {
+                    let known = mem.get(ptr).copied();
+                    if known.is_none() {
                         mem.insert(*ptr, Operand::val(v));
                     }
+                    known
                 }
                 Op::Store { ptr, val, .. } => {
                     // Invalidate anything that may alias, then record.
                     let ptr = *ptr;
                     let val = *val;
+                    materialize_ptr_chain(f, &subst, ptr);
                     let keys: Vec<Operand> = mem.keys().copied().collect();
                     for k in keys {
+                        materialize_ptr_chain(f, &subst, k);
                         if k != ptr && util::may_alias(f, &k, &ptr) {
                             mem.remove(&k);
                         }
                     }
                     mem.insert(ptr, val);
+                    None
                 }
                 Op::Call { callee, .. } => {
-                    let pure = info.is_readnone(*callee);
-                    if pure {
-                        if let Some(key) = expr_key(f, &op) {
-                            if let Some(&prev) = avail.get(&key) {
-                                f.replace_all_uses(v, Operand::val(prev));
-                                f.remove_inst(b, v);
-                                changed = true;
-                                continue;
-                            }
-                            avail.insert(key, v);
-                        }
+                    if info.is_readnone(*callee) {
+                        lookup(&op).map(Operand::val)
                     } else {
                         mem.clear();
+                        None
                     }
                 }
                 Op::Ecall { .. } => {
                     mem.clear();
+                    None
                 }
-                _ => {
-                    if op.is_speculatable() {
-                        if let Some(key) = expr_key(f, &op) {
-                            if let Some(&prev) = avail.get(&key) {
-                                f.replace_all_uses(v, Operand::val(prev));
-                                f.remove_inst(b, v);
-                                changed = true;
-                                continue;
-                            }
-                            avail.insert(key, v);
-                        }
-                    }
-                }
+                _ if op.is_speculatable() => lookup(&op).map(Operand::val),
+                _ => None,
+            };
+            if let Some(known) = known {
+                subst.insert(v, known);
+                f.remove_inst(b, v);
+                changed = true;
             }
         }
     }
+    f.substitute_uses(&subst);
     changed
 }
 
@@ -188,11 +232,15 @@ fn gvn_function(
         }
     }
     let mut changed = false;
+    // Replacements stay pending (one arena sweep at the end, not one per
+    // eliminated instruction); every op is resolved in place before it is
+    // read.
+    let mut subst = Substitution::new();
     // Scoped table: stack of (key, value) insertions to undo on exit.
-    let mut table: HashMap<String, ValueId> = HashMap::new();
+    let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
     enum Step {
         Enter(BlockId),
-        Exit(Vec<String>),
+        Exit(Vec<ExprKey>),
     }
     let mut stack = vec![Step::Enter(f.entry)];
     while let Some(step) = stack.pop() {
@@ -206,37 +254,39 @@ fn gvn_function(
                 let mut inserted = Vec::new();
                 let insts = f.blocks[b.index()].insts.clone();
                 for v in insts {
-                    let Some(op) = f.op(v).cloned() else { continue };
-                    let key = match &op {
+                    let Some(op) = f.op_mut(v) else { continue };
+                    subst.resolve_op(op);
+                    let key = match &*op {
                         Op::Load { ptr, ty } => {
-                            let base = util::ptr_base(f, ptr);
-                            let stable = !facts.unknown_writes
-                                && base != util::PtrBase::Unknown
-                                && !facts.written.contains(&base);
-                            if stable {
-                                Some(format!("load:{ptr:?}:{ty:?}"))
-                            } else {
-                                None
-                            }
+                            let (ptr, ty) = (*ptr, *ty);
+                            let stable = !facts.unknown_writes && {
+                                materialize_ptr_chain(f, &subst, ptr);
+                                let base = util::ptr_base(f, &ptr);
+                                base != util::PtrBase::Unknown && !facts.written.contains(&base)
+                            };
+                            stable.then_some(ExprKey::Load(ptr, ty))
                         }
                         Op::Call { callee, .. } => {
                             if info.is_readnone(*callee) {
-                                expr_key(f, &op)
+                                expr_key(op)
                             } else {
                                 None
                             }
                         }
-                        _ if op.is_speculatable() => expr_key(f, &op),
+                        op if op.is_speculatable() => expr_key(op),
                         _ => None,
                     };
                     let Some(key) = key else { continue };
-                    if let Some(&prev) = table.get(&key) {
-                        f.replace_all_uses(v, Operand::val(prev));
-                        f.remove_inst(b, v);
-                        changed = true;
-                    } else {
-                        table.insert(key.clone(), v);
-                        inserted.push(key);
+                    match table.entry(key) {
+                        Entry::Occupied(e) => {
+                            subst.insert(v, Operand::val(*e.get()));
+                            f.remove_inst(b, v);
+                            changed = true;
+                        }
+                        Entry::Vacant(e) => {
+                            inserted.push(e.key().clone());
+                            e.insert(v);
+                        }
                     }
                 }
                 stack.push(Step::Exit(inserted));
@@ -246,6 +296,7 @@ fn gvn_function(
             }
         }
     }
+    f.substitute_uses(&subst);
     changed
 }
 

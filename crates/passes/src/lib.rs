@@ -780,7 +780,37 @@ pub(crate) mod testutil {
         );
         (before, m.size())
     }
+
+    /// Every function of `m` in the three states the kernel oracles run on:
+    /// as lowered, after `-O1`, and promoted + fully peeled before cleanup.
+    pub fn oracle_inputs(name: &str, m: &Module) -> Vec<(String, zkvmopt_ir::Function)> {
+        let mut o1 = m.clone();
+        PassManager::o1().run(&mut o1, &PassConfig::default());
+        let mut out = Vec::new();
+        for (state, module) in [("lowered", m), ("O1", &o1)] {
+            for f in &module.funcs {
+                out.push((format!("{name}/{}@{state}", f.name), f.clone()));
+            }
+        }
+        for f in &m.funcs {
+            let peeled = loopopt::oracle::peeled(f);
+            out.push((format!("{name}/{}@peeled", f.name), peeled));
+        }
+        out
+    }
+
+    /// Every linear kernel against its quadratic oracle on `f`.
+    pub fn check_kernel_oracles(name: &str, f: &zkvmopt_ir::Function) {
+        simplify::oracle::check(name, f);
+        loopopt::oracle::check(name, f);
+        sccp::oracle::check(name, f);
+    }
 }
+
+/// The random-program generator of `tests/proptest_passes.rs`.
+#[cfg(test)]
+#[path = "../../../tests/common/program_gen.rs"]
+mod program_gen;
 
 #[cfg(test)]
 mod tests {
@@ -1086,6 +1116,39 @@ mod tests {
                 assert!(!run_pass(entry.name, &mut m, &cfg), "{}", entry.name);
             }
             assert_eq!(printed, zkvmopt_ir::print::module_to_string(&m));
+        }
+    }
+
+    /// Old == new, as whole `Function`s, over every function of the 58
+    /// lowered and `-O1` suite modules (and their peeled forms).
+    #[test]
+    fn linear_kernels_match_their_oracles_on_the_suite() {
+        for w in zkvmopt_workloads::all() {
+            let m = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
+            for (name, f) in testutil::oracle_inputs(w.name, &m) {
+                testutil::check_kernel_oracles(&name, &f);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 12,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The same over the `proptest_passes` generator's programs.
+        #[test]
+        fn linear_kernels_match_their_oracles_on_generated_programs(
+            es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
+            trip in 1u8..20,
+        ) {
+            for src in [program_gen::program(&es, trip), program_gen::program_with_calls(&es, trip)] {
+                let m = zkvmopt_lang::compile_guest(&src).expect("generated program compiles");
+                for (name, f) in testutil::oracle_inputs("generated", &m) {
+                    testutil::check_kernel_oracles(&name, &f);
+                }
+            }
         }
     }
 }

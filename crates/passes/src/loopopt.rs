@@ -17,6 +17,7 @@ use std::rc::Rc;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::dom::DomTree;
+use zkvmopt_ir::func::Substitution;
 use zkvmopt_ir::loops::{Loop, LoopForest};
 use zkvmopt_ir::{BinOp, BlockId, Function, Module, Op, Operand, Pred, Term, Ty, ValueId};
 
@@ -193,7 +194,7 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     for _ in 0..8 {
         // LCSSA only inserts phis and rewrites operands — the cached
         // analyses stay valid throughout, including across rounds.
-        let (cfg, _dom, forest) = analyze(f, ac);
+        let (cfg, dom, forest) = analyze(f, ac);
         let mut did = false;
         for l in &forest.loops {
             if l.exits.len() != 1 {
@@ -201,93 +202,52 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             }
             let exit = l.exits[0];
             // Exit must be dedicated (all preds inside the loop).
-            if cfg.unique_preds(exit).iter().any(|p| !l.contains(*p)) {
+            let exit_preds = cfg.unique_preds(exit);
+            if exit_preds.iter().any(|p| !l.contains(*p)) {
                 continue;
             }
-            let exit_preds = cfg.unique_preds(exit);
-            // Find loop-defined values with uses outside the loop.
-            let mut escaping: Vec<(ValueId, Ty)> = Vec::new();
-            for b in sorted_blocks(l) {
-                for &v in &f.blocks[b.index()].insts {
-                    let Some(ty) = f.ty(v) else { continue };
-                    let mut outside_use = false;
-                    for b2 in f.block_ids() {
-                        if l.contains(b2) {
-                            continue;
-                        }
-                        for &u in &f.blocks[b2.index()].insts {
-                            if let Some(op) = f.op(u) {
-                                // An existing LCSSA phi in the exit is fine.
-                                if b2 == exit && op.is_phi() {
-                                    continue;
-                                }
-                                op.for_each_operand(|o| {
-                                    outside_use |= *o == Operand::Value(v);
-                                });
-                            }
-                        }
-                        f.blocks[b2.index()]
-                            .term
-                            .for_each_operand(|o| outside_use |= *o == Operand::Value(v));
-                        if outside_use {
-                            break;
-                        }
-                    }
-                    if outside_use {
-                        escaping.push((v, ty));
-                    }
+            // One sweep over the outside blocks marks every value used
+            // there (an existing LCSSA phi in the exit is fine).
+            let mut used_outside = vec![false; f.values.len()];
+            for_each_outside_use(f, l, exit, |o| {
+                if let Operand::Value(v) = o {
+                    used_outside[v.index()] = true;
                 }
-            }
-            for (v, ty) in escaping {
-                // The value must dominate every exit pred to be phi-able;
-                // in a single-exit loop with the def dominating the exiting
-                // block this holds for our shapes — verify defensively.
-                let dom = ac.dom(f);
-                let def_bb = f
-                    .block_ids()
-                    .into_iter()
-                    .find(|b| f.blocks[b.index()].insts.contains(&v))
-                    .expect("def block");
+            });
+            // Loop-defined values among them get a phi at the exit. The
+            // value must dominate every exit pred to be phi-able; in a
+            // single-exit loop with the def dominating the exiting block
+            // this holds for our shapes — verify defensively.
+            let mut phi_of: Vec<Option<ValueId>> = vec![None; f.values.len()];
+            let mut escaped = false;
+            for def_bb in sorted_blocks(l) {
                 if !exit_preds.iter().all(|p| dom.dominates(def_bb, *p)) {
                     continue;
                 }
-                let incoming: Vec<(BlockId, Operand)> =
-                    exit_preds.iter().map(|p| (*p, Operand::val(v))).collect();
-                let phi = f.insert_inst(exit, 0, Op::Phi { incoming }, Some(ty));
-                // Replace uses outside the loop (except the new phi itself).
-                for b2 in f.block_ids() {
-                    if l.contains(b2) {
+                for i in 0..f.blocks[def_bb.index()].insts.len() {
+                    let v = f.blocks[def_bb.index()].insts[i];
+                    let Some(ty) = f.ty(v) else { continue };
+                    if !used_outside[v.index()] {
                         continue;
                     }
-                    let insts = f.blocks[b2.index()].insts.clone();
-                    for u in insts {
-                        if u == phi {
-                            continue;
-                        }
-                        if b2 == exit {
-                            if let Some(op) = f.op(u) {
-                                if op.is_phi() {
-                                    continue;
-                                }
-                            }
-                        }
-                        if let Some(op) = f.op_mut(u) {
-                            op.for_each_operand_mut(|o| {
-                                if *o == Operand::Value(v) {
-                                    *o = Operand::val(phi);
-                                }
-                            });
+                    let incoming: Vec<(BlockId, Operand)> =
+                        exit_preds.iter().map(|p| (*p, Operand::val(v))).collect();
+                    let phi = f.insert_inst(exit, 0, Op::Phi { incoming }, Some(ty));
+                    phi_of[v.index()] = Some(phi);
+                    escaped = true;
+                }
+            }
+            // Route the outside uses through the new phis (which, being
+            // phis in the exit, are themselves left alone).
+            if escaped {
+                did = true;
+                for_each_outside_use(f, l, exit, |o| {
+                    if let Operand::Value(v) = o {
+                        if let Some(Some(phi)) = phi_of.get(v.index()) {
+                            *o = Operand::val(*phi);
                         }
                     }
-                    let mut term = f.blocks[b2.index()].term.clone();
-                    term.for_each_operand_mut(|o| {
-                        if *o == Operand::Value(v) {
-                            *o = Operand::val(phi);
-                        }
-                    });
-                    f.blocks[b2.index()].term = term;
-                }
-                did = true;
+                });
             }
         }
         changed |= did;
@@ -296,6 +256,31 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
         }
     }
     changed
+}
+
+/// Visit every operand used outside loop `l` — instructions and terminators
+/// of all non-loop blocks — except those of phis in `exit`.
+fn for_each_outside_use(
+    f: &mut Function,
+    l: &Loop,
+    exit: BlockId,
+    mut visit: impl FnMut(&mut Operand),
+) {
+    for b in 0..f.blocks.len() {
+        let b = BlockId(b as u32);
+        if l.contains(b) {
+            continue;
+        }
+        for i in 0..f.blocks[b.index()].insts.len() {
+            let u = f.blocks[b.index()].insts[i];
+            if let Some(op) = f.op_mut(u) {
+                if !(b == exit && op.is_phi()) {
+                    op.for_each_operand_mut(&mut visit);
+                }
+            }
+        }
+        f.blocks[b.index()].term.for_each_operand_mut(&mut visit);
+    }
 }
 
 /// Loop-invariant code motion.
@@ -366,24 +351,30 @@ fn promote_loop_allocas(f: &mut Function, ac: &mut AnalysisCache) -> bool {
 
 fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     let mut changed = false;
+    // Hoisting moves instructions between existing blocks; the cached
+    // analyses — and with them the loop order and each loop's sorted block
+    // list — survive every round.
+    let (cfg, _dom, forest) = analyze(f, ac);
+    // Innermost loops first (deepest depth first).
+    let mut order: Vec<usize> = (0..forest.loops.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
+    let blocks_of: Vec<Vec<BlockId>> = forest.loops.iter().map(sorted_blocks).collect();
     for _ in 0..8 {
-        // Hoisting moves instructions between existing blocks; the cached
-        // analyses survive every round.
-        let (cfg, _dom, forest) = analyze(f, ac);
         let mut did = false;
-        // Innermost loops first (deepest depth first).
-        let mut order: Vec<usize> = (0..forest.loops.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
-        for li in order {
+        for &li in &order {
             let l = &forest.loops[li];
             let Some(pre) = l.preheader(f, &cfg) else {
                 continue;
             };
-            // Memory facts for this loop: what may be written inside?
+            // Memory facts for this loop: what may be written inside? And
+            // which values are defined inside: a value is invariant if
+            // defined outside the loop or already hoisted/constant.
             let mut loop_writes: Vec<Operand> = Vec::new();
             let mut unknown_writes = false;
-            for b in sorted_blocks(l) {
+            let mut defined_in = vec![false; f.values.len()];
+            for b in &blocks_of[li] {
                 for &v in &f.blocks[b.index()].insts {
+                    defined_in[v.index()] = true;
                     match f.op(v) {
                         Some(Op::Store { ptr, .. }) => loop_writes.push(*ptr),
                         Some(Op::Call { .. }) | Some(Op::Ecall { .. }) => unknown_writes = true,
@@ -391,24 +382,17 @@ fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
                     }
                 }
             }
-            // A value is invariant if defined outside the loop or already
-            // hoisted/constant.
-            let defined_in: HashSet<ValueId> = l
-                .blocks
-                .iter()
-                .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
-                .collect();
-            let is_invariant = |o: &Operand, defined_in: &HashSet<ValueId>| match o {
+            let is_invariant = |o: &Operand| match o {
                 Operand::Const { .. } => true,
-                Operand::Value(v) => !defined_in.contains(v),
+                Operand::Value(v) => !defined_in[v.index()],
             };
             // One hoist per analysis round keeps the sets consistent.
             let mut hoist: Option<(BlockId, ValueId)> = None;
-            'scan: for b in sorted_blocks(l) {
+            'scan: for &b in &blocks_of[li] {
                 for &v in &f.blocks[b.index()].insts {
                     let Some(op) = f.op(v) else { continue };
                     let mut inv = true;
-                    op.for_each_operand(|o| inv &= is_invariant(o, &defined_in));
+                    op.for_each_operand(|o| inv &= is_invariant(o));
                     if !inv {
                         continue;
                     }
@@ -655,31 +639,27 @@ fn counted_loop(f: &Function, cfg: &Cfg, l: &Loop) -> Option<CountedLoop> {
 /// now-constant checks afterwards. P3 applies: this only helps zkVMs when it
 /// reduces executed instructions.
 pub fn loop_unroll(m: &mut Module, cfg: &PassConfig) -> bool {
-    let mut changed = false;
-    for f in &mut m.funcs {
-        let mut ac = AnalysisCache::new();
-        changed |= loop_simplify_function(f, &mut ac);
-        changed |= lcssa_function(f, &mut ac);
-        changed |= unroll_function(f, &mut ac, cfg.unroll_threshold, usize::MAX);
-    }
-    if changed {
-        crate::simplify::instsimplify_module(m);
-        crate::sccp::sccp_module(m);
-        crate::simplify::simplifycfg_module(m, cfg);
-    }
-    changed
+    unroll_module(m, cfg, cfg.unroll_threshold, 0)
 }
 
 /// `loop-unroll-and-jam` (simplified): unrolls only innermost loops of
 /// depth ≥ 2 nests, with a tighter budget — approximating the jam benefit
 /// without outer-loop fusion (documented in DESIGN.md).
 pub fn loop_unroll_and_jam(m: &mut Module, cfg: &PassConfig) -> bool {
+    unroll_module(m, cfg, cfg.unroll_threshold / 2, 2)
+}
+
+/// The one unroller body: canonicalize and unroll every function's innermost
+/// loops of depth ≥ `min_depth` within `threshold`, then — if anything was
+/// unrolled — clean up the *whole module* (which also rewrites functions the
+/// unroller never touched; that is observable behaviour).
+fn unroll_module(m: &mut Module, cfg: &PassConfig, threshold: usize, min_depth: usize) -> bool {
     let mut changed = false;
     for f in &mut m.funcs {
         let mut ac = AnalysisCache::new();
         changed |= loop_simplify_function(f, &mut ac);
         changed |= lcssa_function(f, &mut ac);
-        changed |= unroll_function(f, &mut ac, cfg.unroll_threshold / 2, 2);
+        changed |= unroll_function(f, &mut ac, threshold, min_depth);
     }
     if changed {
         crate::simplify::instsimplify_module(m);
@@ -698,20 +678,19 @@ fn unroll_function(
     let mut changed = false;
     for _round in 0..8 {
         let (cfg, _dom, forest) = analyze(f, ac);
+        // Only innermost loops unroll: those that are no loop's parent.
+        let mut has_child = vec![false; forest.loops.len()];
+        for l in &forest.loops {
+            if let Some(p) = l.parent {
+                has_child[p] = true;
+            }
+        }
         let mut candidate: Option<(usize, u64)> = None;
         let mut order: Vec<usize> = (0..forest.loops.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
         for li in order {
             let l = &forest.loops[li];
-            if l.depth < min_depth && min_depth != usize::MAX {
-                continue;
-            }
-            // Only unroll innermost loops (no nested loop inside).
-            let is_innermost =
-                forest.loops.iter().enumerate().all(|(j, l2)| {
-                    j == li || !l.blocks.contains(&l2.header) || l2.header == l.header
-                });
-            if !is_innermost {
+            if l.depth < min_depth || has_child[li] {
                 continue;
             }
             let Some(counted) = counted_loop(f, &cfg, l) else {
@@ -737,11 +716,15 @@ fn unroll_function(
             break;
         };
         // Peel `trips` iterations; the residual loop then runs zero times and
-        // its header check folds away.
+        // its header check folds away. Each peel collapses its cloned header
+        // phis; nothing between peels reads a use of one, so the
+        // replacements stay pending until the last peel.
+        let mut collapsed = Substitution::new();
         let mut entry_from = pre;
         for _ in 0..trips {
-            entry_from = peel_once(f, &l, entry_from);
+            entry_from = peel_once(f, &l, entry_from, &mut collapsed);
         }
+        f.substitute_uses(&collapsed);
         changed = true;
         crate::mem2reg::collapse_trivial_phis(f);
         util::remove_unreachable(f);
@@ -753,10 +736,17 @@ fn unroll_function(
 
 /// Peel one iteration of `l`, entered from `entry_from` (the preheader or the
 /// latch-clone of the previous peel). Returns the block that now feeds the
-/// original header (the cloned latch).
-fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
+/// original header (the cloned latch). The cloned header's phis are removed
+/// and their replacements recorded in `collapsed`, for the caller to apply.
+fn peel_once(
+    f: &mut Function,
+    l: &Loop,
+    entry_from: BlockId,
+    collapsed: &mut Substitution,
+) -> BlockId {
     // Clone with back edges pointing at the *original* header.
     let (bmap, vmap) = clone_loop(f, l, Some(l.header));
+    let cloned_blocks: HashSet<BlockId> = bmap.values().copied().collect();
     let cloned_header = bmap[&l.header];
     let latch = l.latches[0];
     let cloned_latch = bmap[&latch];
@@ -767,24 +757,20 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
     // Cloned header phis: they still have incoming from (entry_from (as
     // original pred name), cloned latch). Keep only the entry edge and
     // collapse, recording substitutions for the back-edge remap below.
-    let mut collapsed: HashMap<ValueId, Operand> = HashMap::new();
     let insts = f.blocks[cloned_header.index()].insts.clone();
     for v in insts {
-        let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
+        let Some(Op::Phi { incoming }) = f.op(v) else {
             continue;
         };
         // The edge from outside the clone: its pred is not a cloned block
         // and not the original latch (those edges became original-header
         // edges). The entry value is the one whose pred isn't in bmap values.
-        let cloned_blocks: HashSet<BlockId> = bmap.values().copied().collect();
-        let entry_vals: Vec<Operand> = incoming
+        let entry_val = incoming
             .iter()
-            .filter(|(p, _)| !cloned_blocks.contains(p))
-            .map(|(_, o)| *o)
-            .collect();
-        if let Some(val) = entry_vals.first() {
-            f.replace_all_uses(v, *val);
-            collapsed.insert(v, *val);
+            .find(|(p, _)| !cloned_blocks.contains(p))
+            .map(|(_, o)| collapsed.resolve(*o));
+        if let Some(val) = entry_val {
+            collapsed.insert(v, val);
             f.remove_inst(cloned_header, v);
         }
     }
@@ -794,20 +780,10 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
     // back-edge value is another header phi whose clone was just removed.
     let insts = f.blocks[l.header.index()].insts.clone();
     let remap = |o: &Operand| -> Operand {
-        let mut cur = match o {
+        collapsed.resolve(match o {
             Operand::Value(v) => *vmap.get(v).unwrap_or(&Operand::Value(*v)),
             c => *c,
-        };
-        for _ in 0..collapsed.len() + 1 {
-            match cur {
-                Operand::Value(v) => match collapsed.get(&v) {
-                    Some(n) => cur = *n,
-                    None => break,
-                },
-                _ => break,
-            }
-        }
-        cur
+        })
     };
     for v in insts {
         let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
@@ -815,7 +791,7 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
         };
         let mut new_incoming: Vec<(BlockId, Operand)> = Vec::new();
         for (p, o) in &incoming {
-            if *p == entry_from || (!l.contains(*p) && !bmap.values().any(|nb| nb == p)) {
+            if *p == entry_from || (!l.contains(*p) && !cloned_blocks.contains(p)) {
                 // Old entry edge: now comes from the cloned latch with the
                 // remapped back-edge value.
                 let latch_val = incoming
@@ -2026,5 +2002,132 @@ mod tests {
             let _ = crate::run_pass(pass, &mut m, &PassConfig::default());
         }
         assert_eq!(m.funcs.len(), 1, "nothing was extracted");
+    }
+}
+
+/// The per-value rescanning body `lcssa_function` replaced, kept as a test
+/// oracle: same phis, same order, so old and new must agree on the whole
+/// `Function`.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// `lcssa_function` as it was: every outside block rescanned once per
+    /// loop-defined value, and once more per escaping value to rewrite it.
+    fn lcssa_function_rescanning(f: &mut Function, ac: &mut AnalysisCache) -> bool {
+        let mut changed = false;
+        for _ in 0..8 {
+            let (cfg, _dom, forest) = analyze(f, ac);
+            let mut did = false;
+            for l in &forest.loops {
+                if l.exits.len() != 1 {
+                    continue;
+                }
+                let exit = l.exits[0];
+                if cfg.unique_preds(exit).iter().any(|p| !l.contains(*p)) {
+                    continue;
+                }
+                let exit_preds = cfg.unique_preds(exit);
+                let mut escaping: Vec<(ValueId, Ty)> = Vec::new();
+                for b in sorted_blocks(l) {
+                    for &v in &f.blocks[b.index()].insts {
+                        let Some(ty) = f.ty(v) else { continue };
+                        let mut outside_use = false;
+                        for b2 in f.block_ids() {
+                            if l.contains(b2) {
+                                continue;
+                            }
+                            for &u in &f.blocks[b2.index()].insts {
+                                if let Some(op) = f.op(u) {
+                                    if b2 == exit && op.is_phi() {
+                                        continue;
+                                    }
+                                    op.for_each_operand(|o| {
+                                        outside_use |= *o == Operand::Value(v);
+                                    });
+                                }
+                            }
+                            f.blocks[b2.index()]
+                                .term
+                                .for_each_operand(|o| outside_use |= *o == Operand::Value(v));
+                        }
+                        if outside_use {
+                            escaping.push((v, ty));
+                        }
+                    }
+                }
+                for (v, ty) in escaping {
+                    let dom = ac.dom(f);
+                    let def_bb = f
+                        .block_ids()
+                        .into_iter()
+                        .find(|b| f.blocks[b.index()].insts.contains(&v))
+                        .expect("def block");
+                    if !exit_preds.iter().all(|p| dom.dominates(def_bb, *p)) {
+                        continue;
+                    }
+                    let incoming: Vec<(BlockId, Operand)> =
+                        exit_preds.iter().map(|p| (*p, Operand::val(v))).collect();
+                    let phi = f.insert_inst(exit, 0, Op::Phi { incoming }, Some(ty));
+                    for b2 in f.block_ids() {
+                        if l.contains(b2) {
+                            continue;
+                        }
+                        let insts = f.blocks[b2.index()].insts.clone();
+                        for u in insts {
+                            if u == phi {
+                                continue;
+                            }
+                            if b2 == exit && f.op(u).is_some_and(Op::is_phi) {
+                                continue;
+                            }
+                            if let Some(op) = f.op_mut(u) {
+                                op.for_each_operand_mut(|o| {
+                                    if *o == Operand::Value(v) {
+                                        *o = Operand::val(phi);
+                                    }
+                                });
+                            }
+                        }
+                        f.blocks[b2.index()].term.for_each_operand_mut(|o| {
+                            if *o == Operand::Value(v) {
+                                *o = Operand::val(phi);
+                            }
+                        });
+                    }
+                    did = true;
+                }
+            }
+            changed |= did;
+            if !did {
+                break;
+            }
+        }
+        changed
+    }
+
+    /// `lcssa_function` against its oracle on `f` (canonicalized first, as
+    /// every caller does).
+    pub(crate) fn check(name: &str, f: &Function) {
+        let mut f = f.clone();
+        loop_simplify_function(&mut f, &mut AnalysisCache::new());
+        let (mut old, mut new) = (f.clone(), f);
+        let (co, cn) = (
+            lcssa_function_rescanning(&mut old, &mut AnalysisCache::new()),
+            lcssa_function(&mut new, &mut AnalysisCache::new()),
+        );
+        assert!(co == cn && old == new, "{name}: lcssa_function");
+    }
+
+    /// `f` promoted, canonicalized and fully peeled, *before* the unroller's
+    /// cleanup: the long block chains the linear kernels were written for.
+    pub(crate) fn peeled(f: &Function) -> Function {
+        let mut f = f.clone();
+        let mut ac = AnalysisCache::new();
+        crate::mem2reg::promote_function_filtered(&mut f, &mut ac, |_, _| true);
+        loop_simplify_function(&mut f, &mut ac);
+        lcssa_function(&mut f, &mut ac);
+        unroll_function(&mut f, &mut ac, PassConfig::default().unroll_threshold, 0);
+        f
     }
 }

@@ -14,6 +14,7 @@ use crate::util;
 use crate::PassConfig;
 use std::collections::{HashMap, HashSet};
 use zkvmopt_ir::analysis::AnalysisCache;
+use zkvmopt_ir::func::Substitution;
 use zkvmopt_ir::{BlockId, Function, Op, Operand, Ty, ValueId};
 
 fn zero_of(ty: Ty) -> Operand {
@@ -107,6 +108,7 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
     // Phase 1: phi placement on iterated dominance frontiers of def blocks.
     // phi_at[(block, var)] = phi value id
     let mut phi_at: HashMap<(BlockId, usize), ValueId> = HashMap::new();
+    let mut var_of_phi: HashMap<ValueId, usize> = HashMap::new();
     for (vi, (var, ty)) in vars.iter().enumerate() {
         let mut work: Vec<BlockId> = Vec::new();
         for b in f.block_ids() {
@@ -135,6 +137,7 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                         Some(*ty),
                     );
                     phi_at.insert((df, vi), phi);
+                    var_of_phi.insert(phi, vi);
                     work.push(df);
                 }
             }
@@ -175,9 +178,7 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                     match f.op(v) {
                         Some(Op::Phi { .. }) => {
                             // Is it one of ours?
-                            if let Some((_, vi)) = phi_at.iter().find_map(|((pb, vi), pv)| {
-                                (*pv == v && *pb == b).then_some((*pb, *vi))
-                            }) {
+                            if let Some(&vi) = var_of_phi.get(&v) {
                                 stacks[vi].push(Operand::val(v));
                                 pushes[vi] += 1;
                             }
@@ -271,17 +272,21 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
 /// with that value. Iterates to a fixed point.
 pub fn collapse_trivial_phis(f: &mut Function) -> bool {
     let mut changed = false;
+    // Replacements stay pending until the fixed point (one arena sweep, not
+    // one per phi); every phi is resolved in place before it is judged.
+    let mut subst = Substitution::new();
     loop {
         let mut again = false;
         for b in f.block_ids() {
             let insts = f.blocks[b.index()].insts.clone();
             for v in insts {
-                let Some(Op::Phi { incoming }) = f.op(v) else {
+                let Some(Op::Phi { incoming }) = f.op_mut(v) else {
                     continue;
                 };
                 let mut unique: Option<Operand> = None;
                 let mut trivial = true;
                 for (_, o) in incoming {
+                    *o = subst.resolve(*o);
                     if *o == Operand::Value(v) {
                         continue; // self edge
                     }
@@ -296,7 +301,7 @@ pub fn collapse_trivial_phis(f: &mut Function) -> bool {
                 }
                 if trivial {
                     if let Some(u) = unique {
-                        f.replace_all_uses(v, u);
+                        subst.insert(v, u);
                         f.remove_inst(b, v);
                         again = true;
                     }
@@ -305,6 +310,7 @@ pub fn collapse_trivial_phis(f: &mut Function) -> bool {
         }
         changed |= again;
         if !again {
+            f.substitute_uses(&subst);
             return changed;
         }
     }

@@ -4,10 +4,11 @@
 use crate::framework::FunctionContext;
 use crate::util;
 use crate::PassConfig;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
-use zkvmopt_ir::{BlockId, Function, Module, Op, Operand, Pred, Term, ValueId};
+use zkvmopt_ir::func::Substitution;
+use zkvmopt_ir::{BlockId, Function, Module, Op, Operand, Pred, Term, ValueDef, ValueId};
 
 /// The SCCP lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,16 +29,148 @@ fn meet(a: Lat, b: Lat) -> Lat {
     }
 }
 
+#[derive(Debug, PartialEq)]
 struct SccpResult {
     values: Vec<Lat>,
-    executable: HashSet<BlockId>,
+    /// Per block: whether any executable edge reaches it.
+    executable: Vec<bool>,
     /// Lattice of the function's return value.
     ret: Lat,
+}
+
+/// Control-flow facts of a running analysis: which blocks and edges are
+/// executable, and whether the current sweep learned anything.
+struct Flow {
+    executable: Vec<bool>,
+    /// Executable blocks in discovery order — the sweep order.
+    order: Vec<BlockId>,
+    /// Per block: the predecessors whose edge into it is executable.
+    exec_preds: Vec<Vec<BlockId>>,
+    changed: bool,
+}
+
+impl Flow {
+    fn mark(&mut self, from: BlockId, to: BlockId) {
+        let preds = &mut self.exec_preds[to.index()];
+        if !preds.contains(&from) {
+            preds.push(from);
+            self.changed = true;
+        }
+        if !std::mem::replace(&mut self.executable[to.index()], true) {
+            self.order.push(to);
+            self.changed = true;
+        }
+    }
+}
+
+/// Sweeps over the executable blocks after which the analysis gives up.
+const MAX_SWEEPS: usize = 10_000;
+
+fn eval_operand(values: &[Lat], o: &Operand) -> Lat {
+    match o {
+        Operand::Const { .. } => Lat::Const(util::normalize_const(*o)),
+        Operand::Value(v) => values[v.index()],
+    }
+}
+
+/// Lattice value of a non-phi instruction given its operands' values.
+fn transfer(f: &Function, values: &[Lat], op: &Op) -> Lat {
+    match op {
+        Op::Bin { .. } | Op::Icmp { .. } | Op::Select { .. } | Op::Cast { .. } | Op::Copy(_) => {
+            // Fold if all operands constant.
+            let mut all_const = true;
+            let mut any_bottom = false;
+            let mut folded = op.clone();
+            folded.for_each_operand_mut(|o| match eval_operand(values, o) {
+                Lat::Const(c) => *o = c,
+                Lat::Bottom => {
+                    all_const = false;
+                    any_bottom = true;
+                }
+                Lat::Top => all_const = false,
+            });
+            if all_const {
+                match util::const_fold(f, &folded) {
+                    Some(c) => Lat::Const(util::normalize_const(c)),
+                    None => Lat::Bottom,
+                }
+            } else if any_bottom {
+                // A select with constant condition can still fold.
+                if let Op::Select { c, t, f: fo } = &folded {
+                    if let Lat::Const(cc) = eval_operand(values, c) {
+                        let pick = if cc.as_const().unwrap_or(0) != 0 {
+                            t
+                        } else {
+                            fo
+                        };
+                        eval_operand(values, pick)
+                    } else {
+                        Lat::Bottom
+                    }
+                } else {
+                    Lat::Bottom
+                }
+            } else {
+                Lat::Top
+            }
+        }
+        // Everything else is overdefined.
+        _ => Lat::Bottom,
+    }
+}
+
+/// Visit the successors `term` can reach given the current facts.
+fn for_each_taken_edge(values: &[Lat], term: &Term, mut take: impl FnMut(BlockId)) {
+    match term {
+        Term::Br(t) => take(*t),
+        Term::CondBr { c, t, f: fb } => match eval_operand(values, c) {
+            Lat::Const(cc) => take(if cc.as_const().unwrap_or(0) != 0 {
+                *t
+            } else {
+                *fb
+            }),
+            Lat::Bottom => {
+                take(*t);
+                take(*fb);
+            }
+            Lat::Top => {}
+        },
+        Term::Switch { v, cases, default } => match eval_operand(values, v) {
+            Lat::Const(cc) => {
+                let k = cc.as_const().unwrap_or(0);
+                take(
+                    cases
+                        .iter()
+                        .find(|(c, _)| *c == (k as i32) as i64)
+                        .map(|(_, t)| *t)
+                        .unwrap_or(*default),
+                );
+            }
+            Lat::Bottom => {
+                for (_, t) in cases {
+                    take(*t);
+                }
+                take(*default);
+            }
+            Lat::Top => {}
+        },
+        Term::Ret(_) | Term::Unreachable => {}
+    }
 }
 
 /// Run the SCCP analysis on one function. `arg_lattice` supplies per-param
 /// facts (from `ipsccp`); `Bottom` for a standalone run.
 fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
+    analyze_bounded(f, arg_lattice, MAX_SWEEPS)
+}
+
+/// [`analyze`] with the sweep bound as a parameter (tests drive it to 1).
+///
+/// The analysis is optimistic: until the fixpoint is reached, `Const` facts
+/// are guesses. If the bound runs out first, no fact may be reported — the
+/// result is then all-`Bottom` with every block executable, from which
+/// `transform` substitutes nothing and removes no block.
+fn analyze_bounded(f: &Function, arg_lattice: &[Lat], max_sweeps: usize) -> SccpResult {
     let n = f.values.len();
     let mut values = vec![Lat::Top; n];
     for (i, l) in arg_lattice.iter().enumerate() {
@@ -50,160 +183,69 @@ fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
     {
         *v = Lat::Bottom;
     }
-    let mut exec_edges: HashSet<(BlockId, BlockId)> = HashSet::new();
-    let mut exec_blocks: HashSet<BlockId> = HashSet::new();
-    let mut block_queue: VecDeque<BlockId> = VecDeque::new();
+    let mut flow = Flow {
+        executable: vec![false; f.blocks.len()],
+        order: vec![f.entry],
+        exec_preds: vec![Vec::new(); f.blocks.len()],
+        changed: true,
+    };
+    flow.executable[f.entry.index()] = true;
     let mut ret = Lat::Top;
 
-    let eval_operand = |values: &[Lat], o: &Operand| -> Lat {
-        match o {
-            Operand::Const { .. } => Lat::Const(util::normalize_const(*o)),
-            Operand::Value(v) => values[v.index()],
-        }
-    };
-
-    block_queue.push_back(f.entry);
-    exec_blocks.insert(f.entry);
     // Iterate to fixpoint: re-scan executable blocks whenever facts change.
-    let mut changed = true;
-    let mut guard = 0;
-    while changed && guard < 10_000 {
-        changed = false;
-        guard += 1;
-        let blocks: Vec<BlockId> = exec_blocks.iter().copied().collect();
-        for b in blocks {
+    // The lattice only moves down and every transfer function is monotone,
+    // so the fixpoint does not depend on the visiting order; discovery order
+    // (blocks found during a sweep are visited by that sweep) carries facts
+    // down a chain of blocks in one sweep.
+    let mut sweeps = 0;
+    while flow.changed {
+        if sweeps == max_sweeps {
+            return SccpResult {
+                values: vec![Lat::Bottom; n],
+                executable: vec![true; f.blocks.len()],
+                ret: Lat::Bottom,
+            };
+        }
+        sweeps += 1;
+        flow.changed = false;
+        let mut next = 0;
+        while let Some(&b) = flow.order.get(next) {
+            next += 1;
             for &v in &f.blocks[b.index()].insts {
                 let Some(op) = f.op(v) else { continue };
                 let new = match op {
                     Op::Phi { incoming } => {
                         let mut acc = Lat::Top;
                         for (p, o) in incoming {
-                            if exec_edges.contains(&(*p, b)) {
+                            if flow.exec_preds[b.index()].contains(p) {
                                 acc = meet(acc, eval_operand(&values, o));
                             }
                         }
                         acc
                     }
-                    Op::Bin { .. }
-                    | Op::Icmp { .. }
-                    | Op::Select { .. }
-                    | Op::Cast { .. }
-                    | Op::Copy(_) => {
-                        // Fold if all operands constant.
-                        let mut all_const = true;
-                        let mut any_bottom = false;
-                        let mut folded = op.clone();
-                        folded.for_each_operand_mut(|o| match eval_operand(&values, o) {
-                            Lat::Const(c) => *o = c,
-                            Lat::Bottom => {
-                                all_const = false;
-                                any_bottom = true;
-                            }
-                            Lat::Top => all_const = false,
-                        });
-                        if all_const {
-                            match util::const_fold(f, &folded) {
-                                Some(c) => Lat::Const(util::normalize_const(c)),
-                                None => Lat::Bottom,
-                            }
-                        } else if any_bottom {
-                            // A select with constant condition can still fold.
-                            if let Op::Select { c, t, f: fo } = &folded {
-                                if let Lat::Const(cc) = eval_operand(&values, c) {
-                                    let pick = if cc.as_const().unwrap_or(0) != 0 {
-                                        t
-                                    } else {
-                                        fo
-                                    };
-                                    eval_operand(&values, pick)
-                                } else {
-                                    Lat::Bottom
-                                }
-                            } else {
-                                Lat::Bottom
-                            }
-                        } else {
-                            Lat::Top
-                        }
-                    }
-                    // Everything else is overdefined.
-                    _ => Lat::Bottom,
+                    _ => transfer(f, &values, op),
                 };
-                let merged = meet(values[v.index()], new);
-                // Monotonic move only (Top -> Const -> Bottom).
-                let next = match (values[v.index()], new) {
-                    (Lat::Top, x) => x,
-                    (x, Lat::Top) => x,
-                    _ => merged,
-                };
-                if next != values[v.index()] {
-                    values[v.index()] = next;
-                    changed = true;
+                // `meet` only ever moves a value down (Top -> Const -> Bottom).
+                let lowered = meet(values[v.index()], new);
+                if lowered != values[v.index()] {
+                    values[v.index()] = lowered;
+                    flow.changed = true;
                 }
             }
-            // Terminator: mark outgoing edges.
-            let mark = |from: BlockId,
-                        to: BlockId,
-                        exec_edges: &mut HashSet<(BlockId, BlockId)>,
-                        exec_blocks: &mut HashSet<BlockId>,
-                        changed: &mut bool| {
-                if exec_edges.insert((from, to)) {
-                    *changed = true;
+            let term = &f.blocks[b.index()].term;
+            for_each_taken_edge(&values, term, |to| flow.mark(b, to));
+            if let Term::Ret(Some(o)) = term {
+                let lowered = meet(ret, eval_operand(&values, o));
+                if lowered != ret {
+                    ret = lowered;
+                    flow.changed = true;
                 }
-                if exec_blocks.insert(to) {
-                    *changed = true;
-                }
-            };
-            match &f.blocks[b.index()].term {
-                Term::Br(t) => mark(b, *t, &mut exec_edges, &mut exec_blocks, &mut changed),
-                Term::CondBr { c, t, f: fb } => match eval_operand(&values, c) {
-                    Lat::Const(cc) => {
-                        let taken = if cc.as_const().unwrap_or(0) != 0 {
-                            *t
-                        } else {
-                            *fb
-                        };
-                        mark(b, taken, &mut exec_edges, &mut exec_blocks, &mut changed);
-                    }
-                    Lat::Bottom => {
-                        mark(b, *t, &mut exec_edges, &mut exec_blocks, &mut changed);
-                        mark(b, *fb, &mut exec_edges, &mut exec_blocks, &mut changed);
-                    }
-                    Lat::Top => {}
-                },
-                Term::Switch { v, cases, default } => match eval_operand(&values, v) {
-                    Lat::Const(cc) => {
-                        let k = cc.as_const().unwrap_or(0);
-                        let target = cases
-                            .iter()
-                            .find(|(c, _)| *c == (k as i32) as i64)
-                            .map(|(_, t)| *t)
-                            .unwrap_or(*default);
-                        mark(b, target, &mut exec_edges, &mut exec_blocks, &mut changed);
-                    }
-                    Lat::Bottom => {
-                        for (_, t) in cases {
-                            mark(b, *t, &mut exec_edges, &mut exec_blocks, &mut changed);
-                        }
-                        mark(b, *default, &mut exec_edges, &mut exec_blocks, &mut changed);
-                    }
-                    Lat::Top => {}
-                },
-                Term::Ret(Some(o)) => {
-                    let l = eval_operand(&values, o);
-                    let next = meet(ret, l);
-                    if next != ret {
-                        ret = next;
-                        changed = true;
-                    }
-                }
-                _ => {}
             }
         }
     }
     SccpResult {
         values,
-        executable: exec_blocks,
+        executable: flow.executable,
         ret,
     }
 }
@@ -212,25 +254,40 @@ fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
 /// non-executable blocks.
 fn transform(f: &mut Function, res: &SccpResult) -> bool {
     let mut changed = false;
+    // Replacing a value by a constant moves no other value's use count, so
+    // one count and one substitution sweep serve every constant.
+    let mut used = vec![false; f.values.len()];
+    let mut mark = |o: &Operand| {
+        if let Operand::Value(u) = o {
+            used[u.index()] = true;
+        }
+    };
+    for vd in &f.values {
+        if let ValueDef::Inst(op) = &vd.def {
+            op.for_each_operand(&mut mark);
+        }
+    }
+    for b in &f.blocks {
+        b.term.for_each_operand(&mut mark);
+    }
+    let mut subst = Substitution::new();
     for (i, lat) in res.values.iter().enumerate() {
         if let Lat::Const(c) = lat {
             let v = ValueId(i as u32);
-            // Skip parameters (handled by ipsccp) and value-less slots.
-            if f.op(v).is_none() {
-                continue;
-            }
+            // Skip parameters (handled by ipsccp) and effectful slots.
             if f.op(v).is_none_or(|op| op.has_side_effects()) {
                 continue;
             }
-            if f.use_count(v) > 0 {
-                f.replace_all_uses(v, *c);
+            if used[i] {
+                subst.insert(v, *c);
                 changed = true;
             }
         }
     }
+    f.substitute_uses(&subst);
     // Fold branches whose condition became constant.
     for b in f.block_ids() {
-        if !res.executable.contains(&b) {
+        if !res.executable[b.index()] {
             continue;
         }
         if let Term::CondBr { c, t, f: fb } = f.blocks[b.index()].term.clone() {
@@ -704,5 +761,115 @@ mod tests {
                    }";
         let cfg = PassConfig::default();
         check_pass_preserves(src, &["mem2reg", "correlated-propagation", "sccp"], &cfg);
+    }
+}
+
+/// The hash-ordered sweep `analyze` replaced, kept as a test oracle: the
+/// fixpoint is unique, so old and new must agree on every lattice value.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// `analyze` as it was: each sweep visits a snapshot of the executable
+    /// set in `HashSet` iteration order.
+    fn analyze_hash_ordered(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
+        let mut values = vec![Lat::Top; f.values.len()];
+        for (i, l) in arg_lattice.iter().enumerate() {
+            values[i] = *l;
+        }
+        for v in values
+            .iter_mut()
+            .take(f.params.len())
+            .skip(arg_lattice.len())
+        {
+            *v = Lat::Bottom;
+        }
+        let mut exec_edges: HashSet<(BlockId, BlockId)> = HashSet::new();
+        let mut exec_blocks: HashSet<BlockId> = HashSet::new();
+        let mut ret = Lat::Top;
+        exec_blocks.insert(f.entry);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            let blocks: Vec<BlockId> = exec_blocks.iter().copied().collect();
+            for b in blocks {
+                for &v in &f.blocks[b.index()].insts {
+                    let Some(op) = f.op(v) else { continue };
+                    let new = match op {
+                        Op::Phi { incoming } => {
+                            let mut acc = Lat::Top;
+                            for (p, o) in incoming {
+                                if exec_edges.contains(&(*p, b)) {
+                                    acc = meet(acc, eval_operand(&values, o));
+                                }
+                            }
+                            acc
+                        }
+                        _ => transfer(f, &values, op),
+                    };
+                    let next = meet(values[v.index()], new);
+                    if next != values[v.index()] {
+                        values[v.index()] = next;
+                        changed = true;
+                    }
+                }
+                for_each_taken_edge(&values, &f.blocks[b.index()].term, |to| {
+                    changed |= exec_edges.insert((b, to));
+                    changed |= exec_blocks.insert(to);
+                });
+                if let Term::Ret(Some(o)) = &f.blocks[b.index()].term {
+                    let next = meet(ret, eval_operand(&values, o));
+                    changed |= next != ret;
+                    ret = next;
+                }
+            }
+        }
+        SccpResult {
+            values,
+            executable: f
+                .block_ids()
+                .iter()
+                .map(|b| exec_blocks.contains(b))
+                .collect(),
+            ret,
+        }
+    }
+
+    /// `analyze` against its oracle on `f`.
+    pub(crate) fn check(name: &str, f: &Function) {
+        let bottoms = vec![Lat::Bottom; f.params.len()];
+        let (old, new) = (analyze_hash_ordered(f, &bottoms), analyze(f, &bottoms));
+        assert!(old == new, "{name}: sccp::analyze");
+    }
+
+    /// An analysis cut short holds optimistic guesses (`x` is still the
+    /// constant 7 after one sweep of this loop); it must report none of them.
+    #[test]
+    fn an_exhausted_sweep_bound_reports_no_facts() {
+        let src = "fn main() -> i32 {
+                     let mut x: i32 = 7;
+                     for (let mut i: i32 = 0; i < read_input(0); i += 1) { x += 1; }
+                     return x + (2 + 5) * 3;
+                   }";
+        let mut m = zkvmopt_lang::compile(src).unwrap();
+        crate::run_pass("mem2reg", &mut m, &crate::PassConfig::default());
+        let f = &m.funcs[0];
+        let converged = analyze(f, &[]);
+        assert!(
+            converged.values.iter().any(|l| matches!(l, Lat::Const(_))),
+            "the loop's start value is a real constant fact"
+        );
+        let cut = analyze_bounded(f, &[], 1);
+        assert!(cut.values.iter().all(|l| *l == Lat::Bottom));
+        assert!(cut.executable.iter().all(|e| *e));
+        assert_eq!(cut.ret, Lat::Bottom);
+        let mut g = f.clone();
+        assert!(!transform(&mut g, &cut), "no facts, no change");
+        assert!(g == *f);
+        // One sweep short of the fixpoint is still short.
+        let sweeps_needed = (1..).find(|&n| analyze_bounded(f, &[], n) == converged);
+        let n = sweeps_needed.expect("converges");
+        assert!(n > 1 && analyze_bounded(f, &[], n - 1) == cut);
     }
 }

@@ -12,6 +12,7 @@ use crate::util;
 use crate::PassConfig;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
+use zkvmopt_ir::func::Substitution;
 use zkvmopt_ir::{
     BinOp, BlockId, CastKind, Function, Module, Op, Operand, Pred, Term, Ty, ValueId,
 };
@@ -37,11 +38,17 @@ pub(crate) fn instsimplify_module(m: &mut Module) -> bool {
 
 pub(crate) fn instsimplify_function(f: &mut Function) -> bool {
     let mut changed = false;
+    // Replacements stay pending (one arena sweep at the end, not one per
+    // folded instruction); every op is resolved in place before it is read.
+    let mut subst = Substitution::new();
     loop {
         let mut local = false;
         for b in f.block_ids() {
             let insts = f.blocks[b.index()].insts.clone();
             for v in insts {
+                if let Some(op) = f.op_mut(v) {
+                    subst.resolve_op(op);
+                }
                 let Some(op) = f.op(v) else { continue };
                 let repl = util::const_fold(f, op)
                     .or_else(|| util::algebraic_simplify(op))
@@ -52,7 +59,7 @@ pub(crate) fn instsimplify_function(f: &mut Function) -> bool {
                     });
                 if let Some(r) = repl {
                     if r != Operand::Value(v) {
-                        f.replace_all_uses(v, r);
+                        subst.insert(v, r);
                         f.remove_inst(b, v);
                         local = true;
                     }
@@ -64,6 +71,7 @@ pub(crate) fn instsimplify_function(f: &mut Function) -> bool {
             break;
         }
     }
+    f.substitute_uses(&subst);
     changed |= util::sweep_dead(f);
     changed
 }
@@ -746,14 +754,19 @@ pub fn simplifycfg(
 pub(crate) fn simplifycfg_function(f: &mut Function, cfg: &PassConfig) -> bool {
     let mut changed = false;
     let mut rounds = 0;
+    // The CFG, for as long as no step has changed the block graph: the three
+    // shape-reading steps share one instead of building one each per round.
+    let mut shape: Option<Cfg> = None;
     loop {
         let mut local = false;
-        local |= fold_constant_branches(f);
-        local |= util::remove_unreachable(f);
-        local |= merge_straightline(f);
-        local |= forward_empty_blocks(f);
+        if fold_constant_branches(f) | util::remove_unreachable(f) {
+            local = true;
+            shape = None;
+        }
+        local |= merge_straightline(f, &mut shape);
+        local |= forward_empty_blocks(f, &mut shape);
         if cfg.simplifycfg_speculate > 0 {
-            local |= if_convert(f, cfg.simplifycfg_speculate);
+            local |= if_convert(f, cfg.simplifycfg_speculate, &mut shape);
         }
         local |= crate::mem2reg::collapse_trivial_phis(f);
         changed |= local;
@@ -764,6 +777,23 @@ pub(crate) fn simplifycfg_function(f: &mut Function, cfg: &PassConfig) -> bool {
     }
     changed |= util::sweep_dead(f);
     changed
+}
+
+/// Take the shared CFG out of `shape`, building it if a previous step
+/// changed the block graph. A step that leaves the graph alone puts it back.
+fn take_shape(f: &Function, shape: &mut Option<Cfg>) -> Cfg {
+    let cfg_ = shape.take().unwrap_or_else(|| Cfg::new(f));
+    debug_assert!(
+        {
+            let fresh = Cfg::new(f);
+            fresh.rpo() == cfg_.rpo()
+                && f.block_ids()
+                    .iter()
+                    .all(|&b| fresh.preds(b) == cfg_.preds(b))
+        },
+        "shared CFG went stale"
+    );
+    cfg_
 }
 
 /// Module-wide [`simplifycfg`] (the unroll cleanup helper).
@@ -829,64 +859,71 @@ fn remove_phi_edge(f: &mut Function, block: BlockId, pred: BlockId) {
 
 /// Merge `b2` into `b1` when `b1 -> b2` is the only edge between them and
 /// `b2`'s only predecessor is `b1`.
-fn merge_straightline(f: &mut Function) -> bool {
+///
+/// One `Cfg`, one RPO walk: each block absorbs its whole `br` chain before
+/// the walk moves on. Contracting `b1 -> b2` removes `b2` from the RPO and
+/// renames it to `b1` in its successors' predecessor lists; no other block's
+/// RPO position or predecessor count moves, so no block the walk has passed
+/// can become mergeable and the predecessor counts of the one `Cfg` stay
+/// exact. The merges (and their order) are those of rebuilding the `Cfg` and
+/// restarting the walk after every merge.
+fn merge_straightline(f: &mut Function, shape: &mut Option<Cfg>) -> bool {
+    let cfg_ = take_shape(f, shape);
     let mut changed = false;
-    loop {
-        let cfg_ = Cfg::new(f);
-        let mut merged = false;
-        for &b1 in cfg_.rpo() {
-            let Term::Br(b2) = f.blocks[b1.index()].term else {
-                continue;
-            };
-            if b2 == f.entry || b2 == b1 {
-                continue;
-            }
-            if cfg_.preds(b2).len() != 1 {
-                continue;
+    for &b1 in cfg_.rpo() {
+        // A block absorbed into an earlier one is left `Unreachable`.
+        while let Term::Br(b2) = f.blocks[b1.index()].term {
+            if b2 == f.entry || b2 == b1 || cfg_.preds(b2).len() != 1 {
+                break;
             }
             if f.blocks[b2.index()].term.successors().contains(&b2) {
-                continue; // self-loop latch; merging would orphan the loop
+                break; // self-loop latch; merging would orphan the loop
             }
-            // Collapse phis in b2 (single pred ⇒ trivial).
-            let insts2 = f.blocks[b2.index()].insts.clone();
-            for v in &insts2 {
-                if let Some(Op::Phi { incoming }) = f.op(*v) {
-                    let val = incoming[0].1;
-                    f.replace_all_uses(*v, val);
-                    f.remove_inst(b2, *v);
-                }
-            }
-            let insts2 = std::mem::take(&mut f.blocks[b2.index()].insts);
-            f.blocks[b1.index()].insts.extend(insts2);
-            let term2 = std::mem::replace(&mut f.blocks[b2.index()].term, Term::Unreachable);
-            // Phi edges in b2's successors must now name b1.
-            for s in term2.successors() {
-                let insts = f.blocks[s.index()].insts.clone();
-                for v in insts {
-                    if let Some(Op::Phi { incoming }) = f.op_mut(v) {
-                        for (p, _) in incoming.iter_mut() {
-                            if *p == b2 {
-                                *p = b1;
-                            }
-                        }
+            merge_into(f, b1, b2);
+            changed = true;
+        }
+    }
+    if !changed {
+        *shape = Some(cfg_);
+    }
+    changed
+}
+
+/// Splice `b2` (whose only predecessor is `b1`, by an unconditional branch)
+/// onto the end of `b1`.
+fn merge_into(f: &mut Function, b1: BlockId, b2: BlockId) {
+    // Collapse phis in b2 (single pred ⇒ trivial).
+    let insts2 = f.blocks[b2.index()].insts.clone();
+    for v in &insts2 {
+        if let Some(Op::Phi { incoming }) = f.op(*v) {
+            let val = incoming[0].1;
+            f.replace_all_uses(*v, val);
+            f.remove_inst(b2, *v);
+        }
+    }
+    let insts2 = std::mem::take(&mut f.blocks[b2.index()].insts);
+    f.blocks[b1.index()].insts.extend(insts2);
+    let term2 = std::mem::replace(&mut f.blocks[b2.index()].term, Term::Unreachable);
+    // Phi edges in b2's successors must now name b1.
+    for s in term2.successors() {
+        let insts = f.blocks[s.index()].insts.clone();
+        for v in insts {
+            if let Some(Op::Phi { incoming }) = f.op_mut(v) {
+                for (p, _) in incoming.iter_mut() {
+                    if *p == b2 {
+                        *p = b1;
                     }
                 }
             }
-            f.blocks[b1.index()].term = term2;
-            merged = true;
-            break;
-        }
-        changed |= merged;
-        if !merged {
-            return changed;
         }
     }
+    f.blocks[b1.index()].term = term2;
 }
 
 /// Retarget predecessors of empty forwarding blocks (`{} -> br X`) to X.
-fn forward_empty_blocks(f: &mut Function) -> bool {
+fn forward_empty_blocks(f: &mut Function, shape: &mut Option<Cfg>) -> bool {
     let mut changed = false;
-    let cfg_ = Cfg::new(f);
+    let cfg_ = take_shape(f, shape);
     for &b in cfg_.rpo() {
         if b == f.entry {
             continue;
@@ -919,14 +956,17 @@ fn forward_empty_blocks(f: &mut Function) -> bool {
         }
         changed = true;
     }
+    if !changed {
+        *shape = Some(cfg_);
+    }
     changed
 }
 
 /// Budgeted if-conversion: turn small diamonds/triangles into straight-line
 /// code with `select` (the paper's Fig. 13 transformation).
-fn if_convert(f: &mut Function, budget: usize) -> bool {
+fn if_convert(f: &mut Function, budget: usize, shape: &mut Option<Cfg>) -> bool {
     let mut changed = false;
-    let cfg_ = Cfg::new(f);
+    let cfg_ = take_shape(f, shape);
     for &b in cfg_.rpo() {
         let Term::CondBr { c, t, f: fb } = f.blocks[b.index()].term.clone() else {
             continue;
@@ -1031,6 +1071,8 @@ fn if_convert(f: &mut Function, budget: usize) -> bool {
     }
     if changed {
         util::remove_unreachable(f);
+    } else {
+        *shape = Some(cfg_);
     }
     changed
 }
@@ -1218,5 +1260,210 @@ mod tests {
         let cfg = PassConfig::default();
         let (before, after) = check_pass_preserves(src, &["mem2reg", "adce"], &cfg);
         assert!(after < before);
+    }
+}
+
+/// The quadratic bodies this file's linear kernels replaced, kept as test
+/// oracles: same rewrites, same order, so old and new must agree on the
+/// whole `Function` (value arena and block order included).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// `merge_straightline` as it was: a fresh `Cfg` and a restarted RPO walk
+    /// after every single merge.
+    fn merge_straightline_restarting(f: &mut Function) -> bool {
+        let mut changed = false;
+        loop {
+            let cfg_ = Cfg::new(f);
+            let mut merged = false;
+            for &b1 in cfg_.rpo() {
+                let Term::Br(b2) = f.blocks[b1.index()].term else {
+                    continue;
+                };
+                if b2 == f.entry || b2 == b1 {
+                    continue;
+                }
+                if cfg_.preds(b2).len() != 1 {
+                    continue;
+                }
+                if f.blocks[b2.index()].term.successors().contains(&b2) {
+                    continue;
+                }
+                merge_into(f, b1, b2);
+                merged = true;
+                break;
+            }
+            changed |= merged;
+            if !merged {
+                return changed;
+            }
+        }
+    }
+
+    /// `instsimplify_function` as it was: one eager `replace_all_uses` per
+    /// folded instruction.
+    fn instsimplify_function_eager(f: &mut Function) -> bool {
+        let mut changed = false;
+        loop {
+            let mut local = false;
+            for b in f.block_ids() {
+                let insts = f.blocks[b.index()].insts.clone();
+                for v in insts {
+                    let Some(op) = f.op(v) else { continue };
+                    let repl = util::const_fold(f, op)
+                        .or_else(|| util::algebraic_simplify(op))
+                        .or_else(|| simplify_icmp_identities(op))
+                        .or(match op {
+                            Op::Copy(x) => Some(*x),
+                            _ => None,
+                        });
+                    if let Some(r) = repl {
+                        if r != Operand::Value(v) {
+                            f.replace_all_uses(v, r);
+                            f.remove_inst(b, v);
+                            local = true;
+                        }
+                    }
+                }
+            }
+            changed |= local;
+            if !local {
+                break;
+            }
+        }
+        changed |= util::sweep_dead(f);
+        changed
+    }
+
+    /// Both kernels against their oracles on `f`.
+    pub(crate) fn check(name: &str, f: &Function) {
+        let (mut old, mut new) = (f.clone(), f.clone());
+        let (co, cn) = (
+            merge_straightline_restarting(&mut old),
+            merge_straightline(&mut new, &mut None),
+        );
+        assert!(co == cn && old == new, "{name}: merge_straightline");
+        let (mut old, mut new) = (f.clone(), f.clone());
+        let (co, cn) = (
+            instsimplify_function_eager(&mut old),
+            instsimplify_function(&mut new),
+        );
+        assert!(co == cn && old == new, "{name}: instsimplify_function");
+    }
+
+    /// The shapes the single-walk argument rests on, built by hand.
+    #[test]
+    fn merge_straightline_hand_built_shapes() {
+        use zkvmopt_ir::FunctionBuilder;
+        let cond = |b: &mut FunctionBuilder| {
+            let p = Operand::val(b.param(0));
+            Operand::val(b.icmp(Pred::Slt, p, Operand::i32(9)))
+        };
+
+        // A chain whose tail branches back to its head: b1 -> b2 -> b3 -> b1.
+        let mut b = FunctionBuilder::new("tail_to_head", vec![Ty::I32], Some(Ty::I32));
+        let (b1, b2, b3, exit) = (b.new_block(), b.new_block(), b.new_block(), b.new_block());
+        let c = cond(&mut b);
+        b.cond_br(c, b1, exit);
+        b.switch_to(b1);
+        let x = b.bin(BinOp::Add, Operand::val(b.param(0)), Operand::i32(1));
+        b.br(b2);
+        b.switch_to(b2);
+        let y = b.bin(BinOp::Mul, Operand::val(x), Operand::i32(3));
+        b.br(b3);
+        b.switch_to(b3);
+        let c3 = b.icmp(Pred::Slt, Operand::val(y), Operand::i32(100));
+        b.cond_br(Operand::val(c3), b1, exit);
+        b.switch_to(exit);
+        b.ret(Some(Operand::i32(0)));
+        let f = b.finish();
+        check("tail_to_head", &f);
+        let mut g = f.clone();
+        assert!(merge_straightline(&mut g, &mut None));
+        assert!(
+            g.blocks[b1.index()].term.successors().contains(&b1),
+            "the head absorbed its whole chain and now loops on itself"
+        );
+
+        // A chain that closes on itself by plain `br`s: the last merge would
+        // be b1 into b1 and must be refused.
+        let mut b = FunctionBuilder::new("ring", vec![Ty::I32], Some(Ty::I32));
+        let (r1, r2) = (b.new_block(), b.new_block());
+        b.br(r1);
+        b.switch_to(r1);
+        b.br(r2);
+        b.switch_to(r2);
+        b.br(r1);
+        check("ring", &b.finish());
+
+        // A `b2` with a self-loop: never merged into its predecessor.
+        let mut b = FunctionBuilder::new("self_loop", vec![Ty::I32], Some(Ty::I32));
+        let (pre, latch, exit) = (b.new_block(), b.new_block(), b.new_block());
+        b.br(pre);
+        b.switch_to(pre);
+        b.br(latch);
+        b.switch_to(latch);
+        let c = cond(&mut b);
+        b.cond_br(c, latch, exit);
+        b.switch_to(exit);
+        b.ret(Some(Operand::i32(1)));
+        let f = b.finish();
+        check("self_loop", &f);
+        let mut g = f.clone();
+        merge_straightline(&mut g, &mut None);
+        assert!(
+            !g.blocks[latch.index()].insts.is_empty(),
+            "the self-looping latch keeps its own block"
+        );
+
+        // A multi-edge `CondBr { t == f }` predecessor counts twice, before
+        // and after the block holding it is absorbed.
+        let mut b = FunctionBuilder::new("multi_edge", vec![Ty::I32], Some(Ty::I32));
+        let (a, m, d, e) = (b.new_block(), b.new_block(), b.new_block(), b.new_block());
+        b.br(a);
+        b.switch_to(a);
+        b.br(m);
+        b.switch_to(m);
+        let c = cond(&mut b);
+        b.cond_br(c, d, d);
+        b.switch_to(d);
+        b.br(e);
+        b.switch_to(e);
+        b.ret(Some(Operand::i32(2)));
+        let f = b.finish();
+        check("multi_edge", &f);
+        let mut g = f.clone();
+        merge_straightline(&mut g, &mut None);
+        assert!(
+            matches!(g.blocks[g.entry.index()].term, Term::CondBr { t, f, .. } if t == d && f == d),
+            "entry absorbed a and m, and stops at the doubled edge into d"
+        );
+        assert!(
+            matches!(g.blocks[d.index()].term, Term::Ret(_)),
+            "d absorbed e"
+        );
+
+        // A phi in `b2` (single predecessor, so trivial) collapses on merge.
+        let mut b = FunctionBuilder::new("phi_in_b2", vec![Ty::I32], Some(Ty::I32));
+        let (p1, p2) = (b.new_block(), b.new_block());
+        b.br(p1);
+        b.switch_to(p1);
+        let x = b.bin(BinOp::Add, Operand::val(b.param(0)), Operand::i32(5));
+        b.br(p2);
+        b.switch_to(p2);
+        let phi = b.phi(Ty::I32, vec![(p1, Operand::val(x))]);
+        let y = b.bin(BinOp::Xor, Operand::val(phi), Operand::val(phi));
+        b.ret(Some(Operand::val(y)));
+        let f = b.finish();
+        check("phi_in_b2", &f);
+        let mut g = f.clone();
+        merge_straightline(&mut g, &mut None);
+        assert_eq!(
+            g.reachable_blocks().len(),
+            1,
+            "everything merged into entry"
+        );
+        assert!(matches!(g.op(phi), Some(Op::Nop)), "the phi collapsed");
     }
 }

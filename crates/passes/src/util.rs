@@ -1,7 +1,9 @@
 //! Shared analysis and mutation helpers used across passes.
 
-use zkvmopt_ir::cfg::Cfg;
-use zkvmopt_ir::{BinOp, BlockId, CastKind, Function, GlobalId, Module, Op, Operand, Ty, ValueId};
+use zkvmopt_ir::func::Substitution;
+use zkvmopt_ir::{
+    BinOp, BlockId, CastKind, Function, GlobalId, Module, Op, Operand, Term, Ty, ValueId,
+};
 
 /// What a pointer is ultimately based on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,11 +224,15 @@ pub fn sweep_dead(f: &mut Function) -> bool {
 /// remaining blocks (removing incoming edges from deleted predecessors).
 /// Phis left with a single incoming value are replaced by that value.
 pub fn remove_unreachable(f: &mut Function) -> bool {
-    let reachable: std::collections::HashSet<BlockId> = f.reachable_blocks().into_iter().collect();
+    let reachable = f.reachable_blocks();
+    let mut is_reachable = vec![false; f.blocks.len()];
+    for b in &reachable {
+        is_reachable[b.index()] = true;
+    }
     let mut changed = false;
     // Tombstone instructions of unreachable blocks.
     for b in f.block_ids() {
-        if reachable.contains(&b) {
+        if is_reachable[b.index()] {
             continue;
         }
         let insts = std::mem::take(&mut f.blocks[b.index()].insts);
@@ -236,61 +242,68 @@ pub fn remove_unreachable(f: &mut Function) -> bool {
         for v in insts {
             f.kill_value(v);
         }
-        if f.blocks[b.index()].term != zkvmopt_ir::Term::Unreachable {
-            f.blocks[b.index()].term = zkvmopt_ir::Term::Unreachable;
+        if f.blocks[b.index()].term != Term::Unreachable {
+            f.blocks[b.index()].term = Term::Unreachable;
             changed = true;
         }
     }
-    changed |= cleanup_phis(f);
+    changed |= cleanup_reachable_phis(f, &reachable);
     changed
 }
 
 /// Re-derive phi incoming lists from the actual predecessor sets; collapse
 /// single-incoming phis.
 pub fn cleanup_phis(f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
+    let reachable = f.reachable_blocks();
+    cleanup_reachable_phis(f, &reachable)
+}
+
+/// [`cleanup_phis`] given the reachable blocks. Linear in the function, and
+/// a function without phis pays only the scan that finds none.
+fn cleanup_reachable_phis(f: &mut Function, reachable: &[BlockId]) -> bool {
     let mut changed = false;
-    let mut singles: Vec<(BlockId, ValueId, Operand)> = Vec::new();
-    for &b in cfg.rpo() {
-        let preds: std::collections::HashSet<BlockId> = cfg.unique_preds(b).into_iter().collect();
-        let insts = f.blocks[b.index()].insts.clone();
-        for v in insts {
+    // Predecessors of every block over reachable edges, built at the first
+    // phi met.
+    let mut preds: Option<Vec<Vec<BlockId>>> = None;
+    let mut singles: Vec<(BlockId, ValueId)> = Vec::new();
+    // A collapsed phi's replacement may itself be a phi that collapses in
+    // this same batch; the substitution resolves such chains, so no use is
+    // left pointing at a tombstoned value.
+    let mut subst = Substitution::new();
+    for &b in reachable {
+        for i in 0..f.blocks[b.index()].insts.len() {
+            let v = f.blocks[b.index()].insts[i];
+            if !matches!(f.op(v), Some(Op::Phi { .. })) {
+                continue;
+            }
+            let preds = preds.get_or_insert_with(|| {
+                let mut preds = vec![Vec::new(); f.blocks.len()];
+                for &p in reachable {
+                    for s in f.blocks[p.index()].term.successors() {
+                        preds[s.index()].push(p);
+                    }
+                }
+                preds
+            });
             let Some(Op::Phi { incoming }) = f.op_mut(v) else {
                 continue;
             };
             let before = incoming.len();
-            incoming.retain(|(p, _)| preds.contains(p));
+            incoming.retain(|(p, _)| preds[b.index()].contains(p));
             if incoming.len() != before {
                 changed = true;
             }
             if incoming.len() == 1 {
-                let op = incoming[0].1;
-                singles.push((b, v, op));
+                subst.insert(v, incoming[0].1);
+                singles.push((b, v));
             }
         }
     }
-    // A collapsed phi's replacement may itself be a phi that collapses in
-    // this same batch; resolve chains before rewriting or uses would point
-    // at tombstoned values.
-    let map: std::collections::HashMap<ValueId, Operand> =
-        singles.iter().map(|(_, v, op)| (*v, *op)).collect();
-    let resolve = |mut o: Operand| -> Operand {
-        for _ in 0..map.len() + 1 {
-            match o {
-                Operand::Value(v) => match map.get(&v) {
-                    Some(n) if *n != o => o = *n,
-                    _ => return o,
-                },
-                c => return c,
-            }
-        }
-        o
-    };
-    for (b, v, op) in singles {
-        f.replace_all_uses(v, resolve(op));
+    for (b, v) in singles {
         f.remove_inst(b, v);
         changed = true;
     }
+    f.substitute_uses(&subst);
     changed
 }
 
