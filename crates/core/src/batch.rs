@@ -4,8 +4,8 @@
 //! The island-model tuner evaluates thousands of pass-sequence candidates
 //! across worker threads. The compile (passes + codegen on a module clone)
 //! owns a traffic-dependent share of each evaluation — the benchmark's
-//! `core.compile_share` reads 0.95 on `-O3`-neighbour candidates, 0.14 on
-//! random sequences, 0.66 on a cold search — and [`SuiteRunner`]'s
+//! `core.compile_share` reads 0.91 on `-O3`-neighbour candidates, 0.11 on
+//! random sequences, 0.41 on a cold search — and [`SuiteRunner`]'s
 //! compiled-program cache is `&mut self` and would serialize those compiles
 //! behind a lock, so the service instead snapshots what it needs up front
 //! into a [`BatchEvaluator`]:

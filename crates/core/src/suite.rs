@@ -3,8 +3,8 @@
 //! Every experiment in the paper re-executes the 58-program suite thousands
 //! of times (the opt-level matrices, the 160/1600-iteration autotuner runs).
 //! Which stage owns an evaluation depends on the traffic — the benchmark's
-//! `core.compile_share` reads 0.95 on `-O3`-neighbour candidates, 0.14 on
-//! random sequences, 0.66 on a cold search and 0.46 on the study matrix —
+//! `core.compile_share` reads 0.91 on `-O3`-neighbour candidates, 0.11 on
+//! random sequences, 0.41 on a cold search and 0.36 on the study matrix —
 //! so [`SuiteRunner`] caches the compile side and keeps execution a plain
 //! engine call:
 //!

@@ -68,8 +68,8 @@ pub enum VInst<R> {
 }
 
 impl<R: Copy> VInst<R> {
-    /// Registers defined by this instruction.
-    pub fn defs(&self) -> Vec<R> {
+    /// Visit the registers this instruction defines, without allocating.
+    pub fn for_each_def(&self, mut f: impl FnMut(R)) {
         match self {
             VInst::Alu { rd, .. }
             | VInst::AluImm { rd, .. }
@@ -77,33 +77,54 @@ impl<R: Copy> VInst<R> {
             | VInst::Load { rd, .. }
             | VInst::FrameAddr { rd, .. }
             | VInst::Mv { rd, .. }
-            | VInst::Param { rd, .. } => vec![*rd],
-            VInst::Call { ret, .. } => ret.iter().copied().collect(),
-            VInst::Ecall { ret, .. } => vec![*ret],
-            _ => vec![],
+            | VInst::Param { rd, .. }
+            | VInst::Ecall { ret: rd, .. } => f(*rd),
+            VInst::Call { ret, .. } => ret.iter().copied().for_each(f),
+            _ => {}
         }
+    }
+
+    /// Visit the registers this instruction reads, in operand order, without
+    /// allocating.
+    pub fn for_each_use(&self, mut f: impl FnMut(R)) {
+        match self {
+            VInst::Alu { rs1, rs2, .. } => {
+                f(*rs1);
+                f(*rs2);
+            }
+            VInst::AluImm { rs1: r, .. }
+            | VInst::Load { base: r, .. }
+            | VInst::Mv { rs: r, .. } => {
+                f(*r);
+            }
+            VInst::Store { src, base, .. } => {
+                f(*src);
+                f(*base);
+            }
+            VInst::Branch { rs1, rs2, .. } => {
+                f(*rs1);
+                rs2.iter().copied().for_each(f);
+            }
+            VInst::Call { args, .. } | VInst::Ecall { args, .. } => {
+                args.iter().copied().for_each(f);
+            }
+            VInst::Ret { val } => val.iter().copied().for_each(f),
+            _ => {}
+        }
+    }
+
+    /// Registers defined by this instruction.
+    pub fn defs(&self) -> Vec<R> {
+        let mut v = Vec::new();
+        self.for_each_def(|r| v.push(r));
+        v
     }
 
     /// Registers read by this instruction.
     pub fn uses(&self) -> Vec<R> {
-        match self {
-            VInst::Alu { rs1, rs2, .. } => vec![*rs1, *rs2],
-            VInst::AluImm { rs1, .. } => vec![*rs1],
-            VInst::Load { base, .. } => vec![*base],
-            VInst::Store { src, base, .. } => vec![*src, *base],
-            VInst::Branch { rs1, rs2, .. } => {
-                let mut v = vec![*rs1];
-                if let Some(r) = rs2 {
-                    v.push(*r);
-                }
-                v
-            }
-            VInst::Call { args, .. } => args.clone(),
-            VInst::Ecall { args, .. } => args.clone(),
-            VInst::Ret { val } => val.iter().copied().collect(),
-            VInst::Mv { rs, .. } => vec![*rs],
-            _ => vec![],
-        }
+        let mut v = Vec::new();
+        self.for_each_use(|r| v.push(r));
+        v
     }
 
     /// Map registers through `f`.

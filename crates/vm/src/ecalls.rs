@@ -37,6 +37,15 @@ impl MemIo for FlatMem<'_> {
     }
 }
 
+/// One fixed-size read (zero-filled on fault, like [`MemIo::read_bytes`]).
+fn read_array<const N: usize>(mem: &mut dyn MemIo, addr: u32) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (o, b) in out.iter_mut().zip(mem.read_bytes(addr, N as u32)) {
+        *o = b;
+    }
+    out
+}
+
 /// Execute a crypto precompile. `args` are the raw `a0..a2` registers.
 /// Returns the value placed in `a0`.
 pub fn run_precompile(code: u32, args: &[i64], mem: &mut dyn MemIo) -> i64 {
@@ -60,14 +69,11 @@ pub fn run_precompile(code: u32, args: &[i64], mem: &mut dyn MemIo) -> i64 {
             } else {
                 sig::Scheme::Eddsa
             };
-            let msg_bytes = mem.read_bytes(a(0), 32);
-            let mut msg = [0u8; 32];
-            msg.copy_from_slice(&msg_bytes);
-            let pk_bytes = mem.read_bytes(a(1), 8);
-            let public = u64::from_le_bytes(pk_bytes.try_into().expect("8 bytes"));
-            let sig_bytes = mem.read_bytes(a(2), 16);
-            let r = u64::from_le_bytes(sig_bytes[..8].try_into().expect("8 bytes"));
-            let s = u64::from_le_bytes(sig_bytes[8..].try_into().expect("8 bytes"));
+            let msg: [u8; 32] = read_array(mem, a(0));
+            let public = u64::from_le_bytes(read_array(mem, a(1)));
+            let rs: [u8; 16] = read_array(mem, a(2));
+            let r = u64::from_le_bytes(std::array::from_fn(|i| rs[i]));
+            let s = u64::from_le_bytes(std::array::from_fn(|i| rs[8 + i]));
             sig::verify(scheme, public, &msg, &sig::Signature { r, s }) as i64
         }
         _ => 0,

@@ -10,13 +10,13 @@
 //!   no public paging metric (Table 2's "N/A").
 //!
 //! Execution is a **pre-decoded block-dispatch engine** ([`engine::Engine`]):
-//! every RV32IM instruction is decoded once into a dense internal [`op::Op`],
+//! every RV32IM instruction is decoded once into a flat 8-byte [`op::Op`],
 //! ops are grouped into fall-through basic blocks keyed by branch targets,
 //! and dispatch runs block-at-a-time through a direct-indexed block cache.
-//! Blocks without ecall instructions execute with batched cycle/segment
-//! accounting (memory blocks resolve loads/stores through a per-segment
-//! residency pre-probe), and hot block heads chain into superblock traces
-//! keyed by observed branch direction with safe deopt back to dispatch.
+//! A block without ecalls that fits the cycle budget and the current
+//! segment runs with no per-instruction accounting, its loads and stores
+//! served from [`FastMemory`]'s residency table; an access the table cannot
+//! serve, and every block that may meet a boundary, takes the stepped path.
 //! Everything stays bit-identical to the original decode-per-step
 //! interpreter (`machine::Machine`), which is kept behind the `reference`
 //! cargo feature (and `cfg(test)`) as the differential oracle. The engine
@@ -53,7 +53,7 @@ pub use machine::{alu, alu_imm, ExecConfig, ExecError, ExecutionReport, InstMix}
 #[cfg(any(test, feature = "reference"))]
 pub use machine::{run_program_reference, Machine};
 pub use mem::{FastMemory, PagedMemory};
-pub use op::{Block, BlockKind, DecodedProgram, Op};
+pub use op::{Block, DecodedProgram, Op, OpCode};
 pub use profile::{EngineStats, VmKind, VmProfile};
 pub use segment::SegmentRecord;
 

@@ -107,17 +107,17 @@ impl InstMix {
         }
     }
 
-    /// Accumulate another mix (the engine adds a whole block's static mix
-    /// per batched entry).
-    pub fn add(&mut self, other: &InstMix) {
-        self.alu += other.alu;
-        self.mul += other.mul;
-        self.div += other.div;
-        self.load += other.load;
-        self.store += other.store;
-        self.branch += other.branch;
-        self.jump += other.jump;
-        self.ecall += other.ecall;
+    /// Accumulate `times` copies of another mix (the engine adds a block's
+    /// static mix once per run, scaled by how often the block ran whole).
+    pub fn add_scaled(&mut self, other: &InstMix, times: u64) {
+        self.alu += other.alu * times;
+        self.mul += other.mul * times;
+        self.div += other.div * times;
+        self.load += other.load * times;
+        self.store += other.store * times;
+        self.branch += other.branch * times;
+        self.jump += other.jump * times;
+        self.ecall += other.ecall * times;
     }
 
     /// Per-class difference vs an `earlier` snapshot of the same cumulative
@@ -166,7 +166,7 @@ pub struct ExecutionReport {
     pub journal: Vec<i32>,
     /// Instruction mix.
     pub mix: InstMix,
-    /// Advisory engine-v3 profiling counters (all zero from the reference
+    /// Advisory engine profiling counters (all zero from the reference
     /// interpreter; excluded from the bit-identity contract — see
     /// [`EngineStats`]).
     pub stats: EngineStats,
@@ -364,6 +364,12 @@ impl<'p> Machine<'p> {
                         }
                         other => {
                             cost += ecalls::precompile_cycles(&self.profile, other, &args);
+                            // Charge before working: a precompile the
+                            // budget cannot pay for must not run (its input
+                            // length is guest-controlled).
+                            if user_cycles + cost > self.config.max_cycles {
+                                return Err(ExecError::CycleLimit);
+                            }
                             let r =
                                 ecalls::run_precompile(other, &args, &mut PagedIo(&mut self.mem));
                             self.set_reg(Reg::A0, r as u32);
@@ -430,7 +436,9 @@ impl<'p> Machine<'p> {
 }
 
 /// Evaluate a register-register ALU op with RV32IM semantics (shared with
-/// the x86 timing model).
+/// the x86 timing model, and the engine — which calls it with a constant
+/// `op` per arm of its own dispatch, so the inner `match` folds away).
+#[inline(always)]
 pub fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     let (sa, sb) = (a as i32, b as i32);
     match op {
@@ -477,7 +485,8 @@ pub fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     }
 }
 
-/// Evaluate a register-immediate ALU op (shared with the x86 timing model).
+/// Evaluate a register-immediate ALU op (shared like [`alu`]).
+#[inline(always)]
 pub fn alu_imm(op: AluImmOp, a: u32, imm: i32) -> u32 {
     let sa = a as i32;
     let b = imm as u32;

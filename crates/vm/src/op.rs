@@ -1,88 +1,73 @@
 //! Pre-decoded instruction stream for the block-dispatch engine.
 //!
 //! [`DecodedProgram::decode`] walks a linked [`Program`] **once**, lowering
-//! every [`Inst`] into a dense internal [`Op`] and grouping the stream into
-//! fall-through basic [`Block`]s keyed by branch targets. The per-pc
-//! `block_of` table is the engine's direct-indexed block cache: dispatching a
-//! jump is one array load, never a search. Pre-decoding also bakes in what
-//! the step interpreter recomputes on every execution of an instruction:
-//! `jal`/`jalr` link values, the `x0` write sink, and each block's static
-//! instruction mix.
+//! every [`Inst`] into one flat 8-byte [`Op`] — an [`OpCode`] that already
+//! names the exact operation (`add`, `addi`, `lw`, `bne`, …: one `match`
+//! executes it), three register slots and a 32-bit immediate — and grouping
+//! the stream into fall-through basic [`Block`]s keyed by branch targets. The
+//! per-pc `block_of` table is the engine's direct-indexed block cache:
+//! dispatching a jump is one array load, never a search. Pre-decoding also
+//! bakes in the `x0` write sink (ops that write nothing write there too, so
+//! the engine stores unconditionally) and each block's static instruction
+//! mix.
 
 use crate::machine::InstMix;
 use zkvmopt_riscv::encode;
 use zkvmopt_riscv::inst::{AluImmOp, AluOp, BranchCond, MemWidth, MixClass};
 use zkvmopt_riscv::{Inst, Program, Reg};
 
-/// Register-file slot that swallows writes to `x0`. The engine's register
-/// file has 33 slots; slot 0 is never written, so reads of `x0` stay 0 and
-/// the hot path stores unconditionally instead of branching on `rd != x0`.
+/// Register-file slot that swallows writes to `x0` and the "result" of ops
+/// that have none (stores, branches, ecalls). The engine's register file has
+/// 64 slots indexed `& 63`; slot 0 is never written, so reads of `x0` stay 0
+/// and the hot path stores unconditionally instead of branching on `rd`.
 pub const REG_SINK: u8 = 32;
 
-/// One pre-decoded RV32IM operation. Register fields are plain `u8` indices
-/// into the engine's 33-slot register file with the `x0`-write remap already
-/// applied; control-flow fields carry precomputed link values and targets.
+/// What an [`Op`] does — the register–register ALU ops, the
+/// register–immediate ones, one code per load/store width and branch
+/// condition, and the jumps, so executing an op is a single-level dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// `lui` — the full 32-bit immediate is precomputed.
-    Lui { rd: u8, imm: i32 },
-    /// Register–register ALU.
-    Alu { op: AluOp, rd: u8, rs1: u8, rs2: u8 },
-    /// Register–immediate ALU.
-    AluImm {
-        op: AluImmOp,
-        rd: u8,
-        rs1: u8,
-        imm: i32,
-    },
-    /// Load of the given width.
-    Load {
-        width: MemWidth,
-        rd: u8,
-        base: u8,
-        offset: i32,
-    },
-    /// Store of the given width.
-    Store {
-        width: MemWidth,
-        src: u8,
-        base: u8,
-        offset: i32,
-    },
-    /// Conditional branch to code index `target`.
-    Branch {
-        cond: BranchCond,
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-    /// Unconditional jump; `link` is the precomputed return address
-    /// `(pc + 1) * 4`.
-    Jal { rd: u8, link: u32, target: u32 },
-    /// Indirect jump; `link` as for [`Op::Jal`].
-    Jalr {
-        rd: u8,
-        rs1: u8,
-        offset: i32,
-        link: u32,
-    },
+#[repr(u8)]
+#[rustfmt::skip]
+pub enum OpCode {
+    /// `rd = imm`.
+    Lui,
+    // `rd = rs1 <op> rs2`.
+    Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And,
+    Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu,
+    // `rd = rs1 <op> imm`.
+    Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai,
+    // `rd = mem[rs1 + imm]`.
+    Lb, Lbu, Lh, Lhu, Lw,
+    // `mem[rs1 + imm] = rs2`.
+    Sb, Sh, Sw,
+    // `if rs1 <cond> rs2 { pc = imm }`.
+    Beq, Bne, Blt, Bge, Bltu, Bgeu,
+    /// `rd = link; pc = imm`.
+    Jal,
+    /// `rd = link; pc = (rs1 + imm) / 4`.
+    Jalr,
     /// Environment call (falls through except for `halt`).
     Ecall,
 }
 
-/// How the engine may execute a [`Block`], decided statically at decode
-/// time from the ops it contains.
+/// One pre-decoded RV32IM operation, 8 bytes. `rd`/`rs1`/`rs2` index the
+/// engine's register file with the `x0`-write remap already applied (an
+/// absent source reads `x0`, an absent destination is [`REG_SINK`]); `imm`
+/// is the immediate, the `lui` value, the memory offset, or the target code
+/// index of a branch or `jal`. Link values are `(pc + 1) * 4`, computed from
+/// the pc at execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockKind {
-    /// No loads, stores, or ecalls: the engine executes the whole block
-    /// straight-line with batched cycle/segment accounting.
-    Pure,
-    /// Contains loads and/or stores but no ecalls: eligible for the batched
-    /// memory path (residency pre-probe + per-access paging charge).
-    Mem,
-    /// Contains at least one ecall: always stepped (ecalls can halt
-    /// mid-block, commit to the journal, and charge precompile cycles).
-    Ecall,
+pub struct Op {
+    /// The operation.
+    pub code: OpCode,
+    /// Destination slot.
+    pub rd: u8,
+    /// First source slot.
+    pub rs1: u8,
+    /// Second source slot (the stored value for stores).
+    pub rs2: u8,
+    /// Immediate, offset or target.
+    pub imm: u32,
 }
 
 /// A maximal fall-through run of pre-decoded ops. Blocks partition the code
@@ -93,11 +78,11 @@ pub struct Block {
     pub start: u32,
     /// One past the last code index.
     pub end: u32,
-    /// Which execution path the block is eligible for.
-    pub kind: BlockKind,
     /// Static instruction mix of the block. Every op of a block executes
-    /// whenever the block is entered at its head, so for pure blocks this is
-    /// exactly the dynamic mix contribution per entry.
+    /// whenever the block runs whole from its head, so this is exactly the
+    /// dynamic mix contribution of such a run — and `mix.ecall == 0` is what
+    /// makes a block eligible for the engine's fast tier (ecalls can halt
+    /// mid-block, commit to the journal, and charge precompile cycles).
     pub mix: InstMix,
 }
 
@@ -141,88 +126,76 @@ fn remap_rd(rd: Reg) -> u8 {
     }
 }
 
-fn lower(inst: &Inst<Reg>, pc: usize) -> Op {
-    let link = (pc as u32 + 1) * 4;
+#[rustfmt::skip]
+fn lower(inst: &Inst<Reg>) -> Op {
+    use OpCode as C;
+    let op = |code, rd: u8, rs1: Reg, rs2: Reg, imm: u32| Op { code, rd, rs1: rs1.0, rs2: rs2.0, imm };
     match *inst {
-        Inst::Lui { rd, imm } => Op::Lui {
-            rd: remap_rd(rd),
-            imm,
-        },
-        Inst::Alu { op, rd, rs1, rs2 } => Op::Alu {
-            op,
-            rd: remap_rd(rd),
-            rs1: rs1.0,
-            rs2: rs2.0,
-        },
-        Inst::AluImm { op, rd, rs1, imm } => Op::AluImm {
-            op,
-            rd: remap_rd(rd),
-            rs1: rs1.0,
-            imm,
-        },
-        Inst::Load {
-            width,
-            rd,
-            base,
-            offset,
-        } => Op::Load {
-            width,
-            rd: remap_rd(rd),
-            base: base.0,
-            offset,
-        },
-        Inst::Store {
-            width,
-            src,
-            base,
-            offset,
-        } => Op::Store {
-            width,
-            src: src.0,
-            base: base.0,
-            offset,
-        },
-        Inst::Branch {
-            cond,
-            rs1,
-            rs2,
-            target,
-        } => Op::Branch {
-            cond,
-            rs1: rs1.0,
-            rs2: rs2.0,
-            target: target as u32,
-        },
-        Inst::Jal { rd, target } => Op::Jal {
-            rd: remap_rd(rd),
-            link,
-            target: target as u32,
-        },
-        Inst::Jalr { rd, rs1, offset } => Op::Jalr {
-            rd: remap_rd(rd),
-            rs1: rs1.0,
-            offset,
-            link,
-        },
-        Inst::Ecall => Op::Ecall,
+        Inst::Lui { rd, imm } => op(C::Lui, remap_rd(rd), Reg::ZERO, Reg::ZERO, imm as u32),
+        Inst::Alu { op: alu, rd, rs1, rs2 } => {
+            let code = match alu {
+                AluOp::Add => C::Add, AluOp::Sub => C::Sub, AluOp::Sll => C::Sll,
+                AluOp::Slt => C::Slt, AluOp::Sltu => C::Sltu, AluOp::Xor => C::Xor,
+                AluOp::Srl => C::Srl, AluOp::Sra => C::Sra, AluOp::Or => C::Or,
+                AluOp::And => C::And, AluOp::Mul => C::Mul, AluOp::Mulh => C::Mulh,
+                AluOp::Mulhsu => C::Mulhsu, AluOp::Mulhu => C::Mulhu, AluOp::Div => C::Div,
+                AluOp::Divu => C::Divu, AluOp::Rem => C::Rem, AluOp::Remu => C::Remu,
+            };
+            op(code, remap_rd(rd), rs1, rs2, 0)
+        }
+        Inst::AluImm { op: alu, rd, rs1, imm } => {
+            let code = match alu {
+                AluImmOp::Addi => C::Addi, AluImmOp::Slti => C::Slti, AluImmOp::Sltiu => C::Sltiu,
+                AluImmOp::Xori => C::Xori, AluImmOp::Ori => C::Ori, AluImmOp::Andi => C::Andi,
+                AluImmOp::Slli => C::Slli, AluImmOp::Srli => C::Srli, AluImmOp::Srai => C::Srai,
+            };
+            op(code, remap_rd(rd), rs1, Reg::ZERO, imm as u32)
+        }
+        Inst::Load { width, rd, base, offset } => {
+            let code = match width {
+                MemWidth::Byte => C::Lb, MemWidth::ByteU => C::Lbu, MemWidth::Half => C::Lh,
+                MemWidth::HalfU => C::Lhu, MemWidth::Word => C::Lw,
+            };
+            op(code, remap_rd(rd), base, Reg::ZERO, offset as u32)
+        }
+        Inst::Store { width, src, base, offset } => {
+            let code = match width {
+                MemWidth::Byte | MemWidth::ByteU => C::Sb,
+                MemWidth::Half | MemWidth::HalfU => C::Sh,
+                MemWidth::Word => C::Sw,
+            };
+            op(code, REG_SINK, base, src, offset as u32)
+        }
+        Inst::Branch { cond, rs1, rs2, target } => {
+            let code = match cond {
+                BranchCond::Eq => C::Beq, BranchCond::Ne => C::Bne, BranchCond::Lt => C::Blt,
+                BranchCond::Ge => C::Bge, BranchCond::Ltu => C::Bltu, BranchCond::Geu => C::Bgeu,
+            };
+            op(code, REG_SINK, rs1, rs2, target as u32)
+        }
+        Inst::Jal { rd, target } => op(C::Jal, remap_rd(rd), Reg::ZERO, Reg::ZERO, target as u32),
+        Inst::Jalr { rd, rs1, offset } => op(C::Jalr, remap_rd(rd), rs1, Reg::ZERO, offset as u32),
+        Inst::Ecall => op(C::Ecall, REG_SINK, Reg::ZERO, Reg::ZERO, 0),
     }
 }
 
 impl Op {
     /// Which instruction-mix bucket a dynamic execution of this op falls
-    /// into. Mirrors [`Inst::mix_class`] (both route ALU bucketing through
-    /// [`AluOp::mix_class`]); the engine's stepped path and the per-block
-    /// static mixes both use this, so the accounting cannot drift.
+    /// into — the same split as [`Inst::mix_class`]. The engine's stepped
+    /// path and the per-block static mixes both use this, so the accounting
+    /// cannot drift.
     #[inline]
     pub fn mix_class(&self) -> MixClass {
-        match self {
-            Op::Lui { .. } | Op::AluImm { .. } => MixClass::Alu,
-            Op::Alu { op, .. } => op.mix_class(),
-            Op::Load { .. } => MixClass::Load,
-            Op::Store { .. } => MixClass::Store,
-            Op::Branch { .. } => MixClass::Branch,
-            Op::Jal { .. } | Op::Jalr { .. } => MixClass::Jump,
-            Op::Ecall => MixClass::Ecall,
+        use OpCode as C;
+        match self.code {
+            C::Mul | C::Mulh | C::Mulhsu | C::Mulhu => MixClass::Mul,
+            C::Div | C::Divu | C::Rem | C::Remu => MixClass::Div,
+            C::Lb | C::Lbu | C::Lh | C::Lhu | C::Lw => MixClass::Load,
+            C::Sb | C::Sh | C::Sw => MixClass::Store,
+            C::Beq | C::Bne | C::Blt | C::Bge | C::Bltu | C::Bgeu => MixClass::Branch,
+            C::Jal | C::Jalr => MixClass::Jump,
+            C::Ecall => MixClass::Ecall,
+            _ => MixClass::Alu,
         }
     }
 }
@@ -272,11 +245,7 @@ impl DecodedProgram {
             }
         }
 
-        let ops: Vec<Op> = code
-            .iter()
-            .enumerate()
-            .map(|(pc, i)| lower(i, pc))
-            .collect();
+        let ops: Vec<Op> = code.iter().map(lower).collect();
 
         let mut blocks: Vec<Block> = Vec::new();
         let mut block_of = vec![0u32; n];
@@ -284,30 +253,17 @@ impl DecodedProgram {
         while pc < n {
             let start = pc;
             let mut mix = InstMix::default();
-            let mut has_mem = false;
-            let mut has_ecall = false;
             loop {
-                let class = ops[pc].mix_class();
-                mix.bump(class);
-                has_mem |= matches!(class, MixClass::Load | MixClass::Store);
-                has_ecall |= matches!(class, MixClass::Ecall);
+                mix.bump(ops[pc].mix_class());
                 block_of[pc] = blocks.len() as u32;
                 pc += 1;
                 if pc >= n || leader[pc] {
                     break;
                 }
             }
-            let kind = if has_ecall {
-                BlockKind::Ecall
-            } else if has_mem {
-                BlockKind::Mem
-            } else {
-                BlockKind::Pure
-            };
             blocks.push(Block {
                 start: start as u32,
                 end: pc as u32,
-                kind,
                 mix,
             });
         }
@@ -395,17 +351,35 @@ mod tests {
     }
 
     #[test]
-    fn x0_writes_are_redirected_to_the_sink() {
-        let (p, d) = decode_src("fn main() -> i32 { return 7; }");
+    fn x0_writes_and_resultless_ops_are_redirected_to_the_sink() {
+        let (p, d) = decode_src(
+            "static A: [i32; 4];
+             fn main() -> i32 { A[1] = 7; if (A[1] > 3) { return A[1]; } return 0; }",
+        );
+        assert_eq!(std::mem::size_of::<Op>(), 8);
+        let mut seen = [false; 3];
         for (inst, op) in p.code.iter().zip(&d.ops) {
-            if let (Inst::Jal { rd, .. }, Op::Jal { rd: r, .. }) = (inst, op) {
-                if *rd == Reg::ZERO {
-                    assert_eq!(*r, REG_SINK);
-                } else {
-                    assert_eq!(*r, rd.0);
+            match inst {
+                Inst::Jal { rd, .. } if *rd == Reg::ZERO => {
+                    assert_eq!((op.code, op.rd), (OpCode::Jal, REG_SINK));
+                    seen[0] = true;
                 }
+                Inst::Jal { rd, .. } => assert_eq!(op.rd, rd.0),
+                Inst::Store { src, base, .. } => {
+                    assert_eq!((op.rd, op.rs1, op.rs2), (REG_SINK, base.0, src.0));
+                    seen[1] = true;
+                }
+                Inst::Branch { target, .. } => {
+                    assert_eq!((op.rd, op.imm as usize), (REG_SINK, *target));
+                    seen[2] = true;
+                }
+                _ => {}
             }
         }
+        assert_eq!(
+            seen, [true; 3],
+            "the sample has a jump, a store and a branch"
+        );
     }
 
     #[test]

@@ -109,10 +109,10 @@ impl VmProfile {
     }
 }
 
-/// Advisory engine-v3 profiling counters, surfaced per run in
-/// [`crate::ExecutionReport::stats`]: superblock (trace) formation and deopt
-/// activity, plus the hit rate of the residency pre-probe that lets the
-/// batched memory path skip full paging checks.
+/// Advisory engine profiling counters, surfaced per run in
+/// [`crate::ExecutionReport::stats`]: how many loads and stores the fast
+/// tier served from the residency table alone, and how many took the
+/// charged access path.
 ///
 /// These counters describe *how* the engine ran, not *what* it computed:
 /// they are excluded from the engine-vs-reference bit-identity contract (the
@@ -122,15 +122,18 @@ impl VmProfile {
 /// regardless of these values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Superblock traces formed.
+    /// Retired with the superblock trace tier; always 0. (The field stays
+    /// because the benchmark reads it by name.)
     pub traces_formed: u64,
-    /// Early trace exits taken (deopts back to block dispatch because an
-    /// observed successor diverged from the trace's trained direction).
+    /// Retired with the superblock trace tier; always 0.
     pub trace_exits: u64,
-    /// Loads/stores served entirely by the residency pre-probe cache (page
+    /// Loads/stores served from the residency table on the fast tier (page
     /// known resident this segment: no bounds/paging work, zero charge).
     pub probe_hits: u64,
-    /// Loads/stores that took the full charged access path.
+    /// Loads/stores that took the charged access path: residency misses
+    /// (first touch of a page in a segment, first write to a clean page,
+    /// page-straddling and faulting accesses) and everything on the stepped
+    /// tier.
     pub probe_misses: u64,
 }
 

@@ -1,15 +1,15 @@
-//! Page-0 footprint regressions for the *batched* execution tiers: the
-//! hoisted memory-block pre-probe (`exec_mem`) and superblock traces both
-//! funnel loads/stores through the same per-lane residency probe that once
-//! used page 0 as its empty sentinel. Each test here drives a block whose
-//! memory footprint starts at page 0 through one of those tiers and checks
-//! the null guard still fires (exact address and pc) and paging is still
-//! charged — bit-identical to the stepped path.
+//! Page-0 footprint regressions for the engine's *fast* tier, whose loads and
+//! stores are served from the residency table without the checked access
+//! path (an earlier one-entry probe cache used page 0 as its empty sentinel
+//! and let page-0 accesses through). Each test here drives a block whose
+//! memory footprint starts at page 0 through the fast tier and checks the
+//! null guard still fires (exact address and pc) and paging is still charged
+//! — bit-identical to the step interpreter.
 
 use zkvmopt_riscv::inst::{AluImmOp, BranchCond, MemWidth};
 use zkvmopt_riscv::{Inst, Program, Reg};
 use zkvmopt_vm::{
-    DecodedProgram, Engine, ExecConfig, ExecError, ExecutionReport, VmKind, VmProfile,
+    DecodedProgram, Engine, ExecConfig, ExecError, ExecutionReport, Machine, VmKind, VmProfile,
 };
 
 fn program(code: Vec<Inst<Reg>>) -> Program {
@@ -50,9 +50,8 @@ fn sw(src: Reg, base: Reg, offset: i32) -> Inst<Reg> {
     }
 }
 
-/// A two-block hot loop whose memory footprint is entirely page 0: the
-/// `jal` splits the body so trace formation can chain blocks (a one-block
-/// loop closes on itself and is rejected).
+/// A two-block hot loop whose memory footprint is entirely page 0 (the
+/// `jal` splits the body, so the store's block starts with a resident page).
 fn page0_loop() -> Program {
     program(vec![
         addi(Reg::T1, Reg::ZERO, 0x200), // page-0 pointer (legal: >= 0x100)
@@ -80,10 +79,10 @@ fn run(p: &Program, profile: VmProfile) -> Result<ExecutionReport, ExecError> {
     Engine::new(&d, profile, ExecConfig::default()).run()
 }
 
-/// Batched memory block (entered at its head, in budget → `exec_mem`): a
-/// null-guard violation mid-block must fault at the exact address and pc
-/// the stepped path reports, even though a legal page-0 access precedes
-/// it — under both VM kinds' page sizes.
+/// Fast block (entered at its head, in budget): a null-guard violation
+/// mid-block must fault at the exact address and pc the step interpreter
+/// reports, even though a legal page-0 access precedes it and leaves page 0
+/// resident — under both VM kinds' page sizes.
 #[test]
 fn mem_block_null_guard_faults_at_exact_pc() {
     let p = program(vec![
@@ -106,13 +105,13 @@ fn mem_block_null_guard_faults_at_exact_pc() {
     }
 }
 
-/// A probe already caching a *legal* page must not let a later sub-0x100
-/// store through: the hit test is per-page, and page 0 is never cached.
+/// A resident *legal* page must not let a later sub-0x100 store through:
+/// the hit test is per-page, and an address below the guard never hits.
 #[test]
 fn probe_hit_on_other_page_never_bypasses_null_guard() {
     let p = program(vec![
         addi(Reg::T1, Reg::ZERO, 0x400),
-        lw(Reg::A0, Reg::T1, 0), // caches probe on page 1
+        lw(Reg::A0, Reg::T1, 0), // page 1 becomes resident
         addi(Reg::T2, Reg::ZERO, 0x10),
         sw(Reg::A0, Reg::T2, 0), // 3: store to 0x10 -> fault
         Inst::Jal {
@@ -125,9 +124,8 @@ fn probe_hit_on_other_page_never_bypasses_null_guard() {
     assert_eq!(r, Err(ExecError::MemFault { addr: 0x10, pc: 3 }));
 }
 
-/// A batched block whose whole footprint is page 0 charges exactly one
-/// page-in: the first access pays, later same-page accesses are resident
-/// (but must go through the checked path, not the probe cache).
+/// A block whose whole footprint is page 0 charges exactly one page-in: the
+/// first access pays, later same-page accesses are resident.
 #[test]
 fn mem_block_page0_footprint_charges_one_page_in() {
     let p = program(vec![
@@ -145,25 +143,25 @@ fn mem_block_page0_footprint_charges_one_page_in() {
     assert_eq!(r.page_ins, 1, "page 0 pages in exactly once");
 }
 
-/// The hot page-0 loop must actually form a superblock trace, and the
-/// trace-following execution must be bit-identical to the stepped-only
-/// `run_segmented` dispatch on every architectural observable.
+/// The hot page-0 loop on the fast tier must be bit-identical to the step
+/// interpreter on every architectural observable.
 #[test]
-fn page0_trace_matches_stepped_dispatch() {
+fn page0_hot_loop_matches_the_step_interpreter() {
     let p = page0_loop();
     let d = DecodedProgram::decode(&p);
     for kind in VmKind::BOTH {
         let profile = VmProfile::for_kind(kind);
         let fast = Engine::new(&d, profile.clone(), ExecConfig::default())
             .run()
-            .expect("traced run");
+            .expect("engine run");
         assert!(
-            fast.stats.traces_formed >= 1,
-            "hot page-0 loop should form a trace ({kind})"
+            fast.stats.probe_hits > fast.stats.probe_misses,
+            "the loop should run on the fast tier ({kind}): {:?}",
+            fast.stats
         );
-        let (stepped, _records) = Engine::new(&d, profile, ExecConfig::default())
-            .run_segmented()
-            .expect("stepped run");
+        let stepped = Machine::new(&p, profile, ExecConfig::default())
+            .run()
+            .expect("reference run");
         assert_eq!(fast.instret, stepped.instret, "instret ({kind})");
         assert_eq!(fast.user_cycles, stepped.user_cycles, "cycles ({kind})");
         assert_eq!(fast.paging_cycles, stepped.paging_cycles, "paging ({kind})");

@@ -1,10 +1,10 @@
-//! Permanent regression suite for the page-0 probe sentinel bug: the
-//! residency pre-probe once used `probe_page: 0` as its empty sentinel, so
-//! the first access to any page-0 address vacuously "hit" — swallowing the
+//! Permanent regression suite for the page-0 probe sentinel bug: a one-entry
+//! residency probe once used `probe_page: 0` as its empty sentinel, so the
+//! first access to any page-0 address vacuously "hit" — swallowing the
 //! null-guard `MemFault` for `addr < 0x100` and eliding the page-in charge
-//! for legal page-0 addresses. These tests pin the fixed semantics on the
-//! stepped path; `page0_blocks.rs` covers the batched-block and
-//! superblock-trace paths.
+//! for legal page-0 addresses. The probe is gone (the residency table has no
+//! sentinel, and an address below the guard never hits); these tests pin
+//! the semantics on cold accesses, `page0_blocks.rs` on resident pages.
 
 use zkvmopt_riscv::inst::{AluImmOp, MemWidth};
 use zkvmopt_riscv::{Inst, Program, Reg};

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use zkvm_opt::riscv::TargetCostModel;
-use zkvm_opt::vm::{DecodedProgram, Engine, ExecConfig, ExecError, VmKind, VmProfile};
+use zkvm_opt::vm::{DecodedProgram, Engine, ExecConfig, ExecError, Machine, VmKind, VmProfile};
 
 struct Compiled {
     name: &'static str,
@@ -92,6 +92,49 @@ fn extreme_inputs_never_panic_the_engine() {
             for kind in VmKind::BOTH {
                 check(c, kind, 200_000, &inputs);
             }
+        }
+    }
+}
+
+/// Charge before you work: a miscompiled candidate that calls
+/// `sha256(p, 0xffff_ffff, out)` under a `candidate_budget`-sized limit must
+/// hit `CycleLimit` on the precompile's *price* (4.5 G cycles), before
+/// either executor reads — zero-filling on the fault — and hashes 4 GiB.
+#[test]
+fn unaffordable_precompile_is_refused_before_it_runs() {
+    let m = zkvm_opt::lang::compile_guest(
+        "static MSG: [i8; 3] = \"abc\";
+         static OUT: [i8; 32];
+         fn main() -> i32 { sha256(MSG, -1, OUT); return OUT[0] as i32; }",
+    )
+    .expect("compiles");
+    let p = zkvm_opt::riscv::compile_module(&m, &TargetCostModel::zk()).expect("codegen");
+    let d = DecodedProgram::decode(&p);
+    for kind in VmKind::BOTH {
+        // The floor of `BatchEvaluator::candidate_budget`, and 8x a
+        // million-cycle baseline.
+        for max_cycles in [4096, 8_000_000] {
+            let config = ExecConfig {
+                inputs: vec![],
+                max_cycles,
+            };
+            let start = std::time::Instant::now();
+            let engine = Engine::new(&d, VmProfile::for_kind(kind), config.clone()).run();
+            let oracle = Machine::new(&p, VmProfile::for_kind(kind), config).run();
+            assert_eq!(
+                engine,
+                Err(ExecError::CycleLimit),
+                "{kind}, budget {max_cycles}"
+            );
+            assert_eq!(
+                oracle,
+                Err(ExecError::CycleLimit),
+                "{kind}, budget {max_cycles}"
+            );
+            assert!(
+                start.elapsed().as_secs() < 5,
+                "{kind}: the precompile ran before its charge was checked"
+            );
         }
     }
 }

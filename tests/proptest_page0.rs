@@ -2,17 +2,20 @@
 //! page-0 probe-sentinel regression class. Random programs whose loads and
 //! stores are biased into `0x0..0x500` — straddling the `addr < 0x100` null
 //! guard and the legal remainder of page 0 — must behave identically under
-//! the reference step interpreter, the solo block-dispatch engine, and the
-//! stepped-only segmented dispatch, on every architectural observable
-//! (cycles, paging, segments, mix, journal, fault address/pc). Hot-loop
-//! variants drive the same footprints through superblock traces.
+//! the reference step interpreter, the block-dispatch engine, and the
+//! engine with the segment recorder installed, on every architectural
+//! observable (cycles, paging, segments, mix, journal, fault address/pc) —
+//! at the VM's own segment limit and at a 7-cycle one that puts boundaries
+//! inside the blocks. Hot-loop variants revisit the same footprints with
+//! their pages resident.
 
 use proptest::prelude::*;
+use zkvm_opt::prover::check_segment_accounting;
 use zkvm_opt::riscv::inst::{AluImmOp, BranchCond, MemWidth};
 use zkvm_opt::riscv::{Inst, Program, Reg};
 use zkvm_opt::vm::{
-    run_program_reference, DecodedProgram, Engine, ExecConfig, ExecError, ExecutionReport, VmKind,
-    VmProfile,
+    run_program_reference, DecodedProgram, Engine, ExecConfig, ExecError, ExecutionReport, Machine,
+    VmKind, VmProfile,
 };
 
 /// One randomly placed access: store-or-load, a low address, and a width.
@@ -83,7 +86,7 @@ fn straight_line(accesses: &[Access]) -> Program {
 }
 
 /// Hot-loop program: the accesses in a 100-iteration loop whose body is
-/// split by a `jal` so superblock-trace formation can chain blocks.
+/// split by a `jal` (two blocks, the second entered with its pages resident).
 fn hot_loop(accesses: &[Access]) -> Program {
     let mut code = vec![
         addi(Reg::T2, Reg::ZERO, 0),   // i = 0
@@ -143,36 +146,31 @@ fn assert_outcomes_match(
     }
 }
 
-/// Run one generated program through every execution tier and check all of
-/// them against the reference interpreter.
+/// Run one generated program through the engine, with and without the
+/// segment recorder, and check both against the reference interpreter.
 fn check_program(p: &Program) {
     let d = DecodedProgram::decode(p);
     for kind in VmKind::BOTH {
-        let reference = run_program_reference(p, kind, &[]);
-        let profile = VmProfile::for_kind(kind);
+        for segment_cycles in [VmProfile::for_kind(kind).segment_cycles, 7] {
+            let profile = VmProfile {
+                segment_cycles,
+                ..VmProfile::for_kind(kind)
+            };
+            let reference = Machine::new(p, profile.clone(), ExecConfig::default()).run();
 
-        // Solo block-dispatch engine (batched blocks + traces).
-        let solo = Engine::new(&d, profile.clone(), ExecConfig::default()).run();
-        assert_outcomes_match("solo", kind, &solo, &reference);
+            let solo = Engine::new(&d, profile.clone(), ExecConfig::default()).run();
+            assert_outcomes_match("solo", kind, &solo, &reference);
 
-        // Stepped-only segmented dispatch; per-segment records must also
-        // sum bit-identically to the report totals.
-        let segmented = Engine::new(&d, profile, ExecConfig::default()).run_segmented();
-        match segmented {
-            Ok((report, records)) => {
-                assert_outcomes_match("segmented", kind, &Ok(report.clone()), &reference);
-                assert_eq!(records.len() as u64, report.segments, "record count");
-                let instret: u64 = records.iter().map(|r| r.instret).sum();
-                let user: u64 = records.iter().map(|r| r.user_cycles).sum();
-                let ins: u64 = records.iter().map(|r| r.page_ins).sum();
-                let outs: u64 = records.iter().map(|r| r.page_outs).sum();
-                assert_eq!(instret, report.instret, "segment instret sum");
-                assert_eq!(user, report.user_cycles, "segment cycle sum");
-                assert_eq!(ins, report.page_ins, "segment page-in sum");
-                assert_eq!(outs, report.page_outs, "segment page-out sum");
-            }
-            Err(ref e) => {
-                assert_eq!(Err(e.clone()), reference, "segmented error ({kind})");
+            // Per-segment records must also sum bit-identically to the
+            // report totals.
+            let segmented = Engine::new(&d, profile, ExecConfig::default()).run_segmented();
+            match segmented {
+                Ok((report, records)) => {
+                    check_segment_accounting(&report, &records)
+                        .unwrap_or_else(|e| panic!("segment accounting ({kind}): {e}"));
+                    assert_outcomes_match("segmented", kind, &Ok(report), &reference);
+                }
+                Err(e) => assert_eq!(Err(e), reference, "segmented error ({kind})"),
             }
         }
     }
@@ -190,8 +188,8 @@ proptest! {
         check_program(&straight_line(&accesses));
     }
 
-    /// The same footprints inside a hot loop: trace-following execution
-    /// (and its residency probe) must not change any observable.
+    /// The same footprints inside a hot loop: serving them from the
+    /// residency table must not change any observable.
     #[test]
     fn hot_loop_low_addresses_match_reference(
         accesses in prop::collection::vec(arb_access(), 1..6)
