@@ -1,16 +1,16 @@
 //! Figure 14 / §6.1: the zkVM-aware -O3 (cost model + heuristics + disabled
 //! hardware passes) vs stock -O3 — plus a multi-backend proving study: the
-//! same zk-O3-vs-O3 comparison priced by each [`ProverBackend`] cost shape
-//! over real segmented executions, showing how much of the zk-aware win
-//! survives a backend that charges paging differently.
+//! same runs' segment records priced by each `ProverBackend` cost shape,
+//! showing how much of the zk-aware win survives a backend that charges
+//! paging differently.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use zkvmopt_bench::{header, pct};
 use zkvmopt_core::{gain, measure, OptLevel, OptProfile, SuiteRunner};
-use zkvmopt_prover::{prove_segmented, standard_backends};
+use zkvmopt_prover::{backend_for, proving_cost_ms, standard_backends};
 use zkvmopt_vm::VmKind;
 
-fn report() {
+fn report(runner: &mut SuiteRunner) {
     let names = [
         "fibonacci",
         "loop-sum",
@@ -38,9 +38,12 @@ fn report() {
         let mut row = format!("{name:<26}");
         let mut r0_exec = 0.0;
         for vm in VmKind::BOTH {
-            let (o3, o3r) =
-                measure(w, &OptProfile::level(OptLevel::O3), vm, false, None).expect("-O3");
-            let (zk, _) = measure(w, &OptProfile::zk_o3(), vm, false, Some(&o3r)).expect("zk-O3");
+            let (o3, o3r) = runner
+                .measure(w, &OptProfile::level(OptLevel::O3), vm, false, None)
+                .expect("-O3");
+            let (zk, _) = runner
+                .measure(w, &OptProfile::zk_o3(), vm, false, Some(&o3r))
+                .expect("zk-O3");
             let e = gain(o3.exec_ms, zk.exec_ms);
             row.push_str(&format!(" {:>12}", pct(e)));
             if vm == VmKind::RiscZero {
@@ -78,9 +81,9 @@ fn report() {
     );
 }
 
-/// The multi-backend extension: prove the segmented zk-O3 and -O3 runs
+/// The multi-backend extension: price the same -O3 and zk-O3 RISC Zero runs
 /// under every backend cost shape and report the per-backend prove gain.
-fn multi_backend_report() {
+fn multi_backend_report(runner: &mut SuiteRunner) {
     let names = [
         "fibonacci",
         "loop-sum",
@@ -96,27 +99,23 @@ fn multi_backend_report() {
         print!(" {:>10}", b.name());
     }
     println!();
-    let mut runner = SuiteRunner::new();
     let o3 = OptProfile::level(OptLevel::O3);
     let zk = OptProfile::zk_o3();
     let mut sums = [0.0f64; 3];
     for name in names {
         let w = zkvmopt_workloads::by_name(name).expect("exists");
-        let (o3_report, o3_records) = runner
-            .run_segmented(w, &o3, VmKind::RiscZero)
-            .expect("-O3 segmented");
-        let (zk_report, zk_records) = runner
-            .run_segmented(w, &zk, VmKind::RiscZero)
-            .expect("zk-O3 segmented");
+        let o3 = runner.run(w, &o3, VmKind::RiscZero, false).expect("-O3");
+        let zk = runner.run(w, &zk, VmKind::RiscZero, false).expect("zk-O3");
         print!("{name:<26}");
         for (bi, backend) in backends.iter().enumerate() {
-            let base = prove_segmented(*backend, &o3_report, &o3_records, 0)
-                .expect("gated")
-                .total_cost_ms;
-            let tuned = prove_segmented(*backend, &zk_report, &zk_records, 0)
-                .expect("gated")
-                .total_cost_ms;
-            let g = gain(base, tuned);
+            let g = gain(
+                proving_cost_ms(*backend, &o3.records),
+                proving_cost_ms(*backend, &zk.records),
+            );
+            if backend.name() == backend_for(VmKind::RiscZero).name() {
+                // One model: this column is Figure 14's "R0 prove" column.
+                assert!(g == gain(o3.prove_ms, zk.prove_ms), "{name}: {g}");
+            }
             sums[bi] += g;
             print!(" {:>10}", pct(g));
         }
@@ -133,8 +132,9 @@ fn multi_backend_report() {
 }
 
 fn bench(c: &mut Criterion) {
-    report();
-    multi_backend_report();
+    let mut runner = SuiteRunner::new();
+    report(&mut runner);
+    multi_backend_report(&mut runner);
     let w = zkvmopt_workloads::by_name("fibonacci").expect("exists");
     c.bench_function("fig14/zk_o3_fibonacci", |b| {
         b.iter(|| measure(w, &OptProfile::zk_o3(), VmKind::RiscZero, false, None).expect("runs"))

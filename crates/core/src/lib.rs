@@ -25,11 +25,10 @@ use serde::Serialize;
 use std::fmt;
 use zkvmopt_ir::Module;
 use zkvmopt_passes::{PassConfig, PassManager};
-use zkvmopt_prover::ProvingModel;
 use zkvmopt_riscv::TargetCostModel;
-use zkvmopt_vm::{DecodedProgram, Engine, ExecConfig, ExecutionReport, VmKind, VmProfile};
+use zkvmopt_vm::{DecodedProgram, ExecutionReport, SegmentRecord, VmKind};
 use zkvmopt_workloads::Workload;
-use zkvmopt_x86sim::{run_x86, X86Model, X86Report};
+use zkvmopt_x86sim::X86Report;
 
 pub mod batch;
 pub mod error;
@@ -190,7 +189,10 @@ impl std::error::Error for StudyError {}
 pub struct RunReport {
     /// zkVM execution report (cycles, instret, paging, journal, …).
     pub exec: ExecutionReport,
-    /// Modelled proving time (ms).
+    /// The segments the engine cut, one record each; they sum to `exec`.
+    pub records: Vec<SegmentRecord>,
+    /// Modelled proving time (ms): `zkvmopt_prover::proving_cost_ms` of
+    /// `records` under the VM's own backend.
     pub prove_ms: f64,
     /// Modelled zkVM execution (replay) time (ms).
     pub exec_ms: f64,
@@ -256,33 +258,11 @@ impl Pipeline {
         vm: VmKind,
     ) -> Result<RunReport, StudyError> {
         let program = self.compile(src)?;
-        let decoded = DecodedProgram::decode(&program);
-        let config = ExecConfig {
-            inputs: inputs.to_vec(),
-            max_cycles: self.max_cycles,
+        let cw = suite::CompiledWorkload {
+            decoded: DecodedProgram::decode(&program),
+            program,
         };
-        let exec = Engine::new(&decoded, VmProfile::for_kind(vm), config)
-            .run()
-            .map_err(|e| StudyError::Exec(e.to_string()))?;
-        let model = ProvingModel::for_kind(vm);
-        let prove_ms = model.proving_time_ms(&exec);
-        let exec_ms = exec.exec_time_ms;
-        let x86 = if self.with_x86 {
-            Some(
-                run_x86(&program, &X86Model::default(), inputs)
-                    .map_err(|e| StudyError::Exec(e.to_string()))?,
-            )
-        } else {
-            None
-        };
-        Ok(RunReport {
-            exec,
-            prove_ms,
-            exec_ms,
-            x86,
-            code_size: program.len(),
-            spilled_vregs: program.spilled_vregs,
-        })
+        suite::run_compiled(&cw, inputs, vm, self.max_cycles, self.with_x86)
     }
 
     /// Run a suite workload.
@@ -341,29 +321,7 @@ pub fn measure(
         p = p.with_x86();
     }
     let r = p.run_workload(w, vm)?;
-    if let Some(b) = baseline {
-        if r.exec.journal != b.exec.journal || r.exec.exit_code != b.exec.exit_code {
-            return Err(StudyError::Miscompile {
-                workload: w.name.to_string(),
-                profile: profile.name.clone(),
-            });
-        }
-    }
-    let m = Measurement {
-        workload: w.name.to_string(),
-        profile: profile.name.clone(),
-        vm: vm.name().to_string(),
-        cycles: r.exec.total_cycles,
-        instret: r.exec.instret,
-        paging_cycles: r.exec.paging_cycles,
-        exec_ms: r.exec_ms,
-        prove_ms: r.prove_ms,
-        segments: r.exec.segments,
-        x86_ms: r.x86.as_ref().map(|x| x.time_ms),
-        code_size: r.code_size,
-        spilled_vregs: r.spilled_vregs,
-    };
-    Ok((m, r))
+    suite::check_and_measure(w, profile, vm, r, baseline)
 }
 
 /// Percent performance gain of `new` over `baseline` for a lower-is-better

@@ -5,8 +5,8 @@
 //! Which stage owns an evaluation depends on the traffic — the benchmark's
 //! `core.compile_share` reads 0.91 on `-O3`-neighbour candidates, 0.11 on
 //! random sequences, 0.41 on a cold search and 0.36 on the study matrix —
-//! so [`SuiteRunner`] caches the compile side and keeps execution a plain
-//! engine call:
+//! so [`SuiteRunner`] caches the compile side and keeps execution one
+//! segmented engine call, whose records price the run's proving cost:
 //!
 //! - the **lowered base module** of each workload is cached, so a workload's
 //!   source is lexed/parsed/lowered exactly once no matter how many profiles
@@ -28,7 +28,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use zkvmopt_ir::Module;
-use zkvmopt_prover::ProvingModel;
+use zkvmopt_prover::{backend_for, check_segment_accounting, proving_cost_ms};
 use zkvmopt_riscv::Program;
 use zkvmopt_vm::{
     DecodedProgram, Engine, ExecConfig, ExecutionReport, SegmentRecord, VmKind, VmProfile,
@@ -161,7 +161,9 @@ impl SuiteRunner {
                 .map_err(|e| StudyError::Codegen(e.to_string()))?;
             let decoded = DecodedProgram::decode(&program);
             while self.compiled.len() >= self.cache_cap {
-                let oldest = self.order.pop_front().expect("order tracks compiled");
+                let Some(oldest) = self.order.pop_front() else {
+                    break;
+                };
                 self.compiled.remove(&oldest);
             }
             self.order.push_back(key.clone());
@@ -184,39 +186,7 @@ impl SuiteRunner {
     ) -> Result<RunReport, StudyError> {
         let max_cycles = self.max_cycles;
         let cw = self.compile(w, profile)?;
-        let exec = execute(cw, &w.inputs, vm, max_cycles)?;
-        let x86 = with_x86.then(|| run_native(cw, &w.inputs)).transpose()?;
-        Ok(run_report(cw, exec, x86))
-    }
-
-    /// Compile (cached) and execute `w` under `profile` on `vm` with
-    /// per-segment accounting: the segmented-dispatch engine run that feeds
-    /// the proving pipeline (`zkvmopt_prover::prove_segmented`). The
-    /// segment-accounting bit-identity gate runs before returning, so a
-    /// record set that does not sum exactly to the report is an error here,
-    /// never a silently corrupted proving cost.
-    ///
-    /// # Errors
-    /// Returns [`StudyError`] on any stage failure, including a
-    /// segment-accounting mismatch.
-    pub fn run_segmented(
-        &mut self,
-        w: &Workload,
-        profile: &OptProfile,
-        vm: VmKind,
-    ) -> Result<(ExecutionReport, Vec<SegmentRecord>), StudyError> {
-        let max_cycles = self.max_cycles;
-        let cw = self.compile(w, profile)?;
-        let config = ExecConfig {
-            inputs: w.inputs.clone(),
-            max_cycles,
-        };
-        let (report, records) = Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
-            .run_segmented()
-            .map_err(|e| StudyError::Exec(e.to_string()))?;
-        zkvmopt_prover::check_segment_accounting(&report, &records)
-            .map_err(|e| StudyError::Exec(e.to_string()))?;
-        Ok((report, records))
+        run_compiled(cw, &w.inputs, vm, max_cycles, with_x86)
     }
 
     /// Cached analogue of [`crate::measure`]: compile once, execute, verify
@@ -310,8 +280,8 @@ impl SuiteRunner {
                         Ok(cw) => {
                             let x86 = with_x86.then(|| run_native(cw, &job.w.inputs));
                             let cell = |vm| {
-                                let exec = execute(cw, &job.w.inputs, vm, max_cycles)?;
-                                let r = run_report(cw, exec, x86.clone().transpose()?);
+                                let run = execute(cw, &job.w.inputs, vm, max_cycles)?;
+                                let r = run_report(cw, run, x86.clone().transpose()?);
                                 check_and_measure(job.w, job.p, vm, r, None)
                             };
                             vms.iter()
@@ -340,7 +310,9 @@ impl SuiteRunner {
         // Restore the configured bound and shrink back down to it.
         self.cache_cap = saved_cap;
         while self.compiled.len() > self.cache_cap {
-            let oldest = self.order.pop_front().expect("order tracks compiled");
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
             self.compiled.remove(&oldest);
         }
         results
@@ -350,20 +322,24 @@ impl SuiteRunner {
     }
 }
 
-/// Execute a compiled workload through the block-dispatch engine.
+/// Execute a compiled workload: one segmented engine run, its records gated
+/// by [`check_segment_accounting`] — a record set that does not sum exactly
+/// to the report is an error here, never a silently wrong proving cost.
 fn execute(
     cw: &CompiledWorkload,
     inputs: &[i32],
     vm: VmKind,
     max_cycles: u64,
-) -> Result<ExecutionReport, StudyError> {
+) -> Result<(ExecutionReport, Vec<SegmentRecord>), StudyError> {
     let config = ExecConfig {
         inputs: inputs.to_vec(),
         max_cycles,
     };
-    Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
-        .run()
-        .map_err(|e| StudyError::Exec(e.to_string()))
+    let (exec, records) = Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
+        .run_segmented()
+        .map_err(|e| StudyError::Exec(e.to_string()))?;
+    check_segment_accounting(&exec, &records).map_err(|e| StudyError::Exec(e.to_string()))?;
+    Ok((exec, records))
 }
 
 /// The VM-independent x86 native baseline for a compiled workload.
@@ -371,22 +347,41 @@ fn run_native(cw: &CompiledWorkload, inputs: &[i32]) -> Result<X86Report, StudyE
     run_x86(&cw.program, &X86Model::default(), inputs).map_err(|e| StudyError::Exec(e.to_string()))
 }
 
-/// Build the full [`RunReport`] for one execution (proving model, x86
-/// timing when measured).
-fn run_report(cw: &CompiledWorkload, exec: ExecutionReport, x86: Option<X86Report>) -> RunReport {
-    let prove_ms = ProvingModel::for_kind(exec.kind).proving_time_ms(&exec);
-    let exec_ms = exec.exec_time_ms;
+/// Build the full [`RunReport`] for one execution: proving cost of the run's
+/// own segments under its VM's backend, x86 timing when measured.
+fn run_report(
+    cw: &CompiledWorkload,
+    (exec, records): (ExecutionReport, Vec<SegmentRecord>),
+    x86: Option<X86Report>,
+) -> RunReport {
     RunReport {
+        prove_ms: proving_cost_ms(backend_for(exec.kind), &records),
+        exec_ms: exec.exec_time_ms,
         exec,
-        prove_ms,
-        exec_ms,
+        records,
         x86,
         code_size: cw.program.len(),
         spilled_vregs: cw.program.spilled_vregs,
     }
 }
 
-fn check_and_measure(
+/// Execute `cw` on `vm` (plus the x86 model when asked) and report: the one
+/// run path under [`crate::Pipeline::run_source`] and [`SuiteRunner::run`].
+pub(crate) fn run_compiled(
+    cw: &CompiledWorkload,
+    inputs: &[i32],
+    vm: VmKind,
+    max_cycles: u64,
+    with_x86: bool,
+) -> Result<RunReport, StudyError> {
+    let run = execute(cw, inputs, vm, max_cycles)?;
+    let x86 = with_x86.then(|| run_native(cw, inputs)).transpose()?;
+    Ok(run_report(cw, run, x86))
+}
+
+/// Verify `r`'s observable behaviour against `baseline` (when given) and
+/// flatten it into a [`Measurement`].
+pub(crate) fn check_and_measure(
     w: &Workload,
     profile: &OptProfile,
     vm: VmKind,
@@ -443,17 +438,16 @@ mod tests {
     }
 
     #[test]
-    fn segmented_runs_match_plain_runs_and_pass_the_gate() {
+    fn run_reports_carry_records_that_sum_to_the_execution() {
         let w = zkvmopt_workloads::by_name("loop-sum").unwrap();
         let mut runner = SuiteRunner::new();
         let profile = OptProfile::level(OptLevel::O2);
         for vm in VmKind::BOTH {
-            let plain = runner.run(w, &profile, vm, false).unwrap();
-            let (report, records) = runner.run_segmented(w, &profile, vm).unwrap();
-            assert_eq!(report.total_cycles, plain.exec.total_cycles, "{vm}");
-            assert_eq!(report.segments, plain.exec.segments, "{vm}");
-            assert_eq!(report.journal, plain.exec.journal, "{vm}");
-            assert_eq!(records.len() as u64, report.segments, "{vm}");
+            let r = runner.run(w, &profile, vm, false).unwrap();
+            check_segment_accounting(&r.exec, &r.records).unwrap();
+            assert_eq!(r.records.len() as u64, r.exec.segments, "{vm}");
+            let backend = backend_for(vm);
+            assert!(r.prove_ms == proving_cost_ms(backend, &r.records), "{vm}");
         }
     }
 

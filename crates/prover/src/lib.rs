@@ -1,25 +1,48 @@
 //! # zkvmopt-prover
 //!
-//! Proving-cost models for the two zkVM profiles, plus a Merkle-commitment
-//! "toy prover" that does real hashing work proportional to the trace.
+//! The proving-cost model for the two zkVM profiles, and the segmented
+//! Merkle-commitment prover built on it.
 //!
 //! **Substitution note (DESIGN.md):** the paper measures wall-clock proving
 //! on a GPU rig; every claim it makes is *relative* (percent vs. baseline).
 //! In STARK zkVMs the dominant cost is the padded trace area, proved per
 //! segment (RISC Zero continuations) or shard (SP1) with a per-unit
-//! aggregation overhead. That is exactly what [`ProvingModel`] computes. The
-//! SP1 shard-count discontinuity the paper hits in §6.1 (regex-match: 16 →
-//! 20 shards) falls out of the same arithmetic.
-
-use zkvmopt_crypto::MerkleTree;
-use zkvmopt_vm::{ExecutionReport, VmKind};
+//! aggregation overhead.
+//!
+//! **One model.** A [`ProverBackend`] prices the
+//! [`SegmentRecord`](zkvmopt_vm::SegmentRecord)s the engine actually cut
+//! (`Engine::run_segmented`, gated by [`check_segment_accounting`]):
+//! [`proving_cost_ms`] is the per-segment fixed cost plus
+//! [`padded_rows_blend`] of each segment's rows, plus the aggregation layer
+//! once there is more than one segment. It is every `RunReport::prove_ms`
+//! ([`backend_for`] picks the VM's backend) and every
+//! [`SegmentedProof::total_cost_ms`] — nothing re-derives segment boundaries
+//! from run-wide totals. The SP1 shard-count discontinuity the paper hits in
+//! §6.1 (regex-match: 16 → 20 shards) falls out of this arithmetic, and so
+//! does one the boundaries themselves cause: the engine cuts an SP1 shard
+//! every 2^19 *cycles*, but [`Sp1Backend`] charges extra rows for
+//! multiplies, divides and memory operations, so a full shard carries more
+//! than 2^19 *rows* and its main trace pads to 2^20. Programs past one shard
+//! cost 9–20 % more than chopping total rows into 2^19-row units after the
+//! fact would say, and a program whose rows but not cycles exceed 2^19 stays
+//! in the one shard the engine cut (5–7 % less than an invented second one).
+//!
+//! **What the hashing is for.** [`prove_segmented`] also commits to each
+//! segment: `prove_segment` fills one leaf per 4096 padded rows from an
+//! xorshift stream keyed by the record and Merkle-hashes them, so the work
+//! done is proportional to the padded trace area. Those bytes have two
+//! consumers — the parallel-equals-sequential gate (same root at any thread
+//! count) and the `prover_throughput` bench / the benchmark's
+//! `prove_segmented` workload, which time it. Whether to commit to the
+//! record itself instead is deferred to an issue that claims a
+//! `prove_segmented` gain; the cost model does not depend on it.
 
 pub mod pipeline;
 
 pub use pipeline::{
-    check_segment_accounting, prove_segmented, standard_backends, verify_segmented,
-    AccountingMismatch, LookupCentricBackend, ProverBackend, RiscZeroBackend, SegmentProof,
-    SegmentedProof, Sp1Backend,
+    backend_for, check_segment_accounting, prove_segmented, proving_cost_ms, standard_backends,
+    verify_segmented, AccountingMismatch, LookupCentricBackend, ProverBackend, RiscZeroBackend,
+    SegmentProof, SegmentedProof, Sp1Backend,
 };
 
 /// Rows after padding, as measured proving time sees them. Real STARK
@@ -35,232 +58,128 @@ pub fn padded_rows_blend(rows: u64) -> u64 {
     (pow2 + fine) / 2
 }
 
-/// Analytic proving-cost model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProvingModel {
-    /// Which VM this models.
-    pub kind: VmKind,
-    /// Rows per proving unit (segment/shard) before padding.
-    pub unit_rows: u64,
-    /// Fixed per-unit cost (commit phases, FRI setup), milliseconds.
-    pub per_unit_ms: f64,
-    /// Per-padded-row cost, milliseconds.
-    pub per_row_ms: f64,
-    /// Per-unit aggregation/recursion overhead once more than one unit
-    /// exists, milliseconds.
-    pub aggregation_ms: f64,
-}
-
-impl ProvingModel {
-    /// RISC Zero–like: ~1 Mi-row segments, heavier per-segment cost.
-    pub fn risc_zero() -> ProvingModel {
-        ProvingModel {
-            kind: VmKind::RiscZero,
-            unit_rows: 1 << 20,
-            per_unit_ms: 180.0,
-            per_row_ms: 1.15e-3,
-            aggregation_ms: 25.0,
-        }
-    }
-
-    /// SP1-like: 512 Ki-row shards, lighter per-shard cost, visible
-    /// aggregation overhead.
-    pub fn sp1() -> ProvingModel {
-        ProvingModel {
-            kind: VmKind::Sp1,
-            unit_rows: 1 << 19,
-            per_unit_ms: 28.0,
-            per_row_ms: 1.5e-4,
-            aggregation_ms: 9.0,
-        }
-    }
-
-    /// Model for a [`VmKind`].
-    pub fn for_kind(kind: VmKind) -> ProvingModel {
-        match kind {
-            VmKind::RiscZero => ProvingModel::risc_zero(),
-            VmKind::Sp1 => ProvingModel::sp1(),
-        }
-    }
-
-    /// Trace rows implied by an execution report.
-    ///
-    /// RISC Zero's trace includes paging activity; SP1's chip tables charge
-    /// extra rows for multiplies/divides and memory operations.
-    pub fn rows(&self, r: &ExecutionReport) -> u64 {
-        match self.kind {
-            VmKind::RiscZero => r.total_cycles,
-            VmKind::Sp1 => {
-                r.user_cycles + r.mix.mul + 2 * r.mix.div + (r.mix.load + r.mix.store) / 2
-            }
-        }
-    }
-
-    /// Number of proving units (segments/shards) for a report.
-    pub fn units(&self, r: &ExecutionReport) -> u64 {
-        self.rows(r).div_ceil(self.unit_rows).max(1)
-    }
-
-    /// Modelled proving time in milliseconds.
-    pub fn proving_time_ms(&self, r: &ExecutionReport) -> f64 {
-        let rows = self.rows(r);
-        let units = self.units(r);
-        let mut ms = 0.0;
-        let mut remaining = rows;
-        for _ in 0..units {
-            let in_unit = remaining.min(self.unit_rows);
-            remaining = remaining.saturating_sub(self.unit_rows);
-            ms += self.per_unit_ms + padded_rows_blend(in_unit) as f64 * self.per_row_ms;
-        }
-        if units > 1 {
-            ms += units as f64 * self.aggregation_ms;
-        }
-        ms
-    }
-}
-
-/// A toy "proof": a Merkle commitment over per-segment trace digests plus
-/// the journal. Real hashing work, real verification — not zero-knowledge,
-/// but enough to give the workspace an artifact whose construction cost
-/// scales with the trace like a real prover's does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ToyProof {
-    /// Merkle root over the committed leaves.
-    pub root: [u8; 32],
-    /// Number of committed leaves.
-    pub leaves: usize,
-    /// The public journal the proof binds.
-    pub journal: Vec<i32>,
-    /// Exit code the proof binds.
-    pub exit_code: i32,
-}
-
-/// Build a toy proof from an execution report.
-///
-/// One leaf per `unit_rows` cycles (so bigger executions hash more), plus
-/// one leaf binding the journal and exit code.
-pub fn toy_prove(model: &ProvingModel, r: &ExecutionReport) -> ToyProof {
-    let units = model.units(r);
-    let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(units as usize + 1);
-    for u in 0..units {
-        let mut leaf = Vec::with_capacity(40);
-        leaf.extend_from_slice(b"segment");
-        leaf.extend_from_slice(&u.to_le_bytes());
-        leaf.extend_from_slice(&r.instret.to_le_bytes());
-        leaf.extend_from_slice(&r.total_cycles.to_le_bytes());
-        leaves.push(leaf);
-    }
-    let mut public = Vec::new();
-    public.extend_from_slice(b"journal");
-    public.extend_from_slice(&r.exit_code.to_le_bytes());
-    for j in &r.journal {
-        public.extend_from_slice(&j.to_le_bytes());
-    }
-    leaves.push(public);
-    let tree = MerkleTree::new(&leaves);
-    ToyProof {
-        root: tree.root(),
-        leaves: leaves.len(),
-        journal: r.journal.clone(),
-        exit_code: r.exit_code,
-    }
-}
-
-/// Verify that a toy proof binds the given journal and exit code (rebuilds
-/// the public leaf and checks it against the root via a fresh proof path).
-pub fn toy_verify(model: &ProvingModel, r: &ExecutionReport, proof: &ToyProof) -> bool {
-    let rebuilt = toy_prove(model, r);
-    rebuilt.root == proof.root && proof.journal == r.journal && proof.exit_code == r.exit_code
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zkvmopt_vm::{run_program, VmKind};
+    use zkvmopt_vm::{EngineStats, ExecutionReport, InstMix, SegmentRecord, VmKind};
 
-    fn report(cycles_hint: u32) -> ExecutionReport {
-        let src = format!(
-            "fn main() -> i32 {{
-               let mut s: i32 = 0;
-               for (let mut i: i32 = 0; i < {cycles_hint}; i += 1) {{ s += i; }}
-               return s;
-             }}"
-        );
-        let m = zkvmopt_lang::compile_guest(&src).unwrap();
-        let p = zkvmopt_riscv::compile_module(&m, &zkvmopt_riscv::TargetCostModel::zk()).unwrap();
-        run_program(&p, VmKind::RiscZero, &[]).unwrap()
+    /// One segment of `n` single-cycle ALU instructions.
+    fn alu_segment(n: u64) -> SegmentRecord {
+        SegmentRecord {
+            instret: n,
+            user_cycles: n,
+            mix: InstMix {
+                alu: n,
+                ..InstMix::default()
+            },
+            ..SegmentRecord::default()
+        }
+    }
+
+    /// The run-wide report whose totals `records` sum to.
+    fn report_of(kind: VmKind, records: &[SegmentRecord], journal: Vec<i32>) -> ExecutionReport {
+        let sum = |f: fn(&SegmentRecord) -> u64| records.iter().map(f).sum::<u64>();
+        ExecutionReport {
+            kind,
+            instret: sum(|r| r.instret),
+            user_cycles: sum(|r| r.user_cycles),
+            paging_cycles: sum(|r| r.paging_cycles),
+            total_cycles: sum(SegmentRecord::total_cycles),
+            page_ins: sum(|r| r.page_ins),
+            page_outs: sum(|r| r.page_outs),
+            segments: records.len() as u64,
+            exit_code: 0,
+            halted: false,
+            journal,
+            mix: InstMix {
+                alu: sum(|r| r.mix.alu),
+                mul: sum(|r| r.mix.mul),
+                div: sum(|r| r.mix.div),
+                load: sum(|r| r.mix.load),
+                store: sum(|r| r.mix.store),
+                branch: sum(|r| r.mix.branch),
+                jump: sum(|r| r.mix.jump),
+                ecall: sum(|r| r.mix.ecall),
+            },
+            stats: EngineStats::default(),
+            exec_time_ms: 0.0,
+            wall_time_ms: 0.0,
+        }
     }
 
     #[test]
-    fn proving_time_scales_with_cycles() {
-        let small = report(100);
-        let big = report(100_000);
+    fn proving_cost_scales_with_cycles() {
         for kind in VmKind::BOTH {
-            let model = ProvingModel::for_kind(kind);
-            let ts = model.proving_time_ms(&small);
-            let tb = model.proving_time_ms(&big);
+            let backend = backend_for(kind);
+            let ts = proving_cost_ms(backend, &[alu_segment(100)]);
+            let tb = proving_cost_ms(backend, &[alu_segment(100_000)]);
             assert!(tb > ts, "{kind}: {tb} !> {ts}");
         }
     }
 
     #[test]
     fn shard_boundaries_add_aggregation_cost() {
-        let model = ProvingModel::sp1();
-        // Synthetic reports just under / over one shard.
-        let mut r = report(100);
-        r.user_cycles = model.unit_rows - 10;
-        r.total_cycles = r.user_cycles;
-        r.mix = zkvmopt_vm::InstMix {
-            alu: r.user_cycles,
-            ..Default::default()
-        };
-        let one = model.proving_time_ms(&r);
-        assert_eq!(model.units(&r), 1);
-        r.user_cycles = model.unit_rows * 2;
-        r.total_cycles = r.user_cycles;
-        r.mix.alu = r.user_cycles;
-        let three = model.proving_time_ms(&r);
-        assert!(model.units(&r) >= 2);
-        assert!(
-            three > one * 1.5,
-            "crossing shards must jump: {one} -> {three}"
-        );
+        let shard = zkvmopt_vm::VmProfile::for_kind(VmKind::Sp1).segment_cycles;
+        // Just under one shard, then two full shards as the engine cuts them.
+        let one = proving_cost_ms(&Sp1Backend, &[alu_segment(shard - 10)]);
+        let cut = [alu_segment(shard), alu_segment(shard)];
+        let two = proving_cost_ms(&Sp1Backend, &cut);
+        assert!(two > one * 1.5, "crossing shards must jump: {one} -> {two}");
+        let unjoined = Sp1Backend.segment_cost_ms(&cut[0]) + Sp1Backend.segment_cost_ms(&cut[1]);
+        assert!(two == unjoined + 2.0 * Sp1Backend.aggregation_ms());
+        // A single segment pays no aggregation.
+        assert!(one == Sp1Backend.segment_cost_ms(&alu_segment(shard - 10)));
     }
 
     #[test]
     fn risczero_charges_paging_rows() {
-        let model = ProvingModel::risc_zero();
-        let mut r = report(100);
-        let base_rows = model.rows(&r);
-        r.paging_cycles += 100_000;
-        r.total_cycles += 100_000;
-        assert!(model.rows(&r) > base_rows);
+        let mut seg = alu_segment(1000);
+        let (r0_rows, sp1_rows) = (
+            RiscZeroBackend.segment_rows(&seg),
+            Sp1Backend.segment_rows(&seg),
+        );
+        seg.page_ins += 100;
+        seg.paging_cycles += 100_000;
+        assert_eq!(RiscZeroBackend.segment_rows(&seg), r0_rows + 100_000);
         // SP1 ignores paging cycles in its row count.
-        let sp1 = ProvingModel::sp1();
-        let rows_before = sp1.rows(&r);
-        r.paging_cycles += 1_000_000;
-        r.total_cycles += 1_000_000;
-        assert_eq!(sp1.rows(&r), rows_before);
+        assert_eq!(Sp1Backend.segment_rows(&seg), sp1_rows);
     }
 
     #[test]
-    fn toy_proof_roundtrip_and_tamper() {
-        let r = report(500);
-        let model = ProvingModel::risc_zero();
-        let proof = toy_prove(&model, &r);
-        assert!(toy_verify(&model, &r, &proof));
-        let mut bad = proof.clone();
-        bad.root[0] ^= 1;
-        assert!(!toy_verify(&model, &r, &bad));
-        let mut other = r.clone();
-        other.journal.push(42);
-        assert!(!toy_verify(&model, &other, &proof));
+    fn padded_rows_give_power_of_two_discontinuities() {
+        let below = proving_cost_ms(&RiscZeroBackend, &[alu_segment((1 << 16) - 100)]);
+        let above = proving_cost_ms(&RiscZeroBackend, &[alu_segment((1 << 16) + 100)]);
+        // Far more than the 200 extra rows cost on their own.
+        let linear = 200.0 * RiscZeroBackend.per_row_ms();
+        assert!(
+            above - below > 10.0 * linear,
+            "crossing a padding boundary must cost: {below} -> {above}"
+        );
     }
 
-    fn segmented(
-        cycles_hint: u32,
-        kind: VmKind,
-    ) -> (ExecutionReport, Vec<zkvmopt_vm::SegmentRecord>) {
+    #[test]
+    fn hand_built_proof_roundtrip_and_tamper() {
+        let records = [alu_segment(5000), alu_segment(700)];
+        let r = report_of(VmKind::RiscZero, &records, vec![7, 9]);
+        let proof = prove_segmented(&RiscZeroBackend, &r, &records, 1).unwrap();
+        assert!(verify_segmented(&RiscZeroBackend, &r, &records, &proof));
+        assert!(proof.total_cost_ms == proving_cost_ms(&RiscZeroBackend, &records));
+        let mut bad = proof.clone();
+        bad.root[0] ^= 1;
+        assert!(!verify_segmented(&RiscZeroBackend, &r, &records, &bad));
+        let mut other = r.clone();
+        other.journal.push(42);
+        assert!(!verify_segmented(
+            &RiscZeroBackend,
+            &other,
+            &records,
+            &proof
+        ));
+        // Another backend's proof of the same run does not verify either.
+        assert!(!verify_segmented(&Sp1Backend, &r, &records, &proof));
+    }
+
+    fn segmented(cycles_hint: u32, kind: VmKind) -> (ExecutionReport, Vec<SegmentRecord>) {
         let src = format!(
             "static A: [i32; 16384];
              fn main() -> i32 {{
@@ -369,23 +288,5 @@ mod tests {
         let (report, _) = segmented(5_000, VmKind::RiscZero);
         let (_, other_records) = segmented(20_000, VmKind::RiscZero);
         assert!(prove_segmented(&RiscZeroBackend, &report, &other_records, 1).is_err());
-    }
-
-    #[test]
-    fn padded_rows_give_power_of_two_discontinuities() {
-        let model = ProvingModel::risc_zero();
-        let mut r = report(100);
-        r.mix = zkvmopt_vm::InstMix {
-            alu: 1,
-            ..Default::default()
-        };
-        r.paging_cycles = 0;
-        r.user_cycles = (1 << 16) - 100;
-        r.total_cycles = r.user_cycles;
-        let a = model.proving_time_ms(&r);
-        r.user_cycles = (1 << 16) + 100;
-        r.total_cycles = r.user_cycles;
-        let b = model.proving_time_ms(&r);
-        assert!(b > a, "crossing a padding boundary must cost: {a} -> {b}");
     }
 }

@@ -11,9 +11,9 @@
 //! 1. [`check_segment_accounting`] gates the pipeline on the bit-identity
 //!    contract — per-segment records must sum exactly to the run's
 //!    [`ExecutionReport`] totals;
-//! 2. [`prove_segmented`] proves each segment with the Merkle toy prover
+//! 2. [`prove_segmented`] commits to each segment with a Merkle tree
 //!    (hashing work proportional to the backend's *padded* trace area),
-//!    fanning segments out over a thread pool;
+//!    fanning segments out over worker threads;
 //! 3. the aggregation join commits to the per-segment roots plus the public
 //!    journal/exit leaf, in segment order — so parallel and sequential
 //!    proving produce the same root and the same total cost, bit for bit.
@@ -25,10 +25,8 @@
 //! expensive recursion) — so the fig14 zk-aware study runs per backend.
 
 use crate::padded_rows_blend;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use zkvmopt_crypto::MerkleTree;
-use zkvmopt_vm::{ExecutionReport, SegmentRecord};
+use zkvmopt_vm::{ExecutionReport, SegmentRecord, VmKind};
 
 /// A proving backend's cost shape: how execution activity turns into trace
 /// rows, and what rows, segments, and recursion cost.
@@ -50,7 +48,7 @@ pub trait ProverBackend: Sync {
     fn aggregation_ms(&self) -> f64;
 
     /// Rows after padding: the pow2-main-trace / fine-grained-chip-table
-    /// blend shared with [`crate::ProvingModel`].
+    /// blend, the one padding rule.
     fn padded_rows(&self, rows: u64) -> u64 {
         padded_rows_blend(rows)
     }
@@ -146,6 +144,31 @@ impl ProverBackend for LookupCentricBackend {
 #[must_use]
 pub fn standard_backends() -> [&'static dyn ProverBackend; 3] {
     [&RiscZeroBackend, &Sp1Backend, &LookupCentricBackend]
+}
+
+/// The backend that prices `kind`'s own runs (every `RunReport::prove_ms`).
+#[must_use]
+pub fn backend_for(kind: VmKind) -> &'static dyn ProverBackend {
+    match kind {
+        VmKind::RiscZero => &RiscZeroBackend,
+        VmKind::Sp1 => &Sp1Backend,
+    }
+}
+
+/// Modelled cost, milliseconds, of proving a run cut into `records`: every
+/// segment's cost, summed in segment order (so the f64 total is the same
+/// however the segments were proved), plus the aggregation layer once there
+/// is more than one segment.
+#[must_use]
+pub fn proving_cost_ms(backend: &dyn ProverBackend, records: &[SegmentRecord]) -> f64 {
+    let mut total = records
+        .iter()
+        .map(|seg| backend.segment_cost_ms(seg))
+        .sum::<f64>();
+    if records.len() > 1 {
+        total += records.len() as f64 * backend.aggregation_ms();
+    }
+    total
 }
 
 /// One field of the segment-accounting bit-identity contract that failed.
@@ -295,8 +318,7 @@ pub struct SegmentedProof {
     pub segments: Vec<SegmentProof>,
     /// Aggregation root over segment commitments + the public leaf.
     pub root: [u8; 32],
-    /// Total modelled cost: segment costs summed in segment order, plus
-    /// the aggregation layer.
+    /// Total modelled cost: [`proving_cost_ms`] of the proved records.
     pub total_cost_ms: f64,
 }
 
@@ -305,6 +327,7 @@ pub struct SegmentedProof {
 fn aggregate(
     backend: &dyn ProverBackend,
     report: &ExecutionReport,
+    records: &[SegmentRecord],
     segments: Vec<SegmentProof>,
 ) -> SegmentedProof {
     let mut leaves: Vec<Vec<u8>> = segments.iter().map(|s| s.commitment.to_vec()).collect();
@@ -315,25 +338,18 @@ fn aggregate(
         public.extend_from_slice(&j.to_le_bytes());
     }
     leaves.push(public);
-    // Summed in segment order so parallel and sequential proving agree on
-    // the f64 total bit for bit.
-    let mut total = segments.iter().map(|s| s.cost_ms).sum::<f64>();
-    if segments.len() > 1 {
-        total += segments.len() as f64 * backend.aggregation_ms();
-    }
     SegmentedProof {
         backend: backend.name(),
         segments,
         root: MerkleTree::new(&leaves).root(),
-        total_cost_ms: total,
+        total_cost_ms: proving_cost_ms(backend, records),
     }
 }
 
 /// Prove an execution segment-by-segment and aggregate, fanning the
 /// per-segment proofs out over `threads` worker threads (`0` = all
 /// available cores, `1` = sequential). The result is identical whatever
-/// the thread count: proofs land in index-addressed slots and every join
-/// runs in segment order.
+/// the thread count: every join runs in segment order.
 ///
 /// # Errors
 /// Returns [`AccountingMismatch`] when `records` fail the bit-identity
@@ -352,34 +368,26 @@ pub fn prove_segmented(
         threads
     }
     .min(records.len().max(1));
+    let prove = |(i, seg): (usize, &SegmentRecord)| prove_segment(backend, i, seg);
     let segments: Vec<SegmentProof> = if workers <= 1 {
-        records
-            .iter()
-            .enumerate()
-            .map(|(i, seg)| prove_segment(backend, i, seg))
-            .collect()
+        records.iter().enumerate().map(prove).collect()
     } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SegmentProof>>> =
-            records.iter().map(|_| Mutex::new(None)).collect();
+        // Each worker proves one contiguous run of segments; joining the
+        // workers in spawn order puts the proofs back in segment order.
+        let run = records.len().div_ceil(workers);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= records.len() {
-                        break;
-                    }
-                    let proof = prove_segment(backend, i, &records[i]);
-                    *slots[i].lock().expect("proof slot") = Some(proof);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("slot").expect("all segments proved"))
-            .collect()
+            let handles: Vec<_> = (0..records.len())
+                .step_by(run)
+                .map(|first| {
+                    let indexed = records.iter().enumerate().skip(first).take(run);
+                    scope.spawn(move || indexed.map(prove).collect::<Vec<_>>())
+                })
+                .collect();
+            let join = |h: std::thread::ScopedJoinHandle<'_, _>| h.join().expect("prover worker");
+            handles.into_iter().flat_map(join).collect()
+        })
     };
-    Ok(aggregate(backend, report, segments))
+    Ok(aggregate(backend, report, records, segments))
 }
 
 /// Verify a segmented proof: re-prove every segment record, rebuild the

@@ -11,7 +11,8 @@
 //! - [`passes`] — 45+ optimization passes mirroring the studied LLVM passes
 //! - [`riscv`] — RV32IM code generation with pluggable target cost models
 //! - [`vm`] — zkVM executors (RISC Zero–like and SP1-like cost models)
-//! - [`prover`] — STARK-style proving-cost models and a toy Merkle prover
+//! - [`prover`] — the STARK-style proving-cost model and the segmented
+//!   Merkle-commitment prover
 //! - [`x86sim`] — x86-like timing model used for the RQ3 comparison
 //! - [`crypto`] — SHA-256 / Keccak / Merkle / toy signature precompile backends
 //! - [`workloads`] — the 58-program benchmark suite

@@ -195,11 +195,25 @@ fn suite_wide_differential_harness() {
 }
 
 #[test]
-fn toy_prover_binds_suite_outputs() {
+fn segmented_prover_binds_suite_outputs() {
+    use zkvm_opt::prover::{prove_segmented, verify_segmented, RiscZeroBackend};
     let w = zkvm_opt::workloads::by_name("factorial").expect("exists");
     let pipeline = zkvm_opt::study::Pipeline::new(OptProfile::level(OptLevel::O2));
     let r = pipeline.run_workload(w, VmKind::RiscZero).expect("runs");
-    let model = zkvm_opt::prover::ProvingModel::risc_zero();
-    let proof = zkvm_opt::prover::toy_prove(&model, &r.exec);
-    assert!(zkvm_opt::prover::toy_verify(&model, &r.exec, &proof));
+    let proof = prove_segmented(&RiscZeroBackend, &r.exec, &r.records, 1).expect("gated");
+    assert!(verify_segmented(
+        &RiscZeroBackend,
+        &r.exec,
+        &r.records,
+        &proof
+    ));
+    assert!(proof.total_cost_ms == r.prove_ms, "one model");
+    let mut tampered = r.exec.clone();
+    tampered.journal.push(42);
+    assert!(!verify_segmented(
+        &RiscZeroBackend,
+        &tampered,
+        &r.records,
+        &proof
+    ));
 }
