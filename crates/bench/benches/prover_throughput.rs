@@ -11,7 +11,9 @@
 //!    the same per-segment Merkle commitments, aggregation root, and total
 //!    modelled cost as sequential proving, for every backend.
 //!
-//! The report then measures the multi-core advantage of the parallel
+//! The report names the SHA-256 kernel the host dispatches to and records
+//! its rate (`sha256_mb_per_s`, `merkle_mb_per_s`) — the quantity under
+//! every commitment — then measures the multi-core advantage of the parallel
 //! per-segment fan-out (advisory below 4 cores, like `tuner_throughput`)
 //! and end-to-end proofs/sec per backend; Criterion measures the full
 //! pipeline. Segment limits are scaled down from the production profiles so
@@ -113,8 +115,44 @@ fn prove_all(runs: &[SegmentedRun], threads: usize) -> f64 {
     total
 }
 
+/// Best wall-clock time of five calls, milliseconds.
+fn best_ms<T>(f: impl Fn() -> T) -> f64 {
+    (0..5)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The hash kernel under every commitment, in absolute units: `sha256` over
+/// one 64 KiB buffer and a Merkle root over 1 MiB of 1 KiB leaves (the
+/// prover's leaf size), MB/s.
+fn hash_rates() -> (f64, f64) {
+    let buffer: Vec<u8> = (0..64usize << 10).map(|i| (i * 31) as u8).collect();
+    let leaves: Vec<Vec<u8>> = (0..1 << 10)
+        .map(|i| buffer[(i % 64) << 10..][..1 << 10].to_vec())
+        .collect();
+    let sha256_ms = best_ms(|| zkvmopt_crypto::sha256(black_box(&buffer)));
+    let merkle_ms = best_ms(|| zkvmopt_crypto::MerkleTree::new(black_box(&leaves)).root());
+    let mb_per_s = |bytes: usize, ms: f64| bytes as f64 / 1e3 / ms;
+    (
+        mb_per_s(buffer.len(), sha256_ms),
+        mb_per_s(1 << 20, merkle_ms),
+    )
+}
+
 fn report(runs: &[SegmentedRun]) {
-    zkvmopt_bench::header("Segmented proving: execute -> segment -> prove (-O2 suite)");
+    zkvmopt_bench::header(&format!(
+        "Segmented proving: execute -> segment -> prove (-O2 suite; sha256 kernel: {})",
+        zkvmopt_crypto::sha256_kernel()
+    ));
+    let (sha256_mb_per_s, merkle_mb_per_s) = hash_rates();
+    println!(
+        "hash kernel: sha256 {sha256_mb_per_s:.0} MB/s (64 KiB), \
+         merkle {merkle_mb_per_s:.0} MB/s (1 MiB of 1 KiB leaves)"
+    );
 
     // Parallel-vs-sequential identity gate: roots, per-segment proofs, and
     // modelled totals must not depend on the thread count.
@@ -143,17 +181,8 @@ fn report(runs: &[SegmentedRun]) {
     );
 
     // Wall-clock: the whole proving wave, sequential vs all cores.
-    let time = |f: &dyn Fn() -> f64| -> f64 {
-        (0..5)
-            .map(|_| {
-                let t = std::time::Instant::now();
-                black_box(f());
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let seq_ms = time(&|| prove_all(runs, 1));
-    let par_ms = time(&|| prove_all(runs, 0));
+    let seq_ms = best_ms(|| prove_all(runs, 1));
+    let par_ms = best_ms(|| prove_all(runs, 0));
     let speedup = seq_ms / par_ms;
     let nproofs = (runs.len() * standard_backends().len()) as f64;
     let proofs_per_sec = nproofs / (par_ms / 1e3);
@@ -164,7 +193,7 @@ fn report(runs: &[SegmentedRun]) {
         .iter()
         .map(|run| {
             let backend = standard_backends()[0];
-            let ms = time(&|| {
+            let ms = best_ms(|| {
                 prove_segmented(backend, &run.report, &run.records, 0)
                     .expect("gated above")
                     .total_cost_ms
@@ -185,6 +214,8 @@ fn report(runs: &[SegmentedRun]) {
         "prover_throughput",
         &[
             ("proofs_per_sec", proofs_per_sec),
+            ("sha256_mb_per_s", sha256_mb_per_s),
+            ("merkle_mb_per_s", merkle_mb_per_s),
             ("proof_rate_geomean", rate_geomean),
             ("segments_per_program", segments_per_program),
             ("parallel_speedup", speedup),

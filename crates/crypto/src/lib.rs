@@ -9,6 +9,8 @@
 //! sees smaller compiler-optimization gains, §4.2) is reproduced by routing
 //! these through ecalls rather than guest instructions.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod keccak;
 pub mod merkle;
 pub mod sha256;
@@ -16,5 +18,5 @@ pub mod sig;
 
 pub use keccak::keccak256;
 pub use merkle::MerkleTree;
-pub use sha256::sha256;
+pub use sha256::{sha256, sha256_kernel};
 pub use sig::{sign, verify, KeyPair, Scheme, Signature};

@@ -1,4 +1,14 @@
 //! A SHA-256 binary Merkle tree with inclusion proofs.
+//!
+//! The pairing rule — parent `i` is `sha256(left || right)` of nodes `2i`
+//! and `2i + 1`, an odd last node paired with itself — lives once, in
+//! `fold_level`. [`root_of_leaf_hashes`] folds a level of leaf hashes down
+//! to its root in place, for callers that only want the commitment (the
+//! segment prover hashes each leaf out of one reusable buffer and never
+//! holds the leaves); [`MerkleTree::new`] folds through the same function
+//! and keeps a copy of every level for [`MerkleTree::proof`]. The root is a
+//! function of the leaf bytes alone, whichever SHA-256 kernel the host
+//! dispatches to (see [`mod@crate::sha256`]).
 
 use crate::sha256::sha256;
 
@@ -16,6 +26,32 @@ fn hash_pair(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
     sha256(&buf)
 }
 
+/// Replace `level` with its parents, in place. Parent `i` reads nodes `2i`
+/// and `2i + 1`, which no earlier parent has overwritten.
+fn fold_level(level: &mut Vec<[u8; 32]>) {
+    let parents = level.len().div_ceil(2);
+    for i in 0..parents {
+        let right = level[(2 * i + 1).min(level.len() - 1)];
+        level[i] = hash_pair(&level[2 * i], &right);
+    }
+    level.truncate(parents);
+}
+
+/// The Merkle root over `level`, a tree's leaf *hashes*, folded in place:
+/// `root_of_leaf_hashes(leaves.map(sha256)) == MerkleTree::new(leaves).root()`
+/// without keeping the leaves or the inner levels.
+///
+/// # Panics
+/// Panics if `level` is empty.
+#[must_use]
+pub fn root_of_leaf_hashes(mut level: Vec<[u8; 32]>) -> [u8; 32] {
+    assert!(!level.is_empty(), "merkle tree needs at least one leaf");
+    while level.len() > 1 {
+        fold_level(&mut level);
+    }
+    level[0]
+}
+
 impl MerkleTree {
     /// Build a tree over the given leaves (odd nodes are paired with
     /// themselves).
@@ -24,16 +60,13 @@ impl MerkleTree {
     /// Panics if `leaves` is empty.
     pub fn new(leaves: &[Vec<u8>]) -> MerkleTree {
         assert!(!leaves.is_empty(), "merkle tree needs at least one leaf");
-        let mut levels = vec![leaves.iter().map(|l| sha256(l)).collect::<Vec<_>>()];
-        while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                let right = pair.get(1).unwrap_or(&pair[0]);
-                next.push(hash_pair(&pair[0], right));
-            }
-            levels.push(next);
+        let mut level: Vec<[u8; 32]> = leaves.iter().map(|l| sha256(l)).collect();
+        let mut levels = Vec::new();
+        while level.len() > 1 {
+            levels.push(level.clone());
+            fold_level(&mut level);
         }
+        levels.push(level);
         MerkleTree { levels }
     }
 
@@ -104,6 +137,25 @@ mod tests {
         let p = t.proof(3);
         assert!(!MerkleTree::verify(&t.root(), b"evil", 3, &p));
         assert!(!MerkleTree::verify(&t.root(), &leaves[3], 2, &p));
+    }
+
+    #[test]
+    fn root_of_leaf_hashes_is_the_tree_root_for_1_to_65_leaves() {
+        // Every shape up to one past a power of two: odd nodes at the
+        // bottom, in the middle, and at several levels at once.
+        for n in 1..=65usize {
+            let leaves: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 1 + i % 7]).collect();
+            let t = MerkleTree::new(&leaves);
+            let hashes = leaves.iter().map(|l| sha256(l)).collect();
+            assert_eq!(root_of_leaf_hashes(hashes), t.root(), "{n} leaves");
+            for (i, leaf) in leaves.iter().enumerate() {
+                let p = t.proof(i);
+                assert!(
+                    MerkleTree::verify(&t.root(), leaf, i, &p),
+                    "{n} leaves, leaf {i}"
+                );
+            }
+        }
     }
 
     #[test]

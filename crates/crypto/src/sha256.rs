@@ -1,4 +1,29 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
+//!
+//! **One dispatch point.** Every block goes through `compress_blocks`,
+//! which picks the kernel from what it observes about the host and nothing
+//! else — no cargo feature, environment variable or config field:
+//!
+//! * on `x86_64` with the SHA extensions (`sha`, plus the `ssse3` /
+//!   `sse4.1` shuffles the kernel uses) `compress_blocks_sha_ni`: four
+//!   rounds per `sha256rnds2` pair, the message schedule in `sha256msg1` /
+//!   `sha256msg2`, and the state held in two registers across every block of
+//!   the call — a 1 KiB Merkle leaf is one call;
+//! * everywhere else `compress_blocks_portable`, the **only** portable
+//!   kernel: a rolling 16-word schedule with the rounds unrolled eight at a
+//!   time, so the working variables rotate by renaming instead of by eight
+//!   moves a round. The textbook rolled loop it replaced is not kept beside
+//!   it — a second portable path would be one nobody runs. It is compiled
+//!   and tested on every host, whichever kernel that host dispatches to.
+//!
+//! Both compute the same function (the tests below hold each to the NIST
+//! vectors by name and to each other on every length and alignment), so no
+//! digest, Merkle root or proof commitment can depend on which one ran;
+//! [`sha256_kernel`] reports the choice for logs and bench headers only.
+//!
+//! The hardware kernel is the workspace's only `unsafe`: one `unsafe fn`
+//! (it must not run on a CPU without the instructions) and one call site,
+//! behind the feature check.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -15,82 +40,278 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// One compression round over a 64-byte block.
-fn compress(state: &mut [u32; 8], block: &[u8]) {
-    debug_assert_eq!(block.len(), 64);
-    let mut w = [0u32; 64];
-    for (i, slot) in w.iter_mut().take(16).enumerate() {
-        *slot = u32::from_be_bytes([
-            block[4 * i],
-            block[4 * i + 1],
-            block[4 * i + 2],
-            block[4 * i + 3],
-        ]);
+/// A block-compression kernel: folds every 64-byte block of the slice into
+/// the state, in order. The slice length is a multiple of 64.
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+/// Whether this host runs the hardware kernel: `x86_64` with the SHA
+/// extensions and the SSSE3 / SSE4.1 shuffles it is compiled with. (`std`
+/// caches the CPUID probe, so this is a load and a mask.)
+fn has_sha_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
+}
+
+/// Which compression kernel [`sha256`] runs on this host: `"sha-ni"` or
+/// `"portable"`. Digests do not depend on it.
+#[must_use]
+pub fn sha256_kernel() -> &'static str {
+    if has_sha_ni() {
+        "sha-ni"
+    } else {
+        "portable"
     }
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+}
+
+/// The one dispatch point: compress every 64-byte block of `blocks` into
+/// `state` with the kernel this host supports.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if has_sha_ni() {
+        // SAFETY: `has_sha_ni` just observed `sha`, `ssse3` and `sse4.1` on
+        // this CPU (`sse2` is baseline on x86_64), which is all the kernel
+        // requires. It touches memory only through `state` and the 64-byte
+        // slices of `blocks.chunks_exact(64)`, by safe indexing.
+        unsafe { compress_blocks_sha_ni(state, blocks) };
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+/// The portable kernel: rolling 16-word message schedule, eight rounds per
+/// loop trip so `a..h` rotate by renaming.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    /// One round with the working variables in the given rotation; `$w` is
+    /// the round's schedule word.
+    macro_rules! round {
+        ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $k:expr, $w:expr) => {
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add($g ^ ($e & ($f ^ $g)))
+                .wrapping_add($k)
+                .wrapping_add($w);
+            $d = $d.wrapping_add(t1);
+            $h = t1
+                .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) | ($c & ($a | $b)));
+        };
+    }
+    /// Eight rounds from round `$i` (a multiple of eight), each schedule
+    /// word produced by `$word(round)`.
+    macro_rules! rounds8 {
+        ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $i:expr, $word:expr) => {
+            round!($a $b $c $d $e $f $g $h, K[$i], $word($i));
+            round!($h $a $b $c $d $e $f $g, K[$i + 1], $word($i + 1));
+            round!($g $h $a $b $c $d $e $f, K[$i + 2], $word($i + 2));
+            round!($f $g $h $a $b $c $d $e, K[$i + 3], $word($i + 3));
+            round!($e $f $g $h $a $b $c $d, K[$i + 4], $word($i + 4));
+            round!($d $e $f $g $h $a $b $c, K[$i + 5], $word($i + 5));
+            round!($c $d $e $f $g $h $a $b, K[$i + 6], $word($i + 6));
+            round!($b $c $d $e $f $g $h $a, K[$i + 7], $word($i + 7));
+        };
+    }
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 16];
+        for (slot, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *slot = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in [0, 8] {
+            rounds8!(a b c d e f g h, i, |t: usize| w[t]);
+        }
+        for i in [16, 24, 32, 40, 48, 56] {
+            // w[t] for t >= 16 overwrites w[t - 16], the one word of the
+            // window no later round reads.
+            let mut next = |t: usize| {
+                let (w15, w2) = (w[(t + 1) & 15], w[(t + 14) & 15]);
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[t & 15] = w[t & 15]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(t + 9) & 15])
+                    .wrapping_add(s1);
+                w[t & 15]
+            };
+            rounds8!(a b c d e f g h, i, next);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The hardware kernel: the x86 SHA extensions, four rounds per
+/// `sha256rnds2` pair, state in two registers (`ABEF` / `CDGH`) across all
+/// blocks of the call.
+///
+/// # Safety
+/// The CPU must support `sha`, `ssse3` and `sse4.1` (what `has_sha_ni`
+/// checks); executing these instructions without them is undefined.
+/// Nothing else is required of the caller: blocks are read as the 64-byte
+/// slices of `chunks_exact(64)` by safe indexing.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8,
+    };
+
+    /// Four big-endian schedule words from 16 message bytes.
+    macro_rules! load {
+        ($block:ident, $at:expr) => {{
+            let mut bytes = [0u8; 16];
+            bytes.copy_from_slice(&$block[$at..$at + 16]);
+            let lanes = u128::from_le_bytes(bytes);
+            _mm_shuffle_epi8(
+                _mm_set_epi64x((lanes >> 64) as i64, lanes as i64),
+                _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203),
+            )
+        }};
+    }
+    /// Rounds `4 * $g .. 4 * $g + 4` on schedule words `$w`.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $g:expr, $w:expr) => {{
+            let k = _mm_set_epi32(
+                K[4 * $g + 3] as i32,
+                K[4 * $g + 2] as i32,
+                K[4 * $g + 1] as i32,
+                K[4 * $g] as i32,
+            );
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        }};
+    }
+    /// Finish the four schedule words after `$cur`: `$next` already holds
+    /// the `sha256msg1` half.
+    macro_rules! schedule {
+        ($next:ident, $cur:ident, $prev:ident) => {
+            $next = _mm_sha256msg2_epu32(
+                _mm_add_epi32($next, _mm_alignr_epi8::<4>($cur, $prev)),
+                $cur,
+            )
+        };
+    }
+
+    // [a, b, c, d] / [e, f, g, h] -> the ABEF / CDGH lane order the round
+    // instruction wants.
+    let abcd = _mm_set_epi32(
+        state[3] as i32,
+        state[2] as i32,
+        state[1] as i32,
+        state[0] as i32,
+    );
+    let efgh = _mm_set_epi32(
+        state[7] as i32,
+        state[6] as i32,
+        state[5] as i32,
+        state[4] as i32,
+    );
+    let cdab = _mm_shuffle_epi32::<0xb1>(abcd);
+    let hgfe = _mm_shuffle_epi32::<0x1b>(efgh);
+    let mut abef = _mm_alignr_epi8::<8>(cdab, hgfe);
+    let mut cdgh = _mm_blend_epi16::<0xf0>(hgfe, cdab);
+
+    for block in blocks.chunks_exact(64) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let mut m0 = load!(block, 0);
+        rounds4!(abef, cdgh, 0, m0);
+        let mut m1 = load!(block, 16);
+        rounds4!(abef, cdgh, 1, m1);
+        m0 = _mm_sha256msg1_epu32(m0, m1);
+        let mut m2 = load!(block, 32);
+        rounds4!(abef, cdgh, 2, m2);
+        m1 = _mm_sha256msg1_epu32(m1, m2);
+        let mut m3 = load!(block, 48);
+        rounds4!(abef, cdgh, 3, m3);
+        schedule!(m0, m3, m2);
+        m2 = _mm_sha256msg1_epu32(m2, m3);
+
+        // Rounds 16..48: the same four-group rotation, twice.
+        macro_rules! four_groups {
+            ($g:expr) => {
+                rounds4!(abef, cdgh, $g, m0);
+                schedule!(m1, m0, m3);
+                m3 = _mm_sha256msg1_epu32(m3, m0);
+                rounds4!(abef, cdgh, $g + 1, m1);
+                schedule!(m2, m1, m0);
+                m0 = _mm_sha256msg1_epu32(m0, m1);
+                rounds4!(abef, cdgh, $g + 2, m2);
+                schedule!(m3, m2, m1);
+                m1 = _mm_sha256msg1_epu32(m1, m2);
+                rounds4!(abef, cdgh, $g + 3, m3);
+                schedule!(m0, m3, m2);
+                m2 = _mm_sha256msg1_epu32(m2, m3);
+            };
+        }
+        four_groups!(4);
+        four_groups!(8);
+
+        rounds4!(abef, cdgh, 12, m0);
+        schedule!(m1, m0, m3);
+        m3 = _mm_sha256msg1_epu32(m3, m0);
+        rounds4!(abef, cdgh, 13, m1);
+        schedule!(m2, m1, m0);
+        rounds4!(abef, cdgh, 14, m2);
+        schedule!(m3, m2, m1);
+        rounds4!(abef, cdgh, 15, m3);
+
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    let feba = _mm_shuffle_epi32::<0x1b>(abef);
+    let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
+    let dcba = _mm_blend_epi16::<0xf0>(feba, dchg);
+    let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+    *state = [
+        _mm_extract_epi32::<0>(dcba) as u32,
+        _mm_extract_epi32::<1>(dcba) as u32,
+        _mm_extract_epi32::<2>(dcba) as u32,
+        _mm_extract_epi32::<3>(dcba) as u32,
+        _mm_extract_epi32::<0>(hgfe) as u32,
+        _mm_extract_epi32::<1>(hgfe) as u32,
+        _mm_extract_epi32::<2>(hgfe) as u32,
+        _mm_extract_epi32::<3>(hgfe) as u32,
+    ];
+}
+
+/// SHA-256 of `data` through `compress`: whole blocks straight from `data`
+/// in one call, then the padded tail (one block, or two when fewer than
+/// nine bytes are free in the last one) from a stack buffer.
+fn digest(compress: Kernel, data: &[u8]) -> [u8; 32] {
+    let mut state = H0;
+    let (body, rem) = data.split_at(data.len() & !63);
+    compress(&mut state, body);
+    let mut tail = [0u8; 128];
+    tail[..rem.len()].copy_from_slice(rem);
+    tail[rem.len()] = 0x80;
+    let tail_len = if rem.len() < 56 { 64 } else { 128 };
+    let bitlen = (data.len() as u64) * 8;
+    tail[tail_len - 8..tail_len].copy_from_slice(&bitlen.to_be_bytes());
+    compress(&mut state, &tail[..tail_len]);
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// Hash `data`, returning the 32-byte digest.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut state = H0;
-    let mut chunks = data.chunks_exact(64);
-    for block in &mut chunks {
-        compress(&mut state, block);
-    }
-    // Padding.
-    let rem = chunks.remainder();
-    let bitlen = (data.len() as u64) * 8;
-    let mut last = Vec::with_capacity(128);
-    last.extend_from_slice(rem);
-    last.push(0x80);
-    while last.len() % 64 != 56 {
-        last.push(0);
-    }
-    last.extend_from_slice(&bitlen.to_be_bytes());
-    for block in last.chunks_exact(64) {
-        compress(&mut state, block);
-    }
-    let mut out = [0u8; 32];
-    for (i, word) in state.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    digest(compress_blocks, data)
 }
 
 #[cfg(test)]
@@ -101,41 +322,146 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The hardware kernel by name, when this host can run it: there the
+    /// dispatcher *is* `compress_blocks_sha_ni` (its only `unsafe` call
+    /// site, so the tests need none of their own). Elsewhere the hardware
+    /// cases say they were skipped instead of passing silently.
+    fn sha_ni(test: &str) -> Option<Kernel> {
+        if sha256_kernel() == "sha-ni" {
+            Some(compress_blocks)
+        } else {
+            eprintln!("{test}: SKIPPED hardware kernel (host runs \"portable\")");
+            None
+        }
+    }
+
+    /// Both kernels by name; the hardware one only where it can run.
+    fn kernels(test: &str) -> Vec<(&'static str, Kernel)> {
+        let portable: Kernel = compress_blocks_portable;
+        let mut all = vec![("portable", portable)];
+        all.extend(sha_ni(test).map(|k| ("sha-ni", k)));
+        all
+    }
+
+    fn xorshift_bytes(len: usize, mut state: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            out.extend_from_slice(&state.to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
     #[test]
     fn nist_vectors() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        let kernels = kernels("nist_vectors");
+        for (msg, want) in vectors {
+            assert_eq!(hex(&sha256(msg)), want, "dispatcher");
+            for (name, kernel) in &kernels {
+                assert_eq!(hex(&digest(*kernel, msg)), want, "{name}");
+            }
+        }
     }
 
     #[test]
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        let want = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        assert_eq!(hex(&sha256(&data)), want, "dispatcher");
+        for (name, kernel) in kernels("million_a") {
+            assert_eq!(hex(&digest(kernel, &data)), want, "{name}");
+        }
     }
 
     #[test]
-    fn multi_block_boundaries() {
-        // Lengths around the 55/56/64 padding boundaries all hash without
-        // panicking and produce distinct digests.
-        let mut seen = std::collections::HashSet::new();
-        for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
+    fn padding_boundaries_have_fixed_digests() {
+        // 0xab repeated: the last length whose padding fits one block (55),
+        // the first that spills (56), a full block either side (63 / 64),
+        // and the same edge one block later (119 / 120).
+        let fixed = [
+            (
+                55,
+                "48d76eab30e51201f4f03ec7a85dab8510fb3409ccd15b54767f9b4435c9f54d",
+            ),
+            (
+                56,
+                "a8c9906ade2a2eff868fd8f97a570bbc01a13cddc32c3dfdc9a18f0618d69e55",
+            ),
+            (
+                63,
+                "d1036ba30d050c74b1a5ab301fa29ff0c607a27cc55af3412577f7e06dbd190b",
+            ),
+            (
+                64,
+                "ec65c8798ecf95902413c40f7b9e6d4b0068885f5f324aba1f9ba1c8e14aea61",
+            ),
+            (
+                119,
+                "a773085d98f8978583efd89d0f06e29076a12e2e059103ec533f63e1c6f17dd7",
+            ),
+            (
+                120,
+                "3442eea54f994b0d41c1da867e8347d69fa1a40e2d8a437dcde54dae74504922",
+            ),
+        ];
+        let kernels = kernels("padding_boundaries_have_fixed_digests");
+        for (len, want) in fixed {
             let data = vec![0xabu8; len];
-            assert!(seen.insert(sha256(&data)), "collision at {len}");
+            for (name, kernel) in &kernels {
+                assert_eq!(hex(&digest(*kernel, &data)), want, "{name} at {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_every_short_length() {
+        let Some(hw) = sha_ni("kernels_agree_on_every_short_length") else {
+            return;
+        };
+        let data = xorshift_bytes(257, 0x1234_5678_9abc_def1);
+        for len in 0..=257 {
+            assert_eq!(
+                digest(hw, &data[..len]),
+                digest(compress_blocks_portable, &data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_unaligned_buffers() {
+        let Some(hw) = sha_ni("kernels_agree_on_unaligned_buffers") else {
+            return;
+        };
+        // Every start offset mod 64, so the hardware loads see every
+        // alignment; lengths from a few blocks to 64 KiB.
+        let data = xorshift_bytes((64 << 10) + 64, 0x9e37_79b9_7f4a_7c15);
+        for offset in 0..64 {
+            for len in [64, 1049, 4096 + offset, 64 << 10] {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    digest(hw, slice),
+                    digest(compress_blocks_portable, slice),
+                    "offset {offset}, length {len}"
+                );
+            }
         }
     }
 }

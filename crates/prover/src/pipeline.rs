@@ -11,12 +11,23 @@
 //! 1. [`check_segment_accounting`] gates the pipeline on the bit-identity
 //!    contract — per-segment records must sum exactly to the run's
 //!    [`ExecutionReport`] totals;
-//! 2. [`prove_segmented`] commits to each segment with a Merkle tree
+//! 2. [`prove_segmented`] commits to each segment with a Merkle root
 //!    (hashing work proportional to the backend's *padded* trace area),
-//!    fanning segments out over worker threads;
+//!    fanning segments out over worker threads. A leaf is 1049 bytes —
+//!    `"seg-chunk"`, the segment index and chunk number as little-endian
+//!    `u64`s, then 1024 xorshift64* bytes keyed by the record — written
+//!    into one stack buffer per segment, hashed straight into a level of
+//!    leaf hashes and folded in place
+//!    ([`root_of_leaf_hashes`]):
+//!    no leaf and no inner tree level is ever held;
 //! 3. the aggregation join commits to the per-segment roots plus the public
 //!    journal/exit leaf, in segment order — so parallel and sequential
 //!    proving produce the same root and the same total cost, bit for bit.
+//!
+//! The commitment is a function of the records alone: not of the thread
+//! count, and not of which SHA-256 kernel the host dispatches to. The
+//! `oracle` module at the end of this file keeps the allocation-per-leaf
+//! prover this one replaced as the ground model the tests compare against.
 //!
 //! Backend cost shapes are pluggable via [`ProverBackend`]: RISC Zero–like
 //! (paging rows in the main trace), SP1-like (chip tables charge extra rows
@@ -25,7 +36,8 @@
 //! expensive recursion) — so the fig14 zk-aware study runs per backend.
 
 use crate::padded_rows_blend;
-use zkvmopt_crypto::MerkleTree;
+use zkvmopt_crypto::merkle::root_of_leaf_hashes;
+use zkvmopt_crypto::sha256;
 use zkvmopt_vm::{ExecutionReport, SegmentRecord, VmKind};
 
 /// A proving backend's cost shape: how execution activity turns into trace
@@ -267,20 +279,26 @@ const ROWS_PER_LEAF: u64 = 4096;
 /// prover's real hashing work is proportional to the padded trace area.
 const BYTES_PER_LEAF: usize = (ROWS_PER_LEAF / 4) as usize;
 
+/// Bytes ahead of a leaf's body: the `"seg-chunk"` tag, then the segment
+/// index and the chunk number as little-endian `u64`s.
+const LEAF_HEADER: usize = 9 + 8 + 8;
+
 /// Prove one segment: commit to its (padded) trace area chunk by chunk.
 /// Each chunk leaf carries a deterministic [`BYTES_PER_LEAF`]-byte body
 /// derived from the segment's accounting, so proving a bigger segment
 /// hashes proportionally more data — the toy stand-in for trace columns.
+/// One stack buffer is refilled per leaf and hashed straight into the
+/// level of leaf hashes; no leaf outlives its hash.
 fn prove_segment(backend: &dyn ProverBackend, index: usize, seg: &SegmentRecord) -> SegmentProof {
     let rows = backend.segment_rows(seg);
     let padded = backend.padded_rows(rows);
     let nleaves = padded.div_ceil(ROWS_PER_LEAF).max(1);
-    let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(nleaves as usize);
+    let mut leaf = [0u8; LEAF_HEADER + BYTES_PER_LEAF];
+    leaf[..9].copy_from_slice(b"seg-chunk");
+    leaf[9..17].copy_from_slice(&(index as u64).to_le_bytes());
+    let mut hashes = Vec::with_capacity(nleaves as usize);
     for chunk in 0..nleaves {
-        let mut leaf = Vec::with_capacity(16 + BYTES_PER_LEAF);
-        leaf.extend_from_slice(b"seg-chunk");
-        leaf.extend_from_slice(&(index as u64).to_le_bytes());
-        leaf.extend_from_slice(&chunk.to_le_bytes());
+        leaf[17..LEAF_HEADER].copy_from_slice(&chunk.to_le_bytes());
         // xorshift64* stream seeded by the chunk identity and the segment's
         // accounting: any change to the record changes every body byte.
         let mut state = 0x9e37_79b9_7f4a_7c15u64
@@ -291,20 +309,20 @@ fn prove_segment(backend: &dyn ProverBackend, index: usize, seg: &SegmentRecord)
             ^ seg.paging_cycles.rotate_left(24)
             ^ seg.page_ins.rotate_left(40)
             ^ seg.page_outs.rotate_left(48);
-        for _ in 0..BYTES_PER_LEAF / 8 {
+        for word in leaf[LEAF_HEADER..].chunks_exact_mut(8) {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            leaf.extend_from_slice(&state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
+            word.copy_from_slice(&state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
         }
-        leaves.push(leaf);
+        hashes.push(sha256(&leaf));
     }
     SegmentProof {
         index,
         rows,
         padded_rows: padded,
         cost_ms: backend.segment_cost_ms(seg),
-        commitment: MerkleTree::new(&leaves).root(),
+        commitment: root_of_leaf_hashes(hashes),
     }
 }
 
@@ -330,18 +348,20 @@ fn aggregate(
     records: &[SegmentRecord],
     segments: Vec<SegmentProof>,
 ) -> SegmentedProof {
-    let mut leaves: Vec<Vec<u8>> = segments.iter().map(|s| s.commitment.to_vec()).collect();
+    // A segment's leaf is its 32-byte commitment, so its leaf hash is the
+    // hash of that.
+    let mut hashes: Vec<[u8; 32]> = segments.iter().map(|s| sha256(&s.commitment)).collect();
     let mut public = Vec::new();
     public.extend_from_slice(b"journal");
     public.extend_from_slice(&report.exit_code.to_le_bytes());
     for j in &report.journal {
         public.extend_from_slice(&j.to_le_bytes());
     }
-    leaves.push(public);
+    hashes.push(sha256(&public));
     SegmentedProof {
         backend: backend.name(),
         segments,
-        root: MerkleTree::new(&leaves).root(),
+        root: root_of_leaf_hashes(hashes),
         total_cost_ms: proving_cost_ms(backend, records),
     }
 }
@@ -392,7 +412,10 @@ pub fn prove_segmented(
 
 /// Verify a segmented proof: re-prove every segment record, rebuild the
 /// aggregation root, and check the proof binds this report's journal and
-/// exit code.
+/// exit code. The *whole* proof must equal the rebuilt one — backend label,
+/// per-segment proofs, root and total cost — so nothing a
+/// [`SegmentedProof`] carries can be edited and still verify (a NaN cost
+/// equals nothing, itself included).
 #[must_use]
 pub fn verify_segmented(
     backend: &dyn ProverBackend,
@@ -400,8 +423,75 @@ pub fn verify_segmented(
     records: &[SegmentRecord],
     proof: &SegmentedProof,
 ) -> bool {
-    match prove_segmented(backend, report, records, 1) {
-        Ok(rebuilt) => rebuilt.root == proof.root && rebuilt.segments == proof.segments,
-        Err(_) => false,
+    prove_segmented(backend, report, records, 1).is_ok_and(|rebuilt| rebuilt == *proof)
+}
+
+/// The executable ground model of the commitment scheme: the segment prover
+/// and aggregation join exactly as they stood before the hash kernel and the
+/// streaming commit were rewritten — one heap `Vec<u8>` per leaf, one
+/// `MerkleTree` per segment. Every refinement of [`prove_segmented`] is
+/// asserted equal to it, commitment for commitment and root for root (the
+/// tests in `lib.rs`), and three of its roots are pinned there as hex
+/// literals, so the leaf format cannot drift with every test still agreeing
+/// with itself.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{
+        ExecutionReport, ProverBackend, SegmentProof, SegmentRecord, BYTES_PER_LEAF, ROWS_PER_LEAF,
+    };
+    use zkvmopt_crypto::MerkleTree;
+
+    pub(crate) fn prove_segment(
+        backend: &dyn ProverBackend,
+        index: usize,
+        seg: &SegmentRecord,
+    ) -> SegmentProof {
+        let rows = backend.segment_rows(seg);
+        let padded = backend.padded_rows(rows);
+        let nleaves = padded.div_ceil(ROWS_PER_LEAF).max(1);
+        let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(nleaves as usize);
+        for chunk in 0..nleaves {
+            let mut leaf = Vec::with_capacity(16 + BYTES_PER_LEAF);
+            leaf.extend_from_slice(b"seg-chunk");
+            leaf.extend_from_slice(&(index as u64).to_le_bytes());
+            leaf.extend_from_slice(&chunk.to_le_bytes());
+            let mut state = 0x9e37_79b9_7f4a_7c15u64
+                ^ (index as u64).rotate_left(32)
+                ^ chunk.rotate_left(16)
+                ^ seg.instret
+                ^ seg.user_cycles.rotate_left(8)
+                ^ seg.paging_cycles.rotate_left(24)
+                ^ seg.page_ins.rotate_left(40)
+                ^ seg.page_outs.rotate_left(48);
+            for _ in 0..BYTES_PER_LEAF / 8 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                leaf.extend_from_slice(&state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
+            }
+            leaves.push(leaf);
+        }
+        SegmentProof {
+            index,
+            rows,
+            padded_rows: padded,
+            cost_ms: backend.segment_cost_ms(seg),
+            commitment: MerkleTree::new(&leaves).root(),
+        }
+    }
+
+    pub(crate) fn aggregation_root(
+        report: &ExecutionReport,
+        segments: &[SegmentProof],
+    ) -> [u8; 32] {
+        let mut leaves: Vec<Vec<u8>> = segments.iter().map(|s| s.commitment.to_vec()).collect();
+        let mut public = Vec::new();
+        public.extend_from_slice(b"journal");
+        public.extend_from_slice(&report.exit_code.to_le_bytes());
+        for j in &report.journal {
+            public.extend_from_slice(&j.to_le_bytes());
+        }
+        leaves.push(public);
+        MerkleTree::new(&leaves).root()
     }
 }
