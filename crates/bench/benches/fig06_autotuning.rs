@@ -4,58 +4,51 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use zkvmopt_bench::{header, pct};
-use zkvmopt_core::{gain, OptLevel, OptProfile, SuiteRunner};
-use zkvmopt_tuner::{autotune, TunerConfig};
+use zkvmopt_core::{gain, SuiteRunner};
+use zkvmopt_tuner::{tune_suite, ServiceConfig, TuneDb};
 use zkvmopt_vm::VmKind;
 
-fn tune_one(name: &str, iterations: usize) -> (f64, f64) {
-    // The batched runner lowers the workload once and caches every candidate
-    // compile; the fitness loop is pure engine execution.
-    let mut runner = SuiteRunner::new();
+/// Tune one workload as a single population of `population` × 5 generations;
+/// returns (`-O3` cycles, tuned cycles).
+fn tune_one(name: &str, population: usize) -> (f64, f64) {
+    // The batch evaluator lowers the workload once and measures its baseline
+    // and -O3 reference; every candidate then pays passes + codegen + engine.
     let w = zkvmopt_workloads::by_name(name).expect("exists");
-    let (_, base) = runner
-        .measure(w, &OptProfile::baseline(), VmKind::RiscZero, false, None)
-        .expect("baseline");
-    let (o3, _) = runner
-        .measure(
-            w,
-            &OptProfile::level(OptLevel::O3),
-            VmKind::RiscZero,
-            false,
-            Some(&base),
-        )
-        .expect("-O3");
-    let cfg = TunerConfig {
-        iterations,
+    let ev = SuiteRunner::new()
+        .batch_evaluator(&[w], VmKind::RiscZero)
+        .expect("baseline and -O3 run");
+    let cfg = ServiceConfig {
+        islands: 1,
+        population,
+        threads: 1,
+        migration_interval: 0,
         ..Default::default()
     };
-    let result = autotune(&cfg, |cand| {
-        let profile = OptProfile::sequence("cand", cand.passes.clone(), cand.pass_config());
-        match runner.measure(w, &profile, VmKind::RiscZero, false, Some(&base)) {
-            Ok((m, _)) => Some(m.cycles),
-            Err(_) => None, // invalid candidate (the paper's SP1-bug channel)
-        }
-    });
-    let (tuned, _) = runner
-        .measure(
-            w,
-            &OptProfile::sequence(
-                "tuned",
-                result.best.passes.clone(),
-                result.best.pass_config(),
-            ),
-            VmKind::RiscZero,
-            false,
-            Some(&base),
-        )
-        .expect("tuned candidate re-runs");
-    (o3.cycles as f64, tuned.cycles as f64)
+    // A candidate that diverges from the baseline journal is classed invalid
+    // and can never win (the paper's SP1-bug channel).
+    let report = tune_suite(
+        &cfg,
+        &ev.tune_targets(),
+        &mut TuneDb::in_memory(),
+        ev.classified_fitness(),
+    );
+    let tuned = &report.workloads[0];
+    let best = tuned.best.as_ref().expect("a valid candidate");
+    assert_eq!(
+        ev.eval(0, &best.passes, &best.pass_config()),
+        tuned.best_fitness,
+        "{name}: tuned candidate re-runs"
+    );
+    (
+        ev.o3_cycles(0) as f64,
+        tuned.best_fitness.expect("measured") as f64,
+    )
 }
 
 fn report() {
     header("Figure 6: autotuned pass sequences vs -O3 (cycle count, RISC Zero)");
     for name in ["npb-mg", "loop-sum", "sha2-bench"] {
-        let (o3, tuned) = tune_one(name, 40);
+        let (o3, tuned) = tune_one(name, 8);
         println!(
             "{name:<14} -O3 {o3:>12.0} cycles | tuned {tuned:>12.0} cycles | tuned vs -O3: {}",
             pct(gain(o3, tuned))
@@ -68,7 +61,7 @@ fn report() {
 fn bench(c: &mut Criterion) {
     report();
     c.bench_function("fig06/tuner_20_iters_loop_sum", |b| {
-        b.iter(|| tune_one("loop-sum", 20))
+        b.iter(|| tune_one("loop-sum", 4))
     });
 }
 

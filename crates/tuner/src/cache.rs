@@ -1,12 +1,16 @@
 //! The concurrent sharded fitness cache.
 //!
-//! Generalizes the sequential tuner's per-run fitness memo into a
-//! `DashMap`-style sharded map shared by **every island of every workload**
-//! in a service run: keys carry the workload's stable IR fingerprint, so one
-//! map serves the whole suite, and lock contention is spread over
-//! fingerprint-hashed shards instead of one global mutex. Islands searching
-//! the same workload (and duplicate programs across workloads with equal
-//! fingerprints) therefore never pay for the same candidate twice.
+//! Genetic search re-visits candidates constantly (crossover reassembles
+//! parents, mutation undoes itself, no-op passes pad otherwise-equal
+//! sequences), and every fitness evaluation re-optimizes and re-runs a whole
+//! program. This is the memo that makes a revisit free: a `DashMap`-style
+//! sharded map shared by **every island of every workload** in a service
+//! run. Keys carry the workload's stable IR fingerprint and the candidate's
+//! *canonical* sequence, so one map serves the whole suite, and lock
+//! contention is spread over key-hashed shards instead of one global mutex.
+//! Islands searching the same workload (and duplicate programs across
+//! workloads with equal fingerprints) therefore never pay for the same
+//! candidate twice.
 //!
 //! Values are classified [`EvalResult`]s: a failing candidate caches *why*
 //! it failed, which is what the quarantine log and checkpoint files are
@@ -15,18 +19,20 @@
 //! Concurrency contract: fitness is deterministic (cycle counts are), so a
 //! benign race — two threads missing on the same key and both evaluating —
 //! computes the same value twice and the second insert is a no-op. Search
-//! *results* can never depend on scheduling; only the hit/miss counters can
-//! wobble by the handful of racy duplicates, which is why the service
-//! reports them as throughput statistics, not as part of the deterministic
-//! outcome.
+//! *results* can never depend on scheduling; only the service's per-island
+//! hit and fitness-call counters can wobble by the handful of racy
+//! duplicates, which is why it reports them as throughput statistics, not
+//! as part of the deterministic outcome.
 
 use crate::fault::EvalResult;
+use crate::{canonicalize_sequence, Candidate};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Cache key: one candidate on one program.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Cache key: one candidate on one program. Ordered field by field
+/// (fingerprint first) — the order snapshots, checkpoints and the
+/// quarantine log are written in.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FitnessKey {
     /// Stable fingerprint of the target's lowered base module
     /// (`zkvmopt_ir::stable_module_fingerprint`).
@@ -40,6 +46,19 @@ pub struct FitnessKey {
     pub unroll_threshold: usize,
 }
 
+impl FitnessKey {
+    /// The key `c` is cached under on the program with this `fingerprint`:
+    /// candidates equal modulo [`canonicalize_sequence`] share one entry.
+    pub(crate) fn of(fingerprint: u64, c: &Candidate) -> FitnessKey {
+        FitnessKey {
+            fingerprint,
+            passes: canonicalize_sequence(&c.passes),
+            inline_threshold: c.inline_threshold,
+            unroll_threshold: c.unroll_threshold,
+        }
+    }
+}
+
 /// Number of shards: enough that 8–16 worker threads rarely collide, small
 /// enough that an empty cache stays cheap.
 const SHARDS: usize = 64;
@@ -49,8 +68,6 @@ const SHARDS: usize = 64;
 #[derive(Debug)]
 pub struct ShardedFitnessCache {
     shards: Vec<Mutex<HashMap<FitnessKey, EvalResult>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl Default for ShardedFitnessCache {
@@ -64,12 +81,11 @@ impl ShardedFitnessCache {
     pub fn new() -> ShardedFitnessCache {
         ShardedFitnessCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &FitnessKey) -> &Mutex<HashMap<FitnessKey, EvalResult>> {
+    /// The shard `key` lives in, locked.
+    fn locked(&self, key: &FitnessKey) -> MutexGuard<'_, HashMap<FitnessKey, EvalResult>> {
         // FNV-1a over the key's fixed-width fields plus the canonical pass
         // pointers' names; `Hash` for HashMap stays the std one.
         let mut h: u64 = 0xcbf29ce484222325;
@@ -86,46 +102,30 @@ impl ShardedFitnessCache {
             }
             mix(u64::MAX);
         }
-        &self.shards[(h % SHARDS as u64) as usize]
-    }
-
-    /// Look `key` up, counting a hit or miss.
-    pub fn get(&self, key: &FitnessKey) -> Option<EvalResult> {
-        let found = self
-            .shard(key)
+        // No code path panics while holding a shard (plain map operations
+        // only), so the lock is never poisoned.
+        self.shards[(h % SHARDS as u64) as usize]
             .lock()
             .expect("cache shard")
-            .get(key)
-            .copied();
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    }
+
+    /// Look `key` up.
+    pub fn get(&self, key: &FitnessKey) -> Option<EvalResult> {
+        self.locked(key).get(key).copied()
     }
 
     /// Record `value` for `key`. First write wins on the benign
     /// evaluate-twice race (both writers hold the same deterministic value).
     pub fn insert(&self, key: FitnessKey, value: EvalResult) {
-        self.shard(&key)
-            .lock()
-            .expect("cache shard")
-            .entry(key)
-            .or_insert(value);
+        self.locked(&key).entry(key).or_insert(value);
     }
 
-    /// Preload entries (a resumed checkpoint) without touching the
-    /// hit/miss counters. First write wins, as with [`Self::insert`].
-    /// Returns the number of entries actually added.
+    /// Preload entries (a resumed checkpoint). First write wins, as with
+    /// [`Self::insert`]. Returns the number of entries actually added.
     pub fn preload(&self, entries: impl IntoIterator<Item = (FitnessKey, EvalResult)>) -> usize {
         let mut added = 0usize;
         for (key, value) in entries {
-            let mut shard = self.shard(&key).lock().expect("cache shard");
+            let mut shard = self.locked(&key);
             if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(key) {
                 e.insert(value);
                 added += 1;
@@ -151,20 +151,7 @@ impl ShardedFitnessCache {
                     .collect::<Vec<_>>()
             })
             .collect();
-        out.sort_by(|(a, _), (b, _)| {
-            (
-                a.fingerprint,
-                &a.passes,
-                a.inline_threshold,
-                a.unroll_threshold,
-            )
-                .cmp(&(
-                    b.fingerprint,
-                    &b.passes,
-                    b.inline_threshold,
-                    b.unroll_threshold,
-                ))
-        });
+        out.sort_by(|(a, _), (b, _)| a.cmp(b));
         out
     }
 
@@ -179,24 +166,6 @@ impl ShardedFitnessCache {
     /// Whether nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// `(hits, misses)` counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Hit rate in `[0, 1]` (`0` before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = self.stats();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
     }
 }
 
@@ -215,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn get_insert_round_trip_with_counters() {
+    fn get_insert_round_trip() {
         let c = ShardedFitnessCache::new();
         let k = key(7, &["mem2reg", "gvn"], 225, 200);
         assert_eq!(c.get(&k), None);
@@ -227,9 +196,7 @@ mod tests {
         assert_eq!(c.get(&bad), None);
         c.insert(bad.clone(), Err(FailureClass::Divergence));
         assert_eq!(c.get(&bad), Some(Err(FailureClass::Divergence)));
-        assert_eq!(c.stats(), (2, 2));
         assert_eq!(c.len(), 2);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -293,6 +260,5 @@ mod tests {
         assert_eq!(re.preload(snap.clone()), 3);
         assert_eq!(re.preload(snap.clone()), 0, "idempotent");
         assert_eq!(re.snapshot(), snap);
-        assert_eq!(re.stats(), (0, 0), "preload leaves counters untouched");
     }
 }

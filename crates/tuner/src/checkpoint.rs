@@ -34,14 +34,13 @@
 //! discards the file, and a corrupt line (torn write from a crash mid-save
 //! — possible only for the temp file, but operators edit things) is dropped
 //! while every well-formed line is kept: a partial checkpoint just resumes
-//! a bit further back. Writes go through the same temp-file + rename and
-//! advisory-lock machinery as the database.
+//! a bit further back. Reads and writes go through the same `persist`
+//! layer (advisory lock, temp file + rename) as the database.
 
 use crate::cache::FitnessKey;
 use crate::fault::{EvalResult, FailureClass};
-use crate::lock::FileLock;
+use crate::persist;
 use std::fmt;
-use std::io::Write;
 use std::path::Path;
 use zkvmopt_passes::find_pass;
 
@@ -96,20 +95,16 @@ pub fn checkpoint_to_string(digest: u64, entries: &[(FitnessKey, EvalResult)]) -
         zkvmopt_ir::analysis::fingerprint_to_hex(digest)
     );
     for (k, v) in entries {
-        let seq = if k.passes.is_empty() {
-            "-".to_string()
-        } else {
-            k.passes.join(",")
-        };
         let value = match v {
             Ok(cycles) => cycles.to_string(),
             Err(class) => format!("!{}", class.token()),
         };
         out.push_str(&format!(
-            "{} {} {} {value} {seq}\n",
+            "{} {} {} {value} {}\n",
             zkvmopt_ir::analysis::fingerprint_to_hex(k.fingerprint),
             k.inline_threshold,
             k.unroll_threshold,
+            persist::join_seq(&k.passes),
         ));
     }
     out
@@ -124,25 +119,7 @@ pub fn save_checkpoint(
     digest: u64,
     entries: &[(FitnessKey, EvalResult)],
 ) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let _lock = FileLock::acquire(path)?;
-    // Appended (not `with_extension`) so a checkpoint and a tune database
-    // sharing a stem can never collide on the temp name.
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        std::path::PathBuf::from(os)
-    };
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(checkpoint_to_string(digest, entries).as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    persist::write_atomic(path, &checkpoint_to_string(digest, entries))
 }
 
 /// Load the checkpoint at `path`, accepting it only when its header digest
@@ -152,99 +129,51 @@ pub fn load_checkpoint(
     path: &Path,
     digest: u64,
 ) -> (Vec<(FitnessKey, EvalResult)>, CheckpointStatus) {
-    let text = {
-        // Advisory lock so a concurrent save cannot interleave (the rename
-        // is atomic, but the lock also serializes multi-run access).
-        let _lock = FileLock::try_acquire(path).ok().flatten();
-        match std::fs::read_to_string(path) {
-            Err(_) => return (Vec::new(), CheckpointStatus::Absent),
-            Ok(t) => t,
-        }
+    let Some(text) = persist::read_locked(path) else {
+        return (Vec::new(), CheckpointStatus::Absent);
     };
-    let mut lines = text.lines();
-    let Some(header) = lines.next() else {
-        return (
-            Vec::new(),
-            CheckpointStatus::Recovered {
-                kept: 0,
-                dropped: 0,
-                reason: "empty file".to_string(),
-            },
-        );
-    };
-    let mut parts = header.split_ascii_whitespace();
-    match (
-        parts.next(),
-        parts.next().and_then(|v| v.parse::<u32>().ok()),
-        parts
+    let version = CHECKPOINT_SCHEMA_VERSION..=CHECKPOINT_SCHEMA_VERSION;
+    let found = match persist::body(&text, MAGIC, version) {
+        Ok(mut b) => match b
+            .header_rest
             .next()
-            .and_then(zkvmopt_ir::analysis::fingerprint_from_hex),
-    ) {
-        (Some(MAGIC), Some(CHECKPOINT_SCHEMA_VERSION), Some(d)) if d == digest => {}
-        (Some(MAGIC), Some(CHECKPOINT_SCHEMA_VERSION), Some(_)) => {
-            return (Vec::new(), CheckpointStatus::Mismatch);
-        }
-        _ => {
-            return (
-                Vec::new(),
-                CheckpointStatus::Recovered {
-                    kept: 0,
-                    dropped: text.lines().count().saturating_sub(1),
-                    reason: format!("bad header {header:?}"),
-                },
-            );
-        }
-    }
-    let mut entries = Vec::new();
-    let mut dropped = 0usize;
-    let mut first_error = None;
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            Some(e) => entries.push(e),
-            None => {
-                dropped += 1;
-                first_error.get_or_insert_with(|| format!("malformed line {}", i + 2));
-            }
-        }
-    }
-    let kept = entries.len();
-    let status = match first_error {
+            .and_then(zkvmopt_ir::analysis::fingerprint_from_hex)
+        {
+            Some(d) if d == digest => persist::salvage(b.lines, parse_line),
+            Some(_) => return (Vec::new(), CheckpointStatus::Mismatch),
+            None => persist::Salvage::bad_header(&text),
+        },
+        Err(rejected) => rejected,
+    };
+    let kept = found.kept.len();
+    let status = match found.reason {
         None => CheckpointStatus::Loaded { entries: kept },
         Some(reason) => CheckpointStatus::Recovered {
             kept,
-            dropped,
+            dropped: found.dropped,
             reason,
         },
     };
-    (entries, status)
+    (found.kept, status)
 }
 
-/// Parse one entry line. `None` drops it: malformed fields, or a pass name
-/// no longer in the registry (a stale checkpoint after a registry change —
-/// the candidate can simply be re-evaluated).
+/// Parse one entry line. `None` drops it: malformed fields, trailing junk
+/// (reject rather than misread), or a pass name no longer in the registry
+/// (a stale checkpoint after a registry change — the candidate can simply
+/// be re-evaluated).
 fn parse_line(line: &str) -> Option<(FitnessKey, EvalResult)> {
     let mut parts = line.split_ascii_whitespace();
     let fingerprint = zkvmopt_ir::analysis::fingerprint_from_hex(parts.next()?)?;
     let inline_threshold = parts.next()?.parse().ok()?;
     let unroll_threshold = parts.next()?.parse().ok()?;
     let value = parts.next()?;
-    let seq = parts.next()?;
+    let passes = persist::split_seq(parts.next()?, |p| find_pass(p).map(|e| e.canonical_name()))?;
     if parts.next().is_some() {
-        return None; // trailing junk: reject rather than misread
+        return None;
     }
     let value: EvalResult = match value.strip_prefix('!') {
         Some(token) => Err(FailureClass::from_token(token)?),
         None => Ok(value.parse().ok()?),
-    };
-    let passes: Vec<&'static str> = if seq == "-" {
-        Vec::new()
-    } else {
-        seq.split(',')
-            .map(|p| find_pass(p).map(|e| e.canonical_name()))
-            .collect::<Option<Vec<_>>>()?
     };
     Some((
         FitnessKey {

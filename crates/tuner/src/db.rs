@@ -41,20 +41,21 @@
 //!   while every well-formed line is kept.
 //!
 //! The outcome is reported in [`TuneDb::load_status`] so tests (and
-//! operators) can tell recovery from a clean load. Writes go through a
-//! temp-file + rename so a crash mid-save can truncate at most the temp
+//! operators) can tell recovery from a clean load. Reads and writes go
+//! through the crate's one persistence layer (`persist`: advisory lock,
+//! temp file + rename), so a crash mid-save can truncate at most the temp
 //! file, never the database itself — and [`TuneDb::save`] skips the write
-//! entirely when nothing changed since load, so a service checkpointing at
-//! every generation barrier no longer rewrites an unchanged file each time.
+//! entirely when nothing changed since load, so a caller saving after every
+//! run does not rewrite an unchanged file each time.
 //! Refreshing stored entries after a cost-model change follows the
 //! golden-snapshot workflow: delete the file (or run with `warm_start` off)
 //! and let the next service run re-record — the `ZKVMOPT_BLESS`-style
 //! "re-measure and overwrite" flow.
 
+use crate::persist;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Current on-disk schema version. Bump on any incompatible format change.
@@ -136,42 +137,43 @@ impl TuneDb {
     /// never panics: see the module docs for the recovery policy.
     pub fn open(path: impl Into<PathBuf>) -> TuneDb {
         let path = path.into();
-        // Take the advisory lock while reading so a concurrent save cannot
-        // rename mid-read. Best-effort: a lock failure (exotic filesystem)
-        // degrades to the old unlocked read, it never fails the open.
-        let _lock = (!path.as_os_str().is_empty())
-            .then(|| crate::lock::FileLock::acquire(&path).ok())
-            .flatten();
-        let (entries, load_status, dirty) = match std::fs::read_to_string(&path) {
-            Err(_) => (BTreeMap::new(), LoadStatus::Fresh, false),
-            Ok(text) => match parse(&text) {
-                Ok((entries, migrated)) => {
-                    let n = entries.len();
-                    // A migrated v1 file is clean data in a stale format:
-                    // mark dirty so the next save upgrades it to schema 2.
-                    (entries, LoadStatus::Loaded { entries: n }, migrated)
-                }
-                Err((kept, dropped, reason)) => {
-                    eprintln!(
-                        "tuner: tune database {} is damaged ({reason}); \
-                         kept {} entries, dropped {dropped} — rebuilding as we search",
-                        path.display(),
-                        kept.len(),
-                    );
-                    let n = kept.len();
-                    (
-                        kept,
-                        LoadStatus::Recovered {
-                            kept: n,
-                            dropped,
-                            reason,
-                        },
-                        // A save heals the damaged file even if nothing is
-                        // recorded afterwards.
-                        true,
-                    )
-                }
+        let Some(text) = persist::read_locked(&path) else {
+            return TuneDb {
+                path,
+                ..TuneDb::in_memory()
+            };
+        };
+        let (found, stale_schema) = match persist::body(&text, MAGIC, 1..=SCHEMA_VERSION) {
+            Ok(b) => (
+                persist::salvage(b.lines, |line| parse_line(b.version, line)),
+                b.version < SCHEMA_VERSION,
+            ),
+            Err(rejected) => (rejected, false),
+        };
+        let entries: BTreeMap<u64, TuneDbEntry> =
+            found.kept.into_iter().map(|e| (e.fingerprint, e)).collect();
+        // A save rewrites a migrated v1 file (clean data in a stale format)
+        // as schema 2, and heals a damaged file, even if nothing is
+        // recorded afterwards.
+        let dirty = stale_schema || found.reason.is_some();
+        let load_status = match found.reason {
+            None => LoadStatus::Loaded {
+                entries: entries.len(),
             },
+            Some(reason) => {
+                eprintln!(
+                    "tuner: tune database {} is damaged ({reason}); \
+                     kept {} entries, dropped {} — rebuilding as we search",
+                    path.display(),
+                    entries.len(),
+                    found.dropped,
+                );
+                LoadStatus::Recovered {
+                    kept: entries.len(),
+                    dropped: found.dropped,
+                    reason,
+                }
+            }
         };
         TuneDb {
             path,
@@ -269,32 +271,30 @@ impl TuneDb {
         removed
     }
 
-    /// Serialize to the schema-versioned text format.
+    /// Serialize to the schema-versioned text format. Rust's
+    /// shortest-round-trip `f64` formatting keeps the feature field
+    /// byte-stable across processes for bit-equal features.
     pub fn to_string_pretty(&self) -> String {
         let mut out = format!("{MAGIC} {SCHEMA_VERSION}\n");
         for e in self.entries.values() {
-            let seq = if e.passes.is_empty() {
-                "-".to_string()
-            } else {
-                e.passes.join(",")
-            };
             out.push_str(&format!(
-                "{} {} {} {} {} {seq} {}\n",
+                "{} {} {} {} {} {} {}\n",
                 zkvmopt_ir::analysis::fingerprint_to_hex(e.fingerprint),
                 e.cycles,
                 e.baseline_cycles,
                 e.inline_threshold,
                 e.unroll_threshold,
-                features_to_text(&e.features),
+                persist::join_seq(&e.passes),
+                persist::join_seq(&e.features),
             ));
         }
         out
     }
 
-    /// Atomically persist to the opened path (temp file + rename). A
-    /// [`TuneDb::in_memory`] database saves nowhere and returns `Ok`, and a
-    /// clean database (nothing changed since load or the last save) skips
-    /// the write+rename entirely.
+    /// Atomically persist to the opened path (advisory lock, temp file,
+    /// rename). A [`TuneDb::in_memory`] database saves nowhere and returns
+    /// `Ok`, and a clean database (nothing changed since load or the last
+    /// save) skips the write+rename entirely.
     ///
     /// # Errors
     /// Returns the underlying I/O error when the file cannot be written.
@@ -302,140 +302,34 @@ impl TuneDb {
         if self.path.as_os_str().is_empty() || !self.dirty.get() {
             return Ok(());
         }
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        // Serialize concurrent savers: without the advisory lock, two
-        // temp-file + rename writers both succeed and the survivor silently
-        // drops the loser's entries.
-        let _lock = crate::lock::FileLock::acquire(&self.path)?;
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_string_pretty().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        persist::write_atomic(&self.path, &self.to_string_pretty())?;
         self.dirty.set(false);
         Ok(())
     }
 }
 
-/// Serialize a feature vector as one whitespace-free field (`-` for none).
-/// Rust's shortest-round-trip `f64` formatting keeps this byte-stable across
-/// processes for bit-equal features.
-fn features_to_text(features: &[f64]) -> String {
-    if features.is_empty() {
-        return "-".to_string();
-    }
-    let parts: Vec<String> = features.iter().map(|v| format!("{v}")).collect();
-    parts.join(",")
-}
-
-/// Parse the feature field: `-` → empty, otherwise all-finite comma-joined
-/// floats. `None` rejects the line (NaN/∞ would poison k-NN distances).
-fn features_from_text(s: &str) -> Option<Vec<f64>> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    let values: Option<Vec<f64>> = s.split(',').map(|p| p.parse::<f64>().ok()).collect();
-    let values = values?;
-    if values.is_empty() || values.iter().any(|v| !v.is_finite()) {
-        return None;
-    }
-    Some(values)
-}
-
-/// Parse the full file. `Ok((entries, migrated))` when every line parsed
-/// (`migrated` = the file was a supported *older* schema and should be
-/// rewritten); `Err((salvaged, dropped, reason))` otherwise — a bad header
-/// salvages nothing.
-#[allow(clippy::type_complexity)]
-fn parse(
-    text: &str,
-) -> Result<(BTreeMap<u64, TuneDbEntry>, bool), (BTreeMap<u64, TuneDbEntry>, usize, String)> {
-    let mut lines = text.lines();
-    let version = match lines.next() {
-        Some(header) => {
-            let mut parts = header.split_ascii_whitespace();
-            match (
-                parts.next(),
-                parts.next().and_then(|v| v.parse::<u32>().ok()),
-            ) {
-                (Some(MAGIC), Some(v)) if (1..=SCHEMA_VERSION).contains(&v) => v,
-                (Some(MAGIC), Some(v)) => {
-                    return Err((
-                        BTreeMap::new(),
-                        text.lines().count().saturating_sub(1),
-                        format!("schema version {v} > supported {SCHEMA_VERSION}"),
-                    ));
-                }
-                _ => {
-                    return Err((
-                        BTreeMap::new(),
-                        text.lines().count().saturating_sub(1),
-                        format!("bad header {header:?}"),
-                    ));
-                }
-            }
-        }
-        None => {
-            return Err((BTreeMap::new(), 0, "empty file".to_string()));
-        }
-    };
-    let mut entries = BTreeMap::new();
-    let mut dropped = 0usize;
-    let mut first_error = None;
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = match version {
-            1 => parse_line_v1(line),
-            _ => parse_line(line),
-        };
-        match parsed {
-            Some(e) => {
-                entries.insert(e.fingerprint, e);
-            }
-            None => {
-                dropped += 1;
-                first_error.get_or_insert_with(|| format!("malformed line {}", i + 2));
-            }
-        }
-    }
-    match first_error {
-        None => Ok((entries, version < SCHEMA_VERSION)),
-        Some(reason) => Err((entries, dropped, reason)),
-    }
-}
-
-/// Parse the comma-joined pass-sequence field (`-` = empty sequence).
-fn passes_from_text(seq: &str) -> Option<Vec<String>> {
-    if seq == "-" {
-        return Some(Vec::new());
-    }
-    let ps: Vec<String> = seq.split(',').map(str::to_string).collect();
-    if ps.iter().any(String::is_empty) {
-        return None;
-    }
-    Some(ps)
-}
-
-/// Parse one schema-2 line.
-fn parse_line(line: &str) -> Option<TuneDbEntry> {
+/// Parse one entry line of schema `version`. Schema 1 has neither the
+/// baseline nor the feature field; `None` rejects the line — trailing junk
+/// included (reject rather than misread), and any non-finite feature
+/// (NaN/∞ would poison k-NN distances).
+fn parse_line(version: u32, line: &str) -> Option<TuneDbEntry> {
+    let v2 = version >= 2;
     let mut parts = line.split_ascii_whitespace();
     let fingerprint = zkvmopt_ir::analysis::fingerprint_from_hex(parts.next()?)?;
     let cycles = parts.next()?.parse().ok()?;
-    let baseline_cycles = parts.next()?.parse().ok()?;
+    let baseline_cycles = if v2 { parts.next()?.parse().ok()? } else { 0 };
     let inline_threshold = parts.next()?.parse().ok()?;
     let unroll_threshold = parts.next()?.parse().ok()?;
-    let passes = passes_from_text(parts.next()?)?;
-    let features = features_from_text(parts.next()?)?;
+    let passes = persist::split_seq(parts.next()?, |p| (!p.is_empty()).then(|| p.to_string()))?;
+    let features = if v2 {
+        persist::split_seq(parts.next()?, |f| {
+            f.parse::<f64>().ok().filter(|v| v.is_finite())
+        })?
+    } else {
+        Vec::new()
+    };
     if parts.next().is_some() {
-        return None; // trailing junk: reject rather than misread
+        return None;
     }
     Some(TuneDbEntry {
         fingerprint,
@@ -445,28 +339,6 @@ fn parse_line(line: &str) -> Option<TuneDbEntry> {
         cycles,
         baseline_cycles,
         features,
-    })
-}
-
-/// Parse one legacy schema-1 line (no baseline, no features).
-fn parse_line_v1(line: &str) -> Option<TuneDbEntry> {
-    let mut parts = line.split_ascii_whitespace();
-    let fingerprint = zkvmopt_ir::analysis::fingerprint_from_hex(parts.next()?)?;
-    let cycles = parts.next()?.parse().ok()?;
-    let inline_threshold = parts.next()?.parse().ok()?;
-    let unroll_threshold = parts.next()?.parse().ok()?;
-    let passes = passes_from_text(parts.next()?)?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(TuneDbEntry {
-        fingerprint,
-        passes,
-        inline_threshold,
-        unroll_threshold,
-        cycles,
-        baseline_cycles: 0,
-        features: Vec::new(),
     })
 }
 
@@ -651,21 +523,53 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// Two databases sharing a stem (`study.risc0`, `study.sp1`) hold
+    /// *different* locks, so nothing serializes their saves: each must
+    /// publish through its own temp file. With a shared `study.tmp` one
+    /// saver renames the other's bytes into place, or finds its temp file
+    /// already renamed away.
+    #[test]
+    fn same_stem_databases_save_concurrently_without_crossing() {
+        let dir = tmpdir("same-stem");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (ext, fp) in [("risc0", 0xA0u64), ("sp1", 0xB0)] {
+                let (dir, start) = (&dir, &start);
+                s.spawn(move || {
+                    let path = dir.join(format!("study.{ext}"));
+                    let mut db = TuneDb::open(&path);
+                    start.wait();
+                    for round in 0..200u64 {
+                        db.record(entry(fp + round % 8, 10_000 - round, &[ext]));
+                        db.save().expect("own temp file, own rename");
+                        let on_disk = TuneDb::open(&path);
+                        assert_eq!(
+                            on_disk.to_string_pretty(),
+                            db.to_string_pretty(),
+                            "study.{ext} round {round}: not this database's bytes"
+                        );
+                    }
+                });
+            }
+        });
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
     fn trailing_junk_on_a_line_is_rejected() {
         let hex = zkvmopt_ir::analysis::fingerprint_to_hex(0xA);
-        assert!(parse_line(&format!("{hex} 500 1000 225 200 mem2reg 1,2.5")).is_some());
-        assert!(parse_line(&format!("{hex} 500 1000 225 200 mem2reg 1,2.5 extra")).is_none());
-        assert!(parse_line(&format!("{hex} 500 1000 225 200 mem2reg,,gvn 1")).is_none());
-        assert!(parse_line(&format!("{hex} 500 1000 225 200 - -")).is_some());
-        assert!(parse_line(&format!("{hex} 500 1000 225 200 mem2reg nan")).is_none());
-        assert!(parse_line(&format!("{hex} 500 1000 225 200 mem2reg inf,1")).is_none());
+        assert!(parse_line(2, &format!("{hex} 500 1000 225 200 mem2reg 1,2.5")).is_some());
+        assert!(parse_line(2, &format!("{hex} 500 1000 225 200 mem2reg 1,2.5 extra")).is_none());
+        assert!(parse_line(2, &format!("{hex} 500 1000 225 200 mem2reg,,gvn 1")).is_none());
+        assert!(parse_line(2, &format!("{hex} 500 1000 225 200 - -")).is_some());
+        assert!(parse_line(2, &format!("{hex} 500 1000 225 200 mem2reg nan")).is_none());
+        assert!(parse_line(2, &format!("{hex} 500 1000 225 200 mem2reg inf,1")).is_none());
         assert!(
-            parse_line(&format!("{hex} 500 225 200 mem2reg")).is_none(),
+            parse_line(2, &format!("{hex} 500 225 200 mem2reg")).is_none(),
             "v1 arity"
         );
-        assert!(parse_line_v1(&format!("{hex} 500 225 200 mem2reg")).is_some());
-        assert!(parse_line_v1(&format!("{hex} 500 225 200 mem2reg extra")).is_none());
+        assert!(parse_line(1, &format!("{hex} 500 225 200 mem2reg")).is_some());
+        assert!(parse_line(1, &format!("{hex} 500 225 200 mem2reg extra")).is_none());
     }
 
     /// The v1 → v2 migration: a schema-1 file loads cleanly (entries carry

@@ -6,24 +6,31 @@
 //! `-unroll-threshold`); fitness is the zkVM **cycle count**, the paper's
 //! cheap, noise-free proxy for execution and proving time.
 //!
-//! ## Candidate memoization
+//! ## One of each
 //!
-//! Genetic search re-visits candidates constantly (crossover reassembles
-//! parents, mutation undoes itself, and no-op passes pad otherwise-equal
-//! sequences), and every fitness evaluation re-lowers and re-optimizes a
-//! whole workload. [`autotune`] therefore canonicalizes each candidate's
-//! sequence ([`canonicalize_sequence`]: resolve registry aliases, drop
-//! registered no-ops, collapse idempotent adjacent repeats — all
-//! output-preserving by the registry's tested metadata) and caches fitness
-//! keyed on `(canonical sequence, inline_threshold, unroll_threshold)`.
-//! Duplicate candidates never reach the fitness function twice;
-//! [`TuneResult::cache_hits`] reports how often that fired. Fitness functions
-//! must be deterministic (cycle counts are), so memoization cannot change
-//! any search outcome — only its cost.
+//! - **One search loop:** [`tune_suite`], a μ+λ genetic search over islands
+//!   (see [`service`]). Tuning a single program is the same call with one
+//!   [`TuneTarget`]; `islands: 1, threads: 1, migration_interval: 0` is a
+//!   plain single-population GA, and any other geometry is the same search
+//!   run wider. This file holds what every island shares: the [`Candidate`]
+//!   type, its generator, and the mutation and crossover operators.
+//! - **One evaluation per distinct candidate:** every measurement
+//!   canonicalizes the sequence ([`canonicalize_sequence`]: resolve registry
+//!   aliases, drop registered no-ops, collapse idempotent adjacent repeats —
+//!   all output-preserving by the registry's tested metadata), looks the
+//!   [`FitnessKey`] up in the shared [`ShardedFitnessCache`], and only on a
+//!   miss calls the fitness function (panic-isolated, transient failures
+//!   retried). Fitness must be deterministic (cycle counts are), so the memo
+//!   cannot change any search outcome — only its cost.
+//! - **One persistence layer:** the tune database ([`TuneDb`]), the run
+//!   checkpoint ([`checkpoint`]) and the quarantine log are versioned
+//!   line-oriented text files read and written through one crate-private
+//!   `persist` module — locked temp-file + rename writes, locked reads, and
+//!   a per-line salvage that turns damage into a `Recovered` status instead
+//!   of an error.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use rand::Rng;
 use zkvmopt_passes::{find_pass, pass_names, PassConfig};
 
 pub mod cache;
@@ -31,6 +38,7 @@ pub mod checkpoint;
 pub mod db;
 pub mod fault;
 pub mod lock;
+mod persist;
 pub mod predict;
 pub mod rng;
 pub mod service;
@@ -69,21 +77,21 @@ impl Candidate {
         }
     }
 
-    /// One random candidate from the tuner's generator (the same
-    /// distribution `autotune` seeds its population with): a pass sequence
-    /// of depth 1..=`max_depth` drawn uniformly from the registry, plus
-    /// random threshold parameters. Deterministic in `seed`, drawn through
-    /// the service's splittable [`SeedTree`] (stream `(0, 0)`) so callers
-    /// and the parallel tuner share one seeding discipline — this is the
-    /// entry point the property-based pass tests sample sequences from.
+    /// One random candidate from the tuner's generator (the distribution
+    /// every island fills its first generation from): a pass sequence of
+    /// depth 1..=`max_depth` drawn uniformly from the registry, plus random
+    /// threshold parameters. Deterministic in `seed`, drawn through the
+    /// service's splittable [`SeedTree`] (stream `(0, 0)`) so callers and the
+    /// tuner share one seeding discipline — this is the entry point the
+    /// property-based pass tests sample sequences from.
     pub fn random(seed: u64, max_depth: usize) -> Candidate {
         let mut rng = SeedTree::new(seed).rng(0, 0);
-        random_candidate(&mut rng, pass_names(), max_depth)
+        random_candidate(&mut rng, max_depth)
     }
 }
 
-/// The known-good seed candidates every population starts from (`-O2`-style
-/// skeletons); shared by [`autotune`] and the parallel service's island 0.
+/// The known-good seed candidates island 0 of every search starts from
+/// (`-O2`-style skeletons).
 pub(crate) fn anchor_candidates(max_depth: usize) -> Vec<Candidate> {
     let mut anchors = vec![
         Candidate {
@@ -117,47 +125,6 @@ pub(crate) fn anchor_candidates(max_depth: usize) -> Vec<Candidate> {
     anchors
 }
 
-/// Tuner configuration (paper: 160 iterations per benchmark, 1600 for the
-/// suite-level experiment).
-#[derive(Debug, Clone)]
-pub struct TunerConfig {
-    /// Total fitness evaluations.
-    pub iterations: usize,
-    /// Population size.
-    pub population: usize,
-    /// Maximum pass-sequence depth (paper: 20).
-    pub max_depth: usize,
-    /// RNG seed (the study is deterministic end to end).
-    pub seed: u64,
-}
-
-impl Default for TunerConfig {
-    fn default() -> TunerConfig {
-        TunerConfig {
-            iterations: 160,
-            population: 16,
-            max_depth: 20,
-            seed: 0xC0FFEE,
-        }
-    }
-}
-
-/// Autotuning outcome.
-#[derive(Debug, Clone)]
-pub struct TuneResult {
-    /// Best candidate found.
-    pub best: Candidate,
-    /// Its fitness (cycle count; lower is better).
-    pub best_fitness: u64,
-    /// Best-so-far trajectory, one entry per evaluation.
-    pub history: Vec<u64>,
-    /// Number of candidates evaluated (invalid ones included).
-    pub evaluated: usize,
-    /// Evaluations served from the candidate memo instead of re-running the
-    /// fitness function (duplicates modulo [`canonicalize_sequence`]).
-    pub cache_hits: usize,
-}
-
 /// Canonicalize a pass sequence for content-keyed memoization:
 ///
 /// 1. resolve registry aliases to their canonical names (`ipconstprop` ≡
@@ -186,33 +153,27 @@ pub fn canonicalize_sequence(passes: &[&'static str]) -> Vec<&'static str> {
     out
 }
 
-pub(crate) fn random_candidate(
-    rng: &mut StdRng,
-    names: &[&'static str],
-    max_depth: usize,
-) -> Candidate {
+/// One pass drawn uniformly from the registry.
+fn random_pass(rng: &mut StdRng) -> &'static str {
+    let names = pass_names();
+    names[rng.gen_range(0..names.len())]
+}
+
+pub(crate) fn random_candidate(rng: &mut StdRng, max_depth: usize) -> Candidate {
     let depth = rng.gen_range(1..=max_depth);
-    let passes = (0..depth)
-        .map(|_| names[rng.gen_range(0..names.len())])
-        .collect();
     Candidate {
-        passes,
+        passes: (0..depth).map(|_| random_pass(rng)).collect(),
         inline_threshold: rng.gen_range(0..8192),
         unroll_threshold: rng.gen_range(0..2048),
     }
 }
 
-pub(crate) fn mutate(
-    rng: &mut StdRng,
-    c: &Candidate,
-    names: &[&'static str],
-    max_depth: usize,
-) -> Candidate {
+pub(crate) fn mutate(rng: &mut StdRng, c: &Candidate, max_depth: usize) -> Candidate {
     let mut n = c.clone();
     match rng.gen_range(0..5) {
         0 if n.passes.len() < max_depth => {
             let at = rng.gen_range(0..=n.passes.len());
-            n.passes.insert(at, names[rng.gen_range(0..names.len())]);
+            n.passes.insert(at, random_pass(rng));
         }
         1 if n.passes.len() > 1 => {
             let at = rng.gen_range(0..n.passes.len());
@@ -220,14 +181,10 @@ pub(crate) fn mutate(
         }
         2 => {
             let at = rng.gen_range(0..n.passes.len());
-            n.passes[at] = names[rng.gen_range(0..names.len())];
+            n.passes[at] = random_pass(rng);
         }
-        3 => {
-            n.inline_threshold = rng.gen_range(0..8192);
-        }
-        _ => {
-            n.unroll_threshold = rng.gen_range(0..2048);
-        }
+        3 => n.inline_threshold = rng.gen_range(0..8192),
+        _ => n.unroll_threshold = rng.gen_range(0..2048),
     }
     n
 }
@@ -249,203 +206,18 @@ pub(crate) fn crossover(
     if passes.is_empty() {
         passes.push(a.passes.first().copied().unwrap_or("mem2reg"));
     }
+    // Each threshold comes from either parent with equal odds.
+    let mut either = |from_a: usize, from_b: usize| if rng.gen_bool(0.5) { from_a } else { from_b };
     Candidate {
         passes,
-        inline_threshold: if rng.gen_bool(0.5) {
-            a.inline_threshold
-        } else {
-            b.inline_threshold
-        },
-        unroll_threshold: if rng.gen_bool(0.5) {
-            a.unroll_threshold
-        } else {
-            b.unroll_threshold
-        },
-    }
-}
-
-/// Content-keyed fitness memo: candidates equal modulo canonicalization are
-/// evaluated once.
-struct MemoFitness<F> {
-    fitness: F,
-    cache: HashMap<(Vec<&'static str>, usize, usize), Option<u64>>,
-    hits: usize,
-}
-
-impl<F: FnMut(&Candidate) -> Option<u64>> MemoFitness<F> {
-    fn new(fitness: F) -> MemoFitness<F> {
-        MemoFitness {
-            fitness,
-            cache: HashMap::new(),
-            hits: 0,
-        }
-    }
-
-    fn eval(&mut self, c: &Candidate) -> Option<u64> {
-        let key = (
-            canonicalize_sequence(&c.passes),
-            c.inline_threshold,
-            c.unroll_threshold,
-        );
-        if let Some(v) = self.cache.get(&key) {
-            self.hits += 1;
-            return *v;
-        }
-        let v = (self.fitness)(c);
-        self.cache.insert(key, v);
-        v
-    }
-}
-
-/// Run the genetic search. `fitness` returns the cycle count for a candidate,
-/// or `None` when the candidate is invalid (e.g. broke correctness — which
-/// would be a real finding, like the paper's SP1 soundness bug, but must not
-/// win the race). `fitness` must be deterministic: duplicate candidates
-/// (modulo [`canonicalize_sequence`]) are served from a memo and never
-/// re-evaluated.
-pub fn autotune(
-    config: &TunerConfig,
-    fitness: impl FnMut(&Candidate) -> Option<u64>,
-) -> TuneResult {
-    let mut fitness = MemoFitness::new(fitness);
-    let names = pass_names();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut history = Vec::with_capacity(config.iterations);
-    let mut evaluated = 0;
-
-    // Seed the population with random candidates plus known-good anchors.
-    let mut population: Vec<(Candidate, Option<u64>)> = Vec::new();
-    for a in anchor_candidates(config.max_depth) {
-        population.push((a, None));
-    }
-    while population.len() < config.population {
-        population.push((random_candidate(&mut rng, names, config.max_depth), None));
-    }
-    let mut best: Option<(Candidate, u64)> = None;
-    let mut evals_left = config.iterations;
-
-    // Evaluate initial population.
-    for (c, f) in population.iter_mut() {
-        if evals_left == 0 {
-            break;
-        }
-        *f = fitness.eval(c);
-        evaluated += 1;
-        evals_left -= 1;
-        if let Some(v) = *f {
-            if best.as_ref().is_none_or(|(_, b)| v < *b) {
-                best = Some((c.clone(), v));
-            }
-        }
-        history.push(best.as_ref().map_or(u64::MAX, |(_, b)| *b));
-    }
-
-    while evals_left > 0 {
-        // Tournament selection of two parents among evaluated candidates.
-        let pick = |rng: &mut StdRng, pop: &[(Candidate, Option<u64>)]| -> Candidate {
-            let mut bestc: Option<(usize, u64)> = None;
-            for _ in 0..3 {
-                let i = rng.gen_range(0..pop.len());
-                let f = pop[i].1.unwrap_or(u64::MAX);
-                if bestc.is_none_or(|(_, bf)| f < bf) {
-                    bestc = Some((i, f));
-                }
-            }
-            pop[bestc.expect("non-empty population").0].0.clone()
-        };
-        let p1 = pick(&mut rng, &population);
-        let p2 = pick(&mut rng, &population);
-        let mut child = if rng.gen_bool(0.7) {
-            crossover(&mut rng, &p1, &p2, config.max_depth)
-        } else {
-            p1.clone()
-        };
-        if rng.gen_bool(0.9) {
-            child = mutate(&mut rng, &child, names, config.max_depth);
-        }
-        let f = fitness.eval(&child);
-        evaluated += 1;
-        evals_left -= 1;
-        if let Some(v) = f {
-            if best.as_ref().is_none_or(|(_, b)| v < *b) {
-                best = Some((child.clone(), v));
-            }
-        }
-        history.push(best.as_ref().map_or(u64::MAX, |(_, b)| *b));
-        // Replace the worst member.
-        let worst = population
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, (_, f))| f.unwrap_or(u64::MAX))
-            .map(|(i, _)| i)
-            .expect("non-empty population");
-        if f.unwrap_or(u64::MAX) < population[worst].1.unwrap_or(u64::MAX) {
-            population[worst] = (child, f);
-        }
-    }
-
-    let (best, best_fitness) = best.expect("at least one valid candidate evaluated");
-    TuneResult {
-        best,
-        best_fitness,
-        history,
-        evaluated,
-        cache_hits: fitness.hits,
+        inline_threshold: either(a.inline_threshold, b.inline_threshold),
+        unroll_threshold: either(a.unroll_threshold, b.unroll_threshold),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn converges_on_synthetic_fitness() {
-        // Fitness rewards containing mem2reg early and inline anywhere.
-        let cfg = TunerConfig {
-            iterations: 120,
-            ..Default::default()
-        };
-        let r = autotune(&cfg, |c| {
-            let mut score: u64 = 10_000;
-            if c.passes.first() == Some(&"mem2reg") {
-                score -= 4_000;
-            }
-            if c.passes.contains(&"inline") {
-                score -= 3_000;
-            }
-            score += c.passes.len() as u64 * 10;
-            Some(score)
-        });
-        assert!(r.best_fitness <= 3_500, "fitness {}", r.best_fitness);
-        assert!(r.best.passes.contains(&"inline"));
-        assert_eq!(r.evaluated, 120);
-    }
-
-    #[test]
-    fn history_is_monotonically_non_increasing() {
-        let cfg = TunerConfig {
-            iterations: 60,
-            ..Default::default()
-        };
-        let r = autotune(&cfg, |c| Some(c.passes.len() as u64 * 100 + 7));
-        for w in r.history.windows(2) {
-            assert!(w[1] <= w[0]);
-        }
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed() {
-        let cfg = TunerConfig {
-            iterations: 50,
-            seed: 7,
-            ..Default::default()
-        };
-        let f = |c: &Candidate| Some(c.inline_threshold as u64 + c.passes.len() as u64);
-        let a = autotune(&cfg, f);
-        let b = autotune(&cfg, f);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_fitness, b.best_fitness);
-    }
 
     #[test]
     fn canonicalization_normalizes_sequences() {
@@ -474,73 +246,5 @@ mod tests {
             canonicalize_sequence(&["mem2reg", "mem2reg", "mem2reg"]),
             vec!["mem2reg"]
         );
-    }
-
-    /// Duplicate candidates (modulo canonicalization) must be served from
-    /// the memo: the user fitness function never sees them twice.
-    #[test]
-    fn memoization_skips_duplicate_candidates() {
-        use std::collections::HashSet;
-        let cfg = TunerConfig {
-            iterations: 200,
-            ..Default::default()
-        };
-        let mut invocations = 0usize;
-        let mut seen_keys: HashSet<(Vec<&'static str>, usize, usize)> = HashSet::new();
-        let r = autotune(&cfg, |c| {
-            invocations += 1;
-            assert!(
-                seen_keys.insert((
-                    canonicalize_sequence(&c.passes),
-                    c.inline_threshold,
-                    c.unroll_threshold
-                )),
-                "fitness saw the same canonical candidate twice"
-            );
-            Some(c.passes.len() as u64 * 100 + c.inline_threshold as u64 % 7)
-        });
-        assert_eq!(r.evaluated, 200);
-        assert_eq!(invocations + r.cache_hits, r.evaluated);
-        assert!(
-            r.cache_hits > 0,
-            "a 200-iteration seeded run must revisit at least one candidate"
-        );
-    }
-
-    /// Memoization must not change what the search finds.
-    #[test]
-    fn memoization_preserves_search_determinism() {
-        let cfg = TunerConfig {
-            iterations: 80,
-            seed: 11,
-            ..Default::default()
-        };
-        // A fitness that is a pure function of the canonical key (the
-        // documented contract).
-        let f = |c: &Candidate| {
-            let canon = canonicalize_sequence(&c.passes);
-            Some(canon.len() as u64 * 50 + c.unroll_threshold as u64 % 13)
-        };
-        let a = autotune(&cfg, f);
-        let b = autotune(&cfg, f);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.history, b.history);
-        assert_eq!(a.cache_hits, b.cache_hits);
-    }
-
-    #[test]
-    fn invalid_candidates_never_win() {
-        let cfg = TunerConfig {
-            iterations: 80,
-            ..Default::default()
-        };
-        let r = autotune(&cfg, |c| {
-            if c.passes.contains(&"licm") {
-                None // "broke correctness"
-            } else {
-                Some(1000)
-            }
-        });
-        assert!(!r.best.passes.contains(&"licm"));
     }
 }

@@ -26,11 +26,18 @@ pub struct FileLock {
     lock_path: PathBuf,
 }
 
+/// `path` with `suffix` appended to its full file name (`tune.db` →
+/// `tune.db.lock`): files that differ only in extension keep distinct
+/// sidecars.
+pub(crate) fn sidecar_path(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
+}
+
 /// The sidecar lock path guarding `path`.
 pub fn lock_path_for(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".lock");
-    PathBuf::from(os)
+    sidecar_path(path, ".lock")
 }
 
 impl FileLock {
@@ -44,22 +51,6 @@ impl FileLock {
         let file = open_sidecar(&lock_path)?;
         file.lock()?;
         Ok(FileLock { file, lock_path })
-    }
-
-    /// Try to take the lock without blocking; `Ok(None)` when another
-    /// process holds it.
-    ///
-    /// # Errors
-    /// Returns the underlying I/O error when the sidecar cannot be created
-    /// or the lock operation fails for a reason other than contention.
-    pub fn try_acquire(path: &Path) -> io::Result<Option<FileLock>> {
-        let lock_path = lock_path_for(path);
-        let file = open_sidecar(&lock_path)?;
-        match file.try_lock() {
-            Ok(()) => Ok(Some(FileLock { file, lock_path })),
-            Err(std::fs::TryLockError::WouldBlock) => Ok(None),
-            Err(std::fs::TryLockError::Error(e)) => Err(e),
-        }
     }
 
     /// The sidecar file this lock holds.
@@ -100,32 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_while_held_then_reacquirable() {
-        let dir = tmpdir("basic");
-        let db = dir.join("tune.db");
-        let held = FileLock::acquire(&db).expect("first lock");
-        assert!(held.path().ends_with("tune.db.lock"));
-        assert!(
-            FileLock::try_acquire(&db)
-                .expect("try_lock io ok")
-                .is_none(),
-            "second lock must be refused while the first is held"
-        );
-        drop(held);
-        assert!(
-            FileLock::try_acquire(&db)
-                .expect("try_lock io ok")
-                .is_some(),
-            "lock must be reacquirable after release"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn blocking_acquire_waits_for_the_holder() {
         let dir = tmpdir("blocking");
         let db = dir.join("tune.db");
         let held = FileLock::acquire(&db).expect("first lock");
+        assert!(held.path().ends_with("tune.db.lock"));
         let (tx, rx) = std::sync::mpsc::channel();
         let db2 = db.clone();
         let t = std::thread::spawn(move || {
@@ -134,7 +104,8 @@ mod tests {
             drop(l);
         });
         assert!(
-            rx.try_recv().is_err(),
+            rx.recv_timeout(std::time::Duration::from_millis(100))
+                .is_err(),
             "waiter must not acquire while we hold the lock"
         );
         drop(held);

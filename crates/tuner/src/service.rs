@@ -1,11 +1,22 @@
-//! The parallel autotuning service: island-model search over many programs
-//! at once.
+//! The tuner's one search: a μ+λ genetic search run as islands, over many
+//! programs at once.
 //!
-//! The sequential [`autotune`](crate::autotune) loop tunes one program on
-//! one thread — fine for one study, hopeless for tuning-as-a-service. This
-//! module restructures the search the way GPU-scale combinatorial solvers
-//! do: as a large population of small, independent evolution steps that
-//! worker threads chew through concurrently.
+//! [`tune_suite`] is the only search loop in the workspace — Figure 6's
+//! single-program tuning, the §4.2 example, the throughput benches and the
+//! tuning service all call it. It is structured the way GPU-scale
+//! combinatorial solvers are: a large population of small, independent
+//! evolution steps that worker threads chew through concurrently. One
+//! island on one thread is a plain single-population GA; more islands and
+//! more threads are the same search run wider, with the same result at any
+//! thread count. A call is **admission** (per target, in order: a [`TuneDb`]
+//! hit is served at no cost when [`ServiceConfig::warm_start`] is set, a
+//! prediction inside the margin after one measurement, the rest are cold) →
+//! the **search** of the cold targets → **collection** (fold the islands
+//! into a best, record it back, report it), and every measurement in all
+//! three goes through one evaluate-through-cache step: canonical
+//! [`FitnessKey`] → the [`ShardedFitnessCache`] shared across islands *and*
+//! workloads → on a miss, the panic-isolated fitness call with bounded
+//! retries.
 //!
 //! ## Shape
 //!
@@ -22,13 +33,6 @@
 //!   in lockstep (generation `g+1` is enqueued only when all of its islands
 //!   finished `g`); migration happens at the barrier, in island-index order.
 //!   Different workloads proceed completely independently.
-//! - **Sharded fitness cache.** All candidate evaluations go through one
-//!   [`ShardedFitnessCache`] keyed by `(program fingerprint, canonical
-//!   sequence, thresholds)`, shared across islands *and* workloads.
-//! - **Tune database.** Known programs (by stable IR fingerprint) found in
-//!   the [`TuneDb`] warm-start: with [`ServiceConfig::warm_start`] set their
-//!   search is skipped outright (zero fitness evaluations, counted in
-//!   [`ServiceReport::db_hits`]); fresh results are recorded back.
 //!
 //! ## Fault tolerance
 //!
@@ -50,8 +54,8 @@
 //!   burning budget: its remaining generations are cancelled and it falls
 //!   back to the baseline (empty) sequence.
 //! - **Checkpoint/resume.** With [`ServiceConfig::checkpoint_path`] set,
-//!   the fitness cache is dumped atomically at generation barriers; a rerun
-//!   with the same configuration resumes from it with zero redundant
+//!   the fitness cache is dumped atomically at every generation barrier; a
+//!   rerun with the same configuration resumes from it with zero redundant
 //!   fitness evaluations (see [`crate::checkpoint`]).
 //!
 //! ## Determinism
@@ -76,7 +80,8 @@ use crate::fault::{EvalResult, FailureClass};
 use crate::predict::{candidate_from_entry, Predictor};
 use crate::rng::SeedTree;
 use crate::{
-    anchor_candidates, canonicalize_sequence, crossover, mutate, random_candidate, Candidate,
+    anchor_candidates, canonicalize_sequence, crossover, mutate, persist, random_candidate,
+    Candidate,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -86,11 +91,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use zkvmopt_ir::FeatureVector;
-use zkvmopt_passes::pass_names;
 
 /// Quarantine entries kept in memory per workload; the rest are counted in
 /// [`WorkloadTuneReport::quarantine_total`] (the log file gets everything).
 const QUARANTINE_CAP: usize = 64;
+
+/// Predict-first acceptance margin: a measured prediction is accepted when
+/// `measured ≤ baseline × expected_ratio × (1 + PREDICT_MARGIN)`.
+const PREDICT_MARGIN: f64 = 0.10;
 
 /// Parallel-service configuration.
 #[derive(Debug, Clone)]
@@ -122,26 +130,22 @@ pub struct ServiceConfig {
     /// *consecutive* generations in which no island produced a single
     /// valid candidate (`0` = never demote).
     pub demote_after: usize,
-    /// Dump the fitness cache here at generation barriers; on start, resume
-    /// from it when its digest matches this run (`None` = no checkpointing).
+    /// Dump the fitness cache here at every generation barrier; on start,
+    /// resume from it when its digest matches this run (`None` = no
+    /// checkpointing).
     pub checkpoint_path: Option<PathBuf>,
-    /// Write a checkpoint every this many generation barriers (≥ 1).
-    pub checkpoint_interval: usize,
     /// Write the quarantine log here after the run (`None` = in-report only).
     pub quarantine_path: Option<PathBuf>,
     /// Predict-first mode: before searching a cold workload whose
     /// [`TuneTarget::features`] are known, ask the [`Predictor`] for a
-    /// candidate and measure it **once**. Within
-    /// [`ServiceConfig::predict_margin`] of the database's recorded quality
-    /// the workload is served on the spot (~1 fitness evaluation, counted in
-    /// [`ServiceReport::predicted_hits`]); otherwise the prediction seeds
-    /// island 0 and the genetic search runs as offline refinement.
+    /// candidate and measure it **once**. Within 10 % of the database's
+    /// recorded quality the workload is served on the spot (~1 fitness
+    /// evaluation, counted in [`ServiceReport::predicted_hits`]); otherwise
+    /// the prediction seeds island 0 and the genetic search runs as offline
+    /// refinement.
     pub predict: bool,
     /// Neighbours consulted per prediction (k-NN; `0` is clamped to 1).
     pub predict_k: usize,
-    /// Acceptance margin: a measured prediction is accepted when
-    /// `measured ≤ baseline × expected_ratio × (1 + predict_margin)`.
-    pub predict_margin: f64,
 }
 
 impl Default for ServiceConfig {
@@ -158,11 +162,9 @@ impl Default for ServiceConfig {
             max_retries: 3,
             demote_after: 3,
             checkpoint_path: None,
-            checkpoint_interval: 1,
             quarantine_path: None,
             predict: false,
             predict_k: 3,
-            predict_margin: 0.10,
         }
     }
 }
@@ -200,7 +202,9 @@ impl ServiceConfig {
         mix(self.demote_after as u64);
         mix(self.predict as u64);
         mix(self.predict_k as u64);
-        mix(self.predict_margin.to_bits());
+        // A constant, but checkpoints written while the margin was a config
+        // field carry it in their digest.
+        mix(PREDICT_MARGIN.to_bits());
         for t in targets {
             mix(t.fingerprint);
         }
@@ -291,6 +295,28 @@ pub struct WorkloadTuneReport {
     pub quarantine_total: usize,
 }
 
+impl WorkloadTuneReport {
+    /// `t` served `best` at `cost`; how (`warm_started` / `predicted` /
+    /// `demoted`) and the quarantine are the caller's to fill in.
+    fn new(t: &TuneTarget, best: Option<(Candidate, u64)>, cost: Cost) -> WorkloadTuneReport {
+        WorkloadTuneReport {
+            name: t.name.clone(),
+            fingerprint: t.fingerprint,
+            best_fitness: best.as_ref().map(|(_, f)| *f),
+            best: best.map(|(c, _)| c),
+            evaluated: cost.evaluated,
+            fitness_evals: cost.fitness_evals,
+            cache_hits: cost.cache_hits,
+            retries: cost.retries,
+            warm_started: false,
+            predicted: false,
+            demoted: false,
+            quarantined: Vec::new(),
+            quarantine_total: 0,
+        }
+    }
+}
+
 /// Whole-run outcome.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
@@ -321,6 +347,121 @@ pub struct ServiceReport {
     pub resumed_entries: usize,
 }
 
+/// What evaluations cost, in the four units the reports count. Always
+/// `evaluated == fitness_evals + cache_hits − retries`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cost {
+    evaluated: usize,
+    fitness_evals: usize,
+    cache_hits: usize,
+    retries: usize,
+}
+
+impl std::ops::AddAssign for Cost {
+    fn add_assign(&mut self, c: Cost) {
+        self.evaluated += c.evaluated;
+        self.fitness_evals += c.fitness_evals;
+        self.cache_hits += c.cache_hits;
+        self.retries += c.retries;
+    }
+}
+
+/// One `tune_suite` call's shared state: admission, the worker threads and
+/// collection all measure through it.
+struct Run<'a> {
+    config: &'a ServiceConfig,
+    cache: ShardedFitnessCache,
+    fitness: &'a (dyn Fn(usize, &Candidate) -> EvalResult + Sync),
+    /// Where the cache is checkpointed, and the run digest it is bound to.
+    checkpoint: Option<(&'a Path, u64)>,
+    /// Orders snapshot + write pairs across worker threads, so the file
+    /// left after the last barrier holds the last (complete) snapshot.
+    checkpoint_lock: Mutex<()>,
+}
+
+impl Run<'_> {
+    /// The one evaluate-through-cache step: `c`'s outcome on `w`'s target
+    /// and what it cost — one unit of budget, paid by a cache hit or by a
+    /// fitness call plus its retries.
+    fn measure(&self, w: &WorkState, c: &Candidate) -> (EvalResult, Cost) {
+        let key = FitnessKey::of(w.fingerprint, c);
+        let (r, calls) = match self.cache.get(&key) {
+            Some(r) => (r, 0),
+            None => {
+                let (r, calls) = self.call_with_retries(w.widx, c);
+                self.cache.insert(key, r);
+                (r, calls)
+            }
+        };
+        let cost = Cost {
+            evaluated: 1,
+            fitness_evals: calls,
+            cache_hits: usize::from(calls == 0),
+            retries: calls.saturating_sub(1),
+        };
+        (r, cost)
+    }
+
+    /// Call `fitness` with panic isolation and the bounded transient retry
+    /// policy. Returns the accepted outcome and the number of fitness calls
+    /// made (≥ 1; every call after the first is a retry).
+    fn call_with_retries(&self, widx: usize, c: &Candidate) -> (EvalResult, usize) {
+        let mut calls = 0usize;
+        loop {
+            let r = catch_unwind(AssertUnwindSafe(|| (self.fitness)(widx, c)))
+                .unwrap_or(Err(FailureClass::Panic));
+            calls += 1;
+            match r {
+                Err(class) if class.is_transient() && calls <= self.config.max_retries => continue,
+                r => return (r, calls),
+            }
+        }
+    }
+
+    /// Resume: restore a previous attempt's evaluations into the cache.
+    /// Returns how the checkpoint loaded and how many entries it restored.
+    fn resume(&self) -> (CheckpointStatus, usize) {
+        let Some((path, digest)) = self.checkpoint else {
+            return (CheckpointStatus::Absent, 0);
+        };
+        let (entries, status) = load_checkpoint(path, digest);
+        if matches!(
+            status,
+            CheckpointStatus::Mismatch | CheckpointStatus::Recovered { .. }
+        ) {
+            eprintln!(
+                "tuner: checkpoint {}: {status}; resuming from what survived",
+                path.display()
+            );
+        }
+        (status, self.cache.preload(entries))
+    }
+
+    /// Called at every generation barrier: dumps the cache when the run
+    /// checkpoints. Best-effort: an unwritable checkpoint degrades to a
+    /// longer resume, never a failed run.
+    fn write_checkpoint(&self) {
+        let Some((path, digest)) = self.checkpoint else {
+            return;
+        };
+        let _guard = self.checkpoint_lock.lock().expect("checkpoint writer");
+        if let Err(e) = save_checkpoint(path, digest, &self.cache.snapshot()) {
+            eprintln!(
+                "tuner: checkpoint write to {} failed ({e}); continuing without",
+                path.display()
+            );
+        }
+    }
+}
+
+/// What admission decided for one target.
+enum Admission {
+    /// Answered without a search: a database hit or an accepted prediction.
+    Served(WorkloadTuneReport),
+    /// Needs the genetic search.
+    Cold(WorkState),
+}
+
 /// One island's private evolution state.
 struct IslandState {
     rng: StdRng,
@@ -330,18 +471,20 @@ struct IslandState {
     /// Elite migrated in from the ring neighbour (arrives with its fitness:
     /// migration never costs budget).
     incoming: Option<(Candidate, Option<u64>)>,
-    evaluated: usize,
-    fitness_evals: usize,
-    cache_hits: usize,
-    retries: usize,
+    cost: Cost,
 }
 
-/// Shared per-workload scheduling state.
+/// Shared per-workload search state.
 struct WorkState {
+    /// Index into the run's targets.
+    widx: usize,
     fingerprint: u64,
-    /// Rejected prediction seeding island 0's initial population
-    /// (predict-first mode's refinement path).
+    /// A rejected prediction: it seeds island 0's initial population
+    /// (predict-first mode's refinement path) …
     seed: Option<Candidate>,
+    /// … and its one measurement was spent either way: carried into the
+    /// search report so the accounting invariant holds.
+    spent: Cost,
     islands: Vec<Mutex<IslandState>>,
     /// Islands still running the current generation.
     remaining: AtomicUsize,
@@ -355,54 +498,29 @@ struct WorkState {
     demoted: AtomicBool,
 }
 
-/// Periodic checkpoint writer shared by the worker threads.
-struct CheckpointSink<'a> {
-    path: &'a Path,
-    digest: u64,
-    interval: usize,
-    barriers: AtomicUsize,
-    write_lock: Mutex<()>,
-}
-
-impl CheckpointSink<'_> {
-    /// Called at every generation barrier; dumps the cache every
-    /// `interval`-th call. Best-effort: an unwritable checkpoint degrades
-    /// to a longer resume, never a failed run.
-    fn barrier(&self, cache: &ShardedFitnessCache) {
-        let n = self.barriers.fetch_add(1, Ordering::SeqCst) + 1;
-        if !n.is_multiple_of(self.interval) {
-            return;
-        }
-        let _guard = self.write_lock.lock().expect("checkpoint writer");
-        if let Err(e) = save_checkpoint(self.path, self.digest, &cache.snapshot()) {
-            eprintln!(
-                "tuner: checkpoint write to {} failed ({e}); continuing without",
-                self.path.display()
-            );
-        }
-    }
-}
-
-/// Evaluate `fitness` once with panic isolation and the bounded transient
-/// retry policy. Returns the accepted outcome and the number of fitness
-/// calls made (≥ 1; every call after the first is a retry).
-fn eval_with_retries<F>(
-    config: &ServiceConfig,
-    fitness: &F,
-    widx: usize,
-    c: &Candidate,
-) -> (EvalResult, usize)
-where
-    F: Fn(usize, &Candidate) -> EvalResult + Sync,
-{
-    let mut calls = 0usize;
-    loop {
-        let r =
-            catch_unwind(AssertUnwindSafe(|| fitness(widx, c))).unwrap_or(Err(FailureClass::Panic));
-        calls += 1;
-        match r {
-            Err(class) if class.is_transient() && calls <= config.max_retries => continue,
-            r => return (r, calls),
+impl WorkState {
+    /// A cold target about to be searched: every island's random stream
+    /// splits from the root seed by `(fingerprint, island index)`.
+    fn new(config: &ServiceConfig, widx: usize, fingerprint: u64) -> WorkState {
+        let seeds = SeedTree::new(config.seed);
+        let island = |i| IslandState {
+            rng: seeds.rng(fingerprint, i as u64),
+            pop: Vec::new(),
+            best: None,
+            incoming: None,
+            cost: Cost::default(),
+        };
+        WorkState {
+            widx,
+            fingerprint,
+            seed: None,
+            spent: Cost::default(),
+            islands: (0..config.islands).map(|i| Mutex::new(island(i))).collect(),
+            remaining: AtomicUsize::new(config.islands),
+            done_gens: AtomicUsize::new(0),
+            valid_in_gen: AtomicUsize::new(0),
+            failed_gens: AtomicUsize::new(0),
+            demoted: AtomicBool::new(false),
         }
     }
 }
@@ -427,317 +545,47 @@ where
     assert!(config.population >= 1, "need a non-empty population");
     assert!(config.generations >= 1, "need at least one generation");
     assert!(config.max_depth >= 1, "need depth >= 1");
-    assert!(config.checkpoint_interval >= 1, "interval >= 1");
 
-    let seeds = SeedTree::new(config.seed);
-    let names = pass_names();
     let digest = config.run_digest(targets);
+    let run = Run {
+        config,
+        cache: ShardedFitnessCache::new(),
+        fitness: &fitness,
+        checkpoint: config.checkpoint_path.as_deref().map(|p| (p, digest)),
+        checkpoint_lock: Mutex::new(()),
+    };
+    let (checkpoint_status, resumed_entries) = run.resume();
 
-    // Resolve warm starts first: a known fingerprint costs nothing.
-    let mut reports: Vec<Option<WorkloadTuneReport>> = Vec::with_capacity(targets.len());
-    let mut cold: Vec<usize> = Vec::new();
-    let mut db_hits = 0usize;
-    for (widx, t) in targets.iter().enumerate() {
-        match db.get(t.fingerprint).filter(|_| config.warm_start) {
-            Some(e) => match candidate_from_entry(e) {
-                Some(best) => {
-                    db_hits += 1;
-                    reports.push(Some(WorkloadTuneReport {
-                        name: t.name.clone(),
-                        fingerprint: t.fingerprint,
-                        best: Some(best),
-                        best_fitness: Some(e.cycles),
-                        evaluated: 0,
-                        fitness_evals: 0,
-                        cache_hits: 0,
-                        retries: 0,
-                        warm_started: true,
-                        predicted: false,
-                        demoted: false,
-                        quarantined: Vec::new(),
-                        quarantine_total: 0,
-                    }));
-                }
-                None => {
-                    // A stored pass no longer exists in the registry: the
-                    // entry is stale. Search fresh and overwrite.
-                    eprintln!(
-                        "tuner: tune-db entry for {} ({:016x}) names an unknown pass; re-searching",
-                        t.name, t.fingerprint
-                    );
-                    cold.push(widx);
-                    reports.push(None);
-                }
-            },
-            None => {
-                cold.push(widx);
-                reports.push(None);
-            }
-        }
-    }
-
-    // Resume: restore the previous attempt's evaluations into the cache.
-    let cache = ShardedFitnessCache::new();
-    let mut checkpoint_status = CheckpointStatus::Absent;
-    let mut resumed_entries = 0usize;
-    if let Some(path) = &config.checkpoint_path {
-        let (entries, status) = load_checkpoint(path, digest);
-        resumed_entries = cache.preload(entries);
-        match &status {
-            CheckpointStatus::Absent | CheckpointStatus::Loaded { .. } => {}
-            other => eprintln!(
-                "tuner: checkpoint {}: {other}; resuming from what survived",
-                path.display()
-            ),
-        }
-        checkpoint_status = status;
-    }
-    let sink = config
-        .checkpoint_path
-        .as_deref()
-        .map(|path| CheckpointSink {
-            path,
-            digest,
-            interval: config.checkpoint_interval,
-            barriers: AtomicUsize::new(0),
-            write_lock: Mutex::new(()),
-        });
-
-    // Predict-first: for each cold workload with known features, measure
-    // the predicted candidate exactly once (through the shared cache, so a
-    // subsequent search re-uses it). Accepted → served on the spot;
-    // rejected → the candidate seeds island 0 of the genetic search.
-    // Sequential in target order, so fully deterministic.
     let mut db_updates = 0usize;
-    let mut predicted_hits = 0usize;
-    let mut seeds_for: Vec<Option<Candidate>> = vec![None; targets.len()];
-    let mut predict_costs: Vec<(usize, usize, usize, usize)> = vec![(0, 0, 0, 0); targets.len()];
-    if config.predict && !cold.is_empty() {
-        let predictor = Predictor::from_db(db, config.predict_k);
-        let mut still_cold = Vec::with_capacity(cold.len());
-        for &widx in &cold {
-            let t = &targets[widx];
-            let Some(features) = &t.features else {
-                still_cold.push(widx);
-                continue;
-            };
-            let prediction = predictor.predict(features);
-            let candidate = canonical_candidate(&prediction.candidate);
-            let key = FitnessKey {
-                fingerprint: t.fingerprint,
-                passes: candidate.passes.clone(),
-                inline_threshold: candidate.inline_threshold,
-                unroll_threshold: candidate.unroll_threshold,
-            };
-            let (mut fitness_evals, mut cache_hits, mut retries) = (0usize, 0usize, 0usize);
-            let r = match cache.get(&key) {
-                Some(v) => {
-                    cache_hits += 1;
-                    v
-                }
-                None => {
-                    let (r, calls) = eval_with_retries(config, &fitness, widx, &candidate);
-                    fitness_evals += calls;
-                    retries += calls - 1;
-                    cache.insert(key, r);
-                    r
-                }
-            };
-            let accepted = match (r, t.baseline_cycles, prediction.expected_ratio) {
-                (Ok(measured), Some(base), Some(ratio)) if base > 0 => {
-                    measured as f64 <= base as f64 * ratio * (1.0 + config.predict_margin)
-                }
-                _ => false,
-            };
-            if accepted {
-                let measured = r.expect("accepted implies a measurement");
-                predicted_hits += 1;
-                if db.record(TuneDbEntry {
-                    fingerprint: t.fingerprint,
-                    passes: candidate.passes.iter().map(|p| p.to_string()).collect(),
-                    inline_threshold: candidate.inline_threshold,
-                    unroll_threshold: candidate.unroll_threshold,
-                    cycles: measured,
-                    baseline_cycles: t.baseline_cycles.unwrap_or(0),
-                    features: features.as_slice().to_vec(),
-                }) {
-                    db_updates += 1;
-                }
-                reports[widx] = Some(WorkloadTuneReport {
-                    name: t.name.clone(),
-                    fingerprint: t.fingerprint,
-                    best: Some(candidate),
-                    best_fitness: Some(measured),
-                    evaluated: 1,
-                    fitness_evals,
-                    cache_hits,
-                    retries,
-                    warm_started: false,
-                    predicted: true,
-                    demoted: false,
-                    quarantined: Vec::new(),
-                    quarantine_total: 0,
-                });
-            } else {
-                // The measurement was spent either way; carry its cost into
-                // the workload's search report so the accounting invariant
-                // (evaluated = fitness + hits − retries) holds.
-                predict_costs[widx] = (1, fitness_evals, cache_hits, retries);
-                seeds_for[widx] = Some(candidate);
-                still_cold.push(widx);
-            }
-        }
-        cold = still_cold;
-    }
-
-    let work: Vec<WorkState> = cold
+    let admissions = admit(&run, targets, db, &mut db_updates);
+    let work: Vec<&WorkState> = admissions
         .iter()
-        .map(|&widx| WorkState {
-            fingerprint: targets[widx].fingerprint,
-            seed: seeds_for[widx].clone(),
-            islands: (0..config.islands)
-                .map(|i| {
-                    Mutex::new(IslandState {
-                        rng: seeds.rng(targets[widx].fingerprint, i as u64),
-                        pop: Vec::new(),
-                        best: None,
-                        incoming: None,
-                        evaluated: 0,
-                        fitness_evals: 0,
-                        cache_hits: 0,
-                        retries: 0,
-                    })
-                })
-                .collect(),
-            remaining: AtomicUsize::new(config.islands),
-            done_gens: AtomicUsize::new(0),
-            valid_in_gen: AtomicUsize::new(0),
-            failed_gens: AtomicUsize::new(0),
-            demoted: AtomicBool::new(false),
+        .filter_map(|a| match a {
+            Admission::Cold(w) => Some(w),
+            Admission::Served(_) => None,
         })
         .collect();
-
-    if !cold.is_empty() {
-        run_scheduler(config, &cold, &work, &cache, &fitness, names, sink.as_ref());
+    if !work.is_empty() {
+        run_scheduler(&run, &work);
     }
 
     // Quarantine: every cached failure, grouped per fingerprint. Derived
     // from the cache snapshot so it is deterministic at any thread count
     // (the set of evaluated candidates is; only counters wobble).
-    let failures: Vec<(FitnessKey, FailureClass)> = cache
+    let failures: Vec<(FitnessKey, FailureClass)> = run
+        .cache
         .snapshot()
         .into_iter()
         .filter_map(|(k, v)| v.err().map(|class| (k, class)))
         .collect();
-
-    // Collect island results and record fresh bests into the database.
-    for (ci, &widx) in cold.iter().enumerate() {
-        let t = &targets[widx];
-        let mut best: Option<(Candidate, u64)> = None;
-        // Start from what the rejected prediction already spent (zeros when
-        // predict-first was off or skipped this workload).
-        let (mut evaluated, mut fitness_evals, mut cache_hits, mut retries) = predict_costs[widx];
-        for island in &work[ci].islands {
-            let s = island.lock().expect("island");
-            evaluated += s.evaluated;
-            fitness_evals += s.fitness_evals;
-            cache_hits += s.cache_hits;
-            retries += s.retries;
-            if let Some((c, f)) = &s.best {
-                // Strict `<` keeps the lowest island index on ties —
-                // deterministic because island order is.
-                if best.as_ref().is_none_or(|(_, bf)| f < bf) {
-                    best = Some((c.clone(), *f));
-                }
-            }
-        }
-        let demoted = work[ci].demoted.load(Ordering::SeqCst);
-        if demoted && best.is_none() {
-            // Graceful degradation: a fully-failing workload falls back to
-            // the baseline (empty) sequence — "run nothing" is always a
-            // legitimate pipeline, provided it actually evaluates.
-            let baseline = Candidate {
-                passes: Vec::new(),
-                inline_threshold: 225,
-                unroll_threshold: 200,
-            };
-            let key = FitnessKey {
-                fingerprint: t.fingerprint,
-                passes: Vec::new(),
-                inline_threshold: baseline.inline_threshold,
-                unroll_threshold: baseline.unroll_threshold,
-            };
-            evaluated += 1;
-            let r = match cache.get(&key) {
-                Some(v) => {
-                    cache_hits += 1;
-                    v
-                }
-                None => {
-                    let (r, calls) = eval_with_retries(config, &fitness, widx, &baseline);
-                    fitness_evals += calls;
-                    retries += calls - 1;
-                    cache.insert(key, r);
-                    r
-                }
-            };
-            if let Ok(f) = r {
-                best = Some((baseline, f));
-            }
-        }
-        let best = best.map(|(c, f)| (canonical_candidate(&c), f));
-        if let Some((c, f)) = &best {
-            if db.record(TuneDbEntry {
-                fingerprint: t.fingerprint,
-                passes: c.passes.iter().map(|p| p.to_string()).collect(),
-                inline_threshold: c.inline_threshold,
-                unroll_threshold: c.unroll_threshold,
-                cycles: *f,
-                baseline_cycles: t.baseline_cycles.unwrap_or(0),
-                features: t
-                    .features
-                    .as_ref()
-                    .map(|fv| fv.as_slice().to_vec())
-                    .unwrap_or_default(),
-            }) {
-                db_updates += 1;
-            }
-        }
-        let mut quarantined: Vec<QuarantineEntry> = Vec::new();
-        let mut quarantine_total = 0usize;
-        for (k, class) in failures
-            .iter()
-            .filter(|(k, _)| k.fingerprint == t.fingerprint)
-        {
-            quarantine_total += 1;
-            if quarantined.len() < QUARANTINE_CAP {
-                quarantined.push(QuarantineEntry {
-                    candidate: Candidate {
-                        passes: k.passes.clone(),
-                        inline_threshold: k.inline_threshold,
-                        unroll_threshold: k.unroll_threshold,
-                    },
-                    class: *class,
-                });
-            }
-        }
-        reports[widx] = Some(WorkloadTuneReport {
-            name: t.name.clone(),
-            fingerprint: t.fingerprint,
-            best_fitness: best.as_ref().map(|(_, f)| *f),
-            best: best.map(|(c, _)| c),
-            evaluated,
-            fitness_evals,
-            cache_hits,
-            retries,
-            warm_started: false,
-            predicted: false,
-            demoted,
-            quarantined,
-            quarantine_total,
-        });
-    }
-
+    let workloads: Vec<WorkloadTuneReport> = admissions
+        .into_iter()
+        .zip(targets)
+        .map(|(admission, t)| match admission {
+            Admission::Served(report) => report,
+            Admission::Cold(w) => collect(&run, &w, t, db, &mut db_updates, &failures),
+        })
+        .collect();
     if let Some(path) = &config.quarantine_path {
         if let Err(e) = write_quarantine_log(path, &failures) {
             eprintln!(
@@ -748,17 +596,13 @@ where
         }
     }
 
-    let workloads: Vec<WorkloadTuneReport> = reports
-        .into_iter()
-        .map(|r| r.expect("every target reported"))
-        .collect();
     ServiceReport {
         evaluated: workloads.iter().map(|w| w.evaluated).sum(),
         fitness_evals: workloads.iter().map(|w| w.fitness_evals).sum(),
         cache_hits: workloads.iter().map(|w| w.cache_hits).sum(),
         retries: workloads.iter().map(|w| w.retries).sum(),
-        db_hits,
-        predicted_hits,
+        db_hits: workloads.iter().filter(|w| w.warm_started).count(),
+        predicted_hits: workloads.iter().filter(|w| w.predicted).count(),
         db_updates,
         demoted: workloads.iter().filter(|w| w.demoted).count(),
         quarantine_total: failures.len(),
@@ -768,68 +612,182 @@ where
     }
 }
 
-/// Atomic (tmp + rename) dump of every cached failure:
+/// Admission, sequential in target order (so fully deterministic). In
+/// predict-first mode a cold target with known features has the predicted
+/// candidate measured exactly once — through the shared cache, so a
+/// subsequent search re-uses it.
+fn admit(
+    run: &Run<'_>,
+    targets: &[TuneTarget],
+    db: &mut TuneDb,
+    db_updates: &mut usize,
+) -> Vec<Admission> {
+    let config = run.config;
+    let mut admissions: Vec<Admission> = targets
+        .iter()
+        .enumerate()
+        .map(|(widx, t)| {
+            let cold = || Admission::Cold(WorkState::new(config, widx, t.fingerprint));
+            let Some(e) = db.get(t.fingerprint).filter(|_| config.warm_start) else {
+                return cold();
+            };
+            let Some(best) = candidate_from_entry(e) else {
+                // A stored pass no longer exists in the registry: the entry
+                // is stale. Search fresh and overwrite.
+                eprintln!(
+                    "tuner: tune-db entry for {} ({:016x}) names an unknown pass; re-searching",
+                    t.name, t.fingerprint
+                );
+                return cold();
+            };
+            let mut report = WorkloadTuneReport::new(t, Some((best, e.cycles)), Cost::default());
+            report.warm_started = true;
+            Admission::Served(report)
+        })
+        .collect();
+    let all_served = || admissions.iter().all(|a| matches!(a, Admission::Served(_)));
+    if !config.predict || all_served() {
+        return admissions;
+    }
+
+    // Fit once, over the database as the run found it: predictions accepted
+    // below do not vote on the targets after them.
+    let predictor = Predictor::from_db(db, config.predict_k);
+    for (admission, t) in admissions.iter_mut().zip(targets) {
+        let (Admission::Cold(w), Some(features)) = (&mut *admission, &t.features) else {
+            continue;
+        };
+        let prediction = predictor.predict(features);
+        let candidate = canonical_candidate(&prediction.candidate);
+        let (r, spent) = run.measure(w, &candidate);
+        match (r, t.baseline_cycles, prediction.expected_ratio) {
+            (Ok(measured), Some(base), Some(ratio))
+                if base > 0 && measured as f64 <= base as f64 * ratio * (1.0 + PREDICT_MARGIN) =>
+            {
+                *db_updates += record(db, t, &candidate, measured);
+                let mut report = WorkloadTuneReport::new(t, Some((candidate, measured)), spent);
+                report.predicted = true;
+                *admission = Admission::Served(report);
+            }
+            _ => (w.seed, w.spent) = (Some(candidate), spent),
+        }
+    }
+    admissions
+}
+
+/// Collection: fold one searched workload's islands into its report and
+/// record a fresh best into the database.
+fn collect(
+    run: &Run<'_>,
+    w: &WorkState,
+    t: &TuneTarget,
+    db: &mut TuneDb,
+    db_updates: &mut usize,
+    failures: &[(FitnessKey, FailureClass)],
+) -> WorkloadTuneReport {
+    let mut best: Option<(Candidate, u64)> = None;
+    let mut cost = w.spent;
+    for island in &w.islands {
+        let s = island.lock().expect("island");
+        cost += s.cost;
+        if let Some((c, f)) = &s.best {
+            // Strict `<` keeps the lowest island index on ties —
+            // deterministic because island order is.
+            if best.as_ref().is_none_or(|(_, bf)| f < bf) {
+                best = Some((c.clone(), *f));
+            }
+        }
+    }
+    let demoted = w.demoted.load(Ordering::SeqCst);
+    if demoted && best.is_none() {
+        // Graceful degradation: a fully-failing workload falls back to the
+        // baseline (empty) sequence — "run nothing" is always a legitimate
+        // pipeline, provided it actually evaluates.
+        let baseline = Candidate {
+            passes: Vec::new(),
+            inline_threshold: 225,
+            unroll_threshold: 200,
+        };
+        let (r, spent) = run.measure(w, &baseline);
+        cost += spent;
+        best = r.ok().map(|f| (baseline, f));
+    }
+    let best = best.map(|(c, f)| (canonical_candidate(&c), f));
+    if let Some((c, f)) = &best {
+        *db_updates += record(db, t, c, *f);
+    }
+    let mut report = WorkloadTuneReport::new(t, best, cost);
+    report.demoted = demoted;
+    let failed_here = failures
+        .iter()
+        .filter(|(k, _)| k.fingerprint == t.fingerprint);
+    report.quarantine_total = failed_here.clone().count();
+    report.quarantined = failed_here
+        .take(QUARANTINE_CAP)
+        .map(|(k, class)| QuarantineEntry {
+            candidate: Candidate {
+                passes: k.passes.clone(),
+                inline_threshold: k.inline_threshold,
+                unroll_threshold: k.unroll_threshold,
+            },
+            class: *class,
+        })
+        .collect();
+    report
+}
+
+/// Record that canonical `c` measured `cycles` on `t`; `1` when that
+/// changed the database.
+fn record(db: &mut TuneDb, t: &TuneTarget, c: &Candidate, cycles: u64) -> usize {
+    usize::from(
+        db.record(TuneDbEntry {
+            fingerprint: t.fingerprint,
+            passes: c.passes.iter().map(|p| p.to_string()).collect(),
+            inline_threshold: c.inline_threshold,
+            unroll_threshold: c.unroll_threshold,
+            cycles,
+            baseline_cycles: t.baseline_cycles.unwrap_or(0),
+            features: t
+                .features
+                .as_ref()
+                .map(|fv| fv.as_slice().to_vec())
+                .unwrap_or_default(),
+        }),
+    )
+}
+
+/// Atomic, locked dump of every cached failure:
 /// `<fp> <class> <inline> <unroll> <seq|->` per line.
 fn write_quarantine_log(
     path: &Path,
     failures: &[(FitnessKey, FailureClass)],
 ) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
     let mut out = String::from("zkvmopt-quarantine 1\n");
     for (k, class) in failures {
-        let seq = if k.passes.is_empty() {
-            "-".to_string()
-        } else {
-            k.passes.join(",")
-        };
         out.push_str(&format!(
-            "{} {} {} {} {seq}\n",
+            "{} {} {} {} {}\n",
             zkvmopt_ir::analysis::fingerprint_to_hex(k.fingerprint),
             class.token(),
             k.inline_threshold,
             k.unroll_threshold,
+            persist::join_seq(&k.passes),
         ));
     }
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(out.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    persist::write_atomic(path, &out)
 }
 
-/// The work-stealing loop: a shared ready queue of `(cold index, island)`
+/// The work-stealing loop: a shared ready queue of `(work index, island)`
 /// tasks, per-workload generation barriers, termination via an outstanding
 /// task counter.
-#[allow(clippy::too_many_arguments)]
-fn run_scheduler<F>(
-    config: &ServiceConfig,
-    cold: &[usize],
-    work: &[WorkState],
-    cache: &ShardedFitnessCache,
-    fitness: &F,
-    names: &'static [&'static str],
-    sink: Option<&CheckpointSink<'_>>,
-) where
-    F: Fn(usize, &Candidate) -> EvalResult + Sync,
-{
+fn run_scheduler(run: &Run<'_>, work: &[&WorkState]) {
+    let config = run.config;
     let queue: Mutex<VecDeque<(usize, usize)>> = Mutex::new(
-        (0..cold.len())
+        (0..work.len())
             .flat_map(|ci| (0..config.islands).map(move |i| (ci, i)))
             .collect(),
     );
     let ready = Condvar::new();
-    let outstanding = AtomicUsize::new(cold.len() * config.islands * config.generations);
+    let outstanding = AtomicUsize::new(work.len() * config.islands * config.generations);
     let workers = if config.threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -857,22 +815,11 @@ fn run_scheduler<F>(
                 let Some((ci, island_idx)) = task else {
                     return;
                 };
-                let w = &work[ci];
+                let w = work[ci];
                 let gen = w.done_gens.load(Ordering::SeqCst);
                 let valid = {
                     let mut island = w.islands[island_idx].lock().expect("island");
-                    run_generation(
-                        config,
-                        &mut island,
-                        gen,
-                        island_idx,
-                        w.fingerprint,
-                        w.seed.as_ref(),
-                        cold[ci],
-                        cache,
-                        fitness,
-                        names,
-                    )
+                    run_generation(run, w, &mut island, gen, island_idx)
                 };
                 w.valid_in_gen.fetch_add(valid, Ordering::SeqCst);
                 // Generation barrier: the last island of this generation
@@ -886,9 +833,7 @@ fn run_scheduler<F>(
                         w.failed_gens.store(0, Ordering::SeqCst);
                         0
                     };
-                    if let Some(s) = sink {
-                        s.barrier(cache);
-                    }
+                    run.write_checkpoint();
                     if done < config.generations {
                         if config.demote_after > 0 && failed >= config.demote_after {
                             // Demote: cancel the remaining generations —
@@ -922,50 +867,23 @@ fn run_scheduler<F>(
     });
 }
 
-/// Evolve one island by one generation. Deterministic in the island's RNG
-/// state and population; costs exactly `config.population` budget. Returns
-/// the number of valid (Ok) evaluations, for the demotion policy.
-#[allow(clippy::too_many_arguments)]
-fn run_generation<F>(
-    config: &ServiceConfig,
+/// Evolve one island of `w` by one generation. Deterministic in the
+/// island's RNG state and population; costs exactly `config.population`
+/// budget. Returns the number of valid (Ok) evaluations, for the demotion
+/// policy.
+fn run_generation(
+    run: &Run<'_>,
+    w: &WorkState,
     island: &mut IslandState,
     gen: usize,
     island_idx: usize,
-    fingerprint: u64,
-    seed: Option<&Candidate>,
-    widx: usize,
-    cache: &ShardedFitnessCache,
-    fitness: &F,
-    names: &'static [&'static str],
-) -> usize
-where
-    F: Fn(usize, &Candidate) -> EvalResult + Sync,
-{
+) -> usize {
+    let config = run.config;
     let mut valid = 0usize;
     let mut eval = |island: &mut IslandState, c: &Candidate| -> Option<u64> {
-        let key = FitnessKey {
-            fingerprint,
-            passes: canonicalize_sequence(&c.passes),
-            inline_threshold: c.inline_threshold,
-            unroll_threshold: c.unroll_threshold,
-        };
-        island.evaluated += 1;
-        let r = match cache.get(&key) {
-            Some(v) => {
-                island.cache_hits += 1;
-                v
-            }
-            None => {
-                let (r, calls) = eval_with_retries(config, fitness, widx, c);
-                island.fitness_evals += calls;
-                island.retries += calls - 1;
-                cache.insert(key, r);
-                r
-            }
-        };
-        if r.is_ok() {
-            valid += 1;
-        }
+        let (r, cost) = run.measure(w, c);
+        island.cost += cost;
+        valid += usize::from(r.is_ok());
         r.ok()
     };
 
@@ -975,14 +893,12 @@ where
         // own random candidates.
         let mut init: Vec<Candidate> = Vec::with_capacity(config.population);
         if island_idx == 0 {
-            if let Some(s) = seed {
-                init.push(s.clone());
-            }
+            init.extend(w.seed.clone());
             init.extend(anchor_candidates(config.max_depth));
             init.truncate(config.population);
         }
         while init.len() < config.population {
-            init.push(random_candidate(&mut island.rng, names, config.max_depth));
+            init.push(random_candidate(&mut island.rng, config.max_depth));
         }
         island.pop = init
             .into_iter()
@@ -991,6 +907,7 @@ where
                 (c, f)
             })
             .collect();
+        sort_pop(&mut island.pop);
     } else {
         // Accept the ring migrant (already measured by the donor island).
         if let Some(m) = island.incoming.take() {
@@ -1010,7 +927,7 @@ where
                 p1.clone()
             };
             if island.rng.gen_bool(0.9) {
-                child = mutate(&mut island.rng, &child, names, config.max_depth);
+                child = mutate(&mut island.rng, &child, config.max_depth);
             }
             let f = eval(island, &child);
             children.push((child, f));
@@ -1018,9 +935,6 @@ where
         island.pop.append(&mut children);
         sort_pop(&mut island.pop);
         island.pop.truncate(config.population);
-    }
-    if island.pop.len() > 1 {
-        sort_pop(&mut island.pop);
     }
     // Track the island best (first-found wins ties: deterministic, since
     // evaluation order is).
@@ -1294,6 +1208,9 @@ mod tests {
         assert!(r.workloads[0].best.is_some());
     }
 
+    /// One island, one thread, no migration is a plain single-population
+    /// GA — the sequential oracle the island geometries are compared with —
+    /// and is itself thread-count independent.
     #[test]
     fn single_island_single_thread_degenerates_to_a_plain_ga() {
         let cfg = ServiceConfig {
@@ -1308,6 +1225,12 @@ mod tests {
         let r = run(&cfg, &mut db, 1);
         assert_eq!(r.evaluated, 16);
         assert!(r.workloads[0].best_fitness.is_some());
+
+        let mut wide = TuneDb::in_memory();
+        let cfg4 = ServiceConfig { threads: 4, ..cfg };
+        let r4 = run(&cfg4, &mut wide, 1);
+        assert_eq!(wide.to_string_pretty(), db.to_string_pretty());
+        assert_eq!(r4.workloads[0].best, r.workloads[0].best);
     }
 
     /// Migration must help search: an island that never finds the good

@@ -150,7 +150,6 @@ fn kill_resume_child() {
     let ev = evaluator();
     let mut cfg = config(1);
     cfg.checkpoint_path = Some(ckpt.into());
-    cfg.checkpoint_interval = 1;
 
     let calls = AtomicUsize::new(0);
     let mut db = TuneDb::in_memory();

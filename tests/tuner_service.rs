@@ -1,5 +1,5 @@
-//! Differential gates for the island-model autotuning service, with the
-//! sequential tuner as the deterministic oracle.
+//! Differential gates for the island-model autotuning service, with its own
+//! single-population, single-thread geometry as the deterministic oracle.
 //!
 //! Fitness here is the real pipeline (clone lowered module → apply candidate
 //! passes → RISC-V codegen → block-dispatch engine, journal-checked against
@@ -7,9 +7,10 @@
 //!
 //! 1. **Thread-count independence** — one pinned seed, 1-thread and 4-thread
 //!    service runs: bit-identical tune databases.
-//! 2. **Oracle** — at the same seed the service's best must be at least as
-//!    good as the sequential `autotune` loop's best at an equal evaluation
-//!    budget (the island model sees the same anchors plus migration).
+//! 2. **Oracle** — at the same seed the islands' best must be at least as
+//!    good as one population's (`islands: 1, threads: 1`, no migration) at
+//!    an equal evaluation budget (island 0 sees the same anchors, plus
+//!    migration).
 //! 3. **Bit-identical persistence** — every tune-db entry re-measured from
 //!    scratch must reproduce its recorded cycle count exactly.
 //! 4. **Warm start** — a populated database (reloaded through disk) answers
@@ -23,9 +24,7 @@
 //! ```
 
 use zkvm_opt::study::SuiteRunner;
-use zkvm_opt::tuner::{
-    autotune, tune_suite, Candidate, EvalResult, ServiceConfig, TuneDb, TuneTarget, TunerConfig,
-};
+use zkvm_opt::tuner::{tune_suite, Candidate, EvalResult, ServiceConfig, TuneDb, TuneTarget};
 use zkvm_opt::vm::VmKind;
 use zkvmopt_core::BatchEvaluator;
 use zkvmopt_passes::PassConfig;
@@ -151,36 +150,33 @@ fn service_is_thread_count_independent_and_entries_remeasure_bit_identically() {
 fn service_matches_or_beats_the_sequential_oracle_at_equal_budget() {
     let ev = evaluator();
     let svc_cfg = service_config(4);
-
     let mut db = TuneDb::in_memory();
-    let report = tune_suite(&svc_cfg, &targets(&ev), &mut db, |widx, c| {
+    let report = run_service(&ev, 4, &mut db);
+
+    // The sequential oracle: the same search as one population on one
+    // thread, its generations stretched so the budgets are equal.
+    let oracle_cfg = ServiceConfig {
+        islands: 1,
+        generations: svc_cfg.generations * svc_cfg.islands,
+        migration_interval: 0,
+        threads: 1,
+        ..svc_cfg.clone()
+    };
+    let mut oracle_db = TuneDb::in_memory();
+    let oracle = tune_suite(&oracle_cfg, &targets(&ev), &mut oracle_db, |widx, c| {
         classified(&ev, widx, c)
     });
 
-    for (widx, w) in report.workloads.iter().enumerate() {
-        // Sequential oracle at the same seed: `iterations` counts total
-        // fitness evaluations, so the equal budget is exactly the service's
-        // islands × population × generations.
-        let oracle_cfg = TunerConfig {
-            iterations: svc_cfg.budget_per_workload(),
-            population: svc_cfg.population,
-            max_depth: svc_cfg.max_depth,
-            seed: SEED,
-        };
-        let oracle = autotune(&oracle_cfg, |c| candidate_cycles(&ev, widx, c));
-        assert_eq!(
-            w.evaluated,
-            svc_cfg.budget_per_workload(),
-            "{}: service budget",
-            w.name
-        );
+    for (w, o) in report.workloads.iter().zip(&oracle.workloads) {
+        assert_eq!(w.evaluated, svc_cfg.budget_per_workload(), "{}", w.name);
+        assert_eq!(o.evaluated, w.evaluated, "{}: equal budgets", w.name);
         let service_best = w.best_fitness.expect("service found a valid candidate");
+        let oracle_best = o.best_fitness.expect("oracle found a valid candidate");
         assert!(
-            service_best <= oracle.best_fitness,
-            "{}: service ({service_best} cycles) must match or beat the \
-             sequential oracle ({} cycles) at an equal budget",
-            w.name,
-            oracle.best_fitness
+            service_best <= oracle_best,
+            "{}: islands ({service_best} cycles) must match or beat the \
+             single population ({oracle_best} cycles) at an equal budget",
+            w.name
         );
     }
 }
