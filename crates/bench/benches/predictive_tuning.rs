@@ -95,7 +95,7 @@ fn tune_range(
 
 /// Known-good -O3-family candidates measured when flooring the database:
 /// the canonical pipeline, the pipeline with its cleanup tail re-run (the
-/// `o3_fixpoint` idea — the fixed tail does not always converge), and both
+/// fixed tail does not always converge), and both
 /// at the paper's §6.1 zkVM-aware thresholds. Four evaluations per program,
 /// and the per-program winner differs — exactly the variation a k-NN
 /// predictor exists to transfer.

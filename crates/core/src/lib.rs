@@ -132,9 +132,10 @@ impl OptProfile {
         format!("{:?}|{:?}|{:?}", self.kind, self.pass_config, self.backend)
     }
 
-    /// Apply this profile to a module. Pipelines (levels, sequences, zk-O3)
-    /// run through the analysis-cached [`PassManager`]; a single pass has no
-    /// cross-pass reuse to exploit and keeps the direct path.
+    /// Apply this profile to a module. Everything runs through the one
+    /// [`zkvmopt_passes::PassExecutor`]: pipelines (levels, sequences, zk-O3)
+    /// share its analysis caches across their passes via [`PassManager`];
+    /// `run_pass` is the same executor for a pipeline of one.
     pub fn apply(&self, m: &mut Module) {
         let cfg = &self.pass_config;
         match &self.kind {

@@ -14,7 +14,7 @@
 //!   computed;
 //! - a pass that changes the CFG shape must invalidate before querying again
 //!   ([`AnalysisCache::invalidate`] / [`AnalysisCache::invalidate_all`]);
-//! - the pass manager invalidates after each changed pass run according to
+//! - the pass executor invalidates after each changed pass run according to
 //!   the pass's declared [`PreservedAnalyses`].
 //!
 //! Debug builds enforce the contract: every getter fingerprints the current
@@ -27,82 +27,28 @@ use crate::func::{BlockId, Function};
 use crate::loops::LoopForest;
 use std::rc::Rc;
 
-/// Identifier of one cached analysis kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalysisKind {
-    /// [`Cfg`]: predecessor/successor adjacency + reverse postorder.
-    Cfg,
-    /// [`DomTree`] (depends on [`AnalysisKind::Cfg`]).
-    DomTree,
-    /// Dominance frontiers (depend on [`AnalysisKind::DomTree`]).
-    Frontiers,
-    /// [`LoopForest`] (depends on [`AnalysisKind::DomTree`]).
-    Loops,
-}
-
-const CFG_BIT: u8 = 1 << 0;
-const DOM_BIT: u8 = 1 << 1;
-const FRONTIERS_BIT: u8 = 1 << 2;
-const LOOPS_BIT: u8 = 1 << 3;
-const ALL_BITS: u8 = CFG_BIT | DOM_BIT | FRONTIERS_BIT | LOOPS_BIT;
-
-/// The set of analyses a pass run left valid — the pass manager's
+/// What a pass run that changed a function left valid — the executor's
 /// invalidation currency (LLVM's `PreservedAnalyses`).
 ///
-/// Because every analysis here derives from the CFG shape alone, the two
-/// interesting points of the lattice are [`PreservedAnalyses::all`] (the pass
-/// touched instructions only) and [`PreservedAnalyses::none`] (the pass may
-/// have changed terminators or blocks). The full set form exists so finer
-/// analyses can join later without changing the contract, and so dependency
-/// closure (dropping `Cfg` drops everything above it) has one home.
+/// Every analysis here derives from the CFG shape alone, so there are two
+/// answers: [`PreservedAnalyses::cfg_shape`] (the pass touched instructions
+/// only, everything cached survives) and [`PreservedAnalyses::none`] (the
+/// pass may have changed terminators or blocks, nothing does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreservedAnalyses {
-    bits: u8,
+    cfg_shape: bool,
 }
 
 impl PreservedAnalyses {
     /// Nothing survives: the pass may have restructured the CFG.
     pub const fn none() -> PreservedAnalyses {
-        PreservedAnalyses { bits: 0 }
+        PreservedAnalyses { cfg_shape: false }
     }
 
-    /// Everything survives: the pass changed instructions/operands only.
-    pub const fn all() -> PreservedAnalyses {
-        PreservedAnalyses { bits: ALL_BITS }
-    }
-
-    /// All analyses derived from the CFG shape. Synonym for [`Self::all`]
-    /// today; named so pass declarations state *why* they preserve.
+    /// Every analysis derived from the CFG shape survives: the pass changed
+    /// instructions/operands only.
     pub const fn cfg_shape() -> PreservedAnalyses {
-        PreservedAnalyses { bits: ALL_BITS }
-    }
-
-    /// Mark one analysis preserved (dependencies are **not** implied; use the
-    /// named constructors for the common cases).
-    pub const fn with(self, kind: AnalysisKind) -> PreservedAnalyses {
-        let bit = match kind {
-            AnalysisKind::Cfg => CFG_BIT,
-            AnalysisKind::DomTree => DOM_BIT,
-            AnalysisKind::Frontiers => FRONTIERS_BIT,
-            AnalysisKind::Loops => LOOPS_BIT,
-        };
-        PreservedAnalyses {
-            bits: self.bits | bit,
-        }
-    }
-
-    /// Whether `kind` is preserved, after closing over dependencies:
-    /// an analysis only counts as preserved if everything it is computed
-    /// from is preserved too.
-    pub fn preserves(&self, kind: AnalysisKind) -> bool {
-        let cfg = self.bits & CFG_BIT != 0;
-        let dom = cfg && self.bits & DOM_BIT != 0;
-        match kind {
-            AnalysisKind::Cfg => cfg,
-            AnalysisKind::DomTree => dom,
-            AnalysisKind::Frontiers => dom && self.bits & FRONTIERS_BIT != 0,
-            AnalysisKind::Loops => dom && self.bits & LOOPS_BIT != 0,
-        }
+        PreservedAnalyses { cfg_shape: true }
     }
 }
 
@@ -129,43 +75,14 @@ pub fn cfg_shape_fingerprint(f: &Function) -> u64 {
     h
 }
 
-/// Fingerprint of a function's full *live content*: signature, attribute
-/// flags, entry, every block's instruction list (ids, defining ops, result
-/// types) and terminator. Two equal-content functions hash equal; any edit a
-/// pass can make to a function changes it. The pass manager uses this to
-/// detect, per function, what a module pass actually touched.
-pub fn content_fingerprint(f: &Function) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    f.params.hash(&mut h);
-    f.ret.hash(&mut h);
-    f.entry.hash(&mut h);
-    (f.always_inline, f.no_inline, f.readnone, f.readonly).hash(&mut h);
-    f.blocks.len().hash(&mut h);
-    for b in &f.blocks {
-        b.term.hash(&mut h);
-        b.insts.hash(&mut h);
-        for &v in &b.insts {
-            // Hash live values through the block lists so tombstoned arena
-            // slots cannot affect the fingerprint.
-            f.values[v.index()].hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
 /// Stable FNV-1a fingerprint of a whole module's canonical textual form.
 ///
-/// Unlike [`content_fingerprint`] (which hashes with [`DefaultHasher`] and is
-/// only meaningful within one process), this fingerprint is **stable across
-/// processes, platforms, and Rust versions**: it hashes the printed IR
-/// ([`crate::print::module_to_string`]), whose format the golden snapshots
-/// already pin down. It is the key the persistent tune database uses to
-/// recognize a program across runs — two sources that lower to the same IR
-/// warm-start from each other's tuning results.
-///
-/// [`DefaultHasher`]: std::collections::hash_map::DefaultHasher
+/// This fingerprint is **stable across processes, platforms, and Rust
+/// versions**: it hashes the printed IR ([`crate::print::module_to_string`]),
+/// whose format the golden snapshots already pin down. It is the key the
+/// persistent tune database uses to recognize a program across runs — two
+/// sources that lower to the same IR warm-start from each other's tuning
+/// results.
 pub fn stable_module_fingerprint(m: &crate::func::Module) -> u64 {
     stable_fingerprint_bytes(crate::print::module_to_string(m).as_bytes())
 }
@@ -267,66 +184,63 @@ impl AnalysisCache {
     /// The function's [`DomTree`], computing it (and the [`Cfg`]) on demand.
     pub fn dom(&mut self, f: &Function) -> Rc<DomTree> {
         self.check_fresh(f);
-        if self.dom.is_none() {
-            let cfg = self.cfg(f);
-            self.computes += 1;
-            self.dom = Some(Rc::new(DomTree::new(f, &cfg)));
-        } else {
-            self.hits += 1;
+        match &self.dom {
+            Some(d) => {
+                self.hits += 1;
+                Rc::clone(d)
+            }
+            None => {
+                let cfg = self.cfg(f);
+                self.computes += 1;
+                let d = Rc::new(DomTree::new(f, &cfg));
+                self.dom = Some(Rc::clone(&d));
+                d
+            }
         }
-        Rc::clone(self.dom.as_ref().expect("just computed"))
     }
 
     /// Dominance frontiers of every block (the `mem2reg` phi-placement input).
     pub fn frontiers(&mut self, f: &Function) -> Rc<Vec<Vec<BlockId>>> {
         self.check_fresh(f);
-        if self.frontiers.is_none() {
-            let cfg = self.cfg(f);
-            let dom = self.dom(f);
-            self.computes += 1;
-            self.frontiers = Some(Rc::new(dom.dominance_frontiers(&cfg)));
-        } else {
-            self.hits += 1;
+        match &self.frontiers {
+            Some(fr) => {
+                self.hits += 1;
+                Rc::clone(fr)
+            }
+            None => {
+                let cfg = self.cfg(f);
+                let dom = self.dom(f);
+                self.computes += 1;
+                let fr = Rc::new(dom.dominance_frontiers(&cfg));
+                self.frontiers = Some(Rc::clone(&fr));
+                fr
+            }
         }
-        Rc::clone(self.frontiers.as_ref().expect("just computed"))
     }
 
     /// The function's [`LoopForest`], computing prerequisites on demand.
     pub fn loops(&mut self, f: &Function) -> Rc<LoopForest> {
         self.check_fresh(f);
-        if self.loops.is_none() {
-            let cfg = self.cfg(f);
-            let dom = self.dom(f);
-            self.computes += 1;
-            self.loops = Some(Rc::new(LoopForest::new(f, &cfg, &dom)));
-        } else {
-            self.hits += 1;
+        match &self.loops {
+            Some(l) => {
+                self.hits += 1;
+                Rc::clone(l)
+            }
+            None => {
+                let cfg = self.cfg(f);
+                let dom = self.dom(f);
+                self.computes += 1;
+                let l = Rc::new(LoopForest::new(f, &cfg, &dom));
+                self.loops = Some(Rc::clone(&l));
+                l
+            }
         }
-        Rc::clone(self.loops.as_ref().expect("just computed"))
     }
 
-    /// Drop every analysis not covered by `preserved` (dependency-closed:
-    /// losing the CFG loses everything computed from it).
+    /// Drop every analysis not covered by `preserved`.
     pub fn invalidate(&mut self, preserved: &PreservedAnalyses) {
-        if !preserved.preserves(AnalysisKind::Cfg) {
-            self.cfg = None;
-            self.fingerprint = None;
-        }
-        if !preserved.preserves(AnalysisKind::DomTree) {
-            self.dom = None;
-        }
-        if !preserved.preserves(AnalysisKind::Frontiers) {
-            self.frontiers = None;
-        }
-        if !preserved.preserves(AnalysisKind::Loops) {
-            self.loops = None;
-        }
-        if self.cfg.is_none()
-            && self.dom.is_none()
-            && self.frontiers.is_none()
-            && self.loops.is_none()
-        {
-            self.fingerprint = None;
+        if !preserved.cfg_shape {
+            self.invalidate_all();
         }
     }
 
@@ -421,22 +335,9 @@ mod tests {
         let f = diamond();
         let mut ac = AnalysisCache::new();
         let before = ac.cfg(&f);
-        ac.invalidate(&PreservedAnalyses::all());
+        ac.invalidate(&PreservedAnalyses::cfg_shape());
         let after = ac.cfg(&f);
         assert!(Rc::ptr_eq(&before, &after));
-    }
-
-    #[test]
-    fn dependency_closure_drops_derived_analyses() {
-        // Preserving only DomTree (without Cfg) preserves nothing: the tree
-        // is computed from the Cfg, so losing the Cfg must lose the tree.
-        let pa = PreservedAnalyses::none().with(AnalysisKind::DomTree);
-        assert!(!pa.preserves(AnalysisKind::Cfg));
-        assert!(!pa.preserves(AnalysisKind::DomTree));
-        let pa = pa.with(AnalysisKind::Cfg);
-        assert!(pa.preserves(AnalysisKind::DomTree));
-        assert!(!pa.preserves(AnalysisKind::Loops));
-        assert!(PreservedAnalyses::all().preserves(AnalysisKind::Loops));
     }
 
     #[test]

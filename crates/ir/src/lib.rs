@@ -49,7 +49,7 @@ pub mod print;
 pub mod ty;
 pub mod verify;
 
-pub use analysis::{stable_module_fingerprint, AnalysisCache, AnalysisKind, PreservedAnalyses};
+pub use analysis::{stable_module_fingerprint, AnalysisCache, PreservedAnalyses};
 pub use builder::FunctionBuilder;
 pub use features::{FeatureVector, FEATURE_DIM, FEATURE_LABELS};
 pub use func::{

@@ -133,7 +133,7 @@ mod tests {
             .exit_value
     }
 
-    fn run_with_inputs(src: &str, inputs: &[i32]) -> (i64, Vec<i32>) {
+    fn run_on_inputs(src: &str, inputs: &[i32]) -> (i64, Vec<i32>) {
         let m = compile_guest(src).unwrap_or_else(|e| panic!("compile failed: {e}"));
         let out = run_module(&m, inputs).unwrap();
         (out.exit_value, out.journal)
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn ecalls_commit_and_inputs() {
-        let (exit, journal) = run_with_inputs(
+        let (exit, journal) = run_on_inputs(
             "fn main() -> i32 {
                let a: i32 = read_input(0);
                let b: i32 = read_input(1);

@@ -1,10 +1,10 @@
-//! The pass framework: [`ModulePass`] / [`FunctionPass`] traits, the
-//! [`PassExecutor`] with analysis caching and per-function change tracking,
-//! and the shared context types passes run against.
+//! The pass framework: the two pass signatures, the registry row
+//! ([`PassEntry`]), the [`PassExecutor`] with its per-function analysis
+//! caches, and the shared context types passes run against.
 //!
 //! # Writing a new pass
 //!
-//! A pass is a free function plus a declaration in the registry
+//! A pass is a free function plus one row in the registry
 //! ([`crate::PASSES`]). Decide its scope first:
 //!
 //! - **Function pass** — transforms one function at a time and needs at most
@@ -24,26 +24,26 @@
 //! - **Module pass** — needs `&mut Module` (inlining, IPO, anything adding or
 //!   gutting functions). Signature: `fn(&mut Module, &PassConfig) -> bool`.
 //!
-//! Then register it, declaring the metadata the manager relies on:
+//! Then add its row, declaring the metadata the executor and the tuner rely
+//! on:
 //!
 //! - `preserves`: [`PreservedAnalyses::cfg_shape`] **only** if the pass never
 //!   touches terminators or adds/removes blocks (instruction edits, operand
 //!   rewrites, and phi insertion are all shape-preserving); otherwise
 //!   [`PreservedAnalyses::none`].
 //! - `idempotent`: `true` only if running the pass twice in a row always
-//!   equals running it once (it drives both the tuner's sequence
-//!   canonicalization and the executor's skip logic after a changed run).
+//!   equals running it once (the tuner's sequence canonicalization drops the
+//!   second of two adjacent runs on this declaration).
 //!
 //! The **change contract** is load-bearing: a pass must return `true` iff it
-//! mutated anything. The executor skips a pass on any function that provably
-//! cannot change (unchanged since the pass last reported "no change"), so a
-//! false "unchanged" both breaks that proof and leaves caches stale. With
+//! mutated anything. The executor invalidates a function's cached analyses
+//! only when a pass reports a change there, so a false "unchanged" leaves
+//! them stale for every later pass of the pipeline. With
 //! `PassConfig::verify_each` set, debug builds snapshot each function and
 //! panic on dishonest reporting.
 
 use crate::PassConfig;
-use std::collections::HashMap;
-use zkvmopt_ir::analysis::{content_fingerprint, AnalysisCache, PreservedAnalyses};
+use zkvmopt_ir::analysis::{AnalysisCache, PreservedAnalyses};
 use zkvmopt_ir::{FuncId, Function, Module};
 
 /// Read-only module-level facts available to function passes — the snapshot
@@ -99,115 +99,16 @@ pub type FunctionPassFn =
 /// Implementation signature of a module pass.
 pub type ModulePassFn = fn(&mut Module, &PassConfig) -> bool;
 
-/// A pass operating on one function at a time, with cached analyses.
-pub trait FunctionPass: Sync {
-    /// Registry name (LLVM-style).
-    fn name(&self) -> &'static str;
-    /// Analyses still valid after a run that reported a change. A run that
-    /// reports *no* change always preserves everything.
-    fn preserves(&self) -> PreservedAnalyses {
-        PreservedAnalyses::none()
-    }
-    /// Whether running twice in a row always equals running once.
-    fn is_idempotent(&self) -> bool {
-        false
-    }
-    /// Transform `f`; return whether anything changed.
-    fn run(
-        &self,
-        f: &mut Function,
-        ac: &mut AnalysisCache,
-        cx: &FunctionContext<'_>,
-        cfg: &PassConfig,
-    ) -> bool;
-}
-
-/// A pass that needs the whole module (IPO, inlining, global transforms).
-pub trait ModulePass: Sync {
-    /// Registry name (LLVM-style).
-    fn name(&self) -> &'static str;
-    /// Analyses still valid (in every function) after a changed run.
-    fn preserves(&self) -> PreservedAnalyses {
-        PreservedAnalyses::none()
-    }
-    /// Whether running twice in a row always equals running once.
-    fn is_idempotent(&self) -> bool {
-        false
-    }
-    /// Transform `m`; return whether anything changed.
-    fn run(&self, m: &mut Module, cfg: &PassConfig) -> bool;
-}
-
-/// A [`FunctionPass`] declared from a free function plus metadata — how every
-/// registry pass is defined (a custom `impl FunctionPass` works equally).
-pub struct DeclaredFunctionPass {
-    /// Registry name.
-    pub name: &'static str,
-    /// The transform.
-    pub run: FunctionPassFn,
-    /// Declared preservation on change.
-    pub preserves: PreservedAnalyses,
-    /// Idempotence declaration.
-    pub idempotent: bool,
-}
-
-impl FunctionPass for DeclaredFunctionPass {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn preserves(&self) -> PreservedAnalyses {
-        self.preserves
-    }
-    fn is_idempotent(&self) -> bool {
-        self.idempotent
-    }
-    fn run(
-        &self,
-        f: &mut Function,
-        ac: &mut AnalysisCache,
-        cx: &FunctionContext<'_>,
-        cfg: &PassConfig,
-    ) -> bool {
-        (self.run)(f, ac, cx, cfg)
-    }
-}
-
-/// A [`ModulePass`] declared from a free function plus metadata.
-pub struct DeclaredModulePass {
-    /// Registry name.
-    pub name: &'static str,
-    /// The transform.
-    pub run: ModulePassFn,
-    /// Declared preservation on change.
-    pub preserves: PreservedAnalyses,
-    /// Idempotence declaration.
-    pub idempotent: bool,
-}
-
-impl ModulePass for DeclaredModulePass {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn preserves(&self) -> PreservedAnalyses {
-        self.preserves
-    }
-    fn is_idempotent(&self) -> bool {
-        self.idempotent
-    }
-    fn run(&self, m: &mut Module, cfg: &PassConfig) -> bool {
-        (self.run)(m, cfg)
-    }
-}
-
 /// Either kind of pass, as stored in the registry.
 pub enum PassRef {
     /// A module-scoped pass.
-    Module(&'static dyn ModulePass),
+    Module(ModulePassFn),
     /// A function-scoped pass.
-    Function(&'static dyn FunctionPass),
+    Function(FunctionPassFn),
 }
 
-/// One registry entry: a name bound to a pass, optionally as an alias.
+/// One registry row: a name bound to a pass and its declarations,
+/// optionally as an alias.
 pub struct PassEntry {
     /// Registry name this entry answers to.
     pub name: &'static str,
@@ -218,46 +119,67 @@ pub struct PassEntry {
     pub noop: bool,
     /// The implementation.
     pub pass: PassRef,
+    preserves: PreservedAnalyses,
+    idempotent: bool,
 }
 
 impl PassEntry {
-    /// A regular function-pass entry.
-    pub const fn function(name: &'static str, pass: &'static dyn FunctionPass) -> PassEntry {
+    /// A function-pass row: `preserves` is what stays valid in a function
+    /// the pass changed, `idempotent` whether a second adjacent run is
+    /// always a no-op.
+    pub const fn function(
+        name: &'static str,
+        run: FunctionPassFn,
+        preserves: PreservedAnalyses,
+        idempotent: bool,
+    ) -> PassEntry {
         PassEntry {
             name,
             alias_of: None,
             noop: false,
-            pass: PassRef::Function(pass),
+            pass: PassRef::Function(run),
+            preserves,
+            idempotent,
         }
     }
 
-    /// A regular module-pass entry.
-    pub const fn module(name: &'static str, pass: &'static dyn ModulePass) -> PassEntry {
+    /// A module-pass row (`preserves` applies to every function).
+    pub const fn module(
+        name: &'static str,
+        run: ModulePassFn,
+        preserves: PreservedAnalyses,
+        idempotent: bool,
+    ) -> PassEntry {
         PassEntry {
             name,
             alias_of: None,
             noop: false,
-            pass: PassRef::Module(pass),
+            pass: PassRef::Module(run),
+            preserves,
+            idempotent,
         }
     }
 
-    /// An explicit alias of `canonical` (sharing its implementation).
-    pub const fn alias(name: &'static str, canonical: &'static str, pass: PassRef) -> PassEntry {
+    /// An explicit alias of `canonical`: its implementation and declarations
+    /// under another name.
+    pub const fn alias(name: &'static str, canonical: PassEntry) -> PassEntry {
         PassEntry {
             name,
-            alias_of: Some(canonical),
-            noop: false,
-            pass,
+            alias_of: Some(canonical.name),
+            ..canonical
         }
     }
 
-    /// A registered no-op entry.
-    pub const fn noop(name: &'static str, pass: &'static dyn ModulePass) -> PassEntry {
+    /// A registered no-op row.
+    pub const fn noop(name: &'static str) -> PassEntry {
         PassEntry {
-            name,
-            alias_of: None,
             noop: true,
-            pass: PassRef::Module(pass),
+            ..PassEntry::module(
+                name,
+                crate::misc::noop,
+                PreservedAnalyses::cfg_shape(),
+                true,
+            )
         }
     }
 
@@ -268,273 +190,80 @@ impl PassEntry {
 
     /// Declared preservation on change.
     pub fn preserves(&self) -> PreservedAnalyses {
-        match &self.pass {
-            PassRef::Module(p) => p.preserves(),
-            PassRef::Function(p) => p.preserves(),
-        }
+        self.preserves
     }
 
     /// Idempotence declaration.
     pub fn is_idempotent(&self) -> bool {
-        match &self.pass {
-            PassRef::Module(p) => p.is_idempotent(),
-            PassRef::Function(p) => p.is_idempotent(),
-        }
+        self.idempotent
     }
 }
 
-/// Stateful pipeline engine: per-function [`AnalysisCache`]s plus change
-/// tracking, reusable across [`crate::PassManager::run_with`] calls on the
-/// *same module* (the tuner's repeated-evaluation hot path).
-///
-/// Tracking model:
-///
-/// - every function carries an **epoch**, bumped whenever any pass changes
-///   its body (module passes are diffed per function with
-///   [`content_fingerprint`], so inlining into `main` does not disturb the
-///   tracking of untouched leaf functions);
-/// - an **info epoch** bumps when module-level facts a function pass may
-///   consult change (function attribute flags, globals);
-/// - a `(pass, function)` pair recorded *clean* at `(epoch, info_epoch)` is
-///   skipped while both still match: the pass ran there and reported no
-///   change (or changed and is idempotent), so re-running is provably a
-///   no-op and skipping cannot alter the produced IR;
-/// - module passes are skipped the same way against the module-wide change
-///   counter.
+/// Runs passes over one module, keeping an [`AnalysisCache`] per function
+/// alive *across* the passes of a pipeline: a pass that reports a change
+/// drops what it does not declare preserved, everything else is served to
+/// the next pass from the cache. That sharing is the executor's only state
+/// and is measured to pay for itself — a fresh cache per pass costs
+/// 1.00× / 1.13× / 1.09× of suite pass time at `-O1` / `-O2` / `-O3` — so
+/// [`crate::PassManager::run`] drives one executor through the pipeline,
+/// while [`crate::run_pass`] (a fresh executor per pass) is the reference
+/// the tests hold it to.
 #[derive(Default)]
 pub struct PassExecutor {
     caches: Vec<AnalysisCache>,
-    epochs: Vec<u64>,
-    /// Bumped when function attrs or globals change (`ModuleInfo` contents).
-    info_epoch: u64,
-    /// Bumped on every changed module-pass run (covers global-only edits).
-    module_epoch: u64,
-    /// `clean[pass][i] == (epochs[i], info_epoch)` ⇒ at fixpoint on `i`.
-    clean: HashMap<&'static str, Vec<(u64, u64)>>,
-    /// Module-pass fixpoint marks against [`PassExecutor::total_epoch`].
-    module_clean: HashMap<&'static str, u64>,
-    /// `(pipeline id, module content fp)` pairs the pipeline mapped to
-    /// themselves: whole runs from these states are provably identities.
-    identity_runs: std::collections::HashSet<(u64, u64)>,
-    /// Module content fp at the end of the previous run: the epoch/fixpoint
-    /// marks describe *that* state, and are void if the module was swapped or
-    /// mutated behind the executor's back.
-    last_exit_fp: Option<u64>,
-    /// Config the state was built under; a different config resets.
-    cfg_key: Option<PassConfig>,
-    nfuncs: usize,
-    ran: u64,
-    skipped: u64,
-}
-
-/// Sentinel: "never recorded clean".
-const NEVER: (u64, u64) = (u64::MAX, u64::MAX);
-
-fn globals_fingerprint(m: &Module) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    m.globals.hash(&mut h);
-    h.finish()
-}
-
-/// Fingerprint of everything passes can observe in a module: the globals
-/// plus every function's live content.
-fn module_content_fingerprint(m: &Module) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    globals_fingerprint(m).hash(&mut h);
-    m.funcs.len().hash(&mut h);
-    for f in &m.funcs {
-        f.name.hash(&mut h);
-        content_fingerprint(f).hash(&mut h);
-    }
-    h.finish()
 }
 
 impl PassExecutor {
-    /// A fresh executor with no state.
+    /// A fresh executor with cold caches.
     pub fn new() -> PassExecutor {
         PassExecutor::default()
     }
 
-    /// `(pass-on-function runs executed, runs skipped)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.ran, self.skipped)
-    }
-
-    fn total_epoch(&self) -> u64 {
-        self.epochs.iter().sum::<u64>() + self.info_epoch + self.module_epoch
-    }
-
-    fn reset(&mut self, nfuncs: usize) {
-        self.caches = vec![AnalysisCache::new(); nfuncs];
-        self.epochs = vec![0; nfuncs];
-        self.clean.clear();
-        self.module_clean.clear();
-        self.identity_runs.clear();
-        self.nfuncs = nfuncs;
-    }
-
-    fn sync(&mut self, m: &Module, cfg: &PassConfig) {
-        if self.nfuncs != m.funcs.len() || self.cfg_key.as_ref() != Some(cfg) {
-            self.reset(m.funcs.len());
-            self.cfg_key = Some(cfg.clone());
-        }
-    }
-
-    /// Begin a pipeline run: returns `None` when this exact pipeline is
-    /// already known to map the module's current content to itself — cyclic
-    /// steady states (`lcssa` re-adding the exit phis `adce` collapses) never
-    /// reach per-pass fixpoint, but the *run as a whole* does. On `None` the
-    /// caller skips the run outright; otherwise it runs and reports back via
-    /// [`PassExecutor::finish_run`]. Sound because passes are deterministic
-    /// functions of the module's live content (the tested change/preservation
-    /// contract), so an identity run stays an identity run.
-    ///
-    /// This is also where the same-module contract is enforced: if the
-    /// module's content does not match what the previous run left behind
-    /// (a different module was passed in, or the caller mutated it between
-    /// runs), every tracking structure describes a state that no longer
-    /// exists and is discarded.
-    pub fn begin_run(&mut self, pipeline_id: u64, m: &Module, cfg: &PassConfig) -> Option<u64> {
-        self.sync(m, cfg);
-        let fp = module_content_fingerprint(m);
-        if self.last_exit_fp.is_some_and(|prev| prev != fp) {
-            self.reset(m.funcs.len());
-        }
-        if self.identity_runs.contains(&(pipeline_id, fp)) {
-            self.skipped += 1;
-            return None;
-        }
-        Some(fp)
-    }
-
-    /// Record the outcome of a pipeline run started by
-    /// [`PassExecutor::begin_run`].
-    pub fn finish_run(&mut self, pipeline_id: u64, entry_fp: u64, m: &Module) {
-        let exit_fp = module_content_fingerprint(m);
-        if exit_fp == entry_fp {
-            self.identity_runs.insert((pipeline_id, entry_fp));
-        }
-        self.last_exit_fp = Some(exit_fp);
-    }
-
     /// Run one registry entry over `m`. Returns whether anything changed.
+    ///
+    /// # Panics
+    /// With `cfg.verify_each` set, panics if the pass broke the IR or (debug
+    /// builds) reported no change after mutating it.
     pub fn run_entry(&mut self, entry: &PassEntry, m: &mut Module, cfg: &PassConfig) -> bool {
-        self.sync(m, cfg);
-        let changed = match &entry.pass {
-            PassRef::Module(p) => self.run_module_pass(entry, *p, m, cfg),
-            PassRef::Function(p) => self.run_function_pass(entry, *p, m, cfg),
+        // Caches are per function slot: a first run, or a module pass that
+        // added or removed functions, starts them cold.
+        if self.caches.len() != m.funcs.len() {
+            self.caches = vec![AnalysisCache::new(); m.funcs.len()];
+        }
+        let changed = match entry.pass {
+            PassRef::Function(run) => {
+                let info = ModuleInfo::of(m);
+                let mut changed = false;
+                for (i, (f, ac)) in m.funcs.iter_mut().zip(&mut self.caches).enumerate() {
+                    let cx = FunctionContext {
+                        id: FuncId(i as u32),
+                        info: &info,
+                    };
+                    let snapshot = honest_snapshot(cfg, || f.clone());
+                    let func_changed = run(f, ac, &cx, cfg);
+                    check_honest(!func_changed, snapshot.as_ref(), f, entry.name);
+                    if func_changed {
+                        ac.invalidate(&entry.preserves);
+                        changed = true;
+                    }
+                }
+                changed
+            }
+            PassRef::Module(run) => {
+                let snapshot = honest_snapshot(cfg, || m.clone());
+                let changed = run(m, cfg);
+                check_honest(!changed, snapshot.as_ref(), m, entry.name);
+                if changed {
+                    for ac in &mut self.caches {
+                        ac.invalidate(&entry.preserves);
+                    }
+                }
+                changed
+            }
         };
         if cfg.verify_each {
             if let Err(e) = zkvmopt_ir::verify::verify_module(m) {
                 panic!("pass `{}` broke the IR: {e}", entry.name);
-            }
-        }
-        changed
-    }
-
-    fn run_module_pass(
-        &mut self,
-        entry: &PassEntry,
-        p: &dyn ModulePass,
-        m: &mut Module,
-        cfg: &PassConfig,
-    ) -> bool {
-        if entry.noop {
-            // Registered no-ops never change anything; don't bother tracking.
-            return p.run(m, cfg);
-        }
-        if self.module_clean.get(entry.canonical_name()) == Some(&self.total_epoch()) {
-            self.skipped += 1;
-            return false;
-        }
-        self.ran += 1;
-        // Snapshot what the pass could touch, to diff afterwards: per-function
-        // body content, attribute flags, and the globals.
-        let body_before: Vec<u64> = m.funcs.iter().map(content_fingerprint).collect();
-        let globals_before = globals_fingerprint(m);
-        let snapshot = honest_snapshot(cfg, || m.clone());
-        let changed = p.run(m, cfg);
-        check_honest(cfg, !changed, snapshot.as_ref(), m, entry.name);
-        if !changed {
-            let total = self.total_epoch();
-            self.module_clean.insert(entry.canonical_name(), total);
-            return false;
-        }
-        self.module_epoch += 1;
-        if m.funcs.len() != body_before.len() {
-            // Functions appeared: identity of slots is no longer tracked.
-            self.reset(m.funcs.len());
-        } else {
-            let preserves = p.preserves();
-            let mut attrs_or_bodies_changed = false;
-            for (i, before) in body_before.iter().enumerate() {
-                if content_fingerprint(&m.funcs[i]) != *before {
-                    self.epochs[i] += 1;
-                    self.caches[i].invalidate(&preserves);
-                    attrs_or_bodies_changed = true;
-                }
-            }
-            // `content_fingerprint` covers attribute flags too, so any attr
-            // flip shows up as a changed function; bump the info epoch to
-            // also invalidate fixpoint marks of *other* functions whose
-            // `ModuleInfo` view (attrs, globals) changed.
-            if attrs_or_bodies_changed || globals_fingerprint(m) != globals_before {
-                self.info_epoch += 1;
-            }
-        }
-        if p.is_idempotent() {
-            let total = self.total_epoch();
-            self.module_clean.insert(entry.canonical_name(), total);
-        }
-        changed
-    }
-
-    fn run_function_pass(
-        &mut self,
-        entry: &PassEntry,
-        p: &dyn FunctionPass,
-        m: &mut Module,
-        cfg: &PassConfig,
-    ) -> bool {
-        let info = ModuleInfo::of(m);
-        let preserves = p.preserves();
-        let idempotent = p.is_idempotent();
-        let mut changed = false;
-        for i in 0..m.funcs.len() {
-            let key = (self.epochs[i], self.info_epoch);
-            let clean = self
-                .clean
-                .entry(entry.canonical_name())
-                .or_insert_with(|| vec![NEVER; m.funcs.len()]);
-            if clean[i] == key {
-                self.skipped += 1;
-                continue;
-            }
-            self.ran += 1;
-            let cx = FunctionContext {
-                id: FuncId(i as u32),
-                info: &info,
-            };
-            let f = &mut m.funcs[i];
-            let snapshot = honest_snapshot(cfg, || f.clone());
-            let func_changed = p.run(f, &mut self.caches[i], &cx, cfg);
-            check_honest(cfg, !func_changed, snapshot.as_ref(), f, entry.name);
-            let clean = self.clean.get_mut(entry.canonical_name()).expect("entry");
-            if func_changed {
-                self.epochs[i] += 1;
-                self.caches[i].invalidate(&preserves);
-                clean[i] = if idempotent {
-                    (self.epochs[i], self.info_epoch)
-                } else {
-                    NEVER
-                };
-                changed = true;
-            } else {
-                clean[i] = key;
             }
         }
         changed
@@ -551,21 +280,12 @@ fn honest_snapshot<T>(cfg: &PassConfig, make: impl FnOnce() -> T) -> Option<T> {
     }
 }
 
-fn check_honest<T: PartialEq>(
-    cfg: &PassConfig,
-    reported_unchanged: bool,
-    snapshot: Option<&T>,
-    now: &T,
-    pass: &str,
-) {
-    if let Some(before) = snapshot {
-        if reported_unchanged && before != now {
-            panic!(
-                "pass `{pass}` reported no change but mutated the IR — the \
-                 executor's skip logic and analysis caches rely on honest \
-                 change reporting"
-            );
-        }
-        let _ = cfg;
+fn check_honest<T: PartialEq>(reported_unchanged: bool, snapshot: Option<&T>, now: &T, pass: &str) {
+    if reported_unchanged && snapshot.is_some_and(|before| before != now) {
+        panic!(
+            "pass `{pass}` reported no change but mutated the IR — the \
+             executor's analysis-cache invalidation relies on honest change \
+             reporting"
+        );
     }
 }

@@ -11,15 +11,15 @@
 //!
 //! ## Pass framework
 //!
-//! Passes implement the [`FunctionPass`] / [`ModulePass`] traits (declared
-//! from free functions via the registry in [`PASSES`]). Function passes get
-//! `&mut Function` plus a per-function [`AnalysisCache`] of `Cfg` /
-//! `DomTree` / dominance frontiers / `LoopForest`; each pass declares which
-//! analyses it preserves ([`PreservedAnalyses`]), and the
-//! [`PassManager`] invalidates accordingly, skips passes provably at fixpoint
-//! on unchanged functions, and supports fixpoint groups
-//! ([`PassManager::add_fixpoint`]). See the [`framework`] module docs for how
-//! to write a new pass against the traits.
+//! A pass is a free function plus one row of the registry ([`PASSES`]).
+//! Function passes get `&mut Function` plus a per-function
+//! [`AnalysisCache`](zkvmopt_ir::analysis::AnalysisCache) of `Cfg` /
+//! `DomTree` / dominance frontiers / `LoopForest`; each row
+//! declares which analyses the pass preserves ([`PreservedAnalyses`]), and
+//! the [`PassExecutor`] a [`PassManager`] run drives keeps the caches alive
+//! across the pipeline's passes, invalidating by declaration whenever a pass
+//! reports a change. See the [`framework`] module docs for how to write a
+//! new pass.
 //!
 //! ## Pass registry
 //!
@@ -54,13 +54,10 @@ pub mod sccp;
 pub mod simplify;
 pub mod util;
 
-pub use framework::{
-    FunctionContext, FunctionPass, ModuleInfo, ModulePass, PassEntry, PassExecutor, PassRef,
-};
+pub use framework::{FunctionContext, ModuleInfo, PassEntry, PassExecutor, PassRef};
 
-use framework::{DeclaredFunctionPass, DeclaredModulePass};
-use zkvmopt_ir::analysis::{AnalysisCache, PreservedAnalyses};
-use zkvmopt_ir::{FuncId, Module};
+use zkvmopt_ir::analysis::PreservedAnalyses;
+use zkvmopt_ir::Module;
 
 /// Tunable knobs shared by the passes — the analogue of LLVM's pass
 /// parameters the paper autotunes (`-inline-threshold`, `-unroll-threshold`).
@@ -117,171 +114,94 @@ impl PassConfig {
     }
 }
 
-/// Declare the static for a function pass.
-macro_rules! fpass {
-    ($st:ident, $name:literal, $f:path, $preserves:expr, idempotent: $idem:expr) => {
-        static $st: DeclaredFunctionPass = DeclaredFunctionPass {
-            name: $name,
-            run: $f,
-            preserves: $preserves,
-            idempotent: $idem,
-        };
-    };
-}
-
-/// Declare the static for a module pass.
-macro_rules! mpass {
-    ($st:ident, $name:literal, $f:path, $preserves:expr, idempotent: $idem:expr) => {
-        static $st: DeclaredModulePass = DeclaredModulePass {
-            name: $name,
-            run: $f,
-            preserves: $preserves,
-            idempotent: $idem,
-        };
-    };
-}
-
 const KEEP: PreservedAnalyses = PreservedAnalyses::cfg_shape();
 const DROP: PreservedAnalyses = PreservedAnalyses::none();
 
-// Function passes. `KEEP` is declared only for passes that never touch
-// terminators or add/remove blocks; `idempotent: true` only where a second
-// adjacent run is always a no-op (both declarations are covered by tests).
-fpass!(MEM2REG, "mem2reg", mem2reg::mem2reg, KEEP, idempotent: true);
-fpass!(REG2MEM, "reg2mem", mem2reg::reg2mem, KEEP, idempotent: true);
-fpass!(SROA, "sroa", mem2reg::sroa, KEEP, idempotent: true);
-fpass!(SIMPLIFYCFG, "simplifycfg", simplify::simplifycfg, DROP, idempotent: false);
-fpass!(INSTSIMPLIFY, "instsimplify", simplify::instsimplify, KEEP, idempotent: true);
-fpass!(INSTCOMBINE, "instcombine", simplify::instcombine, KEEP, idempotent: false);
-fpass!(REASSOCIATE, "reassociate", simplify::reassociate, KEEP, idempotent: false);
-fpass!(DCE, "dce", simplify::dce, KEEP, idempotent: true);
-fpass!(ADCE, "adce", simplify::adce, DROP, idempotent: true);
-fpass!(DSE, "dse", simplify::dse, KEEP, idempotent: false);
-fpass!(SINK, "sink", simplify::sink, KEEP, idempotent: false);
-fpass!(MERGERETURN, "mergereturn", simplify::mergereturn, DROP, idempotent: true);
-fpass!(LOWER_SWITCH, "lower-switch", simplify::lower_switch, DROP, idempotent: true);
-fpass!(MLDST_MOTION, "mldst-motion", simplify::mldst_motion, KEEP, idempotent: false);
-fpass!(EARLY_CSE, "early-cse", cse::early_cse, KEEP, idempotent: false);
-fpass!(GVN, "gvn", cse::gvn, KEEP, idempotent: false);
-fpass!(NEWGVN, "newgvn", cse::newgvn, KEEP, idempotent: false);
-fpass!(SCCP, "sccp", sccp::sccp, DROP, idempotent: false);
-fpass!(JUMP_THREADING, "jump-threading", sccp::jump_threading, DROP, idempotent: false);
-fpass!(CORRELATED, "correlated-propagation", sccp::correlated_propagation, KEEP, idempotent: false);
-fpass!(TAILCALL, "tailcall", ipo::tailcall, DROP, idempotent: true);
-fpass!(LOOP_SIMPLIFY, "loop-simplify", loopopt::loop_simplify, DROP, idempotent: false);
-fpass!(LCSSA, "lcssa", loopopt::lcssa, KEEP, idempotent: false);
-fpass!(LICM, "licm", loopopt::licm, DROP, idempotent: false);
-fpass!(LOOP_ROTATE, "loop-rotate", loopopt::loop_rotate, DROP, idempotent: false);
-fpass!(LOOP_DELETION, "loop-deletion", loopopt::loop_deletion, DROP, idempotent: false);
-fpass!(LOOP_IDIOM, "loop-idiom", loopopt::loop_idiom, DROP, idempotent: false);
-fpass!(INDVARS, "indvars", loopopt::indvars, DROP, idempotent: false);
-fpass!(LOOP_REDUCE, "loop-reduce", loopopt::loop_reduce, DROP, idempotent: false);
-fpass!(LOOP_INSTSIMPLIFY, "loop-instsimplify", loopopt::loop_instsimplify, KEEP, idempotent: true);
-fpass!(LOOP_FISSION, "loop-fission", loopopt::loop_fission, DROP, idempotent: false);
-fpass!(LOOP_UNSWITCH, "simple-loop-unswitch", loopopt::loop_unswitch, DROP, idempotent: false);
-fpass!(LOOP_PREDICATION, "loop-predication", loopopt::loop_predication, DROP, idempotent: false);
-fpass!(LOOP_VERSIONING_LICM, "loop-versioning-licm", loopopt::loop_versioning_licm, DROP, idempotent: false);
-fpass!(IRCE, "irce", loopopt::irce, DROP, idempotent: false);
-fpass!(SPECULATIVE, "speculative-execution", misc::speculative_execution, KEEP, idempotent: false);
-fpass!(BOUNDS_CHECKING, "bounds-checking", misc::bounds_checking, DROP, idempotent: false);
-fpass!(DIV_REM_PAIRS, "div-rem-pairs", misc::div_rem_pairs, KEEP, idempotent: false);
+// The three passes that also answer to a historical second name.
+const IPSCCP: PassEntry = PassEntry::module("ipsccp", sccp::ipsccp, DROP, false);
+const GLOBALDCE: PassEntry = PassEntry::module("globaldce", ipo::globaldce, DROP, true);
+const LOOP_FISSION: PassEntry =
+    PassEntry::function("loop-fission", loopopt::loop_fission, DROP, false);
 
-// Module passes (interprocedural, or needing module-wide cleanup).
-mpass!(IPSCCP, "ipsccp", sccp::ipsccp, DROP, idempotent: false);
-mpass!(INLINE, "inline", ipo::inline, DROP, idempotent: false);
-mpass!(ALWAYS_INLINE, "always-inline", ipo::always_inline, DROP, idempotent: false);
-mpass!(PARTIAL_INLINER, "partial-inliner", ipo::partial_inliner, DROP, idempotent: false);
-mpass!(FUNCTION_ATTRS, "function-attrs", ipo::function_attrs, KEEP, idempotent: true);
-mpass!(ATTRIBUTOR, "attributor", ipo::attributor, KEEP, idempotent: true);
-mpass!(DEADARGELIM, "deadargelim", ipo::deadargelim, KEEP, idempotent: true);
-mpass!(GLOBALOPT, "globalopt", ipo::globalopt, KEEP, idempotent: true);
-mpass!(GLOBALDCE, "globaldce", ipo::globaldce, DROP, idempotent: true);
-mpass!(CONSTMERGE, "constmerge", ipo::constmerge, KEEP, idempotent: true);
-mpass!(LOOP_UNROLL, "loop-unroll", loopopt::loop_unroll, DROP, idempotent: false);
-mpass!(LOOP_UNROLL_AND_JAM, "loop-unroll-and-jam", loopopt::loop_unroll_and_jam, DROP, idempotent: false);
-mpass!(LOOP_EXTRACT, "loop-extract", loopopt::loop_extract, DROP, idempotent: false);
-mpass!(NOOP, "noop", misc::noop, KEEP, idempotent: true);
-
-/// The pass registry: LLVM-style name → implementation + metadata.
+/// The pass registry: LLVM-style name → implementation, what it preserves
+/// when it changes something, and whether it is idempotent.
+///
+/// `KEEP` is declared only for passes that never touch terminators or
+/// add/remove blocks; `true` (idempotent) only where a second adjacent run is
+/// always a no-op (both declarations are covered by tests). Module passes are
+/// the interprocedural ones and those needing module-wide cleanup.
 ///
 /// Names marked *(no-op)* are hardware-oriented passes with nothing to do on
 /// a zkVM target; they are registered so studies can include them, matching
 /// the paper's observation that they provide no measurable gain. The three
 /// historical double-registrations (`ipconstprop`, `loop-distribute`,
 /// `strip-dead-prototypes`) are declared as explicit aliases.
+#[rustfmt::skip]
 pub static PASSES: &[PassEntry] = &[
-    PassEntry::function("mem2reg", &MEM2REG),
-    PassEntry::function("reg2mem", &REG2MEM),
-    PassEntry::function("sroa", &SROA),
-    PassEntry::function("simplifycfg", &SIMPLIFYCFG),
-    PassEntry::function("instsimplify", &INSTSIMPLIFY),
-    PassEntry::function("instcombine", &INSTCOMBINE),
-    PassEntry::function("reassociate", &REASSOCIATE),
-    PassEntry::function("dce", &DCE),
-    PassEntry::function("adce", &ADCE),
-    PassEntry::function("dse", &DSE),
-    PassEntry::function("sink", &SINK),
-    PassEntry::function("mergereturn", &MERGERETURN),
-    PassEntry::function("lower-switch", &LOWER_SWITCH),
-    PassEntry::function("mldst-motion", &MLDST_MOTION),
-    PassEntry::function("early-cse", &EARLY_CSE),
-    PassEntry::function("gvn", &GVN),
-    PassEntry::function("newgvn", &NEWGVN),
-    PassEntry::function("sccp", &SCCP),
-    PassEntry::module("ipsccp", &IPSCCP),
-    PassEntry::function("jump-threading", &JUMP_THREADING),
-    PassEntry::function("correlated-propagation", &CORRELATED),
-    PassEntry::module("inline", &INLINE),
-    PassEntry::module("always-inline", &ALWAYS_INLINE),
-    PassEntry::module("partial-inliner", &PARTIAL_INLINER),
-    PassEntry::function("tailcall", &TAILCALL),
-    PassEntry::module("function-attrs", &FUNCTION_ATTRS),
-    PassEntry::module("attributor", &ATTRIBUTOR),
-    PassEntry::module("deadargelim", &DEADARGELIM),
-    PassEntry::module("globalopt", &GLOBALOPT),
-    PassEntry::module("globaldce", &GLOBALDCE),
-    PassEntry::module("constmerge", &CONSTMERGE),
-    PassEntry::alias("ipconstprop", "ipsccp", PassRef::Module(&IPSCCP)),
-    PassEntry::function("loop-simplify", &LOOP_SIMPLIFY),
-    PassEntry::function("lcssa", &LCSSA),
-    PassEntry::function("licm", &LICM),
-    PassEntry::function("loop-rotate", &LOOP_ROTATE),
-    PassEntry::module("loop-unroll", &LOOP_UNROLL),
-    PassEntry::module("loop-unroll-and-jam", &LOOP_UNROLL_AND_JAM),
-    PassEntry::function("loop-deletion", &LOOP_DELETION),
-    PassEntry::function("loop-idiom", &LOOP_IDIOM),
-    PassEntry::function("indvars", &INDVARS),
-    PassEntry::function("loop-reduce", &LOOP_REDUCE),
-    PassEntry::function("loop-instsimplify", &LOOP_INSTSIMPLIFY),
-    PassEntry::function("loop-fission", &LOOP_FISSION),
-    PassEntry::alias(
-        "loop-distribute",
-        "loop-fission",
-        PassRef::Function(&LOOP_FISSION),
-    ),
-    PassEntry::function("simple-loop-unswitch", &LOOP_UNSWITCH),
-    PassEntry::module("loop-extract", &LOOP_EXTRACT),
-    PassEntry::function("loop-predication", &LOOP_PREDICATION),
-    PassEntry::function("loop-versioning-licm", &LOOP_VERSIONING_LICM),
-    PassEntry::function("irce", &IRCE),
-    PassEntry::function("speculative-execution", &SPECULATIVE),
-    PassEntry::function("bounds-checking", &BOUNDS_CHECKING),
-    PassEntry::function("div-rem-pairs", &DIV_REM_PAIRS),
-    PassEntry::noop("loop-data-prefetch", &NOOP),
-    PassEntry::noop("hot-cold-splitting", &NOOP),
-    PassEntry::noop("slp-vectorizer", &NOOP), // (no-op: no vector units)
-    PassEntry::noop("loop-vectorize", &NOOP), // (no-op: no vector units)
-    PassEntry::noop("alignment-from-assumptions", &NOOP),
-    PassEntry::alias(
-        "strip-dead-prototypes",
-        "globaldce",
-        PassRef::Module(&GLOBALDCE),
-    ),
-    PassEntry::noop("partially-inline-libcalls", &NOOP), // (no-op: no libcalls)
-    PassEntry::noop("libcalls-shrinkwrap", &NOOP),
-    PassEntry::noop("float2int", &NOOP),    // (no-op: no floats)
-    PassEntry::noop("lower-expect", &NOOP), // (no-op: hints only)
-    PassEntry::noop("lower-constant-intrinsics", &NOOP),
+    PassEntry::function("mem2reg", mem2reg::mem2reg, KEEP, true),
+    PassEntry::function("reg2mem", mem2reg::reg2mem, KEEP, true),
+    PassEntry::function("sroa", mem2reg::sroa, KEEP, true),
+    PassEntry::function("simplifycfg", simplify::simplifycfg, DROP, false),
+    PassEntry::function("instsimplify", simplify::instsimplify, KEEP, true),
+    PassEntry::function("instcombine", simplify::instcombine, KEEP, false),
+    PassEntry::function("reassociate", simplify::reassociate, KEEP, false),
+    PassEntry::function("dce", simplify::dce, KEEP, true),
+    PassEntry::function("adce", simplify::adce, DROP, true),
+    PassEntry::function("dse", simplify::dse, KEEP, false),
+    PassEntry::function("sink", simplify::sink, KEEP, false),
+    PassEntry::function("mergereturn", simplify::mergereturn, DROP, true),
+    PassEntry::function("lower-switch", simplify::lower_switch, DROP, true),
+    PassEntry::function("mldst-motion", simplify::mldst_motion, KEEP, false),
+    PassEntry::function("early-cse", cse::early_cse, KEEP, false),
+    PassEntry::function("gvn", cse::gvn, KEEP, false),
+    PassEntry::function("newgvn", cse::newgvn, KEEP, false),
+    PassEntry::function("sccp", sccp::sccp, DROP, false),
+    IPSCCP,
+    PassEntry::function("jump-threading", sccp::jump_threading, DROP, false),
+    PassEntry::function("correlated-propagation", sccp::correlated_propagation, KEEP, false),
+    PassEntry::module("inline", ipo::inline, DROP, false),
+    PassEntry::module("always-inline", ipo::always_inline, DROP, false),
+    PassEntry::module("partial-inliner", ipo::partial_inliner, DROP, false),
+    PassEntry::function("tailcall", ipo::tailcall, DROP, true),
+    PassEntry::module("function-attrs", ipo::function_attrs, KEEP, true),
+    PassEntry::module("attributor", ipo::attributor, KEEP, true),
+    PassEntry::module("deadargelim", ipo::deadargelim, KEEP, true),
+    PassEntry::module("globalopt", ipo::globalopt, KEEP, true),
+    GLOBALDCE,
+    PassEntry::module("constmerge", ipo::constmerge, KEEP, true),
+    PassEntry::alias("ipconstprop", IPSCCP),
+    PassEntry::function("loop-simplify", loopopt::loop_simplify, DROP, false),
+    PassEntry::function("lcssa", loopopt::lcssa, KEEP, false),
+    PassEntry::function("licm", loopopt::licm, DROP, false),
+    PassEntry::function("loop-rotate", loopopt::loop_rotate, DROP, false),
+    PassEntry::module("loop-unroll", loopopt::loop_unroll, DROP, false),
+    PassEntry::module("loop-unroll-and-jam", loopopt::loop_unroll_and_jam, DROP, false),
+    PassEntry::function("loop-deletion", loopopt::loop_deletion, DROP, false),
+    PassEntry::function("loop-idiom", loopopt::loop_idiom, DROP, false),
+    PassEntry::function("indvars", loopopt::indvars, DROP, false),
+    PassEntry::function("loop-reduce", loopopt::loop_reduce, DROP, false),
+    PassEntry::function("loop-instsimplify", loopopt::loop_instsimplify, KEEP, true),
+    LOOP_FISSION,
+    PassEntry::alias("loop-distribute", LOOP_FISSION),
+    PassEntry::function("simple-loop-unswitch", loopopt::loop_unswitch, DROP, false),
+    PassEntry::module("loop-extract", loopopt::loop_extract, DROP, false),
+    PassEntry::function("loop-predication", loopopt::loop_predication, DROP, false),
+    PassEntry::function("loop-versioning-licm", loopopt::loop_versioning_licm, DROP, false),
+    PassEntry::function("irce", loopopt::irce, DROP, false),
+    PassEntry::function("speculative-execution", misc::speculative_execution, KEEP, false),
+    PassEntry::function("bounds-checking", misc::bounds_checking, DROP, false),
+    PassEntry::function("div-rem-pairs", misc::div_rem_pairs, KEEP, false),
+    PassEntry::noop("loop-data-prefetch"),
+    PassEntry::noop("hot-cold-splitting"),
+    PassEntry::noop("slp-vectorizer"), // (no-op: no vector units)
+    PassEntry::noop("loop-vectorize"), // (no-op: no vector units)
+    PassEntry::noop("alignment-from-assumptions"),
+    PassEntry::alias("strip-dead-prototypes", GLOBALDCE),
+    PassEntry::noop("partially-inline-libcalls"), // (no-op: no libcalls)
+    PassEntry::noop("libcalls-shrinkwrap"),
+    PassEntry::noop("float2int"),    // (no-op: no floats)
+    PassEntry::noop("lower-expect"), // (no-op: hints only)
+    PassEntry::noop("lower-constant-intrinsics"),
 ];
 
 /// All registered pass names (the "64 individual passes" axis of the study).
@@ -297,57 +217,21 @@ pub fn find_pass(name: &str) -> Option<&'static PassEntry> {
     PASSES.iter().find(|e| e.name == name)
 }
 
-/// Canonical name of a registered pass: the alias target for aliases, the
-/// name itself otherwise. Panics on unknown names.
-pub fn canonical_pass_name(name: &str) -> &'static str {
-    find_pass(name)
-        .unwrap_or_else(|| panic!("unknown pass `{name}`"))
-        .canonical_name()
-}
-
 /// Whether `name` is a registered no-op (hardware-only pass).
 pub fn is_noop_pass(name: &str) -> bool {
     find_pass(name).is_some_and(|e| e.noop)
 }
 
-/// Whether `name` is declared idempotent (running twice == running once).
-pub fn is_idempotent_pass(name: &str) -> bool {
-    find_pass(name).is_some_and(|e| e.is_idempotent())
-}
-
-/// Run a single pass by name, uncached: function passes get a fresh
-/// [`AnalysisCache`] per function and no change tracking. This is the legacy
-/// execution path (and the baseline the `pass_pipeline_throughput` bench
-/// measures the cached manager against); pipelines should prefer
-/// [`PassManager`].
+/// Run a single pass by name through a fresh [`PassExecutor`]: cold analysis
+/// caches, nothing shared with the passes before or after. This is what one
+/// pipeline step is *defined* to do; [`PassManager::run`] shares the caches
+/// across steps and is tested to print the same IR.
 ///
 /// # Panics
 /// Panics if `name` is not registered, or (when `cfg.verify_each` is set) if
 /// the pass broke the IR.
 pub fn run_pass(name: &str, m: &mut Module, cfg: &PassConfig) -> bool {
-    let entry = find_pass(name).unwrap_or_else(|| panic!("unknown pass `{name}`"));
-    let changed = match &entry.pass {
-        PassRef::Module(p) => p.run(m, cfg),
-        PassRef::Function(p) => {
-            let info = ModuleInfo::of(m);
-            let mut changed = false;
-            for i in 0..m.funcs.len() {
-                let cx = FunctionContext {
-                    id: FuncId(i as u32),
-                    info: &info,
-                };
-                let mut ac = AnalysisCache::new();
-                changed |= p.run(&mut m.funcs[i], &mut ac, &cx, cfg);
-            }
-            changed
-        }
-    };
-    if cfg.verify_each {
-        if let Err(e) = zkvmopt_ir::verify::verify_module(m) {
-            panic!("pass `{name}` broke the IR: {e}");
-        }
-    }
-    changed
+    PassExecutor::new().run_entry(registry_entry(name), m, cfg)
 }
 
 /// The standard optimization levels, mirroring `-O0 … -Oz`.
@@ -385,44 +269,20 @@ impl OptLevel {
     }
 }
 
-/// One pipeline element: a single pass (pre-resolved to its registry entry,
-/// so execution never re-scans the registry), or a group iterated to
-/// fixpoint.
-#[derive(Clone)]
-enum PipelineItem {
-    Pass(&'static PassEntry),
-    Fixpoint {
-        passes: Vec<&'static PassEntry>,
-        max_iters: usize,
-    },
-}
-
-impl std::fmt::Debug for PipelineItem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineItem::Pass(e) => f.debug_tuple("Pass").field(&e.name).finish(),
-            PipelineItem::Fixpoint { passes, max_iters } => f
-                .debug_struct("Fixpoint")
-                .field("passes", &passes.iter().map(|e| e.name).collect::<Vec<_>>())
-                .field("max_iters", max_iters)
-                .finish(),
-        }
-    }
-}
-
-/// An ordered pass sequence with a shared configuration, executed through
-/// the analysis-cached [`PassExecutor`].
+/// An ordered pass sequence (pre-resolved to registry rows, so execution
+/// never re-scans the registry), run through one [`PassExecutor`].
 ///
-/// The default `-O0…-Oz` builders reproduce the legacy pipelines exactly —
-/// pass for pass, bit-identical output (`run_pass` in a loop is the
-/// reference; the `pass_pipeline_throughput` bench gates on it). Fixpoint
-/// iteration of the cleanup groups is opt-in via [`PassManager::o2_fixpoint`]
-/// / [`PassManager::o3_fixpoint`] or [`PassManager::add_fixpoint`], because
-/// extra iterations can (deliberately) improve the IR beyond the paper's
-/// fixed pipelines and would move the golden snapshots.
-#[derive(Debug, Clone)]
+/// The `-O0…-Oz` builders are the paper's fixed pipelines, pass for pass;
+/// `run_pass` in a loop is the reference a run is tested against.
+#[derive(Clone)]
 pub struct PassManager {
-    items: Vec<PipelineItem>,
+    entries: Vec<&'static PassEntry>,
+}
+
+impl std::fmt::Debug for PassManager {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("PassManager").field(&self.names()).finish()
+    }
 }
 
 fn registry_entry(n: &str) -> &'static PassEntry {
@@ -430,127 +290,29 @@ fn registry_entry(n: &str) -> &'static PassEntry {
 }
 
 impl PassManager {
-    /// An empty pipeline.
-    pub fn new() -> PassManager {
-        PassManager { items: Vec::new() }
-    }
-
     /// Build a pipeline from pass names.
     ///
     /// # Panics
     /// Panics if any name is unknown.
     pub fn from_names<'a>(names: impl IntoIterator<Item = &'a str>) -> PassManager {
-        let mut pm = PassManager::new();
-        for n in names {
-            pm.items.push(PipelineItem::Pass(registry_entry(n)));
+        PassManager {
+            entries: names.into_iter().map(registry_entry).collect(),
         }
-        pm
     }
 
-    /// Append a pass.
-    pub fn add(&mut self, name: &'static str) -> &mut PassManager {
-        self.items.push(PipelineItem::Pass(registry_entry(name)));
-        self
-    }
-
-    /// Append a group of passes iterated until none of them reports a change
-    /// (or `max_iters` rounds, whichever first) — the fixpoint combinator for
-    /// cleanup groups. Per-function change tracking makes the converged
-    /// iterations nearly free: a function no pass changed in round `k` is
-    /// skipped outright in round `k + 1`.
-    ///
-    /// # Panics
-    /// Panics if any name is unknown or `max_iters` is 0.
-    pub fn add_fixpoint<'a>(
-        &mut self,
-        names: impl IntoIterator<Item = &'a str>,
-        max_iters: usize,
-    ) -> &mut PassManager {
-        assert!(max_iters > 0, "fixpoint group needs at least one iteration");
-        let passes: Vec<&'static PassEntry> = names.into_iter().map(registry_entry).collect();
-        assert!(!passes.is_empty(), "fixpoint group needs at least one pass");
-        self.items
-            .push(PipelineItem::Fixpoint { passes, max_iters });
-        self
-    }
-
-    /// The pass names in pipeline order (fixpoint-group members listed once).
+    /// The pass names in pipeline order.
     pub fn names(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        for item in &self.items {
-            match item {
-                PipelineItem::Pass(e) => out.push(e.name),
-                PipelineItem::Fixpoint { passes, .. } => out.extend(passes.iter().map(|e| e.name)),
-            }
-        }
-        out
+        self.entries.iter().map(|e| e.name).collect()
     }
 
-    /// Run the pipeline with a fresh executor; returns whether any pass
-    /// reported a change. (Bypasses the whole-run identity memo — with a
-    /// fresh executor it can never hit, so a one-shot run should not pay the
-    /// two module fingerprints that maintain it.)
+    /// Run the pipeline through one fresh executor, so analyses a pass
+    /// preserves are served to the passes after it; returns whether any pass
+    /// reported a change.
     pub fn run(&self, m: &mut Module, cfg: &PassConfig) -> bool {
         let mut ex = PassExecutor::new();
-        self.run_items(m, cfg, &mut ex)
-    }
-
-    /// A stable identity for this pipeline's structure (for the executor's
-    /// whole-run identity memo).
-    fn pipeline_id(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        for item in &self.items {
-            match item {
-                PipelineItem::Pass(e) => (0u8, e.name, 0usize).hash(&mut h),
-                PipelineItem::Fixpoint { passes, max_iters } => {
-                    (1u8, max_iters).hash(&mut h);
-                    for e in passes {
-                        e.name.hash(&mut h);
-                    }
-                }
-            }
-        }
-        h.finish()
-    }
-
-    /// Run the pipeline through `ex`, reusing its analysis caches and change
-    /// tracking. Reuse `ex` across repeated runs **on the same module** (the
-    /// tuner's repeated-evaluation shape): passes provably at fixpoint on an
-    /// unchanged function are skipped — as are whole runs once the pipeline
-    /// is known to map the module's current content to itself — which cannot
-    /// alter the produced IR.
-    pub fn run_with(&self, m: &mut Module, cfg: &PassConfig, ex: &mut PassExecutor) -> bool {
-        let pipe = self.pipeline_id();
-        let Some(entry_fp) = ex.begin_run(pipe, m, cfg) else {
-            return false;
-        };
-        let changed = self.run_items(m, cfg, ex);
-        ex.finish_run(pipe, entry_fp, m);
-        changed
-    }
-
-    fn run_items(&self, m: &mut Module, cfg: &PassConfig, ex: &mut PassExecutor) -> bool {
         let mut changed = false;
-        for item in &self.items {
-            match item {
-                PipelineItem::Pass(entry) => {
-                    changed |= ex.run_entry(entry, m, cfg);
-                }
-                PipelineItem::Fixpoint { passes, max_iters } => {
-                    for _ in 0..*max_iters {
-                        let mut round = false;
-                        for entry in passes {
-                            round |= ex.run_entry(entry, m, cfg);
-                        }
-                        changed |= round;
-                        if !round {
-                            break;
-                        }
-                    }
-                }
-            }
+        for entry in &self.entries {
+            changed |= ex.run_entry(entry, m, cfg);
         }
         changed
     }
@@ -638,75 +400,6 @@ impl PassManager {
         ])
     }
 
-    /// `-O2` with its cleanup tail (`gvn`→`simplifycfg`) iterated to
-    /// fixpoint. Opt-in: converges further than the paper's fixed `-O2`
-    /// pipeline, so its output is *not* bit-identical to [`PassManager::o2`].
-    pub fn o2_fixpoint() -> PassManager {
-        let mut pm = PassManager::from_names([
-            "mem2reg",
-            "instcombine",
-            "simplifycfg",
-            "inline",
-            "function-attrs",
-            "sroa",
-            "mem2reg",
-            "early-cse",
-            "sccp",
-            "jump-threading",
-            "instcombine",
-            "simplifycfg",
-            "loop-simplify",
-            "lcssa",
-            "licm",
-            "indvars",
-            "loop-idiom",
-            "loop-deletion",
-        ]);
-        pm.add_fixpoint(["gvn", "dse", "instcombine", "adce", "simplifycfg"], 4);
-        pm
-    }
-
-    /// `-O3` with its cleanup tail iterated to fixpoint (see
-    /// [`PassManager::o2_fixpoint`] for the caveat).
-    pub fn o3_fixpoint() -> PassManager {
-        let mut pm = PassManager::from_names([
-            "mem2reg",
-            "instcombine",
-            "simplifycfg",
-            "inline",
-            "function-attrs",
-            "inline",
-            "sroa",
-            "mem2reg",
-            "early-cse",
-            "sccp",
-            "jump-threading",
-            "correlated-propagation",
-            "instcombine",
-            "simplifycfg",
-            "loop-simplify",
-            "lcssa",
-            "loop-rotate",
-            "licm",
-            "indvars",
-            "loop-idiom",
-            "loop-deletion",
-            "loop-unroll",
-        ]);
-        pm.add_fixpoint(
-            [
-                "gvn",
-                "dse",
-                "mldst-motion",
-                "instcombine",
-                "adce",
-                "simplifycfg",
-            ],
-            4,
-        );
-        pm
-    }
-
     /// `-Os`: `-O2` shaped, size-conscious (no unrolling).
     pub fn os() -> PassManager {
         PassManager::o2()
@@ -746,12 +439,6 @@ impl PassManager {
         // Identical structure minus passes the paper disables; simplifycfg
         // stays but the zk config stops it from if-converting branches.
         PassManager::o3()
-    }
-}
-
-impl Default for PassManager {
-    fn default() -> PassManager {
-        PassManager::new()
     }
 }
 
@@ -863,15 +550,17 @@ mod tests {
             ("loop-distribute", "loop-fission"),
             ("strip-dead-prototypes", "globaldce"),
         ] {
-            let e = find_pass(alias).unwrap();
-            assert_eq!(e.alias_of, Some(canonical));
-            assert_eq!(canonical_pass_name(alias), canonical);
-            assert_eq!(canonical_pass_name(canonical), canonical);
+            let (a, c) = (find_pass(alias).unwrap(), find_pass(canonical).unwrap());
+            assert_eq!(a.alias_of, Some(canonical));
+            assert_eq!(a.canonical_name(), canonical);
+            assert_eq!(c.canonical_name(), canonical);
+            assert_eq!(a.preserves(), c.preserves());
+            assert_eq!(a.is_idempotent(), c.is_idempotent());
         }
         assert!(is_noop_pass("loop-data-prefetch"));
         assert!(!is_noop_pass("licm"));
-        assert!(is_idempotent_pass("mem2reg"));
-        assert!(!is_idempotent_pass("instcombine"));
+        assert!(find_pass("mem2reg").unwrap().is_idempotent());
+        assert!(!find_pass("instcombine").unwrap().is_idempotent());
     }
 
     #[test]
@@ -981,127 +670,78 @@ mod tests {
         }
     }
 
-    /// The cached manager must produce bit-identical IR to the legacy
-    /// uncached `run_pass` loop, for the standard pipelines.
+    /// A pipeline through one executor (caches shared across passes) must
+    /// print the same IR as `run_pass` in a loop (fresh caches per pass), for
+    /// every standard pipeline and both configs, on all 58 suite programs.
     #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "full-suite sweep is release-only (CI: test-release)"
+    )]
     fn manager_matches_uncached_execution() {
-        let cfg = PassConfig {
-            verify_each: true,
-            ..PassConfig::default()
-        };
-        for src in sample_sources() {
-            for level in OptLevel::ALL {
-                let pm = PassManager::for_level(level);
-                let mut legacy = zkvmopt_lang::compile(src).unwrap();
-                for name in pm.names() {
-                    run_pass(name, &mut legacy, &cfg);
+        let mut pipelines: Vec<(&str, PassManager)> = OptLevel::ALL
+            .iter()
+            .map(|&l| (l.flag(), PassManager::for_level(l)))
+            .collect();
+        pipelines.push(("zk-O3", PassManager::zk_o3()));
+        for w in zkvmopt_workloads::all() {
+            let base = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
+            for (cfg_name, cfg) in [
+                ("default", PassConfig::default()),
+                ("zk_aware", PassConfig::zk_aware()),
+            ] {
+                let cfg = PassConfig {
+                    verify_each: true,
+                    ..cfg
+                };
+                for (flag, pm) in &pipelines {
+                    let mut per_pass = base.clone();
+                    for name in pm.names() {
+                        run_pass(name, &mut per_pass, &cfg);
+                    }
+                    let mut managed = base.clone();
+                    pm.run(&mut managed, &cfg);
+                    assert_eq!(
+                        zkvmopt_ir::print::module_to_string(&per_pass),
+                        zkvmopt_ir::print::module_to_string(&managed),
+                        "{} at {flag} ({cfg_name}): pipeline diverged from per-pass execution",
+                        w.name
+                    );
                 }
-                let mut managed = zkvmopt_lang::compile(src).unwrap();
-                pm.run(&mut managed, &cfg);
-                assert_eq!(
-                    zkvmopt_ir::print::module_to_string(&legacy),
-                    zkvmopt_ir::print::module_to_string(&managed),
-                    "{level:?} diverged between legacy and cached execution"
-                );
             }
         }
     }
 
-    /// Repeated runs through one executor skip converged work and still
-    /// produce exactly what the legacy path produces.
+    /// The one state transition the executor has: a module pass that moves
+    /// the function count (`loop-extract` outlines the loop) followed by a
+    /// function pass through the *same* executor must match fresh executors.
     #[test]
-    fn executor_skips_repeated_runs_without_changing_output() {
+    fn executor_restarts_its_caches_when_the_function_count_moves() {
         let cfg = PassConfig {
             verify_each: true,
             ..PassConfig::default()
         };
-        let src = sample_sources()[1];
-        let pm = PassManager::o2();
-        // Legacy: run the full pipeline three times, uncached.
-        let mut legacy = zkvmopt_lang::compile(src).unwrap();
-        for _ in 0..3 {
-            for name in pm.names() {
-                run_pass(name, &mut legacy, &cfg);
-            }
+        let seq = ["mem2reg", "loop-simplify", "loop-extract", "licm", "gvn"];
+        let base = zkvmopt_lang::compile(sample_sources()[0]).unwrap();
+        let mut fresh = base.clone();
+        let mut counts = vec![fresh.funcs.len()];
+        for name in seq {
+            run_pass(name, &mut fresh, &cfg);
+            counts.push(fresh.funcs.len());
         }
-        // Cached: same three runs through one executor.
-        let mut managed = zkvmopt_lang::compile(src).unwrap();
-        let mut ex = PassExecutor::new();
-        for _ in 0..3 {
-            pm.run_with(&mut managed, &cfg, &mut ex);
-        }
-        assert_eq!(
-            zkvmopt_ir::print::module_to_string(&legacy),
-            zkvmopt_ir::print::module_to_string(&managed),
-            "repeated cached runs diverged from repeated legacy runs"
-        );
-        let (ran, skipped) = ex.stats();
         assert!(
-            skipped > ran / 2,
-            "steady-state runs should be dominated by skips (ran {ran}, skipped {skipped})"
+            counts.windows(2).any(|w| w[0] != w[1]),
+            "`loop-extract` should have outlined a function ({counts:?})"
         );
-    }
-
-    /// Reusing one executor across *different* modules must not leak state:
-    /// the module-content handshake in `begin_run` discards tracking built
-    /// for a module the executor is no longer looking at.
-    #[test]
-    fn executor_discards_state_for_a_different_module() {
-        let cfg = PassConfig {
-            verify_each: true,
-            ..PassConfig::default()
-        };
-        let pm = PassManager::o2();
-        let srcs = sample_sources();
-        // Two single-"shape" modules with the same function count.
-        let mut a = zkvmopt_lang::compile(srcs[0]).unwrap();
-        let mut b = zkvmopt_lang::compile(
-            "fn main() -> i32 {
-               let mut s: i32 = 1;
-               for (let mut i: i32 = 1; i < 7; i += 1) { s *= i; }
-               return s;
-             }",
-        )
-        .unwrap();
-        assert_eq!(a.funcs.len(), b.funcs.len());
-        let mut expected_b = b.clone();
-        pm.run(&mut expected_b, &cfg);
+        let mut shared = base.clone();
         let mut ex = PassExecutor::new();
-        pm.run_with(&mut a, &cfg, &mut ex);
-        pm.run_with(&mut a, &cfg, &mut ex); // marks A clean everywhere
-        pm.run_with(&mut b, &cfg, &mut ex); // must not reuse A's marks/caches
-        assert_eq!(
-            zkvmopt_ir::print::module_to_string(&b),
-            zkvmopt_ir::print::module_to_string(&expected_b),
-            "executor state from module A leaked into module B"
-        );
-    }
-
-    /// The fixpoint combinator converges and stops early once a round
-    /// reports no change.
-    #[test]
-    fn fixpoint_group_converges() {
-        let cfg = PassConfig::default();
-        let src = "fn main() -> i32 {
-                     let a: i32 = 2 + 3;
-                     let b: i32 = a * 4;
-                     let c: i32 = b - b;
-                     return b + c;
-                   }";
-        let mut pm = PassManager::new();
-        pm.add("mem2reg");
-        pm.add_fixpoint(["instcombine", "dce", "simplifycfg"], 10);
-        let mut m = zkvmopt_lang::compile(src).unwrap();
-        pm.run(&mut m, &cfg);
-        // Converged: one more manual round must be a no-op.
-        let mut again = false;
-        for p in ["instcombine", "dce", "simplifycfg"] {
-            again |= run_pass(p, &mut m, &cfg);
+        for name in seq {
+            ex.run_entry(find_pass(name).unwrap(), &mut shared, &cfg);
         }
-        assert!(!again, "fixpoint group stopped before convergence");
-        // And the fixpoint variants of the standard levels resolve.
-        assert!(!PassManager::o2_fixpoint().names().is_empty());
-        assert!(!PassManager::o3_fixpoint().names().is_empty());
+        assert_eq!(
+            zkvmopt_ir::print::module_to_string(&fresh),
+            zkvmopt_ir::print::module_to_string(&shared),
+        );
     }
 
     /// Registered no-ops must never report a change (the tuner drops them

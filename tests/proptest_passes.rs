@@ -8,6 +8,8 @@
 //!   over the `cse`, `sccp`, `loopopt`, and `ipo` pass families (with the IR
 //!   verifier running after every single pass);
 //! - depth-≤20 sequences drawn from the tuner's own candidate generator;
+//! - the same sequences, canonicalised, on the 58 suite programs: one
+//!   pipeline run (shared analysis caches) vs `run_pass` per pass;
 //! - `PassConfig` extremes (`inline_threshold` 0 and ≫4328,
 //!   `unroll_threshold` 0, `simplifycfg_speculate` 0);
 //! - reference-interpreter vs block-dispatch-engine cycle identity on the
@@ -15,7 +17,7 @@
 
 use program_gen::{arb_expr, program, program_with_calls};
 use proptest::prelude::*;
-use zkvm_opt::passes::{run_pass, PassConfig};
+use zkvm_opt::passes::{run_pass, PassConfig, PassManager};
 use zkvm_opt::study::{OptLevel, OptProfile, Pipeline, ProfileKind};
 use zkvm_opt::vm::VmKind;
 
@@ -151,6 +153,60 @@ fn apply_and_check(
         "{ctx}: exit after {seq:?}\n{src}"
     );
     prog
+}
+
+/// Printed IR of `base` after `seq`, or `None` if a pass panicked (the known
+/// miscompiles trip the per-pass verifier).
+fn printed_after(
+    base: &zkvm_opt::ir::Module,
+    run: impl FnOnce(&mut zkvm_opt::ir::Module),
+) -> Option<String> {
+    let mut m = base.clone();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut m)))
+        .ok()
+        .map(|()| zkvm_opt::ir::print::module_to_string(&m))
+}
+
+/// The tuner's traffic through the pass layer: canonicalised depth-≤20
+/// generator sequences, six per suite program, must print the same IR through
+/// one `PassManager::run` (analysis caches shared across the sequence) as
+/// through `run_pass` in a loop (fresh caches per pass) — and a sequence that
+/// panics one way must panic the other.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full-suite sweep is release-only (CI: test-release)"
+)]
+fn tuner_sequences_match_per_pass_execution_on_the_suite() {
+    let suite = zkvm_opt::workloads::all();
+    let bases: Vec<zkvm_opt::ir::Module> = suite
+        .iter()
+        .map(|w| zkvm_opt::lang::compile_guest(&w.source).expect("suite program compiles"))
+        .collect();
+    for seed in 0..6 * suite.len() as u64 {
+        let cand = zkvm_opt::tuner::Candidate::random(seed, 20);
+        let seq = zkvm_opt::tuner::canonicalize_sequence(&cand.passes);
+        let cfg = PassConfig {
+            verify_each: true,
+            ..cand.pass_config()
+        };
+        let at = seed as usize % suite.len();
+        let per_pass = printed_after(&bases[at], |m| {
+            for pass in &seq {
+                run_pass(pass, m, &cfg);
+            }
+        });
+        let managed = printed_after(&bases[at], |m| {
+            PassManager::from_names(seq.iter().copied()).run(m, &cfg);
+        });
+        assert!(
+            per_pass == managed,
+            "seed {seed} on {}: {seq:?} diverged (per-pass {}, pipeline {})",
+            suite[at].name,
+            if per_pass.is_some() { "ok" } else { "panicked" },
+            if managed.is_some() { "ok" } else { "panicked" },
+        );
+    }
 }
 
 proptest! {
