@@ -44,6 +44,8 @@
 //! assert!(m.size() < before);
 //! ```
 
+#[cfg(test)]
+mod analysis_oracle;
 pub mod cse;
 pub mod framework;
 pub mod ipo;
@@ -491,6 +493,32 @@ pub(crate) mod testutil {
         simplify::oracle::check(name, f);
         loopopt::oracle::check(name, f);
         sccp::oracle::check(name, f);
+        check_analysis_oracles(name, f);
+    }
+
+    /// `Cfg::new`, `LoopForest::new` and `util::sweep_dead` against their
+    /// old bodies on `f`.
+    pub fn check_analysis_oracles(name: &str, f: &zkvmopt_ir::Function) {
+        analysis_oracle::check(name, f);
+        util::oracle::check(name, f);
+    }
+
+    /// [`check_analysis_oracles`] on every function of `m` as lowered and
+    /// after each pass of `-O3`, run through one executor as
+    /// [`PassManager::run`] does.
+    pub fn check_analysis_oracles_along_o3(name: &str, m: &Module) {
+        let check_all = |m: &Module, state: &str| {
+            for f in &m.funcs {
+                check_analysis_oracles(&format!("{name}/{}@{state}", f.name), f);
+            }
+        };
+        let mut m = m.clone();
+        check_all(&m, "lowered");
+        let mut ex = PassExecutor::new();
+        for (i, entry) in PassManager::o3().entries.iter().enumerate() {
+            ex.run_entry(entry, &mut m, &PassConfig::default());
+            check_all(&m, &format!("O3[{i}] {}", entry.name));
+        }
     }
 }
 
@@ -771,6 +799,21 @@ mod tests {
         }
     }
 
+    /// `Cfg::new`, `LoopForest::new` and `util::sweep_dead` against their old
+    /// bodies on every function of the 58 suite programs, as lowered and
+    /// after every pass of `-O3`.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "full-suite sweep is release-only (CI: test-release)"
+    )]
+    fn analyses_match_their_oracles_along_o3_on_the_suite() {
+        for w in zkvmopt_workloads::all() {
+            let m = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
+            testutil::check_analysis_oracles_along_o3(w.name, &m);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 12,
@@ -788,6 +831,22 @@ mod tests {
                 for (name, f) in testutil::oracle_inputs("generated", &m) {
                     testutil::check_kernel_oracles(&name, &f);
                 }
+            }
+        }
+
+        /// The analysis oracles along `-O3` over the same generator.
+        #[test]
+        #[cfg_attr(
+            debug_assertions,
+            ignore = "release-only, like the suite sweep (CI: test-release)"
+        )]
+        fn analyses_match_their_oracles_along_o3_on_generated_programs(
+            es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
+            trip in 1u8..20,
+        ) {
+            for src in [program_gen::program(&es, trip), program_gen::program_with_calls(&es, trip)] {
+                let m = zkvmopt_lang::compile_guest(&src).expect("generated program compiles");
+                testutil::check_analysis_oracles_along_o3("generated", &m);
             }
         }
     }

@@ -453,6 +453,65 @@ pub fn algebraic_simplify(op: &Op) -> Option<Operand> {
     None
 }
 
+/// The rescan-until-nothing-dies body `sweep_dead` replaced, kept as a test
+/// oracle: iterated zero-use removal reaches one fixed point in any order,
+/// so old and new must agree on the whole `Function`.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// `sweep_dead` as it was: a full use scan per round, one `Vec::retain`
+    /// per removed instruction, until a round removes nothing.
+    fn sweep_dead_rescanning(f: &mut Function) -> bool {
+        let mut changed = false;
+        loop {
+            let mut removed = false;
+            let mut used = vec![false; f.values.len()];
+            for b in f.block_ids() {
+                for &v in &f.blocks[b.index()].insts {
+                    if let Some(op) = f.op(v) {
+                        op.for_each_operand(|o| {
+                            if let Operand::Value(u) = o {
+                                used[u.index()] = true;
+                            }
+                        });
+                    }
+                }
+                f.blocks[b.index()].term.for_each_operand(|o| {
+                    if let Operand::Value(u) = o {
+                        used[u.index()] = true;
+                    }
+                });
+            }
+            for b in f.block_ids() {
+                let dead: Vec<ValueId> = f.blocks[b.index()]
+                    .insts
+                    .iter()
+                    .copied()
+                    .filter(|&v| {
+                        !used[v.index()] && f.op(v).is_some_and(|op| !op.has_side_effects())
+                    })
+                    .collect();
+                for v in dead {
+                    f.remove_inst(b, v);
+                    removed = true;
+                }
+            }
+            changed |= removed;
+            if !removed {
+                return changed;
+            }
+        }
+    }
+
+    /// `sweep_dead` against its oracle on `f`: same flag, same `Function`.
+    pub(crate) fn check(name: &str, f: &Function) {
+        let (mut old, mut new) = (f.clone(), f.clone());
+        let (co, cn) = (sweep_dead_rescanning(&mut old), sweep_dead(&mut new));
+        assert!(co == cn && old == new, "{name}: sweep_dead");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
