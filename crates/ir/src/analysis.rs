@@ -66,7 +66,7 @@ pub fn cfg_shape_fingerprint(f: &Function) -> u64 {
     mix(f.entry.0 as u64);
     mix(f.blocks.len() as u64);
     for b in &f.blocks {
-        for s in b.term.successors() {
+        for s in b.term.succs() {
             mix(s.0 as u64);
         }
         // Separate blocks so successor lists cannot slide across boundaries.
@@ -138,10 +138,6 @@ pub struct AnalysisCache {
     /// [`cfg_shape_fingerprint`] of the function at compute time
     /// (debug-assertion fuel; absent until something is cached).
     fingerprint: Option<u64>,
-    /// Number of times a getter recomputed instead of hitting the cache.
-    computes: u64,
-    /// Number of getter calls served from the cache.
-    hits: u64,
 }
 
 impl AnalysisCache {
@@ -167,74 +163,50 @@ impl AnalysisCache {
     /// The function's [`Cfg`], computing and caching it on first use.
     pub fn cfg(&mut self, f: &Function) -> Rc<Cfg> {
         self.check_fresh(f);
-        match &self.cfg {
-            Some(c) => {
-                self.hits += 1;
-                Rc::clone(c)
-            }
-            None => {
-                self.computes += 1;
-                let c = Rc::new(Cfg::new(f));
-                self.cfg = Some(Rc::clone(&c));
-                c
-            }
+        if let Some(c) = &self.cfg {
+            return Rc::clone(c);
         }
+        let c = Rc::new(Cfg::new(f));
+        self.cfg = Some(Rc::clone(&c));
+        c
     }
 
     /// The function's [`DomTree`], computing it (and the [`Cfg`]) on demand.
     pub fn dom(&mut self, f: &Function) -> Rc<DomTree> {
         self.check_fresh(f);
-        match &self.dom {
-            Some(d) => {
-                self.hits += 1;
-                Rc::clone(d)
-            }
-            None => {
-                let cfg = self.cfg(f);
-                self.computes += 1;
-                let d = Rc::new(DomTree::new(f, &cfg));
-                self.dom = Some(Rc::clone(&d));
-                d
-            }
+        if let Some(d) = &self.dom {
+            return Rc::clone(d);
         }
+        let cfg = self.cfg(f);
+        let d = Rc::new(DomTree::new(f, &cfg));
+        self.dom = Some(Rc::clone(&d));
+        d
     }
 
     /// Dominance frontiers of every block (the `mem2reg` phi-placement input).
     pub fn frontiers(&mut self, f: &Function) -> Rc<Vec<Vec<BlockId>>> {
         self.check_fresh(f);
-        match &self.frontiers {
-            Some(fr) => {
-                self.hits += 1;
-                Rc::clone(fr)
-            }
-            None => {
-                let cfg = self.cfg(f);
-                let dom = self.dom(f);
-                self.computes += 1;
-                let fr = Rc::new(dom.dominance_frontiers(&cfg));
-                self.frontiers = Some(Rc::clone(&fr));
-                fr
-            }
+        if let Some(fr) = &self.frontiers {
+            return Rc::clone(fr);
         }
+        let cfg = self.cfg(f);
+        let dom = self.dom(f);
+        let fr = Rc::new(dom.dominance_frontiers(&cfg));
+        self.frontiers = Some(Rc::clone(&fr));
+        fr
     }
 
     /// The function's [`LoopForest`], computing prerequisites on demand.
     pub fn loops(&mut self, f: &Function) -> Rc<LoopForest> {
         self.check_fresh(f);
-        match &self.loops {
-            Some(l) => {
-                self.hits += 1;
-                Rc::clone(l)
-            }
-            None => {
-                let cfg = self.cfg(f);
-                let dom = self.dom(f);
-                self.computes += 1;
-                let l = Rc::new(LoopForest::new(f, &cfg, &dom));
-                self.loops = Some(Rc::clone(&l));
-                l
-            }
+        if let Some(l) = &self.loops {
+            return Rc::clone(l);
         }
+        let cfg = self.cfg(f);
+        let dom = self.dom(f);
+        let l = Rc::new(LoopForest::new(f, &cfg, &dom));
+        self.loops = Some(Rc::clone(&l));
+        l
     }
 
     /// Drop every analysis not covered by `preserved`.
@@ -246,17 +218,7 @@ impl AnalysisCache {
 
     /// Drop everything.
     pub fn invalidate_all(&mut self) {
-        *self = AnalysisCache {
-            computes: self.computes,
-            hits: self.hits,
-            ..AnalysisCache::default()
-        };
-    }
-
-    /// `(recomputes, cache hits)` since construction — observability for the
-    /// pipeline-throughput bench and tests.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.computes, self.hits)
+        *self = AnalysisCache::default();
     }
 }
 
@@ -287,18 +249,18 @@ mod tests {
     fn lazily_computes_and_reuses() {
         let f = diamond();
         let mut ac = AnalysisCache::new();
-        assert_eq!(ac.stats(), (0, 0));
         let c1 = ac.cfg(&f);
         let c2 = ac.cfg(&f);
         assert!(Rc::ptr_eq(&c1, &c2), "second query must be a cache hit");
-        let (computes, hits) = ac.stats();
-        assert_eq!((computes, hits), (1, 1));
-        // dom/frontiers/loops share the cached Cfg.
-        let _ = ac.dom(&f);
-        let _ = ac.frontiers(&f);
-        let _ = ac.loops(&f);
-        let (computes, _) = ac.stats();
-        assert_eq!(computes, 4, "cfg + dom + frontiers + loops, each once");
+        // dom/frontiers/loops are computed once and share the cached Cfg.
+        let (d, fr, l) = (ac.dom(&f), ac.frontiers(&f), ac.loops(&f));
+        assert!(Rc::ptr_eq(&d, &ac.dom(&f)));
+        assert!(Rc::ptr_eq(&fr, &ac.frontiers(&f)));
+        assert!(Rc::ptr_eq(&l, &ac.loops(&f)));
+        assert!(
+            Rc::ptr_eq(&c1, &ac.cfg(&f)),
+            "prerequisites reuse the cached Cfg"
+        );
     }
 
     #[test]

@@ -1,21 +1,25 @@
 //! Control-flow-graph utilities: predecessors, successors, orderings.
 
 use crate::func::{BlockId, Function};
-use std::collections::HashSet;
 
 /// Precomputed CFG adjacency for a function.
 ///
-/// Building one is linear in the function (a reachability walk, an adjacency
-/// fill, an RPO walk) but not free: it allocates per block. Analyses read it
-/// through the [`AnalysisCache`](crate::analysis::AnalysisCache); a transform
-/// that edits the block graph builds its own, and should build it once per
-/// *structural change* at most — `simplifycfg` shares one `Cfg` across its
-/// steps until a step changes the graph, and contracts a whole chain of
-/// blocks against a single one — never once per rewritten block or value.
+/// Built from one iterative DFS from the entry (reachability and reverse
+/// postorder come out of the same walk) and two linear fills of flat edge
+/// arrays indexed by block-id offsets. Analyses read it through the
+/// [`AnalysisCache`](crate::analysis::AnalysisCache); a transform that edits
+/// the block graph builds its own, and should build it once per *structural
+/// change* at most — `simplifycfg` shares one `Cfg` across its steps until a
+/// step changes the graph, and contracts a whole chain of blocks against a
+/// single one — never once per rewritten block or value.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    /// `succs[succ_at[b]..succ_at[b + 1]]` are block `b`'s successors.
+    succ_at: Vec<u32>,
+    succs: Vec<BlockId>,
+    /// `preds[pred_at[b]..pred_at[b + 1]]` are block `b`'s predecessors.
+    pred_at: Vec<u32>,
+    preds: Vec<BlockId>,
     rpo: Vec<BlockId>,
     rpo_index: Vec<usize>,
 }
@@ -25,59 +29,81 @@ impl Cfg {
     /// empty adjacency and `usize::MAX` RPO index).
     pub fn new(f: &Function) -> Cfg {
         let n = f.blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        let reachable: HashSet<BlockId> = f.reachable_blocks().into_iter().collect();
-        for b in f.block_ids() {
-            if !reachable.contains(&b) {
-                continue;
-            }
-            for s in f.blocks[b.index()].term.successors() {
-                succs[b.index()].push(s);
-                preds[s.index()].push(b);
-            }
-        }
-        // Reverse postorder via iterative DFS.
-        let mut post = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        // Stack of (block, next successor index).
-        let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
-        seen[f.entry.index()] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let ss = &succs[b.index()];
-            if *i < ss.len() {
-                let s = ss[*i];
-                *i += 1;
-                if !seen[s.index()] {
-                    seen[s.index()] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        post.reverse();
+        // Iterative DFS; `rpo_index` marks visited blocks (0) until it is
+        // filled in from the postorder.
         let mut rpo_index = vec![usize::MAX; n];
-        for (i, b) in post.iter().enumerate() {
+        let mut rpo = Vec::with_capacity(n);
+        let walk = |b: BlockId| (b, f.blocks[b.index()].term.succs());
+        let mut stack = vec![walk(f.entry)];
+        rpo_index[f.entry.index()] = 0;
+        while let Some((b, succs)) = stack.last_mut() {
+            match succs.next() {
+                Some(s) if rpo_index[s.index()] == usize::MAX => {
+                    rpo_index[s.index()] = 0;
+                    stack.push(walk(s));
+                }
+                Some(_) => {}
+                None => {
+                    rpo.push(*b);
+                    stack.pop();
+                }
+            }
+        }
+        rpo.reverse();
+        for (i, b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = i;
         }
+        // Successors of reachable blocks, counting each edge at its target.
+        let mut succ_at = Vec::with_capacity(n + 1);
+        let mut succs = Vec::new();
+        let mut pred_at = vec![0u32; n + 1];
+        succ_at.push(0);
+        for (b, data) in f.blocks.iter().enumerate() {
+            if rpo_index[b] != usize::MAX {
+                for s in data.term.succs() {
+                    succs.push(s);
+                    pred_at[s.index()] += 1;
+                }
+            }
+            succ_at.push(succs.len() as u32);
+        }
+        // Each target's range ends at its inclusive prefix sum; filling the
+        // ranges back to front, sources in descending id order, leaves
+        // `pred_at` at the range starts and every range ascending.
+        let mut total = 0;
+        for at in &mut pred_at {
+            total += *at;
+            *at = total;
+        }
+        let mut preds = vec![BlockId(0); succs.len()];
+        for b in (0..n).rev() {
+            for s in succs[succ_at[b] as usize..succ_at[b + 1] as usize]
+                .iter()
+                .rev()
+            {
+                pred_at[s.index()] -= 1;
+                preds[pred_at[s.index()] as usize] = BlockId(b as u32);
+            }
+        }
         Cfg {
-            preds,
+            succ_at,
             succs,
-            rpo: post,
+            pred_at,
+            preds,
+            rpo,
             rpo_index,
         }
     }
 
-    /// Predecessors of `b` (with multiplicity, matching multi-edges).
+    /// Predecessors of `b` in ascending id order (with multiplicity,
+    /// matching multi-edges).
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        &self.preds[self.pred_at[b.index()] as usize..self.pred_at[b.index() + 1] as usize]
     }
 
-    /// Successors of `b`.
+    /// Successors of `b`, in branch order.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        &self.succs[self.succ_at[b.index()] as usize..self.succ_at[b.index() + 1] as usize]
     }
 
     /// Reachable blocks in reverse postorder (entry first).
@@ -99,8 +125,7 @@ impl Cfg {
     /// Unique predecessors (collapsing multi-edges from switches/cond-brs).
     pub fn unique_preds(&self, b: BlockId) -> Vec<BlockId> {
         let mut v = self.preds(b).to_vec();
-        v.sort();
-        v.dedup();
+        v.dedup(); // already ascending
         v
     }
 }

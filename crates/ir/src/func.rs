@@ -310,10 +310,7 @@ impl Function {
                 continue;
             }
             order.push(b);
-            let succs = self.blocks[b.index()].term.successors();
-            for s in succs.into_iter().rev() {
-                stack.push(s);
-            }
+            stack.extend(self.blocks[b.index()].term.succs().rev());
         }
         order
     }

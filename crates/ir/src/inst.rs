@@ -461,18 +461,24 @@ pub enum Term {
 }
 
 impl Term {
+    /// Walk the successor blocks in branch order without allocating (what
+    /// [`Term::successors`] collects): a switch's cases, then its default.
+    pub fn succs(&self) -> impl DoubleEndedIterator<Item = BlockId> + '_ {
+        let (cases, fixed): (&[(i64, BlockId)], [Option<BlockId>; 2]) = match self {
+            Term::Br(b) => (&[], [Some(*b), None]),
+            Term::CondBr { t, f, .. } => (&[], [Some(*t), Some(*f)]),
+            Term::Switch { cases, default, .. } => (cases, [Some(*default), None]),
+            Term::Ret(_) | Term::Unreachable => (&[], [None, None]),
+        };
+        cases
+            .iter()
+            .map(|&(_, b)| b)
+            .chain(fixed.into_iter().flatten())
+    }
+
     /// All successor blocks, in branch order.
     pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Term::Br(b) => vec![*b],
-            Term::CondBr { t, f, .. } => vec![*t, *f],
-            Term::Switch { cases, default, .. } => {
-                let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
-            }
-            Term::Ret(_) | Term::Unreachable => vec![],
-        }
+        self.succs().collect()
     }
 
     /// Visit every operand immutably.
@@ -602,6 +608,35 @@ mod tests {
         assert_eq!(t.successors(), vec![b0, b1]);
         t.retarget(b1, b2);
         assert_eq!(t.successors(), vec![b0, b2]);
+    }
+
+    #[test]
+    fn succs_walks_both_ways_in_branch_order() {
+        let (b0, b1, b2) = (BlockId(0), BlockId(1), BlockId(2));
+        let sw = Term::Switch {
+            v: Operand::i32(0),
+            cases: vec![(1, b2), (2, b0)],
+            default: b1,
+        };
+        for (t, want) in [
+            (Term::Br(b1), vec![b1]),
+            (
+                Term::CondBr {
+                    c: Operand::bool(true),
+                    t: b2,
+                    f: b2,
+                },
+                vec![b2, b2],
+            ),
+            (sw, vec![b2, b0, b1]),
+            (Term::Ret(None), vec![]),
+            (Term::Unreachable, vec![]),
+        ] {
+            assert_eq!(t.succs().collect::<Vec<_>>(), want, "{t:?}");
+            let mut back: Vec<BlockId> = t.succs().rev().collect();
+            back.reverse();
+            assert_eq!(back, want, "{t:?} reversed");
+        }
     }
 
     #[test]

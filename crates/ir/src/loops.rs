@@ -8,7 +8,72 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::func::{BlockId, Function};
-use std::collections::HashSet;
+
+/// A set of blocks of one function: one bit per block id, iterated in
+/// ascending id order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BlockSet {
+    /// The empty set over a function of `n` blocks.
+    fn new(n: usize) -> BlockSet {
+        BlockSet {
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Add `b`; returns whether it was absent.
+    fn insert(&mut self, b: BlockId) -> bool {
+        let (w, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
+        let absent = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        self.len += absent as usize;
+        absent
+    }
+
+    /// Whether `b` is in the set.
+    pub fn contains(&self, b: BlockId) -> bool {
+        self.words
+            .get(b.index() / 64)
+            .is_some_and(|w| w & (1u64 << (b.index() % 64)) != 0)
+    }
+
+    /// Number of blocks in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether every block of `self` is in `other`.
+    pub fn is_subset(&self, other: &BlockSet) -> bool {
+        self.words
+            .iter()
+            .zip(other.words.iter().chain(std::iter::repeat(&0)))
+            .all(|(a, b)| a & !b == 0)
+    }
+
+    /// The blocks in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    BlockId((i * 64) as u32 + bit)
+                })
+            })
+        })
+    }
+}
 
 /// One natural loop.
 #[derive(Debug, Clone)]
@@ -16,7 +81,7 @@ pub struct Loop {
     /// The loop header (target of the back edges).
     pub header: BlockId,
     /// All blocks in the loop, header included.
-    pub blocks: HashSet<BlockId>,
+    pub blocks: BlockSet,
     /// Source blocks of back edges (`latch -> header`).
     pub latches: Vec<BlockId>,
     /// Blocks inside the loop with a successor outside (exiting blocks).
@@ -32,30 +97,22 @@ pub struct Loop {
 impl Loop {
     /// Whether the loop contains block `b`.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.blocks.contains(&b)
+        self.blocks.contains(b)
     }
 
     /// The unique block outside the loop branching to the header, if exactly
     /// one exists and it only branches to the header (a *dedicated preheader*).
     pub fn preheader(&self, f: &Function, cfg: &Cfg) -> Option<BlockId> {
-        let mut outside = Vec::new();
-        for &p in cfg.preds(self.header) {
-            if !self.contains(p) {
-                outside.push(p);
-            }
-        }
-        outside.sort();
-        outside.dedup();
-        if outside.len() != 1 {
+        let mut outside = cfg
+            .preds(self.header)
+            .iter()
+            .filter(|&&p| !self.contains(p));
+        let p = *outside.next()?;
+        if outside.any(|&q| q != p) {
             return None;
         }
-        let p = outside[0];
-        let succs = f.blocks[p.index()].term.successors();
-        if succs.len() == 1 && succs[0] == self.header {
-            Some(p)
-        } else {
-            None
-        }
+        let mut succs = f.blocks[p.index()].term.succs();
+        (succs.next() == Some(self.header) && succs.next().is_none()).then_some(p)
     }
 }
 
@@ -86,33 +143,31 @@ impl LoopForest {
             }
         }
         let mut loops = Vec::new();
+        let mut work: Vec<BlockId> = Vec::new();
         for (h, latches) in headers.into_iter().zip(latches_of) {
-            let mut blocks: HashSet<BlockId> = HashSet::new();
+            let mut blocks = BlockSet::new(f.blocks.len());
             blocks.insert(h);
-            let mut work: Vec<BlockId> = latches.clone();
+            work.extend_from_slice(&latches);
             while let Some(b) = work.pop() {
                 if blocks.insert(b) {
-                    for &p in cfg.preds(b) {
-                        work.push(p);
-                    }
+                    work.extend_from_slice(cfg.preds(b));
                 }
             }
+            // Blocks ascend, so `exiting` does too; `exits` is sorted after.
             let mut exiting = Vec::new();
             let mut exits = Vec::new();
-            for &b in &blocks {
-                for s in f.blocks[b.index()].term.successors() {
-                    if !blocks.contains(&s) {
-                        if !exiting.contains(&b) {
+            for b in blocks.iter() {
+                for s in f.blocks[b.index()].term.succs() {
+                    if !blocks.contains(s) {
+                        if exiting.last() != Some(&b) {
                             exiting.push(b);
                         }
-                        if !exits.contains(&s) {
-                            exits.push(s);
-                        }
+                        exits.push(s);
                     }
                 }
             }
-            exiting.sort();
-            exits.sort();
+            exits.sort_unstable();
+            exits.dedup();
             loops.push(Loop {
                 header: h,
                 blocks,
@@ -133,8 +188,7 @@ impl LoopForest {
                     continue;
                 }
                 if loops[j].blocks.len() > loops[i].blocks.len()
-                    && loops[j].blocks.contains(&loops[i].header)
-                    && loops[i].blocks.iter().all(|b| loops[j].blocks.contains(b))
+                    && loops[i].blocks.is_subset(&loops[j].blocks)
                 {
                     best = match best {
                         None => Some(j),
@@ -225,7 +279,28 @@ mod tests {
         assert_eq!(outer.depth, 1);
         assert_eq!(inner.depth, 2);
         assert_eq!(inner.parent, Some(0));
-        assert!(outer.blocks.contains(&inner.header));
+        assert!(outer.blocks.contains(inner.header));
+        assert!(inner.blocks.is_subset(&outer.blocks) && !outer.blocks.is_subset(&inner.blocks));
+        let ids: Vec<BlockId> = outer.blocks.iter().collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending: {ids:?}");
+        assert_eq!(ids.len(), outer.blocks.len());
+    }
+
+    #[test]
+    fn block_set_spans_words() {
+        let mut s = BlockSet::new(130);
+        assert!(s.is_empty());
+        for i in [129, 0, 64, 63, 64] {
+            s.insert(BlockId(i));
+        }
+        assert_eq!(s.len(), 4);
+        let ids: Vec<u32> = s.iter().map(|b| b.0).collect();
+        assert_eq!(ids, vec![0, 63, 64, 129]);
+        assert!(s.contains(BlockId(129)) && !s.contains(BlockId(128)));
+        assert!(!s.contains(BlockId(1000)), "out of range is absent");
+        let mut t = BlockSet::new(130);
+        t.insert(BlockId(64));
+        assert!(t.is_subset(&s) && !s.is_subset(&t));
     }
 
     #[test]

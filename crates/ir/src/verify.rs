@@ -90,7 +90,7 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
     for &b in cfg.rpo() {
         let data = &f.blocks[b.index()];
         // Terminator targets must be valid.
-        for s in data.term.successors() {
+        for s in data.term.succs() {
             if s.index() >= f.blocks.len() {
                 return Err(err(
                     f,

@@ -194,3 +194,44 @@ pub(crate) fn check(name: &str, f: &Function) {
         assert_eq!((l.depth, l.parent), (o.depth, o.parent), "{ctx} nesting");
     }
 }
+
+/// A shape no suite state has: a loop with two exits, one reached twice
+/// from one switch, around a self-loop, plus an unreachable predecessor.
+#[test]
+fn multi_exit_nest_matches_the_oracles() {
+    use zkvmopt_ir::{FunctionBuilder, Operand, Ty};
+    let mut b = FunctionBuilder::new("m", vec![Ty::I32], None);
+    let (h, body, inner, x1, x2, orphan) = (
+        b.new_block(),
+        b.new_block(),
+        b.new_block(),
+        b.new_block(),
+        b.new_block(),
+        b.new_block(),
+    );
+    let p = Operand::val(b.param(0));
+    b.br(h);
+    b.switch_to(h);
+    b.cond_br(p, body, x1);
+    b.switch_to(body);
+    b.switch(p, vec![(1, x2), (2, h), (3, x2)], inner);
+    b.switch_to(inner);
+    b.cond_br(p, inner, h);
+    for x in [x1, x2] {
+        b.switch_to(x);
+        b.ret(None);
+    }
+    b.switch_to(orphan);
+    b.br(h);
+    let f = b.finish();
+    check("multi-exit", &f);
+    let cfg = Cfg::new(&f);
+    let forest = LoopForest::new(&f, &cfg, &DomTree::new(&f, &cfg));
+    let outer = &forest.loops[0];
+    assert_eq!(
+        (outer.exiting.clone(), outer.exits.clone()),
+        (vec![h, body], vec![x1, x2])
+    );
+    assert_eq!(cfg.preds(x2), &[body, body]);
+    assert_eq!(forest.loops[1].parent, Some(0));
+}

@@ -21,14 +21,6 @@ use zkvmopt_ir::func::Substitution;
 use zkvmopt_ir::loops::{Loop, LoopForest};
 use zkvmopt_ir::{BinOp, BlockId, Function, Module, Op, Operand, Pred, Term, Ty, ValueId};
 
-/// Loop blocks in a deterministic order (the set is hash-ordered; passes
-/// must not let hasher seeds influence which transformation happens first).
-fn sorted_blocks(l: &Loop) -> Vec<BlockId> {
-    let mut v: Vec<BlockId> = l.blocks.iter().copied().collect();
-    v.sort();
-    v
-}
-
 /// Fetch the loop-pass analysis triple from the cache (each is computed at
 /// most once until a CFG-shape change invalidates).
 fn analyze(f: &Function, ac: &mut AnalysisCache) -> (Rc<Cfg>, Rc<DomTree>, Rc<LoopForest>) {
@@ -220,7 +212,7 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             // this holds for our shapes — verify defensively.
             let mut phi_of: Vec<Option<ValueId>> = vec![None; f.values.len()];
             let mut escaped = false;
-            for def_bb in sorted_blocks(l) {
+            for def_bb in l.blocks.iter() {
                 if !exit_preds.iter().all(|p| dom.dominates(def_bb, *p)) {
                     continue;
                 }
@@ -320,7 +312,7 @@ fn promote_loop_allocas(f: &mut Function, ac: &mut AnalysisCache) -> bool {
         // instructions that may access memory it cannot reason about — in
         // particular calls. Mirror that: only call-free loops promote.
         let mut has_calls = false;
-        for b in sorted_blocks(l) {
+        for b in l.blocks.iter() {
             for &v in &f.blocks[b.index()].insts {
                 if matches!(f.op(v), Some(Op::Call { .. }) | Some(Op::Ecall { .. })) {
                     has_calls = true;
@@ -330,7 +322,7 @@ fn promote_loop_allocas(f: &mut Function, ac: &mut AnalysisCache) -> bool {
         if has_calls {
             continue;
         }
-        for b in sorted_blocks(l) {
+        for b in l.blocks.iter() {
             for &v in &f.blocks[b.index()].insts {
                 match f.op(v) {
                     Some(Op::Load { ptr, .. }) | Some(Op::Store { ptr, .. }) => {
@@ -352,13 +344,11 @@ fn promote_loop_allocas(f: &mut Function, ac: &mut AnalysisCache) -> bool {
 fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     let mut changed = false;
     // Hoisting moves instructions between existing blocks; the cached
-    // analyses — and with them the loop order and each loop's sorted block
-    // list — survive every round.
+    // analyses — and with them the loop order — survive every round.
     let (cfg, _dom, forest) = analyze(f, ac);
     // Innermost loops first (deepest depth first).
     let mut order: Vec<usize> = (0..forest.loops.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
-    let blocks_of: Vec<Vec<BlockId>> = forest.loops.iter().map(sorted_blocks).collect();
     for _ in 0..8 {
         let mut did = false;
         for &li in &order {
@@ -372,7 +362,7 @@ fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             let mut loop_writes: Vec<Operand> = Vec::new();
             let mut unknown_writes = false;
             let mut defined_in = vec![false; f.values.len()];
-            for b in &blocks_of[li] {
+            for b in l.blocks.iter() {
                 for &v in &f.blocks[b.index()].insts {
                     defined_in[v.index()] = true;
                     match f.op(v) {
@@ -388,7 +378,7 @@ fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             };
             // One hoist per analysis round keeps the sets consistent.
             let mut hoist: Option<(BlockId, ValueId)> = None;
-            'scan: for &b in &blocks_of[li] {
+            'scan: for b in l.blocks.iter() {
                 for &v in &f.blocks[b.index()].insts {
                     let Some(op) = f.op(v) else { continue };
                     let mut inv = true;
@@ -433,11 +423,7 @@ fn clone_loop(
     backedge_target: Option<BlockId>,
 ) -> (HashMap<BlockId, BlockId>, HashMap<ValueId, Operand>) {
     let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
-    let blocks: Vec<BlockId> = {
-        let mut v: Vec<BlockId> = l.blocks.iter().copied().collect();
-        v.sort();
-        v
-    };
+    let blocks: Vec<BlockId> = l.blocks.iter().collect();
     for &b in &blocks {
         bmap.insert(b, f.add_block());
     }
@@ -836,7 +822,7 @@ pub fn loop_deletion(
             }
             // No side effects inside.
             let mut pure = true;
-            for b in sorted_blocks(l) {
+            for b in l.blocks.iter() {
                 for &v in &f.blocks[b.index()].insts {
                     if let Some(op) = f.op(v) {
                         if op.has_side_effects() {
@@ -851,7 +837,7 @@ pub fn loop_deletion(
             // No loop-defined value used outside.
             let exit = l.exits[0];
             let mut escapes = false;
-            for b in sorted_blocks(l) {
+            for b in l.blocks.iter() {
                 for &v in &f.blocks[b.index()].insts {
                     for b2 in f.block_ids() {
                         if l.contains(b2) {
@@ -1076,7 +1062,7 @@ pub fn loop_reduce(
             let Some(pre) = l.preheader(f, &cfg) else {
                 continue;
             };
-            for b in sorted_blocks(l) {
+            for b in l.blocks.iter() {
                 let insts = f.blocks[b.index()].insts.clone();
                 for v in insts {
                     let Some(Op::Bin {
@@ -1192,7 +1178,7 @@ pub fn loop_fission(
             continue;
         }
         // Nothing defined in the loop may be used outside it.
-        for b in sorted_blocks(l) {
+        for b in l.blocks.iter() {
             for &v in &f.blocks[b.index()].insts {
                 for b2 in f.block_ids() {
                     if l.contains(b2) {
@@ -1321,7 +1307,7 @@ pub fn loop_unswitch(
             }
         }
         // Nothing defined inside may be used outside.
-        for b in sorted_blocks(l) {
+        for b in l.blocks.iter() {
             for &v in &f.blocks[b.index()].insts {
                 for b2 in f.block_ids() {
                     if l.contains(b2) {
@@ -1350,7 +1336,7 @@ pub fn loop_unswitch(
             .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
             .collect();
         let mut cond: Option<(BlockId, Operand)> = None;
-        for b in sorted_blocks(l) {
+        for b in l.blocks.iter() {
             if b == l.header {
                 continue;
             }
@@ -1439,7 +1425,7 @@ fn extract_one(m: &mut Module, fi: usize) -> bool {
         // No allocas inside, no ecalls (halt must stay in the caller frame —
         // it behaves identically, but keep extraction conservative).
         let mut ok = true;
-        for b in sorted_blocks(l) {
+        for b in l.blocks.iter() {
             for &v in &f.blocks[b.index()].insts {
                 if matches!(f.op(v), Some(Op::Alloca { .. }) | Some(Op::Ecall { .. })) {
                     ok = false;
@@ -1475,8 +1461,7 @@ fn extract_one(m: &mut Module, fi: usize) -> bool {
     let mut nf = Function::new(format!("{caller_name}.loop{}", l.header.0), params, ret);
     nf.no_inline = true; // extraction must survive later inline runs
     let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
-    let mut blocks: Vec<BlockId> = l.blocks.iter().copied().collect();
-    blocks.sort();
+    let blocks: Vec<BlockId> = l.blocks.iter().collect();
     for &b in &blocks {
         bmap.insert(b, nf.add_block());
     }
@@ -1598,7 +1583,7 @@ fn loop_liveness(f: &Function, l: &Loop) -> (LiveVals, LiveVals) {
         .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
         .collect();
     let mut live_in: Vec<(ValueId, Ty)> = Vec::new();
-    for b in sorted_blocks(l) {
+    for b in l.blocks.iter() {
         let mut consider = |o: &Operand| {
             if let Operand::Value(v) = o {
                 if !defined_in.contains(v) {
@@ -1619,7 +1604,7 @@ fn loop_liveness(f: &Function, l: &Loop) -> (LiveVals, LiveVals) {
     }
     live_in.sort_by_key(|(v, _)| *v);
     let mut live_out: Vec<(ValueId, Ty)> = Vec::new();
-    for b in sorted_blocks(l) {
+    for b in l.blocks.iter() {
         for &v in &f.blocks[b.index()].insts {
             let Some(ty) = f.ty(v) else { continue };
             let mut used_out = false;
@@ -1658,7 +1643,7 @@ pub fn loop_predication(
     let (cfg, _dom, forest) = analyze(f, ac);
     'loops: for l in &forest.loops {
         // Triangle inside the loop: A -CondBr-> (T, J), T: store only, T -> J.
-        for a in sorted_blocks(l) {
+        for a in l.blocks.iter() {
             let Term::CondBr { c, t, f: j } = f.blocks[a.index()].term.clone() else {
                 continue;
             };
@@ -1766,7 +1751,7 @@ pub fn irce(
         }
         let lo = counted.init;
         let hi = last;
-        for b in sorted_blocks(l) {
+        for b in l.blocks.iter() {
             if b == l.header {
                 continue; // don't fold the loop's own exit test
             }
@@ -2029,7 +2014,7 @@ pub(crate) mod oracle {
                 }
                 let exit_preds = cfg.unique_preds(exit);
                 let mut escaping: Vec<(ValueId, Ty)> = Vec::new();
-                for b in sorted_blocks(l) {
+                for b in l.blocks.iter() {
                     for &v in &f.blocks[b.index()].insts {
                         let Some(ty) = f.ty(v) else { continue };
                         let mut outside_use = false;

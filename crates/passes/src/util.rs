@@ -177,47 +177,72 @@ pub fn const_fold(f: &Function, op: &Op) -> Option<Operand> {
     }
 }
 
-/// Remove instructions with no uses and no side effects. Iterates to a fixed
-/// point. Returns whether anything was removed.
+/// Remove instructions with no uses and no side effects, to a fixed point
+/// (an instruction only dead code used dies too). Returns whether anything
+/// was removed.
+///
+/// One use count, then a worklist: a dead instruction releases its operands'
+/// counts, and any that reach zero die next. Iterated zero-use removal
+/// reaches the same fixed point in any order, so this removes exactly what
+/// rescanning until a round removes nothing would.
 pub fn sweep_dead(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let mut removed = false;
-        // Count uses.
-        let mut used = vec![false; f.values.len()];
-        for b in f.block_ids() {
-            for &v in &f.blocks[b.index()].insts {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Slot {
+        Free,
+        Listed,
+        Dead,
+    }
+    let removable = |f: &Function, v: ValueId| f.op(v).is_some_and(|op| !op.has_side_effects());
+    // Uses by each listed instruction (once, however often it is listed) and
+    // by every terminator.
+    let mut uses = vec![0u32; f.values.len()];
+    let mut slot = vec![Slot::Free; f.values.len()];
+    let mut count = |o: &Operand| {
+        if let Operand::Value(u) = o {
+            uses[u.index()] += 1;
+        }
+    };
+    for block in &f.blocks {
+        for &v in &block.insts {
+            if std::mem::replace(&mut slot[v.index()], Slot::Listed) == Slot::Free {
                 if let Some(op) = f.op(v) {
-                    op.for_each_operand(|o| {
-                        if let Operand::Value(u) = o {
-                            used[u.index()] = true;
-                        }
-                    });
+                    op.for_each_operand(&mut count);
                 }
             }
-            f.blocks[b.index()].term.for_each_operand(|o| {
-                if let Operand::Value(u) = o {
-                    used[u.index()] = true;
-                }
-            });
         }
-        for b in f.block_ids() {
-            let dead: Vec<ValueId> = f.blocks[b.index()]
-                .insts
-                .iter()
-                .copied()
-                .filter(|&v| !used[v.index()] && f.op(v).is_some_and(|op| !op.has_side_effects()))
-                .collect();
-            for v in dead {
-                f.remove_inst(b, v);
-                removed = true;
+        block.term.for_each_operand(&mut count);
+    }
+    let mut work: Vec<ValueId> = Vec::new();
+    for block in &f.blocks {
+        for &v in &block.insts {
+            if uses[v.index()] == 0 && slot[v.index()] == Slot::Listed && removable(f, v) {
+                slot[v.index()] = Slot::Dead;
+                work.push(v);
             }
-        }
-        changed |= removed;
-        if !removed {
-            return changed;
         }
     }
+    if work.is_empty() {
+        return false;
+    }
+    let mut dead = Vec::new();
+    while let Some(v) = work.pop() {
+        dead.push(v);
+        f.op(v).expect("removable").for_each_operand(|o| {
+            let Operand::Value(u) = o else { return };
+            uses[u.index()] -= 1;
+            if uses[u.index()] == 0 && slot[u.index()] == Slot::Listed && removable(f, *u) {
+                slot[u.index()] = Slot::Dead;
+                work.push(*u);
+            }
+        });
+    }
+    for block in &mut f.blocks {
+        block.insts.retain(|v| slot[v.index()] != Slot::Dead);
+    }
+    for v in dead {
+        f.kill_value(v);
+    }
+    true
 }
 
 /// Drop unreachable blocks from instruction lists and fix up phis in the
@@ -279,7 +304,7 @@ fn cleanup_reachable_phis(f: &mut Function, reachable: &[BlockId]) -> bool {
             let preds = preds.get_or_insert_with(|| {
                 let mut preds = vec![Vec::new(); f.blocks.len()];
                 for &p in reachable {
-                    for s in f.blocks[p.index()].term.successors() {
+                    for s in f.blocks[p.index()].term.succs() {
                         preds[s.index()].push(p);
                     }
                 }
