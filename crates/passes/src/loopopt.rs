@@ -1116,7 +1116,7 @@ pub fn loop_reduce(
             break;
         }
     }
-    util::sweep_dead(f);
+    changed |= util::sweep_dead(f);
     changed
 }
 
@@ -1987,6 +1987,23 @@ mod tests {
             let _ = crate::run_pass(pass, &mut m, &PassConfig::default());
         }
         assert_eq!(m.funcs.len(), 1, "nothing was extracted");
+    }
+
+    /// `loop-reduce` ends with a dead-code sweep; what the sweep removes is a
+    /// change, and must be reported as one even with no loop to reduce.
+    #[test]
+    fn loop_reduce_reports_its_sweep() {
+        let mut b = FunctionBuilder::new("main", vec![Ty::I32], Some(Ty::I32));
+        b.bin(BinOp::Add, Operand::val(b.param(0)), Operand::i32(1));
+        b.ret(Some(Operand::i32(0)));
+        let mut m = Module::new();
+        m.add_func(b.finish());
+        let cfg = PassConfig {
+            verify_each: false,
+            ..PassConfig::default()
+        };
+        assert!(crate::run_pass("loop-reduce", &mut m, &cfg));
+        assert!(m.funcs[0].blocks[0].insts.is_empty(), "the add was swept");
     }
 }
 
