@@ -8,7 +8,9 @@
 //! and the `-O1` starting points. The ten most expensive entries are printed
 //! and recorded — the names behind the benchmark's `passes.ms.other` — with
 //! the geomean over all entries as the headline
-//! (`passes_ns_per_ir_inst_geomean`).
+//! (`passes_ns_per_ir_inst_geomean`). Beside them, the analysis substrate in
+//! absolute units: `Cfg::new` + `DomTree::new` + `LoopForest::new` over every
+//! function of the same starts, ns per block (`analysis_ns_per_block`).
 //!
 //! No ratio is gated here: that a pipeline through one executor prints the
 //! same IR as a fresh executor per pass is a test
@@ -17,6 +19,9 @@
 //! `tests/proptest_passes.rs`), not a bench.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use zkvmopt_ir::cfg::Cfg;
+use zkvmopt_ir::dom::DomTree;
+use zkvmopt_ir::loops::LoopForest;
 use zkvmopt_ir::Module;
 use zkvmopt_passes::{
     find_pass, is_noop_pass, pass_names, OptLevel, PassConfig, PassExecutor, PassManager,
@@ -64,19 +69,24 @@ fn suite_ms(level: OptLevel, suite: &[Module]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// ns per IR instruction entering the pass, per (non-no-op) registry entry,
-/// most expensive first: each entry runs once, through a fresh executor, on a
-/// clone of every suite module as lowered and after `-O1` (best of two).
-fn per_pass_cost(suite: &[Module]) -> Vec<(&'static str, f64)> {
-    let cfg = PassConfig::default();
-    let starts: Vec<Module> = suite
+/// Every suite module as lowered and after `-O1`: the starts the per-entry
+/// and analysis costs are measured on.
+fn lowered_and_o1(suite: &[Module]) -> Vec<Module> {
+    suite
         .iter()
         .flat_map(|base| {
             let mut o1 = base.clone();
-            PassManager::for_level(OptLevel::O1).run(&mut o1, &cfg);
+            PassManager::for_level(OptLevel::O1).run(&mut o1, &PassConfig::default());
             [base.clone(), o1]
         })
-        .collect();
+        .collect()
+}
+
+/// ns per IR instruction entering the pass, per (non-no-op) registry entry,
+/// most expensive first: each entry runs once, through a fresh executor, on a
+/// clone of every start (best of two).
+fn per_pass_cost(starts: &[Module]) -> Vec<(&'static str, f64)> {
+    let cfg = PassConfig::default();
     let insts: usize = starts.iter().map(Module::size).sum();
     let mut rows: Vec<(&'static str, f64)> = pass_names()
         .iter()
@@ -86,7 +96,7 @@ fn per_pass_cost(suite: &[Module]) -> Vec<(&'static str, f64)> {
             let ns = (0..2)
                 .map(|_| {
                     let mut ns = 0u128;
-                    for start in &starts {
+                    for start in starts {
                         let mut m = start.clone();
                         let t = std::time::Instant::now();
                         black_box(PassExecutor::new().run_entry(entry, &mut m, &cfg));
@@ -103,6 +113,26 @@ fn per_pass_cost(suite: &[Module]) -> Vec<(&'static str, f64)> {
     rows
 }
 
+/// ns per block of `Cfg::new` + `DomTree::new` + `LoopForest::new` over every
+/// function of `starts` (best of three).
+fn analysis_ns_per_block(starts: &[Module]) -> f64 {
+    let funcs = || starts.iter().flat_map(|m| &m.funcs);
+    let blocks: usize = funcs().map(|f| f.blocks.len()).sum();
+    let ns = (0..3)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            for f in funcs() {
+                let cfg = Cfg::new(f);
+                let dom = DomTree::new(f, &cfg);
+                black_box(LoopForest::new(f, &cfg, &dom));
+            }
+            t.elapsed().as_nanos()
+        })
+        .min()
+        .expect("three rounds");
+    ns as f64 / blocks as f64
+}
+
 fn report(suite: &[Module]) {
     zkvmopt_bench::header("Pass-layer throughput: suite pipelines and per-pass cost");
     let (o2_ms, o3_ms) = (suite_ms(OptLevel::O2, suite), suite_ms(OptLevel::O3, suite));
@@ -111,7 +141,8 @@ fn report(suite: &[Module]) {
         suite.len()
     );
 
-    let costs = per_pass_cost(suite);
+    let starts = lowered_and_o1(suite);
+    let costs = per_pass_cost(&starts);
     let cost_geomean = geomean(&costs.iter().map(|(_, ns)| *ns).collect::<Vec<_>>());
     println!(
         "\n{:<28} {:>14}   (top 10 of {} registry entries; lowered + -O1 starts)",
@@ -123,6 +154,11 @@ fn report(suite: &[Module]) {
         println!("{name:<28} {ns:>14.1}");
     }
     println!("{:<28} {cost_geomean:>14.1}", "geomean, all entries");
+    let analysis_ns = analysis_ns_per_block(&starts);
+    println!(
+        "\nCfg + DomTree + LoopForest over every function of those starts, best of 3: \
+         {analysis_ns:.1} ns per block"
+    );
 
     let top: Vec<(String, f64)> = costs
         .iter()
@@ -134,6 +170,7 @@ fn report(suite: &[Module]) {
         ("suite_o3_ms", o3_ms),
         ("workloads", suite.len() as f64),
         ("passes_ns_per_ir_inst_geomean", cost_geomean),
+        ("analysis_ns_per_block", analysis_ns),
     ];
     metrics.extend(top.iter().map(|(k, v)| (k.as_str(), *v)));
     zkvmopt_bench::trajectory::record("pass_pipeline_throughput", &metrics);
