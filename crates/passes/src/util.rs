@@ -178,8 +178,8 @@ pub fn const_fold(f: &Function, op: &Op) -> Option<Operand> {
 }
 
 /// Remove instructions with no uses and no side effects, to a fixed point
-/// (an instruction only dead code used dies too). Returns whether anything
-/// was removed.
+/// (an instruction used only by dead code dies too). Returns whether
+/// anything was removed.
 ///
 /// One use count, then a worklist: a dead instruction releases its operands'
 /// counts, and any that reach zero die next. Iterated zero-use removal
