@@ -52,6 +52,8 @@ pub mod ipo;
 pub mod loopopt;
 pub mod mem2reg;
 pub mod misc;
+#[cfg(test)]
+mod print_oracle;
 pub mod sccp;
 pub mod simplify;
 pub mod util;
@@ -503,6 +505,17 @@ pub(crate) mod testutil {
         util::oracle::check(name, f);
     }
 
+    /// The printer and `stable_module_fingerprint` against the old printer
+    /// on `m` as lowered, after `-O1` and after `-O3`.
+    pub fn check_printer_oracle(name: &str, m: &Module) {
+        crate::print_oracle::check(&format!("{name}@lowered"), m);
+        for (level, pm) in [("O1", PassManager::o1()), ("O3", PassManager::o3())] {
+            let mut opt = m.clone();
+            pm.run(&mut opt, &PassConfig::default());
+            crate::print_oracle::check(&format!("{name}@{level}"), &opt);
+        }
+    }
+
     /// [`check_analysis_oracles`] on every function of `m` as lowered and
     /// after each pass of `-O3`, run through one executor as
     /// [`PassManager::run`] does.
@@ -814,11 +827,34 @@ mod tests {
         }
     }
 
+    /// The streaming printer and the fingerprint it feeds against the old
+    /// `String`-building printer, on the 58 suite programs as lowered, after
+    /// `-O1` and after `-O3`.
+    #[test]
+    fn printer_and_fingerprint_match_their_oracle_on_the_suite() {
+        for w in zkvmopt_workloads::all() {
+            let m = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
+            testutil::check_printer_oracle(w.name, &m);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 12,
             ..proptest::prelude::ProptestConfig::default()
         })]
+
+        /// The printer oracle over the `proptest_passes` generator.
+        #[test]
+        fn printer_and_fingerprint_match_their_oracle_on_generated_programs(
+            es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
+            trip in 1u8..20,
+        ) {
+            for src in [program_gen::program(&es, trip), program_gen::program_with_calls(&es, trip)] {
+                let m = zkvmopt_lang::compile_guest(&src).expect("generated program compiles");
+                testutil::check_printer_oracle("generated", &m);
+            }
+        }
 
         /// The same over the `proptest_passes` generator's programs.
         #[test]
