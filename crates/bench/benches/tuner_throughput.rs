@@ -128,6 +128,7 @@ fn report(suite: &[Group]) {
     let mut speedups = Vec::new();
     let mut total_fitness_evals = 0usize;
     let mut total_cache_hits = 0usize;
+    let mut total_postpass_hits = 0usize;
     let mut dbs: Vec<TuneDb> = Vec::new();
     for (gi, g) in suite.iter().enumerate() {
         let t = std::time::Instant::now();
@@ -167,6 +168,7 @@ fn report(suite: &[Group]) {
         speedups.push(speedup);
         total_fitness_evals += par.fitness_evals;
         total_cache_hits += par.cache_hits;
+        total_postpass_hits += par.postpass_hits;
         dbs.push(par_db);
     }
     let g = geomean(&speedups);
@@ -179,6 +181,14 @@ fn report(suite: &[Group]) {
     println!(
         "cache: {total_cache_hits}/{evaluated} budget served by the sharded cache ({:.0}%)",
         hit_rate * 100.0
+    );
+    // Of the fitness calls the cache missed, the share whose post-pass IR
+    // the same search had already compiled and executed.
+    let postpass_hit_rate = total_postpass_hits as f64 / total_fitness_evals.max(1) as f64;
+    println!(
+        "post-pass memo: {total_postpass_hits}/{total_fitness_evals} fitness calls reused \
+         an earlier call's codegen and execution ({:.0}%)",
+        postpass_hit_rate * 100.0
     );
 
     // Warm start: the populated databases answer every workload with zero
@@ -209,6 +219,7 @@ fn report(suite: &[Group]) {
             ("evaluated", evaluated as f64),
             ("fitness_evals", total_fitness_evals as f64),
             ("cache_hit_rate", hit_rate),
+            ("postpass_hit_rate", postpass_hit_rate),
             ("warm_start_db_hits", warm_hits as f64),
         ],
     );

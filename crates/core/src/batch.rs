@@ -18,17 +18,44 @@
 //!   behaviour is a miscompile and evaluates to `None`, the same channel
 //!   through which the paper's autotuner surfaced a real SP1 soundness bug.
 //!
-//! Evaluation is then a pure `&self` function of the candidate: clone the
-//! module, apply the profile, codegen, pre-decode, execute. No shared
-//! mutable state, so any number of threads evaluate concurrently (the
-//! tuner's workers call [`BatchEvaluator::eval_classified`] directly).
-//! Construct one via [`SuiteRunner::batch_evaluator`], which reuses the
-//! runner's lowered-module cache and baseline machinery.
+//! Evaluation is then a `&self` function of the candidate in two halves:
+//! the **front** clones the module and applies the candidate's passes, the
+//! **back half** verifies, generates code, pre-decodes, executes and checks
+//! against the baseline. The back half is a pure function of the post-pass
+//! module and of the entry's fixed context (base program, inputs, VM kind,
+//! cycle budget, backend cost model), and on a cold search most candidates
+//! that miss the tuner's sequence-keyed cache still produce IR a sibling
+//! already produced. So when [`BatchEvaluator::eval_classified`] runs inside
+//! a [`zkvmopt_tuner::tune_suite`] fitness call, it keys the back half by
+//! (context, post-pass fingerprint) in that search's
+//! [`zkvmopt_tuner::PostPassMemo`], and compile and execution run once per
+//! distinct post-pass module. Outside a search there is no memo, no
+//! fingerprint and no lookup.
+//!
+//! The memo belongs to the search, not to this evaluator: an
+//! evaluator-lifetime map would let every later search (and every round a
+//! benchmark replays) start warm from the first one's work, so a search's
+//! cost would depend on what ran before it. Apart from that memo, threads
+//! evaluating concurrently share nothing mutable (the tuner's workers call
+//! `eval_classified` directly). Construct one via
+//! [`SuiteRunner::batch_evaluator`], which reuses the runner's lowered-module
+//! cache and baseline machinery.
+//!
+//! Keying by the printed IR relies on code generation reading what the
+//! printer writes: functions, globals and the reachable blocks with their
+//! instructions. Two reads go past it. Global contents are printed only as
+//! a length, but no pass changes a global and the context fixes the base
+//! module. Instruction selection's compare-and-branch fusion counts uses in
+//! unreachable blocks too. `tests/tuner_service.rs` therefore re-evaluates
+//! every call of real searches outside any search and requires equal
+//! results.
 
 use crate::{OptLevel, OptProfile, PipelineError, StudyError, SuiteRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use zkvmopt_ir::analysis::stable_fingerprint_bytes;
 use zkvmopt_ir::{stable_module_fingerprint, FeatureVector, Module};
 use zkvmopt_passes::PassConfig;
+use zkvmopt_riscv::TargetCostModel;
 use zkvmopt_tuner::{Candidate, EvalResult, TuneTarget};
 use zkvmopt_vm::{DecodedProgram, Engine, ExecConfig, VmKind, VmProfile};
 use zkvmopt_workloads::Workload;
@@ -58,6 +85,12 @@ struct Entry {
     /// Cycles under the fixed `-O3` pipeline — the reference the predictive
     /// tuner normalizes tuned results against.
     o3_cycles: u64,
+    /// [`BatchEvaluator::candidate_budget`].
+    budget: u64,
+    /// Everything besides the post-pass module that the back half's result
+    /// depends on, hashed: the post-pass memo's key is (this, the post-pass
+    /// fingerprint).
+    context: u64,
 }
 
 /// Immutable, `Sync` fitness oracle over a fixed set of workloads on one VM.
@@ -65,7 +98,6 @@ struct Entry {
 pub struct BatchEvaluator {
     entries: Vec<Entry>,
     vm: VmKind,
-    max_cycles: u64,
 }
 
 impl SuiteRunner {
@@ -90,6 +122,21 @@ impl SuiteRunner {
             let features = FeatureVector::extract(&module);
             let (_, baseline) = self.measure(w, &OptProfile::baseline(), vm, false, None)?;
             let (_, o3) = self.measure(w, &OptProfile::level(OptLevel::O3), vm, false, None)?;
+            let budget = max_cycles.min(
+                baseline
+                    .exec
+                    .total_cycles
+                    .saturating_mul(BUDGET_HEADROOM)
+                    .max(BUDGET_FLOOR),
+            );
+            let context = stable_fingerprint_bytes(
+                format!(
+                    "{fingerprint:016x} {:?} {vm:?} {budget} {:?}",
+                    w.inputs,
+                    candidate_profile(&[], &PassConfig::default()).backend
+                )
+                .as_bytes(),
+            );
             entries.push(Entry {
                 name: w.name,
                 module,
@@ -100,14 +147,18 @@ impl SuiteRunner {
                 baseline_exit: baseline.exec.exit_code,
                 baseline_cycles: baseline.exec.total_cycles,
                 o3_cycles: o3.exec.total_cycles,
+                budget,
+                context,
             });
         }
-        Ok(BatchEvaluator {
-            entries,
-            vm,
-            max_cycles,
-        })
+        Ok(BatchEvaluator { entries, vm })
     }
+}
+
+/// The profile a candidate is evaluated under. Its backend cost model does
+/// not depend on the passes, so it is part of each entry's fixed context.
+fn candidate_profile(passes: &[&'static str], cfg: &PassConfig) -> OptProfile {
+    OptProfile::sequence("candidate", passes.to_vec(), cfg.clone())
 }
 
 impl BatchEvaluator {
@@ -158,12 +209,7 @@ impl BatchEvaluator {
     /// *optimization attempt* — if it cannot finish within a generous
     /// multiple of the unoptimized baseline, it has blown its budget.
     pub fn candidate_budget(&self, widx: usize) -> u64 {
-        self.max_cycles.min(
-            self.entries[widx]
-                .baseline_cycles
-                .saturating_mul(BUDGET_HEADROOM)
-                .max(BUDGET_FLOOR),
-        )
+        self.entries[widx].budget
     }
 
     /// Evaluate one candidate on workload `widx`: cycles under the
@@ -188,6 +234,10 @@ impl BatchEvaluator {
     /// per-candidate [`BatchEvaluator::candidate_budget`]. Deterministic
     /// and `&self`: safe to call from any number of threads.
     ///
+    /// Inside a [`zkvmopt_tuner::tune_suite`] fitness call, everything after
+    /// the passes runs once per distinct post-pass module of that search; a
+    /// repeat returns the first result, payload included (module docs).
+    ///
     /// # Errors
     /// Every failure mode of the candidate pipeline, classified — see the
     /// [`crate::error`] module docs for the taxonomy.
@@ -198,25 +248,50 @@ impl BatchEvaluator {
         cfg: &PassConfig,
     ) -> Result<u64, PipelineError> {
         let e = &self.entries[widx];
-        let profile = OptProfile::sequence("candidate", passes.to_vec(), cfg.clone());
-        let program = catch_unwind(AssertUnwindSafe(|| {
+        let profile = candidate_profile(passes, cfg);
+        let m = catch_unwind(AssertUnwindSafe(|| {
             let mut m = e.module.clone();
             profile.apply(&mut m);
-            zkvmopt_ir::verify::verify_module(&m).map_err(|err| PipelineError::Verify {
+            m
+        }))
+        .map_err(PipelineError::from_panic)?;
+        let back_half = || self.back_half(e, &m, &profile.backend);
+        // A module the printer cannot fingerprint is not memoized: the
+        // verifier classifies it, as it does outside a search.
+        let memo = zkvmopt_tuner::current_postpass_memo().and_then(|memo| {
+            let fp = catch_unwind(AssertUnwindSafe(|| stable_module_fingerprint(&m))).ok()?;
+            Some((memo, fp))
+        });
+        match memo {
+            Some((memo, fp)) => memo.get_or_compute(e.context, fp, back_half),
+            None => back_half(),
+        }
+    }
+
+    /// Verify → codegen → decode → execute under the entry's budget → check
+    /// against the baseline: everything after the passes, a pure function of
+    /// the post-pass module `m` and the entry's context.
+    fn back_half(
+        &self,
+        e: &Entry,
+        m: &Module,
+        backend: &TargetCostModel,
+    ) -> Result<u64, PipelineError> {
+        let program = catch_unwind(AssertUnwindSafe(|| {
+            zkvmopt_ir::verify::verify_module(m).map_err(|err| PipelineError::Verify {
                 message: err.to_string(),
             })?;
-            zkvmopt_riscv::compile_module(&m, &profile.backend).map_err(PipelineError::from)
+            zkvmopt_riscv::compile_module(m, backend).map_err(PipelineError::from)
         }))
         .unwrap_or_else(|payload| Err(PipelineError::from_panic(payload)))?;
-        let budget = self.candidate_budget(widx);
         let decoded = DecodedProgram::decode(&program);
         let config = ExecConfig {
             inputs: e.inputs.clone(),
-            max_cycles: budget,
+            max_cycles: e.budget,
         };
         let exec = Engine::new(&decoded, VmProfile::for_kind(self.vm), config)
             .run()
-            .map_err(|err| PipelineError::from_exec(err, budget))?;
+            .map_err(|err| PipelineError::from_exec(err, e.budget))?;
         if exec.journal != e.baseline_journal || exec.exit_code != e.baseline_exit {
             return Err(PipelineError::Divergence); // miscompile: must never win
         }

@@ -2,7 +2,7 @@
 //! Z_p (p = 2^61 − 1), standing in for the paper's secp256k1-ECDSA and
 //! Ed25519 verifies.
 //!
-//! **Substitution note (DESIGN.md):** the study needs precompiled signature
+//! **Substitution note:** the study needs precompiled signature
 //! verification with (a) deterministic test vectors and (b) a fixed proving
 //! cost. The group choice is irrelevant to the compiler measurements, so we
 //! use a 61-bit discrete-log group rather than vendoring big-integer curve

@@ -83,22 +83,45 @@ pub fn cfg_shape_fingerprint(f: &Function) -> u64 {
 /// persistent tune database uses to recognize a program across runs — two
 /// sources that lower to the same IR warm-start from each other's tuning
 /// results.
+///
+/// The printer behind `module_to_string` streams into the hash, so no text
+/// is built: the value is [`stable_fingerprint_bytes`] of
+/// `module_to_string(m)` without the `String`.
 pub fn stable_module_fingerprint(m: &crate::func::Module) -> u64 {
-    stable_fingerprint_bytes(crate::print::module_to_string(m).as_bytes())
+    let mut h = Fnv1a(FNV_OFFSET);
+    let _ = crate::print::write_module(&mut h, m); // the sink never fails
+    h.0
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// An FNV-1a state that the printer writes into.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x100000001b3;
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// FNV-1a over raw bytes — the primitive under
 /// [`stable_module_fingerprint`], exposed so callers can fingerprint other
 /// stable serializations (e.g. source text) with the same function.
 pub fn stable_fingerprint_bytes(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.update(bytes);
+    h.0
 }
 
 /// Serialize a fingerprint as the fixed-width lowercase hex the tune

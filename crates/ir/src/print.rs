@@ -1,63 +1,73 @@
 //! Textual IR printer (LLVM-flavoured), for debugging and golden tests.
+//!
+//! One printer writes into a [`fmt::Write`] sink: [`module_to_string`]
+//! collects it into a `String`, and
+//! [`crate::analysis::stable_module_fingerprint`] hashes the same characters
+//! as they stream past, so the two agree byte for byte by construction.
 
 use crate::func::{Function, Module, ValueDef, ValueId};
-use crate::inst::{Op, Operand, Term};
-use std::fmt::Write;
+use crate::inst::{CastKind, Op, Operand, Term};
+use std::fmt::{self, Display, Formatter, Write};
 
-fn fmt_operand(_f: &Function, o: &Operand) -> String {
-    match o {
-        Operand::Value(v) => format!("%{}", v.0),
-        Operand::Const { value, ty } => format!("{value}:{ty}"),
+/// An operand as printed.
+struct Opnd<'a>(&'a Operand);
+
+impl Display for Opnd<'_> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Operand::Value(v) => write!(f, "%{}", v.0),
+            Operand::Const { value, ty } => write!(f, "{value}:{ty}"),
+        }
     }
 }
 
-fn fmt_inst(func: &Function, m: &Module, v: ValueId) -> String {
+/// `items`, each printed by the function, joined by `", "`.
+struct Commas<'a, T>(&'a [T], fn(&mut Formatter<'_>, &T) -> fmt::Result);
+
+impl<T> Display for Commas<'_, T> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        for (i, x) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            (self.1)(f, x)?;
+        }
+        Ok(())
+    }
+}
+
+fn operands(args: &[Operand]) -> Commas<'_, Operand> {
+    Commas(args, |f, a| Opnd(a).fmt(f))
+}
+
+fn write_inst(w: &mut impl Write, func: &Function, m: &Module, v: ValueId) -> fmt::Result {
     let data = &func.values[v.index()];
     let op = match &data.def {
         ValueDef::Inst(op) => op,
-        ValueDef::Param { index } => return format!("%{} = param {}", v.0, index),
+        ValueDef::Param { index } => return write!(w, "%{} = param {}", v.0, index),
     };
-    let lhs = match data.ty {
-        Some(ty) => format!("%{} = ", v.0) + &format!("{ty} "),
-        None => String::new(),
-    };
-    let body = match op {
-        Op::Bin { op, a, b } => {
-            format!(
-                "{} {}, {}",
-                op.mnemonic(),
-                fmt_operand(func, a),
-                fmt_operand(func, b)
-            )
+    if let Some(ty) = data.ty {
+        write!(w, "%{} = {ty} ", v.0)?;
+    }
+    match op {
+        Op::Bin { op, a, b } => write!(w, "{} {}, {}", op.mnemonic(), Opnd(a), Opnd(b)),
+        Op::Icmp { pred, a, b } => {
+            write!(w, "icmp {} {}, {}", pred.mnemonic(), Opnd(a), Opnd(b))
         }
-        Op::Icmp { pred, a, b } => format!(
-            "icmp {} {}, {}",
-            pred.mnemonic(),
-            fmt_operand(func, a),
-            fmt_operand(func, b)
-        ),
-        Op::Select { c, t, f } => format!(
-            "select {}, {}, {}",
-            fmt_operand(func, c),
-            fmt_operand(func, t),
-            fmt_operand(func, f)
-        ),
-        Op::Load { ptr, ty } => format!("load {ty}, {}", fmt_operand(func, ptr)),
-        Op::Store { ptr, val, ty } => format!(
-            "store {ty} {}, {}",
-            fmt_operand(func, val),
-            fmt_operand(func, ptr)
-        ),
-        Op::Alloca { elem, count } => format!("alloca {elem} x {count}"),
+        Op::Select { c, t, f } => write!(w, "select {}, {}, {}", Opnd(c), Opnd(t), Opnd(f)),
+        Op::Load { ptr, ty } => write!(w, "load {ty}, {}", Opnd(ptr)),
+        Op::Store { ptr, val, ty } => write!(w, "store {ty} {}, {}", Opnd(val), Opnd(ptr)),
+        Op::Alloca { elem, count } => write!(w, "alloca {elem} x {count}"),
         Op::Gep {
             base,
             index,
             stride,
             offset,
-        } => format!(
+        } => write!(
+            w,
             "gep {}, {} * {stride} + {offset}",
-            fmt_operand(func, base),
-            fmt_operand(func, index)
+            Opnd(base),
+            Opnd(index)
         ),
         Op::GlobalAddr(g) => {
             let name = m
@@ -65,7 +75,7 @@ fn fmt_inst(func: &Function, m: &Module, v: ValueId) -> String {
                 .get(g.index())
                 .map(|gl| gl.name.as_str())
                 .unwrap_or("?");
-            format!("global_addr @{name}")
+            write!(w, "global_addr @{name}")
         }
         Op::Call { callee, args } => {
             let name = m
@@ -73,99 +83,101 @@ fn fmt_inst(func: &Function, m: &Module, v: ValueId) -> String {
                 .get(callee.index())
                 .map(|f| f.name.as_str())
                 .unwrap_or("?");
-            let a: Vec<String> = args.iter().map(|x| fmt_operand(func, x)).collect();
-            format!("call @{name}({})", a.join(", "))
+            write!(w, "call @{name}({})", operands(args))
         }
         Op::Ecall { code, args } => {
-            let a: Vec<String> = args.iter().map(|x| fmt_operand(func, x)).collect();
-            format!("ecall {}({})", crate::ecall::name(*code), a.join(", "))
+            write!(w, "ecall {}({})", crate::ecall::name(*code), operands(args))
         }
-        Op::Phi { incoming } => {
-            let a: Vec<String> = incoming
-                .iter()
-                .map(|(b, o)| format!("[bb{}: {}]", b.0, fmt_operand(func, o)))
-                .collect();
-            format!("phi {}", a.join(", "))
-        }
+        Op::Phi { incoming } => write!(
+            w,
+            "phi {}",
+            Commas(incoming, |f, (b, o)| write!(f, "[bb{}: {}]", b.0, Opnd(o)))
+        ),
         Op::Cast { kind, v, to } => {
             let k = match kind {
-                crate::inst::CastKind::Zext => "zext",
-                crate::inst::CastKind::Sext => "sext",
-                crate::inst::CastKind::Trunc => "trunc",
+                CastKind::Zext => "zext",
+                CastKind::Sext => "sext",
+                CastKind::Trunc => "trunc",
             };
-            format!("{k} {} to {to}", fmt_operand(func, v))
+            write!(w, "{k} {} to {to}", Opnd(v))
         }
-        Op::Copy(v) => format!("copy {}", fmt_operand(func, v)),
-        Op::Nop => "nop".to_string(),
-    };
-    format!("{lhs}{body}")
+        Op::Copy(v) => write!(w, "copy {}", Opnd(v)),
+        Op::Nop => w.write_str("nop"),
+    }
 }
 
-fn fmt_term(func: &Function, t: &Term) -> String {
+fn write_term(w: &mut impl Write, t: &Term) -> fmt::Result {
     match t {
-        Term::Br(b) => format!("br bb{}", b.0),
-        Term::CondBr { c, t, f } => {
-            format!("br {}, bb{}, bb{}", fmt_operand(func, c), t.0, f.0)
-        }
-        Term::Switch { v, cases, default } => {
-            let cs: Vec<String> = cases
-                .iter()
-                .map(|(k, b)| format!("{k} => bb{}", b.0))
-                .collect();
-            format!(
-                "switch {} [{}], default bb{}",
-                fmt_operand(func, v),
-                cs.join(", "),
-                default.0
-            )
-        }
-        Term::Ret(Some(v)) => format!("ret {}", fmt_operand(func, v)),
-        Term::Ret(None) => "ret".to_string(),
-        Term::Unreachable => "unreachable".to_string(),
+        Term::Br(b) => write!(w, "br bb{}", b.0),
+        Term::CondBr { c, t, f } => write!(w, "br {}, bb{}, bb{}", Opnd(c), t.0, f.0),
+        Term::Switch { v, cases, default } => write!(
+            w,
+            "switch {} [{}], default bb{}",
+            Opnd(v),
+            Commas(cases, |f, (k, b)| write!(f, "{k} => bb{}", b.0)),
+            default.0
+        ),
+        Term::Ret(Some(v)) => write!(w, "ret {}", Opnd(v)),
+        Term::Ret(None) => w.write_str("ret"),
+        Term::Unreachable => w.write_str("unreachable"),
     }
+}
+
+/// Print one function into `w`.
+fn write_function(w: &mut impl Write, func: &Function, m: &Module) -> fmt::Result {
+    write!(w, "fn @{}(", func.name)?;
+    for (i, t) in func.params.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(w, "{sep}%{i}: {t}")?;
+    }
+    match func.ret {
+        Some(t) => writeln!(w, ") -> {t} {{")?,
+        None => writeln!(w, ") {{")?,
+    }
+    for b in func.reachable_blocks() {
+        writeln!(w, "bb{}:", b.0)?;
+        let block = &func.blocks[b.index()];
+        for &v in &block.insts {
+            w.write_str("  ")?;
+            write_inst(w, func, m, v)?;
+            w.write_char('\n')?;
+        }
+        w.write_str("  ")?;
+        write_term(w, &block.term)?;
+        w.write_char('\n')?;
+    }
+    writeln!(w, "}}")
+}
+
+/// Print a whole module into `w`: the text [`module_to_string`] returns.
+pub(crate) fn write_module(w: &mut impl Write, m: &Module) -> fmt::Result {
+    for g in &m.globals {
+        writeln!(
+            w,
+            "global @{}: {} bytes (init {})",
+            g.name,
+            g.size,
+            g.init.len()
+        )?;
+    }
+    for f in &m.funcs {
+        write_function(w, f, m)?;
+        w.write_char('\n')?;
+    }
+    Ok(())
 }
 
 /// Render one function as text.
 pub fn function_to_string(func: &Function, m: &Module) -> String {
     let mut s = String::new();
-    let params: Vec<String> = func
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("%{i}: {t}"))
-        .collect();
-    let ret = match func.ret {
-        Some(t) => format!(" -> {t}"),
-        None => String::new(),
-    };
-    let _ = writeln!(s, "fn @{}({}){ret} {{", func.name, params.join(", "));
-    for b in func.reachable_blocks() {
-        let _ = writeln!(s, "bb{}:", b.0);
-        for &v in &func.blocks[b.index()].insts {
-            let _ = writeln!(s, "  {}", fmt_inst(func, m, v));
-        }
-        let _ = writeln!(s, "  {}", fmt_term(func, &func.blocks[b.index()].term));
-    }
-    let _ = writeln!(s, "}}");
+    let _ = write_function(&mut s, func, m); // writing to a String cannot fail
     s
 }
 
 /// Render a whole module as text.
 pub fn module_to_string(m: &Module) -> String {
     let mut s = String::new();
-    for g in &m.globals {
-        let _ = writeln!(
-            s,
-            "global @{}: {} bytes (init {})",
-            g.name,
-            g.size,
-            g.init.len()
-        );
-    }
-    for f in &m.funcs {
-        s.push_str(&function_to_string(f, m));
-        s.push('\n');
-    }
+    let _ = write_module(&mut s, m); // writing to a String cannot fail
     s
 }
 

@@ -466,9 +466,10 @@ pub fn function_attrs(m: &mut Module, _cfg: &PassConfig) -> bool {
         f.readnone = readnone[i];
         f.readonly = readonly[i] || readnone[i];
     }
-    // Remove unused calls to readnone functions (they cannot observe or
-    // affect anything; zklang functions always terminate on study inputs —
-    // the `willreturn` analogue, documented in DESIGN.md).
+    // Remove unused calls to readnone functions: they cannot observe or
+    // affect anything. Deleting one also assumes it returns, which LLVM
+    // proves with `willreturn`; this IR has no such attribute, and the
+    // assumption holds because zklang functions terminate on study inputs.
     for f in &mut m.funcs {
         for b in f.block_ids() {
             let insts = f.blocks[b.index()].insts.clone();

@@ -629,8 +629,9 @@ pub fn loop_unroll(m: &mut Module, cfg: &PassConfig) -> bool {
 }
 
 /// `loop-unroll-and-jam` (simplified): unrolls only innermost loops of
-/// depth ≥ 2 nests, with a tighter budget — approximating the jam benefit
-/// without outer-loop fusion (documented in DESIGN.md).
+/// depth ≥ 2 nests, at half the unroll budget — approximating the jam
+/// benefit. The outer loop is not unrolled and its copies' inner loops are
+/// not fused, which is the part of LLVM's pass this one leaves out.
 pub fn loop_unroll_and_jam(m: &mut Module, cfg: &PassConfig) -> bool {
     unroll_module(m, cfg, cfg.unroll_threshold / 2, 2)
 }
@@ -1711,8 +1712,10 @@ pub fn loop_predication(
 }
 
 /// `loop-versioning-licm` (simplified): `loop-simplify` + `lcssa` + `licm`.
-/// Runtime alias-check versioning is not modelled; our static alias analysis
-/// already separates alloca/global bases (documented in DESIGN.md).
+/// Runtime alias-check versioning is not modelled. The static alias
+/// analysis already tells apart accesses to distinct alloca and global
+/// bases; a pointer pair it cannot separate stays in the loop, where LLVM
+/// would emit a runtime check and a versioned copy.
 pub fn loop_versioning_licm(
     f: &mut Function,
     ac: &mut AnalysisCache,

@@ -3,7 +3,7 @@
 //! The proving-cost model for the two zkVM profiles, and the segmented
 //! Merkle-commitment prover built on it.
 //!
-//! **Substitution note (DESIGN.md):** the paper measures wall-clock proving
+//! **Substitution note:** the paper measures wall-clock proving
 //! on a GPU rig; every claim it makes is *relative* (percent vs. baseline).
 //! In STARK zkVMs the dominant cost is the padded trace area, proved per
 //! segment (RISC Zero continuations) or shard (SP1) with a per-unit

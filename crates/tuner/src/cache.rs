@@ -1,4 +1,9 @@
-//! The concurrent sharded fitness cache.
+//! The search's two cache layers: the concurrent sharded fitness cache,
+//! keyed by candidate, and the post-pass result memo, keyed by the IR the
+//! candidate's passes produced. Both live exactly as long as one
+//! [`crate::tune_suite`] call.
+//!
+//! ## The fitness cache
 //!
 //! Genetic search re-visits candidates constantly (crossover reassembles
 //! parents, mutation undoes itself, no-op passes pad otherwise-equal
@@ -23,11 +28,35 @@
 //! hit and fitness-call counters can wobble by the handful of racy
 //! duplicates, which is why it reports them as throughput statistics, not
 //! as part of the deterministic outcome.
+//!
+//! ## The post-pass memo
+//!
+//! Most offspring that miss the fitness cache still collapse, once their
+//! passes have run, to IR a sibling already produced. [`PostPassMemo`]
+//! lets the evaluator run its back half (codegen and execution) once per
+//! distinct post-pass module: it maps an evaluator-chosen
+//! `(context, post-pass fingerprint)` pair to the back half's result. The
+//! evaluator sits behind the `Fn(usize, &Candidate)` fitness contract, so
+//! the memo does not travel as an argument: each fitness call runs with its
+//! search's memo as the calling thread's current one, which
+//! [`current_postpass_memo`] returns. Outside a search there is none, and an
+//! evaluator that finds none skips the lookup (and the fingerprint) entirely.
+//!
+//! The memo is owned by one search, never by an evaluator, so no search
+//! (and no benchmark round) starts warm from another's work. Values are
+//! stored type-erased, because the evaluator's result type lives in a crate
+//! that depends on this one. The same contract as the fitness cache holds:
+//! values are pure functions of their keys, the first insert wins, and debug
+//! builds assert that a racing duplicate computed an equal value.
 
 use crate::fault::EvalResult;
 use crate::{canonicalize_sequence, Candidate};
+use std::any::Any;
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key: one candidate on one program. Ordered field by field
 /// (fingerprint first) — the order snapshots, checkpoints and the
@@ -126,7 +155,7 @@ impl ShardedFitnessCache {
         let mut added = 0usize;
         for (key, value) in entries {
             let mut shard = self.locked(&key);
-            if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(key) {
+            if let Entry::Vacant(e) = shard.entry(key) {
                 e.insert(value);
                 added += 1;
             }
@@ -167,6 +196,94 @@ impl ShardedFitnessCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// One shard of a [`PostPassMemo`]: `(context, fingerprint)` → value.
+type MemoShard = Mutex<HashMap<(u64, u64), Box<dyn Any + Send + Sync>>>;
+
+/// One search's post-pass result memo (see the module docs): a sharded map
+/// from `(context, post-pass fingerprint)` to a type-erased value, plus the
+/// number of lookups it answered.
+#[derive(Debug)]
+pub struct PostPassMemo {
+    shards: Vec<MemoShard>,
+    hits: AtomicUsize,
+}
+
+impl PostPassMemo {
+    /// An empty memo, for one search.
+    pub(crate) fn new() -> PostPassMemo {
+        PostPassMemo {
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            hits: AtomicUsize::new(0),
+        }
+    }
+
+    /// The value for `(context, fingerprint)`: the stored one, or `compute`'s,
+    /// which is then stored. No lock is held while `compute` runs, so two
+    /// threads may both compute a key; the first insert wins.
+    pub fn get_or_compute<T>(
+        &self,
+        context: u64,
+        fingerprint: u64,
+        compute: impl FnOnce() -> T,
+    ) -> T
+    where
+        T: Any + Clone + PartialEq + Send + Sync,
+    {
+        let key = (context, fingerprint);
+        let mixed = (context ^ fingerprint).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let shard = &self.shards[mixed as usize % SHARDS];
+        // Nothing panics while a shard is held, except the debug assert
+        // below, after which the map is still consistent.
+        let lock = || shard.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = lock().get(&key).and_then(|v| v.downcast_ref::<T>()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return v.clone();
+        }
+        let value = compute();
+        match lock().entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Box::new(value.clone()));
+            }
+            Entry::Occupied(e) => debug_assert!(
+                e.get()
+                    .downcast_ref::<T>()
+                    .is_none_or(|first| *first == value),
+                "post-pass memo: a racing evaluation of {key:x?} disagreed"
+            ),
+        }
+        value
+    }
+
+    /// Lookups answered from the memo so far.
+    pub(crate) fn hits(&self) -> usize {
+        self.hits.load(Ordering::Relaxed)
+    }
+}
+
+thread_local! {
+    /// The memo of the search whose fitness call this thread is running.
+    static CURRENT: RefCell<Option<Arc<PostPassMemo>>> = const { RefCell::new(None) };
+}
+
+/// The post-pass memo of the [`crate::tune_suite`] search whose fitness call
+/// the calling thread is running, or `None` outside every search.
+pub fn current_postpass_memo() -> Option<Arc<PostPassMemo>> {
+    CURRENT.with_borrow(Option::clone)
+}
+
+/// Run `f` with `memo` as this thread's current post-pass memo; the previous
+/// one is restored when `f` returns or unwinds.
+pub(crate) fn with_postpass_memo<R>(memo: &Arc<PostPassMemo>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<PostPassMemo>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.set(self.0.take());
+        }
+    }
+    let _restore = Restore(CURRENT.replace(Some(Arc::clone(memo))));
+    f()
 }
 
 #[cfg(test)]
@@ -243,6 +360,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn postpass_memo_computes_each_key_once_and_counts_hits() {
+        let memo = PostPassMemo::new();
+        let mut runs = 0;
+        for _ in 0..3 {
+            let v = memo.get_or_compute(1, 7, || {
+                runs += 1;
+                Err::<u64, String>("payload".into())
+            });
+            assert_eq!(v, Err("payload".into()), "the payload survives a hit");
+        }
+        assert_eq!(runs, 1);
+        assert_eq!(memo.hits(), 2);
+        // Either half of the key tells entries apart.
+        assert_eq!(memo.get_or_compute(2, 7, || 5u64), 5);
+        assert_eq!(memo.get_or_compute(1, 8, || 6u64), 6);
+        assert_eq!(memo.hits(), 2);
+    }
+
+    #[test]
+    fn the_current_memo_is_scoped_and_restored_on_unwind() {
+        assert!(current_postpass_memo().is_none(), "no search, no memo");
+        let (outer, inner) = (Arc::new(PostPassMemo::new()), Arc::new(PostPassMemo::new()));
+        with_postpass_memo(&outer, || {
+            let seen = current_postpass_memo().expect("in scope");
+            assert!(Arc::ptr_eq(&seen, &outer));
+            let unwound = std::panic::catch_unwind(|| {
+                with_postpass_memo(&inner, || panic!("fitness bug"));
+            });
+            assert!(unwound.is_err());
+            let seen = current_postpass_memo().expect("restored");
+            assert!(Arc::ptr_eq(&seen, &outer), "the outer scope is back");
+        });
+        assert!(current_postpass_memo().is_none());
+        assert_eq!(Arc::strong_count(&outer), 1, "no thread keeps it alive");
+        // Another thread never sees this thread's memo.
+        with_postpass_memo(&outer, || {
+            std::thread::scope(|s| {
+                s.spawn(|| assert!(current_postpass_memo().is_none()));
+            });
+        });
     }
 
     #[test]

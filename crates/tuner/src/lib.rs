@@ -21,7 +21,9 @@
 //!   [`FitnessKey`] up in the shared [`ShardedFitnessCache`], and only on a
 //!   miss calls the fitness function (panic-isolated, transient failures
 //!   retried). Fitness must be deterministic (cycle counts are), so the memo
-//!   cannot change any search outcome — only its cost.
+//!   cannot change any search outcome — only its cost. Behind the cache, a
+//!   search-scoped [`PostPassMemo`] lets the evaluator compile and execute
+//!   each distinct post-pass module once per search ([`cache`]).
 //! - **One persistence layer:** the tune database ([`TuneDb`]), the run
 //!   checkpoint ([`checkpoint`]) and the quarantine log are versioned
 //!   line-oriented text files read and written through one crate-private
@@ -43,7 +45,7 @@ pub mod predict;
 pub mod rng;
 pub mod service;
 
-pub use cache::{FitnessKey, ShardedFitnessCache};
+pub use cache::{current_postpass_memo, FitnessKey, PostPassMemo, ShardedFitnessCache};
 pub use checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointStatus, CHECKPOINT_SCHEMA_VERSION,
 };

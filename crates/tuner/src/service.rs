@@ -16,7 +16,8 @@
 //! three goes through one evaluate-through-cache step: canonical
 //! [`FitnessKey`] → the [`ShardedFitnessCache`] shared across islands *and*
 //! workloads → on a miss, the panic-isolated fitness call with bounded
-//! retries.
+//! retries, run with the call's [`PostPassMemo`] current so an evaluator
+//! can skip the back half for IR this search already compiled and ran.
 //!
 //! ## Shape
 //!
@@ -73,7 +74,7 @@
 //! with the checkpointed evaluations pre-answered, and injected transient
 //! faults (see [`crate::fault`]) are retried until the true value lands.
 
-use crate::cache::{FitnessKey, ShardedFitnessCache};
+use crate::cache::{with_postpass_memo, FitnessKey, PostPassMemo, ShardedFitnessCache};
 use crate::checkpoint::{load_checkpoint, save_checkpoint, CheckpointStatus};
 use crate::db::{TuneDb, TuneDbEntry};
 use crate::fault::{EvalResult, FailureClass};
@@ -89,7 +90,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use zkvmopt_ir::FeatureVector;
 
 /// Quarantine entries kept in memory per workload; the rest are counted in
@@ -328,6 +329,12 @@ pub struct ServiceReport {
     pub fitness_evals: usize,
     /// Total sharded-cache hits.
     pub cache_hits: usize,
+    /// Fitness calls whose back half the search's [`PostPassMemo`] answered:
+    /// their passes ran, and produced IR an earlier call of this search had
+    /// already compiled and executed. A subset of `fitness_evals`, disjoint
+    /// from `cache_hits`; always 0 for a fitness that does not consult the
+    /// memo.
+    pub postpass_hits: usize,
     /// Total transient-failure re-attempts.
     pub retries: usize,
     /// Workloads answered straight from the tune database.
@@ -371,6 +378,8 @@ impl std::ops::AddAssign for Cost {
 struct Run<'a> {
     config: &'a ServiceConfig,
     cache: ShardedFitnessCache,
+    /// Current on the worker's thread during every fitness call.
+    postpass: Arc<PostPassMemo>,
     fitness: &'a (dyn Fn(usize, &Candidate) -> EvalResult + Sync),
     /// Where the cache is checkpointed, and the run digest it is bound to.
     checkpoint: Option<(&'a Path, u64)>,
@@ -402,14 +411,17 @@ impl Run<'_> {
         (r, cost)
     }
 
-    /// Call `fitness` with panic isolation and the bounded transient retry
-    /// policy. Returns the accepted outcome and the number of fitness calls
-    /// made (≥ 1; every call after the first is a retry).
+    /// Call `fitness` with panic isolation, with this run's post-pass memo
+    /// current, and under the bounded transient retry policy. Returns the
+    /// accepted outcome and the number of fitness calls made (≥ 1; every
+    /// call after the first is a retry).
     fn call_with_retries(&self, widx: usize, c: &Candidate) -> (EvalResult, usize) {
         let mut calls = 0usize;
         loop {
-            let r = catch_unwind(AssertUnwindSafe(|| (self.fitness)(widx, c)))
-                .unwrap_or(Err(FailureClass::Panic));
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                with_postpass_memo(&self.postpass, || (self.fitness)(widx, c))
+            }))
+            .unwrap_or(Err(FailureClass::Panic));
             calls += 1;
             match r {
                 Err(class) if class.is_transient() && calls <= self.config.max_retries => continue,
@@ -550,6 +562,7 @@ where
     let run = Run {
         config,
         cache: ShardedFitnessCache::new(),
+        postpass: Arc::new(PostPassMemo::new()),
         fitness: &fitness,
         checkpoint: config.checkpoint_path.as_deref().map(|p| (p, digest)),
         checkpoint_lock: Mutex::new(()),
@@ -600,6 +613,7 @@ where
         evaluated: workloads.iter().map(|w| w.evaluated).sum(),
         fitness_evals: workloads.iter().map(|w| w.fitness_evals).sum(),
         cache_hits: workloads.iter().map(|w| w.cache_hits).sum(),
+        postpass_hits: run.postpass.hits(),
         retries: workloads.iter().map(|w| w.retries).sum(),
         db_hits: workloads.iter().filter(|w| w.warm_started).count(),
         predicted_hits: workloads.iter().filter(|w| w.predicted).count(),
@@ -1670,6 +1684,37 @@ mod tests {
                 assert_eq!(a.evaluated, b.evaluated, "{}", a.name);
             }
         }
+    }
+
+    /// Each fitness call sees its search's post-pass memo, and only its
+    /// search's: on one thread the hits are exactly the calls whose
+    /// "post-pass" key (here the canonical length) the search had already
+    /// seen, and a second search starts from an empty memo.
+    #[test]
+    fn fitness_calls_share_one_postpass_memo_per_search() {
+        let cfg = ServiceConfig {
+            threads: 1,
+            generations: 3,
+            ..Default::default()
+        };
+        let ts = targets(2);
+        let search = || {
+            let keys = Mutex::new(Vec::new());
+            let r = tune_suite(&cfg, &ts, &mut TuneDb::in_memory(), |widx, c| {
+                let memo = crate::current_postpass_memo().expect("inside a search");
+                let key = (ts[widx].fingerprint, canonicalize_sequence(&c.passes).len());
+                keys.lock().unwrap().push(key);
+                memo.get_or_compute(key.0, key.1 as u64, || Ok(10_000 - key.1 as u64))
+            });
+            let keys = keys.into_inner().unwrap();
+            assert_eq!(keys.len(), r.fitness_evals);
+            let distinct: std::collections::BTreeSet<_> = keys.iter().collect();
+            assert_eq!(r.postpass_hits, keys.len() - distinct.len());
+            assert!(r.postpass_hits > 0);
+            r.postpass_hits
+        };
+        assert_eq!(search(), search(), "no memo state outlives a search");
+        assert!(crate::current_postpass_memo().is_none());
     }
 
     /// The quarantine log file: every cached failure, atomically written,

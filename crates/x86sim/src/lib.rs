@@ -2,7 +2,7 @@
 //!
 //! A trace-driven x86-like timing model for the paper's RQ3 comparison.
 //!
-//! **Substitution note (DESIGN.md):** the paper ran native x86 binaries on an
+//! **Substitution note:** the paper ran native x86 binaries on an
 //! EPYC 7742. What RQ3 actually uses is the *direction and rough magnitude*
 //! of four micro-architectural mechanisms zkVMs lack:
 //!

@@ -82,6 +82,11 @@ fn main() {
          {} answered from the tune db)",
         report.evaluated, report.fitness_evals, report.cache_hits, report.db_hits
     );
+    println!(
+        "post-pass memo: {} of the {} fitness calls reused the codegen and \
+         execution of IR this search had already produced",
+        report.postpass_hits, report.fitness_evals
+    );
     if report.retries > 0 || report.quarantine_total > 0 {
         println!(
             "fault tolerance: {} retries, {} candidates quarantined, {} workloads demoted",

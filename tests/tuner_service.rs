@@ -15,6 +15,10 @@
 //!    scratch must reproduce its recorded cycle count exactly.
 //! 4. **Warm start** — a populated database (reloaded through disk) answers
 //!    every workload with zero fitness evaluations.
+//! 5. **Post-pass memo** — every fitness call of a search, re-evaluated
+//!    outside any search, gives the identical result (payload included); on
+//!    one thread the memo answers exactly the calls whose post-pass IR the
+//!    search had already seen; and no memo state outlives a search.
 //!
 //! The search evaluates hundreds of real compiles, so the suite is
 //! release-only, like the suite-wide differential harness:
@@ -23,10 +27,12 @@
 //! cargo test --release --test tuner_service -- --include-ignored
 //! ```
 
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 use zkvm_opt::study::SuiteRunner;
 use zkvm_opt::tuner::{tune_suite, Candidate, EvalResult, ServiceConfig, TuneDb, TuneTarget};
 use zkvm_opt::vm::VmKind;
-use zkvmopt_core::BatchEvaluator;
+use zkvmopt_core::{BatchEvaluator, OptProfile, PipelineError};
 use zkvmopt_passes::PassConfig;
 use zkvmopt_workloads::Workload;
 
@@ -217,4 +223,86 @@ fn warm_start_through_disk_performs_zero_redundant_evaluations() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One fitness call of a search: the workload, the candidate, and the full
+/// result `eval_classified` returned inside the search.
+type Call = (usize, Candidate, Result<u64, PipelineError>);
+
+/// A search through the classified fitness that records every call.
+fn recorded_search(
+    ev: &BatchEvaluator,
+    threads: usize,
+) -> (zkvm_opt::tuner::ServiceReport, Vec<Call>) {
+    let calls = Mutex::new(Vec::new());
+    let report = tune_suite(
+        &service_config(threads),
+        &targets(ev),
+        &mut TuneDb::in_memory(),
+        |widx, c| {
+            let r = ev.eval_classified(widx, &c.passes, &c.pass_config());
+            calls.lock().unwrap().push((widx, c.clone(), r.clone()));
+            r.map_err(|e| e.class())
+        },
+    );
+    (report, calls.into_inner().unwrap())
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "real-compile search is release-only (CI: test-release)"
+)]
+fn memoized_results_equal_fresh_evaluations_outside_the_search() {
+    let ev = evaluator();
+    for threads in [1, 2] {
+        let (report, calls) = recorded_search(&ev, threads);
+        assert_eq!(calls.len(), report.fitness_evals, "threads={threads}");
+        assert!(
+            report.postpass_hits > 0,
+            "threads={threads}: the search must exercise the memo"
+        );
+        for (widx, c, in_search) in &calls {
+            let fresh = ev.eval_classified(*widx, &c.passes, &c.pass_config());
+            assert_eq!(
+                in_search, &fresh,
+                "threads={threads}: {c:?} on {} answered differently inside the search",
+                WORKLOADS[*widx]
+            );
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "real-compile search is release-only (CI: test-release)"
+)]
+fn postpass_hits_are_the_repeated_postpass_modules_of_one_search() {
+    let ev = evaluator();
+    let mut runner = SuiteRunner::new();
+    let bases: Vec<_> = WORKLOADS
+        .iter()
+        .map(|n| {
+            let w = zkvm_opt::workloads::by_name(n).expect("suite workload");
+            runner.lower(w).expect("suite workload lowers")
+        })
+        .collect();
+    let (report, calls) = recorded_search(&ev, 1);
+    let distinct: BTreeSet<(usize, u64)> = calls
+        .iter()
+        .map(|(widx, c, _)| {
+            let mut m = bases[*widx].clone();
+            OptProfile::sequence("candidate", c.passes.clone(), c.pass_config()).apply(&mut m);
+            (*widx, zkvmopt_ir::stable_module_fingerprint(&m))
+        })
+        .collect();
+    assert_eq!(calls.len(), report.fitness_evals);
+    assert_eq!(report.postpass_hits, calls.len() - distinct.len());
+
+    // The same search again: a memo that outlived the first would answer
+    // more of the second.
+    let (again, _) = recorded_search(&ev, 1);
+    assert_eq!(again.postpass_hits, report.postpass_hits);
+    assert_eq!(again.fitness_evals, report.fitness_evals);
 }
