@@ -3,13 +3,12 @@
 //! variants.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use zkvmopt_bench::{baseline, header, metric_columns, pass_profiles};
-use zkvmopt_core::{SuiteRunner, KEY_PASSES};
+use zkvmopt_bench::{header, metric_columns, pass_profiles};
+use zkvmopt_core::KEY_PASSES;
 use zkvmopt_stats::{kendall_tau, mean, pearson};
 use zkvmopt_vm::VmKind;
 
 fn report() {
-    let mut runner = SuiteRunner::new();
     let workloads: Vec<_> = [
         "loop-sum",
         "polybench-gemm",
@@ -34,9 +33,7 @@ fn report() {
         let mut tau_pe = Vec::new(); // paging vs exec (R0 only)
         let mut r_pe = Vec::new();
         for w in &workloads {
-            let base = baseline(&mut runner, w, &[vm], false);
-            let (v, bm, br) = &base.by_vm[0];
-            let cols = metric_columns(&mut runner, w, &pass_profiles(KEY_PASSES), *v, bm, br);
+            let cols = metric_columns(w, &pass_profiles(KEY_PASSES), vm);
             tau_ie.push(kendall_tau(&cols.instret, &cols.exec_ms));
             r_ie.push(pearson(&cols.instret, &cols.exec_ms));
             tau_ip.push(kendall_tau(&cols.instret, &cols.prove_ms));

@@ -9,8 +9,9 @@
 //! workload set to a representative subset, keeping the run in minutes.
 //! Without flags, `--all --quick` is assumed.
 
+use std::collections::BTreeMap;
 use zkvmopt_bench::{
-    bench_workloads, header, impact_matrix, mean_gain, pass_profiles, pct, Impact,
+    bench_workloads, header, impact_matrix, level_profiles, mean_gain, pass_profiles, pct, Impact,
 };
 use zkvmopt_core::{categorize, EffectCategory, OptLevel, OptProfile, SuiteRunner, KEY_PASSES};
 use zkvmopt_stats::{kendall_tau, mean, pearson, summarize};
@@ -159,11 +160,8 @@ fn main() {
     }
 
     if want(&o, "fig5") {
-        let levels: Vec<OptProfile> = OptLevel::ALL
-            .iter()
-            .map(|l| OptProfile::level(*l))
-            .collect();
-        let impacts = impact_matrix(&workload_set(&o), &levels, &VmKind::BOTH, false);
+        let ws = workload_set(&o);
+        let impacts = impact_matrix(&ws, &level_profiles(), &VmKind::BOTH, false);
         header("Figure 5: -Ox levels vs baseline");
         println!(
             "{:<6} {:>14} {:>14} {:>14} {:>14}",
@@ -179,28 +177,32 @@ fn main() {
                 pct(mean_gain(&impacts, l.flag(), VmKind::Sp1, |i| i.prove_gain)),
             );
         }
+        // A level that linked the same program as an earlier profile of its
+        // row (the baseline first) reused that run. Sharing is per program,
+        // so one VM's cells count it; the flags sort in the table's order.
+        let mut census: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+        for i in impacts.iter().filter(|i| i.vm == VmKind::RiscZero) {
+            if let Some(earlier) = &i.same_program_as {
+                *census
+                    .entry((i.profile.as_str(), earlier.as_str()))
+                    .or_default() += 1;
+            }
+        }
+        for ((level, earlier), n) in census {
+            println!("{level} shares {earlier}'s program on {n}/{}", ws.len());
+        }
     }
 
     if want(&o, "table2") {
         header("Table 2: Kendall tau / Pearson (cost metric vs performance)");
         let ws = workload_set(&o);
-        let mut runner = SuiteRunner::new();
         for vm in VmKind::BOTH {
             let mut tau_ie = Vec::new();
             let mut r_ie = Vec::new();
             let mut tau_pe = Vec::new();
             let mut r_pe = Vec::new();
             for w in &ws {
-                let base = zkvmopt_bench::baseline(&mut runner, w, &[vm], false);
-                let (v, bm, br) = &base.by_vm[0];
-                let cols = zkvmopt_bench::metric_columns(
-                    &mut runner,
-                    w,
-                    &pass_profiles(KEY_PASSES),
-                    *v,
-                    bm,
-                    br,
-                );
+                let cols = zkvmopt_bench::metric_columns(w, &pass_profiles(KEY_PASSES), vm);
                 tau_ie.push(kendall_tau(&cols.instret, &cols.exec_ms));
                 r_ie.push(pearson(&cols.instret, &cols.exec_ms));
                 if vm == VmKind::RiscZero {

@@ -7,7 +7,8 @@
 //! --bin report`) runs the full-scale version and emits the data recorded in
 //! EXPERIMENTS.md.
 
-use zkvmopt_core::{gain, Measurement, OptLevel, OptProfile, RunReport, SuiteRunner};
+use zkvmopt_core::suite::check_and_measure;
+use zkvmopt_core::{gain, Measurement, OptLevel, OptProfile, RunReport, StudyError, SuiteRunner};
 use zkvmopt_vm::VmKind;
 use zkvmopt_workloads::Workload;
 
@@ -38,6 +39,11 @@ pub struct Impact {
     pub x86_gain: Option<f64>,
     /// Raw optimized measurement.
     pub measurement: Measurement,
+    /// The earlier profile of the row (the baseline first) that linked the
+    /// same program on this workload, as
+    /// [`zkvmopt_core::MatrixCell::same_program_as`];
+    /// `None` outside [`impact_matrix`].
+    pub same_program_as: Option<String>,
 }
 
 /// Default reduced workload set for `cargo bench` (representative across
@@ -101,8 +107,22 @@ pub fn impact_vs_baseline(
     base_r: &RunReport,
     with_x86: bool,
 ) -> Option<Impact> {
-    match runner.measure(w, profile, vm, with_x86, Some(base_r)) {
-        Ok((m, _)) => {
+    let measured = runner.measure(w, profile, vm, with_x86, Some(base_r));
+    impact_of(w, profile, vm, base_m, measured.map(|(m, _)| m), None)
+}
+
+/// The [`Impact`] of a measurement checked against its baseline, or the
+/// `[skip]` line for a profile that failed.
+fn impact_of(
+    w: &Workload,
+    profile: &OptProfile,
+    vm: VmKind,
+    base_m: &Measurement,
+    measured: Result<Measurement, StudyError>,
+    same_program_as: Option<String>,
+) -> Option<Impact> {
+    match measured {
+        Ok(m) => {
             let x86_gain = match (base_m.x86_ms, m.x86_ms) {
                 (Some(b), Some(n)) => Some(gain(b, n)),
                 _ => None,
@@ -121,6 +141,7 @@ pub fn impact_vs_baseline(
                 ),
                 x86_gain,
                 measurement: m,
+                same_program_as,
             })
         }
         Err(e) => {
@@ -146,32 +167,31 @@ pub struct MetricColumns {
     pub prove_ms: Vec<f64>,
 }
 
-/// Measure `profiles` against an established baseline and collect the
-/// correlation-table metric columns (failed profiles are skipped, like the
-/// paper's invalid autotuner candidates).
-pub fn metric_columns(
-    runner: &mut SuiteRunner,
-    w: &Workload,
-    profiles: &[OptProfile],
-    vm: VmKind,
-    base_m: &Measurement,
-    base_r: &RunReport,
-) -> MetricColumns {
+/// Measure `profiles` of `w` on `vm` against the baseline, through
+/// [`impact_matrix`], and collect the correlation-table metric columns
+/// (failed profiles are skipped, like the paper's invalid autotuner
+/// candidates).
+pub fn metric_columns(w: &Workload, profiles: &[OptProfile], vm: VmKind) -> MetricColumns {
     let mut cols = MetricColumns::default();
-    for p in profiles {
-        if let Some(i) = impact_vs_baseline(runner, w, p, vm, base_m, base_r, false) {
-            cols.instret.push(i.measurement.instret as f64);
-            cols.paging.push(i.measurement.paging_cycles as f64);
-            cols.exec_ms.push(i.measurement.exec_ms);
-            cols.prove_ms.push(i.measurement.prove_ms);
-        }
+    for i in impact_matrix(&[w], profiles, &[vm], false) {
+        cols.instret.push(i.measurement.instret as f64);
+        cols.paging.push(i.measurement.paging_cycles as f64);
+        cols.exec_ms.push(i.measurement.exec_ms);
+        cols.prove_ms.push(i.measurement.prove_ms);
     }
     cols
 }
 
-/// Run a (workloads × profiles × vms) impact matrix through one batched
-/// [`SuiteRunner`]: every {workload × profile} compiles once (baselines
-/// included), and all executions go through the block-dispatch engine.
+/// Run a (workloads × profiles × vms) impact matrix through one
+/// [`SuiteRunner`]: one [`SuiteRunner::run_matrix`] row per workload over
+/// the baseline plus `profiles`, so each workload compiles once per
+/// distinct pipeline and executes each distinct linked program once per VM
+/// (and once on x86). Impacts come in (workload, vm, profile) order; a
+/// profile that fails or changes the baseline's observable behaviour is
+/// skipped with a `[skip]` line.
+///
+/// # Panics
+/// Panics when a baseline run fails — the suite guarantees it cannot.
 pub fn impact_matrix(
     workloads: &[&Workload],
     profiles: &[OptProfile],
@@ -179,14 +199,25 @@ pub fn impact_matrix(
     with_x86: bool,
 ) -> Vec<Impact> {
     let mut runner = SuiteRunner::new();
+    let row: Vec<OptProfile> = std::iter::once(OptProfile::baseline())
+        .chain(profiles.iter().cloned())
+        .collect();
     let mut out = Vec::new();
     for w in workloads {
-        let base = baseline(&mut runner, w, vms, with_x86);
-        for (vm, bm, br) in &base.by_vm {
-            for p in profiles {
-                if let Some(i) = impact_vs_baseline(&mut runner, w, p, *vm, bm, br, with_x86) {
-                    out.push(i);
-                }
+        let cells = runner.run_matrix(&[w], &row, vms, with_x86, 1);
+        for (vi, vm) in vms.iter().enumerate() {
+            let (bm, br) = cells[vi]
+                .result
+                .as_ref()
+                .unwrap_or_else(|e| panic!("baseline {} on {vm}: {e}", w.name));
+            for (pi, p) in profiles.iter().enumerate() {
+                let cell = &cells[(pi + 1) * vms.len() + vi];
+                let checked = cell
+                    .result
+                    .clone()
+                    .and_then(|(_, r)| check_and_measure(w, p, *vm, r, Some(br)).map(|(m, _)| m));
+                let same = cell.same_program_as.clone();
+                out.extend(impact_of(w, p, *vm, bm, checked, same));
             }
         }
     }
@@ -285,5 +316,83 @@ mod tests {
             i.cycles_gain
         );
         assert!(i.instret_gain > 0.0);
+    }
+
+    /// The per-cell `impact_matrix` this crate had before it ran on
+    /// `run_matrix`: every profile measured on its own against a baseline
+    /// measured on its own. The oracle the row version is held to.
+    fn impact_matrix_oracle(
+        workloads: &[&Workload],
+        profiles: &[OptProfile],
+        vms: &[VmKind],
+        with_x86: bool,
+    ) -> Vec<Impact> {
+        let mut runner = SuiteRunner::new();
+        let mut out = Vec::new();
+        for w in workloads {
+            let base = baseline(&mut runner, w, vms, with_x86);
+            for (vm, bm, br) in &base.by_vm {
+                for p in profiles {
+                    if let Some(i) = impact_vs_baseline(&mut runner, w, p, *vm, bm, br, with_x86) {
+                        out.push(i);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Impact for impact, every field (floats compared through their exact
+    /// `Debug` form) but the sharing note the oracle cannot know.
+    fn assert_impacts_match_oracle(
+        workloads: &[&Workload],
+        profiles: &[OptProfile],
+        with_x86: bool,
+    ) {
+        let view = |i: &Impact| {
+            format!(
+                "{:?}",
+                Impact {
+                    same_program_as: None,
+                    ..i.clone()
+                }
+            )
+        };
+        let got = impact_matrix(workloads, profiles, &VmKind::BOTH, with_x86);
+        let want = impact_matrix_oracle(workloads, profiles, &VmKind::BOTH, with_x86);
+        assert_eq!(got.len(), want.len(), "impact count");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(view(g), view(w));
+        }
+        assert!(got.iter().any(|i| i.same_program_as.is_some()));
+    }
+
+    fn levels_and_passes() -> Vec<OptProfile> {
+        let mut profiles = level_profiles();
+        profiles.extend(pass_profiles(zkvmopt_core::studied_passes()));
+        profiles
+    }
+
+    fn three_programs() -> Vec<&'static Workload> {
+        ["loop-sum", "tailcall", "merkle"]
+            .iter()
+            .map(|n| zkvmopt_workloads::by_name(n).expect("workload exists"))
+            .collect()
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "bench-scale matrix is release-only (CI: test-release)"
+    )]
+    fn impact_matrix_matches_the_per_cell_oracle() {
+        let profiles = levels_and_passes();
+        assert_impacts_match_oracle(&bench_workloads(), &profiles, false);
+        assert_impacts_match_oracle(&three_programs(), &profiles, true);
+    }
+
+    #[test]
+    fn impact_matrix_matches_the_per_cell_oracle_on_three_programs() {
+        assert_impacts_match_oracle(&three_programs(), &level_profiles(), true);
     }
 }

@@ -50,8 +50,8 @@ pub enum ProfileKind {
     SinglePass(&'static str),
     /// An explicit pass sequence (autotuner output, RQ2).
     Sequence(Vec<&'static str>),
-    /// The paper's zkVM-aware `-O3` (§6.1: modified cost model, adjusted
-    /// heuristics, hardware-only passes dropped).
+    /// The paper's zkVM-aware `-O3` (§6.1): `-O3`'s pass list under
+    /// [`PassConfig::zk_aware`] and [`TargetCostModel::zk`].
     ZkAwareO3,
 }
 
@@ -124,35 +124,40 @@ impl OptProfile {
         }
     }
 
-    /// A content-derived cache key: two profiles with equal keys produce the
-    /// same code from the same module. Deliberately ignores `name`, so the
+    /// The pass names this profile runs, in order: the resolved pipeline of
+    /// a level or zk-O3, `[p]` for a single pass, the sequence itself, and
+    /// nothing for the baseline.
+    pub fn passes(&self) -> Vec<&'static str> {
+        match &self.kind {
+            ProfileKind::Baseline => Vec::new(),
+            ProfileKind::Level(l) => PassManager::for_level(*l).names(),
+            ProfileKind::SinglePass(p) => vec![*p],
+            ProfileKind::Sequence(ps) => ps.clone(),
+            ProfileKind::ZkAwareO3 => PassManager::zk_o3().names(),
+        }
+    }
+
+    /// A content-derived cache key: the resolved [`passes`](Self::passes),
+    /// the pass config and the backend — everything [`apply`](Self::apply)
+    /// and codegen read, so two profiles with equal keys produce the same
+    /// code from the same module (`-Os` shares `-O2`'s key; a single pass
+    /// shares a one-pass sequence's). Deliberately ignores `name`, so the
     /// autotuner's identically-named candidates never collide in the
     /// [`SuiteRunner`] cache.
     pub fn cache_key(&self) -> String {
-        format!("{:?}|{:?}|{:?}", self.kind, self.pass_config, self.backend)
+        format!(
+            "{:?}|{:?}|{:?}",
+            self.passes(),
+            self.pass_config,
+            self.backend
+        )
     }
 
-    /// Apply this profile to a module. Everything runs through the one
-    /// [`zkvmopt_passes::PassExecutor`]: pipelines (levels, sequences, zk-O3)
-    /// share its analysis caches across their passes via [`PassManager`];
-    /// `run_pass` is the same executor for a pipeline of one.
+    /// Apply this profile to a module: its [`passes`](Self::passes) through
+    /// one [`PassManager`], so a pipeline's passes share the executor's
+    /// analysis caches (a pipeline of one is exactly `run_pass`).
     pub fn apply(&self, m: &mut Module) {
-        let cfg = &self.pass_config;
-        match &self.kind {
-            ProfileKind::Baseline => {}
-            ProfileKind::Level(l) => {
-                PassManager::for_level(*l).run(m, cfg);
-            }
-            ProfileKind::SinglePass(p) => {
-                zkvmopt_passes::run_pass(p, m, cfg);
-            }
-            ProfileKind::Sequence(ps) => {
-                PassManager::from_names(ps.iter().copied()).run(m, cfg);
-            }
-            ProfileKind::ZkAwareO3 => {
-                PassManager::zk_o3().run(m, cfg);
-            }
-        }
+        PassManager::from_names(self.passes()).run(m, &self.pass_config);
     }
 }
 
@@ -520,6 +525,74 @@ mod tests {
         assert_eq!(categorize(0.0), EffectCategory::Neutral);
         assert_eq!(categorize(3.0), EffectCategory::ModerateGain);
         assert_eq!(categorize(12.0), EffectCategory::SevereGain);
+    }
+
+    /// Profiles with equal `cache_key`s are interchangeable: from the same
+    /// lowered module they print the same post-pass IR and link the same
+    /// program — the promise `SuiteRunner`'s compile cache relies on.
+    fn assert_equal_keys_compile_alike(
+        workloads: &[&Workload],
+        pairs: impl IntoIterator<Item = (OptProfile, OptProfile)>,
+    ) {
+        let lowered: Vec<Module> = workloads
+            .iter()
+            .map(|w| zkvmopt_lang::compile_guest(&w.source).expect("suite program lowers"))
+            .collect();
+        for (a, b) in pairs {
+            assert_eq!(a.cache_key(), b.cache_key(), "{} vs {}", a.name, b.name);
+            for (w, base) in workloads.iter().zip(&lowered) {
+                let [(ma, pa), (mb, pb)] = [&a, &b].map(|p| {
+                    let mut m = base.clone();
+                    p.apply(&mut m);
+                    let program = zkvmopt_riscv::compile_module(&m, &p.backend).expect("codegen");
+                    (zkvmopt_ir::print::module_to_string(&m), program)
+                });
+                let at = format!("{}: {} vs {}", w.name, a.name, b.name);
+                assert_eq!(ma, mb, "{at}: post-pass IR");
+                assert!(pa == pb, "{at}: linked program");
+            }
+        }
+    }
+
+    fn single_pass_pairs() -> impl Iterator<Item = (OptProfile, OptProfile)> {
+        studied_passes().iter().map(|&p| {
+            let seq = OptProfile::sequence("candidate", vec![p], PassConfig::default());
+            (OptProfile::single_pass(p), seq)
+        })
+    }
+
+    fn os_o2_pair() -> (OptProfile, OptProfile) {
+        (
+            OptProfile::level(OptLevel::Os),
+            OptProfile::level(OptLevel::O2),
+        )
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "suite-wide compile is release-only (CI: test-release)"
+    )]
+    fn equal_cache_keys_compile_alike_across_the_suite() {
+        let suite: Vec<&Workload> = zkvmopt_workloads::all().iter().collect();
+        assert_equal_keys_compile_alike(&suite, single_pass_pairs().chain([os_o2_pair()]));
+    }
+
+    #[test]
+    fn equal_cache_keys_compile_alike_on_one_program() {
+        let w = [zkvmopt_workloads::by_name("loop-sum").expect("workload exists")];
+        assert_equal_keys_compile_alike(&w, single_pass_pairs().chain([os_o2_pair()]));
+        // Distinct pipelines keep distinct keys.
+        let keys: std::collections::HashSet<String> = [
+            OptProfile::baseline(),
+            OptProfile::level(OptLevel::O0),
+            OptProfile::level(OptLevel::O3),
+            OptProfile::zk_o3(),
+        ]
+        .iter()
+        .map(OptProfile::cache_key)
+        .collect();
+        assert_eq!(keys.len(), 4);
     }
 
     #[test]

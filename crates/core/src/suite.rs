@@ -1,28 +1,30 @@
 //! The batched suite runner: compile once, execute many.
 //!
 //! Every experiment in the paper re-executes the 58-program suite thousands
-//! of times (the opt-level matrices, the 160/1600-iteration autotuner runs).
-//! Which stage owns an evaluation depends on the traffic — the benchmark's
-//! `core.compile_share` reads 0.91 on `-O3`-neighbour candidates, 0.11 on
-//! random sequences, 0.41 on a cold search and 0.36 on the study matrix —
-//! so [`SuiteRunner`] caches the compile side and keeps execution one
-//! segmented engine call, whose records price the run's proving cost:
+//! of times (the opt-level and single-pass matrices, the autotuner runs).
+//! [`SuiteRunner`] caches the compile side and keeps execution one segmented
+//! engine call, whose records price the run's proving cost:
 //!
 //! - the **lowered base module** of each workload is cached, so a workload's
 //!   source is lexed/parsed/lowered exactly once no matter how many profiles
 //!   (or autotuner candidates) run it;
-//! - each `{workload × profile}` pair is compiled and **pre-decoded exactly
-//!   once** ([`CompiledWorkload`] holds the emitted [`Program`] and its
+//! - each workload is compiled and **pre-decoded once per distinct
+//!   pipeline**: the cache is keyed by [`OptProfile::cache_key`], the
+//!   resolved pass list plus config and backend, so `-Os` reuses `-O2`'s
+//!   entry ([`CompiledWorkload`] holds the emitted [`Program`] and its
 //!   [`DecodedProgram`] block cache);
-//! - executions fan out `{program × profile}` pairs through the
-//!   block-dispatch engine, optionally across threads
-//!   ([`SuiteRunner::run_matrix`]).
+//! - [`SuiteRunner::run_matrix`] executes each **distinct linked program**
+//!   of a workload once per VM, optionally across threads, and hands every
+//!   profile that linked the same program a copy of that run. Many cells of
+//!   the study's matrices are such copies: a level that changes nothing on
+//!   a program, or a pass that does not apply to it.
 //!
 //! `bench/`'s impact matrices, the tuner fitness loops, and the report
 //! generator all run on top of this.
 
 use crate::{Measurement, OptProfile, RunReport, StudyError};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,6 +57,10 @@ pub struct MatrixCell {
     pub profile: String,
     /// VM kind.
     pub vm: VmKind,
+    /// The earliest profile in this cell's row (same workload) that linked
+    /// an identical program, when that is not this cell's own profile: this
+    /// cell's result is a copy of that profile's run on the same VM.
+    pub same_program_as: Option<String>,
     /// Measurement + full report, or the stage error.
     pub result: Result<(Measurement, RunReport), StudyError>,
 }
@@ -115,7 +121,7 @@ impl SuiteRunner {
         self
     }
 
-    /// Number of `{workload × profile}` programs currently cached.
+    /// Number of `{workload × distinct cache key}` programs currently cached.
     pub fn cached_programs(&self) -> usize {
         self.compiled.len()
     }
@@ -134,8 +140,8 @@ impl SuiteRunner {
     pub fn lower(&mut self, w: &Workload) -> Result<Module, StudyError> {
         let (name, src) = workload_key(w);
         match self.modules.entry((name, src)) {
-            std::collections::hash_map::Entry::Occupied(e) => Ok(e.get().clone()),
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(e) => Ok(e.get().clone()),
+            Entry::Vacant(e) => {
                 let m = zkvmopt_lang::compile_guest(&w.source)
                     .map_err(|e| StudyError::Compile(e.to_string()))?;
                 Ok(e.insert(m).clone())
@@ -207,11 +213,18 @@ impl SuiteRunner {
         check_and_measure(w, profile, vm, r, baseline)
     }
 
-    /// Fan out the full `{workload × profile × vm}` matrix: compile every
-    /// pair once (serial, cached), then execute all cells across `threads`
-    /// worker threads (`0` = all available cores). Results are returned in
-    /// deterministic row-major (workload, profile, vm) order regardless of
-    /// scheduling.
+    /// Fan out the full `{workload × profile × vm}` matrix.
+    ///
+    /// Phase 1 compiles each workload once per distinct
+    /// [`OptProfile::cache_key`] (serial, cached). Phase 2 groups each
+    /// workload's profiles by identical linked [`Program`] and executes each
+    /// group once per VM — and once on the x86 model when `with_x86` — across
+    /// `threads` worker threads (`0` = all available cores). Every profile of
+    /// a group gets a copy of the group's runs, reported and measured under
+    /// its own name, and names the group's first profile in
+    /// [`MatrixCell::same_program_as`]. The grouping lives only for this
+    /// call. Results are returned in deterministic row-major
+    /// (workload, profile, vm) order regardless of scheduling.
     pub fn run_matrix(
         &mut self,
         workloads: &[&Workload],
@@ -220,7 +233,6 @@ impl SuiteRunner {
         with_x86: bool,
         threads: usize,
     ) -> Vec<MatrixCell> {
-        // Phase 1: compile each {workload × profile} once, recording errors.
         // Phase 2 borrows every compiled pair at once, so the cache bound is
         // temporarily raised past everything already cached plus the whole
         // matrix — no compile in this loop can evict a matrix pair (including
@@ -229,39 +241,66 @@ impl SuiteRunner {
         let saved_cap = self.cache_cap;
         self.cache_cap = self.compiled.len() + workloads.len() * profiles.len() + 1;
         let profile_keys: Vec<String> = profiles.iter().map(OptProfile::cache_key).collect();
-        let mut compile_err: HashMap<(usize, usize), StudyError> = HashMap::new();
-        for (wi, w) in workloads.iter().enumerate() {
+        let mut compiled: Vec<Result<(), StudyError>> = Vec::new();
+        for w in workloads {
+            for p in profiles {
+                compiled.push(self.compile(w, p).map(|_| ()));
+            }
+        }
+        // One job per distinct program of a workload, listing the row-major
+        // `{workload × profile}` slots that linked it, first profile first.
+        // A pair that failed to compile fills its slot here.
+        struct Job<'a> {
+            w: &'a Workload,
+            cw: &'a CompiledWorkload,
+            slots: Vec<usize>,
+        }
+        let cell =
+            |w: &Workload,
+             p: &OptProfile,
+             vm: VmKind,
+             same_program_as: Option<String>,
+             result: Result<(Measurement, RunReport), StudyError>| MatrixCell {
+                workload: w.name,
+                profile: p.name.clone(),
+                vm,
+                same_program_as,
+                result,
+            };
+        let mut jobs: Vec<Job<'_>> = Vec::new();
+        let mut results: Vec<Mutex<Option<Vec<MatrixCell>>>> =
+            Vec::with_capacity(workloads.len() * profiles.len());
+        for w in workloads {
+            let (name, src) = workload_key(w);
+            let mut job_of: HashMap<&Program, usize> = HashMap::new();
             for (pi, p) in profiles.iter().enumerate() {
-                if let Err(e) = self.compile(w, p) {
-                    compile_err.insert((wi, pi), e);
+                let slot = results.len();
+                if let Err(e) = &compiled[slot] {
+                    let cells = vms.iter().map(|&vm| cell(w, p, vm, None, Err(e.clone())));
+                    results.push(Mutex::new(Some(cells.collect())));
+                    continue;
+                }
+                results.push(Mutex::new(None));
+                let cw = &self.compiled[&(name, src, profile_keys[pi].clone())];
+                match job_of.entry(&cw.program) {
+                    Entry::Occupied(j) => jobs[*j.get()].slots.push(slot),
+                    Entry::Vacant(j) => {
+                        j.insert(jobs.len());
+                        jobs.push(Job {
+                            w,
+                            cw,
+                            slots: vec![slot],
+                        });
+                    }
                 }
             }
         }
-        // Phase 2: the cache is now read-only; fan executions out over a
-        // shared work queue of `{workload × profile}` pair jobs borrowing the
-        // compiled programs. The x86 native baseline is VM-independent, so
-        // it runs at most once per pair and is cloned into each VM's report.
-        struct Job<'a> {
-            w: &'a Workload,
-            p: &'a OptProfile,
-            cw: Result<&'a CompiledWorkload, StudyError>,
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(workloads.len() * profiles.len());
-        for (wi, w) in workloads.iter().enumerate() {
-            let (name, src) = workload_key(w);
-            for (pi, p) in profiles.iter().enumerate() {
-                let key = (name, src, profile_keys[pi].clone());
-                let cw = match compile_err.get(&(wi, pi)) {
-                    Some(e) => Err(e.clone()),
-                    None => Ok(&self.compiled[&key]),
-                };
-                jobs.push(Job { w, p, cw });
-            }
-        }
+        // Phase 2: the cache is now read-only; fan the jobs out over a shared
+        // work queue. The x86 native baseline is VM-independent, so it runs
+        // at most once per job and is cloned into each VM's report.
         let max_cycles = self.max_cycles;
+        let np = profiles.len();
         let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Vec<MatrixCell>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
         let workers = if threads == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
@@ -270,40 +309,28 @@ impl SuiteRunner {
         .min(jobs.len().max(1));
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let job = &jobs[i];
-                    let cells: Vec<MatrixCell> = match &job.cw {
-                        Ok(cw) => {
-                            let x86 = with_x86.then(|| run_native(cw, &job.w.inputs));
-                            let cell = |vm| {
-                                let run = execute(cw, &job.w.inputs, vm, max_cycles)?;
-                                let r = run_report(cw, run, x86.clone().transpose()?);
-                                check_and_measure(job.w, job.p, vm, r, None)
-                            };
-                            vms.iter()
-                                .map(|&vm| MatrixCell {
-                                    workload: job.w.name,
-                                    profile: job.p.name.clone(),
-                                    vm,
-                                    result: cell(vm),
-                                })
-                                .collect()
-                        }
-                        Err(e) => vms
+                scope.spawn(|| {
+                    while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let inputs = &job.w.inputs;
+                        let runs: Vec<_> = vms
                             .iter()
-                            .map(|&vm| MatrixCell {
-                                workload: job.w.name,
-                                profile: job.p.name.clone(),
-                                vm,
-                                result: Err(e.clone()),
-                            })
-                            .collect(),
-                    };
-                    *results[i].lock().expect("result slot") = Some(cells);
+                            .map(|&vm| execute(job.cw, inputs, vm, max_cycles))
+                            .collect();
+                        let x86 = with_x86.then(|| run_native(job.cw, inputs)).transpose();
+                        let first = &profiles[job.slots[0] % np];
+                        for (k, &slot) in job.slots.iter().enumerate() {
+                            let p = &profiles[slot % np];
+                            let same_program_as = (k > 0).then(|| first.name.clone());
+                            let cells = vms.iter().zip(&runs).map(|(&vm, run)| {
+                                let result = run.clone().and_then(|run| {
+                                    let r = run_report(job.cw, run, x86.clone()?);
+                                    check_and_measure(job.w, p, vm, r, None)
+                                });
+                                cell(job.w, p, vm, same_program_as.clone(), result)
+                            });
+                            *results[slot].lock().expect("result slot") = Some(cells.collect());
+                        }
+                    }
                 });
             }
         });
@@ -381,7 +408,11 @@ pub(crate) fn run_compiled(
 
 /// Verify `r`'s observable behaviour against `baseline` (when given) and
 /// flatten it into a [`Measurement`].
-pub(crate) fn check_and_measure(
+///
+/// # Errors
+/// Returns [`StudyError::Miscompile`] when the journal or exit code diverge
+/// from the baseline run.
+pub fn check_and_measure(
     w: &Workload,
     profile: &OptProfile,
     vm: VmKind,
@@ -541,6 +572,80 @@ mod tests {
             runner.cached_programs() <= 3,
             "run_matrix must restore the configured cache bound"
         );
+    }
+
+    /// Everything a cell reports that its run determines: the whole
+    /// `Measurement` (floats through their exact `Debug` form) and the
+    /// `RunReport` but the engine's wall-clock time.
+    fn cell_view(result: &Result<(Measurement, RunReport), StudyError>) -> String {
+        match result {
+            Ok((m, r)) => {
+                let exec = ExecutionReport {
+                    wall_time_ms: 0.0,
+                    ..r.exec.clone()
+                };
+                let (records, x86) = (&r.records, &r.x86);
+                let (size, spilled) = (r.code_size, r.spilled_vregs);
+                format!("{m:?} {exec:?} {records:?} {size} {spilled} {x86:?}")
+            }
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// Every cell of the study's row set (baseline, six levels, zk-O3)
+    /// equals a fresh runner's `run` + `check_and_measure` of that cell
+    /// alone, and its `same_program_as` names the first earlier profile of
+    /// its row that linked an equal program, exactly when there is one.
+    fn assert_matrix_matches_fresh_cells(workloads: &[&Workload], with_x86: bool) {
+        let mut profiles = vec![OptProfile::baseline()];
+        profiles.extend(OptLevel::ALL.map(OptProfile::level));
+        profiles.push(OptProfile::zk_o3());
+        let mut runner = SuiteRunner::new();
+        let cells = runner.run_matrix(workloads, &profiles, &VmKind::BOTH, with_x86, 0);
+        let mut cells = cells.iter();
+        for w in workloads {
+            let programs: Vec<Program> = profiles
+                .iter()
+                .map(|p| runner.compile(w, p).expect("compiles").program.clone())
+                .collect();
+            for (pi, p) in profiles.iter().enumerate() {
+                let first = programs.iter().position(|q| *q == programs[pi]);
+                let same_program_as = first.filter(|&f| f < pi).map(|f| profiles[f].name.clone());
+                for vm in VmKind::BOTH {
+                    let at = format!("{} at {} on {vm}", w.name, p.name);
+                    let cell = cells.next().expect("one cell per workload × profile × vm");
+                    assert_eq!(
+                        (cell.workload, cell.profile.as_str(), cell.vm),
+                        (w.name, p.name.as_str(), vm)
+                    );
+                    assert_eq!(cell.same_program_as, same_program_as, "{at}");
+                    let fresh = SuiteRunner::new()
+                        .run(w, p, vm, with_x86)
+                        .and_then(|r| check_and_measure(w, p, vm, r, None));
+                    assert_eq!(cell_view(&cell.result), cell_view(&fresh), "{at}");
+                }
+            }
+        }
+        assert!(cells.next().is_none(), "no cells beyond the matrix");
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "suite-wide matrix is release-only (CI: test-release)"
+    )]
+    fn matrix_cells_equal_fresh_runs_across_the_suite() {
+        let suite: Vec<&Workload> = zkvmopt_workloads::all().iter().collect();
+        assert_matrix_matches_fresh_cells(&suite, false);
+    }
+
+    #[test]
+    fn matrix_cells_equal_fresh_runs_on_three_programs() {
+        let three: Vec<&Workload> = ["loop-sum", "tailcall", "merkle"]
+            .iter()
+            .map(|n| zkvmopt_workloads::by_name(n).unwrap())
+            .collect();
+        assert_matrix_matches_fresh_cells(&three, true);
     }
 
     #[test]

@@ -404,7 +404,8 @@ impl PassManager {
         ])
     }
 
-    /// `-Os`: `-O2` shaped, size-conscious (no unrolling).
+    /// `-Os`: exactly `-O2`'s pipeline. No pass here trades speed for size,
+    /// so `-Os` and `-O2` compile every program to the same code.
     pub fn os() -> PassManager {
         PassManager::o2()
     }
@@ -436,12 +437,11 @@ impl PassManager {
         }
     }
 
-    /// The paper's zkVM-aware `-O3` (§6.1): same structure as `-O3` but with
-    /// the zk [`PassConfig`] and the irrelevant hardware passes dropped.
-    /// Pair with [`PassConfig::zk_aware`].
+    /// The paper's zkVM-aware `-O3` (§6.1). The pass list is `-O3`'s,
+    /// verbatim; the zk-awareness lives in [`PassConfig::zk_aware`] (e.g.
+    /// `simplifycfg` stops if-converting branches) and in the backend's
+    /// `TargetCostModel::zk`, which the caller pairs with this pipeline.
     pub fn zk_o3() -> PassManager {
-        // Identical structure minus passes the paper disables; simplifycfg
-        // stays but the zk config stops it from if-converting branches.
         PassManager::o3()
     }
 }

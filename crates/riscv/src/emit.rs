@@ -10,8 +10,9 @@ use crate::reg::{Reg, SCRATCH0, SCRATCH1};
 use crate::regalloc::{AllocatedFunc, Loc};
 use crate::vinst::VInst;
 
-/// A linked guest program.
-#[derive(Debug, Clone)]
+/// A linked guest program. Equal programs execute identically on equal
+/// inputs, which is what lets a study matrix run a repeated one once.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Instruction stream (word-indexed).
     pub code: Vec<Inst<Reg>>,

@@ -202,7 +202,7 @@ pub enum MixClass {
 ///
 /// Control-flow targets are *code indices* (instruction slots) rather than
 /// byte offsets; the encoder converts to byte offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst<R> {
     /// `lui rd, imm20` — load upper immediate (`imm` is the final 32-bit
     /// value with low 12 bits zero).
