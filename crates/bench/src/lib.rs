@@ -1,17 +1,19 @@
 //! # zkvmopt-bench
 //!
-//! The experiment harness: shared machinery that regenerates every table and
-//! figure of the paper. Each Criterion bench target prints its paper-style
-//! rows (on a reduced default scale) and then measures the underlying
-//! computation; the `report` binary (`cargo run -p zkvmopt-bench --release
-//! --bin report`) runs the full-scale version and emits the data recorded in
-//! EXPERIMENTS.md.
+//! The experiment harness. [`study`] holds one function per table and figure
+//! of the paper, each returning typed tables with the paper claims they
+//! check; the `report` binary (`cargo run -p zkvmopt-bench --release --bin
+//! report`) prints them, and `tests/paper_findings.rs` pins every claim's
+//! outcome and every reported number. The crate's five Criterion targets
+//! measure throughput of the engine, the pass layer, the prover and the
+//! tuner.
 
 use zkvmopt_core::suite::check_and_measure;
-use zkvmopt_core::{gain, Measurement, OptLevel, OptProfile, RunReport, StudyError, SuiteRunner};
-use zkvmopt_vm::VmKind;
+use zkvmopt_core::{gain, Measurement, OptProfile, RunReport, StudyError, SuiteRunner};
+use zkvmopt_vm::{SegmentRecord, VmKind};
 use zkvmopt_workloads::Workload;
 
+pub mod study;
 pub mod trajectory;
 
 pub use trajectory::smoke;
@@ -39,17 +41,30 @@ pub struct Impact {
     pub x86_gain: Option<f64>,
     /// Raw optimized measurement.
     pub measurement: Measurement,
+    /// The segments the optimized run was cut into, for pricing it under
+    /// another prover backend (Fig. 14b).
+    pub records: Vec<SegmentRecord>,
     /// The earlier profile of the row (the baseline first) that linked the
     /// same program on this workload, as
-    /// [`zkvmopt_core::MatrixCell::same_program_as`];
-    /// `None` outside [`impact_matrix`].
+    /// [`zkvmopt_core::MatrixCell::same_program_as`].
     pub same_program_as: Option<String>,
 }
 
-/// Default reduced workload set for `cargo bench` (representative across
-/// suites; the `report` binary uses all 58).
+/// The suite programs named by `names`, in that order.
+///
+/// # Panics
+/// Panics on a name the suite does not hold.
+pub(crate) fn by_names(names: &[&str]) -> Vec<&'static Workload> {
+    names
+        .iter()
+        .map(|n| zkvmopt_workloads::by_name(n).unwrap_or_else(|| panic!("no workload {n}")))
+        .collect()
+}
+
+/// The reduced workload set: representative across suites, used by
+/// `report --quick` and the smoke-scale throughput benches.
 pub fn bench_workloads() -> Vec<&'static Workload> {
-    [
+    by_names(&[
         "polybench-floyd-warshall",
         "polybench-gemm",
         "polybench-trmm",
@@ -60,55 +75,7 @@ pub fn bench_workloads() -> Vec<&'static Workload> {
         "loop-sum",
         "tailcall",
         "sha2-bench",
-    ]
-    .iter()
-    .map(|n| zkvmopt_workloads::by_name(n).expect("bench workload exists"))
-    .collect()
-}
-
-/// Baseline runs for a workload on both VMs (+x86 when asked).
-pub struct BaselineRuns {
-    /// Per-VM baseline (indexed by `VmKind::BOTH` order).
-    pub by_vm: Vec<(VmKind, Measurement, RunReport)>,
-}
-
-/// Measure the baseline for `w` on the given VMs through the batched runner
-/// (the baseline program is compiled once and reused across VMs).
-///
-/// # Panics
-/// Panics when the baseline itself fails — the suite guarantees it cannot.
-pub fn baseline(
-    runner: &mut SuiteRunner,
-    w: &Workload,
-    vms: &[VmKind],
-    with_x86: bool,
-) -> BaselineRuns {
-    let by_vm = vms
-        .iter()
-        .map(|&vm| {
-            let (m, r) = runner
-                .measure(w, &OptProfile::baseline(), vm, with_x86, None)
-                .unwrap_or_else(|e| panic!("baseline {} on {vm}: {e}", w.name));
-            (vm, m, r)
-        })
-        .collect();
-    BaselineRuns { by_vm }
-}
-
-/// Measure `profile` against an established baseline, producing an [`Impact`].
-/// Returns `None` when the profile fails on this workload (reported and
-/// skipped, like the paper's invalid autotuner candidates).
-pub fn impact_vs_baseline(
-    runner: &mut SuiteRunner,
-    w: &Workload,
-    profile: &OptProfile,
-    vm: VmKind,
-    base_m: &Measurement,
-    base_r: &RunReport,
-    with_x86: bool,
-) -> Option<Impact> {
-    let measured = runner.measure(w, profile, vm, with_x86, Some(base_r));
-    impact_of(w, profile, vm, base_m, measured.map(|(m, _)| m), None)
+    ])
 }
 
 /// The [`Impact`] of a measurement checked against its baseline, or the
@@ -118,11 +85,11 @@ fn impact_of(
     profile: &OptProfile,
     vm: VmKind,
     base_m: &Measurement,
-    measured: Result<Measurement, StudyError>,
+    measured: Result<(Measurement, RunReport), StudyError>,
     same_program_as: Option<String>,
 ) -> Option<Impact> {
     match measured {
-        Ok(m) => {
+        Ok((m, r)) => {
             let x86_gain = match (base_m.x86_ms, m.x86_ms) {
                 (Some(b), Some(n)) => Some(gain(b, n)),
                 _ => None,
@@ -141,6 +108,7 @@ fn impact_of(
                 ),
                 x86_gain,
                 measurement: m,
+                records: r.records,
                 same_program_as,
             })
         }
@@ -149,37 +117,6 @@ fn impact_of(
             None
         }
     }
-}
-
-/// Per-profile metric columns for one workload: the zkVM cost metrics and
-/// performance numbers the correlation tables consume, one row per profile
-/// that validated. Collected by [`metric_columns`] so Table 2 (bench and
-/// report binary) share one collection path.
-#[derive(Debug, Clone, Default)]
-pub struct MetricColumns {
-    /// Dynamic instruction count per profile.
-    pub instret: Vec<f64>,
-    /// Paging cycles per profile.
-    pub paging: Vec<f64>,
-    /// zkVM execution time (ms) per profile.
-    pub exec_ms: Vec<f64>,
-    /// Proving time (ms) per profile.
-    pub prove_ms: Vec<f64>,
-}
-
-/// Measure `profiles` of `w` on `vm` against the baseline, through
-/// [`impact_matrix`], and collect the correlation-table metric columns
-/// (failed profiles are skipped, like the paper's invalid autotuner
-/// candidates).
-pub fn metric_columns(w: &Workload, profiles: &[OptProfile], vm: VmKind) -> MetricColumns {
-    let mut cols = MetricColumns::default();
-    for i in impact_matrix(&[w], profiles, &[vm], false) {
-        cols.instret.push(i.measurement.instret as f64);
-        cols.paging.push(i.measurement.paging_cycles as f64);
-        cols.exec_ms.push(i.measurement.exec_ms);
-        cols.prove_ms.push(i.measurement.prove_ms);
-    }
-    cols
 }
 
 /// Run a (workloads × profiles × vms) impact matrix through one
@@ -215,41 +152,13 @@ pub fn impact_matrix(
                 let checked = cell
                     .result
                     .clone()
-                    .and_then(|(_, r)| check_and_measure(w, p, *vm, r, Some(br)).map(|(m, _)| m));
+                    .and_then(|(_, r)| check_and_measure(w, p, *vm, r, Some(br)));
                 let same = cell.same_program_as.clone();
                 out.extend(impact_of(w, p, *vm, bm, checked, same));
             }
         }
     }
     out
-}
-
-/// Mean of a selector over impacts matching (profile, vm).
-pub fn mean_gain(
-    impacts: &[Impact],
-    profile: &str,
-    vm: VmKind,
-    select: impl Fn(&Impact) -> f64,
-) -> f64 {
-    let xs: Vec<f64> = impacts
-        .iter()
-        .filter(|i| i.profile == profile && i.vm == vm)
-        .map(select)
-        .collect();
-    zkvmopt_stats::mean(&xs)
-}
-
-/// All standard-level profiles (Fig. 5 axis).
-pub fn level_profiles() -> Vec<OptProfile> {
-    OptLevel::ALL
-        .iter()
-        .map(|l| OptProfile::level(*l))
-        .collect()
-}
-
-/// Single-pass profiles for a pass-name list.
-pub fn pass_profiles(names: &[&'static str]) -> Vec<OptProfile> {
-    names.iter().map(|n| OptProfile::single_pass(n)).collect()
 }
 
 /// Enforce a wall-clock speedup bar the way every throughput bench does:
@@ -279,22 +188,19 @@ pub fn gate_speedup(what: &str, got: f64, bar: f64, min_cores: usize) {
     }
 }
 
-/// Render a percent with sign.
-pub fn pct(x: f64) -> String {
-    format!("{x:+.1}%")
-}
+/// The rule above and below a title.
+const RULE: &str = "================================================================";
 
 /// Print a paper-style header line.
 pub fn header(title: &str) {
-    println!();
-    println!("================================================================");
-    println!("{title}");
-    println!("================================================================");
+    println!("\n{RULE}\n{title}\n{RULE}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::{level_profiles, pass_profiles};
+    use zkvmopt_core::OptLevel;
 
     #[test]
     fn bench_workload_set_resolves() {
@@ -304,12 +210,8 @@ mod tests {
 
     #[test]
     fn impact_math_signs() {
-        let w = zkvmopt_workloads::by_name("loop-sum").unwrap();
-        let mut runner = SuiteRunner::new();
-        let base = baseline(&mut runner, w, &[VmKind::Sp1], false);
-        let (vm, bm, br) = &base.by_vm[0];
         let o2 = OptProfile::level(OptLevel::O2);
-        let i = impact_vs_baseline(&mut runner, w, &o2, *vm, bm, br, false).expect("runs");
+        let i = &impact_matrix(&by_names(&["loop-sum"]), &[o2], &[VmKind::Sp1], false)[0];
         assert!(
             i.cycles_gain > 0.0,
             "-O2 must speed up loop-sum: {}",
@@ -330,12 +232,12 @@ mod tests {
         let mut runner = SuiteRunner::new();
         let mut out = Vec::new();
         for w in workloads {
-            let base = baseline(&mut runner, w, vms, with_x86);
-            for (vm, bm, br) in &base.by_vm {
+            for &vm in vms {
+                let base = runner.measure(w, &OptProfile::baseline(), vm, with_x86, None);
+                let (bm, br) = base.expect("the baseline runs");
                 for p in profiles {
-                    if let Some(i) = impact_vs_baseline(&mut runner, w, p, *vm, bm, br, with_x86) {
-                        out.push(i);
-                    }
+                    let measured = runner.measure(w, p, vm, with_x86, Some(&br));
+                    out.extend(impact_of(w, p, vm, &bm, measured, None));
                 }
             }
         }
@@ -369,15 +271,14 @@ mod tests {
 
     fn levels_and_passes() -> Vec<OptProfile> {
         let mut profiles = level_profiles();
-        profiles.extend(pass_profiles(zkvmopt_core::studied_passes()));
+        profiles.extend(pass_profiles(
+            zkvmopt_core::studied_passes().iter().copied(),
+        ));
         profiles
     }
 
     fn three_programs() -> Vec<&'static Workload> {
-        ["loop-sum", "tailcall", "merkle"]
-            .iter()
-            .map(|n| zkvmopt_workloads::by_name(n).expect("workload exists"))
-            .collect()
+        by_names(&["loop-sum", "tailcall", "merkle"])
     }
 
     #[test]

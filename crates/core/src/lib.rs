@@ -280,7 +280,7 @@ impl Pipeline {
     }
 }
 
-/// One row of the study matrix (serializable for EXPERIMENTS.md artifacts).
+/// One row of the study matrix.
 #[derive(Debug, Clone, Serialize)]
 pub struct Measurement {
     /// Workload name.

@@ -1,13 +1,13 @@
 //! Minimal, API-compatible subset of the `criterion` benchmark harness.
 //!
 //! The build environment has no registry access, so the workspace vendors the
-//! surface its 18 bench targets use: [`Criterion::bench_function`],
+//! surface its 5 bench targets use: [`Criterion::bench_function`],
 //! [`Bencher::iter`], [`criterion_group!`]/[`criterion_main!`] (both the
 //! `name = ..; config = ..; targets = ..` and positional forms), and
 //! [`black_box`]. Instead of criterion's statistical analysis it runs each
 //! routine `sample_size` times after one warm-up and reports min/mean/max
-//! wall-clock per iteration — enough for the figures' relative comparisons and
-//! for CI's `cargo bench --no-run` bit-rot check.
+//! wall-clock per iteration — enough for the throughput benches' relative
+//! comparisons and for CI's `cargo bench --no-run` bit-rot check.
 
 use std::time::{Duration, Instant};
 
