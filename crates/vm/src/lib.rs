@@ -11,12 +11,12 @@
 //!
 //! Execution is a **pre-decoded block-dispatch engine** ([`engine::Engine`]):
 //! every RV32IM instruction is decoded once into a flat 8-byte [`op::Op`],
-//! ops are grouped into fall-through basic blocks keyed by branch targets,
-//! and dispatch runs block-at-a-time through a direct-indexed block cache.
-//! A block without ecalls that fits the cycle budget and the current
-//! segment runs with no per-instruction accounting, its loads and stores
-//! served from [`FastMemory`]'s residency table; an access the table cannot
-//! serve, and every block that may meet a boundary, takes the stepped path.
+//! ops are grouped into fall-through basic blocks keyed by branch targets.
+//! Blocks without ecalls that fit the cycle budget and the current segment
+//! run on the fast tier, one threaded loop that chains block to block with
+//! no per-instruction accounting, its loads and stores served from
+//! [`FastMemory`]'s residency table; an access the table cannot serve, and
+//! every block that may meet a boundary, takes the stepped path.
 //! Everything stays bit-identical to the original decode-per-step
 //! interpreter (`machine::Machine`), which is kept behind the `reference`
 //! cargo feature (and `cfg(test)`) as the differential oracle. The engine
@@ -56,6 +56,11 @@ pub use mem::{FastMemory, PagedMemory};
 pub use op::{Block, DecodedProgram, Op, OpCode};
 pub use profile::{EngineStats, VmKind, VmProfile};
 pub use segment::SegmentRecord;
+
+/// The random-program generator of `tests/proptest_passes.rs`.
+#[cfg(test)]
+#[path = "../../../tests/common/program_gen.rs"]
+mod program_gen;
 
 #[cfg(test)]
 mod tests {

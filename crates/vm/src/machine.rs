@@ -210,7 +210,7 @@ impl MemIo for PagedIo<'_> {
 impl<'p> Machine<'p> {
     /// Set up a machine with globals loaded and `sp` initialized.
     pub fn new(program: &'p Program, profile: VmProfile, config: ExecConfig) -> Machine<'p> {
-        let mut mem = PagedMemory::new(profile.page_size);
+        let mut mem = PagedMemory::new();
         for (addr, data) in &program.globals {
             mem.write_bytes_host(*addr, data)
                 .expect("global image fits");

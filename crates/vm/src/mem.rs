@@ -1,5 +1,10 @@
 //! Paged guest memory with RISC Zero–style page-in/page-out accounting.
 //!
+//! Pages are [`PAGE_SIZE`] bytes, fixed at compile time: 1 KiB, the RISC Zero
+//! page the paper's paging findings rest on, and the size both profiles
+//! model. A constant page lets the engine's hot accesses shift and mask by
+//! immediates and index a fixed-size array, with no length check.
+//!
 //! Two implementations share the same observable counting semantics:
 //!
 //! - [`PagedMemory`] — the original hash-map-of-pages store, kept as the
@@ -24,6 +29,17 @@ use std::collections::HashMap;
 pub const MEM_SIZE: u32 = zkvmopt_ir::interp::MEM_SIZE;
 /// Initial stack pointer.
 pub const STACK_TOP: u32 = zkvmopt_ir::interp::STACK_TOP;
+/// Guest page size in bytes (a power of two that covers one word, so an
+/// access of at most 4 bytes touches at most two pages).
+pub const PAGE_SIZE: u32 = 1024;
+const PAGE_SHIFT: u32 = PAGE_SIZE.trailing_zeros();
+const PAGE_MASK: u32 = PAGE_SIZE - 1;
+const _: () = assert!(PAGE_SIZE.is_power_of_two() && PAGE_SIZE >= 4);
+/// Number of pages in guest memory.
+const NPAGES: usize = (MEM_SIZE / PAGE_SIZE) as usize;
+
+/// One [`FastMemory`] data page.
+type Page = [u8; PAGE_SIZE as usize];
 
 /// A memory access fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,9 +55,8 @@ pub struct MemFault {
 /// write counts one (deferred) page-out; a segment flush resets the resident
 /// set, so the next segment pays again — exactly the continuations cost model
 /// the paper attributes licm's regressions to.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PagedMemory {
-    page_size: u32,
     pages: HashMap<u32, Vec<u8>>,
     resident: HashMap<u32, bool>, // page -> dirty?
     page_ins: u64,
@@ -50,22 +65,12 @@ pub struct PagedMemory {
 
 impl PagedMemory {
     /// Fresh zeroed memory.
-    pub fn new(page_size: u32) -> PagedMemory {
-        assert!(
-            page_size.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        PagedMemory {
-            page_size,
-            pages: HashMap::new(),
-            resident: HashMap::new(),
-            page_ins: 0,
-            page_outs: 0,
-        }
+    pub fn new() -> PagedMemory {
+        PagedMemory::default()
     }
 
     fn page_of(&self, addr: u32) -> u32 {
-        addr / self.page_size
+        addr / PAGE_SIZE
     }
 
     /// Touch `page` for reading/writing; returns (new page-ins, new
@@ -94,8 +99,9 @@ impl PagedMemory {
     }
 
     fn page_data(&mut self, page: u32) -> &mut Vec<u8> {
-        let size = self.page_size as usize;
-        self.pages.entry(page).or_insert_with(|| vec![0; size])
+        self.pages
+            .entry(page)
+            .or_insert_with(|| vec![0; PAGE_SIZE as usize])
     }
 
     /// End the current segment: the resident set is dropped, so the next
@@ -137,7 +143,7 @@ impl PagedMemory {
             let a = addr + i;
             let page = self.page_of(a);
             self.touch(page, false);
-            let off = (a % self.page_size) as usize;
+            let off = (a % PAGE_SIZE) as usize;
             let b = self.page_data(page)[off];
             out |= (b as u32) << (8 * i);
         }
@@ -154,7 +160,7 @@ impl PagedMemory {
             let a = addr + i;
             let page = self.page_of(a);
             self.touch(page, true);
-            let off = (a % self.page_size) as usize;
+            let off = (a % PAGE_SIZE) as usize;
             self.page_data(page)[off] = (value >> (8 * i)) as u8;
         }
         Ok(())
@@ -168,7 +174,7 @@ impl PagedMemory {
         for i in 0..len {
             let a = addr + i;
             let page = self.page_of(a);
-            let off = (a % self.page_size) as usize;
+            let off = (a % PAGE_SIZE) as usize;
             out.push(self.page_data(page)[off]);
         }
         Ok(out)
@@ -180,7 +186,7 @@ impl PagedMemory {
         for (i, b) in data.iter().enumerate() {
             let a = addr + i as u32;
             let page = self.page_of(a);
-            let off = (a % self.page_size) as usize;
+            let off = (a % PAGE_SIZE) as usize;
             self.page_data(page)[off] = *b;
         }
         Ok(())
@@ -195,47 +201,40 @@ const DIRTY: u8 = 2;
 /// Direct-indexed guest memory with the same page-in/page-out accounting as
 /// [`PagedMemory`], engineered for the block-dispatch engine's hot path:
 /// loads and stores are a bounds check, at most two direct-indexed residency
-/// touches, and a little-endian slice access within one lazily-allocated
-/// page — no hashing, no per-byte touch loop, and (crucially for the
-/// batched suite runner, which spins up one memory per execution) no O(guest
-/// address space) zeroing at construction.
+/// touches, and a little-endian access within one lazily-allocated
+/// [`PAGE_SIZE`]-byte page — no hashing, no per-byte touch loop, and
+/// (crucially for the batched suite runner, which spins up one memory per
+/// execution) no O(guest address space) zeroing at construction.
 #[derive(Debug)]
 pub struct FastMemory {
-    page_size: u32,
-    page_shift: u32,
     /// Data pages, allocated zeroed on first write (reads of untouched
     /// pages return zero without allocating).
-    pages: Vec<Option<Box<[u8]>>>,
-    resident: Vec<u8>,
+    pages: Box<[Option<Box<Page>>; NPAGES]>,
+    resident: Box<[u8; NPAGES]>,
     page_ins: u64,
     page_outs: u64,
 }
 
+impl Default for FastMemory {
+    fn default() -> FastMemory {
+        FastMemory::new()
+    }
+}
+
 impl FastMemory {
     /// Fresh zeroed memory covering the full guest address space.
-    pub fn new(page_size: u32) -> FastMemory {
-        assert!(
-            page_size.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        // The first-byte/last-byte touch scheme matches PagedMemory's
-        // per-byte loop only while no access (≤ 4 bytes) can span 3 pages.
-        assert!(page_size >= 4, "page size must cover one word");
-        let npages = (MEM_SIZE / page_size) as usize;
+    pub fn new() -> FastMemory {
         FastMemory {
-            page_size,
-            page_shift: page_size.trailing_zeros(),
-            pages: (0..npages).map(|_| None).collect(),
-            resident: vec![ABSENT; npages],
+            pages: Box::new([const { None }; NPAGES]),
+            resident: Box::new([ABSENT; NPAGES]),
             page_ins: 0,
             page_outs: 0,
         }
     }
 
     #[inline]
-    fn page_mut(&mut self, page: usize) -> &mut [u8] {
-        let size = self.page_size as usize;
-        self.pages[page].get_or_insert_with(|| vec![0; size].into_boxed_slice())
+    fn page_mut(&mut self, page: usize) -> &mut Page {
+        self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SIZE as usize]))
     }
 
     #[inline]
@@ -293,11 +292,11 @@ impl FastMemory {
     #[inline]
     pub fn read(&mut self, addr: u32, size: u32) -> Result<u32, MemFault> {
         self.check(addr, size)?;
-        let first = (addr >> self.page_shift) as usize;
-        let last = ((addr + size - 1) >> self.page_shift) as usize;
+        let first = (addr >> PAGE_SHIFT) as usize;
+        let last = ((addr + size - 1) >> PAGE_SHIFT) as usize;
         self.touch(first, false);
         if last == first {
-            let off = (addr & (self.page_size - 1)) as usize;
+            let off = (addr & PAGE_MASK) as usize;
             let Some(page) = &self.pages[first] else {
                 return Ok(0); // untouched page reads as zero, no allocation
             };
@@ -311,8 +310,8 @@ impl FastMemory {
             let mut out: u32 = 0;
             for i in 0..size {
                 let a = addr + i;
-                let p = (a >> self.page_shift) as usize;
-                let off = (a & (self.page_size - 1)) as usize;
+                let p = (a >> PAGE_SHIFT) as usize;
+                let off = (a & PAGE_MASK) as usize;
                 let b = self.pages[p].as_ref().map_or(0, |pg| pg[off]);
                 out |= (b as u32) << (8 * i);
             }
@@ -327,11 +326,11 @@ impl FastMemory {
     #[inline]
     pub fn write(&mut self, addr: u32, value: u32, size: u32) -> Result<(), MemFault> {
         self.check(addr, size)?;
-        let first = (addr >> self.page_shift) as usize;
-        let last = ((addr + size - 1) >> self.page_shift) as usize;
+        let first = (addr >> PAGE_SHIFT) as usize;
+        let last = ((addr + size - 1) >> PAGE_SHIFT) as usize;
         self.touch(first, true);
         if last == first {
-            let off = (addr & (self.page_size - 1)) as usize;
+            let off = (addr & PAGE_MASK) as usize;
             let page = self.page_mut(first);
             match size {
                 4 => page[off..off + 4].copy_from_slice(&value.to_le_bytes()),
@@ -342,8 +341,8 @@ impl FastMemory {
             self.touch(last, true);
             for i in 0..size {
                 let a = addr + i;
-                let p = (a >> self.page_shift) as usize;
-                let off = (a & (self.page_size - 1)) as usize;
+                let p = (a >> PAGE_SHIFT) as usize;
+                let off = (a & PAGE_MASK) as usize;
                 self.page_mut(p)[off] = (value >> (8 * i)) as u8;
             }
         }
@@ -358,10 +357,9 @@ impl FastMemory {
     /// absent or out of range, the access straddles two pages, or it faults.
     #[inline(always)]
     pub fn load_resident<const N: usize>(&self, addr: u32) -> Option<u32> {
-        let page = (addr >> self.page_shift) as usize;
-        let off = (addr & (self.page_size - 1)) as usize;
-        if addr < 0x100 || off + N > self.page_size as usize || *self.resident.get(page)? == ABSENT
-        {
+        let page = (addr >> PAGE_SHIFT) as usize;
+        let off = (addr & PAGE_MASK) as usize;
+        if addr < 0x100 || off + N > PAGE_SIZE as usize || *self.resident.get(page)? == ABSENT {
             return None;
         }
         let mut raw = [0u8; 4];
@@ -377,12 +375,9 @@ impl FastMemory {
     /// `false` means "take [`FastMemory::write`]".
     #[inline(always)]
     pub fn store_resident<const N: usize>(&mut self, addr: u32, value: u32) -> bool {
-        let page = (addr >> self.page_shift) as usize;
-        let off = (addr & (self.page_size - 1)) as usize;
-        if addr < 0x100
-            || off + N > self.page_size as usize
-            || self.resident.get(page) != Some(&DIRTY)
-        {
+        let page = (addr >> PAGE_SHIFT) as usize;
+        let off = (addr & PAGE_MASK) as usize;
+        if addr < 0x100 || off + N > PAGE_SIZE as usize || self.resident.get(page) != Some(&DIRTY) {
             return false;
         }
         // A dirty page was written through `write`, which allocated it.
@@ -404,9 +399,9 @@ impl FastMemory {
         let mut a = addr;
         let end = addr + len;
         while a < end {
-            let p = (a >> self.page_shift) as usize;
-            let off = (a & (self.page_size - 1)) as usize;
-            let n = ((self.page_size as usize - off) as u32).min(end - a) as usize;
+            let p = (a >> PAGE_SHIFT) as usize;
+            let off = (a & PAGE_MASK) as usize;
+            let n = ((PAGE_SIZE as usize - off) as u32).min(end - a) as usize;
             match &self.pages[p] {
                 Some(pg) => out.extend_from_slice(&pg[off..off + n]),
                 None => out.resize(out.len() + n, 0),
@@ -425,9 +420,9 @@ impl FastMemory {
         let mut a = addr;
         let mut rest = data;
         while !rest.is_empty() {
-            let p = (a >> self.page_shift) as usize;
-            let off = (a & (self.page_size - 1)) as usize;
-            let n = (self.page_size as usize - off).min(rest.len());
+            let p = (a >> PAGE_SHIFT) as usize;
+            let off = (a & PAGE_MASK) as usize;
+            let n = (PAGE_SIZE as usize - off).min(rest.len());
             self.page_mut(p)[off..off + n].copy_from_slice(&rest[..n]);
             a += n as u32;
             rest = &rest[n..];
@@ -442,7 +437,7 @@ mod tests {
 
     #[test]
     fn read_write_roundtrip() {
-        let mut m = PagedMemory::new(1024);
+        let mut m = PagedMemory::new();
         m.write(0x20000, 0xdead_beef, 4).unwrap();
         assert_eq!(m.read(0x20000, 4).unwrap(), 0xdead_beef);
         assert_eq!(m.read(0x20001, 1).unwrap(), 0xbe);
@@ -450,7 +445,7 @@ mod tests {
 
     #[test]
     fn paging_counts_first_touch_per_segment() {
-        let mut m = PagedMemory::new(1024);
+        let mut m = PagedMemory::new();
         m.read(0x20000, 4).unwrap();
         assert_eq!(m.page_ins(), 1);
         assert_eq!(m.page_outs(), 0);
@@ -468,14 +463,14 @@ mod tests {
 
     #[test]
     fn cross_page_access_touches_both() {
-        let mut m = PagedMemory::new(1024);
-        m.read(1024 * 33 - 2, 4).unwrap();
+        let mut m = PagedMemory::new();
+        m.read(PAGE_SIZE * 33 - 2, 4).unwrap();
         assert_eq!(m.page_ins(), 2);
     }
 
     #[test]
     fn faults_on_null_and_oob() {
-        let mut m = PagedMemory::new(1024);
+        let mut m = PagedMemory::new();
         assert!(m.read(0x10, 4).is_err());
         assert!(m.write(MEM_SIZE - 2, 0, 4).is_err());
         assert!(m.read(u32::MAX - 1, 4).is_err());
@@ -483,7 +478,7 @@ mod tests {
 
     #[test]
     fn memory_is_zero_initialized() {
-        let mut m = PagedMemory::new(1024);
+        let mut m = PagedMemory::new();
         assert_eq!(m.read(0x50000, 4).unwrap(), 0);
     }
 
@@ -491,8 +486,8 @@ mod tests {
     /// identical values, faults, and paging counters.
     #[test]
     fn fast_memory_matches_paged_memory_on_a_mixed_trace() {
-        let mut slow = PagedMemory::new(1024);
-        let mut fast = FastMemory::new(1024);
+        let mut slow = PagedMemory::new();
+        let mut fast = FastMemory::new();
         // Deterministic pseudo-random trace: reads, writes, sub-word
         // accesses, cross-page accesses, OOB probes, and segment flushes.
         let mut x: u32 = 0x1234_5678;
@@ -518,8 +513,8 @@ mod tests {
 
     #[test]
     fn fast_memory_cross_page_and_host_access() {
-        let mut m = FastMemory::new(1024);
-        m.read(1024 * 33 - 2, 4).unwrap();
+        let mut m = FastMemory::new();
+        m.read(PAGE_SIZE * 33 - 2, 4).unwrap();
         assert_eq!(m.page_ins(), 2);
         // Host access moves bytes but charges nothing.
         m.write_bytes_host(0x40000, &[1, 2, 3, 4]).unwrap();

@@ -1,15 +1,25 @@
-//! Pre-decoded instruction stream for the block-dispatch engine.
+//! Pre-decoded instruction streams for the block-dispatch engine.
 //!
 //! [`DecodedProgram::decode`] walks a linked [`Program`] **once**, lowering
 //! every [`Inst`] into one flat 8-byte [`Op`] — an [`OpCode`] that already
 //! names the exact operation (`add`, `addi`, `lw`, `bne`, …: one `match`
 //! executes it), three register slots and a 32-bit immediate — and grouping
-//! the stream into fall-through basic [`Block`]s keyed by branch targets. The
-//! per-pc `block_of` table is the engine's direct-indexed block cache:
-//! dispatching a jump is one array load, never a search. Pre-decoding also
-//! bakes in the `x0` write sink (ops that write nothing write there too, so
-//! the engine stores unconditionally) and each block's static instruction
-//! mix.
+//! the stream into fall-through basic [`Block`]s keyed by branch targets.
+//! Pre-decoding also bakes in the `x0` write sink (ops that write nothing
+//! write there too, so the engine stores unconditionally) and each block's
+//! static instruction mix.
+//!
+//! Two streams come out of it, one per engine tier:
+//!
+//! - `ops`, 1:1 with the code, with the per-pc `block_of` table: the stepped
+//!   tier's, which can start anywhere.
+//! - `fast`: one run per ecall-free block — its ops, then exactly one *exit
+//!   op*: the block's own terminator (branch, `jal`, `jalr`), or a synthetic
+//!   `jal x0, end` when the block falls through into a leader. The fast tier
+//!   runs these runs back to back: `fast_at[pc]` names the [`FastBlock`]
+//!   that starts at `pc`, so following an exit is one array load. The
+//!   synthetic exit retires nothing, because the fast tier charges a block
+//!   its `len` ops statically.
 
 use crate::machine::InstMix;
 use zkvmopt_riscv::encode;
@@ -18,7 +28,7 @@ use zkvmopt_riscv::{Inst, Program, Reg};
 
 /// Register-file slot that swallows writes to `x0` and the "result" of ops
 /// that have none (stores, branches, ecalls). The engine's register file has
-/// 64 slots indexed `& 63`; slot 0 is never written, so reads of `x0` stay 0
+/// one slot per `u8` index; slot 0 is never written, so reads of `x0` stay 0
 /// and the hot path stores unconditionally instead of branching on `rd`.
 pub const REG_SINK: u8 = 32;
 
@@ -98,6 +108,22 @@ impl Block {
     }
 }
 
+/// Where an ecall-free block's run sits in [`DecodedProgram::fast`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FastBlock {
+    /// Index of the run's first op in `fast`.
+    pub run: u32,
+    /// The block's first code index.
+    pub start: u32,
+    /// The block's op count `k` — the run holds `len` ops, then its exit
+    /// op, which is the last of them when the block ends in a terminator.
+    pub len: u32,
+}
+
+/// [`DecodedProgram::fast_at`] entry of a pc that starts no ecall-free
+/// block.
+pub const NO_FAST_BLOCK: u32 = u32::MAX;
+
 /// A program decoded once for block-at-a-time dispatch.
 ///
 /// Owns everything the engine needs, so it can be cached and shared across
@@ -105,13 +131,22 @@ impl Block {
 /// each {workload × profile} pair exactly once).
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
-    /// Pre-decoded ops, 1:1 with the original instruction stream.
+    /// Pre-decoded ops, 1:1 with the original instruction stream (the
+    /// stepped tier's).
     pub ops: Vec<Op>,
     /// Basic blocks, in code order, contiguously partitioning `ops`.
     pub blocks: Vec<Block>,
     /// Direct-indexed block cache: `block_of[pc]` is the block containing
     /// `pc`.
     pub block_of: Vec<u32>,
+    /// The fast tier's stream: each ecall-free block's ops followed by one
+    /// exit op (see the module docs), in code order.
+    pub fast: Vec<Op>,
+    /// The ecall-free blocks, in code order.
+    pub fast_blocks: Vec<FastBlock>,
+    /// Per pc: the index in `fast_blocks` of the block that *starts* at
+    /// `pc`, or [`NO_FAST_BLOCK`] (mid-block pcs and ecall blocks).
+    pub fast_at: Vec<u32>,
     /// Entry code index (the `_start` stub).
     pub entry: usize,
     /// Initialized globals: (virtual address, bytes).
@@ -249,6 +284,9 @@ impl DecodedProgram {
 
         let mut blocks: Vec<Block> = Vec::new();
         let mut block_of = vec![0u32; n];
+        let mut fast = Vec::new();
+        let mut fast_blocks = Vec::new();
+        let mut fast_at = vec![NO_FAST_BLOCK; n];
         let mut pc = 0;
         while pc < n {
             let start = pc;
@@ -259,6 +297,21 @@ impl DecodedProgram {
                 pc += 1;
                 if pc >= n || leader[pc] {
                     break;
+                }
+            }
+            if mix.ecall == 0 {
+                fast_at[start] = fast_blocks.len() as u32;
+                fast_blocks.push(FastBlock {
+                    run: fast.len() as u32,
+                    start: start as u32,
+                    len: (pc - start) as u32,
+                });
+                fast.extend_from_slice(&ops[start..pc]);
+                if !code[pc - 1].is_terminator() {
+                    fast.push(lower(&Inst::Jal {
+                        rd: Reg::ZERO,
+                        target: pc,
+                    }));
                 }
             }
             blocks.push(Block {
@@ -272,9 +325,22 @@ impl DecodedProgram {
             ops,
             blocks,
             block_of,
+            fast,
+            fast_blocks,
+            fast_at,
             entry,
             globals,
         }
+    }
+
+    /// The fast block that starts at `pc`, with its index, if its `len` is
+    /// at most `room`.
+    #[inline(always)]
+    pub(crate) fn fast_block_at(&self, pc: usize, room: u64) -> Option<(usize, FastBlock)> {
+        let b = *self.fast_at.get(pc)? as usize;
+        // `NO_FAST_BLOCK` is out of range.
+        let head = *self.fast_blocks.get(b)?;
+        (u64::from(head.len) <= room).then_some((b, head))
     }
 
     /// Number of instructions.
@@ -291,6 +357,8 @@ impl DecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program_gen;
+    use zkvmopt_passes::{OptLevel, PassConfig, PassManager};
     use zkvmopt_riscv::TargetCostModel;
 
     fn decode_src(src: &str) -> (Program, DecodedProgram) {
@@ -391,16 +459,161 @@ mod tests {
                return s;
              }",
         );
+        let d2 = decode_encoded(&p);
+        assert_eq!(d.ops, d2.ops);
+        assert_eq!(d.block_of, d2.block_of);
+        assert_eq!(d.blocks.len(), d2.blocks.len());
+    }
+
+    /// `p` round-tripped through the binary encoding.
+    fn decode_encoded(p: &Program) -> DecodedProgram {
         let words: Vec<u32> = p
             .code
             .iter()
             .enumerate()
             .map(|(pc, i)| encode::encode(i, pc))
             .collect();
-        let d2 = DecodedProgram::decode_words(&words, p.entry, p.globals.clone())
-            .expect("round-trips through the binary encoding");
-        assert_eq!(d.ops, d2.ops);
-        assert_eq!(d.block_of, d2.block_of);
-        assert_eq!(d.blocks.len(), d2.blocks.len());
+        DecodedProgram::decode_words(&words, p.entry, p.globals.clone())
+            .expect("round-trips through the binary encoding")
+    }
+
+    fn is_control(op: &Op) -> bool {
+        matches!(op.mix_class(), MixClass::Branch | MixClass::Jump)
+    }
+
+    /// The fast tier's decode invariants on one program: the ecall-free
+    /// blocks, in code order, each own one run of `fast`, back to back —
+    /// the block's ops, then exactly one exit op (its own terminator, or a
+    /// synthetic `jal x0, end`); `fast_at` names exactly their heads; and
+    /// decoding the binary encoding builds the same stream.
+    fn check_fast_stream(p: &Program, what: &str) {
+        let d = DecodedProgram::decode(p);
+        let mut heads = vec![NO_FAST_BLOCK; d.len()];
+        let mut fast_blocks = d.fast_blocks.iter().enumerate();
+        let mut run = 0;
+        for block in d.blocks.iter().filter(|b| b.mix.ecall == 0) {
+            let (start, end) = (block.start as usize, block.end as usize);
+            let (f, fb) = fast_blocks
+                .next()
+                .expect("a fast block per ecall-free block");
+            assert_eq!(
+                *fb,
+                FastBlock {
+                    run: run as u32,
+                    start: block.start,
+                    len: block.end - block.start,
+                },
+                "{what}: fast block {f}"
+            );
+            heads[start] = f as u32;
+            let ops = &d.ops[start..end];
+            let body = &ops[..ops.len() - usize::from(is_control(&ops[ops.len() - 1]))];
+            let exit = if body.len() == ops.len() {
+                lower(&Inst::Jal {
+                    rd: Reg::ZERO,
+                    target: end,
+                })
+            } else {
+                ops[ops.len() - 1]
+            };
+            assert!(
+                body.iter().all(|op| !is_control(op)),
+                "{what}: block {start}"
+            );
+            assert_eq!(
+                &d.fast[run..run + body.len()],
+                body,
+                "{what}: block {start}"
+            );
+            assert_eq!(
+                d.fast[run + body.len()],
+                exit,
+                "{what}: block {start}'s exit"
+            );
+            run += body.len() + 1;
+        }
+        assert_eq!(fast_blocks.next(), None, "{what}");
+        assert_eq!(run, d.fast.len(), "{what}: runs cover the stream");
+        assert_eq!(
+            d.fast_at, heads,
+            "{what}: fast_at marks the ecall-free heads"
+        );
+        let d2 = decode_encoded(p);
+        assert_eq!(
+            (&d2.fast, &d2.fast_blocks, &d2.fast_at),
+            (&d.fast, &d.fast_blocks, &d.fast_at),
+            "{what}: decode_words"
+        );
+    }
+
+    #[test]
+    fn fast_stream_holds_each_ecall_free_block_once_on_the_suite() {
+        for w in zkvmopt_workloads::all() {
+            let m = zkvmopt_lang::compile_guest(&w.source).expect("compiles");
+            let p = zkvmopt_riscv::compile_module(&m, &TargetCostModel::zk()).expect("codegen");
+            check_fast_stream(&p, w.name);
+        }
+        // The emitter ends every ecall-free block it lays out with a
+        // terminator, so only hand-built code has one that falls through
+        // into a leader (here the `jal`'s target, pc 2).
+        let addi = |imm| Inst::AluImm {
+            op: AluImmOp::Addi,
+            rd: Reg::A0,
+            rs1: Reg::A0,
+            imm,
+        };
+        let code = vec![
+            Inst::Jal {
+                rd: Reg::ZERO,
+                target: 2,
+            },
+            addi(1),
+            addi(2),
+            Inst::Branch {
+                cond: BranchCond::Lt,
+                rs1: Reg::A0,
+                rs2: Reg::T3,
+                target: 1,
+            },
+            Inst::Ecall,
+        ];
+        let p = Program {
+            code,
+            entry: 0,
+            func_entries: vec![],
+            func_names: vec![],
+            globals: vec![],
+            spilled_vregs: 0,
+        };
+        check_fast_stream(&p, "fall-through");
+        let d = DecodedProgram::decode(&p);
+        assert_eq!(d.fast.len(), d.len(), "one synthetic exit, no ecall run");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 12,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The same over the `proptest_passes` generator's programs, as
+        /// lowered and at `-O2`.
+        #[test]
+        fn fast_stream_holds_each_ecall_free_block_once_on_generated_programs(
+            es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
+            trip in 1u8..20,
+        ) {
+            for src in [program_gen::program(&es, trip), program_gen::program_with_calls(&es, trip)] {
+                for level in [None, Some(OptLevel::O2)] {
+                    let mut m = zkvmopt_lang::compile_guest(&src).expect("compiles");
+                    if let Some(l) = level {
+                        PassManager::for_level(l).run(&mut m, &PassConfig::default());
+                    }
+                    let p = zkvmopt_riscv::compile_module(&m, &TargetCostModel::zk())
+                        .expect("codegen");
+                    check_fast_stream(&p, "generated");
+                }
+            }
+        }
     }
 }

@@ -40,8 +40,6 @@ impl fmt::Display for VmKind {
 pub struct VmProfile {
     /// Which VM this models.
     pub kind: VmKind,
-    /// Memory page size in bytes.
-    pub page_size: u32,
     /// Cycles charged per page-in (first touch of a page in a segment).
     pub page_in_cycles: u64,
     /// Cycles charged per page-out (first write to a page in a segment).
@@ -64,7 +62,6 @@ impl VmProfile {
     pub fn risc_zero() -> VmProfile {
         VmProfile {
             kind: VmKind::RiscZero,
-            page_size: 1024,
             page_in_cycles: 1130,
             page_out_cycles: 1130,
             segment_cycles: 1 << 20,
@@ -81,7 +78,6 @@ impl VmProfile {
     pub fn sp1() -> VmProfile {
         VmProfile {
             kind: VmKind::Sp1,
-            page_size: 1024,
             page_in_cycles: 188,
             page_out_cycles: 188,
             segment_cycles: 1 << 19,
@@ -144,7 +140,7 @@ mod tests {
     #[test]
     fn profiles_match_cited_constants() {
         let r0 = VmProfile::risc_zero();
-        assert_eq!(r0.page_size, 1024);
+        assert_eq!(crate::mem::PAGE_SIZE, 1024); // both profiles' page
         assert_eq!(r0.page_in_cycles, 1130); // RISC Zero guide figure
         let sp1 = VmProfile::sp1();
         assert!(sp1.page_in_cycles < r0.page_in_cycles);
