@@ -21,8 +21,8 @@
 //!   interpreter bit for bit.
 //!
 //! **The room invariant.** Between blocks `user_cycles <= max_cycles` and
-//! `segment_cycles < segment limit` (both are zero under a zero limit). A
-//! chain starts with
+//! `segment_cycles < limit`, the segment limit (or `segment_cycles == 0`
+//! under a zero limit). A chain starts with
 //! `room = min(max_cycles − user_cycles, limit − segment_cycles − 1)`,
 //! saturated at 0, and enters a block only if the block starts at the pc,
 //! has no ecall and its `k <= left`, where `left = room − retired` so far.

@@ -96,18 +96,6 @@ pub struct Block {
     pub mix: InstMix,
 }
 
-impl Block {
-    /// Number of instructions in the block.
-    pub fn len(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
-    /// Whether the block is empty (never true for decoded programs).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// Where an ecall-free block's run sits in [`DecodedProgram::fast`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FastBlock {
@@ -115,8 +103,8 @@ pub struct FastBlock {
     pub run: u32,
     /// The block's first code index.
     pub start: u32,
-    /// The block's op count `k` — the run holds `len` ops, then its exit
-    /// op, which is the last of them when the block ends in a terminator.
+    /// The block's op count `k`. Its run is these `k` ops when the last is
+    /// a terminator (the exit op), else these `k` and a synthetic exit.
     pub len: u32,
 }
 
@@ -395,7 +383,11 @@ mod tests {
                 + b.mix.branch
                 + b.mix.jump
                 + b.mix.ecall;
-            assert_eq!(mix_total as usize, b.len(), "block mix partitions ops");
+            assert_eq!(
+                mix_total,
+                u64::from(b.end - b.start),
+                "block mix partitions ops"
+            );
         }
         assert_eq!(covered, p.code.len());
     }
