@@ -5,20 +5,21 @@
 //! writes, `exec_jump` where a branch or jump goes. Only what a tier does
 //! with the next pc is its own.
 //!
-//! - **Fast.** One threaded loop (`exec_fast`) over the decoded `fast`
+//! - **Fast.** One threaded loop (`exec_fast`) over the decoded `ops`
 //!   stream (see [`crate::op`]). Each guest op is one dispatch, with no
 //!   per-op accounting; loads and stores are served from the residency table
 //!   of [`FastMemory`] (a page the segment already holds charges nothing).
 //!   A block's exit op — its terminator, or a synthetic `jal` where it falls
 //!   through — is itself an op: it charges the block its `k` ops, counts a
 //!   hit that the final report folds into the instruction mix as hit-count ×
-//!   static mix, and chains straight into the fast block that starts at the
-//!   next pc. `instret`, `user_cycles` and `segment_cycles` are flushed into
-//!   the lane once, when the chain stops.
+//!   static mix, and chains straight into the ecall-free block that starts
+//!   at the next pc. `instret`, `user_cycles` and `segment_cycles` are
+//!   flushed into the lane once, when the chain stops.
 //! - **Stepped.** Everything else — ecall blocks, mid-block entries, blocks
 //!   that may meet a segment boundary or the budget — runs with
 //!   per-instruction accounting that replicates the reference step
-//!   interpreter bit for bit.
+//!   interpreter bit for bit. It reads the same stream, from any pc to the
+//!   end of its block, and so never reaches a synthetic exit.
 //!
 //! **The room invariant.** Between blocks `user_cycles <= max_cycles` and
 //! `segment_cycles < limit`, the segment limit (or `segment_cycles == 0`
@@ -52,7 +53,7 @@
 use crate::ecalls::{self, MemIo};
 use crate::machine::{alu, alu_imm, ExecConfig, ExecError, ExecutionReport, InstMix};
 use crate::mem::{FastMemory, MemFault, STACK_TOP};
-use crate::op::{DecodedProgram, FastBlock, Op, OpCode};
+use crate::op::{Block, DecodedProgram, Op, OpCode};
 use crate::profile::{EngineStats, VmKind, VmProfile};
 use crate::segment::{SegmentRecord, SegmentRecorder};
 use std::time::Instant;
@@ -100,7 +101,7 @@ struct Lane {
     /// Mix of the ops retired on the stepped path; fast blocks are in
     /// `block_hits` until [`Lane::fold_hits`].
     mix: InstMix,
-    /// Per fast block: how often it ran whole on the fast tier.
+    /// Per block: how often it ran whole on the fast tier.
     block_hits: Vec<u64>,
     /// Loads and stores that took the charged access path.
     charged_accesses: u64,
@@ -132,7 +133,7 @@ impl Lane {
             instret: 0,
             user_cycles: 0,
             mix: InstMix::default(),
-            block_hits: vec![0; prog.fast_blocks.len()],
+            block_hits: vec![0; prog.blocks.len()],
             charged_accesses: 0,
             segments: 1,
             segment_cycles: 0,
@@ -141,12 +142,10 @@ impl Lane {
         }
     }
 
-    /// Bring `mix` up to date: add hit-count × static mix for every fast
-    /// block.
+    /// Bring `mix` up to date: add hit-count × static mix for every block.
     fn fold_hits(&mut self, prog: &DecodedProgram) {
-        for (hits, fb) in self.block_hits.iter_mut().zip(&prog.fast_blocks) {
+        for (hits, block) in self.block_hits.iter_mut().zip(&prog.blocks) {
             if *hits != 0 {
-                let block = &prog.blocks[prog.block_of[fb.start as usize] as usize];
                 self.mix.add_scaled(&block.mix, std::mem::take(hits));
             }
         }
@@ -296,22 +295,25 @@ fn exec_jump(op: Op, regs: &mut Regs, fall: usize) -> usize {
 }
 
 /// The stepped path: per-instruction accounting identical to the reference
-/// interpreter, from `pc` to the end of its block (or a taken jump, halt,
+/// interpreter, from `pc` to the end of its `block` (or a taken jump, halt,
 /// or error). Handles every op class; the fast path falls back here.
 fn exec_stepped(
     prog: &DecodedProgram,
     lane: &mut Lane,
     regs: &mut Regs,
     pc: usize,
-    end: usize,
+    block: &Block,
 ) -> StepOut {
     let seg_limit = lane.profile.segment_cycles;
+    // The op at pc `i` is `ops[i + run − start]`, and `run >= start`.
+    let run_offset = (block.run - block.start) as usize;
+    let end = (block.start + block.len) as usize;
     let mut i = pc;
     while i < end {
         let mut cost: u64 = 1;
         let mut next = i + 1;
         let (ins, outs) = (lane.mem.page_ins(), lane.mem.page_outs());
-        let op = prog.ops[i];
+        let op = prog.ops[i + run_offset];
         let class = op.mix_class();
         lane.mix.bump(class);
         match class {
@@ -377,32 +379,32 @@ fn exec_stepped(
     StepOut::Next(end)
 }
 
-/// The fast tier: one threaded loop over the `fast` stream, from the head
-/// of fast block `b` (which fits `room`), with no per-op accounting. Each op
-/// is one dispatch; a block's exit op charges the block its `k` ops at once
-/// and chains straight into the fast block it leads to, while one starts
-/// there and fits what is left of `room`. The ops retired are flushed into
-/// the lane once, when the chain stops. An access the residency table
-/// cannot serve settles the ops before it and hands the rest of its block,
-/// that op included, to [`exec_stepped`].
+/// The fast tier: one threaded loop over the `ops` stream, from the head
+/// of ecall-free block `b` (which fits `room`), with no per-op accounting.
+/// Each op is one dispatch; a block's exit op charges the block its `k` ops
+/// at once and chains straight into the block it leads to, while an
+/// ecall-free one starts there and fits what is left of `room`. The ops
+/// retired are flushed into the lane once, when the chain stops. An access
+/// the residency table cannot serve settles the ops before it and hands the
+/// rest of its block, that op included, to [`exec_stepped`].
 ///
 /// Out of line on purpose: with its own register allocation the chain's
 /// state stays in registers (inlined into the dispatch loop it measured
 /// 1.06× slower).
 #[inline(never)]
-fn exec_fast(
-    prog: &DecodedProgram,
+fn exec_fast<'p>(
+    prog: &'p DecodedProgram,
     lane: &mut Lane,
     regs: &mut Regs,
     mut b: usize,
-    mut head: FastBlock,
+    mut head: &'p Block,
     room: u64,
 ) -> StepOut {
     use OpCode as C;
     let mut left = room;
     let mut i = head.run as usize;
     let next = loop {
-        let op = prog.fast[i];
+        let op = prog.ops[i];
         let end = (head.start + head.len) as usize;
         let next = match op.code {
             C::Beq | C::Bne | C::Blt | C::Bge | C::Bltu | C::Bgeu | C::Jal | C::Jalr => {
@@ -415,13 +417,13 @@ fn exec_fast(
                     continue;
                 }
                 Err(_) => {
-                    let done = i - head.run as usize;
-                    let (start, pc) = (head.start as usize, head.start as usize + done);
+                    let run = head.run as usize;
+                    let done = i - run;
                     lane.retire(room - left + done as u64);
-                    for op in &prog.ops[start..pc] {
+                    for op in &prog.ops[run..i] {
                         lane.mix.bump(op.mix_class());
                     }
-                    return exec_stepped(prog, lane, regs, pc, end);
+                    return exec_stepped(prog, lane, regs, head.start as usize + done, head);
                 }
             },
         };
@@ -519,11 +521,10 @@ impl<'p> Engine<'p> {
             let out = match prog.fast_block_at(pc, room) {
                 Some((b, head)) => exec_fast(prog, lane, &mut self.regs, b, head, room),
                 None => {
-                    let Some(&bidx) = prog.block_of.get(pc) else {
+                    let Some(block) = prog.block_at(pc) else {
                         return Err(ExecError::BadPc { pc });
                     };
-                    let end = prog.blocks[bidx as usize].end as usize;
-                    exec_stepped(prog, lane, &mut self.regs, pc, end)
+                    exec_stepped(prog, lane, &mut self.regs, pc, block)
                 }
             };
             match out {
@@ -665,11 +666,10 @@ mod tests {
             self.lane.recorder = Some(Box::default());
             let mut pc = self.prog.entry;
             loop {
-                let Some(&bidx) = self.prog.block_of.get(pc) else {
+                let Some(block) = self.prog.block_at(pc) else {
                     return Err(ExecError::BadPc { pc });
                 };
-                let end = self.prog.blocks[bidx as usize].end as usize;
-                match exec_stepped(self.prog, &mut self.lane, &mut self.regs, pc, end) {
+                match exec_stepped(self.prog, &mut self.lane, &mut self.regs, pc, block) {
                     StepOut::Next(p) => pc = p,
                     StepOut::Halt(code) => return Ok(self.finish_segmented(code, start)),
                     StepOut::Err(e) => return Err(e),
@@ -885,32 +885,43 @@ mod tests {
         let body = [addi(Reg::A0, Reg::A0, 3), addi(Reg::A1, Reg::A0, -1)];
         let p = counted_loop(&prelude, &body);
         let d = DecodedProgram::decode(&p);
-        assert_eq!(d.block_of[head], d.block_of[head - 1] + 1);
-        assert_eq!(d.block_of[head + 1], d.block_of[head] + 1);
+        let start = |pc| d.block_at(pc).expect("in the code").start as usize;
+        assert_eq!((start(head), start(head + 1)), (head, head + 1));
         check_limits(&p, &limits(), &BUDGETS, "split loop");
     }
 
     #[test]
-    fn a_chain_into_an_ecall_block_matches_reference() {
-        // Every iteration the fast head block jumps into a block that
-        // commits: the chain stops there and the stepped tier takes over.
-        let head = 2;
-        let body = [
-            addi(Reg::A0, Reg::A0, 3),
-            addi(Reg::T0, Reg::ZERO, ecall::COMMIT as i32),
-            Inst::Jal {
-                rd: Reg::ZERO,
-                target: head + 3,
-            },
-            Inst::Ecall,
-            addi(Reg::T0, Reg::ZERO, ecall::HALT as i32),
-        ];
-        check_limits(
-            &counted_loop(&[], &body),
-            &limits(),
-            &BUDGETS,
-            "loop into an ecall block",
+    fn chains_into_ecall_blocks_match_reference() {
+        // Every iteration a fast block jumps into a block that commits: the
+        // chain stops there and the stepped tier takes over. In `jumped` the
+        // loop head's `jal` leads there. In `fallen` the prelude's `jal` to
+        // pc 6 makes the body's fourth op a leader, so the commit's block
+        // (pcs 3–5, ecall last) falls through into it: its run ends in a
+        // synthetic exit that the stepped tier must neither run nor charge.
+        let jal = |target| Inst::Jal {
+            rd: Reg::ZERO,
+            target,
+        };
+        let bump = addi(Reg::A0, Reg::A0, 3);
+        let commit = addi(Reg::T0, Reg::ZERO, ecall::COMMIT as i32);
+        let halt = addi(Reg::T0, Reg::ZERO, ecall::HALT as i32);
+        let jumped = counted_loop(&[], &[bump, commit, jal(5), Inst::Ecall, halt]);
+        let fallen = counted_loop(&[jal(6)], &[bump, commit, Inst::Ecall, halt]);
+        let d = DecodedProgram::decode(&fallen);
+        let block = d.block_at(5).expect("in the code");
+        assert_eq!((block.start, block.len), (3, 3));
+        let exit = d.ops[(block.run + block.len) as usize];
+        assert_eq!(
+            (exit.code, exit.rd, exit.imm),
+            (OpCode::Jal, crate::op::REG_SINK, 6),
+            "a synthetic exit"
         );
+        for (p, what) in [
+            (jumped, "jump into an ecall block"),
+            (fallen, "ecall fall-through"),
+        ] {
+            check_limits(&p, &limits(), &BUDGETS, what);
+        }
     }
 
     #[test]
@@ -934,7 +945,7 @@ mod tests {
         let p = counted_loop(&prelude, &body);
         let d = DecodedProgram::decode(&p);
         assert_ne!(
-            d.blocks[d.block_of[head + 4] as usize].start as usize,
+            d.block_at(head + 4).expect("in the code").start as usize,
             head + 4
         );
         check_limits(&p, &limits(), &BUDGETS, "jalr mid-block");

@@ -11,7 +11,8 @@
 //!
 //! Execution is a **pre-decoded block-dispatch engine** ([`engine::Engine`]):
 //! every RV32IM instruction is decoded once into a flat 8-byte [`op::Op`],
-//! ops are grouped into fall-through basic blocks keyed by branch targets.
+//! and ops are grouped into fall-through basic blocks keyed by branch
+//! targets, each block one run of the single stream both tiers read.
 //! Blocks without ecalls that fit the cycle budget and the current segment
 //! run on the fast tier, one threaded loop that chains block to block with
 //! no per-instruction accounting, its loads and stores served from

@@ -188,6 +188,9 @@ pub struct Machine<'p> {
     pc: usize,
     mem: PagedMemory,
     journal: Vec<i32>,
+    /// First global-image byte that failed to load, reported as a
+    /// `MemFault` from [`Machine::run`].
+    init_fault: Option<u32>,
 }
 
 #[cfg(any(test, feature = "reference"))]
@@ -208,12 +211,16 @@ impl MemIo for PagedIo<'_> {
 
 #[cfg(any(test, feature = "reference"))]
 impl<'p> Machine<'p> {
-    /// Set up a machine with globals loaded and `sp` initialized.
+    /// Set up a machine with globals loaded and `sp` initialized. A global
+    /// image that does not fit guest memory is reported as a `MemFault`
+    /// from [`Machine::run`], as the engine does.
     pub fn new(program: &'p Program, profile: VmProfile, config: ExecConfig) -> Machine<'p> {
         let mut mem = PagedMemory::new();
+        let mut init_fault = None;
         for (addr, data) in &program.globals {
-            mem.write_bytes_host(*addr, data)
-                .expect("global image fits");
+            if mem.write_bytes_host(*addr, data).is_err() && init_fault.is_none() {
+                init_fault = Some(*addr);
+            }
         }
         let mut regs = [0u32; 32];
         regs[Reg::SP.0 as usize] = STACK_TOP;
@@ -225,6 +232,7 @@ impl<'p> Machine<'p> {
             pc: program.entry,
             mem,
             journal: Vec::new(),
+            init_fault,
         }
     }
 
@@ -243,6 +251,9 @@ impl<'p> Machine<'p> {
     /// # Errors
     /// Returns [`ExecError`] on faults or budget exhaustion.
     pub fn run(mut self) -> Result<ExecutionReport, ExecError> {
+        if let Some(addr) = self.init_fault {
+            return Err(ExecError::MemFault { addr, pc: 0 });
+        }
         let start = std::time::Instant::now();
         let mut instret: u64 = 0;
         let mut user_cycles: u64 = 0;

@@ -4,22 +4,24 @@
 //! every [`Inst`] into one flat 8-byte [`Op`] — an [`OpCode`] that already
 //! names the exact operation (`add`, `addi`, `lw`, `bne`, …: one `match`
 //! executes it), three register slots and a 32-bit immediate — and grouping
-//! the stream into fall-through basic [`Block`]s keyed by branch targets.
+//! the code into fall-through basic [`Block`]s keyed by branch targets.
 //! Pre-decoding also bakes in the `x0` write sink (ops that write nothing
 //! write there too, so the engine stores unconditionally) and each block's
 //! static instruction mix.
 //!
-//! Two streams come out of it, one per engine tier:
+//! One stream comes out of it, and both engine tiers read it. Every block
+//! owns one run of `ops`, in code order: its ops, then exactly one *exit
+//! op* — the block's own terminator (branch, `jal`, `jalr`), or a synthetic
+//! `jal x0, end` when the block falls through into a leader (or off the end
+//! of the code). So the op at `pc` sits at `run + (pc − start)` of its
+//! block, and `block_of[pc]` names that block.
 //!
-//! - `ops`, 1:1 with the code, with the per-pc `block_of` table: the stepped
-//!   tier's, which can start anywhere.
-//! - `fast`: one run per ecall-free block — its ops, then exactly one *exit
-//!   op*: the block's own terminator (branch, `jal`, `jalr`), or a synthetic
-//!   `jal x0, end` when the block falls through into a leader. The fast tier
-//!   runs these runs back to back: `fast_at[pc]` names the [`FastBlock`]
-//!   that starts at `pc`, so following an exit is one array load. The
-//!   synthetic exit retires nothing, because the fast tier charges a block
-//!   its `len` ops statically.
+//! - The fast tier runs the runs of ecall-free blocks back to back:
+//!   `block_of` marks their heads with [`FAST_HEAD`], so following an exit
+//!   is one array load. The synthetic exit retires nothing, because the
+//!   fast tier charges a block its `len` ops statically.
+//! - The stepped tier can start at any pc and stops after the block's
+//!   `len` ops, so it never reaches a synthetic exit.
 
 use crate::machine::InstMix;
 use zkvmopt_riscv::encode;
@@ -80,14 +82,18 @@ pub struct Op {
     pub imm: u32,
 }
 
-/// A maximal fall-through run of pre-decoded ops. Blocks partition the code
-/// contiguously; a block's terminator (if any) is its last op.
-#[derive(Debug, Clone)]
+/// A maximal fall-through run of code, and where its ops sit in
+/// [`DecodedProgram::ops`]. Blocks partition the code contiguously; a
+/// block's terminator (if any) is its last op.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
+    /// Index of the block's first op in `ops`.
+    pub run: u32,
     /// First code index of the block.
     pub start: u32,
-    /// One past the last code index.
-    pub end: u32,
+    /// The block's op count `k`. Its run is these `k` ops when the last is
+    /// a terminator (the exit op), else these `k` and a synthetic exit.
+    pub len: u32,
     /// Static instruction mix of the block. Every op of a block executes
     /// whenever the block runs whole from its head, so this is exactly the
     /// dynamic mix contribution of such a run — and `mix.ecall == 0` is what
@@ -96,21 +102,9 @@ pub struct Block {
     pub mix: InstMix,
 }
 
-/// Where an ecall-free block's run sits in [`DecodedProgram::fast`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastBlock {
-    /// Index of the run's first op in `fast`.
-    pub run: u32,
-    /// The block's first code index.
-    pub start: u32,
-    /// The block's op count `k`. Its run is these `k` ops when the last is
-    /// a terminator (the exit op), else these `k` and a synthetic exit.
-    pub len: u32,
-}
-
-/// [`DecodedProgram::fast_at`] entry of a pc that starts no ecall-free
-/// block.
-pub const NO_FAST_BLOCK: u32 = u32::MAX;
+/// [`DecodedProgram::block_of`] bit of a pc that starts an ecall-free
+/// block: where the fast tier may enter.
+pub const FAST_HEAD: u32 = 1 << 31;
 
 /// A program decoded once for block-at-a-time dispatch.
 ///
@@ -119,22 +113,14 @@ pub const NO_FAST_BLOCK: u32 = u32::MAX;
 /// each {workload × profile} pair exactly once).
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
-    /// Pre-decoded ops, 1:1 with the original instruction stream (the
-    /// stepped tier's).
+    /// The decoded stream: each block's run (its ops, then its exit op; see
+    /// the module docs), in code order.
     pub ops: Vec<Op>,
-    /// Basic blocks, in code order, contiguously partitioning `ops`.
+    /// Basic blocks, in code order, contiguously partitioning the code.
     pub blocks: Vec<Block>,
-    /// Direct-indexed block cache: `block_of[pc]` is the block containing
-    /// `pc`.
+    /// Per pc: the index in `blocks` of the block containing `pc`, with
+    /// [`FAST_HEAD`] set where an ecall-free block starts.
     pub block_of: Vec<u32>,
-    /// The fast tier's stream: each ecall-free block's ops followed by one
-    /// exit op (see the module docs), in code order.
-    pub fast: Vec<Op>,
-    /// The ecall-free blocks, in code order.
-    pub fast_blocks: Vec<FastBlock>,
-    /// Per pc: the index in `fast_blocks` of the block that *starts* at
-    /// `pc`, or [`NO_FAST_BLOCK`] (mid-block pcs and ecall blocks).
-    pub fast_at: Vec<u32>,
     /// Entry code index (the `_start` stub).
     pub entry: usize,
     /// Initialized globals: (virtual address, bytes).
@@ -268,43 +254,36 @@ impl DecodedProgram {
             }
         }
 
-        let ops: Vec<Op> = code.iter().map(lower).collect();
-
-        let mut blocks: Vec<Block> = Vec::new();
+        let mut ops = Vec::with_capacity(n);
+        let mut blocks = Vec::new();
         let mut block_of = vec![0u32; n];
-        let mut fast = Vec::new();
-        let mut fast_blocks = Vec::new();
-        let mut fast_at = vec![NO_FAST_BLOCK; n];
         let mut pc = 0;
         while pc < n {
-            let start = pc;
+            let (start, run) = (pc, ops.len());
             let mut mix = InstMix::default();
             loop {
-                mix.bump(ops[pc].mix_class());
+                let op = lower(&code[pc]);
+                mix.bump(op.mix_class());
+                ops.push(op);
                 block_of[pc] = blocks.len() as u32;
                 pc += 1;
                 if pc >= n || leader[pc] {
                     break;
                 }
             }
+            if !code[pc - 1].is_terminator() {
+                ops.push(lower(&Inst::Jal {
+                    rd: Reg::ZERO,
+                    target: pc,
+                }));
+            }
             if mix.ecall == 0 {
-                fast_at[start] = fast_blocks.len() as u32;
-                fast_blocks.push(FastBlock {
-                    run: fast.len() as u32,
-                    start: start as u32,
-                    len: (pc - start) as u32,
-                });
-                fast.extend_from_slice(&ops[start..pc]);
-                if !code[pc - 1].is_terminator() {
-                    fast.push(lower(&Inst::Jal {
-                        rd: Reg::ZERO,
-                        target: pc,
-                    }));
-                }
+                block_of[start] |= FAST_HEAD;
             }
             blocks.push(Block {
+                run: run as u32,
                 start: start as u32,
-                end: pc as u32,
+                len: (pc - start) as u32,
                 mix,
             });
         }
@@ -313,32 +292,36 @@ impl DecodedProgram {
             ops,
             blocks,
             block_of,
-            fast,
-            fast_blocks,
-            fast_at,
             entry,
             globals,
         }
     }
 
-    /// The fast block that starts at `pc`, with its index, if its `len` is
-    /// at most `room`.
+    /// The ecall-free block that starts at `pc`, with its index, if its
+    /// `len` is at most `room`.
     #[inline(always)]
-    pub(crate) fn fast_block_at(&self, pc: usize, room: u64) -> Option<(usize, FastBlock)> {
-        let b = *self.fast_at.get(pc)? as usize;
-        // `NO_FAST_BLOCK` is out of range.
-        let head = *self.fast_blocks.get(b)?;
+    pub(crate) fn fast_block_at(&self, pc: usize, room: u64) -> Option<(usize, &Block)> {
+        // Flipping `FAST_HEAD` clears it on a head and sends every other pc
+        // out of range.
+        let b = (*self.block_of.get(pc)? ^ FAST_HEAD) as usize;
+        let head = self.blocks.get(b)?;
         (u64::from(head.len) <= room).then_some((b, head))
+    }
+
+    /// The block containing `pc`, if `pc` is in the code.
+    pub(crate) fn block_at(&self, pc: usize) -> Option<&Block> {
+        let b = *self.block_of.get(pc)? & !FAST_HEAD;
+        self.blocks.get(b as usize)
     }
 
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.block_of.len()
     }
 
     /// Whether the program has no instructions.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.block_of.is_empty()
     }
 }
 
@@ -349,47 +332,44 @@ mod tests {
     use zkvmopt_passes::{OptLevel, PassConfig, PassManager};
     use zkvmopt_riscv::TargetCostModel;
 
+    /// A block as the oracle sees it: its code range and static mix.
+    type OracleBlock = (usize, usize, InstMix);
+
+    /// The decoder the stream replaced, kept as its oracle: one op per pc,
+    /// each block, and each pc's block.
+    fn oracle(p: &Program) -> (Vec<Op>, Vec<OracleBlock>, Vec<u32>) {
+        let n = p.code.len();
+        // `leader[n]` stands for the end of the code.
+        let mut leader = vec![false; n + 1];
+        leader[0] = true;
+        leader[p.entry.min(n)] = true;
+        for (pc, inst) in p.code.iter().enumerate() {
+            if let Some(t) = inst.static_target() {
+                leader[t.min(n)] = true;
+            }
+            leader[pc + 1] |= inst.is_terminator();
+        }
+        leader[n] = true;
+        let ops: Vec<Op> = p.code.iter().map(lower).collect();
+        let (mut blocks, mut block_of) = (Vec::new(), vec![0; n]);
+        let mut start = 0;
+        for end in (1..=n).filter(|&pc| leader[pc]) {
+            let mut mix = InstMix::default();
+            ops[start..end]
+                .iter()
+                .for_each(|op| mix.bump(op.mix_class()));
+            block_of[start..end].fill(blocks.len() as u32);
+            blocks.push((start, end, mix));
+            start = end;
+        }
+        (ops, blocks, block_of)
+    }
+
     fn decode_src(src: &str) -> (Program, DecodedProgram) {
         let m = zkvmopt_lang::compile_guest(src).expect("compiles");
         let p = zkvmopt_riscv::compile_module(&m, &TargetCostModel::zk()).expect("codegen");
         let d = DecodedProgram::decode(&p);
         (p, d)
-    }
-
-    #[test]
-    fn blocks_partition_the_code() {
-        let (p, d) = decode_src(
-            "fn main() -> i32 {
-               let mut s: i32 = 0;
-               for (let mut i: i32 = 0; i < 9; i += 1) { s += i; }
-               return s;
-             }",
-        );
-        assert_eq!(d.ops.len(), p.code.len());
-        assert_eq!(d.block_of.len(), p.code.len());
-        let mut covered = 0usize;
-        for (i, b) in d.blocks.iter().enumerate() {
-            assert_eq!(b.start as usize, covered, "blocks must be contiguous");
-            assert!(b.end > b.start);
-            covered = b.end as usize;
-            for pc in b.start..b.end {
-                assert_eq!(d.block_of[pc as usize] as usize, i);
-            }
-            let mix_total = b.mix.alu
-                + b.mix.mul
-                + b.mix.div
-                + b.mix.load
-                + b.mix.store
-                + b.mix.branch
-                + b.mix.jump
-                + b.mix.ecall;
-            assert_eq!(
-                mix_total,
-                u64::from(b.end - b.start),
-                "block mix partitions ops"
-            );
-        }
-        assert_eq!(covered, p.code.len());
     }
 
     #[test]
@@ -400,11 +380,15 @@ mod tests {
         );
         for (pc, inst) in p.code.iter().enumerate() {
             if inst.is_terminator() {
-                let b = &d.blocks[d.block_of[pc] as usize];
-                assert_eq!(b.end as usize, pc + 1, "terminator must end its block");
+                let b = d.block_at(pc).expect("in the code");
+                assert_eq!(
+                    (b.start + b.len) as usize,
+                    pc + 1,
+                    "terminator must end its block"
+                );
             }
             if let Some(t) = inst.static_target() {
-                let b = &d.blocks[d.block_of[t] as usize];
+                let b = d.block_at(t).expect("in the code");
                 assert_eq!(b.start as usize, t, "target must start a block");
             }
         }
@@ -418,7 +402,9 @@ mod tests {
         );
         assert_eq!(std::mem::size_of::<Op>(), 8);
         let mut seen = [false; 3];
-        for (inst, op) in p.code.iter().zip(&d.ops) {
+        for (pc, inst) in p.code.iter().enumerate() {
+            let b = d.block_at(pc).expect("in the code");
+            let op = d.ops[(b.run + pc as u32 - b.start) as usize];
             match inst {
                 Inst::Jal { rd, .. } if *rd == Reg::ZERO => {
                     assert_eq!((op.code, op.rd), (OpCode::Jal, REG_SINK));
@@ -442,21 +428,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn decode_words_matches_decode() {
-        let (p, d) = decode_src(
-            "fn main() -> i32 {
-               let mut s: i32 = 0;
-               for (let mut i: i32 = 0; i < 5; i += 1) { s += i * i; }
-               return s;
-             }",
-        );
-        let d2 = decode_encoded(&p);
-        assert_eq!(d.ops, d2.ops);
-        assert_eq!(d.block_of, d2.block_of);
-        assert_eq!(d.blocks.len(), d2.blocks.len());
-    }
-
     /// `p` round-tripped through the binary encoding.
     fn decode_encoded(p: &Program) -> DecodedProgram {
         let words: Vec<u32> = p
@@ -473,86 +444,78 @@ mod tests {
         matches!(op.mix_class(), MixClass::Branch | MixClass::Jump)
     }
 
-    /// The fast tier's decode invariants on one program: the ecall-free
-    /// blocks, in code order, each own one run of `fast`, back to back —
-    /// the block's ops, then exactly one exit op (its own terminator, or a
-    /// synthetic `jal x0, end`); `fast_at` names exactly their heads; and
-    /// decoding the binary encoding builds the same stream.
-    fn check_fast_stream(p: &Program, what: &str) {
+    /// The stream against the [`oracle`] on one program: every block, in
+    /// code order, owns one run of `ops`, back to back — the oracle's ops
+    /// of the block, then exactly one exit op (its own terminator, or a
+    /// synthetic `jal x0, end`) — with the oracle's start, length and mix;
+    /// `block_of` is the oracle's with [`FAST_HEAD`] set on exactly the
+    /// ecall-free heads; and decoding the binary encoding builds the same
+    /// program.
+    fn check_stream(p: &Program, what: &str) {
         let d = DecodedProgram::decode(p);
-        let mut heads = vec![NO_FAST_BLOCK; d.len()];
-        let mut fast_blocks = d.fast_blocks.iter().enumerate();
+        let (ops, blocks, mut block_of) = oracle(p);
+        assert_eq!(d.blocks.len(), blocks.len(), "{what}: block count");
+        assert_eq!(d.len(), p.code.len(), "{what}: one entry per pc");
         let mut run = 0;
-        for block in d.blocks.iter().filter(|b| b.mix.ecall == 0) {
-            let (start, end) = (block.start as usize, block.end as usize);
-            let (f, fb) = fast_blocks
-                .next()
-                .expect("a fast block per ecall-free block");
-            assert_eq!(
-                *fb,
-                FastBlock {
-                    run: run as u32,
-                    start: block.start,
-                    len: block.end - block.start,
-                },
-                "{what}: fast block {f}"
+        for (b, (block, &(start, end, mix))) in d.blocks.iter().zip(&blocks).enumerate() {
+            let want = Block {
+                run: run as u32,
+                start: start as u32,
+                len: (end - start) as u32,
+                mix,
+            };
+            assert_eq!(*block, want, "{what}: block {b}");
+            let ops = &ops[start..end];
+            assert!(
+                ops[..ops.len() - 1].iter().all(|op| !is_control(op)),
+                "{what}: block {b} has a control op before its last"
             );
-            heads[start] = f as u32;
-            let ops = &d.ops[start..end];
-            let body = &ops[..ops.len() - usize::from(is_control(&ops[ops.len() - 1]))];
-            let exit = if body.len() == ops.len() {
-                lower(&Inst::Jal {
+            assert_eq!(&d.ops[run..run + ops.len()], ops, "{what}: block {b}");
+            run += ops.len();
+            if !is_control(&ops[ops.len() - 1]) {
+                let exit = lower(&Inst::Jal {
                     rd: Reg::ZERO,
                     target: end,
-                })
-            } else {
-                ops[ops.len() - 1]
-            };
-            assert!(
-                body.iter().all(|op| !is_control(op)),
-                "{what}: block {start}"
-            );
-            assert_eq!(
-                &d.fast[run..run + body.len()],
-                body,
-                "{what}: block {start}"
-            );
-            assert_eq!(
-                d.fast[run + body.len()],
-                exit,
-                "{what}: block {start}'s exit"
-            );
-            run += body.len() + 1;
+                });
+                assert_eq!(d.ops[run], exit, "{what}: block {b}'s synthetic exit");
+                run += 1;
+            }
+            if mix.ecall == 0 {
+                block_of[start] |= FAST_HEAD;
+            }
         }
-        assert_eq!(fast_blocks.next(), None, "{what}");
-        assert_eq!(run, d.fast.len(), "{what}: runs cover the stream");
-        assert_eq!(
-            d.fast_at, heads,
-            "{what}: fast_at marks the ecall-free heads"
-        );
+        assert_eq!(run, d.ops.len(), "{what}: runs cover the stream");
+        assert_eq!(d.block_of, block_of, "{what}: block_of");
         let d2 = decode_encoded(p);
         assert_eq!(
-            (&d2.fast, &d2.fast_blocks, &d2.fast_at),
-            (&d.fast, &d.fast_blocks, &d.fast_at),
+            (&d2.ops, &d2.blocks, &d2.block_of),
+            (&d.ops, &d.blocks, &d.block_of),
             "{what}: decode_words"
         );
     }
 
     #[test]
-    fn fast_stream_holds_each_ecall_free_block_once_on_the_suite() {
+    fn stream_matches_the_old_decoder_on_the_suite() {
         for w in zkvmopt_workloads::all() {
             let m = zkvmopt_lang::compile_guest(&w.source).expect("compiles");
             let p = zkvmopt_riscv::compile_module(&m, &TargetCostModel::zk()).expect("codegen");
-            check_fast_stream(&p, w.name);
+            check_stream(&p, w.name);
         }
         // The emitter ends every ecall-free block it lays out with a
         // terminator, so only hand-built code has one that falls through
-        // into a leader (here the `jal`'s target, pc 2).
+        // into a leader (pc 1, into the `jal`'s target, pc 2), and an ecall
+        // block that does (pc 4, into the `bne`'s target, pc 5).
         let addi = |imm| Inst::AluImm {
             op: AluImmOp::Addi,
             rd: Reg::A0,
             rs1: Reg::A0,
             imm,
+        };
+        let branch = |cond, target| Inst::Branch {
+            cond,
+            rs1: Reg::A0,
+            rs2: Reg::T3,
+            target,
         };
         let code = vec![
             Inst::Jal {
@@ -561,12 +524,10 @@ mod tests {
             },
             addi(1),
             addi(2),
-            Inst::Branch {
-                cond: BranchCond::Lt,
-                rs1: Reg::A0,
-                rs2: Reg::T3,
-                target: 1,
-            },
+            branch(BranchCond::Lt, 1),
+            Inst::Ecall,
+            addi(3),
+            branch(BranchCond::Ne, 5),
             Inst::Ecall,
         ];
         let p = Program {
@@ -577,9 +538,14 @@ mod tests {
             globals: vec![],
             spilled_vregs: 0,
         };
-        check_fast_stream(&p, "fall-through");
+        check_stream(&p, "fall-through");
         let d = DecodedProgram::decode(&p);
-        assert_eq!(d.fast.len(), d.len(), "one synthetic exit, no ecall run");
+        assert_eq!(d.blocks.len(), 6);
+        assert_eq!(
+            d.ops.len(),
+            d.len() + 3,
+            "synthetic exits after pcs 1, 4 and 7"
+        );
     }
 
     proptest::proptest! {
@@ -591,7 +557,7 @@ mod tests {
         /// The same over the `proptest_passes` generator's programs, as
         /// lowered and at `-O2`.
         #[test]
-        fn fast_stream_holds_each_ecall_free_block_once_on_generated_programs(
+        fn stream_matches_the_old_decoder_on_generated_programs(
             es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
             trip in 1u8..20,
         ) {
@@ -603,7 +569,7 @@ mod tests {
                     }
                     let p = zkvmopt_riscv::compile_module(&m, &TargetCostModel::zk())
                         .expect("codegen");
-                    check_fast_stream(&p, "generated");
+                    check_stream(&p, "generated");
                 }
             }
         }

@@ -1,10 +1,14 @@
-//! Page-0 footprint regressions for the engine's *fast* tier, whose loads and
-//! stores are served from the residency table without the checked access
-//! path (an earlier one-entry probe cache used page 0 as its empty sentinel
-//! and let page-0 accesses through). Each test here drives a block whose
-//! memory footprint starts at page 0 through the fast tier and checks the
-//! null guard still fires (exact address and pc) and paging is still charged
-//! — bit-identical to the step interpreter.
+//! Page-0 regressions. An earlier one-entry residency probe used page 0 as
+//! its empty sentinel, so the first access to any page-0 address vacuously
+//! "hit" — swallowing the null-guard `MemFault` for `addr < 0x100` and
+//! eliding the page-in charge for legal page-0 addresses. The probe is gone
+//! (the residency table has no sentinel, and an address below the guard
+//! never hits). The first two tests pin the semantics on cold accesses; the
+//! rest drive blocks whose memory footprint starts at page 0 through the
+//! engine's *fast* tier, whose loads and stores are served from the
+//! residency table without the checked access path, and check the null
+//! guard still fires (exact address and pc) and paging is still charged —
+//! bit-identical to the step interpreter.
 
 use zkvmopt_riscv::inst::{AluImmOp, BranchCond, MemWidth};
 use zkvmopt_riscv::{Inst, Program, Reg};
@@ -77,6 +81,74 @@ fn page0_loop() -> Program {
 fn run(p: &Program, profile: VmProfile) -> Result<ExecutionReport, ExecError> {
     let d = DecodedProgram::decode(p);
     Engine::new(&d, profile, ExecConfig::default()).run()
+}
+
+#[test]
+fn null_guard_load_faults() {
+    // t1 = 0x10; lw a0, 0(t1)  -> reference faults (addr < 0x100)
+    let r = run(
+        &program(vec![
+            Inst::AluImm {
+                op: AluImmOp::Addi,
+                rd: Reg::T1,
+                rs1: Reg::ZERO,
+                imm: 0x10,
+            },
+            Inst::Load {
+                width: MemWidth::Word,
+                rd: Reg::A0,
+                base: Reg::T1,
+                offset: 0,
+            },
+            // halt(a0): t0 = HALT (0) already
+            Inst::Ecall,
+        ]),
+        VmProfile::risc_zero(),
+    );
+    assert!(
+        matches!(r, Err(ExecError::MemFault { addr: 0x10, .. })),
+        "expected MemFault at 0x10, got {r:?}"
+    );
+}
+
+#[test]
+fn legal_page0_load_charges_page_in() {
+    // t1 = 0x200 (legal, inside page 0 for 1 KiB pages); lw a0, 0(t1)
+    let r = run(
+        &program(vec![
+            Inst::AluImm {
+                op: AluImmOp::Addi,
+                rd: Reg::T1,
+                rs1: Reg::ZERO,
+                imm: 0x200,
+            },
+            Inst::Load {
+                width: MemWidth::Word,
+                rd: Reg::A0,
+                base: Reg::T1,
+                offset: 0,
+            },
+            Inst::Ecall,
+        ]),
+        VmProfile::risc_zero(),
+    )
+    .expect("legal load runs");
+    assert_eq!(r.page_ins, 1, "reference charges one page-in for page 0");
+}
+
+/// A global image inside the null guard fails both executors alike, before
+/// the first instruction.
+#[test]
+fn a_global_inside_the_null_guard_faults_both_executors_alike() {
+    let mut p = program(vec![Inst::Ecall]);
+    p.globals.push((0x10, vec![1]));
+    let want = Err(ExecError::MemFault { addr: 0x10, pc: 0 });
+    for kind in VmKind::BOTH {
+        let profile = VmProfile::for_kind(kind);
+        let reference = Machine::new(&p, profile.clone(), ExecConfig::default()).run();
+        assert_eq!(reference, want, "reference ({kind})");
+        assert_eq!(run(&p, profile), want, "engine ({kind})");
+    }
 }
 
 /// Fast block (entered at its head, in budget): a null-guard violation
