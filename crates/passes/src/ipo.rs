@@ -772,6 +772,111 @@ pub fn constmerge(m: &mut Module, _cfg: &PassConfig) -> bool {
     changed
 }
 
+/// The per-access escape scans `function_attrs` replaced, kept as a test
+/// oracle: the registry's `function-attrs` and `attributor` must leave the
+/// whole `Module` and the change flag as these do.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// `function-attrs` as it was: a whole-function escape scan per load or
+    /// store of a stack slot, in every round of the fixpoint.
+    pub(crate) fn function_attrs(m: &mut Module, _cfg: &PassConfig) -> bool {
+        let n = m.funcs.len();
+        let mut readnone = vec![true; n];
+        let mut readonly = vec![true; n];
+        // Fixpoint: start optimistic, knock down.
+        for _ in 0..n + 1 {
+            let mut changed = false;
+            for (i, f) in m.funcs.iter().enumerate() {
+                let mut rn = true;
+                let mut ro = true;
+                for b in f.reachable_blocks() {
+                    for &v in &f.blocks[b.index()].insts {
+                        match f.op(v) {
+                            // Accesses to the function's own non-escaping stack
+                            // slots are invisible to callers (LLVM: such functions
+                            // still qualify as readnone).
+                            Some(Op::Load { ptr, .. }) if !is_local_slot(f, ptr) => {
+                                rn = false;
+                            }
+                            Some(Op::Store { ptr, .. }) if !is_local_slot(f, ptr) => {
+                                rn = false;
+                                ro = false;
+                            }
+                            Some(Op::Ecall { .. }) => {
+                                rn = false;
+                                ro = false;
+                            }
+                            Some(Op::Call { callee, .. }) => {
+                                rn &= readnone[callee.index()];
+                                ro &= readonly[callee.index()];
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                if rn != readnone[i] || (ro && rn) != (readonly[i] && readnone[i]) {
+                    changed = true;
+                }
+                if readnone[i] && !rn {
+                    readnone[i] = false;
+                    changed = true;
+                }
+                if readonly[i] && !ro {
+                    readonly[i] = false;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut any = false;
+        for (i, f) in m.funcs.iter_mut().enumerate() {
+            if f.readnone != readnone[i] || f.readonly != (readonly[i] || readnone[i]) {
+                any = true;
+            }
+            f.readnone = readnone[i];
+            f.readonly = readonly[i] || readnone[i];
+        }
+        // Remove unused calls to readnone functions: they cannot observe or
+        // affect anything. Deleting one also assumes it returns, which LLVM
+        // proves with `willreturn`; this IR has no such attribute, and the
+        // assumption holds because zklang functions terminate on study inputs.
+        for f in &mut m.funcs {
+            for b in f.block_ids() {
+                let insts = f.blocks[b.index()].insts.clone();
+                for v in insts {
+                    let Some(Op::Call { callee, .. }) = f.op(v) else {
+                        continue;
+                    };
+                    if readnone[callee.index()] && f.use_count(v) == 0 {
+                        f.remove_inst(b, v);
+                        any = true;
+                    }
+                }
+            }
+            any |= util::sweep_dead(f);
+        }
+        any
+    }
+
+    fn is_local_slot(f: &Function, ptr: &Operand) -> bool {
+        match util::ptr_base(f, ptr) {
+            util::PtrBase::Alloca(a) => !util::oracle::alloca_escapes(f, a),
+            _ => false,
+        }
+    }
+
+    /// The registry's `attributor` on the old `function-attrs` body.
+    pub(crate) fn attributor(m: &mut Module, cfg: &PassConfig) -> bool {
+        let a = function_attrs(m, cfg);
+        let b = deadargelim(m, cfg);
+        a || b
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -516,6 +516,84 @@ pub(crate) mod testutil {
         }
     }
 
+    /// Each pass whose kernels keep their old bodies as oracles, beside the
+    /// same pass built on those bodies (same name and declarations).
+    fn pass_oracles() -> Vec<(&'static PassEntry, PassEntry)> {
+        let function = |name, run| {
+            let e = registry_entry(name);
+            (
+                e,
+                PassEntry::function(name, run, e.preserves(), e.is_idempotent()),
+            )
+        };
+        let module = |name, run| {
+            let e = registry_entry(name);
+            (
+                e,
+                PassEntry::module(name, run, e.preserves(), e.is_idempotent()),
+            )
+        };
+        vec![
+            function("mem2reg", mem2reg::oracle::mem2reg),
+            function("sroa", mem2reg::oracle::sroa),
+            function("licm", loopopt::oracle::licm),
+            function("loop-versioning-licm", loopopt::oracle::licm),
+            function("reg2mem", mem2reg::oracle::reg2mem),
+            function("simple-loop-unswitch", loopopt::oracle::loop_unswitch),
+            module("loop-extract", loopopt::oracle::loop_extract),
+            module("function-attrs", ipo::oracle::function_attrs),
+            module("attributor", ipo::oracle::attributor),
+        ]
+    }
+
+    /// Every pass of [`pass_oracles`] run both ways on `m`, each through a
+    /// fresh executor: the same change flag and the same whole `Module`.
+    pub fn check_pass_oracles(name: &str, m: &Module) {
+        let cfg = PassConfig {
+            verify_each: false,
+            ..PassConfig::default()
+        };
+        for (new, old) in pass_oracles() {
+            let (mut a, mut b) = (m.clone(), m.clone());
+            let changed = PassExecutor::new().run_entry(new, &mut a, &cfg);
+            let want = PassExecutor::new().run_entry(&old, &mut b, &cfg);
+            assert_eq!(changed, want, "{name}: `{}` change flag", new.name);
+            assert!(a == b, "{name}: `{}` differs from its oracle", new.name);
+        }
+    }
+
+    /// [`check_pass_oracles`] on `m` as lowered, after `-O1` and after
+    /// `-O3`, and at every state along one random sequence of 20 registry
+    /// passes per seed — the mid-sequence, mostly unoptimised states a
+    /// tuning search evaluates.
+    pub fn check_pass_oracles_along(name: &str, m: &Module, seeds: std::ops::Range<u64>) {
+        check_pass_oracles(&format!("{name}@lowered"), m);
+        for (level, pm) in [("O1", PassManager::o1()), ("O3", PassManager::o3())] {
+            let mut opt = m.clone();
+            pm.run(&mut opt, &PassConfig::default());
+            check_pass_oracles(&format!("{name}@{level}"), &opt);
+        }
+        let cfg = PassConfig {
+            verify_each: false,
+            ..PassConfig::default()
+        };
+        let passes: Vec<&PassEntry> = PASSES.iter().filter(|e| !e.noop).collect();
+        for seed in seeds {
+            let mut state = m.clone();
+            let mut x = seed;
+            for i in 0..20 {
+                // splitmix64
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                let entry = passes[((z ^ (z >> 31)) % passes.len() as u64) as usize];
+                PassExecutor::new().run_entry(entry, &mut state, &cfg);
+                check_pass_oracles(&format!("{name}@seed {seed} [{i}] {}", entry.name), &state);
+            }
+        }
+    }
+
     /// [`check_analysis_oracles`] on every function of `m` as lowered and
     /// after each pass of `-O3`, run through one executor as
     /// [`PassManager::run`] does.
@@ -812,6 +890,37 @@ mod tests {
         }
     }
 
+    /// The passes built on linear kernels against the same passes on the old
+    /// rescanning bodies: whole `Module` and change flag, on the 58 suite
+    /// programs as lowered, after `-O1` and `-O3`, and along four seeded
+    /// random sequences of depth 20 from each.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "full-suite sweep is release-only (CI: test-release)"
+    )]
+    fn pass_kernels_match_their_oracles_on_the_suite() {
+        for (i, w) in zkvmopt_workloads::all().iter().enumerate() {
+            let m = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
+            let i = i as u64;
+            testutil::check_pass_oracles_along(w.name, &m, 4 * i..4 * i + 4);
+        }
+    }
+
+    /// The same gate on three suite programs, small enough for debug builds.
+    #[test]
+    fn pass_kernels_match_their_oracles_on_three_programs() {
+        for (seed, name) in ["loop-sum", "tailcall", "polybench-atax"]
+            .iter()
+            .enumerate()
+        {
+            let w = zkvmopt_workloads::by_name(name).expect("suite program");
+            let m = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
+            let seed = seed as u64;
+            testutil::check_pass_oracles_along(w.name, &m, seed..seed + 1);
+        }
+    }
+
     /// `Cfg::new`, `LoopForest::new` and `util::sweep_dead` against their old
     /// bodies on every function of the 58 suite programs, as lowered and
     /// after every pass of `-O3`.
@@ -867,6 +976,24 @@ mod tests {
                 for (name, f) in testutil::oracle_inputs("generated", &m) {
                     testutil::check_kernel_oracles(&name, &f);
                 }
+            }
+        }
+
+        /// The pass-kernel oracles over the same generator, along a random
+        /// sequence seeded by the trip count.
+        #[test]
+        #[cfg_attr(
+            debug_assertions,
+            ignore = "release-only, like the suite sweep (CI: test-release)"
+        )]
+        fn pass_kernels_match_their_oracles_on_generated_programs(
+            es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
+            trip in 1u8..20,
+        ) {
+            for src in [program_gen::program(&es, trip), program_gen::program_with_calls(&es, trip)] {
+                let m = zkvmopt_lang::compile_guest(&src).expect("generated program compiles");
+                let seed = u64::from(trip);
+                testutil::check_pass_oracles_along("generated", &m, seed..seed + 1);
             }
         }
 

@@ -302,10 +302,16 @@ pub fn licm(
 /// Promote non-escaping scalar allocas that are loaded or stored inside a
 /// natural loop.
 fn promote_loop_allocas(f: &mut Function, ac: &mut AnalysisCache) -> bool {
-    let (_, _, forest) = analyze(f, ac);
-    if forest.loops.is_empty() {
+    let in_loop = loop_accessed_pointers(f, ac);
+    if in_loop.is_empty() {
         return false;
     }
+    crate::mem2reg::promote_function_filtered(f, ac, |_, v| in_loop.contains(&v))
+}
+
+/// The pointer values loaded or stored inside some call-free natural loop.
+fn loop_accessed_pointers(f: &Function, ac: &mut AnalysisCache) -> HashSet<ValueId> {
+    let (_, _, forest) = analyze(f, ac);
     let mut in_loop: HashSet<ValueId> = HashSet::new();
     for l in &forest.loops {
         // LLVM's promoteLoopAccessesToScalars gives up when the loop contains
@@ -335,10 +341,7 @@ fn promote_loop_allocas(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             }
         }
     }
-    if in_loop.is_empty() {
-        return false;
-    }
-    crate::mem2reg::promote_function_filtered(f, ac, |_, v| in_loop.contains(&v))
+    in_loop
 }
 
 fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
@@ -1398,14 +1401,20 @@ pub fn loop_unswitch(
 pub fn loop_extract(m: &mut Module, _cfg: &PassConfig) -> bool {
     let mut extracted = false;
     for fi in 0..m.funcs.len() {
-        if extract_one(m, fi) {
+        if extract_one(m, fi, loop_liveness) {
             extracted = true;
         }
     }
     extracted
 }
 
-fn extract_one(m: &mut Module, fi: usize) -> bool {
+/// Extract one loop of function `fi`, reading its live values through
+/// `liveness` (the test oracle passes the old body).
+fn extract_one(
+    m: &mut Module,
+    fi: usize,
+    liveness: fn(&Function, &Loop) -> (LiveVals, LiveVals),
+) -> bool {
     let mut ac = AnalysisCache::new();
     loop_simplify_function(&mut m.funcs[fi], &mut ac);
     let f = &m.funcs[fi];
@@ -1437,7 +1446,7 @@ fn extract_one(m: &mut Module, fi: usize) -> bool {
             continue;
         }
         // Live-ins and live-outs.
-        let (live_in, live_out) = loop_liveness(f, l);
+        let (live_in, live_out) = liveness(f, l);
         if live_in.len() > 6 || live_out.len() > 1 {
             continue;
         }
@@ -1446,7 +1455,7 @@ fn extract_one(m: &mut Module, fi: usize) -> bool {
     }
     let Some(l) = pick else { return false };
     let f = &m.funcs[fi];
-    let (live_in, live_out) = loop_liveness(f, &l);
+    let (live_in, live_out) = liveness(f, &l);
     // A loop without a dedicated preheader cannot be extracted (the call has
     // nowhere to live); loop-simplify normally guarantees one, but irregular
     // CFGs it cannot canonicalize must bail instead of panicking.
@@ -2122,6 +2131,207 @@ pub(crate) mod oracle {
             lcssa_function(&mut new, &mut AnalysisCache::new()),
         );
         assert!(co == cn && old == new, "{name}: lcssa_function");
+    }
+
+    /// `simple-loop-unswitch` as it was: one whole-function scan per
+    /// loop-defined value for "nothing defined inside is used outside".
+    pub(crate) fn loop_unswitch(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        let mut changed = false;
+        changed |= loop_simplify_function(f, ac);
+        let (cfg, _dom, forest) = analyze(f, ac);
+        'loops: for l in &forest.loops {
+            if l.blocks.len() > 16 {
+                continue;
+            }
+            let Some(pre) = l.preheader(f, &cfg) else {
+                continue;
+            };
+            // Exits must have no phis (pre-LCSSA shape).
+            for &e in &l.exits {
+                if f.blocks[e.index()]
+                    .insts
+                    .iter()
+                    .any(|&v| matches!(f.op(v), Some(Op::Phi { .. })))
+                {
+                    continue 'loops;
+                }
+            }
+            // Nothing defined inside may be used outside.
+            for b in l.blocks.iter() {
+                for &v in &f.blocks[b.index()].insts {
+                    for b2 in f.block_ids() {
+                        if l.contains(b2) {
+                            continue;
+                        }
+                        let mut used = false;
+                        for &u in &f.blocks[b2.index()].insts {
+                            if let Some(op) = f.op(u) {
+                                op.for_each_operand(|o| used |= *o == Operand::Value(v));
+                            }
+                        }
+                        f.blocks[b2.index()]
+                            .term
+                            .for_each_operand(|o| used |= *o == Operand::Value(v));
+                        if used {
+                            continue 'loops;
+                        }
+                    }
+                }
+            }
+            // Find an invariant conditional branch inside (not the header's
+            // own exit test).
+            let defined_in: HashSet<ValueId> = l
+                .blocks
+                .iter()
+                .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
+                .collect();
+            let mut cond: Option<(BlockId, Operand)> = None;
+            for b in l.blocks.iter() {
+                if b == l.header {
+                    continue;
+                }
+                if let Term::CondBr { c, t, f: fb } = &f.blocks[b.index()].term {
+                    let inv = match c {
+                        Operand::Const { .. } => false, // let simplifycfg fold it
+                        Operand::Value(v) => !defined_in.contains(v),
+                    };
+                    if inv && l.contains(*t) && l.contains(*fb) {
+                        cond = Some((b, *c));
+                        break;
+                    }
+                }
+            }
+            let Some((cond_block, c)) = cond else {
+                continue;
+            };
+            // Clone the loop; original gets c := true, clone gets c := false.
+            let (bmap, _vmap) = clone_loop(f, l, None);
+            let cloned_header = bmap[&l.header];
+            let cloned_set: HashSet<BlockId> = bmap.values().copied().collect();
+            // Cloned header phis: entry edges must come from the preheader.
+            let insts = f.blocks[cloned_header.index()].insts.clone();
+            for v in insts {
+                if let Some(Op::Phi { incoming }) = f.op_mut(v) {
+                    for (p, _) in incoming.iter_mut() {
+                        if !cloned_set.contains(p) {
+                            *p = pre;
+                        }
+                    }
+                }
+            }
+            // Preheader: branch on the invariant condition.
+            f.blocks[pre.index()].term = Term::CondBr {
+                c,
+                t: l.header,
+                f: cloned_header,
+            };
+            // Specialize the branch in both copies.
+            if let Term::CondBr { t, .. } = f.blocks[cond_block.index()].term.clone() {
+                f.blocks[cond_block.index()].term = Term::Br(t);
+            }
+            let cloned_cond = bmap[&cond_block];
+            if let Term::CondBr { f: fb, .. } = f.blocks[cloned_cond.index()].term.clone() {
+                f.blocks[cloned_cond.index()].term = Term::Br(fb);
+            }
+            util::cleanup_phis(f);
+            util::sweep_dead(f);
+            changed = true;
+            break;
+        }
+        changed
+    }
+
+    /// `loop_liveness` as it was: one whole-function scan per loop-defined
+    /// value for the live-outs.
+    pub(crate) fn loop_liveness(f: &Function, l: &Loop) -> (LiveVals, LiveVals) {
+        let defined_in: HashSet<ValueId> = l
+            .blocks
+            .iter()
+            .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
+            .collect();
+        let mut live_in: Vec<(ValueId, Ty)> = Vec::new();
+        for b in l.blocks.iter() {
+            let mut consider = |o: &Operand| {
+                if let Operand::Value(v) = o {
+                    if !defined_in.contains(v) {
+                        if let Some(ty) = f.ty(*v) {
+                            if !live_in.iter().any(|(x, _)| x == v) {
+                                live_in.push((*v, ty));
+                            }
+                        }
+                    }
+                }
+            };
+            for &v in &f.blocks[b.index()].insts {
+                if let Some(op) = f.op(v) {
+                    op.for_each_operand(&mut consider);
+                }
+            }
+            f.blocks[b.index()].term.for_each_operand(&mut consider);
+        }
+        live_in.sort_by_key(|(v, _)| *v);
+        let mut live_out: Vec<(ValueId, Ty)> = Vec::new();
+        for b in l.blocks.iter() {
+            for &v in &f.blocks[b.index()].insts {
+                let Some(ty) = f.ty(v) else { continue };
+                let mut used_out = false;
+                for b2 in f.block_ids() {
+                    if l.contains(b2) {
+                        continue;
+                    }
+                    for &u in &f.blocks[b2.index()].insts {
+                        if let Some(op) = f.op(u) {
+                            op.for_each_operand(|o| used_out |= *o == Operand::Value(v));
+                        }
+                    }
+                    f.blocks[b2.index()]
+                        .term
+                        .for_each_operand(|o| used_out |= *o == Operand::Value(v));
+                }
+                if used_out {
+                    live_out.push((v, ty));
+                }
+            }
+        }
+        live_out.sort_by_key(|(v, _)| *v);
+        (live_in, live_out)
+    }
+
+    /// The registry's `licm` (and `loop-versioning-licm`) with the old
+    /// promotion bodies.
+    pub(crate) fn licm(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        let mut changed = false;
+        changed |= loop_simplify_function(f, ac);
+        let in_loop = loop_accessed_pointers(f, ac);
+        if !in_loop.is_empty() {
+            changed |= crate::mem2reg::oracle::promote_function_filtered(f, ac, |_, v| {
+                in_loop.contains(&v)
+            });
+        }
+        changed |= lcssa_function(f, ac);
+        changed |= licm_function(f, ac);
+        changed
+    }
+
+    /// The registry's `loop-extract` with the old liveness body.
+    pub(crate) fn loop_extract(m: &mut Module, _cfg: &PassConfig) -> bool {
+        let mut extracted = false;
+        for fi in 0..m.funcs.len() {
+            if extract_one(m, fi, loop_liveness) {
+                extracted = true;
+            }
+        }
+        extracted
     }
 
     /// `f` promoted, canonicalized and fully peeled, *before* the unroller's

@@ -631,6 +631,314 @@ fn demote_value(f: &mut Function, v: ValueId, def_bb: BlockId, ty: Ty) {
     }
 }
 
+/// The per-variable rescanning bodies the linear kernels replaced, kept as
+/// test oracles: `mem2reg`, `sroa` and `reg2mem` built on them must leave the
+/// whole `Module` and the change flag exactly as the registry's passes do.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// `promotable_allocas` as it was: an escape scan and a type scan of the
+    /// whole function per entry alloca.
+    fn promotable_allocas(f: &Function) -> Vec<(ValueId, Ty)> {
+        let mut out = Vec::new();
+        for &v in &f.blocks[f.entry.index()].insts {
+            let Some(Op::Alloca { elem, count }) = f.op(v) else {
+                continue;
+            };
+            if *count != 1 {
+                continue;
+            }
+            let elem = *elem;
+            if util::oracle::alloca_escapes(f, v) {
+                continue;
+            }
+            // All direct loads/stores must use the element type.
+            let mut ok = true;
+            for b in f.block_ids() {
+                for &i in &f.blocks[b.index()].insts {
+                    match f.op(i) {
+                        Some(Op::Load { ptr, ty }) if *ptr == Operand::Value(v) => {
+                            ok &= *ty == elem;
+                        }
+                        Some(Op::Store { ptr, ty, .. }) if *ptr == Operand::Value(v) => {
+                            ok &= *ty == elem;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            if ok {
+                out.push((v, elem));
+            }
+        }
+        out
+    }
+
+    /// `promote_vars` as it was: one def-block sweep per variable, hashed
+    /// phi and variable maps, one `remove_inst` per promoted access.
+    fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty)>) -> bool {
+        if vars.is_empty() {
+            return false;
+        }
+        let var_index: HashMap<ValueId, usize> =
+            vars.iter().enumerate().map(|(i, (v, _))| (*v, i)).collect();
+        let cfg = ac.cfg(f);
+        let dom = ac.dom(f);
+        let frontiers = ac.frontiers(f);
+        let mut phi_at: HashMap<(BlockId, usize), ValueId> = HashMap::new();
+        let mut var_of_phi: HashMap<ValueId, usize> = HashMap::new();
+        for (vi, (var, ty)) in vars.iter().enumerate() {
+            let mut work: Vec<BlockId> = Vec::new();
+            for b in f.block_ids() {
+                if !cfg.is_reachable(b) {
+                    continue;
+                }
+                for &i in &f.blocks[b.index()].insts {
+                    if let Some(Op::Store { ptr, .. }) = f.op(i) {
+                        if *ptr == Operand::Value(*var) {
+                            work.push(b);
+                            break;
+                        }
+                    }
+                }
+            }
+            let mut has_phi: HashSet<BlockId> = HashSet::new();
+            while let Some(b) = work.pop() {
+                for &df in &frontiers[b.index()] {
+                    if has_phi.insert(df) {
+                        let phi = f.insert_inst(
+                            df,
+                            0,
+                            Op::Phi {
+                                incoming: Vec::new(),
+                            },
+                            Some(*ty),
+                        );
+                        phi_at.insert((df, vi), phi);
+                        var_of_phi.insert(phi, vi);
+                        work.push(df);
+                    }
+                }
+            }
+        }
+        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
+        for b in f.block_ids() {
+            if let Some(d) = dom.idom(b) {
+                children[d.index()].push(b);
+            }
+        }
+        let mut subst: HashMap<ValueId, Operand> = HashMap::new();
+        let mut kill: Vec<(BlockId, ValueId)> = Vec::new();
+        let mut stacks: Vec<Vec<Operand>> = vars.iter().map(|(_, ty)| vec![zero_of(*ty)]).collect();
+        enum Step {
+            Enter(BlockId),
+            Exit(Vec<usize>),
+        }
+        let mut stack = vec![Step::Enter(f.entry)];
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Exit(pops) => {
+                    for (vi, n) in pops.into_iter().enumerate() {
+                        for _ in 0..n {
+                            stacks[vi].pop();
+                        }
+                    }
+                }
+                Step::Enter(b) => {
+                    let mut pushes = vec![0usize; vars.len()];
+                    let insts = f.blocks[b.index()].insts.clone();
+                    for v in insts {
+                        match f.op(v) {
+                            Some(Op::Phi { .. }) => {
+                                if let Some(&vi) = var_of_phi.get(&v) {
+                                    stacks[vi].push(Operand::val(v));
+                                    pushes[vi] += 1;
+                                }
+                            }
+                            Some(Op::Load {
+                                ptr: Operand::Value(p),
+                                ..
+                            }) => {
+                                if let Some(&vi) = var_index.get(p) {
+                                    let cur = *stacks[vi].last().expect("stack");
+                                    subst.insert(v, cur);
+                                    kill.push((b, v));
+                                }
+                            }
+                            Some(Op::Store {
+                                ptr: Operand::Value(p),
+                                val,
+                                ..
+                            }) => {
+                                if let Some(&vi) = var_index.get(p) {
+                                    let val = *val;
+                                    stacks[vi].push(val);
+                                    pushes[vi] += 1;
+                                    kill.push((b, v));
+                                }
+                            }
+                            _ => {}
+                        }
+                    }
+                    for s in f.blocks[b.index()].term.successors() {
+                        for (vi, _) in vars.iter().enumerate() {
+                            if let Some(&phi) = phi_at.get(&(s, vi)) {
+                                let cur = *stacks[vi].last().expect("stack");
+                                if let Some(Op::Phi { incoming }) = f.op_mut(phi) {
+                                    if !incoming.iter().any(|(p, _)| *p == b) {
+                                        incoming.push((b, cur));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    stack.push(Step::Exit(pushes));
+                    for &c in children[b.index()].iter().rev() {
+                        stack.push(Step::Enter(c));
+                    }
+                }
+            }
+        }
+        let resolve = |mut o: Operand, subst: &HashMap<ValueId, Operand>| -> Operand {
+            for _ in 0..subst.len() + 1 {
+                match o {
+                    Operand::Value(v) => match subst.get(&v) {
+                        Some(n) => o = *n,
+                        None => return o,
+                    },
+                    c => return c,
+                }
+            }
+            o
+        };
+        for b in f.block_ids() {
+            let insts = f.blocks[b.index()].insts.clone();
+            for v in insts {
+                if let Some(op) = f.op(v) {
+                    let mut tmp = op.clone();
+                    tmp.for_each_operand_mut(|o| *o = resolve(*o, &subst));
+                    *f.op_mut(v).expect("inst") = tmp;
+                }
+            }
+            let mut term = f.blocks[b.index()].term.clone();
+            term.for_each_operand_mut(|o| *o = resolve(*o, &subst));
+            f.blocks[b.index()].term = term;
+        }
+        for (b, v) in kill {
+            f.remove_inst(b, v);
+        }
+        for (var, _) in &vars {
+            f.remove_inst(f.entry, *var);
+        }
+        collapse_trivial_phis(f);
+        true
+    }
+
+    /// `promote_function_filtered` on the old bodies.
+    pub(crate) fn promote_function_filtered(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        want: impl Fn(&Function, ValueId) -> bool,
+    ) -> bool {
+        let vars: Vec<(ValueId, Ty)> = promotable_allocas(f)
+            .into_iter()
+            .filter(|(v, _)| want(f, *v))
+            .collect();
+        promote_vars(f, ac, vars)
+    }
+
+    /// `reg2mem_function` as it was: one all-block use scan per value.
+    fn reg2mem_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
+        let mut changed = false;
+        loop {
+            let mut phi: Option<(BlockId, ValueId, Ty)> = None;
+            'outer: for b in f.reachable_blocks() {
+                for &v in &f.blocks[b.index()].insts {
+                    if matches!(f.op(v), Some(Op::Phi { .. })) {
+                        let ty = f.ty(v).expect("phi typed");
+                        phi = Some((b, v, ty));
+                        break 'outer;
+                    }
+                }
+            }
+            let Some((b, v, ty)) = phi else { break };
+            demote_phi(f, b, v, ty);
+            changed = true;
+        }
+        let cfg = ac.cfg(f);
+        let mut cross: Vec<(ValueId, BlockId, Ty)> = Vec::new();
+        for &b in cfg.rpo() {
+            for &v in &f.blocks[b.index()].insts {
+                let Some(op) = f.op(v) else { continue };
+                if matches!(op, Op::Alloca { .. }) {
+                    continue;
+                }
+                let Some(ty) = f.ty(v) else { continue };
+                let mut crosses = false;
+                for &b2 in cfg.rpo() {
+                    if b2 == b {
+                        continue;
+                    }
+                    for &u in &f.blocks[b2.index()].insts {
+                        if let Some(uop) = f.op(u) {
+                            uop.for_each_operand(|o| crosses |= *o == Operand::Value(v));
+                        }
+                    }
+                    f.blocks[b2.index()]
+                        .term
+                        .for_each_operand(|o| crosses |= *o == Operand::Value(v));
+                    if crosses {
+                        break;
+                    }
+                }
+                if crosses {
+                    cross.push((v, b, ty));
+                }
+            }
+        }
+        for (v, b, ty) in cross {
+            demote_value(f, v, b, ty);
+            changed = true;
+        }
+        changed
+    }
+
+    /// The registry's `mem2reg` on the old bodies.
+    pub(crate) fn mem2reg(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        promote_function_filtered(f, ac, |_, _| true)
+    }
+
+    /// The registry's `sroa` on the old bodies.
+    pub(crate) fn sroa(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        let changed = sroa_function(f);
+        if changed {
+            promote_function_filtered(f, ac, |_, _| true);
+        }
+        changed
+    }
+
+    /// The registry's `reg2mem` on the old bodies.
+    pub(crate) fn reg2mem(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        reg2mem_function(f, ac)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

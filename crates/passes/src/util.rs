@@ -529,6 +529,56 @@ pub(crate) mod oracle {
         }
     }
 
+    /// `alloca_escapes` as it was: whether `a` is used anywhere other than
+    /// as the pointer of a load/store, one whole-function scan per question.
+    pub(crate) fn alloca_escapes(f: &Function, a: ValueId) -> bool {
+        for b in f.block_ids() {
+            for &v in &f.blocks[b.index()].insts {
+                let Some(op) = f.op(v) else { continue };
+                match op {
+                    Op::Load { ptr, .. } => {
+                        if *ptr != Operand::Value(a) && operand_mentions(ptr, a) {
+                            return true;
+                        }
+                    }
+                    Op::Store { ptr, val, .. } => {
+                        if operand_mentions(val, a) {
+                            return true;
+                        }
+                        if *ptr != Operand::Value(a) && operand_mentions(ptr, a) {
+                            return true;
+                        }
+                    }
+                    other => {
+                        let mut esc = false;
+                        other.for_each_operand(|o| {
+                            if operand_mentions(o, a) {
+                                esc = true;
+                            }
+                        });
+                        if esc {
+                            return true;
+                        }
+                    }
+                }
+            }
+            let mut esc = false;
+            f.blocks[b.index()].term.for_each_operand(|o| {
+                if operand_mentions(o, a) {
+                    esc = true;
+                }
+            });
+            if esc {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn operand_mentions(o: &Operand, v: ValueId) -> bool {
+        *o == Operand::Value(v)
+    }
+
     /// `sweep_dead` against its oracle on `f`: same flag, same `Function`.
     pub(crate) fn check(name: &str, f: &Function) {
         let (mut old, mut new) = (f.clone(), f.clone());
