@@ -7,7 +7,8 @@
 //! ns per IR instruction entering the pass, over the suite from the lowered
 //! and the `-O1` starting points. The ten most expensive entries are printed
 //! and recorded — the names behind the benchmark's `passes.ms.other` — with
-//! the geomean over all entries as the headline
+//! the passes in [`TRACKED`] recorded on every run, and the geomean over all
+//! entries as the headline
 //! (`passes_ns_per_ir_inst_geomean`). Beside them, the analysis substrate in
 //! absolute units: `Cfg::new` + `DomTree::new` + `LoopForest::new` over every
 //! function of the same starts, ns per block (`analysis_ns_per_block`).
@@ -27,6 +28,16 @@ use zkvmopt_passes::{
     find_pass, is_noop_pass, pass_names, OptLevel, PassConfig, PassExecutor, PassManager,
 };
 use zkvmopt_stats::geomean;
+
+/// Entries whose per-entry cost is recorded on every run, in the top ten or
+/// not: the kernels made linear in one sweep, so a regression still shows.
+const TRACKED: [&str; 5] = [
+    "mem2reg",
+    "reg2mem",
+    "simple-loop-unswitch",
+    "loop-extract",
+    "function-attrs",
+];
 
 /// Lower every workload once; passes run on clones of these base modules.
 /// CI smoke mode (`ZKVMOPT_BENCH_SMOKE=1`) uses the reduced representative
@@ -153,6 +164,14 @@ fn report(suite: &[Module]) {
     for (name, ns) in costs.iter().take(10) {
         println!("{name:<28} {ns:>14.1}");
     }
+    let tracked: Vec<&(&str, f64)> = costs
+        .iter()
+        .skip(10)
+        .filter(|(name, _)| TRACKED.contains(name))
+        .collect();
+    for (name, ns) in &tracked {
+        println!("{name:<28} {ns:>14.1}   (tracked)");
+    }
     println!("{:<28} {cost_geomean:>14.1}", "geomean, all entries");
     let analysis_ns = analysis_ns_per_block(&starts);
     println!(
@@ -163,6 +182,7 @@ fn report(suite: &[Module]) {
     let top: Vec<(String, f64)> = costs
         .iter()
         .take(10)
+        .chain(tracked)
         .map(|(name, ns)| (format!("ns_per_ir_inst.{name}"), *ns))
         .collect();
     let mut metrics: Vec<(&str, f64)> = vec![

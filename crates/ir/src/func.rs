@@ -159,6 +159,10 @@ impl Function {
     }
 
     /// Insert an instruction at position `at` within `block`.
+    ///
+    /// Cost: O(block length) per call, since the instructions after `at`
+    /// shift. A caller placing many instructions in one block should build
+    /// the new list and splice it in once.
     pub fn insert_inst(&mut self, block: BlockId, at: usize, op: Op, ty: Option<Ty>) -> ValueId {
         let v = self.new_value(op, ty);
         self.blocks[block.index()].insts.insert(at, v);
@@ -210,6 +214,10 @@ impl Function {
     ///
     /// Uses of `v` elsewhere become dangling; callers must have rewritten them
     /// (the verifier will complain otherwise).
+    ///
+    /// Cost: O(block length) per call (a `retain` over the block). A caller
+    /// removing many values should mark them, `retain` each touched block
+    /// once and tombstone them with [`Function::kill_value`].
     pub fn remove_inst(&mut self, block: BlockId, v: ValueId) {
         self.blocks[block.index()].insts.retain(|x| *x != v);
         self.values[v.index()] = ValueData {

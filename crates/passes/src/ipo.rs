@@ -411,10 +411,14 @@ pub fn function_attrs(m: &mut Module, _cfg: &PassConfig) -> bool {
     let n = m.funcs.len();
     let mut readnone = vec![true; n];
     let mut readonly = vec![true; n];
+    // The fixpoint below only reads the module, so each function's escapes
+    // are found once.
+    let escapes: Vec<Vec<bool>> = m.funcs.iter().map(util::escaping_values).collect();
     // Fixpoint: start optimistic, knock down.
     for _ in 0..n + 1 {
         let mut changed = false;
         for (i, f) in m.funcs.iter().enumerate() {
+            let local = |ptr: &Operand| is_local_slot(f, &escapes[i], ptr);
             let mut rn = true;
             let mut ro = true;
             for b in f.reachable_blocks() {
@@ -423,10 +427,10 @@ pub fn function_attrs(m: &mut Module, _cfg: &PassConfig) -> bool {
                         // Accesses to the function's own non-escaping stack
                         // slots are invisible to callers (LLVM: such functions
                         // still qualify as readnone).
-                        Some(Op::Load { ptr, .. }) if !is_local_slot(f, ptr) => {
+                        Some(Op::Load { ptr, .. }) if !local(ptr) => {
                             rn = false;
                         }
-                        Some(Op::Store { ptr, .. }) if !is_local_slot(f, ptr) => {
+                        Some(Op::Store { ptr, .. }) if !local(ptr) => {
                             rn = false;
                             ro = false;
                         }
@@ -489,10 +493,11 @@ pub fn function_attrs(m: &mut Module, _cfg: &PassConfig) -> bool {
 }
 
 /// Whether a pointer operand is a non-escaping alloca of `f` (a private
-/// stack slot no caller can observe).
-fn is_local_slot(f: &Function, ptr: &Operand) -> bool {
+/// stack slot no caller can observe), given `f`'s
+/// [`util::escaping_values`].
+fn is_local_slot(f: &Function, escapes: &[bool], ptr: &Operand) -> bool {
     match util::ptr_base(f, ptr) {
-        util::PtrBase::Alloca(a) => !util::alloca_escapes(f, a),
+        util::PtrBase::Alloca(a) => !escapes[a.index()],
         _ => false,
     }
 }

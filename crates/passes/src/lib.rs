@@ -921,6 +921,29 @@ mod tests {
         }
     }
 
+    /// The same gate on a slot whose address is stored to memory, a shape no
+    /// zklang program lowers to (the language takes no scalar's address):
+    /// `mem2reg` must keep `x`, and `function-attrs` must not find `leak`
+    /// readnone.
+    #[test]
+    fn pass_kernels_match_their_oracles_on_a_stored_address() {
+        use zkvmopt_ir::{FunctionBuilder, Operand, Ty};
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("leak", vec![], Some(Ty::I32));
+        let x = b.alloca(Ty::I32, 1);
+        let keep = b.alloca(Ty::Ptr, 1);
+        b.store(Operand::val(x), Operand::i32(5), Ty::I32);
+        b.store(Operand::val(keep), Operand::val(x), Ty::Ptr);
+        let l = b.load(Operand::val(x), Ty::I32);
+        b.ret(Some(Operand::val(l)));
+        let leak = m.add_func(b.finish());
+        let mut b = FunctionBuilder::new("main", vec![], Some(Ty::I32));
+        let r = b.call(leak, vec![], Some(Ty::I32));
+        b.ret(Some(Operand::val(r)));
+        m.add_func(b.finish());
+        testutil::check_pass_oracles_along("stored-address", &m, 0..4);
+    }
+
     /// `Cfg::new`, `LoopForest::new` and `util::sweep_dead` against their old
     /// bodies on every function of the 58 suite programs, as lowered and
     /// after every pass of `-O3`.

@@ -1311,26 +1311,12 @@ pub fn loop_unswitch(
             }
         }
         // Nothing defined inside may be used outside.
-        for b in l.blocks.iter() {
-            for &v in &f.blocks[b.index()].insts {
-                for b2 in f.block_ids() {
-                    if l.contains(b2) {
-                        continue;
-                    }
-                    let mut used = false;
-                    for &u in &f.blocks[b2.index()].insts {
-                        if let Some(op) = f.op(u) {
-                            op.for_each_operand(|o| used |= *o == Operand::Value(v));
-                        }
-                    }
-                    f.blocks[b2.index()]
-                        .term
-                        .for_each_operand(|o| used |= *o == Operand::Value(v));
-                    if used {
-                        continue 'loops;
-                    }
-                }
-            }
+        let used = used_outside(f, l);
+        if l.blocks
+            .iter()
+            .any(|b| f.blocks[b.index()].insts.iter().any(|v| used[v.index()]))
+        {
+            continue;
         }
         // Find an invariant conditional branch inside (not the header's
         // own exit test).
@@ -1613,31 +1599,42 @@ fn loop_liveness(f: &Function, l: &Loop) -> (LiveVals, LiveVals) {
         f.blocks[b.index()].term.for_each_operand(&mut consider);
     }
     live_in.sort_by_key(|(v, _)| *v);
+    let used = used_outside(f, l);
     let mut live_out: Vec<(ValueId, Ty)> = Vec::new();
     for b in l.blocks.iter() {
         for &v in &f.blocks[b.index()].insts {
             let Some(ty) = f.ty(v) else { continue };
-            let mut used_out = false;
-            for b2 in f.block_ids() {
-                if l.contains(b2) {
-                    continue;
-                }
-                for &u in &f.blocks[b2.index()].insts {
-                    if let Some(op) = f.op(u) {
-                        op.for_each_operand(|o| used_out |= *o == Operand::Value(v));
-                    }
-                }
-                f.blocks[b2.index()]
-                    .term
-                    .for_each_operand(|o| used_out |= *o == Operand::Value(v));
-            }
-            if used_out {
+            if used[v.index()] {
                 live_out.push((v, ty));
             }
         }
     }
     live_out.sort_by_key(|(v, _)| *v);
     (live_in, live_out)
+}
+
+/// Which values are used outside loop `l`, indexed by value: one sweep over
+/// the instructions and terminators of every block the loop does not
+/// contain.
+fn used_outside(f: &Function, l: &Loop) -> Vec<bool> {
+    let mut used = vec![false; f.values.len()];
+    let mut mark = |o: &Operand| {
+        if let Operand::Value(v) = o {
+            used[v.index()] = true;
+        }
+    };
+    for (b, block) in f.blocks.iter().enumerate() {
+        if l.contains(BlockId(b as u32)) {
+            continue;
+        }
+        for &u in &block.insts {
+            if let Some(op) = f.op(u) {
+                op.for_each_operand(&mut mark);
+            }
+        }
+        block.term.for_each_operand(&mut mark);
+    }
+    used
 }
 
 /// Loop predication: convert a conditional store in a loop into an

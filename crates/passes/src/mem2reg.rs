@@ -12,7 +12,7 @@
 use crate::framework::FunctionContext;
 use crate::util;
 use crate::PassConfig;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::func::Substitution;
 use zkvmopt_ir::{BlockId, Function, Op, Operand, Ty, ValueId};
@@ -53,39 +53,39 @@ pub fn promote_function_filtered(
     promote_vars(f, ac, vars)
 }
 
+/// The entry block's single-slot allocas that can be promoted: none
+/// escapes, and every direct load and store of each uses its element type.
+/// Two sweeps of the function answer every slot at once.
 fn promotable_allocas(f: &Function) -> Vec<(ValueId, Ty)> {
-    let mut out = Vec::new();
-    for &v in &f.blocks[f.entry.index()].insts {
-        let Some(Op::Alloca { elem, count }) = f.op(v) else {
-            continue;
-        };
-        if *count != 1 {
-            continue;
-        }
-        let elem = *elem;
-        if util::alloca_escapes(f, v) {
-            continue;
-        }
-        // All direct loads/stores must use the element type.
-        let mut ok = true;
-        for b in f.block_ids() {
-            for &i in &f.blocks[b.index()].insts {
-                match f.op(i) {
-                    Some(Op::Load { ptr, ty }) if *ptr == Operand::Value(v) => {
-                        ok &= *ty == elem;
-                    }
-                    Some(Op::Store { ptr, ty, .. }) if *ptr == Operand::Value(v) => {
-                        ok &= *ty == elem;
-                    }
-                    _ => {}
+    let slots: Vec<(ValueId, Ty)> = f.blocks[f.entry.index()]
+        .insts
+        .iter()
+        .filter_map(|&v| match f.op(v) {
+            Some(Op::Alloca { elem, count: 1 }) => Some((v, *elem)),
+            _ => None,
+        })
+        .collect();
+    if slots.is_empty() {
+        return slots;
+    }
+    let escapes = util::escaping_values(f);
+    let mut mistyped = vec![false; f.values.len()];
+    for block in &f.blocks {
+        for &i in &block.insts {
+            let (Some(Op::Load { ptr, ty }) | Some(Op::Store { ptr, ty, .. })) = f.op(i) else {
+                continue;
+            };
+            if let Operand::Value(p) = ptr {
+                if let Some(Op::Alloca { elem, .. }) = f.op(*p) {
+                    mistyped[p.index()] |= ty != elem;
                 }
             }
         }
-        if ok {
-            out.push((v, elem));
-        }
     }
-    out
+    slots
+        .into_iter()
+        .filter(|(v, _)| !escapes[v.index()] && !mistyped[v.index()])
+        .collect()
 }
 
 fn promote_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
@@ -95,52 +95,80 @@ fn promote_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
 
 /// Promotion never touches terminators or blocks, so the cached analyses it
 /// reads stay valid for the function it produces.
+///
+/// Linear in the function plus the phis placed: one sweep finds every
+/// variable's def blocks, phis are spliced in once per block, and the
+/// promoted accesses go in one `retain` per block that holds any.
 fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty)>) -> bool {
     if vars.is_empty() {
         return false;
     }
-    let var_index: HashMap<ValueId, usize> =
-        vars.iter().enumerate().map(|(i, (v, _))| (*v, i)).collect();
+    let mut var_index: Vec<Option<u32>> = vec![None; f.values.len()];
+    for (vi, (v, _)) in vars.iter().enumerate() {
+        var_index[v.index()] = Some(vi as u32);
+    }
+    let var_of = |p: &ValueId| var_index.get(p.index()).copied().flatten();
     let cfg = ac.cfg(f);
     let dom = ac.dom(f);
     let frontiers = ac.frontiers(f);
 
     // Phase 1: phi placement on iterated dominance frontiers of def blocks.
-    // phi_at[(block, var)] = phi value id
-    let mut phi_at: HashMap<(BlockId, usize), ValueId> = HashMap::new();
-    let mut var_of_phi: HashMap<ValueId, usize> = HashMap::new();
-    for (vi, (var, ty)) in vars.iter().enumerate() {
-        let mut work: Vec<BlockId> = Vec::new();
-        for b in f.block_ids() {
-            if !cfg.is_reachable(b) {
-                continue;
-            }
-            for &i in &f.blocks[b.index()].insts {
-                if let Some(Op::Store { ptr, .. }) = f.op(i) {
-                    if *ptr == Operand::Value(*var) {
-                        work.push(b);
-                        break;
+    // Def blocks of every variable, each in ascending block order.
+    let mut defs: Vec<Vec<BlockId>> = vec![Vec::new(); vars.len()];
+    for b in f.block_ids() {
+        if !cfg.is_reachable(b) {
+            continue;
+        }
+        for &i in &f.blocks[b.index()].insts {
+            if let Some(Op::Store {
+                ptr: Operand::Value(p),
+                ..
+            }) = f.op(i)
+            {
+                if let Some(vi) = var_of(p) {
+                    let d = &mut defs[vi as usize];
+                    if d.last() != Some(&b) {
+                        d.push(b);
                     }
                 }
             }
         }
-        let mut has_phi: HashSet<BlockId> = HashSet::new();
+    }
+    // Per block, its new phis as (variable, phi) in ascending variable
+    // order, which is also creation order.
+    let mut phis: Vec<Vec<(u32, ValueId)>> = vec![Vec::new(); f.blocks.len()];
+    for (vi, mut work) in defs.into_iter().enumerate() {
+        let ty = vars[vi].1;
         while let Some(b) = work.pop() {
             for &df in &frontiers[b.index()] {
-                if has_phi.insert(df) {
-                    let phi = f.insert_inst(
-                        df,
-                        0,
-                        Op::Phi {
-                            incoming: Vec::new(),
-                        },
-                        Some(*ty),
-                    );
-                    phi_at.insert((df, vi), phi);
-                    var_of_phi.insert(phi, vi);
-                    work.push(df);
+                let at = &mut phis[df.index()];
+                if at.last().is_some_and(|&(v, _)| v == vi as u32) {
+                    continue;
                 }
+                let phi = f.new_value(
+                    Op::Phi {
+                        incoming: Vec::new(),
+                    },
+                    Some(ty),
+                );
+                at.push((vi as u32, phi));
+                work.push(df);
             }
+        }
+    }
+    // Each phi went in at the head of its block, so a block's phis stand
+    // in reverse creation order before its old instructions.
+    let mut var_of_phi: Vec<Option<u32>> = vec![None; f.values.len()];
+    for (b, at) in phis.iter().enumerate() {
+        if at.is_empty() {
+            continue;
+        }
+        let insts = &mut f.blocks[b].insts;
+        let old = std::mem::take(insts);
+        insts.extend(at.iter().rev().map(|&(_, phi)| phi));
+        insts.extend(old);
+        for &(vi, phi) in at {
+            var_of_phi[phi.index()] = Some(vi);
         }
     }
 
@@ -152,45 +180,46 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
         }
     }
     // Substitutions: load value -> operand (resolved transitively at the end).
-    let mut subst: HashMap<ValueId, Operand> = HashMap::new();
-    let mut kill: Vec<(BlockId, ValueId)> = Vec::new();
+    let mut subst = Substitution::new();
+    let mut dead = vec![false; f.values.len()];
+    let mut touched = vec![false; f.blocks.len()];
     let mut stacks: Vec<Vec<Operand>> = vars.iter().map(|(_, ty)| vec![zero_of(*ty)]).collect();
+    // The variables pushed so far, innermost block last.
+    let mut pushed: Vec<u32> = Vec::new();
 
-    // Iterative DFS with explicit push counts.
+    // Iterative DFS; leaving a block pops what entering it pushed.
     enum Step {
         Enter(BlockId),
-        Exit(Vec<usize>), // pop counts per var
+        Exit(usize), // `pushed.len()` on entry
     }
     let mut stack = vec![Step::Enter(f.entry)];
     while let Some(step) = stack.pop() {
         match step {
-            Step::Exit(pops) => {
-                for (vi, n) in pops.into_iter().enumerate() {
-                    for _ in 0..n {
-                        stacks[vi].pop();
-                    }
+            Step::Exit(mark) => {
+                for vi in pushed.drain(mark..) {
+                    stacks[vi as usize].pop();
                 }
             }
             Step::Enter(b) => {
-                let mut pushes = vec![0usize; vars.len()];
-                let insts = f.blocks[b.index()].insts.clone();
-                for v in insts {
+                let mark = pushed.len();
+                for &v in &f.blocks[b.index()].insts {
                     match f.op(v) {
                         Some(Op::Phi { .. }) => {
                             // Is it one of ours?
-                            if let Some(&vi) = var_of_phi.get(&v) {
-                                stacks[vi].push(Operand::val(v));
-                                pushes[vi] += 1;
+                            if let Some(vi) = var_of_phi[v.index()] {
+                                stacks[vi as usize].push(Operand::val(v));
+                                pushed.push(vi);
                             }
                         }
                         Some(Op::Load {
                             ptr: Operand::Value(p),
                             ..
                         }) => {
-                            if let Some(&vi) = var_index.get(p) {
-                                let cur = *stacks[vi].last().expect("stack");
+                            if let Some(vi) = var_of(p) {
+                                let cur = *stacks[vi as usize].last().expect("stack");
                                 subst.insert(v, cur);
-                                kill.push((b, v));
+                                dead[v.index()] = true;
+                                touched[b.index()] = true;
                             }
                         }
                         Some(Op::Store {
@@ -198,11 +227,11 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                             val,
                             ..
                         }) => {
-                            if let Some(&vi) = var_index.get(p) {
-                                let val = *val;
-                                stacks[vi].push(val);
-                                pushes[vi] += 1;
-                                kill.push((b, v));
+                            if let Some(vi) = var_of(p) {
+                                stacks[vi as usize].push(*val);
+                                pushed.push(vi);
+                                dead[v.index()] = true;
+                                touched[b.index()] = true;
                             }
                         }
                         _ => {}
@@ -210,18 +239,16 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                 }
                 // Fill phi operands in successors.
                 for s in f.blocks[b.index()].term.successors() {
-                    for (vi, _) in vars.iter().enumerate() {
-                        if let Some(&phi) = phi_at.get(&(s, vi)) {
-                            let cur = *stacks[vi].last().expect("stack");
-                            if let Some(Op::Phi { incoming }) = f.op_mut(phi) {
-                                if !incoming.iter().any(|(p, _)| *p == b) {
-                                    incoming.push((b, cur));
-                                }
+                    for &(vi, phi) in &phis[s.index()] {
+                        let cur = *stacks[vi as usize].last().expect("stack");
+                        if let Some(Op::Phi { incoming }) = f.op_mut(phi) {
+                            if !incoming.iter().any(|(p, _)| *p == b) {
+                                incoming.push((b, cur));
                             }
                         }
                     }
                 }
-                stack.push(Step::Exit(pushes));
+                stack.push(Step::Exit(mark));
                 for &c in children[b.index()].iter().rev() {
                     stack.push(Step::Enter(c));
                 }
@@ -229,40 +256,31 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
         }
     }
 
-    // Resolve substitution chains (a load's replacement may itself be a
-    // replaced load).
-    let resolve = |mut o: Operand, subst: &HashMap<ValueId, Operand>| -> Operand {
-        for _ in 0..subst.len() + 1 {
-            match o {
-                Operand::Value(v) => match subst.get(&v) {
-                    Some(n) => o = *n,
-                    None => return o,
-                },
-                c => return c,
+    // Apply the substitutions (a load's replacement may itself be a
+    // replaced load) to every listed instruction and every terminator.
+    for b in 0..f.blocks.len() {
+        for i in 0..f.blocks[b].insts.len() {
+            let v = f.blocks[b].insts[i];
+            if let Some(op) = f.op_mut(v) {
+                subst.resolve_op(op);
             }
         }
-        o
-    };
-    // Apply substitutions everywhere (including phi incoming lists).
-    for b in f.block_ids() {
-        let insts = f.blocks[b.index()].insts.clone();
-        for v in insts {
-            if let Some(op) = f.op(v) {
-                let mut tmp = op.clone();
-                tmp.for_each_operand_mut(|o| *o = resolve(*o, &subst));
-                *f.op_mut(v).expect("inst") = tmp;
-            }
-        }
-        let mut term = f.blocks[b.index()].term.clone();
-        term.for_each_operand_mut(|o| *o = resolve(*o, &subst));
-        f.blocks[b.index()].term = term;
+        f.blocks[b]
+            .term
+            .for_each_operand_mut(|o| *o = subst.resolve(*o));
     }
     // Remove the loads, stores, and allocas.
-    for (b, v) in kill {
-        f.remove_inst(b, v);
-    }
+    touched[f.entry.index()] = true;
     for (var, _) in &vars {
-        f.remove_inst(f.entry, *var);
+        dead[var.index()] = true;
+    }
+    for (b, block) in f.blocks.iter_mut().enumerate() {
+        if touched[b] {
+            block.insts.retain(|v| !dead[v.index()]);
+        }
+    }
+    for (v, _) in dead.iter().enumerate().filter(|(_, d)| **d) {
+        f.kill_value(ValueId(v as u32));
     }
     collapse_trivial_phis(f);
     true
@@ -469,13 +487,31 @@ fn reg2mem_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
         changed = true;
     }
     // Step 2: demote values used outside their defining block. Phi demotion
-    // above only adds loads/stores, so the cached CFG is still valid.
+    // above only adds loads/stores, so the cached CFG is still valid. One
+    // sweep over the reachable blocks marks every value used in a block
+    // other than its own.
     let cfg = ac.cfg(f);
-    let mut def_block: HashMap<ValueId, BlockId> = HashMap::new();
+    let mut def_block: Vec<Option<BlockId>> = vec![None; f.values.len()];
     for &b in cfg.rpo() {
         for &v in &f.blocks[b.index()].insts {
-            def_block.insert(v, b);
+            def_block[v.index()] = Some(b);
         }
+    }
+    let mut crosses = vec![false; f.values.len()];
+    for &b in cfg.rpo() {
+        let mut mark = |o: &Operand| {
+            if let Operand::Value(v) = o {
+                if def_block[v.index()].is_some_and(|d| d != b) {
+                    crosses[v.index()] = true;
+                }
+            }
+        };
+        for &u in &f.blocks[b.index()].insts {
+            if let Some(op) = f.op(u) {
+                op.for_each_operand(&mut mark);
+            }
+        }
+        f.blocks[b.index()].term.for_each_operand(&mut mark);
     }
     let mut cross: Vec<(ValueId, BlockId, Ty)> = Vec::new();
     for &b in cfg.rpo() {
@@ -485,25 +521,7 @@ fn reg2mem_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
                 continue; // keep allocas as-is
             }
             let Some(ty) = f.ty(v) else { continue };
-            let mut crosses = false;
-            for &b2 in cfg.rpo() {
-                if b2 == b {
-                    // Terminator use in the same block is fine.
-                    continue;
-                }
-                for &u in &f.blocks[b2.index()].insts {
-                    if let Some(uop) = f.op(u) {
-                        uop.for_each_operand(|o| crosses |= *o == Operand::Value(v));
-                    }
-                }
-                f.blocks[b2.index()]
-                    .term
-                    .for_each_operand(|o| crosses |= *o == Operand::Value(v));
-                if crosses {
-                    break;
-                }
-            }
-            if crosses {
+            if crosses[v.index()] {
                 cross.push((v, b, ty));
             }
         }
@@ -637,6 +655,7 @@ fn demote_value(f: &mut Function, v: ValueId, def_bb: BlockId, ty: Ty) {
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
+    use std::collections::HashSet;
 
     /// `promotable_allocas` as it was: an escape scan and a type scan of the
     /// whole function per entry alloca.

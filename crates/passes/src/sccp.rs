@@ -193,10 +193,15 @@ fn analyze_bounded(f: &Function, arg_lattice: &[Lat], max_sweeps: usize) -> Sccp
     let mut ret = Lat::Top;
 
     // Iterate to fixpoint: re-scan executable blocks whenever facts change.
-    // The lattice only moves down and every transfer function is monotone,
-    // so the fixpoint does not depend on the visiting order; discovery order
-    // (blocks found during a sweep are visited by that sweep) carries facts
-    // down a chain of blocks in one sweep.
+    // Discovery order (blocks found during a sweep are visited by that
+    // sweep) carries facts down a chain of blocks in one sweep. `meet` only
+    // moves a value down, but not every transfer is monotone: a `select`
+    // whose condition is still Top and one of whose arms is Bottom reads
+    // Bottom, where a constant condition could give a constant. This sweep
+    // never meets that case: an operand's definition dominates its use, so
+    // its block was discovered first and the operand was evaluated earlier
+    // in the same sweep and is never Top. A worklist solver that visits
+    // values in another order must keep that property.
     let mut sweeps = 0;
     while flow.changed {
         if sweeps == max_sweeps {
@@ -681,6 +686,28 @@ mod tests {
 
     use crate::testutil::check_pass_preserves;
     use crate::PassConfig;
+
+    /// `transfer` is not monotone on `select`: lowering its Top condition to
+    /// a constant raises the result from Bottom to a constant. The sweep in
+    /// `analyze_bounded` relies on never evaluating a Top condition.
+    #[test]
+    fn select_transfer_is_not_monotone_in_its_condition() {
+        use super::{transfer, Lat};
+        use zkvmopt_ir::{Function, Op, Operand, Ty, ValueId};
+        let f = Function::new("f", vec![Ty::I1, Ty::I32], None);
+        let select = Op::Select {
+            c: Operand::Value(ValueId(0)),
+            t: Operand::Value(ValueId(1)),
+            f: Operand::i32(7),
+        };
+        let top_cond = [Lat::Top, Lat::Bottom];
+        assert_eq!(transfer(&f, &top_cond, &select), Lat::Bottom);
+        let false_cond = [Lat::Const(Operand::bool(false)), Lat::Bottom];
+        assert_eq!(
+            transfer(&f, &false_cond, &select),
+            Lat::Const(Operand::i32(7))
+        );
+    }
 
     #[test]
     fn sccp_folds_through_branches() {

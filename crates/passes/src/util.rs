@@ -82,55 +82,28 @@ pub fn may_alias(f: &Function, a: &Operand, b: &Operand) -> bool {
     }
 }
 
-/// Whether the address of alloca `a` escapes the function (used anywhere
-/// other than as the pointer of a load/store). Escaping allocas cannot be
-/// promoted or reasoned about locally.
-pub fn alloca_escapes(f: &Function, a: ValueId) -> bool {
-    for b in f.block_ids() {
-        for &v in &f.blocks[b.index()].insts {
-            let Some(op) = f.op(v) else { continue };
-            match op {
-                Op::Load { ptr, .. } => {
-                    if *ptr != Operand::Value(a) && operand_mentions(ptr, a) {
-                        return true;
-                    }
-                }
-                Op::Store { ptr, val, .. } => {
-                    if operand_mentions(val, a) {
-                        return true;
-                    }
-                    if *ptr != Operand::Value(a) && operand_mentions(ptr, a) {
-                        return true;
-                    }
-                }
-                other => {
-                    let mut esc = false;
-                    other.for_each_operand(|o| {
-                        if operand_mentions(o, a) {
-                            esc = true;
-                        }
-                    });
-                    if esc {
-                        return true;
-                    }
-                }
+/// Which values escape the function, indexed by value: used anywhere other
+/// than as the pointer of a load/store — as a store's value, as any other
+/// op's operand, or by a terminator. Escaping allocas cannot be promoted or
+/// reasoned about locally. One sweep answers every value.
+pub fn escaping_values(f: &Function) -> Vec<bool> {
+    let mut escapes = vec![false; f.values.len()];
+    let mut mark = |o: &Operand| {
+        if let Operand::Value(v) = o {
+            escapes[v.index()] = true;
+        }
+    };
+    for block in &f.blocks {
+        for &v in &block.insts {
+            match f.op(v) {
+                Some(Op::Load { .. }) | None => {}
+                Some(Op::Store { val, .. }) => mark(val),
+                Some(op) => op.for_each_operand(&mut mark),
             }
         }
-        let mut esc = false;
-        f.blocks[b.index()].term.for_each_operand(|o| {
-            if operand_mentions(o, a) {
-                esc = true;
-            }
-        });
-        if esc {
-            return true;
-        }
+        block.term.for_each_operand(&mut mark);
     }
-    false
-}
-
-fn operand_mentions(o: &Operand, v: ValueId) -> bool {
-    *o == Operand::Value(v)
+    escapes
 }
 
 /// Fold an instruction whose operands are all constants; returns the constant
@@ -579,8 +552,18 @@ pub(crate) mod oracle {
         *o == Operand::Value(v)
     }
 
-    /// `sweep_dead` against its oracle on `f`: same flag, same `Function`.
+    /// `sweep_dead` against its oracle on `f`: same flag, same `Function`;
+    /// and `escaping_values` against `alloca_escapes` on every alloca.
     pub(crate) fn check(name: &str, f: &Function) {
+        let escapes = escaping_values(f);
+        for block in &f.blocks {
+            for &v in &block.insts {
+                if matches!(f.op(v), Some(Op::Alloca { .. })) {
+                    let want = alloca_escapes(f, v);
+                    assert_eq!(escapes[v.index()], want, "{name}: escape of {v:?}");
+                }
+            }
+        }
         let (mut old, mut new) = (f.clone(), f.clone());
         let (co, cn) = (sweep_dead_rescanning(&mut old), sweep_dead(&mut new));
         assert!(co == cn && old == new, "{name}: sweep_dead");
@@ -621,16 +604,42 @@ mod tests {
 
     #[test]
     fn escape_detection() {
-        // Alloca passed to a gep then loaded: not escaping. Stored as value: escaping.
-        let mut b = FunctionBuilder::new("f", vec![], Some(Ty::I32));
-        let a1 = b.alloca(Ty::I32, 1);
-        let a2 = b.alloca(Ty::Ptr, 1);
-        b.store(Operand::val(a2), Operand::val(a1), Ty::Ptr); // a1 escapes
-        let l = b.load(Operand::val(a1), Ty::I32);
-        b.ret(Some(Operand::val(l)));
+        // A store's pointer and a load's pointer do not escape; a store's
+        // value, a phi incoming, a call argument and a terminator operand do.
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("callee", vec![Ty::Ptr], None);
+        b.ret(None);
+        let callee = m.add_func(b.finish());
+        let mut b = FunctionBuilder::new("f", vec![], Some(Ty::Ptr));
+        let stored = b.alloca(Ty::I32, 1);
+        let slot = b.alloca(Ty::Ptr, 1);
+        let merged = b.alloca(Ty::I32, 1);
+        let arg = b.alloca(Ty::I32, 1);
+        let returned = b.alloca(Ty::I32, 1);
+        let quiet = b.alloca(Ty::I32, 1);
+        b.store(Operand::val(slot), Operand::val(stored), Ty::Ptr);
+        b.store(Operand::val(quiet), Operand::i32(1), Ty::I32);
+        b.load(Operand::val(quiet), Ty::I32);
+        b.call(callee, vec![Operand::val(arg)], None);
+        let entry = b.current_block();
+        let join = b.new_block();
+        b.br(join);
+        b.switch_to(join);
+        b.phi(Ty::Ptr, vec![(entry, Operand::val(merged))]);
+        b.ret(Some(Operand::val(returned)));
         let f = b.finish();
-        assert!(alloca_escapes(&f, a1));
-        assert!(!alloca_escapes(&f, a2));
+        let escapes = escaping_values(&f);
+        for (v, want) in [
+            (stored, true),
+            (slot, false),
+            (merged, true),
+            (arg, true),
+            (returned, true),
+            (quiet, false),
+        ] {
+            assert_eq!(escapes[v.index()], want, "{v:?}");
+            assert_eq!(oracle::alloca_escapes(&f, v), want, "{v:?} (oracle)");
+        }
     }
 
     #[test]
