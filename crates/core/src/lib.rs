@@ -21,6 +21,20 @@
 //! assert!(o3.exec.total_cycles < base.exec.total_cycles);
 //! ```
 
+// Untrusted input fails as a value, never a panic: a site that must panic
+// carries `#[expect(<lint>, reason = "<the invariant>")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use serde::Serialize;
 use std::fmt;
 use zkvmopt_ir::Module;

@@ -28,7 +28,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use zkvmopt_ir::Module;
 use zkvmopt_prover::{backend_for, check_segment_accounting, proving_cost_ms};
 use zkvmopt_riscv::Program;
@@ -268,7 +268,7 @@ impl SuiteRunner {
                 result,
             };
         let mut jobs: Vec<Job<'_>> = Vec::new();
-        let mut results: Vec<Mutex<Option<Vec<MatrixCell>>>> =
+        let mut results: Vec<OnceLock<Vec<MatrixCell>>> =
             Vec::with_capacity(workloads.len() * profiles.len());
         for w in workloads {
             let (name, src) = workload_key(w);
@@ -277,10 +277,10 @@ impl SuiteRunner {
                 let slot = results.len();
                 if let Err(e) = &compiled[slot] {
                     let cells = vms.iter().map(|&vm| cell(w, p, vm, None, Err(e.clone())));
-                    results.push(Mutex::new(Some(cells.collect())));
+                    results.push(OnceLock::from(cells.collect::<Vec<_>>()));
                     continue;
                 }
-                results.push(Mutex::new(None));
+                results.push(OnceLock::new());
                 let cw = &self.compiled[&(name, src, profile_keys[pi].clone())];
                 match job_of.entry(&cw.program) {
                     Entry::Occupied(j) => jobs[*j.get()].slots.push(slot),
@@ -328,7 +328,8 @@ impl SuiteRunner {
                                 });
                                 cell(job.w, p, vm, same_program_as.clone(), result)
                             });
-                            *results[slot].lock().expect("result slot") = Some(cells.collect());
+                            let first_write = results[slot].set(cells.collect()).is_ok();
+                            debug_assert!(first_write, "slot {slot} belongs to one job");
                         }
                     }
                 });
@@ -342,10 +343,16 @@ impl SuiteRunner {
             };
             self.compiled.remove(&oldest);
         }
-        results
+        #[expect(
+            clippy::expect_used,
+            reason = "every empty slot belongs to a job, and the scope ran every job or \
+                      re-raised its worker's panic"
+        )]
+        let cells = results
             .into_iter()
-            .flat_map(|slot| slot.into_inner().expect("slot").expect("all jobs ran"))
-            .collect()
+            .flat_map(|slot| slot.into_inner().expect("all jobs ran"))
+            .collect();
+        cells
     }
 }
 

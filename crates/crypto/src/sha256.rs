@@ -23,7 +23,8 @@
 //!
 //! The hardware kernel is the workspace's only `unsafe`: one `unsafe fn`
 //! (it must not run on a CPU without the instructions) and one call site,
-//! behind the feature check.
+//! behind the feature check. The crate denies `unsafe_code`, and each of the
+//! two carries its own `#[expect(unsafe_code)]`.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -76,6 +77,7 @@ pub fn sha256_kernel() -> &'static str {
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
     #[cfg(target_arch = "x86_64")]
+    #[expect(unsafe_code, reason = "the SHA-NI kernel's one call site")]
     if has_sha_ni() {
         // SAFETY: `has_sha_ni` just observed `sha`, `ssse3` and `sse4.1` on
         // this CPU (`sse2` is baseline on x86_64), which is all the kernel
@@ -160,6 +162,7 @@ fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
 /// slices of `chunks_exact(64)` by safe indexing.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+#[expect(unsafe_code, reason = "undefined on a CPU without the SHA extensions")]
 unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
     use std::arch::x86_64::{
         _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,

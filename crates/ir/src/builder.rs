@@ -110,6 +110,13 @@ impl FunctionBuilder {
     }
 
     /// Emit a select; `t` and `f` must share a type.
+    ///
+    /// # Panics
+    /// Panics if `t` names a result-less instruction.
+    #[expect(
+        clippy::expect_used,
+        reason = "builder callers pass constants or results of value-producing ops, which are typed"
+    )]
     pub fn select(&mut self, c: Operand, t: Operand, f: Operand) -> ValueId {
         let ty = self.func.operand_ty(&t).expect("select arms must be typed");
         self.emit(Op::Select { c, t, f }, Some(ty))
@@ -169,6 +176,10 @@ impl FunctionBuilder {
     ///
     /// # Panics
     /// Panics if `phi` is not a phi node.
+    #[expect(
+        clippy::panic,
+        reason = "builder callers pass back the value `phi` returned, so it names a phi"
+    )]
     pub fn add_phi_incoming(&mut self, phi: ValueId, from: BlockId, v: Operand) {
         match self.func.op_mut(phi) {
             Some(Op::Phi { incoming }) => incoming.push((from, v)),

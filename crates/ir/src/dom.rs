@@ -48,6 +48,11 @@ impl DomTree {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "both walks start at processed blocks and climb their idom chains, which are \
+                  set all the way up to the entry, the block with the lowest RPO index"
+    )]
     fn intersect(idom: &[Option<BlockId>], cfg: &Cfg, mut a: BlockId, mut b: BlockId) -> BlockId {
         while a != b {
             while cfg.rpo_index(a) > cfg.rpo_index(b) {

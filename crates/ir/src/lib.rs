@@ -35,6 +35,20 @@
 //! assert!(zkvmopt_ir::verify::verify_module(&m).is_ok());
 //! ```
 
+// Untrusted input fails as a value, never a panic: a site that must panic
+// carries `#[expect(<lint>, reason = "<the invariant>")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod analysis;
 pub mod builder;
 pub mod cfg;

@@ -33,6 +33,20 @@
 //! assert_eq!(out.exit_value, 45);
 //! ```
 
+// Untrusted input fails as a value, never a panic: a site that must panic
+// carries `#[expect(<lint>, reason = "<the invariant>")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod ast;
 pub mod lexer;
 pub mod lower;

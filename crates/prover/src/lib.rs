@@ -49,6 +49,20 @@
 //! ground model the tests hold it to, and three roots pinned as literals).
 //! The cost model does not depend on any of it.
 
+// Untrusted input fails as a value, never a panic: a site that must panic
+// carries `#[expect(<lint>, reason = "<the invariant>")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod pipeline;
 
 pub use pipeline::{

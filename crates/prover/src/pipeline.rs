@@ -403,6 +403,11 @@ pub fn prove_segmented(
                     scope.spawn(move || indexed.map(prove).collect::<Vec<_>>())
                 })
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "`prove_segment` is total, so a worker unwinds only on a bug, which this \
+                          re-raises"
+            )]
             let join = |h: std::thread::ScopedJoinHandle<'_, _>| h.join().expect("prover worker");
             handles.into_iter().flat_map(join).collect()
         })

@@ -4,6 +4,20 @@
 //! (Table 2's monotonicity/linearity analysis), plus summary statistics
 //! (Table 6) and percent-change helpers used by every figure.
 
+// Untrusted input fails as a value, never a panic: a site that must panic
+// carries `#[expect(<lint>, reason = "<the invariant>")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 /// Arithmetic mean. Returns 0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -27,7 +41,7 @@ pub fn median(xs: &[f64]) -> f64 {
         return 0.0;
     }
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    v.sort_by(f64::total_cmp);
     let n = v.len();
     if n % 2 == 1 {
         v[n / 2]

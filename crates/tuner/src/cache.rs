@@ -50,7 +50,7 @@
 //! builds assert that a racing duplicate computed an equal value.
 
 use crate::fault::EvalResult;
-use crate::{canonicalize_sequence, Candidate};
+use crate::{canonicalize_sequence, lock_unpoisoned, Candidate};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -131,11 +131,7 @@ impl ShardedFitnessCache {
             }
             mix(u64::MAX);
         }
-        // No code path panics while holding a shard (plain map operations
-        // only), so the lock is never poisoned.
-        self.shards[(h % SHARDS as u64) as usize]
-            .lock()
-            .expect("cache shard")
+        lock_unpoisoned(&self.shards[(h % SHARDS as u64) as usize])
     }
 
     /// Look `key` up.
@@ -173,8 +169,7 @@ impl ShardedFitnessCache {
             .shards
             .iter()
             .flat_map(|s| {
-                s.lock()
-                    .expect("cache shard")
+                lock_unpoisoned(s)
                     .iter()
                     .map(|(k, v)| (k.clone(), *v))
                     .collect::<Vec<_>>()
@@ -186,10 +181,7 @@ impl ShardedFitnessCache {
 
     /// Cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard").len())
-            .sum()
+        self.shards.iter().map(|s| lock_unpoisoned(s).len()).sum()
     }
 
     /// Whether nothing has been cached yet.

@@ -25,7 +25,7 @@
 //! chaos tests pin.
 
 use crate::rng::SeedTree;
-use crate::{canonicalize_sequence, Candidate};
+use crate::{canonicalize_sequence, lock_unpoisoned, Candidate};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -187,7 +187,7 @@ impl FaultPlan {
     /// in the list, being silent by design). Order is nondeterministic;
     /// counts per class are what tests should assert on.
     pub fn injected(&self) -> Vec<FailureClass> {
-        self.injected.lock().expect("fault log").clone()
+        lock_unpoisoned(&self.injected).clone()
     }
 
     /// Wrap `fitness` with this plan. The wrapper is `Sync` and can back
@@ -250,14 +250,14 @@ impl FaultPlan {
     /// per-candidate cap is spent (the true value must come through).
     fn fire(&self, widx: usize, c: &Candidate, class: FailureClass) -> bool {
         let h = self.hash(widx, c);
-        let mut fired = self.fired.lock().expect("fault counters");
+        let mut fired = lock_unpoisoned(&self.fired);
         let n = fired.entry(h).or_insert(0);
         if *n >= self.config.max_injections {
             return false;
         }
         *n += 1;
         drop(fired);
-        self.injected.lock().expect("fault log").push(class);
+        lock_unpoisoned(&self.injected).push(class);
         true
     }
 

@@ -31,8 +31,23 @@
 //!   a per-line salvage that turns damage into a `Recovered` status instead
 //!   of an error.
 
+// Untrusted input fails as a value, never a panic: a site that must panic
+// carries `#[expect(<lint>, reason = "<the invariant>")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use zkvmopt_passes::{find_pass, pass_names, PassConfig};
 
 pub mod cache;
@@ -57,6 +72,31 @@ pub use rng::{seed_from_env, SeedTree};
 pub use service::{
     tune_suite, QuarantineEntry, ServiceConfig, ServiceReport, TuneTarget, WorkloadTuneReport,
 };
+
+/// Lock one of the tuner's mutexes.
+///
+/// The tuner's one poison policy: no lock is ever poisoned, because nothing
+/// panics while holding one. Fitness calls, the only foreign code, run under
+/// `catch_unwind`; everything else done under a lock is plain map, queue and
+/// population updates.
+#[track_caller]
+#[expect(
+    clippy::expect_used,
+    reason = "nothing panics while holding a tuner lock, so none is poisoned"
+)]
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("tuner lock poisoned")
+}
+
+/// Wait on `cv`, under the poison policy of [`lock_unpoisoned`].
+#[track_caller]
+#[expect(
+    clippy::expect_used,
+    reason = "nothing panics while holding a tuner lock, so none is poisoned"
+)]
+pub(crate) fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).expect("tuner lock poisoned")
+}
 
 /// One tuning candidate: a pass sequence plus parameter values.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,11 +177,19 @@ pub(crate) fn anchor_candidates(max_depth: usize) -> Vec<Candidate> {
 /// Each rewrite is output-preserving by the registry's declared (and tested)
 /// metadata, so two candidates with equal canonical sequences and equal
 /// thresholds compile to identical programs.
+///
+/// # Panics
+/// Panics on a name the pass registry does not know.
 pub fn canonicalize_sequence(passes: &[&'static str]) -> Vec<&'static str> {
     let mut out: Vec<&'static str> = Vec::with_capacity(passes.len());
     for &p in passes {
         // One registry lookup per element (this runs per candidate in the
         // search loop).
+        #[expect(
+            clippy::panic,
+            reason = "candidates hold registry names: the generator draws them from the \
+                      registry, and loaders resolve stored names through `find_pass`"
+        )]
         let entry = find_pass(p).unwrap_or_else(|| panic!("unknown pass `{p}`"));
         if entry.noop {
             continue;

@@ -229,6 +229,10 @@ impl Predictor {
                 }),
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "`examples` is non-empty here and `k` is at least 1, so one example voted"
+        )]
         let winner = groups
             .iter()
             .enumerate()

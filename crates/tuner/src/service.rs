@@ -81,8 +81,8 @@ use crate::fault::{EvalResult, FailureClass};
 use crate::predict::{candidate_from_entry, Predictor};
 use crate::rng::SeedTree;
 use crate::{
-    anchor_candidates, canonicalize_sequence, crossover, mutate, persist, random_candidate,
-    Candidate,
+    anchor_candidates, canonicalize_sequence, crossover, lock_unpoisoned, mutate, persist,
+    random_candidate, wait_unpoisoned, Candidate,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -456,7 +456,7 @@ impl Run<'_> {
         let Some((path, digest)) = self.checkpoint else {
             return;
         };
-        let _guard = self.checkpoint_lock.lock().expect("checkpoint writer");
+        let _guard = lock_unpoisoned(&self.checkpoint_lock);
         if let Err(e) = save_checkpoint(path, digest, &self.cache.snapshot()) {
             eprintln!(
                 "tuner: checkpoint write to {} failed ({e}); continuing without",
@@ -702,7 +702,7 @@ fn collect(
     let mut best: Option<(Candidate, u64)> = None;
     let mut cost = w.spent;
     for island in &w.islands {
-        let s = island.lock().expect("island");
+        let s = lock_unpoisoned(island);
         cost += s.cost;
         if let Some((c, f)) = &s.best {
             // Strict `<` keeps the lowest island index on ties —
@@ -815,7 +815,7 @@ fn run_scheduler(run: &Run<'_>, work: &[&WorkState]) {
                 // Steal the next ready island task, or exit once every
                 // island-generation in the run has been processed.
                 let task = {
-                    let mut q = queue.lock().expect("task queue");
+                    let mut q = lock_unpoisoned(&queue);
                     loop {
                         if let Some(t) = q.pop_front() {
                             break Some(t);
@@ -823,7 +823,7 @@ fn run_scheduler(run: &Run<'_>, work: &[&WorkState]) {
                         if outstanding.load(Ordering::SeqCst) == 0 {
                             break None;
                         }
-                        q = ready.wait(q).expect("task queue");
+                        q = wait_unpoisoned(&ready, q);
                     }
                 };
                 let Some((ci, island_idx)) = task else {
@@ -832,7 +832,7 @@ fn run_scheduler(run: &Run<'_>, work: &[&WorkState]) {
                 let w = work[ci];
                 let gen = w.done_gens.load(Ordering::SeqCst);
                 let valid = {
-                    let mut island = w.islands[island_idx].lock().expect("island");
+                    let mut island = lock_unpoisoned(&w.islands[island_idx]);
                     run_generation(run, w, &mut island, gen, island_idx)
                 };
                 w.valid_in_gen.fetch_add(valid, Ordering::SeqCst);
@@ -866,7 +866,7 @@ fn run_scheduler(run: &Run<'_>, work: &[&WorkState]) {
                                 migrate_ring(w);
                             }
                             w.remaining.store(config.islands, Ordering::SeqCst);
-                            let mut q = queue.lock().expect("task queue");
+                            let mut q = lock_unpoisoned(&queue);
                             q.extend((0..config.islands).map(|i| (ci, i)));
                             drop(q);
                             ready.notify_all();
@@ -969,15 +969,15 @@ fn sort_pop(pop: &mut [(Candidate, Option<u64>)]) {
 
 /// Tournament selection (size 3) over the island's population.
 fn tournament(rng: &mut StdRng, pop: &[(Candidate, Option<u64>)]) -> Candidate {
-    let mut best: Option<(usize, u64)> = None;
-    for _ in 0..3 {
+    let fitness = |i: usize| pop[i].1.unwrap_or(u64::MAX);
+    let mut best = rng.gen_range(0..pop.len());
+    for _ in 1..3 {
         let i = rng.gen_range(0..pop.len());
-        let f = pop[i].1.unwrap_or(u64::MAX);
-        if best.is_none_or(|(_, bf)| f < bf) {
-            best = Some((i, f));
+        if fitness(i) < fitness(best) {
+            best = i;
         }
     }
-    pop[best.expect("non-empty population").0].0.clone()
+    pop[best].0.clone()
 }
 
 /// Ring migration at a generation barrier: island `i`'s best population
@@ -987,13 +987,13 @@ fn migrate_ring(w: &WorkState) {
     let n = w.islands.len();
     let elites: Vec<Option<(Candidate, Option<u64>)>> = (0..n)
         .map(|i| {
-            let s = w.islands[i].lock().expect("island");
+            let s = lock_unpoisoned(&w.islands[i]);
             s.pop.first().cloned()
         })
         .collect();
     for (i, elite) in elites.into_iter().enumerate() {
         if let Some(e) = elite {
-            w.islands[(i + 1) % n].lock().expect("island").incoming = Some(e);
+            lock_unpoisoned(&w.islands[(i + 1) % n]).incoming = Some(e);
         }
     }
 }

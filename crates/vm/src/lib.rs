@@ -40,6 +40,20 @@
 //! assert!(report.total_cycles >= report.instret);
 //! ```
 
+// Untrusted input fails as a value, never a panic: a site that must panic
+// carries `#[expect(<lint>, reason = "<the invariant>")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod ecalls;
 pub mod engine;
 pub mod machine;
