@@ -12,13 +12,15 @@
 //!    modelled cost as sequential proving, for every backend.
 //!
 //! The report names the SHA-256 kernel the host dispatches to and records
-//! its rate (`sha256_mb_per_s`, `merkle_mb_per_s`) — the quantity under
-//! every commitment — then measures the multi-core advantage of the parallel
-//! per-segment fan-out (advisory below 4 cores, like `tuner_throughput`)
-//! and end-to-end proofs/sec per backend; Criterion measures the full
-//! pipeline. Segment limits are scaled down from the production profiles so
-//! every workload splits into several segments — this is the "heavy
-//! traffic" shape: a stream of programs, each a bag of parallel segments.
+//! its rate (`sha256_mb_per_s` one lane, `sha256_pair_mb_per_s` two lanes,
+//! `merkle_mb_per_s`) — the quantity under every commitment — then the
+//! sequential proving wave's padded rows per second (`padded_mrows_per_s`),
+//! the multi-core advantage of the parallel per-segment fan-out (advisory
+//! below 4 cores, like `tuner_throughput`) and end-to-end proofs/sec per
+//! backend; Criterion measures the full pipeline. Segment limits are scaled
+//! down from the production profiles so every workload splits into several
+//! segments — this is the "heavy traffic" shape: a stream of programs, each
+//! a bag of parallel segments.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_core::suite::CompiledWorkload;
@@ -126,19 +128,23 @@ fn best_ms<T>(f: impl Fn() -> T) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The hash kernel under every commitment, in absolute units: `sha256` over
-/// one 64 KiB buffer and a Merkle root over 1 MiB of 1 KiB leaves (the
-/// prover's leaf size), MB/s.
-fn hash_rates() -> (f64, f64) {
+/// The hash kernel under every commitment, in absolute units, MB/s:
+/// `sha256` over one 64 KiB buffer, `sha256_pair` over its two 32 KiB
+/// halves (the two-lane rate the prover hashes leaves at), and a Merkle root
+/// over 1 MiB of 1 KiB leaves (the prover's leaf size).
+fn hash_rates() -> (f64, f64, f64) {
     let buffer: Vec<u8> = (0..64usize << 10).map(|i| (i * 31) as u8).collect();
+    let (left, right) = buffer.split_at(buffer.len() / 2);
     let leaves: Vec<Vec<u8>> = (0..1 << 10)
         .map(|i| buffer[(i % 64) << 10..][..1 << 10].to_vec())
         .collect();
     let sha256_ms = best_ms(|| zkvmopt_crypto::sha256(black_box(&buffer)));
+    let pair_ms = best_ms(|| zkvmopt_crypto::sha256_pair(black_box(left), black_box(right)));
     let merkle_ms = best_ms(|| zkvmopt_crypto::MerkleTree::new(black_box(&leaves)).root());
     let mb_per_s = |bytes: usize, ms: f64| bytes as f64 / 1e3 / ms;
     (
         mb_per_s(buffer.len(), sha256_ms),
+        mb_per_s(buffer.len(), pair_ms),
         mb_per_s(1 << 20, merkle_ms),
     )
 }
@@ -148,9 +154,10 @@ fn report(runs: &[SegmentedRun]) {
         "Segmented proving: execute -> segment -> prove (-O2 suite; sha256 kernel: {})",
         zkvmopt_crypto::sha256_kernel()
     ));
-    let (sha256_mb_per_s, merkle_mb_per_s) = hash_rates();
+    let (sha256_mb_per_s, sha256_pair_mb_per_s, merkle_mb_per_s) = hash_rates();
     println!(
         "hash kernel: sha256 {sha256_mb_per_s:.0} MB/s (64 KiB), \
+         sha256_pair {sha256_pair_mb_per_s:.0} MB/s (2 x 32 KiB), \
          merkle {merkle_mb_per_s:.0} MB/s (1 MiB of 1 KiB leaves)"
     );
 
@@ -185,6 +192,17 @@ fn report(runs: &[SegmentedRun]) {
     let par_ms = best_ms(|| prove_all(runs, 0));
     let speedup = seq_ms / par_ms;
     let nproofs = (runs.len() * standard_backends().len()) as f64;
+    // Padded trace rows the wave commits to: the hashing work it does.
+    let padded_rows: u64 = runs
+        .iter()
+        .flat_map(|run| {
+            standard_backends().into_iter().flat_map(|backend| {
+                let rows = run.records.iter().map(|seg| backend.segment_rows(seg));
+                rows.map(|rows| backend.padded_rows(rows))
+            })
+        })
+        .sum();
+    let padded_mrows_per_s = padded_rows as f64 / 1e6 / (seq_ms / 1e3);
     let proofs_per_sec = nproofs / (par_ms / 1e3);
     let segments_per_program = nsegments as f64 / runs.len() as f64;
     // Geomean over per-run parallel proving rates (risc0 backend), the
@@ -208,14 +226,16 @@ fn report(runs: &[SegmentedRun]) {
     );
     println!(
         "segments/program: {segments_per_program:.1}; per-run proof rate geomean: \
-         {rate_geomean:.0}/sec"
+         {rate_geomean:.0}/sec; sequential wave {padded_mrows_per_s:.0} padded Mrows/s"
     );
     zkvmopt_bench::trajectory::record(
         "prover_throughput",
         &[
             ("proofs_per_sec", proofs_per_sec),
             ("sha256_mb_per_s", sha256_mb_per_s),
+            ("sha256_pair_mb_per_s", sha256_pair_mb_per_s),
             ("merkle_mb_per_s", merkle_mb_per_s),
+            ("padded_mrows_per_s", padded_mrows_per_s),
             ("proof_rate_geomean", rate_geomean),
             ("segments_per_program", segments_per_program),
             ("parallel_speedup", speedup),
@@ -224,6 +244,8 @@ fn report(runs: &[SegmentedRun]) {
     );
     // Per-segment proving is embarrassingly parallel, so multi-core proving
     // must not be slower than sequential once real cores (>= 4) are available.
+    // The benchmark package proves with `threads = 1` only, so this is the
+    // one place the fan-out is timed.
     zkvmopt_bench::gate_speedup("parallel vs sequential segment proving", speedup, 1.0, 4);
 }
 

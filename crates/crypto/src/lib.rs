@@ -18,5 +18,5 @@ pub mod sig;
 
 pub use keccak::keccak256;
 pub use merkle::MerkleTree;
-pub use sha256::{sha256, sha256_kernel};
+pub use sha256::{sha256, sha256_kernel, sha256_pair};
 pub use sig::{sign, verify, KeyPair, Scheme, Signature};

@@ -2,15 +2,17 @@
 //!
 //! The pairing rule — parent `i` is `sha256(left || right)` of nodes `2i`
 //! and `2i + 1`, an odd last node paired with itself — lives once, in
-//! `fold_level`. [`root_of_leaf_hashes`] folds a level of leaf hashes down
-//! to its root in place, for callers that only want the commitment (the
-//! segment prover hashes each leaf out of one reusable buffer and never
-//! holds the leaves); [`MerkleTree::new`] folds through the same function
-//! and keeps a copy of every level for [`MerkleTree::proof`]. The root is a
-//! function of the leaf bytes alone, whichever SHA-256 kernel the host
-//! dispatches to (see [`mod@crate::sha256`]).
+//! `fold_level`, which hashes two parents per [`sha256_pair`] call.
+//! [`root_of_leaf_hashes`] folds a slice of leaf hashes down to its root in
+//! place, for callers that only want the commitment (the segment prover
+//! hashes a whole run's leaves into one buffer and folds each segment's
+//! slice of it, never holding a leaf); [`MerkleTree::new`] hashes the
+//! leaves two at a time, folds through the same function and keeps a copy
+//! of every level for [`MerkleTree::proof`]. The root is a function of the
+//! leaf bytes alone, whichever SHA-256 kernel the host dispatches to and
+//! however many lanes it hashes at once (see [`mod@crate::sha256`]).
 
-use crate::sha256::sha256;
+use crate::sha256::{sha256, sha256_pair};
 
 /// A fully-built Merkle tree over leaf byte strings.
 #[derive(Debug, Clone)]
@@ -19,35 +21,51 @@ pub struct MerkleTree {
     levels: Vec<Vec<[u8; 32]>>,
 }
 
-fn hash_pair(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
+/// The 64-byte message a parent hashes: its two children, left first.
+fn children(a: &[u8; 32], b: &[u8; 32]) -> [u8; 64] {
     let mut buf = [0u8; 64];
     buf[..32].copy_from_slice(a);
     buf[32..].copy_from_slice(b);
-    sha256(&buf)
+    buf
 }
 
-/// Replace `level` with its parents, in place. Parent `i` reads nodes `2i`
-/// and `2i + 1`, which no earlier parent has overwritten.
-fn fold_level(level: &mut Vec<[u8; 32]>) {
+fn hash_pair(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
+    sha256(&children(a, b))
+}
+
+/// Replace the front of `level` with its parents, in place, and return how
+/// many there are. Parents `i` and `i + 1` are hashed together and read
+/// nodes `2i .. 2i + 4`, which no earlier parent has overwritten.
+fn fold_level(level: &mut [[u8; 32]]) -> usize {
     let parents = level.len().div_ceil(2);
-    for i in 0..parents {
-        let right = level[(2 * i + 1).min(level.len() - 1)];
-        level[i] = hash_pair(&level[2 * i], &right);
+    let last = level.len() - 1;
+    let node = |level: &[[u8; 32]], i: usize| level[i.min(last)];
+    let mut i = 0;
+    while i + 1 < parents {
+        let left = children(&level[2 * i], &level[2 * i + 1]);
+        let right = children(&level[2 * i + 2], &node(level, 2 * i + 3));
+        [level[i], level[i + 1]] = sha256_pair(&left, &right);
+        i += 2;
     }
-    level.truncate(parents);
+    if i < parents {
+        level[i] = hash_pair(&level[2 * i], &node(level, 2 * i + 1));
+    }
+    parents
 }
 
 /// The Merkle root over `level`, a tree's leaf *hashes*, folded in place:
 /// `root_of_leaf_hashes(leaves.map(sha256)) == MerkleTree::new(leaves).root()`
-/// without keeping the leaves or the inner levels.
+/// without keeping the leaves or the inner levels. `level` is left holding
+/// scratch nodes.
 ///
 /// # Panics
 /// Panics if `level` is empty.
 #[must_use]
-pub fn root_of_leaf_hashes(mut level: Vec<[u8; 32]>) -> [u8; 32] {
+pub fn root_of_leaf_hashes(level: &mut [[u8; 32]]) -> [u8; 32] {
     assert!(!level.is_empty(), "merkle tree needs at least one leaf");
-    while level.len() > 1 {
-        fold_level(&mut level);
+    let mut len = level.len();
+    while len > 1 {
+        len = fold_level(&mut level[..len]);
     }
     level[0]
 }
@@ -60,11 +78,19 @@ impl MerkleTree {
     /// Panics if `leaves` is empty.
     pub fn new(leaves: &[Vec<u8>]) -> MerkleTree {
         assert!(!leaves.is_empty(), "merkle tree needs at least one leaf");
-        let mut level: Vec<[u8; 32]> = leaves.iter().map(|l| sha256(l)).collect();
+        let mut level = Vec::with_capacity(leaves.len());
+        for pair in leaves.chunks(2) {
+            match pair {
+                [a, b] => level.extend(sha256_pair(a, b)),
+                [a] => level.push(sha256(a)),
+                _ => {}
+            }
+        }
         let mut levels = Vec::new();
         while level.len() > 1 {
             levels.push(level.clone());
-            fold_level(&mut level);
+            let parents = fold_level(&mut level);
+            level.truncate(parents);
         }
         levels.push(level);
         MerkleTree { levels }
@@ -146,8 +172,8 @@ mod tests {
         for n in 1..=65usize {
             let leaves: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 1 + i % 7]).collect();
             let t = MerkleTree::new(&leaves);
-            let hashes = leaves.iter().map(|l| sha256(l)).collect();
-            assert_eq!(root_of_leaf_hashes(hashes), t.root(), "{n} leaves");
+            let mut hashes: Vec<[u8; 32]> = leaves.iter().map(|l| sha256(l)).collect();
+            assert_eq!(root_of_leaf_hashes(&mut hashes), t.root(), "{n} leaves");
             for (i, leaf) in leaves.iter().enumerate() {
                 let p = t.proof(i);
                 assert!(

@@ -1,25 +1,38 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
+//! **Lanes.** [`sha256`] hashes one message; [`sha256_pair`] hashes two
+//! independent messages of equal length in lockstep (unequal lengths fall
+//! back to two [`sha256`] calls). Both are one generic `digest` over a lane
+//! count `N` — `sha256` is the one-lane case — and each lane keeps its own
+//! state, so a pair's digests are exactly the two single ones.
+//!
 //! **One dispatch point.** Every block goes through `compress_blocks`,
 //! which picks the kernel from what it observes about the host and nothing
 //! else — no cargo feature, environment variable or config field:
 //!
 //! * on `x86_64` with the SHA extensions (`sha`, plus the `ssse3` /
-//!   `sse4.1` shuffles the kernel uses) `compress_blocks_sha_ni`: four
-//!   rounds per `sha256rnds2` pair, the message schedule in `sha256msg1` /
-//!   `sha256msg2`, and the state held in two registers across every block of
-//!   the call — a 1 KiB Merkle leaf is one call;
+//!   `sse4.1` shuffles the kernel uses) `compress_blocks_sha_ni`, one kernel
+//!   generic over the lane count: four rounds per `sha256rnds2` pair, the
+//!   message schedule in `sha256msg1` / `sha256msg2`, and each lane's state
+//!   held in its own two registers across every block of the call — a 1 KiB
+//!   Merkle leaf is one call. The lanes' round and schedule steps are
+//!   interleaved, so their independent rounds overlap in the pipeline: two
+//!   1049-byte leaves hash 1.2× faster as a pair than one after the other,
+//!   and three or four lanes measured no faster than two;
 //! * everywhere else `compress_blocks_portable`, the **only** portable
-//!   kernel: a rolling 16-word schedule with the rounds unrolled eight at a
-//!   time, so the working variables rotate by renaming instead of by eight
-//!   moves a round. The textbook rolled loop it replaced is not kept beside
-//!   it — a second portable path would be one nobody runs. It is compiled
-//!   and tested on every host, whichever kernel that host dispatches to.
+//!   kernel, run once per lane: a rolling 16-word schedule with the rounds
+//!   unrolled eight at a time, so the working variables rotate by renaming
+//!   instead of by eight moves a round. The textbook rolled loop it replaced
+//!   is not kept beside it — a second portable path would be one nobody
+//!   runs. It is compiled and tested on every host, whichever kernel that
+//!   host dispatches to.
 //!
 //! Both compute the same function (the tests below hold each to the NIST
-//! vectors by name and to each other on every length and alignment), so no
-//! digest, Merkle root or proof commitment can depend on which one ran;
-//! [`sha256_kernel`] reports the choice for logs and bench headers only.
+//! vectors by name, in one lane and in two, and to each other and to
+//! themselves across lanes on every length and alignment), so no digest,
+//! Merkle root or proof commitment can depend on which one ran or on how
+//! many lanes it ran; [`sha256_kernel`] reports the choice for logs and
+//! bench headers only.
 //!
 //! The hardware kernel is the workspace's only `unsafe`: one `unsafe fn`
 //! (it must not run on a CPU without the instructions) and one call site,
@@ -41,9 +54,10 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// A block-compression kernel: folds every 64-byte block of the slice into
-/// the state, in order. The slice length is a multiple of 64.
-type Kernel = fn(&mut [u32; 8], &[u8]);
+/// A block-compression kernel over `N` lanes: folds every 64-byte block of
+/// `blocks[l]` into `states[l]`, in order, for each lane `l`. Every lane has
+/// the same number of blocks.
+type Kernel<const N: usize> = fn(&mut [[u32; 8]; N], [&[[u8; 64]]; N]);
 
 /// Whether this host runs the hardware kernel: `x86_64` with the SHA
 /// extensions and the SSSE3 / SSE4.1 shuffles it is compiled with. (`std`
@@ -61,8 +75,8 @@ fn has_sha_ni() -> bool {
     }
 }
 
-/// Which compression kernel [`sha256`] runs on this host: `"sha-ni"` or
-/// `"portable"`. Digests do not depend on it.
+/// Which compression kernel [`sha256`] and [`sha256_pair`] run on this
+/// host: `"sha-ni"` or `"portable"`. Digests do not depend on it.
 #[must_use]
 pub fn sha256_kernel() -> &'static str {
     if has_sha_ni() {
@@ -72,26 +86,26 @@ pub fn sha256_kernel() -> &'static str {
     }
 }
 
-/// The one dispatch point: compress every 64-byte block of `blocks` into
-/// `state` with the kernel this host supports.
-fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0);
+/// The one dispatch point: compress every 64-byte block of each lane of
+/// `blocks` into that lane's state with the kernel this host supports.
+fn compress_blocks<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[[u8; 64]]; N]) {
+    debug_assert!(blocks.iter().all(|lane| lane.len() == blocks[0].len()));
     #[cfg(target_arch = "x86_64")]
     #[expect(unsafe_code, reason = "the SHA-NI kernel's one call site")]
     if has_sha_ni() {
         // SAFETY: `has_sha_ni` just observed `sha`, `ssse3` and `sse4.1` on
         // this CPU (`sse2` is baseline on x86_64), which is all the kernel
-        // requires. It touches memory only through `state` and the 64-byte
-        // slices of `blocks.chunks_exact(64)`, by safe indexing.
-        unsafe { compress_blocks_sha_ni(state, blocks) };
+        // requires. It touches memory only through `states` and the 64-byte
+        // blocks of each lane, by safe indexing.
+        unsafe { compress_blocks_sha_ni(states, blocks) };
         return;
     }
-    compress_blocks_portable(state, blocks);
+    compress_blocks_portable(states, blocks);
 }
 
-/// The portable kernel: rolling 16-word message schedule, eight rounds per
-/// loop trip so `a..h` rotate by renaming.
-fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+/// The portable kernel, run once per lane: rolling 16-word message
+/// schedule, eight rounds per loop trip so `a..h` rotate by renaming.
+fn compress_blocks_portable<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[[u8; 64]]; N]) {
     /// One round with the working variables in the given rotation; `$w` is
     /// the round's schedule word.
     macro_rules! round {
@@ -121,200 +135,257 @@ fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
             round!($b $c $d $e $f $g $h $a, K[$i + 7], $word($i + 7));
         };
     }
-    for block in blocks.chunks_exact(64) {
-        let mut w = [0u32; 16];
-        for (slot, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
-            *slot = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        for i in [0, 8] {
-            rounds8!(a b c d e f g h, i, |t: usize| w[t]);
-        }
-        for i in [16, 24, 32, 40, 48, 56] {
-            // w[t] for t >= 16 overwrites w[t - 16], the one word of the
-            // window no later round reads.
-            let mut next = |t: usize| {
-                let (w15, w2) = (w[(t + 1) & 15], w[(t + 14) & 15]);
-                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-                w[t & 15] = w[t & 15]
-                    .wrapping_add(s0)
-                    .wrapping_add(w[(t + 9) & 15])
-                    .wrapping_add(s1);
-                w[t & 15]
-            };
-            rounds8!(a b c d e f g h, i, next);
-        }
-        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
+    for (state, lane) in states.iter_mut().zip(blocks) {
+        for block in lane {
+            let mut w = [0u32; 16];
+            for (slot, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+                *slot = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+            for i in [0, 8] {
+                rounds8!(a b c d e f g h, i, |t: usize| w[t]);
+            }
+            for i in [16, 24, 32, 40, 48, 56] {
+                // w[t] for t >= 16 overwrites w[t - 16], the one word of the
+                // window no later round reads.
+                let mut next = |t: usize| {
+                    let (w15, w2) = (w[(t + 1) & 15], w[(t + 14) & 15]);
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[t & 15] = w[t & 15]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[(t + 9) & 15])
+                        .wrapping_add(s1);
+                    w[t & 15]
+                };
+                rounds8!(a b c d e f g h, i, next);
+            }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = s.wrapping_add(v);
+            }
         }
     }
 }
 
 /// The hardware kernel: the x86 SHA extensions, four rounds per
-/// `sha256rnds2` pair, state in two registers (`ABEF` / `CDGH`) across all
-/// blocks of the call.
+/// `sha256rnds2` pair, each lane's state in two registers (`ABEF` / `CDGH`)
+/// across all blocks of the call. The `N` lanes are independent messages
+/// whose steps are interleaved, so their rounds overlap in the pipeline.
 ///
 /// # Safety
 /// The CPU must support `sha`, `ssse3` and `sse4.1` (what `has_sha_ni`
 /// checks); executing these instructions without them is undefined.
-/// Nothing else is required of the caller: blocks are read as the 64-byte
-/// slices of `chunks_exact(64)` by safe indexing.
+/// Nothing else is required of the caller: blocks are read by safe
+/// indexing, and a lane longer than the shortest is compressed only as far
+/// as the shortest.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 #[expect(unsafe_code, reason = "undefined on a CPU without the SHA extensions")]
-unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+unsafe fn compress_blocks_sha_ni<const N: usize>(
+    states: &mut [[u32; 8]; N],
+    blocks: [&[[u8; 64]]; N],
+) {
     use std::arch::x86_64::{
         _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
-        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8,
+        _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32,
+        _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8,
     };
 
-    /// Four big-endian schedule words from 16 message bytes.
+    // [a, b, c, d] / [e, f, g, h] -> the ABEF / CDGH word order the round
+    // instruction wants.
+    let mut abef = [_mm_setzero_si128(); N];
+    let mut cdgh = [_mm_setzero_si128(); N];
+    for l in 0..N {
+        let s = states[l].map(|word| word as i32);
+        let cdab = _mm_shuffle_epi32::<0xb1>(_mm_set_epi32(s[3], s[2], s[1], s[0]));
+        let hgfe = _mm_shuffle_epi32::<0x1b>(_mm_set_epi32(s[7], s[6], s[5], s[4]));
+        abef[l] = _mm_alignr_epi8::<8>(cdab, hgfe);
+        cdgh[l] = _mm_blend_epi16::<0xf0>(hgfe, cdab);
+    }
+
+    /// Four big-endian schedule words per lane from bytes `$at..$at + 16`
+    /// of each lane's block `$b`.
     macro_rules! load {
-        ($block:ident, $at:expr) => {{
-            let mut bytes = [0u8; 16];
-            bytes.copy_from_slice(&$block[$at..$at + 16]);
-            let lanes = u128::from_le_bytes(bytes);
-            _mm_shuffle_epi8(
-                _mm_set_epi64x((lanes >> 64) as i64, lanes as i64),
-                _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203),
-            )
+        ($b:ident, $at:expr) => {{
+            let mut words = [_mm_setzero_si128(); N];
+            for (w, lane) in words.iter_mut().zip(blocks) {
+                let mut bytes = [0u8; 16];
+                bytes.copy_from_slice(&lane[$b][$at..$at + 16]);
+                let bits = u128::from_le_bytes(bytes);
+                *w = _mm_shuffle_epi8(
+                    _mm_set_epi64x((bits >> 64) as i64, bits as i64),
+                    _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203),
+                );
+            }
+            words
         }};
     }
-    /// Rounds `4 * $g .. 4 * $g + 4` on schedule words `$w`.
+    /// Rounds `4 * $g .. 4 * $g + 4` of every lane on its schedule words
+    /// `$w`, one `sha256rnds2` step across all lanes at a time.
     macro_rules! rounds4 {
-        ($abef:ident, $cdgh:ident, $g:expr, $w:expr) => {{
+        ($g:expr, $w:expr) => {{
             let k = _mm_set_epi32(
                 K[4 * $g + 3] as i32,
                 K[4 * $g + 2] as i32,
                 K[4 * $g + 1] as i32,
                 K[4 * $g] as i32,
             );
-            let wk = _mm_add_epi32($w, k);
-            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
-            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+            let mut wk = [k; N];
+            for l in 0..N {
+                wk[l] = _mm_add_epi32($w[l], k);
+            }
+            for l in 0..N {
+                cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk[l]);
+            }
+            for l in 0..N {
+                abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32::<0x0e>(wk[l]));
+            }
         }};
     }
-    /// Finish the four schedule words after `$cur`: `$next` already holds
-    /// the `sha256msg1` half.
+    /// `$next = sha256msg1($next, $cur)` in every lane: the first half of
+    /// the schedule words `schedule!` later finishes in `$next`.
+    macro_rules! msg1 {
+        ($next:ident, $cur:ident) => {
+            for l in 0..N {
+                $next[l] = _mm_sha256msg1_epu32($next[l], $cur[l]);
+            }
+        };
+    }
+    /// Finish the four schedule words after `$cur` in every lane: `$next`
+    /// already holds the `sha256msg1` half.
     macro_rules! schedule {
         ($next:ident, $cur:ident, $prev:ident) => {
-            $next = _mm_sha256msg2_epu32(
-                _mm_add_epi32($next, _mm_alignr_epi8::<4>($cur, $prev)),
-                $cur,
-            )
+            for l in 0..N {
+                $next[l] = _mm_sha256msg2_epu32(
+                    _mm_add_epi32($next[l], _mm_alignr_epi8::<4>($cur[l], $prev[l])),
+                    $cur[l],
+                );
+            }
         };
     }
 
-    // [a, b, c, d] / [e, f, g, h] -> the ABEF / CDGH lane order the round
-    // instruction wants.
-    let abcd = _mm_set_epi32(
-        state[3] as i32,
-        state[2] as i32,
-        state[1] as i32,
-        state[0] as i32,
-    );
-    let efgh = _mm_set_epi32(
-        state[7] as i32,
-        state[6] as i32,
-        state[5] as i32,
-        state[4] as i32,
-    );
-    let cdab = _mm_shuffle_epi32::<0xb1>(abcd);
-    let hgfe = _mm_shuffle_epi32::<0x1b>(efgh);
-    let mut abef = _mm_alignr_epi8::<8>(cdab, hgfe);
-    let mut cdgh = _mm_blend_epi16::<0xf0>(hgfe, cdab);
-
-    for block in blocks.chunks_exact(64) {
+    let nblocks = blocks.iter().map(|lane| lane.len()).min().unwrap_or(0);
+    for b in 0..nblocks {
         let (abef_in, cdgh_in) = (abef, cdgh);
 
-        let mut m0 = load!(block, 0);
-        rounds4!(abef, cdgh, 0, m0);
-        let mut m1 = load!(block, 16);
-        rounds4!(abef, cdgh, 1, m1);
-        m0 = _mm_sha256msg1_epu32(m0, m1);
-        let mut m2 = load!(block, 32);
-        rounds4!(abef, cdgh, 2, m2);
-        m1 = _mm_sha256msg1_epu32(m1, m2);
-        let mut m3 = load!(block, 48);
-        rounds4!(abef, cdgh, 3, m3);
+        let mut m0 = load!(b, 0);
+        rounds4!(0, m0);
+        let mut m1 = load!(b, 16);
+        rounds4!(1, m1);
+        msg1!(m0, m1);
+        let mut m2 = load!(b, 32);
+        rounds4!(2, m2);
+        msg1!(m1, m2);
+        let mut m3 = load!(b, 48);
+        rounds4!(3, m3);
         schedule!(m0, m3, m2);
-        m2 = _mm_sha256msg1_epu32(m2, m3);
+        msg1!(m2, m3);
 
         // Rounds 16..48: the same four-group rotation, twice.
         macro_rules! four_groups {
             ($g:expr) => {
-                rounds4!(abef, cdgh, $g, m0);
+                rounds4!($g, m0);
                 schedule!(m1, m0, m3);
-                m3 = _mm_sha256msg1_epu32(m3, m0);
-                rounds4!(abef, cdgh, $g + 1, m1);
+                msg1!(m3, m0);
+                rounds4!($g + 1, m1);
                 schedule!(m2, m1, m0);
-                m0 = _mm_sha256msg1_epu32(m0, m1);
-                rounds4!(abef, cdgh, $g + 2, m2);
+                msg1!(m0, m1);
+                rounds4!($g + 2, m2);
                 schedule!(m3, m2, m1);
-                m1 = _mm_sha256msg1_epu32(m1, m2);
-                rounds4!(abef, cdgh, $g + 3, m3);
+                msg1!(m1, m2);
+                rounds4!($g + 3, m3);
                 schedule!(m0, m3, m2);
-                m2 = _mm_sha256msg1_epu32(m2, m3);
+                msg1!(m2, m3);
             };
         }
         four_groups!(4);
         four_groups!(8);
 
-        rounds4!(abef, cdgh, 12, m0);
+        rounds4!(12, m0);
         schedule!(m1, m0, m3);
-        m3 = _mm_sha256msg1_epu32(m3, m0);
-        rounds4!(abef, cdgh, 13, m1);
+        msg1!(m3, m0);
+        rounds4!(13, m1);
         schedule!(m2, m1, m0);
-        rounds4!(abef, cdgh, 14, m2);
+        rounds4!(14, m2);
         schedule!(m3, m2, m1);
-        rounds4!(abef, cdgh, 15, m3);
+        rounds4!(15, m3);
 
-        abef = _mm_add_epi32(abef, abef_in);
-        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        for l in 0..N {
+            abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
+            cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
+        }
     }
 
-    let feba = _mm_shuffle_epi32::<0x1b>(abef);
-    let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
-    let dcba = _mm_blend_epi16::<0xf0>(feba, dchg);
-    let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
-    *state = [
-        _mm_extract_epi32::<0>(dcba) as u32,
-        _mm_extract_epi32::<1>(dcba) as u32,
-        _mm_extract_epi32::<2>(dcba) as u32,
-        _mm_extract_epi32::<3>(dcba) as u32,
-        _mm_extract_epi32::<0>(hgfe) as u32,
-        _mm_extract_epi32::<1>(hgfe) as u32,
-        _mm_extract_epi32::<2>(hgfe) as u32,
-        _mm_extract_epi32::<3>(hgfe) as u32,
-    ];
+    for l in 0..N {
+        let feba = _mm_shuffle_epi32::<0x1b>(abef[l]);
+        let dchg = _mm_shuffle_epi32::<0xb1>(cdgh[l]);
+        let dcba = _mm_blend_epi16::<0xf0>(feba, dchg);
+        let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+        states[l] = [
+            _mm_extract_epi32::<0>(dcba) as u32,
+            _mm_extract_epi32::<1>(dcba) as u32,
+            _mm_extract_epi32::<2>(dcba) as u32,
+            _mm_extract_epi32::<3>(dcba) as u32,
+            _mm_extract_epi32::<0>(hgfe) as u32,
+            _mm_extract_epi32::<1>(hgfe) as u32,
+            _mm_extract_epi32::<2>(hgfe) as u32,
+            _mm_extract_epi32::<3>(hgfe) as u32,
+        ];
+    }
 }
 
-/// SHA-256 of `data` through `compress`: whole blocks straight from `data`
-/// in one call, then the padded tail (one block, or two when fewer than
-/// nine bytes are free in the last one) from a stack buffer.
-fn digest(compress: Kernel, data: &[u8]) -> [u8; 32] {
-    let mut state = H0;
-    let (body, rem) = data.split_at(data.len() & !63);
-    compress(&mut state, body);
-    let mut tail = [0u8; 128];
-    tail[..rem.len()].copy_from_slice(rem);
-    tail[rem.len()] = 0x80;
-    let tail_len = if rem.len() < 56 { 64 } else { 128 };
-    let bitlen = (data.len() as u64) * 8;
-    tail[tail_len - 8..tail_len].copy_from_slice(&bitlen.to_be_bytes());
-    compress(&mut state, &tail[..tail_len]);
-    let mut out = [0u8; 32];
-    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
-        bytes.copy_from_slice(&word.to_be_bytes());
+/// SHA-256 of `N` equal-length messages through `compress`, one lane each:
+/// whole blocks straight from the messages in one call, then the padded
+/// tails (one block each, or two when fewer than nine bytes are free in the
+/// last one) from stack buffers in a second.
+fn digest<const N: usize>(compress: Kernel<N>, data: [&[u8]; N]) -> [[u8; 32]; N] {
+    let len = data.first().map_or(0, |msg| msg.len());
+    debug_assert!(data.iter().all(|msg| msg.len() == len));
+    let mut states = [H0; N];
+    let mut body = [&[][..]; N];
+    let mut tails = [[[0u8; 64]; 2]; N];
+    let tail_blocks = if len % 64 < 56 { 1 } else { 2 };
+    for ((body, tail), msg) in body.iter_mut().zip(&mut tails).zip(data) {
+        let (blocks, rem) = msg.as_chunks::<64>();
+        *body = blocks;
+        let tail = tail.as_flattened_mut();
+        tail[..rem.len()].copy_from_slice(rem);
+        tail[rem.len()] = 0x80;
+        tail[64 * tail_blocks - 8..64 * tail_blocks]
+            .copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    }
+    compress(&mut states, body);
+    let mut tail = [&[][..]; N];
+    for (tail, buf) in tail.iter_mut().zip(&tails) {
+        *tail = &buf[..tail_blocks];
+    }
+    compress(&mut states, tail);
+    let mut out = [[0u8; 32]; N];
+    for (out, state) in out.iter_mut().zip(states) {
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
     }
     out
 }
 
 /// Hash `data`, returning the 32-byte digest.
+#[must_use]
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    digest(compress_blocks, data)
+    let [out] = digest(compress_blocks, [data]);
+    out
+}
+
+/// Hash two messages at once: `[sha256(a), sha256(b)]`. Messages of equal
+/// length go through the kernel as two interleaved lanes; unequal ones fall
+/// back to two [`sha256`] calls.
+#[must_use]
+pub fn sha256_pair(a: &[u8], b: &[u8]) -> [[u8; 32]; 2] {
+    if a.len() == b.len() {
+        digest(compress_blocks, [a, b])
+    } else {
+        [sha256(a), sha256(b)]
+    }
 }
 
 #[cfg(test)]
@@ -329,7 +400,7 @@ mod tests {
     /// dispatcher *is* `compress_blocks_sha_ni` (its only `unsafe` call
     /// site, so the tests need none of their own). Elsewhere the hardware
     /// cases say they were skipped instead of passing silently.
-    fn sha_ni(test: &str) -> Option<Kernel> {
+    fn sha_ni<const N: usize>(test: &str) -> Option<Kernel<N>> {
         if sha256_kernel() == "sha-ni" {
             Some(compress_blocks)
         } else {
@@ -339,11 +410,17 @@ mod tests {
     }
 
     /// Both kernels by name; the hardware one only where it can run.
-    fn kernels(test: &str) -> Vec<(&'static str, Kernel)> {
-        let portable: Kernel = compress_blocks_portable;
+    fn kernels<const N: usize>(test: &str) -> Vec<(&'static str, Kernel<N>)> {
+        let portable: Kernel<N> = compress_blocks_portable;
         let mut all = vec![("portable", portable)];
         all.extend(sha_ni(test).map(|k| ("sha-ni", k)));
         all
+    }
+
+    /// One message through a one-lane kernel.
+    fn digest1(kernel: Kernel<1>, data: &[u8]) -> [u8; 32] {
+        let [out] = digest(kernel, [data]);
+        out
     }
 
     fn xorshift_bytes(len: usize, mut state: u64) -> Vec<u8> {
@@ -374,12 +451,52 @@ mod tests {
                 "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
             ),
         ];
-        let kernels = kernels("nist_vectors");
+        let (one, two) = (kernels::<1>("nist_vectors"), kernels::<2>("nist_vectors"));
         for (msg, want) in vectors {
             assert_eq!(hex(&sha256(msg)), want, "dispatcher");
-            for (name, kernel) in &kernels {
-                assert_eq!(hex(&digest(*kernel, msg)), want, "{name}");
+            for (name, kernel) in &one {
+                assert_eq!(hex(&digest1(*kernel, msg)), want, "{name}");
             }
+            let pair = sha256_pair(msg, msg).map(|h| hex(&h));
+            assert_eq!(pair, [want, want], "dispatcher, two lanes");
+            for (name, kernel) in &two {
+                let pair = digest(*kernel, [msg, msg]).map(|h| hex(&h));
+                assert_eq!(pair, [want, want], "{name}, two lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_lanes_equal_two_single_hashes() {
+        let (one, two) = (
+            kernels::<1>("pair_lanes_equal_two_single_hashes"),
+            kernels::<2>("pair_lanes_equal_two_single_hashes"),
+        );
+        let data = xorshift_bytes(300 + 128, 0x0123_4567_89ab_cdef);
+        // Each lane starts at its own offset, so the two lanes' loads see
+        // different alignments; `b` is taken 64 bytes on, so the lanes never
+        // carry the same bytes.
+        for (at_a, at_b) in [(0, 0), (0, 1), (3, 17), (31, 63), (63, 8)] {
+            for len in 0..=300 {
+                let (a, b) = (&data[at_a..at_a + len], &data[64 + at_b..64 + at_b + len]);
+                let want = [sha256(a), sha256(b)];
+                let ctx = format!("length {len}, offsets {at_a} / {at_b}");
+                assert_eq!(sha256_pair(a, b), want, "dispatcher, {ctx}");
+                for ((name, one), (_, two)) in one.iter().zip(&two) {
+                    let singles = [digest1(*one, a), digest1(*one, b)];
+                    assert_eq!(singles, want, "{name} one lane, {ctx}");
+                    assert_eq!(digest(*two, [a, b]), want, "{name} two lanes, {ctx}");
+                }
+            }
+        }
+        // Unequal lengths fall back to one lane each.
+        for (len_a, len_b) in [(0, 1), (55, 56), (64, 63), (119, 120), (300, 0)] {
+            let (a, b) = (&data[..len_a], &data[7..7 + len_b]);
+            assert_eq!(
+                sha256_pair(a, b),
+                [sha256(a), sha256(b)],
+                "lengths {len_a} / {len_b}"
+            );
         }
     }
 
@@ -389,7 +506,7 @@ mod tests {
         let want = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         assert_eq!(hex(&sha256(&data)), want, "dispatcher");
         for (name, kernel) in kernels("million_a") {
-            assert_eq!(hex(&digest(kernel, &data)), want, "{name}");
+            assert_eq!(hex(&digest1(kernel, &data)), want, "{name}");
         }
     }
 
@@ -428,7 +545,7 @@ mod tests {
         for (len, want) in fixed {
             let data = vec![0xabu8; len];
             for (name, kernel) in &kernels {
-                assert_eq!(hex(&digest(*kernel, &data)), want, "{name} at {len}");
+                assert_eq!(hex(&digest1(*kernel, &data)), want, "{name} at {len}");
             }
         }
     }
@@ -441,8 +558,8 @@ mod tests {
         let data = xorshift_bytes(257, 0x1234_5678_9abc_def1);
         for len in 0..=257 {
             assert_eq!(
-                digest(hw, &data[..len]),
-                digest(compress_blocks_portable, &data[..len]),
+                digest1(hw, &data[..len]),
+                digest1(compress_blocks_portable, &data[..len]),
                 "length {len}"
             );
         }
@@ -460,8 +577,8 @@ mod tests {
             for len in [64, 1049, 4096 + offset, 64 << 10] {
                 let slice = &data[offset..offset + len];
                 assert_eq!(
-                    digest(hw, slice),
-                    digest(compress_blocks_portable, slice),
+                    digest1(hw, slice),
+                    digest1(compress_blocks_portable, slice),
                     "offset {offset}, length {len}"
                 );
             }

@@ -28,9 +28,9 @@
 //! in the one shard the engine cut (5–7 % less than an invented second one).
 //!
 //! **What the hashing is for.** [`prove_segmented`] also commits to each
-//! segment: `prove_segment` fills one 1 KiB leaf per 4096 padded rows from
-//! an xorshift stream keyed by the record and Merkle-hashes them, so the
-//! work done is proportional to the padded trace area. The decision, made
+//! segment: `prove_run` fills one 1 KiB leaf per 4096 padded rows from an
+//! xorshift stream keyed by the record and Merkle-hashes them, so the work
+//! done is proportional to the padded trace area. The decision, made
 //! when the hash kernel was rebuilt: **the area-proportional leaves stay.**
 //! Committing to padded trace area *is* a real STARK prover's dominant cost
 //! (the substitution note above), so the one piece of this crate that spends
@@ -43,10 +43,13 @@
 //! accounting gate and the public leaf do not already bind, and it would
 //! leave all of the above timing a constant. What changed instead is that
 //! hashing now costs what hashing costs — one SHA-256 dispatch point with a
-//! hardware kernel (`zkvmopt_crypto::sha256`), one reusable leaf buffer, the
-//! tree folded in place — with every commitment and root bit-identical to
-//! the allocation-per-leaf prover it replaced (`pipeline::oracle`, the
-//! ground model the tests hold it to, and three roots pinned as literals).
+//! hardware kernel that hashes two independent leaves in lockstep
+//! (`zkvmopt_crypto::sha256_pair`), a run's leaves filled four at a time into
+//! reused stack buffers whatever segment they belong to, each tree folded in
+//! place — with every commitment and root bit-identical to the
+//! allocation-per-leaf prover it replaced (`pipeline::oracle`, the ground
+//! model the tests hold it to at every thread count, and three roots pinned
+//! as literals).
 //! The cost model does not depend on any of it.
 
 // Untrusted input fails as a value, never a panic: a site that must panic
@@ -287,6 +290,33 @@ mod tests {
             }
         }
         assert!(checked >= 30, "only {checked} hand-built runs were checked");
+    }
+
+    #[test]
+    fn every_thread_count_commits_like_the_oracle() {
+        // ALU-only segments of 1, 2, 7 and 13 leaves (every backend sees the
+        // same rows), 47 leaves in all: odd, so the whole run ends partway
+        // through a pair and a quad, and so do some workers' runs at every
+        // thread count that splits it.
+        let shapes = [100, 4097, 20_000, 40_000, 20_000, 100, 4097, 40_000, 100];
+        let records: Vec<SegmentRecord> = shapes.into_iter().map(alu_segment).collect();
+        let leaves: Vec<u64> = records
+            .iter()
+            .map(|seg| {
+                let rows = RiscZeroBackend.segment_rows(seg);
+                RiscZeroBackend.padded_rows(rows).div_ceil(4096)
+            })
+            .collect();
+        assert_eq!(leaves, [1, 2, 7, 13, 7, 1, 2, 13, 1]);
+        assert_eq!(leaves.iter().sum::<u64>() % 2, 1);
+        let r = report_of(VmKind::Sp1, &records, vec![3, -4, 5]);
+        for backend in standard_backends() {
+            for threads in 1..=5 {
+                let proof = prove_segmented(backend, &r, &records, threads).unwrap();
+                let ctx = format!("{} on {threads} threads", backend.name());
+                assert_matches_oracle(&ctx, backend, &r, &records, &proof);
+            }
+        }
     }
 
     /// Nothing else pins the commitment bytes: without these literals a

@@ -13,21 +13,27 @@
 //!    [`ExecutionReport`] totals;
 //! 2. [`prove_segmented`] commits to each segment with a Merkle root
 //!    (hashing work proportional to the backend's *padded* trace area),
-//!    fanning segments out over worker threads. A leaf is 1049 bytes —
-//!    `"seg-chunk"`, the segment index and chunk number as little-endian
-//!    `u64`s, then 1024 xorshift64* bytes keyed by the record — written
-//!    into one stack buffer per segment, hashed straight into a level of
-//!    leaf hashes and folded in place
-//!    ([`root_of_leaf_hashes`]):
-//!    no leaf and no inner tree level is ever held;
+//!    splitting the segments into one contiguous run per worker thread. A
+//!    leaf is 1049 bytes — `"seg-chunk"`, the segment index and chunk number
+//!    as little-endian `u64`s, then 1024 xorshift64* bytes keyed by the
+//!    record — and depends on nothing else, so a run's leaves are one stream
+//!    across its segment boundaries: `prove_run` fills four stack buffers at
+//!    a time on four independent xorshift chains, hashes them as two
+//!    two-lane [`sha256_pair`] calls into one buffer of leaf hashes for the
+//!    run, and folds each segment's slice of that buffer in place
+//!    ([`root_of_leaf_hashes`]): no leaf and no inner tree level is ever
+//!    held;
 //! 3. the aggregation join commits to the per-segment roots plus the public
-//!    journal/exit leaf, in segment order — so parallel and sequential
-//!    proving produce the same root and the same total cost, bit for bit.
+//!    journal/exit leaf, in segment order, hashing the roots two at a time —
+//!    so parallel and sequential proving produce the same root and the same
+//!    total cost, bit for bit.
 //!
 //! The commitment is a function of the records alone: not of the thread
-//! count, and not of which SHA-256 kernel the host dispatches to. The
-//! `oracle` module at the end of this file keeps the allocation-per-leaf
-//! prover this one replaced as the ground model the tests compare against.
+//! count, not of where a run's leaves fall in their groups of four, and not
+//! of which SHA-256 kernel the host dispatches to or how many lanes it
+//! hashes at once. The `oracle` module at the end of this file keeps the
+//! allocation-per-leaf prover this one replaced as the ground model the
+//! tests compare against.
 //!
 //! Backend cost shapes are pluggable via [`ProverBackend`]: RISC Zero–like
 //! (paging rows in the main trace), SP1-like (chip tables charge extra rows
@@ -37,7 +43,7 @@
 
 use crate::padded_rows_blend;
 use zkvmopt_crypto::merkle::root_of_leaf_hashes;
-use zkvmopt_crypto::sha256;
+use zkvmopt_crypto::{sha256, sha256_pair};
 use zkvmopt_vm::{ExecutionReport, SegmentRecord, VmKind};
 
 /// A proving backend's cost shape: how execution activity turns into trace
@@ -283,47 +289,125 @@ const BYTES_PER_LEAF: usize = (ROWS_PER_LEAF / 4) as usize;
 /// index and the chunk number as little-endian `u64`s.
 const LEAF_HEADER: usize = 9 + 8 + 8;
 
-/// Prove one segment: commit to its (padded) trace area chunk by chunk.
-/// Each chunk leaf carries a deterministic [`BYTES_PER_LEAF`]-byte body
-/// derived from the segment's accounting, so proving a bigger segment
-/// hashes proportionally more data — the toy stand-in for trace columns.
-/// One stack buffer is refilled per leaf and hashed straight into the
-/// level of leaf hashes; no leaf outlives its hash.
-fn prove_segment(backend: &dyn ProverBackend, index: usize, seg: &SegmentRecord) -> SegmentProof {
-    let rows = backend.segment_rows(seg);
-    let padded = backend.padded_rows(rows);
-    let nleaves = padded.div_ceil(ROWS_PER_LEAF).max(1);
-    let mut leaf = [0u8; LEAF_HEADER + BYTES_PER_LEAF];
-    leaf[..9].copy_from_slice(b"seg-chunk");
-    leaf[9..17].copy_from_slice(&(index as u64).to_le_bytes());
-    let mut hashes = Vec::with_capacity(nleaves as usize);
-    for chunk in 0..nleaves {
-        leaf[17..LEAF_HEADER].copy_from_slice(&chunk.to_le_bytes());
+/// Bytes in one leaf.
+const LEAF_LEN: usize = LEAF_HEADER + BYTES_PER_LEAF;
+
+/// One commitment leaf of a run: the segment index and chunk number its
+/// header carries, and the seed of its xorshift64* body stream.
+#[derive(Clone, Copy)]
+struct LeafKey {
+    index: u64,
+    chunk: u64,
+    seed: u64,
+}
+
+/// Fill four leaves, one per key, on four independent xorshift64* chains
+/// stepped in lockstep. The leaves' `"seg-chunk"` tags are already in place.
+fn fill_leaves(leaves: &mut [[u8; LEAF_LEN]; 4], keys: &[LeafKey; 4]) {
+    let mut state = [0u64; 4];
+    for ((leaf, key), state) in leaves.iter_mut().zip(keys).zip(&mut state) {
+        leaf[9..17].copy_from_slice(&key.index.to_le_bytes());
+        leaf[17..LEAF_HEADER].copy_from_slice(&key.chunk.to_le_bytes());
+        *state = key.seed;
+    }
+    for word in 0..BYTES_PER_LEAF / 8 {
+        let at = LEAF_HEADER + 8 * word;
+        for (leaf, state) in leaves.iter_mut().zip(&mut state) {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            leaf[at..at + 8]
+                .copy_from_slice(&state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
+        }
+    }
+}
+
+/// Leaves in a segment of `padded` rows: one per [`ROWS_PER_LEAF`], at
+/// least one.
+fn leaf_count(padded: u64) -> usize {
+    padded.div_ceil(ROWS_PER_LEAF).max(1) as usize
+}
+
+/// Hash each of `messages` into the same slot of `out`, two messages per
+/// call.
+fn hash_each<const L: usize>(messages: &[[u8; L]], out: &mut [[u8; 32]]) {
+    debug_assert_eq!(messages.len(), out.len());
+    for (pair, out) in messages.chunks(2).zip(out.chunks_mut(2)) {
+        match (pair, out) {
+            ([a, b], [x, y]) => [*x, *y] = sha256_pair(a, b),
+            ([a], [x]) => *x = sha256(a),
+            _ => {}
+        }
+    }
+}
+
+/// Prove a contiguous run of segments, the first of which is segment
+/// `first`: commit to each one's (padded) trace area chunk by chunk. Each
+/// chunk leaf carries a deterministic [`BYTES_PER_LEAF`]-byte body derived
+/// from the segment's accounting, so proving a bigger segment hashes
+/// proportionally more data — the toy stand-in for trace columns.
+///
+/// A leaf's bytes depend only on its segment index, chunk number and
+/// record, so the run's leaves form one stream regardless of segment
+/// boundaries: four are filled at a time into stack buffers and hashed as
+/// two [`sha256_pair`]s into one buffer of leaf hashes, and each segment's
+/// commitment is folded in place from its own slice of that buffer. No leaf
+/// outlives its hash.
+fn prove_run(
+    backend: &dyn ProverBackend,
+    first: usize,
+    records: &[SegmentRecord],
+) -> Vec<SegmentProof> {
+    let mut proofs = Vec::with_capacity(records.len());
+    let mut keys = Vec::new();
+    for (index, seg) in (first..).zip(records) {
+        let rows = backend.segment_rows(seg);
+        let padded = backend.padded_rows(rows);
+        proofs.push(SegmentProof {
+            index,
+            rows,
+            padded_rows: padded,
+            cost_ms: backend.segment_cost_ms(seg),
+            commitment: [0; 32],
+        });
         // xorshift64* stream seeded by the chunk identity and the segment's
         // accounting: any change to the record changes every body byte.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64
-            ^ (index as u64).rotate_left(32)
-            ^ chunk.rotate_left(16)
+        let index = index as u64;
+        let seed = 0x9e37_79b9_7f4a_7c15u64
+            ^ index.rotate_left(32)
             ^ seg.instret
             ^ seg.user_cycles.rotate_left(8)
             ^ seg.paging_cycles.rotate_left(24)
             ^ seg.page_ins.rotate_left(40)
             ^ seg.page_outs.rotate_left(48);
-        for word in leaf[LEAF_HEADER..].chunks_exact_mut(8) {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            word.copy_from_slice(&state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
-        }
-        hashes.push(sha256(&leaf));
+        keys.extend((0..leaf_count(padded) as u64).map(|chunk| LeafKey {
+            index,
+            chunk,
+            seed: seed ^ chunk.rotate_left(16),
+        }));
     }
-    SegmentProof {
-        index,
-        rows,
-        padded_rows: padded,
-        cost_ms: backend.segment_cost_ms(seg),
-        commitment: root_of_leaf_hashes(hashes),
+
+    let mut hashes = vec![[0u8; 32]; keys.len()];
+    let mut leaves = [[0u8; LEAF_LEN]; 4];
+    for leaf in &mut leaves {
+        leaf[..9].copy_from_slice(b"seg-chunk");
     }
+    for (keys, out) in keys.chunks(4).zip(hashes.chunks_mut(4)) {
+        // A last group of fewer than four fills its spare leaves from its
+        // first key and hashes only its own.
+        let mut quad = [keys[0]; 4];
+        quad[..keys.len()].copy_from_slice(keys);
+        fill_leaves(&mut leaves, &quad);
+        hash_each(&leaves[..keys.len()], out);
+    }
+
+    let mut level = hashes.as_mut_slice();
+    for proof in &mut proofs {
+        let (segment, later) = level.split_at_mut(leaf_count(proof.padded_rows));
+        proof.commitment = root_of_leaf_hashes(segment);
+        level = later;
+    }
+    proofs
 }
 
 /// A fully aggregated segmented proof: per-segment proofs in execution
@@ -350,7 +434,9 @@ fn aggregate(
 ) -> SegmentedProof {
     // A segment's leaf is its 32-byte commitment, so its leaf hash is the
     // hash of that.
-    let mut hashes: Vec<[u8; 32]> = segments.iter().map(|s| sha256(&s.commitment)).collect();
+    let commitments: Vec<[u8; 32]> = segments.iter().map(|s| s.commitment).collect();
+    let mut hashes = vec![[0u8; 32]; commitments.len()];
+    hash_each(&commitments, &mut hashes);
     let mut public = Vec::new();
     public.extend_from_slice(b"journal");
     public.extend_from_slice(&report.exit_code.to_le_bytes());
@@ -361,7 +447,7 @@ fn aggregate(
     SegmentedProof {
         backend: backend.name(),
         segments,
-        root: root_of_leaf_hashes(hashes),
+        root: root_of_leaf_hashes(&mut hashes),
         total_cost_ms: proving_cost_ms(backend, records),
     }
 }
@@ -388,24 +474,21 @@ pub fn prove_segmented(
         threads
     }
     .min(records.len().max(1));
-    let prove = |(i, seg): (usize, &SegmentRecord)| prove_segment(backend, i, seg);
-    let segments: Vec<SegmentProof> = if workers <= 1 {
-        records.iter().enumerate().map(prove).collect()
+    let segments = if workers <= 1 {
+        prove_run(backend, 0, records)
     } else {
         // Each worker proves one contiguous run of segments; joining the
         // workers in spawn order puts the proofs back in segment order.
         let run = records.len().div_ceil(workers);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..records.len())
-                .step_by(run)
-                .map(|first| {
-                    let indexed = records.iter().enumerate().skip(first).take(run);
-                    scope.spawn(move || indexed.map(prove).collect::<Vec<_>>())
-                })
+            let handles: Vec<_> = records
+                .chunks(run)
+                .enumerate()
+                .map(|(w, chunk)| scope.spawn(move || prove_run(backend, w * run, chunk)))
                 .collect();
             #[expect(
                 clippy::expect_used,
-                reason = "`prove_segment` is total, so a worker unwinds only on a bug, which this \
+                reason = "`prove_run` is total, so a worker unwinds only on a bug, which this \
                           re-raises"
             )]
             let join = |h: std::thread::ScopedJoinHandle<'_, _>| h.join().expect("prover worker");
