@@ -48,6 +48,8 @@
 mod analysis_oracle;
 pub mod cse;
 pub mod framework;
+#[cfg(test)]
+mod interp_oracle;
 pub mod ipo;
 pub mod loopopt;
 pub mod mem2reg;
@@ -573,24 +575,37 @@ pub(crate) mod testutil {
             pm.run(&mut opt, &PassConfig::default());
             check_pass_oracles(&format!("{name}@{level}"), &opt);
         }
+        for seed in seeds {
+            along_random_sequence(m, seed, |i, pass, state| {
+                check_pass_oracles(&format!("{name}@seed {seed} [{i}] {pass}"), state);
+            });
+        }
+    }
+
+    /// `visit(i, pass, state)` at every state along one random sequence of
+    /// 20 registry passes drawn from `seed`, each pass run on `m`'s clone
+    /// through a fresh executor without `verify_each`.
+    pub fn along_random_sequence(
+        m: &Module,
+        seed: u64,
+        mut visit: impl FnMut(usize, &str, &Module),
+    ) {
         let cfg = PassConfig {
             verify_each: false,
             ..PassConfig::default()
         };
         let passes: Vec<&PassEntry> = PASSES.iter().filter(|e| !e.noop).collect();
-        for seed in seeds {
-            let mut state = m.clone();
-            let mut x = seed;
-            for i in 0..20 {
-                // splitmix64
-                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                let entry = passes[((z ^ (z >> 31)) % passes.len() as u64) as usize];
-                PassExecutor::new().run_entry(entry, &mut state, &cfg);
-                check_pass_oracles(&format!("{name}@seed {seed} [{i}] {}", entry.name), &state);
-            }
+        let mut state = m.clone();
+        let mut x = seed;
+        for i in 0..20 {
+            // splitmix64
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let entry = passes[((z ^ (z >> 31)) % passes.len() as u64) as usize];
+            PassExecutor::new().run_entry(entry, &mut state, &cfg);
+            visit(i, entry.name, &state);
         }
     }
 
