@@ -5,6 +5,18 @@
 //! behaviour (return value + journal) matches what this interpreter computes
 //! on the unoptimized module.
 //!
+//! [`Interp::new`] decodes each function once into flat data: one op array
+//! with operands resolved to frame slots (constants canonicalised once into a
+//! per-function slot template), each CFG edge's phi nodes as one
+//! parallel-copy list, and branch targets as op indices. [`Interp::run_main`]
+//! walks that with an explicit frame stack. Guest memory is allocated a page
+//! at a time on first write; an untouched page reads as zero.
+//!
+//! Step accounting: each instruction bumps the step count and then executes;
+//! the phi copies of an edge count one step each; a taken `br`, `condbr` or
+//! `switch` counts one; `ret` and `unreachable` count none. Malformed IR
+//! fails only when the faulty construct is reached.
+//!
 //! Value representation invariants:
 //! - `i1` values are 0 or 1,
 //! - `i8` values are zero-extended (0..=255); `load i8` behaves like `lbu`,
@@ -12,15 +24,25 @@
 //! - `ptr` values are zero-extended 32-bit addresses.
 
 use crate::ecall;
-use crate::func::{BlockId, FuncId, Function, Module, ValueDef, ValueId};
-use crate::inst::{CastKind, Op, Operand, Term};
+use crate::func::{BlockId, Function, Module, ValueDef, GLOBAL_BASE};
+use crate::inst::{BinOp, CastKind, Op, Operand, Pred, Term};
 use crate::ty::Ty;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Total simulated memory size (8 MiB), shared with the zkVM memory map.
 pub const MEM_SIZE: u32 = 0x0080_0000;
 /// Initial stack pointer (grows down), leaving a guard gap at the top.
 pub const STACK_TOP: u32 = MEM_SIZE - 0x1000;
+
+/// Byte-level guest-memory access used by precompiles.
+pub trait MemIo {
+    /// Read `len` bytes at `addr` (zero-filled on fault — precompile inputs
+    /// are validated by the guest).
+    fn read_bytes(&mut self, addr: u32, len: u32) -> Vec<u8>;
+    /// Write bytes at `addr` (ignored on fault).
+    fn write_bytes(&mut self, addr: u32, data: &[u8]);
+}
 
 /// Handler for precompile-style ecalls (SHA-256, Keccak, signatures).
 ///
@@ -29,7 +51,7 @@ pub const STACK_TOP: u32 = MEM_SIZE - 0x1000;
 pub trait EcallHandler {
     /// Handle ecall `code` with raw argument registers `args`, with full
     /// access to guest memory. Returns the `i32` result (sign-extended).
-    fn handle(&mut self, code: u32, args: &[i64], mem: &mut [u8]) -> i64;
+    fn handle(&mut self, code: u32, args: &[i64], mem: &mut dyn MemIo) -> i64;
 }
 
 /// A no-op handler: every precompile returns 0 and leaves memory untouched.
@@ -40,7 +62,7 @@ pub trait EcallHandler {
 pub struct NopEcalls;
 
 impl EcallHandler for NopEcalls {
-    fn handle(&mut self, _code: u32, _args: &[i64], _mem: &mut [u8]) -> i64 {
+    fn handle(&mut self, _code: u32, _args: &[i64], _mem: &mut dyn MemIo) -> i64 {
         0
     }
 }
@@ -112,39 +134,700 @@ pub struct InterpOutcome {
     pub halted: bool,
 }
 
-enum Flow {
-    Return(Option<i64>),
-    Halt(i32),
+const PAGE_SHIFT: u32 = 12;
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+const PAGE_MASK: usize = PAGE_SIZE - 1;
+const PAGES: usize = MEM_SIZE as usize >> PAGE_SHIFT;
+
+/// Guest memory, allocated a page at a time on first write: a run pays only
+/// for the pages it touches, and an untouched page reads as zero.
+struct Memory {
+    pages: Box<[Option<Box<[u8; PAGE_SIZE]>>; PAGES]>,
+}
+
+impl Memory {
+    fn new() -> Memory {
+        Memory {
+            pages: Box::new([const { None }; PAGES]),
+        }
+    }
+
+    /// The zkVM's access rule: a fault in the null guard or past the end.
+    #[inline(always)]
+    fn check(addr: u32, size: u32) -> Result<usize, InterpError> {
+        if addr < 0x100 || addr.checked_add(size).is_none_or(|e| e > MEM_SIZE) {
+            return Err(InterpError::MemFault { addr });
+        }
+        Ok(addr as usize)
+    }
+
+    #[inline(always)]
+    fn byte(&self, a: usize) -> u8 {
+        self.pages[a >> PAGE_SHIFT]
+            .as_ref()
+            .map_or(0, |p| p[a & PAGE_MASK])
+    }
+
+    #[inline(always)]
+    fn page_mut(&mut self, a: usize) -> &mut [u8; PAGE_SIZE] {
+        self.pages[a >> PAGE_SHIFT].get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    }
+
+    #[inline(always)]
+    fn word(&self, a: usize) -> u32 {
+        let off = a & PAGE_MASK;
+        if off <= PAGE_SIZE - 4 {
+            self.pages[a >> PAGE_SHIFT].as_ref().map_or(0, |p| {
+                u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]])
+            })
+        } else {
+            u32::from_le_bytes([
+                self.byte(a),
+                self.byte(a + 1),
+                self.byte(a + 2),
+                self.byte(a + 3),
+            ])
+        }
+    }
+
+    #[inline(always)]
+    fn set_word(&mut self, a: usize, w: u32) {
+        let off = a & PAGE_MASK;
+        if off <= PAGE_SIZE - 4 {
+            self.page_mut(a)[off..off + 4].copy_from_slice(&w.to_le_bytes());
+        } else {
+            self.write(a, &w.to_le_bytes());
+        }
+    }
+
+    #[inline(always)]
+    fn load(&self, addr: u32, ty: Ty) -> Result<i64, InterpError> {
+        let a = Memory::check(addr, ty.size_bytes())?;
+        Ok(match ty {
+            Ty::I1 => (self.byte(a) & 1) as i64,
+            Ty::I8 => self.byte(a) as i64,
+            Ty::I32 => self.word(a) as i32 as i64,
+            Ty::Ptr => self.word(a) as i64,
+        })
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u32, val: i64, ty: Ty) -> Result<(), InterpError> {
+        let a = Memory::check(addr, ty.size_bytes())?;
+        match ty {
+            Ty::I1 => self.page_mut(a)[a & PAGE_MASK] = (val & 1) as u8,
+            Ty::I8 => self.page_mut(a)[a & PAGE_MASK] = val as u8,
+            Ty::I32 | Ty::Ptr => self.set_word(a, val as u32),
+        }
+        Ok(())
+    }
+
+    /// Whether `len` bytes at `addr` lie inside guest memory.
+    fn fits(addr: u32, len: usize) -> bool {
+        (addr as usize).saturating_add(len) <= MEM_SIZE as usize
+    }
+
+    /// Write `data` at `a`, page by page; the caller checked the range.
+    fn write(&mut self, mut a: usize, mut data: &[u8]) {
+        while !data.is_empty() {
+            let off = a & PAGE_MASK;
+            let n = (PAGE_SIZE - off).min(data.len());
+            let page = self.pages[a >> PAGE_SHIFT].get_or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            page[off..off + n].copy_from_slice(&data[..n]);
+            a += n;
+            data = &data[n..];
+        }
+    }
+}
+
+/// Precompile traffic: any address inside guest memory, page 0 included,
+/// as a flat byte slice of [`MEM_SIZE`] would serve it.
+impl MemIo for Memory {
+    fn read_bytes(&mut self, addr: u32, len: u32) -> Vec<u8> {
+        if !Memory::fits(addr, len as usize) {
+            return vec![0; len as usize];
+        }
+        let a = addr as usize;
+        (a..a + len as usize).map(|i| self.byte(i)).collect()
+    }
+
+    fn write_bytes(&mut self, addr: u32, data: &[u8]) {
+        if Memory::fits(addr, data.len()) {
+            self.write(addr as usize, data);
+        }
+    }
+}
+
+/// A frame slot: an index into the running function's slot template.
+type Slot = u32;
+
+/// One decoded instruction. Every variant but `Ret` and `Unreachable`
+/// counts one step; a taken edge adds its phi copies.
+#[derive(Clone, Copy)]
+enum Inst {
+    Bin {
+        op: BinOp,
+        d: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    Icmp {
+        pred: Pred,
+        d: Slot,
+        a: Slot,
+        b: Slot,
+    },
+    Select {
+        d: Slot,
+        c: Slot,
+        t: Slot,
+        f: Slot,
+    },
+    /// `load i32`; `Load` serves the other types.
+    Load32 {
+        d: Slot,
+        p: Slot,
+    },
+    Load {
+        ty: Ty,
+        d: Slot,
+        p: Slot,
+    },
+    /// A word `store` (`i32` or `ptr`); `Store` serves bytes.
+    Store32 {
+        p: Slot,
+        v: Slot,
+    },
+    Store {
+        ty: Ty,
+        p: Slot,
+        v: Slot,
+    },
+    Alloca {
+        d: Slot,
+        bytes: u32,
+    },
+    Gep {
+        d: Slot,
+        base: Slot,
+        index: Slot,
+        stride: u32,
+        offset: u32,
+    },
+    Cast {
+        kind: CastKind,
+        from: Ty,
+        to: Ty,
+        d: Slot,
+        s: Slot,
+    },
+    /// `copy`, and `global_addr` of a constant slot.
+    Copy {
+        d: Slot,
+        s: Slot,
+    },
+    /// Arguments are `lists[args..args + n]`.
+    Call {
+        d: Slot,
+        func: u32,
+        args: u32,
+        n: u32,
+    },
+    Halt {
+        a: Slot,
+    },
+    Commit {
+        d: Slot,
+        a: Slot,
+    },
+    ReadInput {
+        d: Slot,
+        a: Slot,
+    },
+    /// A precompile; arguments as for `Call`.
+    Ecall {
+        d: Slot,
+        code: u32,
+        args: u32,
+        n: u32,
+    },
+    Nop,
+    /// Malformed IR, reported when reached: `Malformed(messages[i])`.
+    Fail(u32),
+    /// An unconditional branch along an edge with no phi copies.
+    Jump {
+        pc: u32,
+    },
+    /// A two-way branch whose edges have no phi copies.
+    CondJump {
+        c: Slot,
+        t: u32,
+        f: u32,
+    },
+    Br {
+        e: u32,
+    },
+    CondBr {
+        c: Slot,
+        t: u32,
+        f: u32,
+    },
+    /// Cases are `cases[start..start + n]`, first match wins.
+    Switch {
+        v: Slot,
+        start: u32,
+        n: u32,
+        default: u32,
+    },
+    Ret {
+        v: Slot,
+    },
+    Unreachable,
+}
+
+/// A CFG edge taken by `Br`, `CondBr` or `Switch`.
+#[derive(Clone, Copy)]
+struct Edge {
+    /// The target block's first non-phi op.
+    pc: u32,
+    /// The target's phi nodes as sequential moves `copies[start..start + n]`
+    /// (through temporaries where a phi reads another phi's slot).
+    start: u32,
+    n: u32,
+    /// The target's phi count: the steps the edge costs beyond its branch.
+    phis: u32,
+    /// A phi missing this edge (or a missing block): `messages[i]`.
+    fault: Option<u32>,
+}
+
+/// One function, decoded.
+struct Code {
+    ops: Vec<Inst>,
+    /// A fresh frame: one zero slot per IR value, then the constants, then
+    /// phi temporaries.
+    template: Vec<i64>,
+    /// Value slots: arguments bind to slots `0..values`.
+    values: usize,
+    /// The entry block's first op, or a malformed entry (`messages[i]`).
+    entry: Result<u32, u32>,
+    lists: Vec<Slot>,
+    copies: Vec<(Slot, Slot)>,
+    edges: Vec<Edge>,
+    cases: Vec<(i64, u32)>,
+    messages: Vec<String>,
+}
+
+/// Decodes one [`Function`] into a [`Code`].
+struct Decoder<'f> {
+    f: &'f Function,
+    funcs: usize,
+    global_addrs: &'f [u32],
+    consts: HashMap<i64, Slot>,
+    /// First op of each block.
+    block_pc: Vec<u32>,
+    code: Code,
+}
+
+impl<'f> Decoder<'f> {
+    fn decode(f: &'f Function, funcs: usize, global_addrs: &'f [u32]) -> Code {
+        let mut d = Decoder {
+            f,
+            funcs,
+            global_addrs,
+            consts: HashMap::new(),
+            block_pc: Vec::with_capacity(f.blocks.len()),
+            code: Code {
+                ops: Vec::new(),
+                template: vec![0; f.values.len()],
+                values: f.values.len(),
+                entry: Ok(0),
+                lists: Vec::new(),
+                copies: Vec::new(),
+                edges: Vec::new(),
+                cases: Vec::new(),
+                messages: Vec::new(),
+            },
+        };
+        let mut pc = 0u32;
+        for b in &f.blocks {
+            d.block_pc.push(pc);
+            pc += (b.insts.len() - d.phi_count(&b.insts) + 1) as u32;
+        }
+        d.code.entry = match f.blocks.get(f.entry.index()) {
+            None => Err(d.message(format!("entry block of @{} is missing", f.name))),
+            Some(b) if d.phi_count(&b.insts) > 0 => {
+                Err(d.message(format!("phi in entry block of @{}", f.name)))
+            }
+            Some(_) => Ok(d.block_pc[f.entry.index()]),
+        };
+        for (i, b) in f.blocks.iter().enumerate() {
+            for &v in &b.insts[d.phi_count(&b.insts)..] {
+                let inst = d
+                    .inst(v.index())
+                    .unwrap_or_else(|m| Inst::Fail(d.message(m)));
+                d.code.ops.push(inst);
+            }
+            let term = d
+                .term(BlockId(i as u32), &b.term)
+                .unwrap_or_else(|m| Inst::Fail(d.message(m)));
+            d.code.ops.push(term);
+        }
+        d.code
+    }
+
+    fn message(&mut self, m: String) -> u32 {
+        self.code.messages.push(m);
+        (self.code.messages.len() - 1) as u32
+    }
+
+    /// Length of the leading run of phi nodes.
+    fn phi_count(&self, insts: &[crate::func::ValueId]) -> usize {
+        insts
+            .iter()
+            .take_while(|v| {
+                matches!(
+                    self.f.values.get(v.index()).map(|d| &d.def),
+                    Some(ValueDef::Inst(Op::Phi { .. }))
+                )
+            })
+            .count()
+    }
+
+    fn constant(&mut self, x: i64) -> Slot {
+        if let Some(&s) = self.consts.get(&x) {
+            return s;
+        }
+        let s = self.code.template.len() as Slot;
+        self.code.template.push(x);
+        self.consts.insert(x, s);
+        s
+    }
+
+    fn slot(&mut self, o: &Operand) -> Result<Slot, String> {
+        match *o {
+            Operand::Value(v) if v.index() < self.code.values => Ok(v.0),
+            Operand::Value(v) => Err(format!("use of undefined value %{}", v.0)),
+            Operand::Const { value, ty } => Ok(self.constant(canonical(ty, value))),
+        }
+    }
+
+    /// The first operand's slot, or a zero constant if there is none.
+    fn first(&mut self, args: &[Operand]) -> Result<Slot, String> {
+        match args.first() {
+            Some(o) => self.slot(o),
+            None => Ok(self.constant(0)),
+        }
+    }
+
+    /// Append `args`' slots to `lists`; returns their start.
+    fn list(&mut self, args: &[Operand]) -> Result<u32, String> {
+        let slots = args
+            .iter()
+            .map(|o| self.slot(o))
+            .collect::<Result<Vec<_>, _>>()?;
+        let start = self.code.lists.len() as u32;
+        self.code.lists.extend(slots);
+        Ok(start)
+    }
+
+    fn inst(&mut self, v: usize) -> Result<Inst, String> {
+        let op = match self.f.values.get(v).map(|d| &d.def) {
+            Some(ValueDef::Inst(op)) => op,
+            Some(ValueDef::Param { .. }) => return Err("param in block".into()),
+            None => return Err(format!("block lists undefined value %{v}")),
+        };
+        let d = v as Slot;
+        Ok(match op {
+            Op::Bin { op, a, b } => Inst::Bin {
+                op: *op,
+                d,
+                a: self.slot(a)?,
+                b: self.slot(b)?,
+            },
+            Op::Icmp { pred, a, b } => Inst::Icmp {
+                pred: *pred,
+                d,
+                a: self.slot(a)?,
+                b: self.slot(b)?,
+            },
+            Op::Select { c, t, f } => Inst::Select {
+                d,
+                c: self.slot(c)?,
+                t: self.slot(t)?,
+                f: self.slot(f)?,
+            },
+            Op::Load { ptr, ty: Ty::I32 } => Inst::Load32 {
+                d,
+                p: self.slot(ptr)?,
+            },
+            Op::Load { ptr, ty } => Inst::Load {
+                ty: *ty,
+                d,
+                p: self.slot(ptr)?,
+            },
+            Op::Store {
+                ptr,
+                val,
+                ty: Ty::I32 | Ty::Ptr,
+            } => Inst::Store32 {
+                p: self.slot(ptr)?,
+                v: self.slot(val)?,
+            },
+            Op::Store { ptr, val, ty } => Inst::Store {
+                ty: *ty,
+                p: self.slot(ptr)?,
+                v: self.slot(val)?,
+            },
+            Op::Alloca { elem, count } => Inst::Alloca {
+                d,
+                bytes: elem.size_bytes().wrapping_mul(*count).wrapping_add(3) & !3,
+            },
+            Op::Gep {
+                base,
+                index,
+                stride,
+                offset,
+            } => Inst::Gep {
+                d,
+                base: self.slot(base)?,
+                index: self.slot(index)?,
+                stride: *stride,
+                offset: *offset as u32,
+            },
+            Op::GlobalAddr(g) => {
+                let addr = *self
+                    .global_addrs
+                    .get(g.index())
+                    .ok_or_else(|| format!("undefined global @{}", g.0))?;
+                Inst::Copy {
+                    d,
+                    s: self.constant(addr as i64),
+                }
+            }
+            Op::Call { callee, args } => {
+                if callee.index() >= self.funcs {
+                    return Err(format!("call to undefined function #{}", callee.0));
+                }
+                Inst::Call {
+                    d,
+                    func: callee.0,
+                    args: self.list(args)?,
+                    n: args.len() as u32,
+                }
+            }
+            Op::Ecall { code, args } => match *code {
+                ecall::HALT => Inst::Halt {
+                    a: self.first(args)?,
+                },
+                ecall::COMMIT => Inst::Commit {
+                    d,
+                    a: self.first(args)?,
+                },
+                ecall::READ_INPUT => Inst::ReadInput {
+                    d,
+                    a: self.first(args)?,
+                },
+                code => Inst::Ecall {
+                    d,
+                    code,
+                    args: self.list(args)?,
+                    n: args.len() as u32,
+                },
+            },
+            Op::Phi { .. } => return Err("phi after non-phi".into()),
+            Op::Cast { kind, v: src, to } => Inst::Cast {
+                kind: *kind,
+                from: self.operand_ty(src).ok_or("cast of void")?,
+                to: *to,
+                d,
+                s: self.slot(src)?,
+            },
+            Op::Copy(src) => Inst::Copy {
+                d,
+                s: self.slot(src)?,
+            },
+            Op::Nop => Inst::Nop,
+        })
+    }
+
+    fn operand_ty(&self, o: &Operand) -> Option<Ty> {
+        match *o {
+            Operand::Value(v) => self.f.values.get(v.index()).and_then(|d| d.ty),
+            Operand::Const { ty, .. } => Some(ty),
+        }
+    }
+
+    fn term(&mut self, from: BlockId, t: &Term) -> Result<Inst, String> {
+        Ok(match t {
+            Term::Br(to) => {
+                let e = self.edge(from, *to);
+                match self.plain(e) {
+                    Some(pc) => Inst::Jump { pc },
+                    None => Inst::Br { e },
+                }
+            }
+            Term::CondBr { c, t, f } => {
+                let c = self.slot(c)?;
+                let (t, f) = (self.edge(from, *t), self.edge(from, *f));
+                match (self.plain(t), self.plain(f)) {
+                    (Some(t), Some(f)) => Inst::CondJump { c, t, f },
+                    _ => Inst::CondBr { c, t, f },
+                }
+            }
+            Term::Switch { v, cases, default } => {
+                let v = self.slot(v)?;
+                let edges: Vec<(i64, u32)> = cases
+                    .iter()
+                    .map(|&(k, to)| (k, self.edge(from, to)))
+                    .collect();
+                let start = self.code.cases.len() as u32;
+                self.code.cases.extend(edges);
+                Inst::Switch {
+                    v,
+                    start,
+                    n: cases.len() as u32,
+                    default: self.edge(from, *default),
+                }
+            }
+            Term::Ret(v) => Inst::Ret {
+                v: match v {
+                    Some(o) => self.slot(o)?,
+                    None => self.constant(0),
+                },
+            },
+            Term::Unreachable => Inst::Unreachable,
+        })
+    }
+
+    /// The target of edge `e` if taking it is a bare jump.
+    fn plain(&self, e: u32) -> Option<u32> {
+        let edge = self.code.edges[e as usize];
+        (edge.phis == 0 && edge.fault.is_none()).then_some(edge.pc)
+    }
+
+    /// Decode edge `from → to`: its target and its phi copies.
+    fn edge(&mut self, from: BlockId, to: BlockId) -> u32 {
+        let edge = self.edge_data(from, to).unwrap_or_else(|m| Edge {
+            pc: 0,
+            start: 0,
+            n: 0,
+            phis: 0,
+            fault: Some(self.message(m)),
+        });
+        self.code.edges.push(edge);
+        (self.code.edges.len() - 1) as u32
+    }
+
+    fn edge_data(&mut self, from: BlockId, to: BlockId) -> Result<Edge, String> {
+        let f = self.f;
+        let (Some(&pc), Some(block)) = (self.block_pc.get(to.index()), f.blocks.get(to.index()))
+        else {
+            return Err(format!("branch to undefined bb{}", to.0));
+        };
+        let phis = &block.insts[..self.phi_count(&block.insts)];
+        let mut moves = Vec::with_capacity(phis.len());
+        for &v in phis {
+            let Some(ValueDef::Inst(Op::Phi { incoming })) =
+                f.values.get(v.index()).map(|d| &d.def)
+            else {
+                continue;
+            };
+            let (_, o) = incoming
+                .iter()
+                .find(|(b, _)| *b == from)
+                .ok_or_else(|| format!("phi %{} missing edge from bb{}", v.0, from.0))?;
+            moves.push((v.0, self.slot(o)?));
+        }
+        // Sequential moves are parallel ones unless a phi reads a slot an
+        // earlier phi of the same edge writes; then every source goes
+        // through a fresh temporary first.
+        let clobbers = moves
+            .iter()
+            .enumerate()
+            .any(|(j, &(_, s))| moves[..j].iter().any(|&(d, _)| d == s));
+        let start = self.code.copies.len() as u32;
+        if clobbers {
+            let base = self.code.template.len() as Slot;
+            self.code
+                .template
+                .resize(self.code.template.len() + moves.len(), 0);
+            for (i, &(_, s)) in moves.iter().enumerate() {
+                self.code.copies.push((base + i as Slot, s));
+            }
+            for (i, &(d, _)) in moves.iter().enumerate() {
+                self.code.copies.push((d, base + i as Slot));
+            }
+        } else {
+            self.code.copies.extend(&moves);
+        }
+        Ok(Edge {
+            pc,
+            start,
+            n: self.code.copies.len() as u32 - start,
+            phis: moves.len() as u32,
+            fault: None,
+        })
+    }
 }
 
 /// The interpreter. One instance per run.
 pub struct Interp<'m, H: EcallHandler> {
     module: &'m Module,
-    mem: Vec<u8>,
-    global_addrs: Vec<u32>,
-    sp: u32,
-    steps: u64,
-    journal: Vec<i32>,
+    funcs: Vec<Code>,
+    mem: Memory,
+    /// First global whose image does not fit guest memory, reported as a
+    /// `MemFault` from [`Interp::run_main`], as the zkVM does.
+    init_fault: Option<u32>,
     config: InterpConfig,
     handler: H,
+}
+
+/// A suspended caller.
+struct Frame {
+    func: usize,
+    base: usize,
+    /// Where the caller resumes.
+    pc: usize,
+    /// The caller's slot for the call's result.
+    d: usize,
+    /// The stack pointer at the call, restored on return.
+    sp: u32,
+}
+
+/// Why the op loop left a function.
+enum Exit {
+    Call {
+        d: Slot,
+        func: u32,
+        args: u32,
+        n: u32,
+    },
+    Ret(i64),
 }
 
 impl<'m, H: EcallHandler> Interp<'m, H> {
     /// Create an interpreter over `module` with handler `handler`.
     pub fn new(module: &'m Module, config: InterpConfig, handler: H) -> Interp<'m, H> {
         let global_addrs = module.layout_globals();
-        let mut mem = vec![0u8; MEM_SIZE as usize];
+        let mut mem = Memory::new();
+        let mut init_fault = None;
         for (g, &addr) in module.globals.iter().zip(&global_addrs) {
-            let end = addr as usize + g.init.len();
-            mem[addr as usize..end].copy_from_slice(&g.init);
+            if Memory::fits(addr, g.init.len()) {
+                mem.write(addr as usize, &g.init);
+            } else if init_fault.is_none() {
+                init_fault = Some(addr);
+            }
         }
+        let funcs = module
+            .funcs
+            .iter()
+            .map(|f| Decoder::decode(f, module.funcs.len(), &global_addrs))
+            .collect();
         Interp {
             module,
+            funcs,
             mem,
-            global_addrs,
-            sp: STACK_TOP,
-            steps: 0,
-            journal: Vec::new(),
+            init_fault,
             config,
             handler,
         }
@@ -155,256 +838,254 @@ impl<'m, H: EcallHandler> Interp<'m, H> {
     /// # Errors
     /// Returns an [`InterpError`] on faults, missing `main`, or exhausted
     /// budgets.
-    pub fn run_main(mut self) -> Result<InterpOutcome, InterpError> {
-        let main = self.module.main_func().ok_or(InterpError::NoMain)?;
-        let flow = self.run_function(main, &[], 0)?;
-        let (exit_value, halted) = match flow {
-            Flow::Halt(code) => (code as i64, true),
-            Flow::Return(v) => (v.unwrap_or(0), false),
-        };
-        Ok(InterpOutcome {
-            exit_value,
-            journal: self.journal,
-            steps: self.steps,
-            halted,
-        })
-    }
-
-    fn run_function(
-        &mut self,
-        fid: FuncId,
-        args: &[i64],
-        depth: usize,
-    ) -> Result<Flow, InterpError> {
-        if depth > self.config.max_depth {
-            return Err(InterpError::DepthLimit);
+    pub fn run_main(self) -> Result<InterpOutcome, InterpError> {
+        if let Some(addr) = self.init_fault {
+            return Err(InterpError::MemFault { addr });
         }
-        let f: &Function = &self.module.funcs[fid.index()];
-        let saved_sp = self.sp;
-        let mut vals: Vec<i64> = vec![0; f.values.len()];
-        for (i, a) in args.iter().enumerate() {
-            vals[i] = *a;
-        }
-        let mut block = f.entry;
-        let mut prev: Option<BlockId> = None;
-        'blocks: loop {
-            // Phi nodes: parallel evaluation against the predecessor edge.
-            let insts = &f.blocks[block.index()].insts;
-            let mut phi_updates: Vec<(ValueId, i64)> = Vec::new();
-            let mut first_non_phi = 0;
-            for (i, &v) in insts.iter().enumerate() {
-                if let Some(Op::Phi { incoming }) = f.op(v) {
-                    let p = prev.ok_or_else(|| {
-                        InterpError::Malformed(format!("phi in entry block of @{}", f.name))
-                    })?;
-                    let (_, o) = incoming.iter().find(|(b, _)| *b == p).ok_or_else(|| {
-                        InterpError::Malformed(format!("phi %{} missing edge from bb{}", v.0, p.0))
-                    })?;
-                    phi_updates.push((v, self.eval(&vals, o)));
-                    first_non_phi = i + 1;
-                } else {
-                    break;
+        let main = self.module.main_func().ok_or(InterpError::NoMain)?.index();
+        let Interp {
+            funcs,
+            mut mem,
+            config,
+            mut handler,
+            ..
+        } = self;
+        let max_steps = config.max_steps;
+        let mut steps: u64 = 0;
+        let mut sp = STACK_TOP;
+        let mut journal = Vec::new();
+        let mut args: Vec<i64> = Vec::new();
+        let mut frames: Vec<Frame> = Vec::new();
+        let (mut fi, mut base) = (main, 0);
+        let code = &funcs[fi];
+        let mut pc = code.entry.map_err(|m| malformed(code, m))? as usize;
+        let mut stack: Vec<i64> = code.template.clone();
+        macro_rules! bump {
+            ($n:expr) => {
+                steps += $n;
+                if steps > max_steps {
+                    return Err(InterpError::StepLimit);
                 }
+            };
+        }
+        loop {
+            let code = &funcs[fi];
+            let vals = &mut stack[base..];
+            // Take edge `e`: its phi copies, then its target.
+            macro_rules! take {
+                ($e:expr) => {{
+                    let edge = code.edges[$e as usize];
+                    if let Some(m) = edge.fault {
+                        return Err(malformed(code, m));
+                    }
+                    let (s, n) = (edge.start as usize, edge.n as usize);
+                    for &(d, s) in &code.copies[s..s + n] {
+                        vals[d as usize] = vals[s as usize];
+                    }
+                    bump!(u64::from(edge.phis));
+                    edge.pc as usize
+                }};
             }
-            for (v, x) in phi_updates {
-                vals[v.index()] = x;
-                self.bump()?;
-            }
-            for &v in &f.blocks[block.index()].insts[first_non_phi..] {
-                self.bump()?;
-                let op = match &f.values[v.index()].def {
-                    ValueDef::Inst(op) => op,
-                    ValueDef::Param { .. } => {
-                        return Err(InterpError::Malformed("param in block".into()))
+            let exit = loop {
+                let inst = code.ops[pc];
+                pc += 1;
+                match inst {
+                    Inst::Bin { op, d, a, b } => {
+                        bump!(1);
+                        vals[d as usize] = op.eval32(vals[a as usize], vals[b as usize]);
                     }
-                };
-                match op {
-                    Op::Bin { op, a, b } => {
-                        let r = op.eval32(self.eval(&vals, a), self.eval(&vals, b));
-                        vals[v.index()] = r;
+                    Inst::Icmp { pred, d, a, b } => {
+                        bump!(1);
+                        vals[d as usize] = pred.eval32(vals[a as usize], vals[b as usize]) as i64;
                     }
-                    Op::Icmp { pred, a, b } => {
-                        vals[v.index()] =
-                            pred.eval32(self.eval(&vals, a), self.eval(&vals, b)) as i64;
+                    Inst::Select { d, c, t, f } => {
+                        bump!(1);
+                        let s = if vals[c as usize] != 0 { t } else { f };
+                        vals[d as usize] = vals[s as usize];
                     }
-                    Op::Select { c, t, f: fo } => {
-                        let cv = self.eval(&vals, c);
-                        vals[v.index()] = if cv != 0 {
-                            self.eval(&vals, t)
-                        } else {
-                            self.eval(&vals, fo)
-                        };
+                    Inst::Load32 { d, p } => {
+                        bump!(1);
+                        let a = Memory::check(vals[p as usize] as u32, 4)?;
+                        vals[d as usize] = mem.word(a) as i32 as i64;
                     }
-                    Op::Load { ptr, ty } => {
-                        let addr = self.eval(&vals, ptr) as u32;
-                        vals[v.index()] = self.load(addr, *ty)?;
+                    Inst::Store32 { p, v } => {
+                        bump!(1);
+                        let a = Memory::check(vals[p as usize] as u32, 4)?;
+                        mem.set_word(a, vals[v as usize] as u32);
                     }
-                    Op::Store { ptr, val, ty } => {
-                        let addr = self.eval(&vals, ptr) as u32;
-                        let x = self.eval(&vals, val);
-                        self.store(addr, x, *ty)?;
+                    Inst::Load { ty, d, p } => {
+                        bump!(1);
+                        vals[d as usize] = mem.load(vals[p as usize] as u32, ty)?;
                     }
-                    Op::Alloca { elem, count } => {
-                        let bytes = (elem.size_bytes() * count + 3) & !3;
-                        self.sp = self
-                            .sp
+                    Inst::Store { ty, p, v } => {
+                        bump!(1);
+                        mem.store(vals[p as usize] as u32, vals[v as usize], ty)?;
+                    }
+                    Inst::Alloca { d, bytes } => {
+                        bump!(1);
+                        sp = sp
                             .checked_sub(bytes)
                             .ok_or(InterpError::MemFault { addr: 0 })?;
-                        if self.sp < crate::func::GLOBAL_BASE {
-                            return Err(InterpError::MemFault { addr: self.sp });
+                        if sp < GLOBAL_BASE {
+                            return Err(InterpError::MemFault { addr: sp });
                         }
-                        vals[v.index()] = self.sp as i64;
+                        vals[d as usize] = sp as i64;
                     }
-                    Op::Gep {
+                    Inst::Gep {
+                        d,
                         base,
                         index,
                         stride,
                         offset,
                     } => {
-                        let b = self.eval(&vals, base) as u32;
-                        let i = self.eval(&vals, index) as u32;
-                        let addr = b
-                            .wrapping_add(i.wrapping_mul(*stride))
-                            .wrapping_add(*offset as u32);
-                        vals[v.index()] = addr as i64;
+                        bump!(1);
+                        let b = vals[base as usize] as u32;
+                        let i = vals[index as usize] as u32;
+                        vals[d as usize] =
+                            b.wrapping_add(i.wrapping_mul(stride)).wrapping_add(offset) as i64;
                     }
-                    Op::GlobalAddr(g) => {
-                        vals[v.index()] = self.global_addrs[g.index()] as i64;
-                    }
-                    Op::Call { callee, args } => {
-                        let a: Vec<i64> = args.iter().map(|o| self.eval(&vals, o)).collect();
-                        match self.run_function(*callee, &a, depth + 1)? {
-                            Flow::Return(r) => vals[v.index()] = r.unwrap_or(0),
-                            Flow::Halt(c) => {
-                                self.sp = saved_sp;
-                                return Ok(Flow::Halt(c));
-                            }
-                        }
-                    }
-                    Op::Ecall { code, args } => {
-                        let a: Vec<i64> = args.iter().map(|o| self.eval(&vals, o)).collect();
-                        match *code {
-                            ecall::HALT => {
-                                let code = a.first().copied().unwrap_or(0) as i32;
-                                self.sp = saved_sp;
-                                return Ok(Flow::Halt(code));
-                            }
-                            ecall::COMMIT => {
-                                self.journal.push(a.first().copied().unwrap_or(0) as i32);
-                                vals[v.index()] = 0;
-                            }
-                            ecall::READ_INPUT => {
-                                let idx = a.first().copied().unwrap_or(0) as usize;
-                                vals[v.index()] =
-                                    self.config.inputs.get(idx).copied().unwrap_or(0) as i64;
-                            }
-                            other => {
-                                vals[v.index()] = self.handler.handle(other, &a, &mut self.mem);
-                            }
-                        }
-                    }
-                    Op::Phi { .. } => {
-                        return Err(InterpError::Malformed("phi after non-phi".into()))
-                    }
-                    Op::Cast { kind, v: src, to } => {
-                        let sv = self.eval(&vals, src);
-                        let sty = f
-                            .operand_ty(src)
-                            .ok_or_else(|| InterpError::Malformed("cast of void".into()))?;
-                        vals[v.index()] = match kind {
-                            CastKind::Zext => canonical(*to, sty.truncate_u(sv)),
-                            CastKind::Sext => canonical(*to, sty.truncate_s(sv)),
-                            CastKind::Trunc => canonical(*to, sv),
+                    Inst::Cast {
+                        kind,
+                        from,
+                        to,
+                        d,
+                        s,
+                    } => {
+                        bump!(1);
+                        let sv = vals[s as usize];
+                        vals[d as usize] = match kind {
+                            CastKind::Zext => canonical(to, from.truncate_u(sv)),
+                            CastKind::Sext => canonical(to, from.truncate_s(sv)),
+                            CastKind::Trunc => canonical(to, sv),
                         };
                     }
-                    Op::Copy(src) => {
-                        vals[v.index()] = self.eval(&vals, src);
+                    Inst::Copy { d, s } => {
+                        bump!(1);
+                        vals[d as usize] = vals[s as usize];
                     }
-                    Op::Nop => {}
+                    Inst::Call { d, func, args, n } => {
+                        bump!(1);
+                        break Exit::Call { d, func, args, n };
+                    }
+                    Inst::Halt { a } => {
+                        bump!(1);
+                        return Ok(InterpOutcome {
+                            exit_value: vals[a as usize] as i32 as i64,
+                            journal,
+                            steps,
+                            halted: true,
+                        });
+                    }
+                    Inst::Commit { d, a } => {
+                        bump!(1);
+                        journal.push(vals[a as usize] as i32);
+                        vals[d as usize] = 0;
+                    }
+                    Inst::ReadInput { d, a } => {
+                        bump!(1);
+                        let idx = vals[a as usize] as usize;
+                        vals[d as usize] = config.inputs.get(idx).copied().unwrap_or(0) as i64;
+                    }
+                    Inst::Ecall {
+                        d,
+                        code: c,
+                        args: at,
+                        n,
+                    } => {
+                        bump!(1);
+                        let at = at as usize;
+                        args.clear();
+                        args.extend(
+                            code.lists[at..at + n as usize]
+                                .iter()
+                                .map(|&s| vals[s as usize]),
+                        );
+                        vals[d as usize] = handler.handle(c, &args, &mut mem);
+                    }
+                    Inst::Nop => {
+                        bump!(1);
+                    }
+                    Inst::Fail(m) => {
+                        bump!(1);
+                        return Err(malformed(code, m));
+                    }
+                    Inst::Jump { pc: to } => {
+                        bump!(1);
+                        pc = to as usize;
+                    }
+                    Inst::CondJump { c, t, f } => {
+                        bump!(1);
+                        pc = if vals[c as usize] != 0 { t } else { f } as usize;
+                    }
+                    Inst::Br { e } => {
+                        bump!(1);
+                        pc = take!(e);
+                    }
+                    Inst::CondBr { c, t, f } => {
+                        bump!(1);
+                        pc = take!(if vals[c as usize] != 0 { t } else { f });
+                    }
+                    Inst::Switch {
+                        v,
+                        start,
+                        n,
+                        default,
+                    } => {
+                        bump!(1);
+                        let x = vals[v as usize] as i32 as i64;
+                        let cases = &code.cases[start as usize..(start + n) as usize];
+                        let e = cases
+                            .iter()
+                            .find(|(k, _)| *k == x)
+                            .map_or(default, |&(_, e)| e);
+                        pc = take!(e);
+                    }
+                    Inst::Ret { v } => break Exit::Ret(vals[v as usize]),
+                    Inst::Unreachable => return Err(InterpError::Unreachable),
+                }
+            };
+            match exit {
+                Exit::Call { d, func, args, n } => {
+                    if frames.len() + 1 > config.max_depth {
+                        return Err(InterpError::DepthLimit);
+                    }
+                    let callee = &funcs[func as usize];
+                    let entry = callee.entry.map_err(|m| malformed(callee, m))?;
+                    let new_base = stack.len();
+                    stack.extend_from_slice(&callee.template);
+                    let (at, n) = (args as usize, (n as usize).min(callee.values));
+                    for (i, &s) in code.lists[at..at + n].iter().enumerate() {
+                        stack[new_base + i] = stack[base + s as usize];
+                    }
+                    frames.push(Frame {
+                        func: fi,
+                        base,
+                        pc,
+                        d: d as usize,
+                        sp,
+                    });
+                    (fi, base, pc) = (func as usize, new_base, entry as usize);
+                }
+                Exit::Ret(r) => {
+                    stack.truncate(base);
+                    let Some(caller) = frames.pop() else {
+                        return Ok(InterpOutcome {
+                            exit_value: r,
+                            journal,
+                            steps,
+                            halted: false,
+                        });
+                    };
+                    (fi, base, pc, sp) = (caller.func, caller.base, caller.pc, caller.sp);
+                    stack[base + caller.d] = r;
                 }
             }
-            match &f.blocks[block.index()].term {
-                Term::Br(b) => {
-                    prev = Some(block);
-                    block = *b;
-                }
-                Term::CondBr { c, t, f: fb } => {
-                    let cv = self.eval(&vals, c);
-                    prev = Some(block);
-                    block = if cv != 0 { *t } else { *fb };
-                }
-                Term::Switch { v, cases, default } => {
-                    let x = self.eval(&vals, v) as i32 as i64;
-                    prev = Some(block);
-                    block = cases
-                        .iter()
-                        .find(|(k, _)| *k == x)
-                        .map(|(_, b)| *b)
-                        .unwrap_or(*default);
-                }
-                Term::Ret(v) => {
-                    let r = v.as_ref().map(|o| self.eval(&vals, o));
-                    self.sp = saved_sp;
-                    return Ok(Flow::Return(r));
-                }
-                Term::Unreachable => return Err(InterpError::Unreachable),
-            }
-            self.bump()?;
-            continue 'blocks;
         }
     }
+}
 
-    fn bump(&mut self) -> Result<(), InterpError> {
-        self.steps += 1;
-        if self.steps > self.config.max_steps {
-            return Err(InterpError::StepLimit);
-        }
-        Ok(())
-    }
-
-    fn eval(&self, vals: &[i64], o: &Operand) -> i64 {
-        match o {
-            Operand::Value(v) => vals[v.index()],
-            Operand::Const { value, ty } => canonical(*ty, *value),
-        }
-    }
-
-    fn load(&self, addr: u32, ty: Ty) -> Result<i64, InterpError> {
-        let size = ty.size_bytes();
-        if addr < 0x100 || addr.checked_add(size).is_none_or(|e| e > MEM_SIZE) {
-            return Err(InterpError::MemFault { addr });
-        }
-        let a = addr as usize;
-        Ok(match ty {
-            Ty::I1 => (self.mem[a] & 1) as i64,
-            Ty::I8 => self.mem[a] as i64,
-            Ty::I32 | Ty::Ptr => {
-                let raw = u32::from_le_bytes([
-                    self.mem[a],
-                    self.mem[a + 1],
-                    self.mem[a + 2],
-                    self.mem[a + 3],
-                ]);
-                canonical(ty, raw as i64)
-            }
-        })
-    }
-
-    fn store(&mut self, addr: u32, val: i64, ty: Ty) -> Result<(), InterpError> {
-        let size = ty.size_bytes();
-        if addr < 0x100 || addr.checked_add(size).is_none_or(|e| e > MEM_SIZE) {
-            return Err(InterpError::MemFault { addr });
-        }
-        let a = addr as usize;
-        match ty {
-            Ty::I1 => self.mem[a] = (val & 1) as u8,
-            Ty::I8 => self.mem[a] = val as u8,
-            Ty::I32 | Ty::Ptr => {
-                self.mem[a..a + 4].copy_from_slice(&(val as u32).to_le_bytes());
-            }
-        }
-        Ok(())
-    }
+fn malformed(code: &Code, m: u32) -> InterpError {
+    InterpError::Malformed(code.messages[m as usize].clone())
 }
 
 /// Canonicalize a raw value for storage in a value slot of type `ty`.
@@ -434,7 +1115,7 @@ pub fn run_module(module: &Module, inputs: &[i32]) -> Result<InterpOutcome, Inte
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::inst::{BinOp, Pred};
+    use crate::func::{FuncId, Function};
 
     fn module_with(f: Function) -> Module {
         let mut m = Module::new();
@@ -450,6 +1131,7 @@ mod tests {
         let m = module_with(b.finish());
         let out = run_module(&m, &[]).unwrap();
         assert_eq!(out.exit_value, 42);
+        assert_eq!(out.steps, 1, "`ret` counts no step");
         assert!(!out.halted);
     }
 
@@ -476,7 +1158,38 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(Operand::val(s)));
         let m = module_with(b.finish());
-        assert_eq!(run_module(&m, &[]).unwrap().exit_value, 45);
+        let out = run_module(&m, &[]).unwrap();
+        assert_eq!(out.exit_value, 45);
+        // The entry `br`; eleven header visits of two phi copies, the icmp
+        // and the `condbr`; ten body visits of two adds and the `br`.
+        assert_eq!(out.steps, 1 + 11 * 4 + 10 * 3);
+    }
+
+    #[test]
+    fn phi_copies_of_an_edge_are_parallel() {
+        // (a, b) = (b, a) three times through phis that read each other.
+        let mut b = FunctionBuilder::new("main", vec![], Some(Ty::I32));
+        let (header, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+        let entry = b.current_block();
+        b.br(header);
+        b.switch_to(header);
+        let x = b.phi(Ty::I32, vec![(entry, Operand::i32(1))]);
+        let y = b.phi(Ty::I32, vec![(entry, Operand::i32(2))]);
+        let n = b.phi(Ty::I32, vec![(entry, Operand::i32(0))]);
+        let c = b.icmp(Pred::Slt, Operand::val(n), Operand::i32(3));
+        b.cond_br(Operand::val(c), body, exit);
+        b.switch_to(body);
+        let n2 = b.bin(BinOp::Add, Operand::val(n), Operand::i32(1));
+        b.br(header);
+        b.add_phi_incoming(x, body, Operand::val(y));
+        b.add_phi_incoming(y, body, Operand::val(x));
+        b.add_phi_incoming(n, body, Operand::val(n2));
+        b.switch_to(exit);
+        let r = b.bin(BinOp::Mul, Operand::val(x), Operand::i32(10));
+        let r = b.bin(BinOp::Add, Operand::val(r), Operand::val(y));
+        b.ret(Some(Operand::val(r)));
+        let m = module_with(b.finish());
+        assert_eq!(run_module(&m, &[]).unwrap().exit_value, 21);
     }
 
     #[test]
@@ -622,5 +1335,90 @@ mod tests {
             run_module(&m, &[]),
             Err(InterpError::MemFault { addr: 0x10 })
         ));
+    }
+
+    #[test]
+    fn words_straddle_pages_and_untouched_pages_read_zero() {
+        let mut m = Module::new();
+        let g = m.add_global(crate::Global::zeroed("z", 3 * PAGE_SIZE as u32));
+        let mut b = FunctionBuilder::new("main", vec![], Some(Ty::I32));
+        let base = b.global_addr(g);
+        // Two bytes before the end of the global's first page.
+        let edge = b.gep(Operand::val(base), Operand::i32(1), PAGE_SIZE as u32 - 2, 0);
+        b.store(Operand::val(edge), Operand::i32(-0x1234_5678), Ty::I32);
+        let w = b.load(Operand::val(edge), Ty::I32);
+        let hi = b.gep(Operand::val(edge), Operand::i32(3), 1, 0);
+        let hb = b.load(Operand::val(hi), Ty::I8);
+        let far = b.gep(Operand::val(base), Operand::i32(2), PAGE_SIZE as u32, 8);
+        let z = b.load(Operand::val(far), Ty::I32);
+        b.ecall(ecall::COMMIT, vec![Operand::val(w)]);
+        b.ecall(ecall::COMMIT, vec![Operand::val(hb)]);
+        b.ecall(ecall::COMMIT, vec![Operand::val(z)]);
+        b.ret(Some(Operand::i32(0)));
+        m.add_func(b.finish());
+        let interp = Interp::new(&m, InterpConfig::default(), NopEcalls);
+        let touched = interp.mem.pages.iter().filter(|p| p.is_some()).count();
+        assert_eq!(touched, 0, "a zeroed global allocates no page");
+        let out = interp.run_main().unwrap();
+        assert_eq!(out.journal, vec![-0x1234_5678, 0xed, 0]);
+    }
+
+    #[test]
+    fn precompile_traffic_goes_through_mem_io() {
+        /// Copies 8 bytes from `a0` to `a2` across a page boundary, and
+        /// reports what an out-of-range read and write did.
+        struct Mover;
+        impl EcallHandler for Mover {
+            fn handle(&mut self, _code: u32, args: &[i64], mem: &mut dyn MemIo) -> i64 {
+                let data = mem.read_bytes(args[0] as u32, 8);
+                mem.write_bytes(args[2] as u32, &data);
+                mem.write_bytes(MEM_SIZE - 4, &[7; 8]);
+                let past = mem.read_bytes(MEM_SIZE - 4, 8);
+                let page0 = mem.read_bytes(0, 4);
+                (past.len() == 8 && past.iter().all(|&b| b == 0) && page0 == [0; 4]) as i64
+            }
+        }
+        let mut m = Module::new();
+        let src = m.add_global(crate::Global::with_data("src", (1..=8).collect()));
+        let dst = m.add_global(crate::Global::zeroed("dst", 2 * PAGE_SIZE as u32));
+        let mut b = FunctionBuilder::new("main", vec![], Some(Ty::I32));
+        // Eight bytes across the end of the first global page, inside `dst`.
+        let at_addr = GLOBAL_BASE + PAGE_SIZE as u32 - 3;
+        assert!(m.layout_globals()[dst.index()] < at_addr);
+        let at = Operand::Const {
+            value: at_addr.into(),
+            ty: Ty::Ptr,
+        };
+        let s = b.global_addr(src);
+        let ok = b.ecall(
+            ecall::SHA256,
+            vec![Operand::val(s), Operand::i32(8), at],
+        );
+        let lo = b.load(at, Ty::I32);
+        let hi_at = b.gep(at, Operand::i32(4), 1, 0);
+        let hi = b.load(Operand::val(hi_at), Ty::I32);
+        b.ecall(ecall::COMMIT, vec![Operand::val(ok)]);
+        b.ecall(ecall::COMMIT, vec![Operand::val(lo)]);
+        b.ecall(ecall::COMMIT, vec![Operand::val(hi)]);
+        b.ret(Some(Operand::i32(0)));
+        m.add_func(b.finish());
+        let out = Interp::new(&m, InterpConfig::default(), Mover)
+            .run_main()
+            .unwrap();
+        assert_eq!(out.journal, vec![1, 0x0403_0201, 0x0807_0605]);
+    }
+
+    #[test]
+    fn global_image_past_memory_is_a_mem_fault() {
+        let mut m = Module::new();
+        m.add_global(crate::Global::zeroed("big", MEM_SIZE));
+        let small = m.add_global(crate::Global::with_data("small", vec![1, 0, 0, 0]));
+        let mut b = FunctionBuilder::new("main", vec![], Some(Ty::I32));
+        let p = b.global_addr(small);
+        let l = b.load(Operand::val(p), Ty::I32);
+        b.ret(Some(Operand::val(l)));
+        m.add_func(b.finish());
+        let addr = m.layout_globals()[1];
+        assert_eq!(run_module(&m, &[]), Err(InterpError::MemFault { addr }));
     }
 }

@@ -70,5 +70,7 @@ pub use func::{
     BlockData, BlockId, FuncId, Function, Global, GlobalId, Module, ValueData, ValueDef, ValueId,
 };
 pub use inst::{BinOp, CastKind, Op, Operand, Pred, Term};
-pub use interp::{EcallHandler, Interp, InterpConfig, InterpError, InterpOutcome, NopEcalls};
+pub use interp::{
+    EcallHandler, Interp, InterpConfig, InterpError, InterpOutcome, MemIo, NopEcalls,
+};
 pub use ty::Ty;

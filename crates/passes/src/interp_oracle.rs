@@ -5,13 +5,14 @@
 //! crate's tests can produce the states worth checking — every module after
 //! every pass of a random sequence — and `#[cfg(test)]` items of
 //! `zkvmopt-ir` are invisible to them. It reads only public API, so it is the
-//! old body verbatim save for the imports.
+//! old body verbatim save for the imports and for handing its flat memory to
+//! the precompile handler through `MemIo`.
 
 use zkvmopt_ir::ecall;
 use zkvmopt_ir::func::{BlockId, FuncId, Function, Module, ValueDef, ValueId};
 use zkvmopt_ir::inst::{CastKind, Op, Operand, Term};
 use zkvmopt_ir::interp::{
-    EcallHandler, InterpConfig, InterpError, InterpOutcome, MEM_SIZE, STACK_TOP,
+    EcallHandler, InterpConfig, InterpError, InterpOutcome, MemIo, MEM_SIZE, STACK_TOP,
 };
 use zkvmopt_ir::ty::Ty;
 
@@ -198,7 +199,8 @@ impl<'m, H: EcallHandler> Interp<'m, H> {
                                     self.config.inputs.get(idx).copied().unwrap_or(0) as i64;
                             }
                             other => {
-                                vals[v.index()] = self.handler.handle(other, &a, &mut self.mem);
+                                vals[v.index()] =
+                                    self.handler.handle(other, &a, &mut Flat(&mut self.mem));
                             }
                         }
                     }
@@ -306,6 +308,30 @@ impl<'m, H: EcallHandler> Interp<'m, H> {
     }
 }
 
+/// The old flat memory as the handler sees it: the body of
+/// `zkvmopt_vm::ecalls::FlatMem`, which this crate cannot depend on.
+struct Flat<'a>(&'a mut [u8]);
+
+impl MemIo for Flat<'_> {
+    fn read_bytes(&mut self, addr: u32, len: u32) -> Vec<u8> {
+        let a = addr as usize;
+        let e = a.saturating_add(len as usize);
+        if e <= self.0.len() {
+            self.0[a..e].to_vec()
+        } else {
+            vec![0; len as usize]
+        }
+    }
+
+    fn write_bytes(&mut self, addr: u32, data: &[u8]) {
+        let a = addr as usize;
+        let e = a.saturating_add(data.len());
+        if e <= self.0.len() {
+            self.0[a..e].copy_from_slice(data);
+        }
+    }
+}
+
 /// Canonicalize a raw value for storage in a value slot of type `ty`.
 fn canonical(ty: Ty, v: i64) -> i64 {
     match ty {
@@ -320,26 +346,20 @@ fn canonical(ty: Ty, v: i64) -> i64 {
 /// guest memory both ways: FNV-1a over the code and at most 4 KiB at
 /// `a0..a0 + a1`, written as 32 bytes at `a2` by the two hash codes; the
 /// hash's low bit is the result. Out-of-range traffic reads zeros and
-/// writes nothing, as `zkvmopt_vm::ecalls::FlatMem` does.
+/// writes nothing, as `MemIo` promises.
 pub(crate) struct MixEcalls;
 
 impl EcallHandler for MixEcalls {
-    fn handle(&mut self, code: u32, args: &[i64], mem: &mut [u8]) -> i64 {
+    fn handle(&mut self, code: u32, args: &[i64], mem: &mut dyn MemIo) -> i64 {
         let a = |i: usize| args.get(i).copied().unwrap_or(0) as u32;
-        let (at, len) = (a(0) as usize, a(1).min(4096) as usize);
-        let data = mem
-            .get(at..at.saturating_add(len))
-            .map_or_else(|| vec![0; len], <[u8]>::to_vec);
+        let data = mem.read_bytes(a(0), a(1).min(4096));
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in code.to_le_bytes().iter().chain(&data) {
             h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
         }
         if code == ecall::SHA256 || code == ecall::KECCAK256 {
             let out: Vec<u8> = (0..4u64).flat_map(|i| (h ^ i).to_le_bytes()).collect();
-            let at = a(2) as usize;
-            if let Some(dst) = mem.get_mut(at..at.saturating_add(32)) {
-                dst.copy_from_slice(&out);
-            }
+            mem.write_bytes(a(2), &out);
         }
         (h & 1) as i64
     }

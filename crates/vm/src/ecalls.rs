@@ -1,20 +1,13 @@
-//! Shared precompile dispatch used by both the zkVM executor (paged memory)
-//! and the IR reference interpreter (flat memory), guaranteeing identical
-//! guest-visible behaviour — the property the differential tests rely on.
+//! Shared precompile dispatch used by the zkVM executors, the IR reference
+//! interpreter and the x86 timing model, each through its own [`MemIo`],
+//! guaranteeing identical guest-visible behaviour — the property the
+//! differential tests rely on.
 
 use zkvmopt_crypto::{keccak256, sha256, sig};
 use zkvmopt_ir::ecall;
+pub use zkvmopt_ir::MemIo;
 
-/// Byte-level memory access used by precompiles.
-pub trait MemIo {
-    /// Read `len` bytes at `addr` (zero-filled on fault — precompile inputs
-    /// are validated by the guest).
-    fn read_bytes(&mut self, addr: u32, len: u32) -> Vec<u8>;
-    /// Write bytes at `addr` (ignored on fault).
-    fn write_bytes(&mut self, addr: u32, data: &[u8]);
-}
-
-/// Flat byte-slice adapter (used by the IR interpreter's memory).
+/// Flat byte-slice adapter (used by the x86 timing model's memory).
 pub struct FlatMem<'a>(pub &'a mut [u8]);
 
 impl MemIo for FlatMem<'_> {
@@ -100,8 +93,8 @@ pub fn precompile_cycles(profile: &crate::profile::VmProfile, code: u32, args: &
 pub struct CryptoEcalls;
 
 impl zkvmopt_ir::EcallHandler for CryptoEcalls {
-    fn handle(&mut self, code: u32, args: &[i64], mem: &mut [u8]) -> i64 {
-        run_precompile(code, args, &mut FlatMem(mem))
+    fn handle(&mut self, code: u32, args: &[i64], mem: &mut dyn MemIo) -> i64 {
+        run_precompile(code, args, mem)
     }
 }
 

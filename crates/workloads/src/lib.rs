@@ -297,24 +297,24 @@ mod tests {
 
     /// Interpreter ecall handler backed by the real crypto (duplicated from
     /// zkvmopt-vm to avoid a dev-dependency cycle; behaviourally identical
-    /// because both call into zkvmopt-crypto).
+    /// because both call into zkvmopt-crypto through the same `MemIo`).
     #[derive(Clone, Copy)]
     struct HostEcalls;
 
     impl zkvmopt_ir::EcallHandler for HostEcalls {
-        fn handle(&mut self, code: u32, args: &[i64], mem: &mut [u8]) -> i64 {
+        fn handle(&mut self, code: u32, args: &[i64], mem: &mut dyn zkvmopt_ir::MemIo) -> i64 {
             use zkvmopt_crypto as c;
             use zkvmopt_ir::ecall;
-            let a = |i: usize| args.get(i).copied().unwrap_or(0) as u32 as usize;
+            let a = |i: usize| args.get(i).copied().unwrap_or(0) as u32;
             match code {
-                ecall::SHA256 => {
-                    let d = c::sha256(&mem[a(0)..a(0) + a(1)]);
-                    mem[a(2)..a(2) + 32].copy_from_slice(&d);
-                    0
-                }
-                ecall::KECCAK256 => {
-                    let d = c::keccak256(&mem[a(0)..a(0) + a(1)]);
-                    mem[a(2)..a(2) + 32].copy_from_slice(&d);
+                ecall::SHA256 | ecall::KECCAK256 => {
+                    let data = mem.read_bytes(a(0), a(1));
+                    let d = if code == ecall::SHA256 {
+                        c::sha256(&data)
+                    } else {
+                        c::keccak256(&data)
+                    };
+                    mem.write_bytes(a(2), &d);
                     0
                 }
                 ecall::ECDSA_VERIFY | ecall::EDDSA_VERIFY => {
@@ -323,11 +323,13 @@ mod tests {
                     } else {
                         c::sig::Scheme::Eddsa
                     };
-                    let mut msg = [0u8; 32];
-                    msg.copy_from_slice(&mem[a(0)..a(0) + 32]);
-                    let pk = u64::from_le_bytes(mem[a(1)..a(1) + 8].try_into().unwrap());
-                    let r = u64::from_le_bytes(mem[a(2)..a(2) + 8].try_into().unwrap());
-                    let s = u64::from_le_bytes(mem[a(2) + 8..a(2) + 16].try_into().unwrap());
+                    let (mut msg, mut pk, mut rs) = ([0u8; 32], [0u8; 8], [0u8; 16]);
+                    msg.copy_from_slice(&mem.read_bytes(a(0), 32));
+                    pk.copy_from_slice(&mem.read_bytes(a(1), 8));
+                    rs.copy_from_slice(&mem.read_bytes(a(2), 16));
+                    let pk = u64::from_le_bytes(pk);
+                    let r = u64::from_le_bytes(std::array::from_fn(|i| rs[i]));
+                    let s = u64::from_le_bytes(std::array::from_fn(|i| rs[8 + i]));
                     c::sig::verify(scheme, pk, &msg, &c::sig::Signature { r, s }) as i64
                 }
                 _ => 0,

@@ -139,6 +139,44 @@ fn unaffordable_precompile_is_refused_before_it_runs() {
     }
 }
 
+/// A global image past guest memory (`BIG` ends beyond 8 MiB, so `SMALL`
+/// starts there) is a `MemFault` at the first global that does not fit, in
+/// the IR interpreter and in both executors alike — never a panic.
+#[test]
+fn global_image_past_guest_memory_faults_every_executor_alike() {
+    use zkvm_opt::ir::interp::{Interp, InterpConfig, InterpError};
+    let m = zkvm_opt::lang::compile_guest(
+        "static BIG: [i32; 3000000];
+         static SMALL: [i32; 3] = [1, 2, 3];
+         fn main() -> i32 { commit(SMALL[1]); return 0; }",
+    )
+    .expect("compiles");
+    let small = m.layout_globals()[1];
+    assert!(
+        small > zkvm_opt::ir::interp::MEM_SIZE,
+        "SMALL lies past memory"
+    );
+    let interp = Interp::new(&m, InterpConfig::default(), zkvm_opt::ir::NopEcalls).run_main();
+    assert_eq!(interp, Err(InterpError::MemFault { addr: small }));
+    let p = zkvm_opt::riscv::compile_module(&m, &TargetCostModel::zk()).expect("codegen");
+    let d = DecodedProgram::decode(&p);
+    let want = Err(ExecError::MemFault { addr: small, pc: 0 });
+    for kind in VmKind::BOTH {
+        let config = ExecConfig {
+            inputs: vec![],
+            max_cycles: 1_000_000,
+        };
+        let engine = Engine::new(&d, VmProfile::for_kind(kind), config.clone()).run();
+        let oracle = Machine::new(&p, VmProfile::for_kind(kind), config).run();
+        assert_eq!(engine.map(|r| r.exit_code), want, "{kind}: engine");
+        assert_eq!(
+            oracle.map(|r| r.exit_code),
+            want,
+            "{kind}: reference machine"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 

@@ -2,12 +2,16 @@
 //! raw byte soup, token soup, or a valid program with random bytes spliced
 //! in — produces `Ok` or a structured `CompileError`; it never panics and
 //! never overflows the stack (the parser's nesting guard caps recursion).
+//! The IR interpreter is total on every input that compiles: `Ok` or an
+//! `InterpError`, never a panic.
 //!
 //! This is the frontend half of the fault-tolerance story: the tuning
 //! service treats program text as untrusted, so the parser is the first
 //! isolation boundary and must reject garbage as a value, not a crash.
 
 use proptest::prelude::*;
+use zkvm_opt::ir::interp::InterpConfig;
+use zkvm_opt::ir::{Interp, NopEcalls};
 use zkvm_opt::lang::compile_guest;
 
 /// Token vocabulary for structured soup: every lexeme class the language
@@ -91,11 +95,19 @@ fn main() -> i32 {
   return s;
 }";
 
-/// The single property under test: compiling must return, not crash. The
-/// `Result` is intentionally ignored — both outcomes are acceptable, only a
-/// panic or stack overflow fails the test (as an abort of the test process).
+/// The single property under test: compiling must return, not crash, and
+/// so must interpreting whatever compiles (no precompiles, at most 100 000
+/// steps). Each `Result` is intentionally ignored — `Ok` and an error value
+/// are both acceptable, only a panic or stack overflow fails the test (as an
+/// abort of the test process).
 fn must_not_panic(src: &str) {
-    let _ = compile_guest(src);
+    if let Ok(m) = compile_guest(src) {
+        let config = InterpConfig {
+            max_steps: 100_000,
+            ..InterpConfig::default()
+        };
+        let _ = Interp::new(&m, config, NopEcalls).run_main();
+    }
 }
 
 proptest! {
