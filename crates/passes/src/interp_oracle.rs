@@ -347,7 +347,7 @@ fn canonical(ty: Ty, v: i64) -> i64 {
 /// `a0..a0 + a1`, written as 32 bytes at `a2` by the two hash codes; the
 /// hash's low bit is the result. Out-of-range traffic reads zeros and
 /// writes nothing, as `MemIo` promises.
-pub(crate) struct MixEcalls;
+struct MixEcalls;
 
 impl EcallHandler for MixEcalls {
     fn handle(&mut self, code: u32, args: &[i64], mem: &mut dyn MemIo) -> i64 {
@@ -367,11 +367,7 @@ impl EcallHandler for MixEcalls {
 
 /// Both interpreters on `m` under `config` with [`MixEcalls`]: the same
 /// outcome, or the same error (`Malformed` by variant only). Returns it.
-pub(crate) fn check(
-    name: &str,
-    m: &Module,
-    config: &InterpConfig,
-) -> Result<InterpOutcome, InterpError> {
+fn check(name: &str, m: &Module, config: &InterpConfig) -> Result<InterpOutcome, InterpError> {
     let want = Interp::new(m, config.clone(), MixEcalls).run_main();
     let got = zkvmopt_ir::Interp::new(m, config.clone(), MixEcalls).run_main();
     if !matches!(
