@@ -4,16 +4,20 @@
 //!   reproduction does not show is pinned `false`; if it starts to hold, this
 //!   test fails too, and the ledger (and the README's findings table) changes
 //!   with the code that moved it.
-//! - The rendered output must equal `tests/golden_study.txt` byte for byte.
+//! - The rendered output must equal `tests/golden_study.txt` byte for byte,
+//!   through the workspace's one golden helper (`tests/common/golden.rs`).
 //!   Every number is modelled, so the file is deterministic. To rebless after
 //!   an intentional change to a reported number:
 //!
 //! ```text
-//! ZKVMOPT_BLESS=1 cargo test --release -p zkvmopt-bench --test paper_findings
+//! ZKVMOPT_BLESS=1 cargo test --release --workspace golden -- --include-ignored
 //! ```
 
 use std::sync::OnceLock;
 use zkvmopt_bench::study::{Scale, Table, STUDIES};
+
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
 
 /// Every finding id and whether it holds at quick scale.
 const LEDGER: &[(&str, bool)] = &[
@@ -105,35 +109,7 @@ fn quick_scale_output_matches_the_golden_file() {
         .flat_map(|(_, ts)| ts)
         .map(|t| t.to_string())
         .collect();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden_study.txt");
-    if std::env::var("ZKVMOPT_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write golden file");
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing {} ({e}); run with ZKVMOPT_BLESS=1 to generate",
-            path.display()
-        )
-    });
-    if got != want {
-        let diff: Vec<String> = got
-            .lines()
-            .zip(want.lines())
-            .filter(|(g, w)| g != w)
-            .map(|(g, w)| format!("golden: {w}\n     got: {g}"))
-            .collect();
-        panic!(
-            "reported numbers moved from tests/golden_study.txt ({} vs {} lines) — \
-             if intentional, rebless with ZKVMOPT_BLESS=1:\n{}",
-            got.lines().count(),
-            want.lines().count(),
-            diff.join("\n")
-        );
-    }
+    golden::check("tests/golden_study.txt", &got, |_, _| String::new());
 }
 
 /// Fig. 14b prices Fig. 14's RISC Zero runs under every backend: its `risc0`
