@@ -17,17 +17,17 @@
 //! | [`PipelineError::Panic`] | anywhere | a bug escaped as a panic and was caught at the isolation boundary |
 //!
 //! [`PipelineError::class`] projects each variant onto the tuner's payload-
-//! free [`FailureClass`], which is what the fitness cache, quarantine log
-//! and checkpoint files store; [`FailureClass::is_transient`] drives the
-//! service's bounded-retry policy (panics, traps and budget blowouts are
-//! retried, deterministic compile-stage failures never are).
+//! free [`FailureClass`], which is what the fitness cache, the quarantine
+//! and checkpoint files store. Every class is a final outcome: evaluation
+//! is a pure function of the program and the candidate, so the service
+//! never retries a failure.
 
 use std::fmt;
 use zkvmopt_tuner::FailureClass;
 
 /// Any failure along the candidate-evaluation pipeline. See the module docs
-/// for the full taxonomy and how each variant maps onto a retry/quarantine
-/// decision.
+/// for the full taxonomy and how each variant maps onto a quarantine
+/// class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     /// The program text failed in the frontend (lex, parse, type, lower).

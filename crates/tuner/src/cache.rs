@@ -18,8 +18,8 @@
 //! candidate twice.
 //!
 //! Values are classified [`EvalResult`]s: a failing candidate caches *why*
-//! it failed, which is what the quarantine log and checkpoint files are
-//! derived from.
+//! it failed, which is what the quarantine and checkpoint files are derived
+//! from.
 //!
 //! Concurrency contract: fitness is deterministic (cycle counts are), so a
 //! benign race — two threads missing on the same key and both evaluating —
@@ -60,7 +60,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key: one candidate on one program. Ordered field by field
 /// (fingerprint first) — the order snapshots, checkpoints and the
-/// quarantine log are written in.
+/// quarantine are written in.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FitnessKey {
     /// Stable fingerprint of the target's lowered base module

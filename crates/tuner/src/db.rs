@@ -48,9 +48,9 @@
 //! entirely when nothing changed since load, so a caller saving after every
 //! run does not rewrite an unchanged file each time.
 //! Refreshing stored entries after a cost-model change follows the
-//! golden-snapshot workflow: delete the file (or run with `warm_start` off)
-//! and let the next service run re-record — the `ZKVMOPT_BLESS`-style
-//! "re-measure and overwrite" flow.
+//! golden-snapshot workflow: delete the file (or pass the service an empty
+//! [`TuneDb`]) and let the next service run re-record — the
+//! `ZKVMOPT_BLESS`-style "re-measure and overwrite" flow.
 
 use crate::persist;
 use std::cell::Cell;

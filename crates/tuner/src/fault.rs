@@ -8,30 +8,27 @@
 //! surfaced the paper's SP1 soundness bug), or the evaluator itself may
 //! panic. [`FailureClass`] is the service-side vocabulary for those
 //! outcomes: it is what the fitness cache stores for failing candidates,
-//! what the quarantine log records, and what the retry policy keys on
-//! ([`FailureClass::is_transient`]).
+//! what the quarantine records, and what checkpoint files carry. Every
+//! outcome is final: the service evaluates a candidate once and never
+//! retries it.
 //!
 //! The second half of this module is the chaos harness. [`FaultPlan`] wraps
 //! any fitness function and injects panics, traps, budget blowouts, and
 //! corrupted fitness values at configured rates — **deterministically**.
 //! Every injection decision is a pure hash of `(seed, workload, canonical
-//! candidate)`, and transient faults are injected a bounded number of times
-//! per candidate (at most [`FaultConfig::max_injections`], which must not
-//! exceed the service's retry budget). A shared per-candidate injection
-//! counter guarantees that no matter how worker threads interleave, the
-//! retry loop of *some* caller always reaches the true fitness value, so a
-//! service run under non-corrupting faults converges to a bit-identical
-//! tune database versus the fault-free run — the property the release-only
-//! chaos tests pin.
+//! candidate)`, and every fault is persistent: a faulted candidate fails the
+//! same way on every call. The wrapped fitness is therefore as pure as the
+//! one it wraps, so a service run under faults reaches the same tune
+//! database and the same quarantine at every thread count — the property
+//! the release-only chaos tests pin.
 
 use crate::rng::SeedTree;
 use crate::{canonicalize_sequence, lock_unpoisoned, Candidate};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
 /// Why a candidate evaluation failed, as stored in the fitness cache, the
-/// quarantine log, and checkpoint files. Mirrors `zkvmopt_core`'s
+/// quarantine, and checkpoint files. Mirrors `zkvmopt_core`'s
 /// `PipelineError` taxonomy one stage at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FailureClass {
@@ -67,7 +64,7 @@ impl FailureClass {
         FailureClass::Panic,
     ];
 
-    /// Stable one-word token used in quarantine logs and checkpoint files.
+    /// Stable one-word token used in checkpoint files.
     pub fn token(self) -> &'static str {
         match self {
             FailureClass::Parse => "parse",
@@ -84,18 +81,6 @@ impl FailureClass {
     pub fn from_token(s: &str) -> Option<FailureClass> {
         FailureClass::ALL.into_iter().find(|c| c.token() == s)
     }
-
-    /// Whether the service retry policy should re-attempt this failure.
-    /// Compile-stage outcomes (parse/verify/codegen) and divergence are
-    /// deterministic functions of the candidate — retrying them burns
-    /// budget for the same answer. Panics, traps, and budget blowouts can
-    /// be environmental (or injected), so they get bounded retries.
-    pub fn is_transient(self) -> bool {
-        matches!(
-            self,
-            FailureClass::Panic | FailureClass::Trap | FailureClass::Budget
-        )
-    }
 }
 
 impl fmt::Display for FailureClass {
@@ -106,13 +91,9 @@ impl fmt::Display for FailureClass {
 
 /// Injection rates for [`FaultPlan`], each in `[0, 1]`.
 ///
-/// Panic, trap, and budget faults are **transient**: a faulted candidate is
-/// injected at most [`FaultConfig::max_injections`] times and then returns
-/// its true fitness, so a retrying service converges to the fault-free
-/// result. Corruption is **persistent**: a corrupted candidate always
-/// returns the same deterministic wrong value — it models a fault the
-/// service cannot detect or retry away, and is kept out of the
-/// bit-identical-convergence tests by construction.
+/// Every fault is **persistent**: a panicking, trapping or over-budget
+/// candidate fails on every call, and a corrupted candidate always returns
+/// the same deterministic wrong value (a fault the service cannot detect).
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Seed for the injection hash (independent of the search seed).
@@ -125,10 +106,6 @@ pub struct FaultConfig {
     pub budget_rate: f64,
     /// Fraction of candidates whose fitness is silently corrupted.
     pub corrupt_rate: f64,
-    /// Times a transient fault fires per candidate before the true value
-    /// comes through. Must be ≤ the service's `max_retries` for the
-    /// bit-identical-convergence guarantee to hold.
-    pub max_injections: u32,
 }
 
 impl Default for FaultConfig {
@@ -139,7 +116,6 @@ impl Default for FaultConfig {
             trap_rate: 0.0,
             budget_rate: 0.0,
             corrupt_rate: 0.0,
-            max_injections: 2,
         }
     }
 }
@@ -165,8 +141,6 @@ enum Injection {
 pub struct FaultPlan {
     config: FaultConfig,
     salt: u64,
-    /// Injections already fired per candidate hash (transient faults only).
-    fired: Mutex<HashMap<u64, u32>>,
     injected: Mutex<Vec<FailureClass>>,
 }
 
@@ -177,15 +151,14 @@ impl FaultPlan {
         FaultPlan {
             config,
             salt,
-            fired: Mutex::new(HashMap::new()),
             injected: Mutex::new(Vec::new()),
         }
     }
 
-    /// Total transient + corrupt injections fired so far, by class
-    /// (corruption reported as [`FailureClass::Divergence`]-free: it is not
-    /// in the list, being silent by design). Order is nondeterministic;
-    /// counts per class are what tests should assert on.
+    /// Every panic, trap and budget fault fired so far, one entry per
+    /// faulted call (corruption is silent by design and not listed). Order
+    /// is nondeterministic; counts per class are what tests should assert
+    /// on.
     pub fn injected(&self) -> Vec<FailureClass> {
         lock_unpoisoned(&self.injected).clone()
     }
@@ -205,19 +178,14 @@ impl FaultPlan {
                 fitness(widx, c).map(|true_v| true_v ^ (v | 1))
             }
             Injection::Panic => {
-                if self.fire(widx, c, FailureClass::Panic) {
-                    // resume_unwind skips the global panic hook: chaos runs
-                    // do not spray "thread panicked" over the test output.
-                    std::panic::resume_unwind(Box::new("injected panic"));
-                }
-                fitness(widx, c)
+                lock_unpoisoned(&self.injected).push(FailureClass::Panic);
+                // resume_unwind skips the global panic hook: chaos runs do
+                // not spray "thread panicked" over the test output.
+                std::panic::resume_unwind(Box::new("injected panic"))
             }
             Injection::Fail(class) => {
-                if self.fire(widx, c, class) {
-                    Err(class)
-                } else {
-                    fitness(widx, c)
-                }
+                lock_unpoisoned(&self.injected).push(class);
+                Err(class)
             }
         }
     }
@@ -244,21 +212,6 @@ impl FaultPlan {
             return Injection::Fail(FailureClass::Budget);
         }
         Injection::None
-    }
-
-    /// Register one transient injection for the candidate; `false` once the
-    /// per-candidate cap is spent (the true value must come through).
-    fn fire(&self, widx: usize, c: &Candidate, class: FailureClass) -> bool {
-        let h = self.hash(widx, c);
-        let mut fired = lock_unpoisoned(&self.fired);
-        let n = fired.entry(h).or_insert(0);
-        if *n >= self.config.max_injections {
-            return false;
-        }
-        *n += 1;
-        drop(fired);
-        lock_unpoisoned(&self.injected).push(class);
-        true
     }
 
     /// FNV-1a over `(workload, canonical candidate)`.
@@ -306,10 +259,6 @@ mod tests {
             assert_eq!(FailureClass::from_token(c.token()), Some(c));
         }
         assert_eq!(FailureClass::from_token("nonsense"), None);
-        assert!(FailureClass::Panic.is_transient());
-        assert!(FailureClass::Budget.is_transient());
-        assert!(!FailureClass::Divergence.is_transient());
-        assert!(!FailureClass::Parse.is_transient());
     }
 
     #[test]
@@ -341,33 +290,18 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_are_capped_then_release_the_true_value() {
-        let plan = FaultPlan::new(FaultConfig {
-            trap_rate: 1.0,
-            max_injections: 2,
-            ..Default::default()
-        });
-        let wrapped = plan.wrap(|_, c: &Candidate| Ok(c.inline_threshold as u64));
-        let c = cand(&["gvn"], 77);
-        assert_eq!(wrapped(0, &c), Err(FailureClass::Trap));
-        assert_eq!(wrapped(0, &c), Err(FailureClass::Trap));
-        assert_eq!(wrapped(0, &c), Ok(77), "cap spent: true value");
-        assert_eq!(wrapped(0, &c), Ok(77));
-        assert_eq!(plan.injected().len(), 2);
-    }
-
-    #[test]
     fn injected_panics_unwind_and_are_catchable() {
         let plan = FaultPlan::new(FaultConfig {
             panic_rate: 1.0,
-            max_injections: 1,
             ..Default::default()
         });
         let wrapped = plan.wrap(|_, _c: &Candidate| Ok(5));
         let c = cand(&["dce"], 1);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| wrapped(0, &c)));
-        assert!(r.is_err(), "first call must unwind");
-        assert_eq!(wrapped(0, &c), Ok(5), "cap spent: true value");
+        for _ in 0..2 {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| wrapped(0, &c)));
+            assert!(r.is_err(), "every call must unwind");
+        }
+        assert_eq!(plan.injected(), [FailureClass::Panic; 2]);
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //!   aliases, drop registered no-ops, collapse idempotent adjacent repeats —
 //!   all output-preserving by the registry's tested metadata), looks the
 //!   [`FitnessKey`] up in the shared [`ShardedFitnessCache`], and only on a
-//!   miss calls the fitness function (panic-isolated, transient failures
-//!   retried). Fitness must be deterministic (cycle counts are), so the memo
-//!   cannot change any search outcome — only its cost. Behind the cache, a
+//!   miss calls the fitness function, once and panic-isolated; its outcome,
+//!   failure or not, is final. Fitness must be deterministic (cycle counts
+//!   are), so the memo cannot change any search outcome — only its cost. Behind the cache, a
 //!   search-scoped [`PostPassMemo`] lets the evaluator compile and execute
 //!   each distinct post-pass module once per search ([`cache`]).
-//! - **One persistence layer:** the tune database ([`TuneDb`]), the run
-//!   checkpoint ([`checkpoint`]) and the quarantine log are versioned
-//!   line-oriented text files read and written through one crate-private
+//! - **One persistence layer:** the tune database ([`TuneDb`]) and the run
+//!   checkpoint ([`checkpoint`]) are versioned line-oriented text files read and written through one crate-private
 //!   `persist` module — locked temp-file + rename writes, locked reads, and
 //!   a per-line salvage that turns damage into a `Recovered` status instead
 //!   of an error.
@@ -134,8 +133,8 @@ impl Candidate {
 
 /// The known-good seed candidates island 0 of every search starts from
 /// (`-O2`-style skeletons).
-pub(crate) fn anchor_candidates(max_depth: usize) -> Vec<Candidate> {
-    let mut anchors = vec![
+pub(crate) fn anchor_candidates() -> Vec<Candidate> {
+    vec![
         Candidate {
             passes: vec![
                 "mem2reg",
@@ -160,11 +159,7 @@ pub(crate) fn anchor_candidates(max_depth: usize) -> Vec<Candidate> {
             inline_threshold: 1000,
             unroll_threshold: 400,
         },
-    ];
-    for a in &mut anchors {
-        a.passes.truncate(max_depth.max(1));
-    }
-    anchors
+    ]
 }
 
 /// Canonicalize a pass sequence for content-keyed memoization:

@@ -1,7 +1,7 @@
-//! The one persistence layer under the tune database, the run checkpoint
-//! and the quarantine log.
+//! The one persistence layer under the tune database and the run
+//! checkpoint.
 //!
-//! All three are line-oriented text — a `<magic> <version> …` header, one
+//! Both are line-oriented text — a `<magic> <version> …` header, one
 //! whitespace-separated record per line, a sequence field comma-joined or
 //! `-` when empty — published and recovered the same way, decided here once:
 //!

@@ -9,15 +9,15 @@
 //! island on one thread is a plain single-population GA; more islands and
 //! more threads are the same search run wider, with the same result at any
 //! thread count. A call is **admission** (per target, in order: a [`TuneDb`]
-//! hit is served at no cost when [`ServiceConfig::warm_start`] is set, a
-//! prediction inside the margin after one measurement, the rest are cold) →
+//! hit is served at no cost, a prediction inside the margin after one
+//! measurement, the rest are cold) →
 //! the **search** of the cold targets → **collection** (fold the islands
 //! into a best, record it back, report it), and every measurement in all
 //! three goes through one evaluate-through-cache step: canonical
 //! [`FitnessKey`] → the [`ShardedFitnessCache`] shared across islands *and*
-//! workloads → on a miss, the panic-isolated fitness call with bounded
-//! retries, run with the call's [`PostPassMemo`] current so an evaluator
-//! can skip the back half for IR this search already compiled and ran.
+//! workloads → on a miss, one panic-isolated fitness call, run with the
+//! call's [`PostPassMemo`] current so an evaluator can skip the back half
+//! for IR this search already compiled and ran.
 //!
 //! ## Shape
 //!
@@ -42,18 +42,17 @@
 //! - **Panic isolation.** Every fitness call runs under `catch_unwind`; a
 //!   panicking evaluation becomes [`FailureClass::Panic`] instead of
 //!   killing the island (and poisoning its lock).
-//! - **Bounded retries.** Transient failures ([`FailureClass::is_transient`]:
-//!   panic, trap, budget) are retried up to [`ServiceConfig::max_retries`]
-//!   times before the failure is accepted; deterministic compile-stage
-//!   failures are never retried.
-//! - **Quarantine.** Candidates whose final outcome is a failure are
-//!   reported per workload ([`WorkloadTuneReport::quarantined`]) and
-//!   optionally appended to a quarantine log file, carrying the canonical
+//! - **Final outcomes.** Each candidate is evaluated once and its outcome,
+//!   failure or not, is cached as it came back. Fitness is a pure function
+//!   of `(fingerprint, candidate)`, so a second call could only repeat the
+//!   first answer.
+//! - **Quarantine.** Candidates whose outcome is a failure are reported per
+//!   workload ([`WorkloadTuneReport::quarantined`]), carrying the canonical
 //!   sequence and the failure class.
 //! - **Demotion.** A workload whose islands produce *zero* valid candidates
-//!   for [`ServiceConfig::demote_after`] consecutive generations stops
-//!   burning budget: its remaining generations are cancelled and it falls
-//!   back to the baseline (empty) sequence.
+//!   for three consecutive generations stops burning budget: its remaining
+//!   generations are cancelled and it falls back to the baseline (empty)
+//!   sequence.
 //! - **Checkpoint/resume.** With [`ServiceConfig::checkpoint_path`] set,
 //!   the fitness cache is dumped atomically at every generation barrier; a
 //!   rerun with the same configuration resumes from it with zero redundant
@@ -71,8 +70,9 @@
 //! function must be a pure function of `(fingerprint, candidate)` — two
 //! targets with equal fingerprints must measure identically. Those
 //! properties survive faults: a kill + resume replays the identical search
-//! with the checkpointed evaluations pre-answered, and injected transient
-//! faults (see [`crate::fault`]) are retried until the true value lands.
+//! with the checkpointed evaluations pre-answered, and injected faults (see
+//! [`crate::fault`]) are final outcomes like any other, so they land in the
+//! same quarantine at every thread count.
 
 use crate::cache::{with_postpass_memo, FitnessKey, PostPassMemo, ShardedFitnessCache};
 use crate::checkpoint::{load_checkpoint, save_checkpoint, CheckpointStatus};
@@ -81,8 +81,8 @@ use crate::fault::{EvalResult, FailureClass};
 use crate::predict::{candidate_from_entry, Predictor};
 use crate::rng::SeedTree;
 use crate::{
-    anchor_candidates, canonicalize_sequence, crossover, lock_unpoisoned, mutate, persist,
-    random_candidate, wait_unpoisoned, Candidate,
+    anchor_candidates, canonicalize_sequence, crossover, lock_unpoisoned, mutate, random_candidate,
+    wait_unpoisoned, Candidate,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -93,9 +93,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use zkvmopt_ir::FeatureVector;
 
-/// Quarantine entries kept in memory per workload; the rest are counted in
-/// [`WorkloadTuneReport::quarantine_total`] (the log file gets everything).
+/// Quarantine entries kept per workload; the rest are counted in
+/// [`WorkloadTuneReport::quarantine_total`].
 const QUARANTINE_CAP: usize = 64;
+
+/// Maximum pass-sequence depth (the paper's 20).
+const MAX_DEPTH: usize = 20;
+
+/// Cancel a workload's remaining generations after this many *consecutive*
+/// generations in which no island produced a single valid candidate.
+const DEMOTE_AFTER: usize = 3;
 
 /// Predict-first acceptance margin: a measured prediction is accepted when
 /// `measured ≤ baseline × expected_ratio × (1 + PREDICT_MARGIN)`.
@@ -115,28 +122,14 @@ pub struct ServiceConfig {
     /// Donate each island's elite to the ring neighbour every this many
     /// generations (`0` = never migrate).
     pub migration_interval: usize,
-    /// Maximum pass-sequence depth (paper: 20).
-    pub max_depth: usize,
     /// Root RNG seed; every island stream splits from it.
     pub seed: u64,
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Skip the search for programs already in the tune database.
-    pub warm_start: bool,
-    /// Re-attempts for a transiently failing evaluation (panic, trap,
-    /// budget — see [`FailureClass::is_transient`]) before the failure is
-    /// accepted and cached.
-    pub max_retries: usize,
-    /// Cancel a workload's remaining generations after this many
-    /// *consecutive* generations in which no island produced a single
-    /// valid candidate (`0` = never demote).
-    pub demote_after: usize,
     /// Dump the fitness cache here at every generation barrier; on start,
     /// resume from it when its digest matches this run (`None` = no
     /// checkpointing).
     pub checkpoint_path: Option<PathBuf>,
-    /// Write the quarantine log here after the run (`None` = in-report only).
-    pub quarantine_path: Option<PathBuf>,
     /// Predict-first mode: before searching a cold workload whose
     /// [`TuneTarget::features`] are known, ask the [`Predictor`] for a
     /// candidate and measure it **once**. Within 10 % of the database's
@@ -156,14 +149,9 @@ impl Default for ServiceConfig {
             population: 8,
             generations: 5,
             migration_interval: 2,
-            max_depth: 20,
             seed: 0xC0FFEE,
             threads: 0,
-            warm_start: true,
-            max_retries: 3,
-            demote_after: 3,
             checkpoint_path: None,
-            quarantine_path: None,
             predict: false,
             predict_k: 3,
         }
@@ -197,14 +185,15 @@ impl ServiceConfig {
         mix(self.population as u64);
         mix(self.generations as u64);
         mix(self.migration_interval as u64);
-        mix(self.max_depth as u64);
+        // Constants now, but checkpoints written while the depth, the retry
+        // budget (3), the demotion limit and the margin were config fields
+        // carry them in their digest.
+        mix(MAX_DEPTH as u64);
         mix(self.seed);
-        mix(self.max_retries as u64);
-        mix(self.demote_after as u64);
+        mix(3);
+        mix(DEMOTE_AFTER as u64);
         mix(self.predict as u64);
         mix(self.predict_k as u64);
-        // A constant, but checkpoints written while the margin was a config
-        // field carry it in their digest.
         mix(PREDICT_MARGIN.to_bits());
         for t in targets {
             mix(t.fingerprint);
@@ -273,20 +262,18 @@ pub struct WorkloadTuneReport {
     pub best_fitness: Option<u64>,
     /// Evaluation budget spent (cache hits included).
     pub evaluated: usize,
-    /// Actual fitness-function calls (budget minus cache hits, plus
-    /// retries).
+    /// Actual fitness-function calls (budget minus cache hits).
     pub fitness_evals: usize,
     /// Evaluations served by the sharded cache.
     pub cache_hits: usize,
-    /// Transient-failure re-attempts ([`ServiceConfig::max_retries`]).
-    pub retries: usize,
     /// Whether the result came straight from the tune database.
     pub warm_started: bool,
     /// Whether the result is an accepted prediction (served with ~1 fitness
     /// evaluation instead of a genetic search).
     pub predicted: bool,
-    /// Whether the search was cancelled early ([`ServiceConfig::demote_after`])
-    /// and the workload fell back to its baseline sequence.
+    /// Whether the search was cancelled early (three consecutive generations
+    /// without a valid candidate) and the workload fell back to its
+    /// baseline sequence.
     pub demoted: bool,
     /// Candidates whose final outcome was a failure (the first 64, in
     /// deterministic key order).
@@ -308,7 +295,6 @@ impl WorkloadTuneReport {
             evaluated: cost.evaluated,
             fitness_evals: cost.fitness_evals,
             cache_hits: cost.cache_hits,
-            retries: cost.retries,
             warm_started: false,
             predicted: false,
             demoted: false,
@@ -335,7 +321,9 @@ pub struct ServiceReport {
     /// from `cache_hits`; always 0 for a fitness that does not consult the
     /// memo.
     pub postpass_hits: usize,
-    /// Total transient-failure re-attempts.
+    /// Always 0: every evaluation outcome is final, so nothing is retried.
+    /// Kept because the benchmark reads it as `tuner.retries`; both go
+    /// together.
     pub retries: usize,
     /// Workloads answered straight from the tune database.
     pub db_hits: usize,
@@ -354,14 +342,13 @@ pub struct ServiceReport {
     pub resumed_entries: usize,
 }
 
-/// What evaluations cost, in the four units the reports count. Always
-/// `evaluated == fitness_evals + cache_hits − retries`.
+/// What evaluations cost, in the three units the reports count. Always
+/// `evaluated == fitness_evals + cache_hits`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cost {
     evaluated: usize,
     fitness_evals: usize,
     cache_hits: usize,
-    retries: usize,
 }
 
 impl std::ops::AddAssign for Cost {
@@ -369,7 +356,6 @@ impl std::ops::AddAssign for Cost {
         self.evaluated += c.evaluated;
         self.fitness_evals += c.fitness_evals;
         self.cache_hits += c.cache_hits;
-        self.retries += c.retries;
     }
 }
 
@@ -390,44 +376,33 @@ struct Run<'a> {
 
 impl Run<'_> {
     /// The one evaluate-through-cache step: `c`'s outcome on `w`'s target
-    /// and what it cost — one unit of budget, paid by a cache hit or by a
-    /// fitness call plus its retries.
+    /// and what it cost — one unit of budget, paid by a cache hit or by one
+    /// fitness call.
     fn measure(&self, w: &WorkState, c: &Candidate) -> (EvalResult, Cost) {
         let key = FitnessKey::of(w.fingerprint, c);
-        let (r, calls) = match self.cache.get(&key) {
-            Some(r) => (r, 0),
+        let (r, hit) = match self.cache.get(&key) {
+            Some(r) => (r, true),
             None => {
-                let (r, calls) = self.call_with_retries(w.widx, c);
+                let r = self.call(w.widx, c);
                 self.cache.insert(key, r);
-                (r, calls)
+                (r, false)
             }
         };
         let cost = Cost {
             evaluated: 1,
-            fitness_evals: calls,
-            cache_hits: usize::from(calls == 0),
-            retries: calls.saturating_sub(1),
+            fitness_evals: usize::from(!hit),
+            cache_hits: usize::from(hit),
         };
         (r, cost)
     }
 
-    /// Call `fitness` with panic isolation, with this run's post-pass memo
-    /// current, and under the bounded transient retry policy. Returns the
-    /// accepted outcome and the number of fitness calls made (≥ 1; every
-    /// call after the first is a retry).
-    fn call_with_retries(&self, widx: usize, c: &Candidate) -> (EvalResult, usize) {
-        let mut calls = 0usize;
-        loop {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                with_postpass_memo(&self.postpass, || (self.fitness)(widx, c))
-            }))
-            .unwrap_or(Err(FailureClass::Panic));
-            calls += 1;
-            match r {
-                Err(class) if class.is_transient() && calls <= self.config.max_retries => continue,
-                r => return (r, calls),
-            }
-        }
+    /// Call `fitness` once, with panic isolation and with this run's
+    /// post-pass memo current. The outcome is final.
+    fn call(&self, widx: usize, c: &Candidate) -> EvalResult {
+        catch_unwind(AssertUnwindSafe(|| {
+            with_postpass_memo(&self.postpass, || (self.fitness)(widx, c))
+        }))
+        .unwrap_or(Err(FailureClass::Panic))
     }
 
     /// Resume: restore a previous attempt's evaluations into the cache.
@@ -542,7 +517,7 @@ impl WorkState {
 /// the candidate failed) and must be deterministic in
 /// `(targets[widx].fingerprint, candidate)`. A panicking fitness call is
 /// caught and treated as [`FailureClass::Panic`]. Results for known
-/// programs come from `db` when [`ServiceConfig::warm_start`] is set; new
+/// programs come from `db` (pass an empty database for a cold search); new
 /// results are recorded into `db` (call [`TuneDb::save`] to persist them).
 pub fn tune_suite<F>(
     config: &ServiceConfig,
@@ -556,7 +531,6 @@ where
     assert!(config.islands >= 1, "need at least one island");
     assert!(config.population >= 1, "need a non-empty population");
     assert!(config.generations >= 1, "need at least one generation");
-    assert!(config.max_depth >= 1, "need depth >= 1");
 
     let digest = config.run_digest(targets);
     let run = Run {
@@ -599,22 +573,13 @@ where
             Admission::Cold(w) => collect(&run, &w, t, db, &mut db_updates, &failures),
         })
         .collect();
-    if let Some(path) = &config.quarantine_path {
-        if let Err(e) = write_quarantine_log(path, &failures) {
-            eprintln!(
-                "tuner: quarantine log write to {} failed ({e}); \
-                 failures remain in the in-memory report",
-                path.display()
-            );
-        }
-    }
 
     ServiceReport {
         evaluated: workloads.iter().map(|w| w.evaluated).sum(),
         fitness_evals: workloads.iter().map(|w| w.fitness_evals).sum(),
         cache_hits: workloads.iter().map(|w| w.cache_hits).sum(),
         postpass_hits: run.postpass.hits(),
-        retries: workloads.iter().map(|w| w.retries).sum(),
+        retries: 0,
         db_hits: workloads.iter().filter(|w| w.warm_started).count(),
         predicted_hits: workloads.iter().filter(|w| w.predicted).count(),
         db_updates,
@@ -642,7 +607,7 @@ fn admit(
         .enumerate()
         .map(|(widx, t)| {
             let cold = || Admission::Cold(WorkState::new(config, widx, t.fingerprint));
-            let Some(e) = db.get(t.fingerprint).filter(|_| config.warm_start) else {
+            let Some(e) = db.get(t.fingerprint) else {
                 return cold();
             };
             let Some(best) = candidate_from_entry(e) else {
@@ -770,26 +735,6 @@ fn record(db: &mut TuneDb, t: &TuneTarget, c: &Candidate, cycles: u64) -> usize 
     )
 }
 
-/// Atomic, locked dump of every cached failure:
-/// `<fp> <class> <inline> <unroll> <seq|->` per line.
-fn write_quarantine_log(
-    path: &Path,
-    failures: &[(FitnessKey, FailureClass)],
-) -> std::io::Result<()> {
-    let mut out = String::from("zkvmopt-quarantine 1\n");
-    for (k, class) in failures {
-        out.push_str(&format!(
-            "{} {} {} {} {}\n",
-            zkvmopt_ir::analysis::fingerprint_to_hex(k.fingerprint),
-            class.token(),
-            k.inline_threshold,
-            k.unroll_threshold,
-            persist::join_seq(&k.passes),
-        ));
-    }
-    persist::write_atomic(path, &out)
-}
-
 /// The work-stealing loop: a shared ready queue of `(work index, island)`
 /// tasks, per-workload generation barriers, termination via an outstanding
 /// task counter.
@@ -849,7 +794,7 @@ fn run_scheduler(run: &Run<'_>, work: &[&WorkState]) {
                     };
                     run.write_checkpoint();
                     if done < config.generations {
-                        if config.demote_after > 0 && failed >= config.demote_after {
+                        if failed >= DEMOTE_AFTER {
                             // Demote: cancel the remaining generations —
                             // burning the rest of the budget on a workload
                             // that cannot produce a valid candidate starves
@@ -908,11 +853,11 @@ fn run_generation(
         let mut init: Vec<Candidate> = Vec::with_capacity(config.population);
         if island_idx == 0 {
             init.extend(w.seed.clone());
-            init.extend(anchor_candidates(config.max_depth));
+            init.extend(anchor_candidates());
             init.truncate(config.population);
         }
         while init.len() < config.population {
-            init.push(random_candidate(&mut island.rng, config.max_depth));
+            init.push(random_candidate(&mut island.rng, MAX_DEPTH));
         }
         island.pop = init
             .into_iter()
@@ -936,12 +881,12 @@ fn run_generation(
             let p1 = tournament(&mut island.rng, &island.pop);
             let p2 = tournament(&mut island.rng, &island.pop);
             let mut child = if island.rng.gen_bool(0.7) {
-                crossover(&mut island.rng, &p1, &p2, config.max_depth)
+                crossover(&mut island.rng, &p1, &p2, MAX_DEPTH)
             } else {
                 p1.clone()
             };
             if island.rng.gen_bool(0.9) {
-                child = mutate(&mut island.rng, &child, config.max_depth);
+                child = mutate(&mut island.rng, &child, MAX_DEPTH);
             }
             let f = eval(island, &child);
             children.push((child, f));
@@ -1011,7 +956,6 @@ fn canonical_candidate(c: &Candidate) -> Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultConfig, FaultPlan};
 
     /// A cheap synthetic fitness: deterministic pure function of
     /// (fingerprint, canonical candidate) — the documented contract.
@@ -1063,12 +1007,11 @@ mod tests {
         assert_eq!(r.evaluated, 3 * cfg.budget_per_workload());
         assert_eq!(r.db_hits, 0);
         assert_eq!(r.db_updates, 3);
-        assert_eq!(r.retries, 0, "divergence failures are never retried");
         assert_eq!(r.demoted, 0);
         for w in &r.workloads {
             assert!(!w.warm_started);
             assert_eq!(w.evaluated, cfg.budget_per_workload());
-            assert_eq!(w.evaluated, w.fitness_evals + w.cache_hits - w.retries);
+            assert_eq!(w.evaluated, w.fitness_evals + w.cache_hits);
             let f = w.best_fitness.expect("found a valid candidate");
             assert!(f < 7_000, "search should beat the random floor, got {f}");
             assert!(!w.best.as_ref().unwrap().passes.contains(&"licm"));
@@ -1159,19 +1102,6 @@ mod tests {
             assert_eq!(w.best_fitness, c.best_fitness);
             assert_eq!(w.best, c.best);
         }
-
-        // With warm_start off, the database is ignored (but stays intact).
-        let re = tune_suite(
-            &ServiceConfig {
-                warm_start: false,
-                ..cfg
-            },
-            &targets(3),
-            &mut db,
-            |widx, c| synthetic(targets(3)[widx].fingerprint, c),
-        );
-        assert_eq!(re.db_hits, 0);
-        assert!(re.fitness_evals > 0);
     }
 
     /// Duplicate programs (equal fingerprints) share the fitness cache
@@ -1276,61 +1206,8 @@ mod tests {
         }
     }
 
-    /// Panic isolation + bounded retries: a fitness function that panics
-    /// and traps transiently (via the deterministic fault plan, capped
-    /// below the retry budget) yields a bit-identical database to the
-    /// fault-free run, with the retries surfaced in the report.
-    #[test]
-    fn transient_faults_converge_to_the_fault_free_database() {
-        let cfg = ServiceConfig {
-            islands: 2,
-            population: 6,
-            generations: 4,
-            threads: 4,
-            seed: 0xFA_B1E,
-            max_retries: 3,
-            ..Default::default()
-        };
-        let ts = targets(3);
-
-        let mut clean_db = TuneDb::in_memory();
-        let clean = tune_suite(&cfg, &ts, &mut clean_db, |widx, c| {
-            synthetic(ts[widx].fingerprint, c)
-        });
-
-        let plan = FaultPlan::new(FaultConfig {
-            seed: 0xBAD5EED,
-            panic_rate: 0.10,
-            trap_rate: 0.10,
-            budget_rate: 0.05,
-            max_injections: 2, // ≤ max_retries: convergence guaranteed
-            ..Default::default()
-        });
-        let mut chaos_db = TuneDb::in_memory();
-        let wrapped = plan.wrap(|widx: usize, c: &Candidate| synthetic(ts[widx].fingerprint, c));
-        let chaos = tune_suite(&cfg, &ts, &mut chaos_db, &wrapped);
-
-        assert!(
-            !plan.injected().is_empty(),
-            "the plan must actually have injected faults"
-        );
-        assert!(chaos.retries > 0, "injected faults must surface as retries");
-        assert_eq!(
-            chaos_db.to_string_pretty(),
-            clean_db.to_string_pretty(),
-            "non-corrupting faults must not change the tune database"
-        );
-        for (a, b) in chaos.workloads.iter().zip(&clean.workloads) {
-            assert_eq!(a.best, b.best, "{}", a.name);
-            assert_eq!(a.best_fitness, b.best_fitness, "{}", a.name);
-            assert_eq!(a.evaluated, b.evaluated, "{}", a.name);
-            assert_eq!(a.quarantined, b.quarantined, "{}", a.name);
-            assert_eq!(a.evaluated, a.fitness_evals + a.cache_hits - a.retries);
-        }
-    }
-
     /// A workload whose evaluations always fail is demoted after
-    /// `demote_after` consecutive empty generations instead of burning its
+    /// [`DEMOTE_AFTER`] consecutive empty generations instead of burning its
     /// whole budget, and falls back to the baseline sequence when even that
     /// is all the run ever measured. Healthy workloads are untouched.
     #[test]
@@ -1340,7 +1217,6 @@ mod tests {
             population: 4,
             generations: 6,
             threads: 3,
-            demote_after: 2,
             ..Default::default()
         };
         let ts = targets(2);
@@ -1377,7 +1253,6 @@ mod tests {
         assert_eq!(sick.best_fitness, Some(77_777));
         assert_eq!(db.get(poisoned).unwrap().cycles, 77_777);
         assert!(sick.quarantine_total > 0, "failures were quarantined");
-        assert!(sick.retries > 0, "traps are transient: retried");
     }
 
     /// Even a workload with **no** valid outcome at all (baseline included)
@@ -1390,7 +1265,6 @@ mod tests {
             population: 3,
             generations: 5,
             threads: 2,
-            demote_after: 1,
             ..Default::default()
         };
         let ts = targets(1);
@@ -1402,7 +1276,6 @@ mod tests {
         assert!(w.demoted);
         assert_eq!(w.best, None);
         assert_eq!(w.best_fitness, None);
-        assert_eq!(w.retries, 0, "codegen failures are deterministic");
         assert!(db.is_empty(), "nothing valid, nothing recorded");
     }
 
@@ -1436,7 +1309,6 @@ mod tests {
             w.quarantined.iter().any(|q| q.class == FailureClass::Panic),
             "panics must be classified and quarantined"
         );
-        assert!(w.retries > 0, "panics are transient: retried");
     }
 
     /// Checkpoint/resume at the unit level: a completed run leaves a
@@ -1453,7 +1325,6 @@ mod tests {
             population: 5,
             generations: 4,
             threads: 3,
-            warm_start: false, // force the search; resume must do the saving
             checkpoint_path: Some(ckpt.clone()),
             ..Default::default()
         };
@@ -1630,7 +1501,7 @@ mod tests {
             pcfg.budget_per_workload() + 1,
             "full search plus the rejected measurement"
         );
-        assert_eq!(w.evaluated, w.fitness_evals + w.cache_hits - w.retries);
+        assert_eq!(w.evaluated, w.fitness_evals + w.cache_hits);
         assert_eq!(w.best_fitness, Some(50_000));
         assert_eq!(db.get(fp_new).unwrap().cycles, 50_000);
     }
@@ -1717,40 +1588,95 @@ mod tests {
         assert!(crate::current_postpass_memo().is_none());
     }
 
-    /// The quarantine log file: every cached failure, atomically written,
-    /// line-parseable, stable across reruns.
+    /// The in-report quarantine: every cached failure, classed, in key
+    /// order, and identical across reruns and thread counts.
     #[test]
-    fn quarantine_log_is_written_and_deterministic() {
-        let dir = tmpdir("quarantine");
-        let log = dir.join("quarantine.log");
+    fn quarantine_is_complete_and_deterministic() {
+        let runs: Vec<ServiceReport> = [2, 2, 1]
+            .map(|threads| {
+                let cfg = ServiceConfig {
+                    islands: 2,
+                    population: 6,
+                    generations: 3,
+                    threads,
+                    ..Default::default()
+                };
+                run(&cfg, &mut TuneDb::in_memory(), 2)
+            })
+            .into();
+        let r = &runs[0];
+        assert!(r.quarantine_total > 0);
+        let per_workload: usize = r.workloads.iter().map(|w| w.quarantine_total).sum();
+        assert_eq!(r.quarantine_total, per_workload);
+        for w in &r.workloads {
+            assert_eq!(w.quarantined.len(), w.quarantine_total.min(QUARANTINE_CAP));
+            assert!(w.quarantined.iter().all(
+                |q| q.class == FailureClass::Divergence && q.candidate.passes.contains(&"licm")
+            ));
+            let keys: Vec<FitnessKey> = w
+                .quarantined
+                .iter()
+                .map(|q| FitnessKey::of(w.fingerprint, &q.candidate))
+                .collect();
+            assert!(keys.is_sorted(), "{}: key order", w.name);
+        }
+        for again in &runs[1..] {
+            assert_eq!(again.quarantine_total, r.quarantine_total);
+            for (a, b) in again.workloads.iter().zip(&r.workloads) {
+                assert_eq!(a.quarantined, b.quarantined, "{}", a.name);
+            }
+        }
+    }
+
+    /// Every outcome is final: a fitness that traps on its first call for a
+    /// key and succeeds afterwards is called once per key, and the trap is
+    /// what the quarantine holds and the database does not.
+    #[test]
+    fn a_failed_evaluation_is_final() {
         let cfg = ServiceConfig {
             islands: 2,
-            population: 6,
+            population: 4,
             generations: 3,
-            threads: 2,
-            quarantine_path: Some(log.clone()),
+            threads: 1, // no two calls can race for one key
             ..Default::default()
         };
+        let ts = targets(1);
+        let trapped = canonicalize_sequence(&anchor_candidates()[0].passes);
+        let calls: Mutex<Vec<FitnessKey>> = Mutex::new(Vec::new());
         let mut db = TuneDb::in_memory();
-        let r = run(&cfg, &mut db, 2);
-        let text = std::fs::read_to_string(&log).expect("log written");
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("zkvmopt-quarantine 1"));
-        let body: Vec<&str> = lines.collect();
-        assert_eq!(body.len(), r.quarantine_total);
-        for line in &body {
-            let parts: Vec<&str> = line.split_ascii_whitespace().collect();
-            assert_eq!(parts.len(), 5, "{line:?}");
-            assert!(FailureClass::from_token(parts[1]).is_some(), "{line:?}");
-            assert!(parts[4].contains("licm"), "{line:?}");
-        }
-        let mut db2 = TuneDb::in_memory();
-        run(&cfg, &mut db2, 2);
-        assert_eq!(
-            std::fs::read_to_string(&log).unwrap(),
-            text,
-            "equal seeds produce the identical quarantine log"
+        let r = tune_suite(&cfg, &ts, &mut db, |widx, c| {
+            let key = FitnessKey::of(ts[widx].fingerprint, c);
+            let mut calls = calls.lock().unwrap();
+            let first = !calls.contains(&key);
+            calls.push(key);
+            if first && canonicalize_sequence(&c.passes) == trapped {
+                return Err(FailureClass::Trap);
+            }
+            synthetic(ts[widx].fingerprint, c)
+        });
+        let calls = calls.into_inner().unwrap();
+        let distinct: std::collections::BTreeSet<&FitnessKey> = calls.iter().collect();
+        assert_eq!(distinct.len(), calls.len(), "one fitness call per key");
+        assert_eq!(r.fitness_evals, calls.len());
+        assert_eq!(r.retries, 0);
+        let w = &r.workloads[0];
+        assert_eq!(w.evaluated, w.fitness_evals + w.cache_hits);
+        assert!(
+            w.quarantined
+                .iter()
+                .any(|q| q.class == FailureClass::Trap && q.candidate.passes == trapped),
+            "the trap is the outcome the quarantine holds"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        let best = w.best.as_ref().expect("the search found a valid candidate");
+        assert_ne!(
+            best.passes, trapped,
+            "the trapped candidate is not the best"
+        );
+        let stored = db.get(w.fingerprint).unwrap();
+        assert_eq!(Some(stored.cycles), w.best_fitness);
+        assert_ne!(
+            stored.passes, trapped,
+            "the database holds no trapped candidate"
+        );
     }
 }

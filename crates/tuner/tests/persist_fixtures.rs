@@ -1,9 +1,9 @@
 //! The on-disk formats, pinned byte for byte.
 //!
-//! Every file the tuner persists — the tune database (schema 2, and the
-//! schema-1 files it still migrates), the run checkpoint and the quarantine
-//! log — is held here as a string literal taken from the commit *before* the
-//! persistence code was consolidated. Each fixture must load cleanly,
+//! Both files the tuner persists — the tune database (schema 2, and the
+//! schema-1 files it still migrates) and the run checkpoint — are held here
+//! as string literals taken from the commit *before* the persistence code
+//! was consolidated. Each fixture must load cleanly,
 //! serialize back to exactly its own bytes and come off the disk writer
 //! unchanged; a copy cut mid-line must salvage to the exact
 //! `Recovered { kept, dropped }`. Only the public API is used, so the same
@@ -13,8 +13,8 @@
 use std::path::PathBuf;
 use zkvmopt_tuner::checkpoint::checkpoint_to_string;
 use zkvmopt_tuner::{
-    canonicalize_sequence, load_checkpoint, save_checkpoint, tune_suite, CheckpointStatus,
-    FailureClass, FitnessKey, LoadStatus, ServiceConfig, TuneDb, TuneDbEntry, TuneTarget,
+    load_checkpoint, save_checkpoint, CheckpointStatus, FailureClass, FitnessKey, LoadStatus,
+    ServiceConfig, TuneDb, TuneTarget,
 };
 
 /// Schema 2: an entry with features, one with neither features nor baseline
@@ -47,15 +47,6 @@ zkvmopt-checkpoint 1 0000000000d16e57
 000000000000000a 225 200 512 mem2reg,gvn
 000000000000000b 0 0 !divergence -
 000000000000000c 1 2 !trap dce
-";
-
-/// The log [`quarantine_run`] leaves: the rejected prediction (an empty
-/// sequence) and both island-0 anchors, in cache-key order.
-const QUARANTINE: &str = "\
-zkvmopt-quarantine 1
-0000000000000042 budget 7 9 -
-0000000000000042 divergence 1000 400 mem2reg,inline,sroa,early-cse,sccp,simplifycfg
-0000000000000042 trap 225 200 mem2reg,instcombine,simplifycfg,inline,gvn,dce
 ";
 
 const RUN_DIGEST_DEFAULT: u64 = 0x2fdd_4441_f6d4_40d4;
@@ -182,63 +173,6 @@ fn checkpoint_round_trips_byte_for_byte() {
         } => {}
         other => panic!("expected Recovered {{ kept: 2, dropped: 1 }}, got {other:?}"),
     }
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-/// A search that needs no random draw: predict-first lifts the database's
-/// one (empty-sequence) tuning, its measurement fails, and the rejected
-/// prediction plus the two anchors are exactly island 0's generation 0.
-/// Every outcome is a failure, so the workload is demoted after that
-/// generation; the fallback's own failure is measured after the log's
-/// snapshot is taken and is not in it.
-fn quarantine_run(log: PathBuf) {
-    let cfg = ServiceConfig {
-        islands: 1,
-        population: 3,
-        generations: 2,
-        demote_after: 1,
-        threads: 1,
-        predict: true,
-        quarantine_path: Some(log),
-        ..Default::default()
-    };
-    let features = vec![0.5; zkvmopt_ir::FEATURE_DIM];
-    let mut db = TuneDb::in_memory();
-    db.record(TuneDbEntry {
-        fingerprint: 0x7,
-        passes: Vec::new(),
-        inline_threshold: 7,
-        unroll_threshold: 9,
-        cycles: 50,
-        baseline_cycles: 100,
-        features: features.clone(),
-    });
-    let fv = zkvmopt_ir::FeatureVector::from_slice(&features).unwrap();
-    let targets = [TuneTarget::new("hostile", 0x42).with_prediction(fv, 100)];
-    let report = tune_suite(&cfg, &targets, &mut db, |_, c| {
-        let canon = canonicalize_sequence(&c.passes);
-        Err(if canon.is_empty() {
-            FailureClass::Budget
-        } else if canon.contains(&"sroa") {
-            FailureClass::Divergence
-        } else {
-            FailureClass::Trap
-        })
-    });
-    assert!(report.workloads[0].demoted);
-    assert_eq!(report.workloads[0].best, None);
-    assert_eq!(report.quarantine_total, 3);
-}
-
-#[test]
-fn quarantine_log_bytes_are_pinned() {
-    let dir = tmpdir("quarantine");
-    let log = dir.join("quarantine.log");
-    quarantine_run(log.clone());
-    assert_eq!(std::fs::read_to_string(&log).unwrap(), QUARANTINE);
-    // Rewriting over an existing log publishes the same bytes.
-    quarantine_run(log.clone());
-    assert_eq!(std::fs::read_to_string(&log).unwrap(), QUARANTINE);
     std::fs::remove_dir_all(dir).unwrap();
 }
 

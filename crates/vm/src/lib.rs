@@ -19,12 +19,11 @@
 //! [`FastMemory`]'s residency table; an access the table cannot serve, and
 //! every block that may meet a boundary, takes the stepped path.
 //! Everything stays bit-identical to the original decode-per-step
-//! interpreter (`machine::Machine`), which is kept behind the `reference`
-//! cargo feature (and `cfg(test)`) as the differential oracle. The engine
-//! reports the paper's cost components: **dynamic instruction count**,
-//! **paging cycles**, and **total cycles**, plus the journal used by the
-//! workspace's differential tests and advisory [`EngineStats`] counters
-//! explaining how each run was executed.
+//! interpreter ([`Machine`]), which is kept as the differential oracle.
+//! The engine reports the paper's cost components: **dynamic instruction
+//! count**, **paging cycles**, and **total cycles**, plus the journal used
+//! by the workspace's differential tests and advisory [`EngineStats`]
+//! counters explaining how each run was executed.
 //!
 //! ## Example
 //!
@@ -65,7 +64,6 @@ pub mod segment;
 pub use ecalls::CryptoEcalls;
 pub use engine::{run_decoded, run_program, Engine};
 pub use machine::{alu, alu_imm, ExecConfig, ExecError, ExecutionReport, InstMix};
-#[cfg(any(test, feature = "reference"))]
 pub use machine::{run_program_reference, Machine};
 pub use mem::{FastMemory, PagedMemory};
 pub use op::{Block, DecodedProgram, Op, OpCode};

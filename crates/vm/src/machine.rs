@@ -1,27 +1,17 @@
 //! The **reference** zkVM step interpreter plus the execution-report types
 //! shared with the block-dispatch engine.
 //!
-//! `Machine` decodes on every step and accounts per instruction; it is the
+//! [`Machine`] decodes on every step and accounts per instruction; it is the
 //! original executor, kept as the differential oracle for
-//! [`crate::engine::Engine`] behind `cfg(test)` / the `reference` cargo
-//! feature. Production execution goes through the engine — `run_program`
-//! here delegates to it. (Code spans, not links: these items are compiled
-//! out of default-feature docs.)
+//! [`crate::engine::Engine`]. Production execution goes through the
+//! engine.
 
-#[cfg(any(test, feature = "reference"))]
 use crate::ecalls::{self, MemIo};
-#[cfg(any(test, feature = "reference"))]
 use crate::mem::{MemFault, PagedMemory, STACK_TOP};
-#[cfg(any(test, feature = "reference"))]
-use crate::profile::VmProfile;
-use crate::profile::{EngineStats, VmKind};
+use crate::profile::{EngineStats, VmKind, VmProfile};
 use std::fmt;
-#[cfg(any(test, feature = "reference"))]
 use zkvmopt_ir::ecall;
-use zkvmopt_riscv::inst::{AluImmOp, AluOp};
-#[cfg(any(test, feature = "reference"))]
-use zkvmopt_riscv::inst::{Inst, MemWidth};
-#[cfg(any(test, feature = "reference"))]
+use zkvmopt_riscv::inst::{AluImmOp, AluOp, Inst, MemWidth};
 use zkvmopt_riscv::{Program, Reg};
 
 /// Executor configuration.
@@ -178,8 +168,7 @@ pub struct ExecutionReport {
 
 /// The reference step interpreter (decode-per-step, per-instruction
 /// accounting). Kept as the differential oracle for the block-dispatch
-/// engine; compiled only for tests or under the `reference` feature.
-#[cfg(any(test, feature = "reference"))]
+/// engine.
 pub struct Machine<'p> {
     program: &'p Program,
     profile: VmProfile,
@@ -193,10 +182,8 @@ pub struct Machine<'p> {
     init_fault: Option<u32>,
 }
 
-#[cfg(any(test, feature = "reference"))]
 struct PagedIo<'a>(&'a mut PagedMemory);
 
-#[cfg(any(test, feature = "reference"))]
 impl MemIo for PagedIo<'_> {
     fn read_bytes(&mut self, addr: u32, len: u32) -> Vec<u8> {
         self.0
@@ -209,7 +196,6 @@ impl MemIo for PagedIo<'_> {
     }
 }
 
-#[cfg(any(test, feature = "reference"))]
 impl<'p> Machine<'p> {
     /// Set up a machine with globals loaded and `sp` initialized. A global
     /// image that does not fit guest memory is reported as a `MemFault`
@@ -519,7 +505,6 @@ pub fn alu_imm(op: AluImmOp, a: u32, imm: i32) -> u32 {
 ///
 /// # Errors
 /// Propagates [`ExecError`].
-#[cfg(any(test, feature = "reference"))]
 pub fn run_program_reference(
     program: &Program,
     kind: VmKind,

@@ -54,7 +54,7 @@ fn main() {
 
     // The classified fitness isolates panics, enforces per-candidate cycle
     // budgets, and reports every failure as a `FailureClass` the service
-    // can retry or quarantine.
+    // quarantines.
     let report = tune_suite(&config, &targets, &mut db, evaluator.classified_fitness());
     db.save().expect("tune db saves");
 
@@ -87,10 +87,10 @@ fn main() {
          execution of IR this search had already produced",
         report.postpass_hits, report.fitness_evals
     );
-    if report.retries > 0 || report.quarantine_total > 0 {
+    if report.quarantine_total > 0 {
         println!(
-            "fault tolerance: {} retries, {} candidates quarantined, {} workloads demoted",
-            report.retries, report.quarantine_total, report.demoted
+            "fault tolerance: {} candidates quarantined, {} workloads demoted",
+            report.quarantine_total, report.demoted
         );
     }
     if report.db_hits == targets.len() {

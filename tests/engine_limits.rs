@@ -6,7 +6,7 @@
 //! This is the runtime half of the fault-tolerance story: the tuning
 //! service's per-candidate cycle budgets only isolate runaway candidates if
 //! hitting the budget (or faulting on memory the inputs drove out of range)
-//! surfaces as an error value the retry/quarantine machinery can classify.
+//! surfaces as an error value the quarantine can classify.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;

@@ -1,11 +1,10 @@
 //! Chaos gates for the fault-tolerant tuning service, on the **real**
 //! compile-and-execute pipeline:
 //!
-//! 1. **Fault convergence** — deterministic injected panics, traps, and
-//!    budget blowouts at a ≥10% combined rate produce a tune database
-//!    **bit-identical** to the fault-free run (transient faults are capped
-//!    below the retry budget, so every candidate's true fitness comes
-//!    through).
+//! 1. **Persistent faults** — deterministic injected panics, traps, and
+//!    budget blowouts at a ≥10% combined rate are final outcomes: they are
+//!    quarantined by class, never retried, and the run reaches the
+//!    **bit-identical** tune database and quarantine at 1 and at 4 threads.
 //! 2. **Kill + resume** — a child process runs the service with
 //!    checkpointing and `abort()`s mid-search at an arbitrary point; the
 //!    parent resumes from whatever checkpoint survived and must reach the
@@ -23,8 +22,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use zkvm_opt::study::SuiteRunner;
 use zkvm_opt::tuner::{
-    tune_suite, Candidate, CheckpointStatus, EvalResult, FaultConfig, FaultPlan, ServiceConfig,
-    TuneDb, TuneTarget,
+    tune_suite, Candidate, CheckpointStatus, EvalResult, FailureClass, FaultConfig, FaultPlan,
+    ServiceConfig, TuneDb, TuneTarget,
 };
 use zkvmopt_core::BatchEvaluator;
 use zkvmopt_passes::PassConfig;
@@ -91,46 +90,39 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     debug_assertions,
     ignore = "real-compile chaos run is release-only (CI: chaos)"
 )]
-fn transient_faults_at_ten_percent_rates_converge_to_the_fault_free_db() {
+fn persistent_faults_at_ten_percent_rates_are_final_and_thread_count_independent() {
     let ev = evaluator();
-    let (clean, _) = reference_run(&ev);
-
-    // ≥10% combined transient-fault rate, injections capped strictly below
-    // the service's retry budget so the true value always comes through.
-    let svc = config(4);
-    let faults = FaultConfig {
+    let plan = FaultPlan::new(FaultConfig {
         panic_rate: 0.12,
         trap_rate: 0.10,
         budget_rate: 0.06,
-        max_injections: 2,
         ..Default::default()
-    };
-    assert!(faults.max_injections as usize <= svc.max_retries);
-    let plan = FaultPlan::new(faults);
+    });
     let fitness = plan.wrap(|widx, c: &Candidate| classified(&ev, widx, c));
 
-    let mut chaos_db = TuneDb::in_memory();
-    let report = tune_suite(&svc, &targets(&ev), &mut chaos_db, fitness);
-
-    let injected = plan.injected();
-    assert!(
-        !injected.is_empty(),
-        "the plan must actually have fired at these rates"
-    );
-    assert!(
-        report.retries > 0,
-        "injected faults must surface as retries"
-    );
-    assert_eq!(
-        report.evaluated,
-        report.fitness_evals + report.cache_hits - report.retries,
-        "retry accounting must balance the budget"
-    );
-    assert_eq!(
-        clean.to_string_pretty(),
-        chaos_db.to_string_pretty(),
-        "transient faults under the retry cap must not change the database"
-    );
+    let mut runs = Vec::new();
+    for threads in [1, 4] {
+        let mut db = TuneDb::in_memory();
+        let report = tune_suite(&config(threads), &targets(&ev), &mut db, &fitness);
+        runs.push((db.to_string_pretty(), report));
+    }
+    let (db, report) = &runs[0];
+    use FailureClass::{Budget, Panic, Trap};
+    for class in [Panic, Trap, Budget] {
+        let mut held = report.workloads.iter().flat_map(|w| &w.quarantined);
+        assert!(
+            held.any(|q| q.class == class),
+            "no injected {class} was quarantined"
+        );
+    }
+    assert_eq!(report.retries, 0, "no outcome is retried");
+    for (text, r) in &runs {
+        assert_eq!(text, db, "faulted database must not depend on thread count");
+        for (a, b) in r.workloads.iter().zip(&report.workloads) {
+            assert_eq!(a.quarantined, b.quarantined, "{}", a.name);
+            assert_eq!(a.evaluated, a.fitness_evals + a.cache_hits, "{}", a.name);
+        }
+    }
 }
 
 /// Child half of the kill/resume gate: runs the checkpointing service and
