@@ -6,10 +6,11 @@
 //! Before timing anything, every workload is executed on **both** VM kinds
 //! through both executors and all cost metrics are asserted identical — the
 //! numbers are only meaningful because the engine is bit-exact. The report
-//! prints per-workload times and the suite totals; the ratio to the step
-//! interpreter keeps its ≥1.5× bar (overall **and** on the
-//! memory-op-bearing subset, whose loads and stores the residency table
-//! serves). Criterion then measures the two full-suite sweeps.
+//! prints per-workload times, the suite totals and the ratio to the step
+//! interpreter (overall and on the memory-op-bearing subset, whose loads
+//! and stores the residency table serves); the ratios are printed, not
+//! asserted — `benchmark/`'s A/B is the speed gate. Criterion then measures
+//! the two full-suite sweeps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_core::suite::CompiledWorkload;
@@ -20,9 +21,8 @@ use zkvmopt_stats::geomean;
 use zkvmopt_vm::{run_decoded, run_program_reference, VmKind};
 use zkvmopt_workloads::Workload;
 
-/// Compile + pre-decode the whole suite at -O2 once. CI smoke mode
-/// (`ZKVMOPT_BENCH_SMOKE=1`) uses the reduced representative set so the
-/// trajectory job stays fast.
+/// Compile + pre-decode the whole suite at -O2 once; smoke scale
+/// (`-- --test`) uses the reduced representative set.
 fn compile_suite() -> Vec<(&'static Workload, CompiledWorkload)> {
     let mut runner = SuiteRunner::new();
     let o2 = OptProfile::level(OptLevel::O2);
@@ -91,8 +91,8 @@ fn report(suite: &[(&'static Workload, CompiledWorkload)]) {
 
     // Per-workload wall clock (best of 3 per executor), both VM kinds.
     // Memory-op-bearing workloads are tracked as their own subset: theirs
-    // are the loads and stores the residency table serves, and they carry
-    // their own geomean bar.
+    // are the loads and stores the residency table serves, and they get
+    // their own geomean.
     println!(
         "{:<26} {:>14} {:>12} {:>12} {:>9}  mem?",
         "workload", "cycles", "interp ms", "engine ms", "speedup"
@@ -145,21 +145,6 @@ fn report(suite: &[(&'static Workload, CompiledWorkload)]) {
         mem_speedups.len(),
         100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
-    zkvmopt_bench::trajectory::record(
-        "engine_throughput",
-        &[
-            ("engine_guest_mips", mips_r0),
-            ("engine_guest_mips_sp1", mips_sp1),
-            ("codegen_ns_per_ir_inst", codegen_ns),
-            ("geomean_speedup", g),
-            ("mem_geomean_speedup", g_mem),
-            ("workloads", suite.len() as f64),
-        ],
-    );
-    // Single-threaded ratios: no minimum core count (the bit-identity
-    // checks above always gate).
-    zkvmopt_bench::gate_speedup("block-dispatch engine vs step interpreter", g, 1.5, 1);
-    zkvmopt_bench::gate_speedup("the same on memory-op-bearing workloads", g_mem, 1.5, 1);
 }
 
 /// Codegen (isel + register allocation + link) wall clock per IR instruction

@@ -3,15 +3,14 @@
 //! Two tables. The first is the production shape: one `PassManager::run` per
 //! program on a fresh clone of its lowered module (what `OptProfile::apply`
 //! does once per evaluation), summed over the suite at `-O2` and `-O3`, best
-//! of three (`suite_o2_ms`, `suite_o3_ms`). The second is per registry entry:
-//! ns per IR instruction entering the pass, over the suite from the lowered
-//! and the `-O1` starting points. The ten most expensive entries are printed
-//! and recorded — the names behind the benchmark's `passes.ms.other` — with
-//! the passes in [`TRACKED`] recorded on every run, and the geomean over all
-//! entries as the headline
-//! (`passes_ns_per_ir_inst_geomean`). Beside them, the analysis substrate in
-//! absolute units: `Cfg::new` + `DomTree::new` + `LoopForest::new` over every
-//! function of the same starts, ns per block (`analysis_ns_per_block`).
+//! of three. The second is per registry entry: ns per IR instruction
+//! entering the pass, over the suite from the lowered and the `-O1` starting
+//! points. The ten most expensive entries are printed — the names behind
+//! the benchmark's `passes.ms.other` — with the passes in [`TRACKED`]
+//! printed on every run, and the geomean over all entries as the headline.
+//! Beside them, the analysis substrate in absolute units: `Cfg::new` +
+//! `DomTree::new` + `LoopForest::new` over every function of the same
+//! starts, ns per block.
 //!
 //! No ratio is gated here: that a pipeline through one executor prints the
 //! same IR as a fresh executor per pass is a test
@@ -29,7 +28,7 @@ use zkvmopt_passes::{
 };
 use zkvmopt_stats::geomean;
 
-/// Entries whose per-entry cost is recorded on every run, in the top ten or
+/// Entries whose per-entry cost is printed on every run, in the top ten or
 /// not: the kernels made linear in one sweep, so a regression still shows.
 const TRACKED: [&str; 5] = [
     "mem2reg",
@@ -40,8 +39,7 @@ const TRACKED: [&str; 5] = [
 ];
 
 /// Lower every workload once; passes run on clones of these base modules.
-/// CI smoke mode (`ZKVMOPT_BENCH_SMOKE=1`) uses the reduced representative
-/// set so the trajectory job stays fast.
+/// Smoke scale (`-- --test`) uses the reduced representative set.
 fn lower_suite() -> Vec<Module> {
     let ws = if zkvmopt_bench::smoke() {
         zkvmopt_bench::bench_workloads()
@@ -164,12 +162,8 @@ fn report(suite: &[Module]) {
     for (name, ns) in costs.iter().take(10) {
         println!("{name:<28} {ns:>14.1}");
     }
-    let tracked: Vec<&(&str, f64)> = costs
-        .iter()
-        .skip(10)
-        .filter(|(name, _)| TRACKED.contains(name))
-        .collect();
-    for (name, ns) in &tracked {
+    let tracked = costs.iter().skip(10);
+    for (name, ns) in tracked.filter(|(name, _)| TRACKED.contains(name)) {
         println!("{name:<28} {ns:>14.1}   (tracked)");
     }
     println!("{:<28} {cost_geomean:>14.1}", "geomean, all entries");
@@ -178,22 +172,6 @@ fn report(suite: &[Module]) {
         "\nCfg + DomTree + LoopForest over every function of those starts, best of 3: \
          {analysis_ns:.1} ns per block"
     );
-
-    let top: Vec<(String, f64)> = costs
-        .iter()
-        .take(10)
-        .chain(tracked)
-        .map(|(name, ns)| (format!("ns_per_ir_inst.{name}"), *ns))
-        .collect();
-    let mut metrics: Vec<(&str, f64)> = vec![
-        ("suite_o2_ms", o2_ms),
-        ("suite_o3_ms", o3_ms),
-        ("workloads", suite.len() as f64),
-        ("passes_ns_per_ir_inst_geomean", cost_geomean),
-        ("analysis_ns_per_block", analysis_ns),
-    ];
-    metrics.extend(top.iter().map(|(k, v)| (k.as_str(), *v)));
-    zkvmopt_bench::trajectory::record("pass_pipeline_throughput", &metrics);
 }
 
 fn bench(c: &mut Criterion) {

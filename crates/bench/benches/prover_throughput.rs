@@ -1,7 +1,7 @@
 //! Segmented proving throughput: execute → segment → prove, in proofs/sec.
 //!
 //! Before timing anything, two bit-identity gates run over the whole suite
-//! (reduced set in CI smoke mode) × both VM kinds:
+//! (the reduced set at smoke scale, `-- --test`) × both VM kinds:
 //!
 //! 1. **Segment accounting** — the per-segment records of a segmented run
 //!    must sum exactly to the run's `ExecutionReport` totals (instret,
@@ -11,16 +11,16 @@
 //!    the same per-segment Merkle commitments, aggregation root, and total
 //!    modelled cost as sequential proving, for every backend.
 //!
-//! The report names the SHA-256 kernel the host dispatches to and records
-//! its rate (`sha256_mb_per_s` one lane, `sha256_pair_mb_per_s` two lanes,
-//! `merkle_mb_per_s`) — the quantity under every commitment — then the
-//! sequential proving wave's padded rows per second (`padded_mrows_per_s`),
-//! the multi-core advantage of the parallel per-segment fan-out (advisory
-//! below 4 cores, like `tuner_throughput`) and end-to-end proofs/sec per
-//! backend; Criterion measures the full pipeline. Segment limits are scaled
-//! down from the production profiles so every workload splits into several
-//! segments — this is the "heavy traffic" shape: a stream of programs, each
-//! a bag of parallel segments.
+//! The report names the SHA-256 kernel the host dispatches to and prints
+//! its rate (`sha256` one lane, `sha256_pair` two lanes, `merkle`, MB/s) —
+//! the quantity under every commitment — then the sequential proving wave's
+//! padded Mrows/s, the ratio of the parallel per-segment fan-out to
+//! sequential proving (printed, not asserted: the benchmark package proves
+//! with `threads = 1` only, so this is the one place the fan-out is timed)
+//! and end-to-end proofs/sec; Criterion measures the full pipeline.
+//! Segment limits are scaled down from the production profiles so every
+//! workload splits into several segments — this is the "heavy traffic"
+//! shape: a stream of programs, each a bag of parallel segments.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_core::suite::CompiledWorkload;
@@ -228,25 +228,6 @@ fn report(runs: &[SegmentedRun]) {
         "segments/program: {segments_per_program:.1}; per-run proof rate geomean: \
          {rate_geomean:.0}/sec; sequential wave {padded_mrows_per_s:.0} padded Mrows/s"
     );
-    zkvmopt_bench::trajectory::record(
-        "prover_throughput",
-        &[
-            ("proofs_per_sec", proofs_per_sec),
-            ("sha256_mb_per_s", sha256_mb_per_s),
-            ("sha256_pair_mb_per_s", sha256_pair_mb_per_s),
-            ("merkle_mb_per_s", merkle_mb_per_s),
-            ("padded_mrows_per_s", padded_mrows_per_s),
-            ("proof_rate_geomean", rate_geomean),
-            ("segments_per_program", segments_per_program),
-            ("parallel_speedup", speedup),
-            ("runs", runs.len() as f64),
-        ],
-    );
-    // Per-segment proving is embarrassingly parallel, so multi-core proving
-    // must not be slower than sequential once real cores (>= 4) are available.
-    // The benchmark package proves with `threads = 1` only, so this is the
-    // one place the fan-out is timed.
-    zkvmopt_bench::gate_speedup("parallel vs sequential segment proving", speedup, 1.0, 4);
 }
 
 fn bench(c: &mut Criterion) {

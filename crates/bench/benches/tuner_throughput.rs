@@ -7,10 +7,11 @@
 //! all cores. Both runs spend exactly the same budget — asserted — and,
 //! because the service is deterministic in the seed regardless of thread
 //! count, must produce **bit-identical tune databases** — also asserted, on
-//! every group. The speedup is therefore pure parallel throughput. The
-//! acceptance bar is a ≥2× wall-clock geomean across the groups (CI runners
-//! are noisy and may be single-core, so CI sets `ZKVMOPT_SPEEDUP_ADVISORY=1`
-//! to report without gating; the determinism and budget gates always hold).
+//! every group. The speedup is therefore pure parallel throughput; its
+//! geomean across the groups is printed, not asserted (`benchmark/`'s A/B
+//! is the speed gate, and its `tune_cold` workload runs the service on two
+//! threads). Smoke scale (`-- --test`) tunes smaller groups at a quarter
+//! of the budget.
 //!
 //! A final warm-start pass re-tunes everything against the populated
 //! database and asserts **zero** fitness evaluations — the persistent-cache
@@ -22,7 +23,6 @@
 //! baseline journal (miscompiles score `None`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use zkvmopt_bench::trajectory;
 use zkvmopt_core::{BatchEvaluator, SuiteRunner};
 use zkvmopt_passes::PassConfig;
 use zkvmopt_stats::geomean;
@@ -34,7 +34,7 @@ use zkvmopt_workloads::Workload;
 /// evaluation cost is compile + execute, so tiny kernels keep the bench
 /// quick while still exercising the full pipeline).
 fn groups() -> Vec<Vec<&'static str>> {
-    if trajectory::smoke() {
+    if zkvmopt_bench::smoke() {
         vec![
             vec!["loop-sum", "fibonacci"],
             vec!["tailcall", "factorial"],
@@ -50,7 +50,7 @@ fn groups() -> Vec<Vec<&'static str>> {
 }
 
 fn service_config() -> ServiceConfig {
-    let scale = if trajectory::smoke() { 1 } else { 2 };
+    let scale = if zkvmopt_bench::smoke() { 1 } else { 2 };
     ServiceConfig {
         islands: 2 * scale,
         population: 4,
@@ -60,7 +60,6 @@ fn service_config() -> ServiceConfig {
         seed: 0xC0FFEE,
         ..Default::default()
     }
-    .with_seed_from_env()
 }
 
 struct Group {
@@ -205,28 +204,6 @@ fn report(suite: &[Group]) {
         warm_hits += warm.db_hits;
     }
     println!("warm start: {warm_hits} workloads answered from the tune db, 0 fitness evals");
-
-    trajectory::record(
-        "tuner_throughput",
-        &[
-            ("geomean_speedup", g),
-            ("groups", suite.len() as f64),
-            (
-                "workloads",
-                suite.iter().map(|g| g.targets.len()).sum::<usize>() as f64,
-            ),
-            ("budget_per_workload", cfg.budget_per_workload() as f64),
-            ("evaluated", evaluated as f64),
-            ("fitness_evals", total_fitness_evals as f64),
-            ("cache_hit_rate", hit_rate),
-            ("postpass_hit_rate", postpass_hit_rate),
-            ("warm_start_db_hits", warm_hits as f64),
-        ],
-    );
-
-    // Fewer than 4 cores cannot demonstrate a 2x parallel speedup at all.
-    // The determinism / budget / warm-start asserts above always gate.
-    zkvmopt_bench::gate_speedup("island service vs sequential at equal budget", g, 2.0, 4);
 }
 
 fn bench(c: &mut Criterion) {

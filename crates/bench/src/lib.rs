@@ -14,9 +14,12 @@ use zkvmopt_vm::{SegmentRecord, VmKind};
 use zkvmopt_workloads::Workload;
 
 pub mod study;
-pub mod trajectory;
 
-pub use trajectory::smoke;
+/// Whether a bench runs at smoke scale: criterion's own `--test` flag
+/// (`cargo bench .. -- --test`), which also has each routine run once.
+pub fn smoke() -> bool {
+    std::env::args().any(|a| a == "--test")
+}
 
 /// One pass-impact observation: percent gains vs. baseline.
 #[derive(Debug, Clone)]
@@ -159,33 +162,6 @@ pub fn impact_matrix(
         }
     }
     out
-}
-
-/// Enforce a wall-clock speedup bar the way every throughput bench does:
-/// `got >= bar` is asserted, unless `ZKVMOPT_SPEEDUP_ADVISORY=1` (CI sets it:
-/// shared runners are noisy) or the machine has fewer than `min_cores`
-/// cores (it cannot demonstrate a parallel speedup at all) — then a miss is
-/// only reported. Bit-identity and determinism gates are not this
-/// function's business and always gate.
-///
-/// # Panics
-/// When the bar is missed and the gate is not advisory.
-pub fn gate_speedup(what: &str, got: f64, bar: f64, min_cores: usize) {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let advisory = std::env::var("ZKVMOPT_SPEEDUP_ADVISORY").is_ok_and(|v| v == "1");
-    if advisory || cores < min_cores {
-        if got < bar {
-            eprintln!(
-                "ADVISORY: {what} {got:.2}x below the {bar}x bar \
-                 ({cores} cores; noisy or small runner?)"
-            );
-        }
-    } else {
-        assert!(
-            got >= bar,
-            "{what} must be >={bar}x (got {got:.2}x on {cores} cores)"
-        );
-    }
 }
 
 /// The rule above and below a title.

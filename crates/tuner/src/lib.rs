@@ -67,7 +67,7 @@ pub use db::{LoadStatus, TuneDb, TuneDbEntry, SCHEMA_VERSION};
 pub use fault::{EvalResult, FailureClass, FaultConfig, FaultPlan};
 pub use lock::{lock_path_for, FileLock};
 pub use predict::{Prediction, Predictor};
-pub use rng::{seed_from_env, SeedTree};
+pub use rng::SeedTree;
 pub use service::{
     tune_suite, QuarantineEntry, ServiceConfig, ServiceReport, TuneTarget, WorkloadTuneReport,
 };

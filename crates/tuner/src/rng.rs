@@ -54,20 +54,6 @@ impl SeedTree {
     }
 }
 
-/// The run's root seed: `ZKVMOPT_SEED` when set (and parseable as `u64`),
-/// `default` otherwise. Pinning the env var makes every stream of a
-/// service run — population init, evolution, migration — reproducible
-/// regardless of thread count.
-pub fn seed_from_env(default: u64) -> u64 {
-    match std::env::var("ZKVMOPT_SEED") {
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("tuner: ignoring unparseable ZKVMOPT_SEED={v:?}");
-            default
-        }),
-        Err(_) => default,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -165,12 +165,6 @@ impl ServiceConfig {
         self.islands * self.population * self.generations
     }
 
-    /// Override the seed from `ZKVMOPT_SEED` when the env var is set.
-    pub fn with_seed_from_env(mut self) -> ServiceConfig {
-        self.seed = crate::rng::seed_from_env(self.seed);
-        self
-    }
-
     /// Digest binding a checkpoint to this run's shape: the search-relevant
     /// configuration plus the target fingerprints. Two runs with equal
     /// digests replay the identical candidate stream, which is what makes

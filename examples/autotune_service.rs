@@ -30,15 +30,13 @@ fn main() {
         .expect("suite workloads compile");
     let targets: Vec<TuneTarget> = evaluator.tune_targets();
 
-    // `ZKVMOPT_SEED` overrides the seed; results are identical for a given
-    // seed regardless of thread count.
+    // Results are identical for a given seed regardless of thread count.
     let config = ServiceConfig {
         islands: 2,
         population: 8,
         generations: 4,
         ..Default::default()
-    }
-    .with_seed_from_env();
+    };
     println!(
         "tuning {} workloads: {} islands x {} population x {} generations \
          = {} evaluations per workload\n",

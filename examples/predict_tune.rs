@@ -50,8 +50,7 @@ fn main() {
         population: 6,
         generations: 3,
         ..Default::default()
-    }
-    .with_seed_from_env();
+    };
     let mut db = TuneDb::in_memory();
     let report = tune_suite(
         &config,

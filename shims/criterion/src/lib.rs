@@ -6,8 +6,9 @@
 //! `name = ..; config = ..; targets = ..` and positional forms), and
 //! [`black_box`]. Instead of criterion's statistical analysis it runs each
 //! routine `sample_size` times after one warm-up and reports min/mean/max
-//! wall-clock per iteration — enough for the throughput benches' relative
-//! comparisons and for CI's `cargo bench --no-run` bit-rot check.
+//! wall-clock per iteration. Like criterion, it honours `--test`
+//! (`cargo bench .. -- --test`): each routine then runs once, untimed, and
+//! its line reads `Success`.
 
 use std::time::{Duration, Instant};
 
@@ -16,15 +17,24 @@ pub use std::hint::black_box;
 /// Benchmark driver (subset of `criterion::Criterion`).
 pub struct Criterion {
     sample_size: usize,
+    /// `--test`: run each routine once, take no samples.
+    test_mode: bool,
 }
 
 impl Default for Criterion {
     fn default() -> Criterion {
-        Criterion { sample_size: 10 }
+        Criterion::new(std::env::args().any(|a| a == "--test"))
     }
 }
 
 impl Criterion {
+    fn new(test_mode: bool) -> Criterion {
+        Criterion {
+            sample_size: 10,
+            test_mode,
+        }
+    }
+
     /// Set how many timed samples [`Bencher::iter`] collects.
     pub fn sample_size(mut self, n: usize) -> Criterion {
         assert!(n > 0, "sample_size must be positive");
@@ -39,6 +49,7 @@ impl Criterion {
     {
         let mut b = Bencher {
             sample_size: self.sample_size,
+            test_mode: self.test_mode,
             samples: Vec::new(),
         };
         f(&mut b);
@@ -50,16 +61,21 @@ impl Criterion {
 /// Timing loop handle (subset of `criterion::Bencher`).
 pub struct Bencher {
     sample_size: usize,
+    test_mode: bool,
     samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Time `routine` once per sample after a warm-up run.
+    /// Time `routine` once per sample after a warm-up run; in test mode,
+    /// run it once and time nothing.
     pub fn iter<O, R>(&mut self, mut routine: R)
     where
         R: FnMut() -> O,
     {
-        black_box(routine()); // warm-up, untimed
+        black_box(routine()); // the warm-up, or test mode's one run
+        if self.test_mode {
+            return;
+        }
         self.samples = (0..self.sample_size)
             .map(|_| {
                 let start = Instant::now();
@@ -70,6 +86,10 @@ impl Bencher {
     }
 
     fn report(&self, id: &str) {
+        if self.test_mode {
+            println!("{id:<40} Success");
+            return;
+        }
         if self.samples.is_empty() {
             println!("{id:<40} (no samples)");
             return;
@@ -135,11 +155,20 @@ mod tests {
     #[test]
     fn bench_function_runs_routine() {
         let mut calls = 0u32;
-        Criterion::default()
+        Criterion::new(false)
             .sample_size(3)
             .bench_function("shim/self-test", |b| b.iter(|| calls += 1));
         // 1 warm-up + 3 samples.
         assert_eq!(calls, 4);
+    }
+
+    #[test]
+    fn test_mode_runs_routine_once() {
+        let mut calls = 0u32;
+        Criterion::new(true)
+            .sample_size(3)
+            .bench_function("shim/test-mode", |b| b.iter(|| calls += 1));
+        assert_eq!(calls, 1);
     }
 
     #[test]
