@@ -448,15 +448,9 @@ fn finish(
     start: Instant,
 ) -> ExecutionReport {
     lane.fold_hits(prog);
-    let paging_cycles = lane
-        .profile
-        .paging_cycles(lane.mem.page_ins(), lane.mem.page_outs());
-    let total_cycles = lane.user_cycles + paging_cycles;
-    let exec_cycles = match lane.profile.kind {
-        VmKind::RiscZero => total_cycles,
-        VmKind::Sp1 => lane.user_cycles,
-    };
-    let exec_time_ms = exec_cycles as f64 / lane.profile.emulation_hz * 1e3;
+    let (paging_cycles, total_cycles, exec_time_ms) =
+        lane.profile
+            .price_run(lane.user_cycles, lane.mem.page_ins(), lane.mem.page_outs());
     let exit = if halted {
         exit_code
     } else {
@@ -643,6 +637,59 @@ pub fn run_program(
     inputs: &[i32],
 ) -> Result<ExecutionReport, ExecError> {
     run_decoded(&DecodedProgram::decode(program), kind, inputs)
+}
+
+/// What [`Engine::run_segmented`] returns under `target`, derived from a
+/// run of the same program and [`ExecConfig`] under `source`; or `None`
+/// when the two runs may differ in more than their paging price.
+///
+/// It derives only when the source run has one record, charged no
+/// precompile cycles (prices differ per profile; a zero source price
+/// would hide a call) and `instret + paging < segment_cycles` holds under
+/// `target`'s prices. Then neither run meets a segment boundary, and a run
+/// that meets none never finds its segment room too small for a block:
+/// every block runs whole, so it ends below the limit. What is left to
+/// steer the tiers is the budget, and it sees the same `user_cycles` on
+/// both. So both runs retire the same instructions over the same
+/// residency and split them alike between the tiers: page-ins/outs, the
+/// mix and the [`EngineStats`] are equal.
+///
+/// The derived run differs from the source only in `kind`, the paging and
+/// total cycles and `exec_time_ms` (priced by [`VmProfile::price_run`]) and
+/// the record's paging cycles; `wall_time_ms` is 0.0.
+pub fn derive_segmented(
+    source: &VmProfile,
+    (report, records): (&ExecutionReport, &[SegmentRecord]),
+    target: &VmProfile,
+) -> Option<(ExecutionReport, Vec<SegmentRecord>)> {
+    let [record] = records else { return None };
+    let prices = [
+        source.sha256_block_cycles,
+        source.keccak_block_cycles,
+        source.sig_verify_cycles,
+    ];
+    let (ins, outs) = (report.page_ins, report.page_outs);
+    if report.user_cycles != report.instret
+        || prices.contains(&0)
+        || report.instret + target.paging_cycles(ins, outs) >= target.segment_cycles
+    {
+        return None;
+    }
+    let (paging_cycles, total_cycles, exec_time_ms) =
+        target.price_run(report.user_cycles, ins, outs);
+    let derived = ExecutionReport {
+        kind: target.kind,
+        paging_cycles,
+        total_cycles,
+        exec_time_ms,
+        wall_time_ms: 0.0,
+        ..report.clone()
+    };
+    let record = SegmentRecord {
+        paging_cycles,
+        ..record.clone()
+    };
+    Some((derived, vec![record]))
 }
 
 #[cfg(test)]
@@ -971,6 +1018,20 @@ mod tests {
                 }
             }
         }
+
+        /// [`check_derivations`] over the same programs.
+        #[test]
+        fn derived_runs_equal_real_runs_on_generated_programs(
+            es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
+            trip in 1u8..20,
+        ) {
+            for src in [program_gen::program(&es, trip), program_gen::program_with_calls(&es, trip)] {
+                for level in [None, Some(OptLevel::O2)] {
+                    let (derived, _) = check_derivations(&build(&src, level), &[3, -5], "generated");
+                    proptest::prop_assert!(derived > 0);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1168,5 +1229,158 @@ mod tests {
         for r in Engine::run_lockstep(&d, &jobs) {
             assert_eq!(r, Err(ExecError::MemFault { addr: 0x10, pc: 0 }));
         }
+    }
+
+    type Segmented = Result<(ExecutionReport, Vec<SegmentRecord>), ExecError>;
+
+    /// A segmented run without its wall-clock time.
+    fn unwall((mut report, records): (ExecutionReport, Vec<SegmentRecord>)) -> Segmented {
+        report.wall_time_ms = 0.0;
+        Ok((report, records))
+    }
+
+    /// Whether [`derive_segmented`] must derive `target`'s run from
+    /// `source`'s: one segment, no precompile charge under nonzero prices,
+    /// and the run's cycles under `target`'s paging prices below its
+    /// segment limit.
+    fn admitted(
+        source: &VmProfile,
+        (report, records): (&ExecutionReport, &[SegmentRecord]),
+        target: &VmProfile,
+    ) -> bool {
+        let free = [
+            source.sha256_block_cycles,
+            source.keccak_block_cycles,
+            source.sig_verify_cycles,
+        ];
+        let cycles = report.instret + target.paging_cycles(report.page_ins, report.page_outs);
+        records.len() == 1
+            && report.user_cycles == report.instret
+            && !free.contains(&0)
+            && cycles < target.segment_cycles
+    }
+
+    /// Every derivation [`derive_segmented`] makes for `p` is the target's
+    /// real `run_segmented` in every field but `wall_time_ms`, and it makes
+    /// one exactly where [`admitted`] says it must. The profiles are each
+    /// VM's own; variants whose segment limit falls a longest block before
+    /// the run's end, one cycle before it, at it, one cycle after it and a
+    /// longest block after it; and one with free precompiles. The budgets
+    /// are the run's own user cycles, a longest block more, and the
+    /// default. Every ordered pair of profiles is derived, same VM too.
+    /// Returns how many derivations were made and how many declined.
+    fn check_derivations(p: &Program, inputs: &[i32], what: &str) -> (usize, usize) {
+        let d = DecodedProgram::decode(p);
+        let k_max = d
+            .blocks
+            .iter()
+            .map(|b| u64::from(b.len))
+            .max()
+            .expect("blocks");
+        let config = |max_cycles| ExecConfig {
+            inputs: inputs.to_vec(),
+            max_cycles,
+        };
+        let run = |profile: &VmProfile, max_cycles| {
+            Engine::new(&d, profile.clone(), config(max_cycles)).run_segmented()
+        };
+        let (base, _) = run(&VmProfile::risc_zero(), ExecConfig::default().max_cycles)
+            .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        let mut profiles = Vec::new();
+        for kind in VmKind::BOTH {
+            let own = VmProfile::for_kind(kind);
+            let end = base.instret + own.paging_cycles(base.page_ins, base.page_outs);
+            for limit in [
+                end.saturating_sub(k_max),
+                end - 1,
+                end,
+                end + 1,
+                end + k_max,
+            ] {
+                profiles.push(VmProfile {
+                    segment_cycles: limit,
+                    ..own.clone()
+                });
+            }
+            profiles.push(VmProfile {
+                sha256_block_cycles: 0,
+                keccak_block_cycles: 0,
+                sig_verify_cycles: 0,
+                ..own.clone()
+            });
+            profiles.push(own);
+        }
+        let (mut derived, mut declined) = (0, 0);
+        let budgets = [
+            base.user_cycles,
+            base.user_cycles + k_max,
+            ExecConfig::default().max_cycles,
+        ];
+        for max_cycles in budgets {
+            let runs: Vec<Segmented> = profiles.iter().map(|s| run(s, max_cycles)).collect();
+            for (source, run) in profiles.iter().zip(&runs) {
+                let Ok((report, records)) = run else { continue };
+                for (target, real) in profiles.iter().zip(&runs) {
+                    let ctx = format!(
+                        "{what}, budget {max_cycles}: {} at {} -> {} at {}",
+                        source.kind, source.segment_cycles, target.kind, target.segment_cycles
+                    );
+                    let got = derive_segmented(source, (report, records), target);
+                    let made = got.is_some();
+                    if let Some(got) = got {
+                        assert_eq!(unwall(got), real.clone().and_then(unwall), "{ctx}");
+                    }
+                    let must = admitted(source, (report, records), target);
+                    assert_eq!(made, must, "{ctx}: derived exactly where admitted");
+                    if made {
+                        derived += 1;
+                    } else {
+                        declined += 1;
+                    }
+                }
+            }
+        }
+        (derived, declined)
+    }
+
+    /// [`check_derivations`] over the suite's programs (those in `names`,
+    /// or all), as lowered and at `-O2`: derivations made and declined.
+    fn check_suite_derivations(names: &[&str]) -> (usize, usize) {
+        let mut counts = (0, 0);
+        for w in zkvmopt_workloads::all() {
+            if !names.is_empty() && !names.contains(&w.name) {
+                continue;
+            }
+            for level in [None, Some(OptLevel::O2)] {
+                let what = format!("{} at {level:?}", w.name);
+                let (derived, declined) =
+                    check_derivations(&build(&w.source, level), &w.inputs, &what);
+                counts = (counts.0 + derived, counts.1 + declined);
+            }
+        }
+        counts
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "suite-wide grid is release-only (CI: test-release)"
+    )]
+    fn derived_runs_equal_real_runs_across_the_suite() {
+        let (derived, declined) = check_suite_derivations(&[]);
+        assert!(
+            derived > 0 && declined > 0,
+            "{derived} derived, {declined} declined"
+        );
+    }
+
+    /// The same on a precompile program (`keccak256`) and two that derive.
+    #[test]
+    fn derived_runs_equal_real_runs_on_three_programs() {
+        let (derived, declined) = check_suite_derivations(&["loop-sum", "keccak256", "tailcall"]);
+        assert!(
+            derived > 0 && declined > 0,
+            "{derived} derived, {declined} declined"
+        );
     }
 }

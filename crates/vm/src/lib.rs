@@ -62,7 +62,7 @@ pub mod profile;
 pub mod segment;
 
 pub use ecalls::CryptoEcalls;
-pub use engine::{run_decoded, run_program, Engine};
+pub use engine::{derive_segmented, run_decoded, run_program, Engine};
 pub use machine::{alu, alu_imm, ExecConfig, ExecError, ExecutionReport, InstMix};
 pub use machine::{run_program_reference, Machine};
 pub use mem::{FastMemory, PagedMemory};

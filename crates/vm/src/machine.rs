@@ -392,17 +392,9 @@ impl<'p> Machine<'p> {
             self.pc = next_pc;
         }
 
-        let paging_cycles = self
-            .profile
-            .paging_cycles(self.mem.page_ins(), self.mem.page_outs());
-        let total_cycles = user_cycles + paging_cycles;
-        // Modelled replay time: RISC Zero's executor also replays paging
-        // work; SP1's does not expose it.
-        let exec_cycles = match self.profile.kind {
-            VmKind::RiscZero => total_cycles,
-            VmKind::Sp1 => user_cycles,
-        };
-        let exec_time_ms = exec_cycles as f64 / self.profile.emulation_hz * 1e3;
+        let (paging_cycles, total_cycles, exec_time_ms) =
+            self.profile
+                .price_run(user_cycles, self.mem.page_ins(), self.mem.page_outs());
         // The exit code without an explicit halt is main's return in a0 —
         // the _start stub halts with it, so `halted` distinguishes guest
         // halts only when halt() was called before main returned. Either

@@ -103,6 +103,22 @@ impl VmProfile {
     pub fn paging_cycles(&self, ins: u64, outs: u64) -> u64 {
         ins * self.page_in_cycles + outs * self.page_out_cycles
     }
+
+    /// `(paging_cycles, total_cycles, exec_time_ms)` of a finished run with
+    /// these counts — the one pricing of a run, shared by both executors
+    /// and [`crate::engine::derive_segmented`]. The modelled replay time
+    /// counts paging on RISC Zero, whose executor replays it, and not on
+    /// SP1, which does not expose it.
+    pub fn price_run(&self, user_cycles: u64, page_ins: u64, page_outs: u64) -> (u64, u64, f64) {
+        let paging_cycles = self.paging_cycles(page_ins, page_outs);
+        let total_cycles = user_cycles + paging_cycles;
+        let exec_cycles = match self.kind {
+            VmKind::RiscZero => total_cycles,
+            VmKind::Sp1 => user_cycles,
+        };
+        let exec_time_ms = exec_cycles as f64 / self.emulation_hz * 1e3;
+        (paging_cycles, total_cycles, exec_time_ms)
+    }
 }
 
 /// Advisory engine profiling counters, surfaced per run in
