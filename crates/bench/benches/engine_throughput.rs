@@ -6,11 +6,10 @@
 //! Before timing anything, every workload is executed on **both** VM kinds
 //! through both executors and all cost metrics are asserted identical — the
 //! numbers are only meaningful because the engine is bit-exact. The report
-//! prints per-workload times, the suite totals and the ratio to the step
-//! interpreter (overall and on the memory-op-bearing subset, whose loads
-//! and stores the residency table serves); the ratios are printed, not
-//! asserted — `benchmark/`'s A/B is the speed gate. Criterion then measures
-//! the two full-suite sweeps.
+//! prints per-workload times, the suite totals, the ratio to the step
+//! interpreter and the share of loads and stores the residency table
+//! serves; the ratios are printed, not asserted — `benchmark/`'s A/B is the
+//! speed gate. Criterion then measures the two full-suite sweeps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_core::suite::CompiledWorkload;
@@ -90,22 +89,17 @@ fn report(suite: &[(&'static Workload, CompiledWorkload)]) {
     );
 
     // Per-workload wall clock (best of 3 per executor), both VM kinds.
-    // Memory-op-bearing workloads are tracked as their own subset: theirs
-    // are the loads and stores the residency table serves, and they get
-    // their own geomean.
     println!(
-        "{:<26} {:>14} {:>12} {:>12} {:>9}  mem?",
+        "{:<26} {:>14} {:>12} {:>12} {:>9}",
         "workload", "cycles", "interp ms", "engine ms", "speedup"
     );
     let mut speedups = Vec::new();
-    let mut mem_speedups = Vec::new();
     let (mut hits, mut misses) = (0u64, 0u64);
     // Per VM kind: (guest instructions, engine ms) over the suite.
     let mut retired = [(0u64, 0.0f64); 2];
     for (w, cw) in suite {
         let probe = run_decoded(&cw.decoded, VmKind::RiscZero, &w.inputs)
             .unwrap_or_else(|e| panic!("{} engine: {e}", w.name));
-        let has_mem = probe.mix.load + probe.mix.store > 0;
         hits += probe.stats.probe_hits;
         misses += probe.stats.probe_misses;
         let old_ms = best_ms(|| run_reference(w, cw, VmKind::RiscZero));
@@ -119,18 +113,12 @@ fn report(suite: &[(&'static Workload, CompiledWorkload)]) {
         }
         let speedup = old_ms / new_ms;
         println!(
-            "{:<26} {:>14} {old_ms:>12.3} {new_ms:>12.3} {speedup:>8.2}x  {}",
-            w.name,
-            probe.total_cycles,
-            if has_mem { "mem" } else { "-" }
+            "{:<26} {:>14} {old_ms:>12.3} {new_ms:>12.3} {speedup:>8.2}x",
+            w.name, probe.total_cycles
         );
         speedups.push(speedup);
-        if has_mem {
-            mem_speedups.push(speedup);
-        }
     }
     let g = geomean(&speedups);
-    let g_mem = geomean(&mem_speedups);
     let [mips_r0, mips_sp1] = retired.map(|(insts, ms)| insts as f64 / ms / 1e3);
     let codegen_ns = codegen_ns_per_ir_inst(suite);
     println!(
@@ -138,11 +126,9 @@ fn report(suite: &[(&'static Workload, CompiledWorkload)]) {
          codegen: {codegen_ns:.0} ns per IR instruction"
     );
     println!(
-        "vs the step interpreter over the {}-program suite at -O2: {g:.2}x geomean, \
-         {g_mem:.2}x on the {} memory-op-bearing workloads \
-         ({:.2}% of their accesses served from the residency table)",
+        "vs the step interpreter over the {}-program suite at -O2: {g:.2}x geomean \
+         ({:.2}% of loads and stores served from the residency table)",
         suite.len(),
-        mem_speedups.len(),
         100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
 }

@@ -13,11 +13,17 @@
 //!   resolved pass list plus config and backend, so `-Os` reuses `-O2`'s
 //!   entry ([`CompiledWorkload`] holds the emitted [`Program`] and its
 //!   [`DecodedProgram`] block cache);
-//! - [`SuiteRunner::run_matrix`] executes each **distinct linked program**
-//!   of a workload once per VM, optionally across threads, and hands every
-//!   profile that linked the same program a copy of that run. Many cells of
-//!   the study's matrices are such copies: a level that changes nothing on
-//!   a program, or a pass that does not apply to it.
+//! - [`SuiteRunner::run_matrix`] runs each **distinct linked program** of a
+//!   workload once, optionally across threads, and hands every profile that
+//!   linked the same program a copy of that run. Many cells of the study's
+//!   matrices are such copies: a level that changes nothing on a program,
+//!   or a pass that does not apply to it;
+//! - of a program's runs, only the first VM's is **executed** whenever
+//!   that can be exact: [`derive_segmented`] prices a one-segment run
+//!   without precompile charges under each further VM's profile, and only
+//!   where it declines (several segments on either VM, a precompile call)
+//!   is that VM's run executed too. On the study's rows (baseline, six
+//!   levels, zk-O3) 285 of the 311 distinct programs are derived for SP1.
 //!
 //! `bench/`'s impact matrices, the tuner fitness loops, and the report
 //! generator all run on top of this.
@@ -218,11 +224,14 @@ impl SuiteRunner {
     ///
     /// Phase 1 compiles each workload once per distinct
     /// [`OptProfile::cache_key`] (serial, cached). Phase 2 groups each
-    /// workload's profiles by identical linked [`Program`] and executes each
+    /// workload's profiles by identical linked [`Program`] and runs each
     /// group once per VM — and once on the x86 model when `with_x86` — across
-    /// `threads` worker threads (`0` = all available cores). Every profile of
-    /// a group gets a copy of the group's runs, reported and measured under
-    /// its own name, and names the group's first profile in
+    /// `threads` worker threads (`0` = all available cores; one worker runs
+    /// on the calling thread). A group's first VM is executed; each further
+    /// VM's run is derived from it by [`derive_segmented`], and executed only
+    /// where that declines, so every cell equals a fresh run of it. Every
+    /// profile of a group gets a copy of the group's runs, reported and
+    /// measured under its own name, and names the group's first profile in
     /// [`MatrixCell::same_program_as`]. The grouping lives only for this
     /// call. Results are returned in deterministic row-major
     /// (workload, profile, vm) order regardless of scheduling.

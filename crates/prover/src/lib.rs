@@ -310,12 +310,17 @@ mod tests {
         assert_eq!(leaves, [1, 2, 7, 13, 7, 1, 2, 13, 1]);
         assert_eq!(leaves.iter().sum::<u64>() % 2, 1);
         let r = report_of(VmKind::Sp1, &records, vec![3, -4, 5]);
+        check_segment_accounting(&r, &records).unwrap();
         for backend in standard_backends() {
-            for threads in 1..=5 {
-                let proof = prove_segmented(backend, &r, &records, threads).unwrap();
-                let ctx = format!("{} on {threads} threads", backend.name());
+            // Too small for `prove_segmented` to fan out, so the worker
+            // count is forced.
+            for workers in 1..=5 {
+                let proof = pipeline::prove_on(backend, &r, &records, workers);
+                let ctx = format!("{} on {workers} workers", backend.name());
                 assert_matches_oracle(&ctx, backend, &r, &records, &proof);
             }
+            let proof = prove_segmented(backend, &r, &records, 0).unwrap();
+            assert_matches_oracle(backend.name(), backend, &r, &records, &proof);
         }
     }
 
@@ -452,8 +457,13 @@ mod tests {
         let (report, records) = segmented(20_000, VmKind::RiscZero);
         for backend in standard_backends() {
             let seq = prove_segmented(backend, &report, &records, 1).unwrap();
-            for threads in [0, 2, 4] {
-                let par = prove_segmented(backend, &report, &records, threads).unwrap();
+            let parallel =
+                [0, 2, 4].map(|threads| prove_segmented(backend, &report, &records, threads));
+            // The run is too small to fan out on its own; force it too.
+            let forced =
+                [2, 4].map(|workers| Ok(pipeline::prove_on(backend, &report, &records, workers)));
+            for par in parallel.into_iter().chain(forced) {
+                let par = par.unwrap();
                 assert_eq!(par.root, seq.root, "{}: root", backend.name());
                 assert_eq!(par.segments, seq.segments, "{}: segments", backend.name());
                 assert!(

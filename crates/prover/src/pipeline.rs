@@ -452,10 +452,20 @@ fn aggregate(
     }
 }
 
+/// Padded rows a worker must have to hash before fanning out pays for its
+/// spawn. Measured on a 2-vCPU SHA-NI host over the 116 suite runs at
+/// segment limit ÷ 64 × three backends: one thread hashed 0.36 ns per
+/// padded row, a two-worker call cost 75–90 µs more than half the
+/// one-thread time, and two workers were slower than one below about
+/// 450 000 padded rows per call. 2^18 rows is ≈ 94 µs of hashing.
+const ROWS_PER_WORKER: u64 = 1 << 18;
+
 /// Prove an execution segment-by-segment and aggregate, fanning the
-/// per-segment proofs out over `threads` worker threads (`0` = all
-/// available cores, `1` = sequential). The result is identical whatever
-/// the thread count: every join runs in segment order.
+/// per-segment proofs out over at most `threads` worker threads (`0` = all
+/// available cores, `1` = sequential), and only as many as have
+/// [`ROWS_PER_WORKER`] padded rows each: a run smaller than that is proved
+/// on the calling thread. The result is identical whatever the thread
+/// count: every join runs in segment order.
 ///
 /// # Errors
 /// Returns [`AccountingMismatch`] when `records` fail the bit-identity
@@ -468,12 +478,29 @@ pub fn prove_segmented(
     threads: usize,
 ) -> Result<SegmentedProof, AccountingMismatch> {
     check_segment_accounting(report, records)?;
-    let workers = if threads == 0 {
+    let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         threads
-    }
-    .min(records.len().max(1));
+    };
+    let padded: u64 = records
+        .iter()
+        .map(|seg| backend.padded_rows(backend.segment_rows(seg)))
+        .sum();
+    let affordable = usize::try_from(padded / ROWS_PER_WORKER).unwrap_or(usize::MAX);
+    Ok(prove_on(backend, report, records, threads.min(affordable)))
+}
+
+/// [`prove_segmented`] past its accounting gate, on `workers` worker
+/// threads (at most one per segment; `0` or `1` proves on the calling
+/// thread).
+pub(crate) fn prove_on(
+    backend: &dyn ProverBackend,
+    report: &ExecutionReport,
+    records: &[SegmentRecord],
+    workers: usize,
+) -> SegmentedProof {
+    let workers = workers.min(records.len());
     let segments = if workers <= 1 {
         prove_run(backend, 0, records)
     } else {
@@ -495,7 +522,7 @@ pub fn prove_segmented(
             handles.into_iter().flat_map(join).collect()
         })
     };
-    Ok(aggregate(backend, report, records, segments))
+    aggregate(backend, report, records, segments)
 }
 
 /// Verify a segmented proof: re-prove every segment record, rebuild the

@@ -42,6 +42,16 @@
 //! installed, and why the null guard needs no special case: an address below
 //! `0x100` is never a hit.
 //!
+//! **One run, two prices.** A run that meets no segment boundary never
+//! finds its segment room too small for a block (every block runs whole
+//! and ends below the limit), so only the budget steers its tiers. Two
+//! profiles then run a program alike wherever neither meets a boundary and
+//! no precompile is charged: [`derive_segmented`] prices such a run under
+//! the other profile instead of running it again. It is held to the real
+//! run by the `derived_runs_equal_real_runs_*` tests, field for field,
+//! over the suite and generated programs on a grid of segment limits
+//! around each run's end and of tight budgets.
+//!
 //! Cycle counts, paging charges, segment splits, instruction mixes,
 //! journals, and error classes are guaranteed identical to
 //! `crate::machine::Machine` — the suite-wide differential harness
