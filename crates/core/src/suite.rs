@@ -338,8 +338,10 @@ impl SuiteRunner {
                 }
             }
         };
-        // One worker runs on the calling thread: a scoped spawn and join
-        // cost 60–110 µs, about 1 % of a `study_matrix` row.
+        // One worker runs on the calling thread. A spawned one cost more
+        // than its 50–60 µs spawn and join: on the benchmark's
+        // `study_matrix` (one worker per row) this alone took `ops_per_s`
+        // from 96 to 110 (medians of 6 rounds, 2-vCPU host).
         if workers == 1 {
             work();
         } else {

@@ -462,9 +462,9 @@ const ROWS_PER_WORKER: u64 = 1 << 18;
 
 /// Prove an execution segment-by-segment and aggregate, fanning the
 /// per-segment proofs out over at most `threads` worker threads (`0` = all
-/// available cores, `1` = sequential), and only as many as have
-/// [`ROWS_PER_WORKER`] padded rows each: a run smaller than that is proved
-/// on the calling thread. The result is identical whatever the thread
+/// available cores, `1` = sequential), and only as many as have 2^18
+/// padded rows each: a run smaller than that is proved on the calling
+/// thread. The result is identical whatever the thread
 /// count: every join runs in segment order.
 ///
 /// # Errors

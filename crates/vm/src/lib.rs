@@ -23,7 +23,10 @@
 //! The engine reports the paper's cost components: **dynamic instruction
 //! count**, **paging cycles**, and **total cycles**, plus the journal used
 //! by the workspace's differential tests and advisory [`EngineStats`]
-//! counters explaining how each run was executed.
+//! counters explaining how each run was executed. Where two profiles can
+//! only differ in price (one segment, no precompile charge),
+//! [`derive_segmented`] reprices a run for the other profile instead of
+//! executing it again.
 //!
 //! ## Example
 //!
