@@ -226,8 +226,8 @@ impl SuiteRunner {
     /// [`OptProfile::cache_key`] (serial, cached). Phase 2 groups each
     /// workload's profiles by identical linked [`Program`] and runs each
     /// group once per VM — and once on the x86 model when `with_x86` — across
-    /// `threads` worker threads (`0` = all available cores; one worker runs
-    /// on the calling thread). A group's first VM is executed; each further
+    /// `threads` workers (`0` = all available cores), the calling thread
+    /// among them. A group's first VM is executed; each further
     /// VM's run is derived from it by [`derive_segmented`], and executed only
     /// where that declines, so every cell equals a fresh run of it. Every
     /// profile of a group gets a copy of the group's runs, reported and
@@ -338,19 +338,17 @@ impl SuiteRunner {
                 }
             }
         };
-        // One worker runs on the calling thread. A spawned one cost more
-        // than its 50–60 µs spawn and join: on the benchmark's
-        // `study_matrix` (one worker per row) this alone took `ops_per_s`
-        // from 96 to 110 (medians of 6 rounds, 2-vCPU host).
-        if workers == 1 {
+        // The calling thread is one of the workers, so one worker spawns
+        // nothing. A spawned one cost more than its 50–60 µs spawn and join:
+        // on the benchmark's `study_matrix` (one worker per row) running it
+        // on the calling thread alone took `ops_per_s` from 96 to 110
+        // (medians of 6 rounds, 2-vCPU host).
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
             work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
-        }
+        });
         // Restore the configured bound and shrink back down to it.
         self.cache_cap = saved_cap;
         while self.compiled.len() > self.cache_cap {
@@ -372,22 +370,30 @@ impl SuiteRunner {
     }
 }
 
-/// Execute a compiled workload: one segmented engine run, its records gated
-/// by [`check_segment_accounting`] — a record set that does not sum exactly
-/// to the report is an error here, never a silently wrong proving cost.
+/// A segmented run: its report and per-segment records.
+type Run = (ExecutionReport, Vec<SegmentRecord>);
+
+/// Execute a compiled workload: one segmented engine run, [`checked`].
 fn execute(
     cw: &CompiledWorkload,
     inputs: &[i32],
     vm: VmKind,
     max_cycles: u64,
-) -> Result<(ExecutionReport, Vec<SegmentRecord>), StudyError> {
+) -> Result<Run, StudyError> {
     let config = ExecConfig {
         inputs: inputs.to_vec(),
         max_cycles,
     };
-    let (exec, records) = Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
+    let run = Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
         .run_segmented()
         .map_err(|e| StudyError::Exec(e.to_string()))?;
+    checked(run)
+}
+
+/// Gate a run's records by [`check_segment_accounting`], executed or
+/// derived: a record set that does not sum exactly to the report is an
+/// error here, never a silently wrong proving cost.
+fn checked((exec, records): Run) -> Result<Run, StudyError> {
     check_segment_accounting(&exec, &records).map_err(|e| StudyError::Exec(e.to_string()))?;
     Ok((exec, records))
 }
@@ -401,21 +407,23 @@ fn execute_vms(
     inputs: &[i32],
     vms: &[VmKind],
     max_cycles: u64,
-) -> Vec<Result<(ExecutionReport, Vec<SegmentRecord>), StudyError>> {
-    let mut runs: Vec<Result<(ExecutionReport, Vec<SegmentRecord>), StudyError>> =
-        Vec::with_capacity(vms.len());
-    for &vm in vms {
-        let derived = match (vms.first(), runs.first()) {
-            (Some(&source), Some(Ok((exec, records)))) => derive_segmented(
-                &VmProfile::for_kind(source),
-                (exec, records.as_slice()),
-                &VmProfile::for_kind(vm),
-            ),
-            _ => None,
-        };
-        runs.push(derived.map_or_else(|| execute(cw, inputs, vm, max_cycles), Ok));
-    }
-    runs
+) -> Vec<Result<Run, StudyError>> {
+    let Some((&source, rest)) = vms.split_first() else {
+        return Vec::new();
+    };
+    let first = execute(cw, inputs, source, max_cycles);
+    let source = VmProfile::for_kind(source);
+    let further: Vec<_> = rest
+        .iter()
+        .map(|&vm| {
+            let target = VmProfile::for_kind(vm);
+            let derived = first.as_ref().ok().and_then(|(exec, records)| {
+                derive_segmented(&source, (exec, records.as_slice()), &target)
+            });
+            derived.map_or_else(|| execute(cw, inputs, vm, max_cycles), checked)
+        })
+        .collect();
+    std::iter::once(first).chain(further).collect()
 }
 
 /// The VM-independent x86 native baseline for a compiled workload.
@@ -425,11 +433,7 @@ fn run_native(cw: &CompiledWorkload, inputs: &[i32]) -> Result<X86Report, StudyE
 
 /// Build the full [`RunReport`] for one execution: proving cost of the run's
 /// own segments under its VM's backend, x86 timing when measured.
-fn run_report(
-    cw: &CompiledWorkload,
-    (exec, records): (ExecutionReport, Vec<SegmentRecord>),
-    x86: Option<X86Report>,
-) -> RunReport {
+fn run_report(cw: &CompiledWorkload, (exec, records): Run, x86: Option<X86Report>) -> RunReport {
     RunReport {
         prove_ms: proving_cost_ms(backend_for(exec.kind), &records),
         exec_ms: exec.exec_time_ms,

@@ -453,6 +453,23 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_needs_two_to_the_eighteen_padded_rows_per_worker() {
+        let per = 1u64 << 18;
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                pipeline::fan_out(threads, 0),
+                1,
+                "{threads} threads, no rows"
+            );
+            assert_eq!(pipeline::fan_out(threads, per - 1), 1);
+            assert_eq!(pipeline::fan_out(threads, 2 * per - 1), 1);
+            assert_eq!(pipeline::fan_out(threads, 2 * per), threads.min(2));
+            assert_eq!(pipeline::fan_out(threads, 4 * per), threads);
+            assert_eq!(pipeline::fan_out(threads, u64::MAX), threads);
+        }
+    }
+
+    #[test]
     fn parallel_proving_matches_sequential_bit_for_bit() {
         let (report, records) = segmented(20_000, VmKind::RiscZero);
         for backend in standard_backends() {

@@ -483,12 +483,23 @@ pub fn prove_segmented(
     } else {
         threads
     };
-    let padded: u64 = records
-        .iter()
-        .map(|seg| backend.padded_rows(backend.segment_rows(seg)))
-        .sum();
-    let affordable = usize::try_from(padded / ROWS_PER_WORKER).unwrap_or(usize::MAX);
-    Ok(prove_on(backend, report, records, threads.min(affordable)))
+    let workers = if threads > 1 {
+        let padded = records
+            .iter()
+            .map(|seg| backend.padded_rows(backend.segment_rows(seg)))
+            .sum();
+        fan_out(threads, padded)
+    } else {
+        1
+    };
+    Ok(prove_on(backend, report, records, workers))
+}
+
+/// How many of `threads` workers a run of `padded_rows` padded rows is
+/// proved on: one per [`ROWS_PER_WORKER`] rows, and at least one.
+pub(crate) fn fan_out(threads: usize, padded_rows: u64) -> usize {
+    let affordable = usize::try_from(padded_rows / ROWS_PER_WORKER).unwrap_or(usize::MAX);
+    threads.min(affordable).max(1)
 }
 
 /// [`prove_segmented`] past its accounting gate, on `workers` worker
