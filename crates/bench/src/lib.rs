@@ -9,7 +9,7 @@
 //! tuner.
 
 use zkvmopt_core::suite::check_and_measure;
-use zkvmopt_core::{gain, Measurement, OptProfile, RunReport, StudyError, SuiteRunner};
+use zkvmopt_core::{gain, Measurement, OptProfile, PipelineError, RunReport, SuiteRunner};
 use zkvmopt_vm::{SegmentRecord, VmKind};
 use zkvmopt_workloads::Workload;
 
@@ -88,7 +88,7 @@ fn impact_of(
     profile: &OptProfile,
     vm: VmKind,
     base_m: &Measurement,
-    measured: Result<(Measurement, RunReport), StudyError>,
+    measured: Result<(Measurement, RunReport), PipelineError>,
     same_program_as: Option<String>,
 ) -> Option<Impact> {
     match measured {

@@ -18,10 +18,13 @@
 //!   behaviour is a miscompile and evaluates to `None`, the same channel
 //!   through which the paper's autotuner surfaced a real SP1 soundness bug.
 //!
-//! Evaluation is then a `&self` function of the candidate in two halves:
-//! the **front** clones the module and applies the candidate's passes, the
-//! **back half** verifies, generates code, pre-decodes, executes and checks
-//! against the baseline. The back half is a pure function of the post-pass
+//! Evaluation is then a `&self` function of the candidate, made of the
+//! crate's shared stages, in two halves: the **front** is [`passes`] on a
+//! clone of the module, the **back half** is [`codegen`] (verify, generate
+//! code, pre-decode) and [`execute`] under the candidate budget, then the
+//! check against the baseline — the stages and the segmented run the study
+//! paths use, so a fitness equals the figure's cycle count for the same
+//! program. The back half is a pure function of the post-pass
 //! module and of the entry's fixed context (base program, inputs, VM kind,
 //! cycle budget, backend cost model), and on a cold search most candidates
 //! that miss the tuner's sequence-keyed cache still produce IR a sibling
@@ -50,14 +53,14 @@
 //! every call of real searches outside any search and requires equal
 //! results.
 
-use crate::{OptLevel, OptProfile, PipelineError, StudyError, SuiteRunner};
+use crate::{codegen, execute, passes, OptLevel, OptProfile, PipelineError, SuiteRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use zkvmopt_ir::analysis::stable_fingerprint_bytes;
 use zkvmopt_ir::{stable_module_fingerprint, FeatureVector, Module};
 use zkvmopt_passes::PassConfig;
 use zkvmopt_riscv::TargetCostModel;
 use zkvmopt_tuner::{Candidate, EvalResult, TuneTarget};
-use zkvmopt_vm::{DecodedProgram, Engine, ExecConfig, VmKind, VmProfile};
+use zkvmopt_vm::VmKind;
 use zkvmopt_workloads::Workload;
 
 /// Per-candidate cycle-budget headroom over the workload's baseline: an
@@ -107,13 +110,13 @@ impl SuiteRunner {
     /// be differentially checked against.
     ///
     /// # Errors
-    /// Returns [`StudyError`] if any workload fails to compile or its
+    /// Returns [`PipelineError`] if any workload fails to compile or its
     /// baseline fails to execute.
     pub fn batch_evaluator(
         &mut self,
         workloads: &[&'static Workload],
         vm: VmKind,
-    ) -> Result<BatchEvaluator, StudyError> {
+    ) -> Result<BatchEvaluator, PipelineError> {
         let max_cycles = self.max_cycles();
         let mut entries = Vec::with_capacity(workloads.len());
         for w in workloads {
@@ -227,12 +230,11 @@ impl BatchEvaluator {
 
     /// Evaluate one candidate on workload `widx`, classifying every failure
     /// as a [`PipelineError`]. The whole pipeline is isolated: the compile
-    /// stages (pass application, IR verification, instruction selection)
-    /// run under `catch_unwind`, so a pass bug that panics on this
-    /// candidate's IR is reported as [`PipelineError::Panic`] instead of
-    /// unwinding into (and poisoning) the caller; execution runs under the
-    /// per-candidate [`BatchEvaluator::candidate_budget`]. Deterministic
-    /// and `&self`: safe to call from any number of threads.
+    /// stages ([`passes`], [`codegen`]) catch panics, so a pass bug that
+    /// panics on this candidate's IR is reported as [`PipelineError::Panic`]
+    /// instead of unwinding into (and poisoning) the caller; [`execute`]
+    /// runs under the per-candidate [`BatchEvaluator::candidate_budget`].
+    /// Deterministic and `&self`: safe to call from any number of threads.
     ///
     /// Inside a [`zkvmopt_tuner::tune_suite`] fitness call, everything after
     /// the passes runs once per distinct post-pass module of that search; a
@@ -244,17 +246,12 @@ impl BatchEvaluator {
     pub fn eval_classified(
         &self,
         widx: usize,
-        passes: &[&'static str],
+        seq: &[&'static str],
         cfg: &PassConfig,
     ) -> Result<u64, PipelineError> {
         let e = &self.entries[widx];
-        let profile = candidate_profile(passes, cfg);
-        let m = catch_unwind(AssertUnwindSafe(|| {
-            let mut m = e.module.clone();
-            profile.apply(&mut m);
-            m
-        }))
-        .map_err(PipelineError::from_panic)?;
+        let profile = candidate_profile(seq, cfg);
+        let m = passes(e.module.clone(), &profile)?;
         let back_half = || self.back_half(e, &m, &profile.backend);
         // A module the printer cannot fingerprint is not memoized: the
         // verifier classifies it, as it does outside a search.
@@ -268,30 +265,16 @@ impl BatchEvaluator {
         }
     }
 
-    /// Verify → codegen → decode → execute under the entry's budget → check
-    /// against the baseline: everything after the passes, a pure function of
-    /// the post-pass module `m` and the entry's context.
+    /// [`codegen`] → [`execute`] under the entry's budget → check against
+    /// the baseline: everything after the passes, a pure function of the
+    /// post-pass module `m` and the entry's context.
     fn back_half(
         &self,
         e: &Entry,
         m: &Module,
         backend: &TargetCostModel,
     ) -> Result<u64, PipelineError> {
-        let program = catch_unwind(AssertUnwindSafe(|| {
-            zkvmopt_ir::verify::verify_module(m).map_err(|err| PipelineError::Verify {
-                message: err.to_string(),
-            })?;
-            zkvmopt_riscv::compile_module(m, backend).map_err(PipelineError::from)
-        }))
-        .unwrap_or_else(|payload| Err(PipelineError::from_panic(payload)))?;
-        let decoded = DecodedProgram::decode(&program);
-        let config = ExecConfig {
-            inputs: e.inputs.clone(),
-            max_cycles: e.budget,
-        };
-        let exec = Engine::new(&decoded, VmProfile::for_kind(self.vm), config)
-            .run()
-            .map_err(|err| PipelineError::from_exec(err, e.budget))?;
+        let (exec, _) = execute(&codegen(m, backend)?, &e.inputs, self.vm, e.budget)?;
         if exec.journal != e.baseline_journal || exec.exit_code != e.baseline_exit {
             return Err(PipelineError::Divergence); // miscompile: must never win
         }
@@ -325,6 +308,8 @@ impl BatchEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure;
+    use zkvmopt_tuner::SeedTree;
 
     fn evaluator(names: &[&str]) -> BatchEvaluator {
         let workloads: Vec<&'static Workload> = names
@@ -413,5 +398,42 @@ mod tests {
                 .map_err(|e| e.class())
         );
         assert!(fit(0, &c).is_ok());
+    }
+
+    /// The four random draws, `Candidate::random(SeedTree::new(s).seed(2,
+    /// i), 20)` on RISC Zero, that emit IR the verifier rejects. The study
+    /// paths (`Pipeline::run_source` under `measure`, `SuiteRunner::run`
+    /// under its `measure`) and the tuner's `eval_classified` run the same
+    /// stages, so each draw gets one outcome on all three: the same error
+    /// while the passes emit bad IR, the same cycles once they do not.
+    #[test]
+    fn every_path_agrees_on_verifier_rejected_draws() {
+        let names = ["bigmem", "spec-631"];
+        let draws = [(0, 2, 1057), (0, 2, 1512), (0, 4, 4375), (1, 5, 2813)];
+        let workloads: Vec<&'static Workload> = names
+            .iter()
+            .map(|n| zkvmopt_workloads::by_name(n).expect("suite workload"))
+            .collect();
+        let mut runner = SuiteRunner::new();
+        let ev = runner
+            .batch_evaluator(&workloads, VmKind::RiscZero)
+            .expect("evaluator");
+        for (widx, s, i) in draws {
+            let w = workloads[widx];
+            let c = Candidate::random(SeedTree::new(s).seed(2, i), 20);
+            let profile = OptProfile::sequence("candidate", c.passes.clone(), c.pass_config());
+            let vm = VmKind::RiscZero;
+            let (_, base) = runner
+                .measure(w, &OptProfile::baseline(), vm, false, None)
+                .expect("baseline runs");
+            let pipeline = measure(w, &profile, vm, false, Some(&base)).map(|(m, _)| m.cycles);
+            let suite = runner
+                .measure(w, &profile, vm, false, Some(&base))
+                .map(|(m, _)| m.cycles);
+            let tuner = ev.eval_classified(widx, &c.passes, &c.pass_config());
+            let at = format!("{} (s {s}, i {i})", w.name);
+            assert_eq!(pipeline, suite, "{at}: Pipeline vs SuiteRunner");
+            assert_eq!(suite, tuner, "{at}: SuiteRunner vs BatchEvaluator");
+        }
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! A tuning service evaluates *untrusted* candidate pipelines on untrusted
 //! program text, thousands of times per run. Every way an evaluation can go
-//! wrong is an expected input, not an exceptional condition, so the whole
-//! lower → passes → codegen → engine chain reports failures as values of
-//! one taxonomy instead of panicking or stringifying:
+//! wrong is an expected input, not an exceptional condition, so every path
+//! through the lower → passes → codegen → engine chain (the study's and the
+//! tuner's alike: both run [`passes`](crate::passes),
+//! [`codegen`](crate::codegen) and [`execute`](crate::execute)) reports
+//! failures as values of one taxonomy instead of panicking or stringifying:
 //!
 //! | Variant | Stage | Meaning |
 //! |---|---|---|
@@ -23,6 +25,7 @@
 //! never retries a failure.
 
 use std::fmt;
+use zkvmopt_prover::AccountingMismatch;
 use zkvmopt_tuner::FailureClass;
 
 /// Any failure along the candidate-evaluation pipeline. See the module docs
@@ -58,6 +61,10 @@ pub enum PipelineError {
         /// The budget that was exceeded.
         limit: u64,
     },
+    /// A run's segment records do not sum to its report. This is a bug in
+    /// the engine, never a property of the candidate, so it classes as
+    /// [`FailureClass::Panic`].
+    Accounting(AccountingMismatch),
     /// The candidate changed observable behaviour (journal or exit code)
     /// versus the baseline oracle — the miscompile class the paper's
     /// autotuner surfaced in SP1.
@@ -81,7 +88,7 @@ impl PipelineError {
             PipelineError::Trap { .. } => FailureClass::Trap,
             PipelineError::Budget { .. } => FailureClass::Budget,
             PipelineError::Divergence => FailureClass::Divergence,
-            PipelineError::Panic { .. } => FailureClass::Panic,
+            PipelineError::Accounting(_) | PipelineError::Panic { .. } => FailureClass::Panic,
         }
     }
 
@@ -118,6 +125,7 @@ impl fmt::Display for PipelineError {
             PipelineError::Budget { limit } => {
                 write!(f, "cycle budget exhausted (limit {limit})")
             }
+            PipelineError::Accounting(m) => write!(f, "{m}"),
             PipelineError::Divergence => {
                 write!(f, "observable behaviour diverged from the baseline")
             }
@@ -192,8 +200,18 @@ mod tests {
                 },
                 FailureClass::Panic,
             ),
+            (
+                PipelineError::Accounting(AccountingMismatch {
+                    field: "instret",
+                    expected: 5,
+                    got: 6,
+                }),
+                FailureClass::Panic,
+            ),
         ];
-        assert_eq!(cases.len(), FailureClass::ALL.len(), "taxonomy covered");
+        for class in FailureClass::ALL {
+            assert!(cases.iter().any(|(_, c)| *c == class), "{class:?} hit");
+        }
         for (e, class) in cases {
             assert_eq!(e.class(), class, "{e}");
             assert!(!e.to_string().is_empty());

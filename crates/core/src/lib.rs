@@ -4,6 +4,25 @@
 //! pipeline, and the measurement matrices every table and figure in the paper
 //! is regenerated from.
 //!
+//! ## One evaluation chain
+//!
+//! Every path from a lowered module to a cycle count — the cached
+//! [`SuiteRunner`] (and [`Pipeline`], a one-off runner) and the tuner's
+//! [`BatchEvaluator`] — runs the same three stage functions, and each
+//! reports a [`PipelineError`]:
+//!
+//! - [`passes`]: the profile's passes, a panic caught as
+//!   [`PipelineError::Panic`];
+//! - [`codegen`]: the IR verifier, instruction selection and linking (a
+//!   panic caught likewise), then the engine's pre-decode, giving a
+//!   [`CompiledWorkload`];
+//! - [`execute`]: one segmented engine run under a cycle budget, its
+//!   records gated by
+//!   [`check_segment_accounting`](zkvmopt_prover::check_segment_accounting).
+//!
+//! So a figure and a tuner fitness are the same number for the same
+//! program, and neither is ever measured on IR the verifier rejects.
+//!
 //! ## Example
 //!
 //! ```
@@ -36,11 +55,10 @@
 )]
 
 use serde::Serialize;
-use std::fmt;
 use zkvmopt_ir::Module;
 use zkvmopt_passes::{PassConfig, PassManager};
 use zkvmopt_riscv::TargetCostModel;
-use zkvmopt_vm::{DecodedProgram, ExecutionReport, SegmentRecord, VmKind};
+use zkvmopt_vm::{ExecutionReport, SegmentRecord, VmKind};
 use zkvmopt_workloads::Workload;
 use zkvmopt_x86sim::X86Report;
 
@@ -50,7 +68,7 @@ pub mod suite;
 
 pub use batch::BatchEvaluator;
 pub use error::PipelineError;
-pub use suite::{MatrixCell, SuiteRunner};
+pub use suite::{codegen, execute, passes, CompiledWorkload, MatrixCell, SuiteRunner};
 pub use zkvmopt_passes::OptLevel;
 
 /// How a profile transforms the module.
@@ -175,35 +193,6 @@ impl OptProfile {
     }
 }
 
-/// Study failures.
-#[derive(Debug, Clone)]
-pub enum StudyError {
-    /// Frontend failure.
-    Compile(String),
-    /// Codegen failure.
-    Codegen(String),
-    /// Guest execution failure.
-    Exec(String),
-    /// The optimized program's observable behaviour diverged from the
-    /// baseline oracle (the class of bug the paper found in SP1!).
-    Miscompile { workload: String, profile: String },
-}
-
-impl fmt::Display for StudyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StudyError::Compile(e) => write!(f, "compile error: {e}"),
-            StudyError::Codegen(e) => write!(f, "codegen error: {e}"),
-            StudyError::Exec(e) => write!(f, "execution error: {e}"),
-            StudyError::Miscompile { workload, profile } => {
-                write!(f, "MISCOMPILE: {profile} changed behaviour of {workload}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StudyError {}
-
 /// Everything measured from one (program, profile, VM) run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -230,8 +219,6 @@ pub struct Pipeline {
     profile: OptProfile,
     /// Also run the x86 timing model.
     pub with_x86: bool,
-    /// Guest cycle budget.
-    pub max_cycles: u64,
 }
 
 impl Pipeline {
@@ -240,7 +227,6 @@ impl Pipeline {
         Pipeline {
             profile,
             with_x86: false,
-            max_cycles: 2_000_000_000,
         }
     }
 
@@ -250,47 +236,33 @@ impl Pipeline {
         self
     }
 
-    /// The profile this pipeline runs.
-    pub fn profile(&self) -> &OptProfile {
-        &self.profile
-    }
-
-    /// Compile source through the profile to a linked program.
+    /// Run `src` on `vm` as a one-off workload: [`Pipeline::run_workload`].
     ///
     /// # Errors
-    /// Returns [`StudyError`] on frontend or codegen failures.
-    pub fn compile(&self, src: &str) -> Result<zkvmopt_riscv::Program, StudyError> {
-        let mut m =
-            zkvmopt_lang::compile_guest(src).map_err(|e| StudyError::Compile(e.to_string()))?;
-        self.profile.apply(&mut m);
-        zkvmopt_riscv::compile_module(&m, &self.profile.backend)
-            .map_err(|e| StudyError::Codegen(e.to_string()))
-    }
-
-    /// Compile and execute on `vm`, returning the full report.
-    ///
-    /// # Errors
-    /// Returns [`StudyError`] on any stage failure.
+    /// Returns [`PipelineError`] on any stage failure.
     pub fn run_source(
         &self,
         src: &str,
         inputs: &[i32],
         vm: VmKind,
-    ) -> Result<RunReport, StudyError> {
-        let program = self.compile(src)?;
-        let cw = suite::CompiledWorkload {
-            decoded: DecodedProgram::decode(&program),
-            program,
+    ) -> Result<RunReport, PipelineError> {
+        let w = Workload {
+            name: "source",
+            suite: zkvmopt_workloads::Suite::Other,
+            source: src.to_string(),
+            inputs: inputs.to_vec(),
+            uses_precompile: false,
         };
-        suite::run_compiled(&cw, inputs, vm, self.max_cycles, self.with_x86)
+        self.run_workload(&w, vm)
     }
 
-    /// Run a suite workload.
+    /// Run a workload through a fresh [`SuiteRunner`]: the shared stages,
+    /// once, nothing cached.
     ///
     /// # Errors
-    /// Returns [`StudyError`] on any stage failure.
-    pub fn run_workload(&self, w: &Workload, vm: VmKind) -> Result<RunReport, StudyError> {
-        self.run_source(&w.source, &w.inputs, vm)
+    /// Returns [`PipelineError`] on any stage failure.
+    pub fn run_workload(&self, w: &Workload, vm: VmKind) -> Result<RunReport, PipelineError> {
+        SuiteRunner::new().run(w, &self.profile, vm, self.with_x86)
     }
 }
 
@@ -327,21 +299,17 @@ pub struct Measurement {
 /// the supplied baseline run (when given).
 ///
 /// # Errors
-/// Returns [`StudyError::Miscompile`] when the journal or exit code diverge
-/// from the baseline — the exact failure class of the paper's SP1 bug.
+/// Returns [`PipelineError::Divergence`] when the journal or exit code
+/// diverge from the baseline — the exact failure class of the paper's SP1
+/// bug.
 pub fn measure(
     w: &Workload,
     profile: &OptProfile,
     vm: VmKind,
     with_x86: bool,
     baseline: Option<&RunReport>,
-) -> Result<(Measurement, RunReport), StudyError> {
-    let mut p = Pipeline::new(profile.clone());
-    if with_x86 {
-        p = p.with_x86();
-    }
-    let r = p.run_workload(w, vm)?;
-    suite::check_and_measure(w, profile, vm, r, baseline)
+) -> Result<(Measurement, RunReport), PipelineError> {
+    SuiteRunner::new().measure(w, profile, vm, with_x86, baseline)
 }
 
 /// Percent performance gain of `new` over `baseline` for a lower-is-better

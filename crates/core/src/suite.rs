@@ -2,8 +2,13 @@
 //!
 //! Every experiment in the paper re-executes the 58-program suite thousands
 //! of times (the opt-level and single-pass matrices, the autotuner runs).
-//! [`SuiteRunner`] caches the compile side and keeps execution one segmented
-//! engine call, whose records price the run's proving cost:
+//! This module holds the crate's three stage functions, which every
+//! evaluation path runs ([`Pipeline`](crate::Pipeline) through a fresh
+//! runner, [`SuiteRunner`], [`BatchEvaluator`](crate::BatchEvaluator)):
+//! [`passes`], [`codegen`] (verifier, backend, pre-decode) and
+//! [`execute`] (one segmented engine call, whose records price the run's
+//! proving cost, gated by the accounting check). [`SuiteRunner`] caches the
+//! compile side:
 //!
 //! - the **lowered base module** of each workload is cached, so a workload's
 //!   source is lexed/parsed/lowered exactly once no matter how many profiles
@@ -28,16 +33,17 @@
 //! `bench/`'s impact matrices, the tuner fitness loops, and the report
 //! generator all run on top of this.
 
-use crate::{Measurement, OptProfile, RunReport, StudyError};
+use crate::{Measurement, OptProfile, PipelineError, RunReport};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use zkvmopt_ir::Module;
 use zkvmopt_prover::{backend_for, check_segment_accounting, proving_cost_ms};
-use zkvmopt_riscv::Program;
+use zkvmopt_riscv::{Program, TargetCostModel};
 use zkvmopt_vm::{
     derive_segmented, DecodedProgram, Engine, ExecConfig, ExecutionReport, SegmentRecord, VmKind,
     VmProfile,
@@ -55,6 +61,72 @@ pub struct CompiledWorkload {
     pub decoded: DecodedProgram,
 }
 
+/// A segmented run: its report and per-segment records.
+type Run = (ExecutionReport, Vec<SegmentRecord>);
+
+/// The **passes** stage: `profile`'s passes applied to `m`.
+///
+/// # Errors
+/// A pass that panics is reported as [`PipelineError::Panic`].
+pub fn passes(mut m: Module, profile: &OptProfile) -> Result<Module, PipelineError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        profile.apply(&mut m);
+        m
+    }))
+    .map_err(PipelineError::from_panic)
+}
+
+/// The **codegen** stage: verify the post-pass module, select instructions,
+/// link, and pre-decode the program for the engine.
+///
+/// # Errors
+/// [`PipelineError::Verify`] for IR the verifier rejects (a pass bug),
+/// [`PipelineError::Codegen`] for a module the backend rejects, and
+/// [`PipelineError::Panic`] for a panic in either.
+pub fn codegen(m: &Module, backend: &TargetCostModel) -> Result<CompiledWorkload, PipelineError> {
+    let program = catch_unwind(AssertUnwindSafe(|| {
+        zkvmopt_ir::verify::verify_module(m).map_err(|err| PipelineError::Verify {
+            message: err.to_string(),
+        })?;
+        zkvmopt_riscv::compile_module(m, backend).map_err(PipelineError::from)
+    }))
+    .unwrap_or_else(|payload| Err(PipelineError::from_panic(payload)))?;
+    Ok(CompiledWorkload {
+        decoded: DecodedProgram::decode(&program),
+        program,
+    })
+}
+
+/// The **execute** stage: one segmented engine run of `cw` on `vm` under a
+/// cycle `budget`, its records gated by [`check_segment_accounting`].
+///
+/// # Errors
+/// [`PipelineError::Budget`] or [`PipelineError::Trap`] from the engine,
+/// [`PipelineError::Accounting`] from the gate.
+pub fn execute(
+    cw: &CompiledWorkload,
+    inputs: &[i32],
+    vm: VmKind,
+    budget: u64,
+) -> Result<(ExecutionReport, Vec<SegmentRecord>), PipelineError> {
+    let config = ExecConfig {
+        inputs: inputs.to_vec(),
+        max_cycles: budget,
+    };
+    let run = Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
+        .run_segmented()
+        .map_err(|e| PipelineError::from_exec(e, budget))?;
+    checked(run)
+}
+
+/// Gate a run's records by [`check_segment_accounting`], executed or
+/// derived: a record set that does not sum exactly to the report is an
+/// error here, never a silently wrong proving cost.
+fn checked((exec, records): Run) -> Result<Run, PipelineError> {
+    check_segment_accounting(&exec, &records).map_err(PipelineError::Accounting)?;
+    Ok((exec, records))
+}
+
 /// One cell of a `{workload × profile × vm}` execution matrix.
 #[derive(Debug, Clone)]
 pub struct MatrixCell {
@@ -69,7 +141,7 @@ pub struct MatrixCell {
     /// cell's result is a copy of that profile's run on the same VM.
     pub same_program_as: Option<String>,
     /// Measurement + full report, or the stage error.
-    pub result: Result<(Measurement, RunReport), StudyError>,
+    pub result: Result<(Measurement, RunReport), PipelineError>,
 }
 
 /// Cache key for one workload: name plus a source hash, so synthetic
@@ -87,6 +159,9 @@ type CacheKey = (&'static str, u64, String);
 /// suite × all standard levels, small enough that a 1600-iteration autotuner
 /// run (one fresh candidate per iteration) cannot grow memory unboundedly.
 const DEFAULT_CACHE_CAP: usize = 512;
+
+/// The default guest cycle budget ([`SuiteRunner::with_max_cycles`]).
+const MAX_CYCLES: u64 = 2_000_000_000;
 
 /// Compile-once execute-many driver for the benchmark suite.
 pub struct SuiteRunner {
@@ -108,7 +183,7 @@ impl SuiteRunner {
     /// A fresh runner with empty caches.
     pub fn new() -> SuiteRunner {
         SuiteRunner {
-            max_cycles: 2_000_000_000,
+            max_cycles: MAX_CYCLES,
             cache_cap: DEFAULT_CACHE_CAP,
             modules: HashMap::new(),
             compiled: HashMap::new(),
@@ -143,36 +218,30 @@ impl SuiteRunner {
     /// matter how many profiles or candidates run it.
     ///
     /// # Errors
-    /// Returns [`StudyError::Compile`] on frontend failures.
-    pub fn lower(&mut self, w: &Workload) -> Result<Module, StudyError> {
+    /// Returns [`PipelineError::Parse`] on frontend failures.
+    pub fn lower(&mut self, w: &Workload) -> Result<Module, PipelineError> {
         let (name, src) = workload_key(w);
         match self.modules.entry((name, src)) {
             Entry::Occupied(e) => Ok(e.get().clone()),
-            Entry::Vacant(e) => {
-                let m = zkvmopt_lang::compile_guest(&w.source)
-                    .map_err(|e| StudyError::Compile(e.to_string()))?;
-                Ok(e.insert(m).clone())
-            }
+            Entry::Vacant(e) => Ok(e.insert(zkvmopt_lang::compile_guest(&w.source)?).clone()),
         }
     }
 
-    /// Compile (or fetch from cache) `w` under `profile`.
+    /// Compile (or fetch from cache) `w` under `profile`: [`passes`], then
+    /// [`codegen`].
     ///
     /// # Errors
-    /// Returns [`StudyError`] on frontend or codegen failures.
+    /// Returns [`PipelineError`] on frontend, pass, verifier or codegen
+    /// failures.
     pub fn compile(
         &mut self,
         w: &Workload,
         profile: &OptProfile,
-    ) -> Result<&CompiledWorkload, StudyError> {
+    ) -> Result<&CompiledWorkload, PipelineError> {
         let (name, src) = workload_key(w);
         let key = (name, src, profile.cache_key());
         if !self.compiled.contains_key(&key) {
-            let mut m = self.lower(w)?;
-            profile.apply(&mut m);
-            let program = zkvmopt_riscv::compile_module(&m, &profile.backend)
-                .map_err(|e| StudyError::Codegen(e.to_string()))?;
-            let decoded = DecodedProgram::decode(&program);
+            let cw = codegen(&passes(self.lower(w)?, profile)?, &profile.backend)?;
             while self.compiled.len() >= self.cache_cap {
                 let Some(oldest) = self.order.pop_front() else {
                     break;
@@ -180,8 +249,7 @@ impl SuiteRunner {
                 self.compiled.remove(&oldest);
             }
             self.order.push_back(key.clone());
-            self.compiled
-                .insert(key.clone(), CompiledWorkload { program, decoded });
+            self.compiled.insert(key.clone(), cw);
         }
         Ok(&self.compiled[&key])
     }
@@ -189,24 +257,26 @@ impl SuiteRunner {
     /// Compile (cached) and execute `w` under `profile` on `vm`.
     ///
     /// # Errors
-    /// Returns [`StudyError`] on any stage failure.
+    /// Returns [`PipelineError`] on any stage failure.
     pub fn run(
         &mut self,
         w: &Workload,
         profile: &OptProfile,
         vm: VmKind,
         with_x86: bool,
-    ) -> Result<RunReport, StudyError> {
+    ) -> Result<RunReport, PipelineError> {
         let max_cycles = self.max_cycles;
         let cw = self.compile(w, profile)?;
-        run_compiled(cw, &w.inputs, vm, max_cycles, with_x86)
+        let run = execute(cw, &w.inputs, vm, max_cycles)?;
+        let x86 = with_x86.then(|| run_native(cw, &w.inputs)).transpose()?;
+        Ok(run_report(cw, run, x86))
     }
 
     /// Cached analogue of [`crate::measure`]: compile once, execute, verify
     /// observable behaviour against `baseline` when given.
     ///
     /// # Errors
-    /// Returns [`StudyError::Miscompile`] when the journal or exit code
+    /// Returns [`PipelineError::Divergence`] when the journal or exit code
     /// diverge from the baseline run.
     pub fn measure(
         &mut self,
@@ -215,7 +285,7 @@ impl SuiteRunner {
         vm: VmKind,
         with_x86: bool,
         baseline: Option<&RunReport>,
-    ) -> Result<(Measurement, RunReport), StudyError> {
+    ) -> Result<(Measurement, RunReport), PipelineError> {
         let r = self.run(w, profile, vm, with_x86)?;
         check_and_measure(w, profile, vm, r, baseline)
     }
@@ -251,7 +321,7 @@ impl SuiteRunner {
         let saved_cap = self.cache_cap;
         self.cache_cap = self.compiled.len() + workloads.len() * profiles.len() + 1;
         let profile_keys: Vec<String> = profiles.iter().map(OptProfile::cache_key).collect();
-        let mut compiled: Vec<Result<(), StudyError>> = Vec::new();
+        let mut compiled: Vec<Result<(), PipelineError>> = Vec::new();
         for w in workloads {
             for p in profiles {
                 compiled.push(self.compile(w, p).map(|_| ()));
@@ -270,7 +340,7 @@ impl SuiteRunner {
              p: &OptProfile,
              vm: VmKind,
              same_program_as: Option<String>,
-             result: Result<(Measurement, RunReport), StudyError>| MatrixCell {
+             result: Result<(Measurement, RunReport), PipelineError>| MatrixCell {
                 workload: w.name,
                 profile: p.name.clone(),
                 vm,
@@ -370,34 +440,6 @@ impl SuiteRunner {
     }
 }
 
-/// A segmented run: its report and per-segment records.
-type Run = (ExecutionReport, Vec<SegmentRecord>);
-
-/// Execute a compiled workload: one segmented engine run, [`checked`].
-fn execute(
-    cw: &CompiledWorkload,
-    inputs: &[i32],
-    vm: VmKind,
-    max_cycles: u64,
-) -> Result<Run, StudyError> {
-    let config = ExecConfig {
-        inputs: inputs.to_vec(),
-        max_cycles,
-    };
-    let run = Engine::new(&cw.decoded, VmProfile::for_kind(vm), config)
-        .run_segmented()
-        .map_err(|e| StudyError::Exec(e.to_string()))?;
-    checked(run)
-}
-
-/// Gate a run's records by [`check_segment_accounting`], executed or
-/// derived: a record set that does not sum exactly to the report is an
-/// error here, never a silently wrong proving cost.
-fn checked((exec, records): Run) -> Result<Run, StudyError> {
-    check_segment_accounting(&exec, &records).map_err(|e| StudyError::Exec(e.to_string()))?;
-    Ok((exec, records))
-}
-
 /// One job's runs, one per VM in `vms` order: the first VM's is executed,
 /// and each further VM's is derived from it by [`derive_segmented`] where
 /// that can be done exactly (one segment, no precompile charge; see there),
@@ -407,7 +449,7 @@ fn execute_vms(
     inputs: &[i32],
     vms: &[VmKind],
     max_cycles: u64,
-) -> Vec<Result<Run, StudyError>> {
+) -> Vec<Result<Run, PipelineError>> {
     let Some((&source, rest)) = vms.split_first() else {
         return Vec::new();
     };
@@ -426,9 +468,12 @@ fn execute_vms(
     std::iter::once(first).chain(further).collect()
 }
 
-/// The VM-independent x86 native baseline for a compiled workload.
-fn run_native(cw: &CompiledWorkload, inputs: &[i32]) -> Result<X86Report, StudyError> {
-    run_x86(&cw.program, &X86Model::default(), inputs).map_err(|e| StudyError::Exec(e.to_string()))
+/// The VM-independent x86 native baseline for a compiled workload; the
+/// model's faults are [`PipelineError::Trap`]s.
+fn run_native(cw: &CompiledWorkload, inputs: &[i32]) -> Result<X86Report, PipelineError> {
+    run_x86(&cw.program, &X86Model::default(), inputs).map_err(|e| PipelineError::Trap {
+        message: e.to_string(),
+    })
 }
 
 /// Build the full [`RunReport`] for one execution: proving cost of the run's
@@ -445,39 +490,22 @@ fn run_report(cw: &CompiledWorkload, (exec, records): Run, x86: Option<X86Report
     }
 }
 
-/// Execute `cw` on `vm` (plus the x86 model when asked) and report: the one
-/// run path under [`crate::Pipeline::run_source`] and [`SuiteRunner::run`].
-pub(crate) fn run_compiled(
-    cw: &CompiledWorkload,
-    inputs: &[i32],
-    vm: VmKind,
-    max_cycles: u64,
-    with_x86: bool,
-) -> Result<RunReport, StudyError> {
-    let run = execute(cw, inputs, vm, max_cycles)?;
-    let x86 = with_x86.then(|| run_native(cw, inputs)).transpose()?;
-    Ok(run_report(cw, run, x86))
-}
-
 /// Verify `r`'s observable behaviour against `baseline` (when given) and
 /// flatten it into a [`Measurement`].
 ///
 /// # Errors
-/// Returns [`StudyError::Miscompile`] when the journal or exit code diverge
-/// from the baseline run.
+/// Returns [`PipelineError::Divergence`] when the journal or exit code
+/// diverge from the baseline run.
 pub fn check_and_measure(
     w: &Workload,
     profile: &OptProfile,
     vm: VmKind,
     r: RunReport,
     baseline: Option<&RunReport>,
-) -> Result<(Measurement, RunReport), StudyError> {
+) -> Result<(Measurement, RunReport), PipelineError> {
     if let Some(b) = baseline {
         if r.exec.journal != b.exec.journal || r.exec.exit_code != b.exec.exit_code {
-            return Err(StudyError::Miscompile {
-                workload: w.name.to_string(),
-                profile: profile.name.clone(),
-            });
+            return Err(PipelineError::Divergence);
         }
     }
     let m = Measurement {
@@ -501,6 +529,9 @@ pub fn check_and_measure(
 mod tests {
     use super::*;
     use crate::{measure, OptLevel};
+    use zkvmopt_prover::check_segment_accounting;
+    use zkvmopt_tuner::FailureClass;
+    use zkvmopt_vm::ExecutionReport;
 
     #[test]
     fn cached_runs_match_the_uncached_pipeline() {
@@ -533,6 +564,27 @@ mod tests {
             let backend = backend_for(vm);
             assert!(r.prove_ms == proving_cost_ms(backend, &r.records), "{vm}");
         }
+    }
+
+    /// The accounting gate every run passes, executed or derived: a record
+    /// set whose user cycles sum one past its report is an evaluator bug,
+    /// reported as `Accounting` and classed with panics.
+    #[test]
+    fn a_record_one_cycle_off_fails_the_accounting_gate() {
+        let w = zkvmopt_workloads::by_name("loop-sum").unwrap();
+        let profile = OptProfile::level(OptLevel::O2);
+        let r = SuiteRunner::new()
+            .run(w, &profile, VmKind::RiscZero, false)
+            .unwrap();
+        assert!(checked((r.exec.clone(), r.records.clone())).is_ok());
+        let mut records = r.records;
+        records[0].user_cycles += 1;
+        let err = checked((r.exec, records)).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::Accounting(m) if m.field == "user_cycles"),
+            "{err}"
+        );
+        assert_eq!(err.class(), FailureClass::Panic);
     }
 
     #[test]
@@ -630,7 +682,7 @@ mod tests {
     /// Everything a cell reports that its run determines: the whole
     /// `Measurement` (floats through their exact `Debug` form) and the
     /// `RunReport` but the engine's wall-clock time.
-    fn cell_view(result: &Result<(Measurement, RunReport), StudyError>) -> String {
+    fn cell_view(result: &Result<(Measurement, RunReport), PipelineError>) -> String {
         match result {
             Ok((m, r)) => {
                 let exec = ExecutionReport {
