@@ -309,7 +309,7 @@ impl BatchEvaluator {
 mod tests {
     use super::*;
     use crate::measure;
-    use zkvmopt_tuner::SeedTree;
+    use zkvmopt_tuner::{FailureClass, SeedTree};
 
     fn evaluator(names: &[&str]) -> BatchEvaluator {
         let workloads: Vec<&'static Workload> = names
@@ -404,8 +404,8 @@ mod tests {
     /// i), 20)` on RISC Zero, that emit IR the verifier rejects. The study
     /// paths (`Pipeline::run_source` under `measure`, `SuiteRunner::run`
     /// under its `measure`) and the tuner's `eval_classified` run the same
-    /// stages, so each draw gets one outcome on all three: the same error
-    /// while the passes emit bad IR, the same cycles once they do not.
+    /// stages, so each draw gets one outcome on all three: the verifier's
+    /// rejection, in debug and release builds alike.
     #[test]
     fn every_path_agrees_on_verifier_rejected_draws() {
         let names = ["bigmem", "spec-631"];
@@ -434,6 +434,11 @@ mod tests {
             let at = format!("{} (s {s}, i {i})", w.name);
             assert_eq!(pipeline, suite, "{at}: Pipeline vs SuiteRunner");
             assert_eq!(suite, tuner, "{at}: SuiteRunner vs BatchEvaluator");
+            assert_eq!(
+                tuner.map_err(|e| e.class()),
+                Err(FailureClass::Verify),
+                "{at}"
+            );
         }
     }
 }

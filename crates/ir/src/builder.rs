@@ -202,11 +202,6 @@ impl FunctionBuilder {
         self.seal(Term::CondBr { c, t, f });
     }
 
-    /// Seal the current block with a switch.
-    pub fn switch(&mut self, v: Operand, cases: Vec<(i64, BlockId)>, default: BlockId) {
-        self.seal(Term::Switch { v, cases, default });
-    }
-
     /// Seal the current block with a return.
     pub fn ret(&mut self, v: Option<Operand>) {
         self.seal(Term::Ret(v));

@@ -122,7 +122,7 @@ impl Cfg {
         self.rpo_index[b.index()] != usize::MAX
     }
 
-    /// Unique predecessors (collapsing multi-edges from switches/cond-brs).
+    /// Unique predecessors (collapsing the multi-edge of a `condbr` whose arms agree).
     pub fn unique_preds(&self, b: BlockId) -> Vec<BlockId> {
         let mut v = self.preds(b).to_vec();
         v.dedup(); // already ascending

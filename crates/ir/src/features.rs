@@ -123,7 +123,7 @@ fn walk_function(f: &Function, counts: &mut Counts, sizes: &mut Vec<u64>) {
                 }
             }
         }
-        if matches!(data.term, Term::CondBr { .. } | Term::Switch { .. }) {
+        if matches!(data.term, Term::CondBr { .. }) {
             counts.branches += 1;
         }
     }

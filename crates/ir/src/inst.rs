@@ -448,12 +448,6 @@ pub enum Term {
     Br(BlockId),
     /// Two-way conditional branch on an `i1` operand.
     CondBr { c: Operand, t: BlockId, f: BlockId },
-    /// Multi-way dispatch. Lowered to compare chains by `lower-switch`.
-    Switch {
-        v: Operand,
-        cases: Vec<(i64, BlockId)>,
-        default: BlockId,
-    },
     /// Function return.
     Ret(Option<Operand>),
     /// Control never reaches here.
@@ -462,18 +456,15 @@ pub enum Term {
 
 impl Term {
     /// Walk the successor blocks in branch order without allocating (what
-    /// [`Term::successors`] collects): a switch's cases, then its default.
-    pub fn succs(&self) -> impl DoubleEndedIterator<Item = BlockId> + '_ {
-        let (cases, fixed): (&[(i64, BlockId)], [Option<BlockId>; 2]) = match self {
-            Term::Br(b) => (&[], [Some(*b), None]),
-            Term::CondBr { t, f, .. } => (&[], [Some(*t), Some(*f)]),
-            Term::Switch { cases, default, .. } => (cases, [Some(*default), None]),
-            Term::Ret(_) | Term::Unreachable => (&[], [None, None]),
-        };
-        cases
-            .iter()
-            .map(|&(_, b)| b)
-            .chain(fixed.into_iter().flatten())
+    /// [`Term::successors`] collects).
+    pub fn succs(&self) -> impl DoubleEndedIterator<Item = BlockId> {
+        match *self {
+            Term::Br(b) => [Some(b), None],
+            Term::CondBr { t, f, .. } => [Some(t), Some(f)],
+            Term::Ret(_) | Term::Unreachable => [None, None],
+        }
+        .into_iter()
+        .flatten()
     }
 
     /// All successor blocks, in branch order.
@@ -485,7 +476,6 @@ impl Term {
     pub fn for_each_operand(&self, mut f: impl FnMut(&Operand)) {
         match self {
             Term::CondBr { c, .. } => f(c),
-            Term::Switch { v, .. } => f(v),
             Term::Ret(Some(v)) => f(v),
             _ => {}
         }
@@ -495,7 +485,6 @@ impl Term {
     pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Operand)) {
         match self {
             Term::CondBr { c, .. } => f(c),
-            Term::Switch { v, .. } => f(v),
             Term::Ret(Some(v)) => f(v),
             _ => {}
         }
@@ -515,16 +504,6 @@ impl Term {
                 }
                 if *f == from {
                     *f = to;
-                }
-            }
-            Term::Switch { cases, default, .. } => {
-                for (_, b) in cases.iter_mut() {
-                    if *b == from {
-                        *b = to;
-                    }
-                }
-                if *default == from {
-                    *default = to;
                 }
             }
             Term::Ret(_) | Term::Unreachable => {}
@@ -612,12 +591,7 @@ mod tests {
 
     #[test]
     fn succs_walks_both_ways_in_branch_order() {
-        let (b0, b1, b2) = (BlockId(0), BlockId(1), BlockId(2));
-        let sw = Term::Switch {
-            v: Operand::i32(0),
-            cases: vec![(1, b2), (2, b0)],
-            default: b1,
-        };
+        let (b1, b2) = (BlockId(1), BlockId(2));
         for (t, want) in [
             (Term::Br(b1), vec![b1]),
             (
@@ -628,7 +602,6 @@ mod tests {
                 },
                 vec![b2, b2],
             ),
-            (sw, vec![b2, b0, b1]),
             (Term::Ret(None), vec![]),
             (Term::Unreachable, vec![]),
         ] {

@@ -13,9 +13,9 @@
 //! at a time on first write; an untouched page reads as zero.
 //!
 //! Step accounting: each instruction bumps the step count and then executes;
-//! the phi copies of an edge count one step each; a taken `br`, `condbr` or
-//! `switch` counts one; `ret` and `unreachable` count none. Malformed IR
-//! fails only when the faulty construct is reached.
+//! the phi copies of an edge count one step each; a taken `br` or `condbr`
+//! counts one; `ret` and `unreachable` count none. Malformed IR fails only
+//! when the faulty construct is reached.
 //!
 //! Value representation invariants:
 //! - `i1` values are 0 or 1,
@@ -371,20 +371,13 @@ enum Inst {
         t: u32,
         f: u32,
     },
-    /// Cases are `cases[start..start + n]`, first match wins.
-    Switch {
-        v: Slot,
-        start: u32,
-        n: u32,
-        default: u32,
-    },
     Ret {
         v: Slot,
     },
     Unreachable,
 }
 
-/// A CFG edge taken by `Br`, `CondBr` or `Switch`.
+/// A CFG edge taken by `Br` or `CondBr`.
 #[derive(Clone, Copy)]
 struct Edge {
     /// The target block's first non-phi op.
@@ -412,7 +405,6 @@ struct Code {
     lists: Vec<Slot>,
     copies: Vec<(Slot, Slot)>,
     edges: Vec<Edge>,
-    cases: Vec<(i64, u32)>,
     messages: Vec<String>,
 }
 
@@ -443,7 +435,6 @@ impl<'f> Decoder<'f> {
                 lists: Vec::new(),
                 copies: Vec::new(),
                 edges: Vec::new(),
-                cases: Vec::new(),
                 messages: Vec::new(),
             },
         };
@@ -668,21 +659,6 @@ impl<'f> Decoder<'f> {
                 match (self.plain(t), self.plain(f)) {
                     (Some(t), Some(f)) => Inst::CondJump { c, t, f },
                     _ => Inst::CondBr { c, t, f },
-                }
-            }
-            Term::Switch { v, cases, default } => {
-                let v = self.slot(v)?;
-                let edges: Vec<(i64, u32)> = cases
-                    .iter()
-                    .map(|&(k, to)| (k, self.edge(from, to)))
-                    .collect();
-                let start = self.code.cases.len() as u32;
-                self.code.cases.extend(edges);
-                Inst::Switch {
-                    v,
-                    start,
-                    n: cases.len() as u32,
-                    default: self.edge(from, *default),
                 }
             }
             Term::Ret(v) => Inst::Ret {
@@ -1020,21 +996,6 @@ impl<'m, H: EcallHandler> Interp<'m, H> {
                     Inst::CondBr { c, t, f } => {
                         bump!(1);
                         pc = take!(if vals[c as usize] != 0 { t } else { f });
-                    }
-                    Inst::Switch {
-                        v,
-                        start,
-                        n,
-                        default,
-                    } => {
-                        bump!(1);
-                        let x = vals[v as usize] as i32 as i64;
-                        let cases = &code.cases[start as usize..(start + n) as usize];
-                        let e = cases
-                            .iter()
-                            .find(|(k, _)| *k == x)
-                            .map_or(default, |&(_, e)| e);
-                        pc = take!(e);
                     }
                     Inst::Ret { v } => break Exit::Ret(vals[v as usize]),
                     Inst::Unreachable => return Err(InterpError::Unreachable),

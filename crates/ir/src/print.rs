@@ -110,13 +110,6 @@ fn write_term(w: &mut impl Write, t: &Term) -> fmt::Result {
     match t {
         Term::Br(b) => write!(w, "br bb{}", b.0),
         Term::CondBr { c, t, f } => write!(w, "br {}, bb{}, bb{}", Opnd(c), t.0, f.0),
-        Term::Switch { v, cases, default } => write!(
-            w,
-            "switch {} [{}], default bb{}",
-            Opnd(v),
-            Commas(cases, |f, (k, b)| write!(f, "{k} => bb{}", b.0)),
-            default.0
-        ),
         Term::Ret(Some(v)) => write!(w, "ret {}", Opnd(v)),
         Term::Ret(None) => w.write_str("ret"),
         Term::Unreachable => w.write_str("unreachable"),

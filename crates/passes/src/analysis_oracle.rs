@@ -195,13 +195,15 @@ pub(crate) fn check(name: &str, f: &Function) {
     }
 }
 
-/// A shape no suite state has: a loop with two exits, one reached twice
-/// from one switch, around a self-loop, plus an unreachable predecessor.
+/// A shape no suite state has: a loop with two exits whose latch is reached
+/// along a duplicate edge from a block below a self-loop, plus an unreachable
+/// predecessor.
 #[test]
 fn multi_exit_nest_matches_the_oracles() {
     use zkvmopt_ir::{FunctionBuilder, Operand, Ty};
     let mut b = FunctionBuilder::new("m", vec![Ty::I32], None);
-    let (h, body, inner, x1, x2, orphan) = (
+    let (h, inner, mid, body, x1, x2, orphan) = (
+        b.new_block(),
         b.new_block(),
         b.new_block(),
         b.new_block(),
@@ -212,11 +214,13 @@ fn multi_exit_nest_matches_the_oracles() {
     let p = Operand::val(b.param(0));
     b.br(h);
     b.switch_to(h);
-    b.cond_br(p, body, x1);
-    b.switch_to(body);
-    b.switch(p, vec![(1, x2), (2, h), (3, x2)], inner);
+    b.cond_br(p, inner, x1);
     b.switch_to(inner);
-    b.cond_br(p, inner, h);
+    b.cond_br(p, inner, mid);
+    b.switch_to(mid);
+    b.cond_br(p, body, body);
+    b.switch_to(body);
+    b.cond_br(p, x2, h);
     for x in [x1, x2] {
         b.switch_to(x);
         b.ret(None);
@@ -232,6 +236,6 @@ fn multi_exit_nest_matches_the_oracles() {
         (outer.exiting.clone(), outer.exits.clone()),
         (vec![h, body], vec![x1, x2])
     );
-    assert_eq!(cfg.preds(x2), &[body, body]);
+    assert_eq!(cfg.preds(body), &[mid, mid]);
     assert_eq!(forest.loops[1].parent, Some(0));
 }

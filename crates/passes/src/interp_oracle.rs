@@ -234,15 +234,6 @@ impl<'m, H: EcallHandler> Interp<'m, H> {
                     prev = Some(block);
                     block = if cv != 0 { *t } else { *fb };
                 }
-                Term::Switch { v, cases, default } => {
-                    let x = self.eval(&vals, v) as i32 as i64;
-                    prev = Some(block);
-                    block = cases
-                        .iter()
-                        .find(|(k, _)| *k == x)
-                        .map(|(_, b)| *b)
-                        .unwrap_or(*default);
-                }
                 Term::Ret(v) => {
                     let r = v.as_ref().map(|o| self.eval(&vals, o));
                     self.sp = saved_sp;

@@ -255,11 +255,6 @@ fn inline_site(m: &mut Module, caller_id: FuncId, call_block: BlockId, call_v: V
                 t: bmap[&t],
                 f: bmap[&f],
             },
-            Term::Switch { v, cases, default } => Term::Switch {
-                v,
-                cases: cases.into_iter().map(|(k, t)| (k, bmap[&t])).collect(),
-                default: bmap[&default],
-            },
             Term::Ret(v) => {
                 ret_edges.push((nb, v));
                 Term::Br(cont)

@@ -138,10 +138,12 @@ const LOOP_FISSION: PassEntry =
 /// the interprocedural ones and those needing module-wide cleanup.
 ///
 /// Names marked *(no-op)* are hardware-oriented passes with nothing to do on
-/// a zkVM target; they are registered so studies can include them, matching
-/// the paper's observation that they provide no measurable gain. The three
-/// historical double-registrations (`ipconstprop`, `loop-distribute`,
-/// `strip-dead-prototypes`) are declared as explicit aliases.
+/// a zkVM target, or passes whose input shape the frontend never produces
+/// (`lower-switch`: the IR has no switch terminator); they are registered so
+/// studies can include them, matching the paper's observation that they
+/// provide no measurable gain. The three historical double-registrations
+/// (`ipconstprop`, `loop-distribute`, `strip-dead-prototypes`) are declared
+/// as explicit aliases.
 #[rustfmt::skip]
 pub static PASSES: &[PassEntry] = &[
     PassEntry::function("mem2reg", mem2reg::mem2reg, KEEP, true),
@@ -156,7 +158,7 @@ pub static PASSES: &[PassEntry] = &[
     PassEntry::function("dse", simplify::dse, KEEP, false),
     PassEntry::function("sink", simplify::sink, KEEP, false),
     PassEntry::function("mergereturn", simplify::mergereturn, DROP, true),
-    PassEntry::function("lower-switch", simplify::lower_switch, DROP, true),
+    PassEntry::noop("lower-switch"), // (no-op: the frontend emits no switch)
     PassEntry::function("mldst-motion", simplify::mldst_motion, KEEP, false),
     PassEntry::function("early-cse", cse::early_cse, KEEP, false),
     PassEntry::function("gvn", cse::gvn, KEEP, false),
@@ -692,6 +694,7 @@ mod tests {
             assert_eq!(a.is_idempotent(), c.is_idempotent());
         }
         assert!(is_noop_pass("loop-data-prefetch"));
+        assert!(is_noop_pass("lower-switch"));
         assert!(!is_noop_pass("licm"));
         assert!(find_pass("mem2reg").unwrap().is_idempotent());
         assert!(!find_pass("instcombine").unwrap().is_idempotent());
@@ -705,7 +708,7 @@ mod tests {
         assert!(a.len() >= 60);
     }
 
-    /// Sources exercising branches, loops, calls, globals, and switches —
+    /// Sources exercising branches, loops, calls and globals —
     /// enough surface for the declaration checks below to bite.
     fn sample_sources() -> Vec<&'static str> {
         vec![

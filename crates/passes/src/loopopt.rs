@@ -484,14 +484,6 @@ fn clone_loop(
                 t: retarget_block(t),
                 f: retarget_block(fb),
             },
-            Term::Switch { v, cases, default } => Term::Switch {
-                v,
-                cases: cases
-                    .into_iter()
-                    .map(|(k, t)| (k, retarget_block(t)))
-                    .collect(),
-                default: retarget_block(default),
-            },
             other => other,
         };
         f.blocks[nb.index()].term = new_term;
@@ -1525,7 +1517,6 @@ fn extract_one(
                 }
                 (None, None) => Term::Ret(ret_val),
             },
-            Term::Switch { .. } => return false, // keep it simple
             other => other,
         };
         nf.blocks[bmap[&b].index()].term = new_term;

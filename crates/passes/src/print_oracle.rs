@@ -115,18 +115,6 @@ fn fmt_term(func: &Function, t: &Term) -> String {
         Term::CondBr { c, t, f } => {
             format!("br {}, bb{}, bb{}", fmt_operand(func, c), t.0, f.0)
         }
-        Term::Switch { v, cases, default } => {
-            let cs: Vec<String> = cases
-                .iter()
-                .map(|(k, b)| format!("{k} => bb{}", b.0))
-                .collect();
-            format!(
-                "switch {} [{}], default bb{}",
-                fmt_operand(func, v),
-                cs.join(", "),
-                default.0
-            )
-        }
         Term::Ret(Some(v)) => format!("ret {}", fmt_operand(func, v)),
         Term::Ret(None) => "ret".to_string(),
         Term::Unreachable => "unreachable".to_string(),

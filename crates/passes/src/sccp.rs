@@ -135,25 +135,6 @@ fn for_each_taken_edge(values: &[Lat], term: &Term, mut take: impl FnMut(BlockId
             }
             Lat::Top => {}
         },
-        Term::Switch { v, cases, default } => match eval_operand(values, v) {
-            Lat::Const(cc) => {
-                let k = cc.as_const().unwrap_or(0);
-                take(
-                    cases
-                        .iter()
-                        .find(|(c, _)| *c == (k as i32) as i64)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default),
-                );
-            }
-            Lat::Bottom => {
-                for (_, t) in cases {
-                    take(*t);
-                }
-                take(*default);
-            }
-            Lat::Top => {}
-        },
         Term::Ret(_) | Term::Unreachable => {}
     }
 }

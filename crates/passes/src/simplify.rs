@@ -1,6 +1,6 @@
 //! Local simplification passes: `simplifycfg`, `instsimplify`, `instcombine`,
-//! `reassociate`, `dce`/`adce`, `dse`, `sink`, `mergereturn`, `lower-switch`,
-//! and `mldst-motion`.
+//! `reassociate`, `dce`/`adce`, `dse`, `sink`, `mergereturn` and
+//! `mldst-motion`.
 //!
 //! `simplifycfg`'s branch-to-select conversion and `instcombine`'s division
 //! strength reduction are the two CPU-oriented rewrites the paper singles out
@@ -607,50 +607,6 @@ pub fn mergereturn(
     true
 }
 
-/// Lower `switch` terminators to compare-and-branch chains.
-pub fn lower_switch(
-    f: &mut Function,
-    _ac: &mut AnalysisCache,
-    _cx: &FunctionContext<'_>,
-    _cfg: &PassConfig,
-) -> bool {
-    let mut changed = false;
-    for b in f.block_ids() {
-        let Term::Switch { v, cases, default } = f.blocks[b.index()].term.clone() else {
-            continue;
-        };
-        // Chain: each case gets a test block.
-        let mut next_test = default;
-        for (k, target) in cases.into_iter().rev() {
-            let test = f.add_block();
-            let c = f.add_inst(
-                test,
-                Op::Icmp {
-                    pred: Pred::Eq,
-                    a: v,
-                    b: Operand::i32(k as i32),
-                },
-                Some(Ty::I1),
-            );
-            f.blocks[test.index()].term = Term::CondBr {
-                c: Operand::val(c),
-                t: target,
-                f: next_test,
-            };
-            next_test = test;
-        }
-        f.blocks[b.index()].term = Term::Br(next_test);
-        changed = true;
-    }
-    if changed {
-        // New test blocks change predecessor sets of the case targets;
-        // phis must be rewritten. Our frontend never emits switches with
-        // phis in targets, but passes might: fix up conservatively.
-        util::cleanup_phis(f);
-    }
-    changed
-}
-
 /// Merge identical stores from both arms of a diamond into the join block
 /// (LLVM's `mldst-motion`, store-sinking half).
 pub fn mldst_motion(
@@ -808,41 +764,20 @@ pub(crate) fn simplifycfg_module(m: &mut Module, cfg: &PassConfig) -> bool {
 fn fold_constant_branches(f: &mut Function) -> bool {
     let mut changed = false;
     for b in f.block_ids() {
-        match f.blocks[b.index()].term.clone() {
-            Term::CondBr { c, t, f: fb } => {
-                if let Some(v) = c.as_const() {
-                    let target = if v != 0 { t } else { fb };
-                    let dead = if v != 0 { fb } else { t };
-                    f.blocks[b.index()].term = Term::Br(target);
-                    if dead != target {
-                        remove_phi_edge(f, dead, b);
-                    }
-                    changed = true;
-                } else if t == fb {
-                    f.blocks[b.index()].term = Term::Br(t);
-                    changed = true;
-                }
+        let Term::CondBr { c, t, f: fb } = f.blocks[b.index()].term.clone() else {
+            continue;
+        };
+        if let Some(v) = c.as_const() {
+            let target = if v != 0 { t } else { fb };
+            let dead = if v != 0 { fb } else { t };
+            f.blocks[b.index()].term = Term::Br(target);
+            if dead != target {
+                remove_phi_edge(f, dead, b);
             }
-            Term::Switch { v, cases, default } => {
-                if let Some(k) = v.as_const() {
-                    let target = cases
-                        .iter()
-                        .find(|(c, _)| *c == (k as i32) as i64)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(default);
-                    for (_, dead) in &cases {
-                        if *dead != target {
-                            remove_phi_edge(f, *dead, b);
-                        }
-                    }
-                    if default != target {
-                        remove_phi_edge(f, default, b);
-                    }
-                    f.blocks[b.index()].term = Term::Br(target);
-                    changed = true;
-                }
-            }
-            _ => {}
+            changed = true;
+        } else if t == fb {
+            f.blocks[b.index()].term = Term::Br(t);
+            changed = true;
         }
     }
     changed

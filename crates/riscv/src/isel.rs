@@ -171,7 +171,7 @@ pub fn lower_function(
     }
     // Lower terminators (with phi edge copies).
     for (bi, &b) in order.iter().enumerate() {
-        lower_term(&mut isel, bi, b)?;
+        lower_term(&mut isel, bi, b);
     }
     Ok(VFunc {
         name: f.name.clone(),
@@ -828,7 +828,7 @@ fn branch_cond(pred: Pred) -> (BranchCond, bool) {
     }
 }
 
-fn lower_term(isel: &mut Isel<'_>, bi: usize, b: BlockId) -> Result<(), CodegenError> {
+fn lower_term(isel: &mut Isel<'_>, bi: usize, b: BlockId) {
     let term = isel.f.blocks[b.index()].term.clone();
     match term {
         Term::Br(t) => {
@@ -879,46 +879,6 @@ fn lower_term(isel: &mut Isel<'_>, bi: usize, b: BlockId) -> Result<(), CodegenE
             }
             isel.emit(bi, VInst::Jump { target: f_edge });
         }
-        Term::Switch { v, cases, default } => {
-            // Compare chain; targets must have no phis (the frontend never
-            // produces switches with phi-carrying targets; `lower-switch`
-            // preserves this).
-            for (k, target) in &cases {
-                if has_phis(isel.f, *target) {
-                    return Err(CodegenError {
-                        func: isel.f.name.clone(),
-                        message: "switch target with phis is unsupported".into(),
-                    });
-                }
-                let kv = isel.fresh();
-                isel.emit(
-                    bi,
-                    VInst::LoadImm {
-                        rd: kv,
-                        imm: *k as i32,
-                    },
-                );
-                let val = isel.operand(bi, &v);
-                let ti = isel.layout[target];
-                isel.emit(
-                    bi,
-                    VInst::Branch {
-                        cond: BranchCond::Eq,
-                        rs1: val,
-                        rs2: Some(kv),
-                        target: ti,
-                    },
-                );
-            }
-            if has_phis(isel.f, default) {
-                return Err(CodegenError {
-                    func: isel.f.name.clone(),
-                    message: "switch default with phis is unsupported".into(),
-                });
-            }
-            let di = isel.layout[&default];
-            isel.emit(bi, VInst::Jump { target: di });
-        }
         Term::Ret(v) => {
             let val = v.map(|o| isel.operand(bi, &o));
             isel.emit(bi, VInst::Ret { val });
@@ -939,7 +899,6 @@ fn lower_term(isel: &mut Isel<'_>, bi: usize, b: BlockId) -> Result<(), CodegenE
             isel.emit(bi, VInst::Jump { target: bi });
         }
     }
-    Ok(())
 }
 
 fn has_phis(f: &Function, b: BlockId) -> bool {

@@ -79,7 +79,7 @@ impl Default for TargetCostModel {
 ///
 /// # Errors
 /// Returns [`CodegenError`] for unsupported shapes (no `main`, >8 call
-/// arguments, switches with phi-carrying targets).
+/// arguments).
 pub fn compile_module(m: &Module, cm: &TargetCostModel) -> Result<Program, CodegenError> {
     let main = m.main_func().ok_or_else(|| CodegenError {
         func: "<module>".into(),

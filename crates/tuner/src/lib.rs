@@ -275,6 +275,7 @@ mod tests {
                 "dce",
                 "slp-vectorizer",
                 "dce",
+                "lower-switch",
                 "instcombine",
                 "instcombine",
                 "strip-dead-prototypes",
