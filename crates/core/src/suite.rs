@@ -42,7 +42,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use zkvmopt_ir::Module;
-use zkvmopt_passes::{PassConfig, PassManager};
 use zkvmopt_prover::{backend_for, check_segment_accounting, proving_cost_ms};
 use zkvmopt_riscv::{Program, TargetCostModel};
 use zkvmopt_vm::{
@@ -65,20 +64,13 @@ pub struct CompiledWorkload {
 /// A segmented run: its report and per-segment records.
 type Run = (ExecutionReport, Vec<SegmentRecord>);
 
-/// The **passes** stage: `profile`'s passes applied to `m`, as
-/// [`OptProfile::apply`] does but never verifying after each pass: a pass
-/// that breaks the IR is [`codegen`]'s verifier's to report, so it classes as
-/// [`PipelineError::Verify`] in debug and release builds alike.
+/// The **passes** stage: `profile`'s passes applied to `m`.
 ///
 /// # Errors
 /// A pass that panics is reported as [`PipelineError::Panic`].
 pub fn passes(mut m: Module, profile: &OptProfile) -> Result<Module, PipelineError> {
-    let cfg = PassConfig {
-        verify_each: false,
-        ..profile.pass_config.clone()
-    };
     catch_unwind(AssertUnwindSafe(|| {
-        PassManager::from_names(profile.passes()).run(&mut m, &cfg);
+        profile.apply(&mut m);
         m
     }))
     .map_err(PipelineError::from_panic)

@@ -271,7 +271,8 @@ impl PassExecutor {
 }
 
 /// Snapshot for the dishonest-change-report check: debug builds with
-/// `verify_each` only (the proptest/differential configuration).
+/// `verify_each` set only (`PassConfig::default()` in debug, and the tests
+/// that set it explicitly; the tuner's candidates clear it).
 fn honest_snapshot<T>(cfg: &PassConfig, make: impl FnOnce() -> T) -> Option<T> {
     if cfg!(debug_assertions) && cfg.verify_each {
         Some(make())

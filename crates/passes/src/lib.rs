@@ -87,7 +87,9 @@ pub struct PassConfig {
     /// Inline even when the callee contains calls/loops (aggressive mode used
     /// with high thresholds).
     pub inline_aggressive: bool,
-    /// Run the IR verifier after every pass (tests / debugging).
+    /// Run the IR verifier after every pass, panicking on broken IR (on by
+    /// default in debug builds; the tuner's candidates turn it off so that
+    /// codegen's verifier reports a broken sequence).
     pub verify_each: bool,
 }
 

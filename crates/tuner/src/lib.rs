@@ -109,11 +109,15 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// The [`PassConfig`] this candidate's parameters select.
+    /// The [`PassConfig`] this candidate's parameters select. It never
+    /// verifies after each pass: a random sequence that breaks the IR is the
+    /// codegen verifier's to reject, so it classes as
+    /// [`FailureClass::Verify`] in debug and release builds alike.
     pub fn pass_config(&self) -> PassConfig {
         PassConfig {
             inline_threshold: self.inline_threshold,
             unroll_threshold: self.unroll_threshold,
+            verify_each: false,
             ..PassConfig::default()
         }
     }
