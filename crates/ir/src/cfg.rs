@@ -5,8 +5,9 @@ use crate::func::{BlockId, Function};
 /// Precomputed CFG adjacency for a function.
 ///
 /// Built from one iterative DFS from the entry (reachability and reverse
-/// postorder come out of the same walk) and two linear fills of flat edge
-/// arrays indexed by block-id offsets. Analyses read it through the
+/// postorder come out of the same walk) and two linear fills of one flat
+/// block list indexed by block-id offsets, so a `Cfg` costs three
+/// allocations whatever the function's size. Analyses read it through the
 /// [`AnalysisCache`](crate::analysis::AnalysisCache); a transform that edits
 /// the block graph builds its own, and should build it once per *structural
 /// change* at most — `simplifycfg` shares one `Cfg` across its steps until a
@@ -14,119 +15,124 @@ use crate::func::{BlockId, Function};
 /// single one — never once per rewritten block or value.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    /// `succs[succ_at[b]..succ_at[b + 1]]` are block `b`'s successors.
-    succ_at: Vec<u32>,
-    succs: Vec<BlockId>,
-    /// `preds[pred_at[b]..pred_at[b + 1]]` are block `b`'s predecessors.
-    pred_at: Vec<u32>,
-    preds: Vec<BlockId>,
-    rpo: Vec<BlockId>,
-    rpo_index: Vec<usize>,
+    /// The reverse postorder, then every reachable block's successors (in
+    /// block-id order), then every block's predecessors.
+    lists: Vec<BlockId>,
+    /// `n + 1` successor offsets into `lists`, then `n + 1` predecessor
+    /// offsets, then each block's reverse-postorder index (`u32::MAX` when
+    /// unreachable): `lists[at[b]..at[b + 1]]` are block `b`'s successors and
+    /// `lists[at[n + 1 + b]..at[n + 2 + b]]` its predecessors. `at[0]` is
+    /// where the reverse postorder ends.
+    at: Vec<u32>,
+    /// Number of blocks of the function.
+    n: usize,
 }
 
 impl Cfg {
     /// Compute the CFG of `f` (reachable portion only; unreachable blocks get
     /// empty adjacency and `usize::MAX` RPO index).
     pub fn new(f: &Function) -> Cfg {
+        const UNSEEN: u32 = u32::MAX;
         let n = f.blocks.len();
+        let edges: usize = f.blocks.iter().map(|b| b.term.succs().count()).sum();
+        let mut lists = Vec::with_capacity(n + 2 * edges);
+        let mut at = vec![0u32; 3 * n + 2];
+        let (offsets, rpo_index) = at.split_at_mut(2 * (n + 1));
+        rpo_index.fill(UNSEEN);
         // Iterative DFS; `rpo_index` marks visited blocks (0) until it is
-        // filled in from the postorder.
-        let mut rpo_index = vec![usize::MAX; n];
-        let mut rpo = Vec::with_capacity(n);
+        // filled in from the postorder, which `lists` collects.
         let walk = |b: BlockId| (b, f.blocks[b.index()].term.succs());
-        let mut stack = vec![walk(f.entry)];
+        let mut stack = Vec::with_capacity(n);
+        stack.push(walk(f.entry));
         rpo_index[f.entry.index()] = 0;
         while let Some((b, succs)) = stack.last_mut() {
             match succs.next() {
-                Some(s) if rpo_index[s.index()] == usize::MAX => {
+                Some(s) if rpo_index[s.index()] == UNSEEN => {
                     rpo_index[s.index()] = 0;
                     stack.push(walk(s));
                 }
                 Some(_) => {}
                 None => {
-                    rpo.push(*b);
+                    lists.push(*b);
                     stack.pop();
                 }
             }
         }
-        rpo.reverse();
-        for (i, b) in rpo.iter().enumerate() {
-            rpo_index[b.index()] = i;
+        lists.reverse();
+        for (i, b) in lists.iter().enumerate() {
+            rpo_index[b.index()] = i as u32;
         }
         // Successors of reachable blocks, counting each edge at its target.
-        let mut succ_at = Vec::with_capacity(n + 1);
-        let mut succs = Vec::new();
-        let mut pred_at = vec![0u32; n + 1];
-        succ_at.push(0);
+        let (succ_at, pred_at) = offsets.split_at_mut(n + 1);
+        succ_at[0] = lists.len() as u32;
         for (b, data) in f.blocks.iter().enumerate() {
-            if rpo_index[b] != usize::MAX {
+            if rpo_index[b] != UNSEEN {
                 for s in data.term.succs() {
-                    succs.push(s);
+                    lists.push(s);
                     pred_at[s.index()] += 1;
                 }
             }
-            succ_at.push(succs.len() as u32);
+            succ_at[b + 1] = lists.len() as u32;
         }
         // Each target's range ends at its inclusive prefix sum; filling the
         // ranges back to front, sources in descending id order, leaves
         // `pred_at` at the range starts and every range ascending.
-        let mut total = 0;
-        for at in &mut pred_at {
+        let mut total = lists.len() as u32;
+        for at in pred_at.iter_mut() {
             total += *at;
             *at = total;
         }
-        let mut preds = vec![BlockId(0); succs.len()];
+        lists.resize(total as usize, BlockId(0));
         for b in (0..n).rev() {
-            for s in succs[succ_at[b] as usize..succ_at[b + 1] as usize]
-                .iter()
-                .rev()
-            {
+            for i in (succ_at[b]..succ_at[b + 1]).rev() {
+                let s = lists[i as usize];
                 pred_at[s.index()] -= 1;
-                preds[pred_at[s.index()] as usize] = BlockId(b as u32);
+                lists[pred_at[s.index()] as usize] = BlockId(b as u32);
             }
         }
-        Cfg {
-            succ_at,
-            succs,
-            pred_at,
-            preds,
-            rpo,
-            rpo_index,
-        }
+        Cfg { lists, at, n }
     }
 
     /// Predecessors of `b` in ascending id order (with multiplicity,
     /// matching multi-edges).
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[self.pred_at[b.index()] as usize..self.pred_at[b.index() + 1] as usize]
+        let at = &self.at[self.n + 1 + b.index()..];
+        &self.lists[at[0] as usize..at[1] as usize]
     }
 
     /// Successors of `b`, in branch order.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[self.succ_at[b.index()] as usize..self.succ_at[b.index() + 1] as usize]
+        &self.lists[self.at[b.index()] as usize..self.at[b.index() + 1] as usize]
     }
 
     /// Reachable blocks in reverse postorder (entry first).
     pub fn rpo(&self) -> &[BlockId] {
-        &self.rpo
+        &self.lists[..self.at[0] as usize]
     }
 
     /// Position of `b` in the reverse postorder, or `usize::MAX` if
     /// unreachable.
     pub fn rpo_index(&self, b: BlockId) -> usize {
-        self.rpo_index[b.index()]
+        match self.at[2 * (self.n + 1) + b.index()] {
+            u32::MAX => usize::MAX,
+            i => i as usize,
+        }
     }
 
     /// Whether `b` is reachable from entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index[b.index()] != usize::MAX
+        self.rpo_index(b) != usize::MAX
     }
 
-    /// Unique predecessors (collapsing the multi-edge of a `condbr` whose arms agree).
-    pub fn unique_preds(&self, b: BlockId) -> Vec<BlockId> {
-        let mut v = self.preds(b).to_vec();
-        v.dedup(); // already ascending
-        v
+    /// Unique predecessors in ascending id order (collapsing the multi-edge
+    /// of a `condbr` whose arms agree), without allocating.
+    pub fn unique_preds(&self, b: BlockId) -> impl Iterator<Item = BlockId> + Clone + '_ {
+        let preds = self.preds(b);
+        preds
+            .iter()
+            .enumerate()
+            .filter(move |&(i, p)| i == 0 || preds[i - 1] != *p)
+            .map(|(_, &p)| p)
     }
 }
 
@@ -187,6 +193,6 @@ mod tests {
         let f = b.finish();
         let cfg = Cfg::new(&f);
         assert_eq!(cfg.preds(j).len(), 2);
-        assert_eq!(cfg.unique_preds(j).len(), 1);
+        assert!(cfg.unique_preds(j).eq([f.entry]));
     }
 }

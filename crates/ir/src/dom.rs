@@ -11,6 +11,22 @@ pub struct DomTree {
     entry: BlockId,
 }
 
+/// The child lists of a [`DomTree`], from [`DomTree::children`], in two flat
+/// arrays.
+#[derive(Debug, Clone)]
+pub struct DomChildren {
+    /// `list[at[b]..at[b + 1]]` are block `b`'s children.
+    at: Vec<u32>,
+    list: Vec<BlockId>,
+}
+
+impl DomChildren {
+    /// The children of `b`, in ascending block order.
+    pub fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.list[self.at[b.index()] as usize..self.at[b.index() + 1] as usize]
+    }
+}
+
 impl DomTree {
     /// Compute dominators using the Cooper–Harvey–Kennedy iterative algorithm.
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
@@ -96,6 +112,35 @@ impl DomTree {
         a != b && self.dominates(a, b)
     }
 
+    /// Every block's children in the tree, each list in ascending block
+    /// order.
+    pub fn children(&self) -> DomChildren {
+        let n = self.idom.len();
+        // Each parent's range ends at its inclusive prefix sum; filling back
+        // to front, children in descending id order, leaves `at` at the
+        // range starts and every range ascending.
+        let mut at = vec![0u32; n + 1];
+        let kids = || {
+            (0..n as u32)
+                .map(BlockId)
+                .filter_map(|b| Some((self.idom(b)?, b)))
+        };
+        for (d, _) in kids() {
+            at[d.index()] += 1;
+        }
+        let mut total = 0;
+        for a in &mut at {
+            total += *a;
+            *a = total;
+        }
+        let mut list = vec![BlockId(0); total as usize];
+        for (d, b) in kids().rev() {
+            at[d.index()] -= 1;
+            list[at[d.index()] as usize] = b;
+        }
+        DomChildren { at, list }
+    }
+
     /// Dominance frontier of every block (used by `mem2reg` phi placement).
     pub fn dominance_frontiers(&self, cfg: &Cfg) -> Vec<Vec<BlockId>> {
         let n = self.idom.len();
@@ -106,7 +151,7 @@ impl DomTree {
                 continue;
             }
             let preds = cfg.unique_preds(b);
-            if preds.len() < 2 {
+            if preds.clone().nth(1).is_none() {
                 continue;
             }
             let Some(id) = self

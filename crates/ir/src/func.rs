@@ -2,6 +2,7 @@
 
 use crate::inst::{Op, Operand, Term};
 use crate::ty::Ty;
+use std::ops::ControlFlow;
 
 /// Index of an SSA value within a [`Function`]'s value arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -303,47 +304,76 @@ impl Function {
         n
     }
 
-    /// Ids of all blocks (including ones that may be unreachable).
-    pub fn block_ids(&self) -> Vec<BlockId> {
-        (0..self.blocks.len() as u32).map(BlockId).collect()
+    /// Ids of all blocks that exist when it is called, unreachable ones
+    /// included. The iterator does not borrow `self`, so a loop over it may
+    /// edit the function; blocks added during the walk are not visited.
+    pub fn block_ids(&self) -> impl DoubleEndedIterator<Item = BlockId> + ExactSizeIterator {
+        (0..self.blocks.len() as u32).map(BlockId)
     }
 
     /// Blocks reachable from entry, in depth-first preorder.
     pub fn reachable_blocks(&self) -> Vec<BlockId> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut order = Vec::new();
-        let mut stack = vec![self.entry];
-        while let Some(b) = stack.pop() {
-            if std::mem::replace(&mut seen[b.index()], true) {
+        let mut order = Vec::with_capacity(self.blocks.len());
+        let _ = self.walk_reachable(|b| {
+            order.push(b);
+            ControlFlow::<()>::Continue(())
+        });
+        order
+    }
+
+    /// Visit the blocks reachable from entry in depth-first preorder (the
+    /// order of [`reachable_blocks`](Self::reachable_blocks)) until `visit`
+    /// breaks.
+    fn walk_reachable<B>(
+        &self,
+        mut visit: impl FnMut(BlockId) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        // One buffer: a seen flag per block, then the DFS stack above them.
+        // Each block is expanded once and pushes at most two successors, so
+        // the stack never outgrows `2n + 1`.
+        let n = self.blocks.len();
+        let mut buf: Vec<u32> = Vec::with_capacity(3 * n + 1);
+        buf.resize(n, 0);
+        buf.push(self.entry.0);
+        while buf.len() > n {
+            let b = buf.pop().map_or(0, |b| b as usize);
+            // Indexing the block first keeps an out-of-range successor from
+            // reading the stack as a seen flag.
+            let succs = self.blocks[b].term.succs();
+            if std::mem::replace(&mut buf[b], 1) == 1 {
                 continue;
             }
-            order.push(b);
-            stack.extend(self.blocks[b.index()].term.succs().rev());
+            visit(BlockId(b as u32))?;
+            buf.extend(succs.rev().map(|s| s.0));
         }
-        order
+        ControlFlow::Continue(())
     }
 
     /// Count instructions in reachable blocks (a static size metric used by the
     /// inliner and the `-Os`/`-Oz` pipelines).
     pub fn size(&self) -> usize {
-        self.reachable_blocks()
-            .iter()
-            .map(|b| self.blocks[b.index()].insts.len())
-            .sum()
+        let mut n = 0;
+        let _ = self.walk_reachable(|b| {
+            n += self.blocks[b.index()].insts.len();
+            ControlFlow::<()>::Continue(())
+        });
+        n
     }
 
     /// Whether any reachable instruction is a call to `callee`.
     pub fn calls(&self, callee: FuncId) -> bool {
-        for b in self.reachable_blocks() {
-            for &v in &self.blocks[b.index()].insts {
-                if let Some(Op::Call { callee: c, .. }) = self.op(v) {
-                    if *c == callee {
-                        return true;
-                    }
-                }
+        self.walk_reachable(|b| {
+            let hit = self.blocks[b.index()]
+                .insts
+                .iter()
+                .any(|&v| matches!(self.op(v), Some(Op::Call { callee: c, .. }) if *c == callee));
+            if hit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-        }
-        false
+        })
+        .is_break()
     }
 }
 
@@ -613,6 +643,19 @@ mod tests {
         f.blocks[orphan.index()].term = Term::Ret(None);
         assert_eq!(f.reachable_blocks(), vec![f.entry]);
         assert_eq!(f.size(), 1);
+    }
+
+    #[test]
+    fn block_ids_skips_blocks_added_during_the_walk() {
+        let mut f = sample();
+        f.add_block();
+        let mut seen = Vec::new();
+        for b in f.block_ids() {
+            seen.push(b);
+            f.add_block();
+        }
+        assert_eq!(seen, vec![BlockId(0), BlockId(1)]);
+        assert_eq!(f.blocks.len(), 4);
     }
 
     #[test]

@@ -455,8 +455,7 @@ pub enum Term {
 }
 
 impl Term {
-    /// Walk the successor blocks in branch order without allocating (what
-    /// [`Term::successors`] collects).
+    /// Walk the successor blocks in branch order, without allocating.
     pub fn succs(&self) -> impl DoubleEndedIterator<Item = BlockId> {
         match *self {
             Term::Br(b) => [Some(b), None],
@@ -465,11 +464,6 @@ impl Term {
         }
         .into_iter()
         .flatten()
-    }
-
-    /// All successor blocks, in branch order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        self.succs().collect()
     }
 
     /// Visit every operand immutably.
@@ -584,9 +578,9 @@ mod tests {
             t: b0,
             f: b1,
         };
-        assert_eq!(t.successors(), vec![b0, b1]);
+        assert!(t.succs().eq([b0, b1]));
         t.retarget(b1, b2);
-        assert_eq!(t.successors(), vec![b0, b2]);
+        assert!(t.succs().eq([b0, b2]));
     }
 
     #[test]

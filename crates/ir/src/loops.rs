@@ -9,11 +9,53 @@ use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::func::{BlockId, Function};
 
+/// A short list of `Copy` items: inline up to `N` of them, on the heap
+/// beyond. Most loops are small, so a [`LoopForest`] seldom allocates per
+/// loop.
+#[derive(Debug, Clone)]
+enum Small<T, const N: usize> {
+    Inline([T; N], usize),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy, const N: usize> Small<T, N> {
+    /// `len` copies of `fill`.
+    fn filled(fill: T, len: usize) -> Self {
+        if len <= N {
+            Small::Inline([fill; N], len)
+        } else {
+            Small::Heap(vec![fill; len])
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Small::Inline(items, len) => &items[..*len],
+            Small::Heap(items) => items,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            Small::Inline(items, len) => &mut items[..*len],
+            Small::Heap(items) => items,
+        }
+    }
+}
+
+impl<T: Copy + PartialEq, const N: usize> PartialEq for Small<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Copy + Eq, const N: usize> Eq for Small<T, N> {}
+
 /// A set of blocks of one function: one bit per block id, iterated in
-/// ascending id order.
+/// ascending id order. Inline for functions of up to 256 blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSet {
-    words: Vec<u64>,
+    words: Small<u64, 4>,
     len: usize,
 }
 
@@ -21,7 +63,7 @@ impl BlockSet {
     /// The empty set over a function of `n` blocks.
     fn new(n: usize) -> BlockSet {
         BlockSet {
-            words: vec![0; n.div_ceil(64)],
+            words: Small::filled(0, n.div_ceil(64)),
             len: 0,
         }
     }
@@ -29,8 +71,9 @@ impl BlockSet {
     /// Add `b`; returns whether it was absent.
     fn insert(&mut self, b: BlockId) -> bool {
         let (w, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
-        let absent = self.words[w] & bit == 0;
-        self.words[w] |= bit;
+        let words = self.words.as_mut_slice();
+        let absent = words[w] & bit == 0;
+        words[w] |= bit;
         self.len += absent as usize;
         absent
     }
@@ -38,6 +81,7 @@ impl BlockSet {
     /// Whether `b` is in the set.
     pub fn contains(&self, b: BlockId) -> bool {
         self.words
+            .as_slice()
             .get(b.index() / 64)
             .is_some_and(|w| w & (1u64 << (b.index() % 64)) != 0)
     }
@@ -55,23 +99,28 @@ impl BlockSet {
     /// Whether every block of `self` is in `other`.
     pub fn is_subset(&self, other: &BlockSet) -> bool {
         self.words
+            .as_slice()
             .iter()
-            .zip(other.words.iter().chain(std::iter::repeat(&0)))
+            .zip(other.words.as_slice().iter().chain(std::iter::repeat(&0)))
             .all(|(a, b)| a & !b == 0)
     }
 
     /// The blocks in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    BlockId((i * 64) as u32 + bit)
+        self.words
+            .as_slice()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| {
+                let mut rest = w;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        BlockId((i * 64) as u32 + bit)
+                    })
                 })
             })
-        })
     }
 }
 
@@ -82,12 +131,10 @@ pub struct Loop {
     pub header: BlockId,
     /// All blocks in the loop, header included.
     pub blocks: BlockSet,
-    /// Source blocks of back edges (`latch -> header`).
-    pub latches: Vec<BlockId>,
-    /// Blocks inside the loop with a successor outside (exiting blocks).
-    pub exiting: Vec<BlockId>,
-    /// Blocks outside the loop that are successors of exiting blocks.
-    pub exits: Vec<BlockId>,
+    /// The latches, then the exiting blocks, then the exits; `ends` holds
+    /// where the first two lists end.
+    edges: Small<BlockId, 6>,
+    ends: [usize; 2],
     /// Nesting depth (outermost loops have depth 1).
     pub depth: usize,
     /// Index of the enclosing loop in the forest, if any.
@@ -95,6 +142,24 @@ pub struct Loop {
 }
 
 impl Loop {
+    /// Source blocks of back edges (`latch -> header`), in the reverse
+    /// postorder of their discovery.
+    pub fn latches(&self) -> &[BlockId] {
+        &self.edges.as_slice()[..self.ends[0]]
+    }
+
+    /// Blocks inside the loop with a successor outside (exiting blocks), in
+    /// ascending id order.
+    pub fn exiting(&self) -> &[BlockId] {
+        &self.edges.as_slice()[self.ends[0]..self.ends[1]]
+    }
+
+    /// Blocks outside the loop that are successors of exiting blocks, in
+    /// ascending id order.
+    pub fn exits(&self) -> &[BlockId] {
+        &self.edges.as_slice()[self.ends[1]..]
+    }
+
     /// Whether the loop contains block `b`.
     pub fn contains(&self, b: BlockId) -> bool {
         self.blocks.contains(b)
@@ -125,37 +190,40 @@ pub struct LoopForest {
 
 impl LoopForest {
     /// Discover natural loops from back edges.
+    ///
+    /// A loop's block set and edge lists are inline unless the function or
+    /// the loop is large; the walks reuse scratch buffers from loop to loop.
     pub fn new(f: &Function, cfg: &Cfg, dom: &DomTree) -> LoopForest {
-        // Group back edges by header.
+        // Back edges in discovery order; headers in order of their first.
+        let mut back: Vec<(BlockId, BlockId)> = Vec::new();
         let mut headers: Vec<BlockId> = Vec::new();
-        let mut latches_of: Vec<Vec<BlockId>> = Vec::new();
         for &b in cfg.rpo() {
             for &s in cfg.succs(b) {
                 if dom.dominates(s, b) {
-                    match headers.iter().position(|h| *h == s) {
-                        Some(i) => latches_of[i].push(b),
-                        None => {
-                            headers.push(s);
-                            latches_of.push(vec![b]);
-                        }
+                    if !headers.contains(&s) {
+                        headers.push(s);
                     }
+                    back.push((s, b));
                 }
             }
         }
-        let mut loops = Vec::new();
+        let mut loops = Vec::with_capacity(headers.len());
         let mut work: Vec<BlockId> = Vec::new();
-        for (h, latches) in headers.into_iter().zip(latches_of) {
+        let mut exiting: Vec<BlockId> = Vec::new();
+        let mut exits: Vec<BlockId> = Vec::new();
+        for h in headers {
+            let latches = back.iter().filter(|e| e.0 == h).map(|e| e.1);
             let mut blocks = BlockSet::new(f.blocks.len());
             blocks.insert(h);
-            work.extend_from_slice(&latches);
+            work.extend(latches.clone());
             while let Some(b) = work.pop() {
                 if blocks.insert(b) {
                     work.extend_from_slice(cfg.preds(b));
                 }
             }
             // Blocks ascend, so `exiting` does too; `exits` is sorted after.
-            let mut exiting = Vec::new();
-            let mut exits = Vec::new();
+            exiting.clear();
+            exits.clear();
             for b in blocks.iter() {
                 for s in f.blocks[b.index()].term.succs() {
                     if !blocks.contains(s) {
@@ -168,12 +236,19 @@ impl LoopForest {
             }
             exits.sort_unstable();
             exits.dedup();
+            let n_latches = latches.clone().count();
+            let ends = [n_latches, n_latches + exiting.len()];
+            let mut edges = Small::filled(h, ends[1] + exits.len());
+            let slots = edges.as_mut_slice();
+            for (slot, b) in slots.iter_mut().zip(latches.chain(exiting.iter().copied())) {
+                *slot = b;
+            }
+            slots[ends[1]..].copy_from_slice(&exits);
             loops.push(Loop {
                 header: h,
                 blocks,
-                latches,
-                exiting,
-                exits,
+                edges,
+                ends,
                 depth: 1,
                 parent: None,
             });
@@ -310,8 +385,8 @@ mod tests {
         let dom = DomTree::new(&f, &cfg);
         let forest = LoopForest::new(&f, &cfg, &dom);
         let outer = &forest.loops[0];
-        assert_eq!(outer.latches.len(), 1);
-        assert_eq!(outer.exits.len(), 1);
+        assert_eq!(outer.latches().len(), 1);
+        assert_eq!(outer.exits().len(), 1);
         assert_eq!(forest.depth_of(f.entry), 0);
     }
 

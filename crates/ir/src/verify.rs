@@ -86,7 +86,8 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
     }
     let cfg = Cfg::new(f);
     let dom = DomTree::new(f, &cfg);
-
+    // One phi's incoming blocks, sorted; reused across phis.
+    let mut inc_blocks: Vec<BlockId> = Vec::new();
     for &b in cfg.rpo() {
         let data = &f.blocks[b.index()];
         // Terminator targets must be valid.
@@ -146,20 +147,19 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
             check_types(f, m, v, op, b)?;
             // Phi nodes: incoming must exactly match unique predecessors.
             if let Op::Phi { incoming } = op {
-                let preds = cfg.unique_preds(b);
-                let mut inc_blocks: Vec<BlockId> = incoming.iter().map(|(p, _)| *p).collect();
-                inc_blocks.sort();
-                let mut dedup = inc_blocks.clone();
-                dedup.dedup();
-                if dedup.len() != inc_blocks.len() {
+                inc_blocks.clear();
+                inc_blocks.extend(incoming.iter().map(|(p, _)| *p));
+                inc_blocks.sort_unstable();
+                if inc_blocks.windows(2).any(|w| w[0] == w[1]) {
                     return Err(err(
                         f,
                         format!("bb{}: phi %{} duplicate incoming block", b.0, v.0),
                     ));
                 }
-                let preds_set: HashSet<BlockId> = preds.iter().copied().collect();
-                let inc_set: HashSet<BlockId> = inc_blocks.iter().copied().collect();
-                if preds_set != inc_set {
+                // Both sides ascend without repeats, so equal sets read equal.
+                if !inc_blocks.iter().copied().eq(cfg.unique_preds(b)) {
+                    let preds_set: HashSet<BlockId> = cfg.unique_preds(b).collect();
+                    let inc_set: HashSet<BlockId> = inc_blocks.iter().copied().collect();
                     return Err(err(
                         f,
                         format!(

@@ -1,5 +1,6 @@
 //! The hash-set bodies of `zkvmopt-ir`'s `Cfg::new` and `LoopForest::new`,
-//! kept as test oracles for the dense rewrites.
+//! and the collecting walk behind `Function::reachable_blocks` and
+//! `Function::size`, kept as test oracles for the dense rewrites.
 //!
 //! They live here rather than beside the analyses because only this crate's
 //! tests can produce the states worth checking — every function after every
@@ -11,7 +12,23 @@ use std::collections::HashSet;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::dom::DomTree;
 use zkvmopt_ir::loops::LoopForest;
-use zkvmopt_ir::{BlockId, Function};
+use zkvmopt_ir::{BlockId, FuncId, Function, Op};
+
+/// `Function::reachable_blocks` as it was: a seen vector, a stack, and the
+/// preorder collected as it goes.
+fn reachable_stacked(f: &Function) -> Vec<BlockId> {
+    let mut seen = vec![false; f.blocks.len()];
+    let mut order = Vec::new();
+    let mut stack = vec![f.entry];
+    while let Some(b) = stack.pop() {
+        if std::mem::replace(&mut seen[b.index()], true) {
+            continue;
+        }
+        order.push(b);
+        stack.extend(f.blocks[b.index()].term.succs().rev());
+    }
+    order
+}
 
 /// What the old `Cfg::new` computed.
 struct OldCfg {
@@ -27,12 +44,12 @@ fn cfg_hashed(f: &Function) -> OldCfg {
     let n = f.blocks.len();
     let mut preds = vec![Vec::new(); n];
     let mut succs = vec![Vec::new(); n];
-    let reachable: HashSet<BlockId> = f.reachable_blocks().into_iter().collect();
+    let reachable: HashSet<BlockId> = reachable_stacked(f).into_iter().collect();
     for b in f.block_ids() {
         if !reachable.contains(&b) {
             continue;
         }
-        for s in f.blocks[b.index()].term.successors() {
+        for s in f.blocks[b.index()].term.succs() {
             succs[b.index()].push(s);
             preds[s.index()].push(b);
         }
@@ -112,7 +129,7 @@ fn loops_hashed(f: &Function, cfg: &OldCfg, dom: &DomTree) -> Vec<OldLoop> {
         let mut exiting = Vec::new();
         let mut exits = Vec::new();
         for &b in &blocks {
-            for s in f.blocks[b.index()].term.successors() {
+            for s in f.blocks[b.index()].term.succs() {
                 if !blocks.contains(&s) {
                     if !exiting.contains(&b) {
                         exiting.push(b);
@@ -169,7 +186,26 @@ fn loops_hashed(f: &Function, cfg: &OldCfg, dom: &DomTree) -> Vec<OldLoop> {
 
 /// `Cfg::new` and `LoopForest::new` against their oracles on `f`: every
 /// block's adjacency and RPO position, and every loop field, in forest order.
+/// Also the reachable walk (order, `size`, `calls`), `Cfg::unique_preds` and
+/// `DomTree::children` against what they replaced.
 pub(crate) fn check(name: &str, f: &Function) {
+    let reachable = reachable_stacked(f);
+    assert_eq!(f.reachable_blocks(), reachable, "{name}: reachable blocks");
+    let size: usize = reachable
+        .iter()
+        .map(|b| f.blocks[b.index()].insts.len())
+        .sum();
+    assert_eq!(f.size(), size, "{name}: size");
+    let callees = reachable.iter().flat_map(|b| &f.blocks[b.index()].insts);
+    let callees: Vec<FuncId> = callees
+        .filter_map(|&v| match f.op(v) {
+            Some(Op::Call { callee, .. }) => Some(*callee),
+            _ => None,
+        })
+        .collect();
+    for id in callees.iter().copied().chain([FuncId(u32::MAX)]) {
+        assert_eq!(f.calls(id), callees.contains(&id), "{name}: calls {id:?}");
+    }
     let (old, cfg) = (cfg_hashed(f), Cfg::new(f));
     assert_eq!(cfg.rpo(), &old.rpo[..], "{name}: Cfg rpo");
     for b in f.block_ids() {
@@ -177,8 +213,23 @@ pub(crate) fn check(name: &str, f: &Function) {
         let got = (cfg.preds(b), cfg.succs(b), cfg.rpo_index(b));
         let want = (&old.preds[i][..], &old.succs[i][..], old.rpo_index[i]);
         assert_eq!(got, want, "{name}: (preds, succs, rpo_index) of {b:?}");
+        let mut unique = old.preds[i].clone();
+        unique.dedup();
+        assert!(
+            cfg.unique_preds(b).eq(unique),
+            "{name}: unique preds of {b:?}"
+        );
     }
     let dom = DomTree::new(f, &cfg);
+    let children = dom.children();
+    for b in f.block_ids() {
+        let want: Vec<BlockId> = f.block_ids().filter(|&c| dom.idom(c) == Some(b)).collect();
+        assert_eq!(
+            children.of(b),
+            &want[..],
+            "{name}: dominator-tree children of {b:?}"
+        );
+    }
     let (old, new) = (loops_hashed(f, &old, &dom), LoopForest::new(f, &cfg, &dom));
     assert_eq!(new.loops.len(), old.len(), "{name}: loop count");
     for (i, (l, o)) in new.loops.iter().zip(&old).enumerate() {
@@ -188,9 +239,9 @@ pub(crate) fn check(name: &str, f: &Function) {
         for b in f.block_ids() {
             assert_eq!(l.contains(b), o.blocks.contains(&b), "{ctx} contains {b:?}");
         }
-        assert_eq!(l.latches, o.latches, "{ctx} latches");
-        assert_eq!(l.exiting, o.exiting, "{ctx} exiting");
-        assert_eq!(l.exits, o.exits, "{ctx} exits");
+        assert_eq!(l.latches(), o.latches, "{ctx} latches");
+        assert_eq!(l.exiting(), o.exiting, "{ctx} exiting");
+        assert_eq!(l.exits(), o.exits, "{ctx} exits");
         assert_eq!((l.depth, l.parent), (o.depth, o.parent), "{ctx} nesting");
     }
 }
@@ -233,8 +284,8 @@ fn multi_exit_nest_matches_the_oracles() {
     let forest = LoopForest::new(&f, &cfg, &DomTree::new(&f, &cfg));
     let outer = &forest.loops[0];
     assert_eq!(
-        (outer.exiting.clone(), outer.exits.clone()),
-        (vec![h, body], vec![x1, x2])
+        (outer.exiting(), outer.exits()),
+        (&[h, body][..], &[x1, x2][..])
     );
     assert_eq!(cfg.preds(body), &[mid, mid]);
     assert_eq!(forest.loops[1].parent, Some(0));

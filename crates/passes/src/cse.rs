@@ -97,14 +97,20 @@ fn early_cse_function(f: &mut Function, info: &ModuleInfo) -> bool {
     // eliminated instruction); every op is resolved in place before it is
     // read.
     let mut subst = Substitution::new();
+    // Each block's list as the walk found it (removals edit the live one).
+    let mut insts: Vec<ValueId> = Vec::new();
     for b in f.block_ids() {
         let mut avail: HashMap<ExprKey, ValueId> = HashMap::new();
         // Memory state: pointer operand -> last known value (from store or load).
         let mut mem: HashMap<Operand, Operand> = HashMap::new();
-        let insts = f.blocks[b.index()].insts.clone();
-        for v in insts {
+        insts.clone_from(&f.blocks[b.index()].insts);
+        for &v in &insts {
             let Some(op) = f.op_mut(v) else { continue };
             subst.resolve_op(op);
+            // A phi is never available, so skip it before copying its list.
+            if matches!(op, Op::Phi { .. }) {
+                continue;
+            }
             let op = op.clone();
             // `Some(prev)` when an earlier instruction already computes `op`.
             let mut lookup = |op: &Op| -> Option<ValueId> {
@@ -224,36 +230,34 @@ fn gvn_function(
     facts: &MemFacts,
     info: &ModuleInfo,
 ) -> bool {
-    let dom = ac.dom(f);
-    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
-    for b in f.block_ids() {
-        if let Some(d) = dom.idom(b) {
-            children[d.index()].push(b);
-        }
-    }
+    let children = ac.dom(f).children();
     let mut changed = false;
     // Replacements stay pending (one arena sweep at the end, not one per
     // eliminated instruction); every op is resolved in place before it is
     // read.
     let mut subst = Substitution::new();
-    // Scoped table: stack of (key, value) insertions to undo on exit.
+    // Scoped table, and the keys it gained, innermost block last, to undo
+    // on exit.
     let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
+    let mut inserted: Vec<ExprKey> = Vec::new();
     enum Step {
         Enter(BlockId),
-        Exit(Vec<ExprKey>),
+        Exit(usize), // `inserted.len()` on entry
     }
+    // Each block's list as the walk found it (removals edit the live one).
+    let mut insts: Vec<ValueId> = Vec::new();
     let mut stack = vec![Step::Enter(f.entry)];
     while let Some(step) = stack.pop() {
         match step {
-            Step::Exit(keys) => {
-                for k in keys {
+            Step::Exit(mark) => {
+                for k in inserted.drain(mark..) {
                     table.remove(&k);
                 }
             }
             Step::Enter(b) => {
-                let mut inserted = Vec::new();
-                let insts = f.blocks[b.index()].insts.clone();
-                for v in insts {
+                let mark = inserted.len();
+                insts.clone_from(&f.blocks[b.index()].insts);
+                for &v in &insts {
                     let Some(op) = f.op_mut(v) else { continue };
                     subst.resolve_op(op);
                     let key = match &*op {
@@ -289,8 +293,8 @@ fn gvn_function(
                         }
                     }
                 }
-                stack.push(Step::Exit(inserted));
-                for &c in children[b.index()].iter().rev() {
+                stack.push(Step::Exit(mark));
+                for &c in children.of(b).iter().rev() {
                     stack.push(Step::Enter(c));
                 }
             }

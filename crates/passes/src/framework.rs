@@ -51,8 +51,8 @@ use zkvmopt_ir::{FuncId, Function, Module};
 /// the `&mut Function` it transforms).
 #[derive(Debug, Clone)]
 pub struct ModuleInfo {
-    readnone: Vec<bool>,
-    readonly: Vec<bool>,
+    /// Per function: whether it is `readnone`, and whether it is `readonly`.
+    attrs: Vec<(bool, bool)>,
     global_sizes: Vec<u32>,
 }
 
@@ -60,20 +60,19 @@ impl ModuleInfo {
     /// Snapshot `m`'s interprocedural facts.
     pub fn of(m: &Module) -> ModuleInfo {
         ModuleInfo {
-            readnone: m.funcs.iter().map(|f| f.readnone).collect(),
-            readonly: m.funcs.iter().map(|f| f.readonly).collect(),
+            attrs: m.funcs.iter().map(|f| (f.readnone, f.readonly)).collect(),
             global_sizes: m.globals.iter().map(|g| g.size).collect(),
         }
     }
 
     /// Whether function `id` is known `readnone` (no memory access at all).
     pub fn is_readnone(&self, id: FuncId) -> bool {
-        self.readnone.get(id.index()).copied().unwrap_or(false)
+        self.attrs.get(id.index()).is_some_and(|a| a.0)
     }
 
     /// Whether function `id` is known `readonly`.
     pub fn is_readonly(&self, id: FuncId) -> bool {
-        self.readonly.get(id.index()).copied().unwrap_or(false)
+        self.attrs.get(id.index()).is_some_and(|a| a.1)
     }
 
     /// Byte size of global `i`, or 0 when out of range.

@@ -177,9 +177,9 @@ fn inline_site(m: &mut Module, caller_id: FuncId, call_block: BlockId, call_v: V
         Term::Unreachable,
     );
     // Successor phis must now name `cont` instead of `call_block`.
-    for s in old_term.successors() {
-        let insts = caller.blocks[s.index()].insts.clone();
-        for pv in insts {
+    for s in old_term.succs() {
+        for i in 0..caller.blocks[s.index()].insts.len() {
+            let pv = caller.blocks[s.index()].insts[i];
             if let Some(Op::Phi { incoming }) = caller.op_mut(pv) {
                 for (p, _) in incoming.iter_mut() {
                     if *p == call_block {
@@ -469,10 +469,12 @@ pub fn function_attrs(m: &mut Module, _cfg: &PassConfig) -> bool {
     // affect anything. Deleting one also assumes it returns, which LLVM
     // proves with `willreturn`; this IR has no such attribute, and the
     // assumption holds because zklang functions terminate on study inputs.
+    // Each block's list as the walk found it (removals edit the live one).
+    let mut insts: Vec<ValueId> = Vec::new();
     for f in &mut m.funcs {
         for b in f.block_ids() {
-            let insts = f.blocks[b.index()].insts.clone();
-            for v in insts {
+            insts.clone_from(&f.blocks[b.index()].insts);
+            for &v in &insts {
                 let Some(Op::Call { callee, .. }) = f.op(v) else {
                     continue;
                 };

@@ -56,8 +56,8 @@ pub(crate) fn loop_simplify_function(f: &mut Function, ac: &mut AnalysisCache) -
             }
             // Dedicated exits: every exit block's predecessors must all be
             // inside the loop.
-            for &e in &l.exits {
-                let outside_pred = cfg.unique_preds(e).iter().any(|p| !l.contains(*p));
+            for &e in l.exits() {
+                let outside_pred = cfg.unique_preds(e).any(|p| !l.contains(p));
                 if outside_pred {
                     make_dedicated_exit(f, &cfg, l, e);
                     did = true;
@@ -82,7 +82,6 @@ fn make_preheader(f: &mut Function, cfg: &Cfg, l: &Loop) -> bool {
     let header = l.header;
     let outside: Vec<BlockId> = cfg
         .unique_preds(header)
-        .into_iter()
         .filter(|p| !l.contains(*p))
         .collect();
     if outside.is_empty() {
@@ -93,9 +92,9 @@ fn make_preheader(f: &mut Function, cfg: &Cfg, l: &Loop) -> bool {
     let pre = f.add_block();
     f.blocks[pre.index()].term = Term::Br(header);
     // Header phis: merge the outside edges in the preheader.
-    let insts = f.blocks[header.index()].insts.clone();
-    for v in insts {
-        let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
+    for i in 0..f.blocks[header.index()].insts.len() {
+        let v = f.blocks[header.index()].insts[i];
+        let Some(Op::Phi { incoming }) = f.op(v) else {
             continue;
         };
         let outs: Vec<(BlockId, Operand)> = incoming
@@ -127,17 +126,13 @@ fn make_preheader(f: &mut Function, cfg: &Cfg, l: &Loop) -> bool {
 }
 
 fn make_dedicated_exit(f: &mut Function, cfg: &Cfg, l: &Loop, e: BlockId) {
-    let inside: Vec<BlockId> = cfg
-        .unique_preds(e)
-        .into_iter()
-        .filter(|p| l.contains(*p))
-        .collect();
+    let inside: Vec<BlockId> = cfg.unique_preds(e).filter(|p| l.contains(*p)).collect();
     let ded = f.add_block();
     f.blocks[ded.index()].term = Term::Br(e);
     // Phis in e: split incoming between the dedicated block and direct preds.
-    let insts = f.blocks[e.index()].insts.clone();
-    for v in insts {
-        let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
+    for i in 0..f.blocks[e.index()].insts.len() {
+        let v = f.blocks[e.index()].insts[i];
+        let Some(Op::Phi { incoming }) = f.op(v) else {
             continue;
         };
         let ins: Vec<(BlockId, Operand)> = incoming
@@ -183,24 +178,29 @@ pub fn lcssa(
 
 pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     let mut changed = false;
+    // Per value, reset for each loop: whether it is used outside, and its
+    // exit phi.
+    let mut used_outside: Vec<bool> = Vec::new();
+    let mut phi_of: Vec<Option<ValueId>> = Vec::new();
     for _ in 0..8 {
         // LCSSA only inserts phis and rewrites operands — the cached
         // analyses stay valid throughout, including across rounds.
         let (cfg, dom, forest) = analyze(f, ac);
         let mut did = false;
         for l in &forest.loops {
-            if l.exits.len() != 1 {
+            if l.exits().len() != 1 {
                 continue;
             }
-            let exit = l.exits[0];
+            let exit = l.exits()[0];
             // Exit must be dedicated (all preds inside the loop).
             let exit_preds = cfg.unique_preds(exit);
-            if exit_preds.iter().any(|p| !l.contains(*p)) {
+            if exit_preds.clone().any(|p| !l.contains(p)) {
                 continue;
             }
             // One sweep over the outside blocks marks every value used
             // there (an existing LCSSA phi in the exit is fine).
-            let mut used_outside = vec![false; f.values.len()];
+            used_outside.clear();
+            used_outside.resize(f.values.len(), false);
             for_each_outside_use(f, l, exit, |o| {
                 if let Operand::Value(v) = o {
                     used_outside[v.index()] = true;
@@ -210,10 +210,11 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             // value must dominate every exit pred to be phi-able; in a
             // single-exit loop with the def dominating the exiting block
             // this holds for our shapes — verify defensively.
-            let mut phi_of: Vec<Option<ValueId>> = vec![None; f.values.len()];
+            phi_of.clear();
+            phi_of.resize(f.values.len(), None);
             let mut escaped = false;
             for def_bb in l.blocks.iter() {
-                if !exit_preds.iter().all(|p| dom.dominates(def_bb, *p)) {
+                if !exit_preds.clone().all(|p| dom.dominates(def_bb, p)) {
                     continue;
                 }
                 for i in 0..f.blocks[def_bb.index()].insts.len() {
@@ -223,7 +224,7 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
                         continue;
                     }
                     let incoming: Vec<(BlockId, Operand)> =
-                        exit_preds.iter().map(|p| (*p, Operand::val(v))).collect();
+                        exit_preds.clone().map(|p| (p, Operand::val(v))).collect();
                     let phi = f.insert_inst(exit, 0, Op::Phi { incoming }, Some(ty));
                     phi_of[v.index()] = Some(phi);
                     escaped = true;
@@ -352,6 +353,10 @@ fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     // Innermost loops first (deepest depth first).
     let mut order: Vec<usize> = (0..forest.loops.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
+    // Per loop, reset each time: its stored-to pointers, and which values
+    // it defines.
+    let mut loop_writes: Vec<Operand> = Vec::new();
+    let mut defined_in: Vec<bool> = Vec::new();
     for _ in 0..8 {
         let mut did = false;
         for &li in &order {
@@ -362,9 +367,10 @@ fn licm_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             // Memory facts for this loop: what may be written inside? And
             // which values are defined inside: a value is invariant if
             // defined outside the loop or already hoisted/constant.
-            let mut loop_writes: Vec<Operand> = Vec::new();
+            loop_writes.clear();
             let mut unknown_writes = false;
-            let mut defined_in = vec![false; f.values.len()];
+            defined_in.clear();
+            defined_in.resize(f.values.len(), false);
             for b in l.blocks.iter() {
                 for &v in &f.blocks[b.index()].insts {
                     defined_in[v.index()] = true;
@@ -425,16 +431,23 @@ fn clone_loop(
     l: &Loop,
     backedge_target: Option<BlockId>,
 ) -> (HashMap<BlockId, BlockId>, HashMap<ValueId, Operand>) {
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
-    let blocks: Vec<BlockId> = l.blocks.iter().collect();
-    for &b in &blocks {
+    let mut bmap: HashMap<BlockId, BlockId> = HashMap::with_capacity(l.blocks.len());
+    for b in l.blocks.iter() {
         bmap.insert(b, f.add_block());
     }
-    let mut vmap: HashMap<ValueId, Operand> = HashMap::new();
-    for &b in &blocks {
+    let n_insts = l
+        .blocks
+        .iter()
+        .map(|b| f.blocks[b.index()].insts.len())
+        .sum();
+    let mut vmap: HashMap<ValueId, Operand> = HashMap::with_capacity(n_insts);
+    f.values.reserve(n_insts);
+    for b in l.blocks.iter() {
         let nb = bmap[&b];
-        let insts = f.blocks[b.index()].insts.clone();
-        for v in insts {
+        let n = f.blocks[b.index()].insts.len();
+        f.blocks[nb.index()].insts.reserve_exact(n);
+        for i in 0..n {
+            let v = f.blocks[b.index()].insts[i];
             let op = f.op(v).expect("inst").clone();
             let ty = f.ty(v);
             let nv = f.add_inst(nb, op, ty);
@@ -448,20 +461,19 @@ fn clone_loop(
             c => *c,
         }
     };
-    for &b in &blocks {
+    for b in l.blocks.iter() {
         let nb = bmap[&b];
-        let insts = f.blocks[nb.index()].insts.clone();
-        for nv in insts {
-            let mut op = f.op(nv).expect("inst").clone();
+        for i in 0..f.blocks[nb.index()].insts.len() {
+            let nv = f.blocks[nb.index()].insts[i];
+            let op = f.op_mut(nv).expect("inst");
             op.for_each_operand_mut(|o| *o = remap(o, &vmap));
-            if let Op::Phi { incoming } = &mut op {
+            if let Op::Phi { incoming } = op {
                 for (p, _) in incoming.iter_mut() {
                     if let Some(np) = bmap.get(p) {
                         *p = *np;
                     }
                 }
             }
-            *f.op_mut(nv).expect("inst") = op;
         }
         let mut term = f.blocks[b.index()].term.clone();
         term.for_each_operand_mut(|o| *o = remap(o, &vmap));
@@ -489,20 +501,21 @@ fn clone_loop(
         f.blocks[nb.index()].term = new_term;
     }
     // Exit-block phis gain incoming edges from the cloned exiting blocks.
-    for &e in &l.exits {
-        let insts = f.blocks[e.index()].insts.clone();
-        for pv in insts {
-            let Some(Op::Phi { incoming }) = f.op(pv).cloned() else {
+    let mut additions: Vec<(BlockId, Operand)> = Vec::new();
+    for &e in l.exits() {
+        for i in 0..f.blocks[e.index()].insts.len() {
+            let pv = f.blocks[e.index()].insts[i];
+            let Some(Op::Phi { incoming }) = f.op(pv) else {
                 continue;
             };
-            let mut additions: Vec<(BlockId, Operand)> = Vec::new();
-            for (p, o) in &incoming {
+            additions.clear();
+            for (p, o) in incoming {
                 if let Some(np) = bmap.get(p) {
                     additions.push((*np, remap(o, &vmap)));
                 }
             }
             if let Some(Op::Phi { incoming }) = f.op_mut(pv) {
-                incoming.extend(additions);
+                incoming.extend_from_slice(&additions);
             }
         }
     }
@@ -521,10 +534,10 @@ struct CountedLoop {
 }
 
 fn counted_loop(f: &Function, cfg: &Cfg, l: &Loop) -> Option<CountedLoop> {
-    if l.latches.len() != 1 || l.exits.len() != 1 {
+    if l.latches().len() != 1 || l.exits().len() != 1 {
         return None;
     }
-    let latch = l.latches[0];
+    let latch = l.latches()[0];
     let pre = l.preheader(f, cfg)?;
     // Header: phi iv, then a compare driving the exit branch.
     let Term::CondBr { c, t, f: fb } = &f.blocks[l.header.index()].term else {
@@ -703,8 +716,9 @@ fn unroll_function(
         // replacements stay pending until the last peel.
         let mut collapsed = Substitution::new();
         let mut entry_from = pre;
+        let mut scratch = Vec::new();
         for _ in 0..trips {
-            entry_from = peel_once(f, &l, entry_from, &mut collapsed);
+            entry_from = peel_once(f, &l, entry_from, &mut collapsed, &mut scratch);
         }
         f.substitute_uses(&collapsed);
         changed = true;
@@ -720,17 +734,21 @@ fn unroll_function(
 /// latch-clone of the previous peel). Returns the block that now feeds the
 /// original header (the cloned latch). The cloned header's phis are removed
 /// and their replacements recorded in `collapsed`, for the caller to apply.
+/// `scratch` is the caller's buffer for a snapshot of the cloned header.
 fn peel_once(
     f: &mut Function,
     l: &Loop,
     entry_from: BlockId,
     collapsed: &mut Substitution,
+    scratch: &mut Vec<ValueId>,
 ) -> BlockId {
-    // Clone with back edges pointing at the *original* header.
+    // Clone with back edges pointing at the *original* header. The clone's
+    // blocks are exactly the ones it appends.
+    let first_clone = f.blocks.len();
     let (bmap, vmap) = clone_loop(f, l, Some(l.header));
-    let cloned_blocks: HashSet<BlockId> = bmap.values().copied().collect();
+    let cloned = |p: &BlockId| p.index() >= first_clone;
     let cloned_header = bmap[&l.header];
-    let latch = l.latches[0];
+    let latch = l.latches()[0];
     let cloned_latch = bmap[&latch];
     // Entry now flows into the cloned header.
     f.blocks[entry_from.index()]
@@ -739,8 +757,8 @@ fn peel_once(
     // Cloned header phis: they still have incoming from (entry_from (as
     // original pred name), cloned latch). Keep only the entry edge and
     // collapse, recording substitutions for the back-edge remap below.
-    let insts = f.blocks[cloned_header.index()].insts.clone();
-    for v in insts {
+    scratch.clone_from(&f.blocks[cloned_header.index()].insts);
+    for &v in scratch.iter() {
         let Some(Op::Phi { incoming }) = f.op(v) else {
             continue;
         };
@@ -749,7 +767,7 @@ fn peel_once(
         // edges). The entry value is the one whose pred isn't in bmap values.
         let entry_val = incoming
             .iter()
-            .find(|(p, _)| !cloned_blocks.contains(p))
+            .find(|(p, _)| !cloned(p))
             .map(|(_, o)| collapsed.resolve(*o));
         if let Some(val) = entry_val {
             collapsed.insert(v, val);
@@ -760,32 +778,34 @@ fn peel_once(
     // latch edge carrying the remapped latch value. The remap must chase the
     // cloned-phi collapse above: with mutual phis (`v0 = v1` loops) a phi's
     // back-edge value is another header phi whose clone was just removed.
-    let insts = f.blocks[l.header.index()].insts.clone();
     let remap = |o: &Operand| -> Operand {
         collapsed.resolve(match o {
             Operand::Value(v) => *vmap.get(v).unwrap_or(&Operand::Value(*v)),
             c => *c,
         })
     };
-    for v in insts {
-        let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
+    for i in 0..f.blocks[l.header.index()].insts.len() {
+        let v = f.blocks[l.header.index()].insts[i];
+        let Some(Op::Phi { incoming }) = f.op(v) else {
             continue;
         };
-        let mut new_incoming: Vec<(BlockId, Operand)> = Vec::new();
-        for (p, o) in &incoming {
-            if *p == entry_from || (!l.contains(*p) && !cloned_blocks.contains(p)) {
-                // Old entry edge: now comes from the cloned latch with the
-                // remapped back-edge value.
-                let latch_val = incoming
-                    .iter()
-                    .find(|(lp, _)| *lp == latch)
-                    .map(|(_, lo)| remap(lo))
-                    .unwrap_or(*o);
-                new_incoming.push((cloned_latch, latch_val));
-            } else {
-                new_incoming.push((*p, *o));
-            }
-        }
+        let new_incoming: Vec<(BlockId, Operand)> = incoming
+            .iter()
+            .map(|&(p, o)| {
+                if p == entry_from || (!l.contains(p) && !cloned(&p)) {
+                    // Old entry edge: now comes from the cloned latch with
+                    // the remapped back-edge value.
+                    let latch_val = incoming
+                        .iter()
+                        .find(|(lp, _)| *lp == latch)
+                        .map(|(_, lo)| remap(lo))
+                        .unwrap_or(o);
+                    (cloned_latch, latch_val)
+                } else {
+                    (p, o)
+                }
+            })
+            .collect();
         if let Some(Op::Phi { incoming }) = f.op_mut(v) {
             *incoming = new_incoming;
         }
@@ -806,7 +826,7 @@ pub fn loop_deletion(
         let (cfg, _dom, forest) = analyze(f, ac);
         let mut did = false;
         for l in &forest.loops {
-            if l.exits.len() != 1 {
+            if l.exits().len() != 1 {
                 continue;
             }
             let Some(pre) = l.preheader(f, &cfg) else {
@@ -831,7 +851,7 @@ pub fn loop_deletion(
                 continue;
             }
             // No loop-defined value used outside.
-            let exit = l.exits[0];
+            let exit = l.exits()[0];
             let mut escapes = false;
             for b in l.blocks.iter() {
                 for &v in &f.blocks[b.index()].insts {
@@ -890,7 +910,7 @@ pub fn loop_idiom(
     changed |= loop_simplify_function(f, ac);
     let (cfg, _dom, forest) = analyze(f, ac);
     for l in &forest.loops {
-        if l.blocks.len() != 2 || l.latches.len() != 1 {
+        if l.blocks.len() != 2 || l.latches().len() != 1 {
             continue; // header + single body block
         }
         let Some(counted) = counted_loop(f, &cfg, l) else {
@@ -899,7 +919,7 @@ pub fn loop_idiom(
         if counted.step != 1 || counted.init != 0 || counted.trips % 4 != 0 {
             continue;
         }
-        let body = l.latches[0];
+        let body = l.latches()[0];
         // Body: gep(base, iv, 1, 0); store i8 const; iv increment.
         let insts = f.blocks[body.index()].insts.clone();
         if insts.len() != 3 {
@@ -990,31 +1010,18 @@ pub fn indvars(
             }
         }
         // Exit value: uses of the IV outside the loop see the final value.
-        let final_val = match counted.pred {
-            Pred::Slt | Pred::Sle | Pred::Ne => {
-                let mut x = counted.init;
-                while match counted.pred {
-                    Pred::Slt => x < counted.bound,
-                    Pred::Sle => x <= counted.bound,
-                    Pred::Ne => x != counted.bound,
-                    _ => false,
-                } {
-                    x += counted.step;
-                    if x.abs() > 1 << 40 {
-                        break;
-                    }
-                }
-                Some(x)
-            }
-            _ => None,
-        };
-        if let Some(fv) = final_val {
+        // The model counts in i64; an i32 IV agrees with it only if every
+        // value from `init` up to the exit fits (they climb in between).
+        let fits = |x: i64| i32::try_from(x).is_ok();
+        let exit = iv_exit_value(counted.pred, counted.init, counted.step, counted.bound)
+            .filter(|&x| f.ty(counted.iv) == Some(Ty::I32) && fits(counted.init) && fits(x));
+        if let Some(fv) = exit {
             for b2 in f.block_ids() {
                 if l.contains(b2) {
                     continue;
                 }
-                let insts = f.blocks[b2.index()].insts.clone();
-                for u in insts {
+                for i in 0..f.blocks[b2.index()].insts.len() {
+                    let u = f.blocks[b2.index()].insts[i];
                     if let Some(op) = f.op_mut(u) {
                         if !op.is_phi() {
                             op.for_each_operand_mut(|o| {
@@ -1030,6 +1037,44 @@ pub fn indvars(
         }
     }
     changed
+}
+
+/// Where the IV of a counted loop stands when the exit test first fails, for
+/// the upward-counting predicates (`None` for the others, or a step that
+/// does not count up): `init` stepped by `step` while `pred(x, bound)`
+/// holds, stopping early once `|x|` passes 2^40 — computed in closed form,
+/// so a loop of 2·10^9 trips costs what one of ten does.
+fn iv_exit_value(pred: Pred, init: i64, step: i64, bound: i64) -> Option<i64> {
+    const CAP: i128 = 1 << 40;
+    if !matches!(pred, Pred::Slt | Pred::Sle | Pred::Ne) || step <= 0 {
+        return None;
+    }
+    let (init, step, bound) = (i128::from(init), i128::from(step), i128::from(bound));
+    let holds = match pred {
+        Pred::Slt => init < bound,
+        Pred::Sle => init <= bound,
+        _ => init != bound,
+    };
+    if !holds {
+        return Some(init as i64);
+    }
+    // The first step count at which the test fails (`None`: never, for a
+    // `!=` the steps jump over)...
+    let fails = match pred {
+        Pred::Slt => Some((bound - init + step - 1) / step),
+        Pred::Sle => Some((bound - init) / step + 1),
+        _ => (bound > init && (bound - init) % step == 0).then(|| (bound - init) / step),
+    };
+    // ...and the first at which `x` leaves [-2^40, 2^40]: after one step if
+    // it is already out, else on the way up.
+    let first = init + step;
+    let escapes = if first.abs() > CAP {
+        1
+    } else {
+        (CAP - init) / step + 1
+    };
+    let k = fails.map_or(escapes, |n| n.min(escapes));
+    Some((init + k * step) as i64)
 }
 
 /// Loop strength reduction: replace `iv * c` inside a loop with a derived
@@ -1051,10 +1096,10 @@ pub fn loop_reduce(
             let Some(counted) = counted_loop(f, &cfg, l) else {
                 continue;
             };
-            if l.latches.len() != 1 {
+            if l.latches().len() != 1 {
                 continue;
             }
-            let latch = l.latches[0];
+            let latch = l.latches()[0];
             let Some(pre) = l.preheader(f, &cfg) else {
                 continue;
             };
@@ -1140,14 +1185,14 @@ pub fn loop_fission(
     changed |= loop_simplify_function(f, ac);
     let (cfg, _dom, forest) = analyze(f, ac);
     'loops: for l in &forest.loops {
-        if l.blocks.len() != 2 || l.latches.len() != 1 || l.exits.len() != 1 {
+        if l.blocks.len() != 2 || l.latches().len() != 1 || l.exits().len() != 1 {
             continue;
         }
         let Some(_) = counted_loop(f, &cfg, l) else {
             continue;
         };
-        let body = l.latches[0];
-        let exit = l.exits[0];
+        let body = l.latches()[0];
+        let exit = l.exits()[0];
         // No loads, no calls; stores to ≥ 2 distinct bases; nothing
         // escapes the loop.
         let mut bases: Vec<util::PtrBase> = Vec::new();
@@ -1228,7 +1273,7 @@ pub fn loop_fission(
             // previous stage must flow into pre2 first.
             if insert_after_exit_of == exit {
                 // First extra copy: original loop -> pre2 -> clone -> exit.
-                for &eb in &l.exiting {
+                for &eb in l.exiting() {
                     f.blocks[eb.index()].term.retarget(exit, pre2);
                 }
             } else {
@@ -1239,7 +1284,7 @@ pub fn loop_fission(
             }
             // Record this clone's exiting block (its header clone exits).
             let mut clone_exiting = cloned_header;
-            for &eb in &l.exiting {
+            for &eb in l.exiting() {
                 clone_exiting = bmap[&eb];
             }
             insert_after_exit_of = clone_exiting;
@@ -1293,7 +1338,7 @@ pub fn loop_unswitch(
             continue;
         };
         // Exits must have no phis (pre-LCSSA shape).
-        for &e in &l.exits {
+        for &e in l.exits() {
             if f.blocks[e.index()]
                 .insts
                 .iter()
@@ -1400,14 +1445,14 @@ fn extract_one(
     // Pick an outermost loop that is not the whole function body.
     let mut pick: Option<Loop> = None;
     for l in &forest.loops {
-        if l.depth != 1 || l.exits.len() != 1 {
+        if l.depth != 1 || l.exits().len() != 1 {
             continue;
         }
         let Some(_) = l.preheader(f, &cfg) else {
             continue;
         };
         // Exit must be dedicated.
-        if cfg.unique_preds(l.exits[0]).iter().any(|p| !l.contains(*p)) {
+        if cfg.unique_preds(l.exits()[0]).any(|p| !l.contains(p)) {
             continue;
         }
         // No allocas inside, no ecalls (halt must stay in the caller frame —
@@ -1440,7 +1485,7 @@ fn extract_one(
     let Some(pre) = l.preheader(f, &cfg) else {
         return false;
     };
-    let exit = l.exits[0];
+    let exit = l.exits()[0];
     let caller_name = f.name.clone();
 
     // Build the new function.
@@ -1648,11 +1693,10 @@ pub fn loop_predication(
             if !l.contains(t) || !l.contains(j) || t == j {
                 continue;
             }
-            if cfg.unique_preds(t).len() != 1 {
+            if cfg.unique_preds(t).count() != 1 {
                 continue;
             }
-            let tsucc = f.blocks[t.index()].term.successors();
-            if tsucc.len() != 1 || tsucc[0] != j {
+            if !f.blocks[t.index()].term.succs().eq([j]) {
                 continue;
             }
             if f.blocks[t.index()].insts.len() != 1 {
@@ -1825,14 +1869,14 @@ pub fn loop_rotate(
 fn rotate_one(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     let (cfg, _dom, forest) = analyze(f, ac);
     'loops: for l in &forest.loops {
-        if l.latches.len() != 1 || l.exits.len() != 1 {
+        if l.latches().len() != 1 || l.exits().len() != 1 {
             continue;
         }
-        let latch = l.latches[0];
+        let latch = l.latches()[0];
         let Some(pre) = l.preheader(f, &cfg) else {
             continue;
         };
-        let exit = l.exits[0];
+        let exit = l.exits()[0];
         // Header must be the exiting block with a small, speculatable body.
         let Term::CondBr { c, t, f: fb } = f.blocks[l.header.index()].term.clone() else {
             continue;
@@ -1945,6 +1989,69 @@ mod tests {
     use super::*;
     use zkvmopt_ir::{FunctionBuilder, Module};
 
+    /// The stepping loop [`iv_exit_value`] replaced, kept as its oracle.
+    fn iv_exit_value_by_stepping(pred: Pred, init: i64, step: i64, bound: i64) -> Option<i64> {
+        match pred {
+            Pred::Slt | Pred::Sle | Pred::Ne => {
+                let mut x = init;
+                while match pred {
+                    Pred::Slt => x < bound,
+                    Pred::Sle => x <= bound,
+                    Pred::Ne => x != bound,
+                    _ => false,
+                } {
+                    x += step;
+                    if x.abs() > 1 << 40 {
+                        break;
+                    }
+                }
+                Some(x)
+            }
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn iv_exit_value_matches_stepping_on_a_grid() {
+        const CAP: i64 = 1 << 40;
+        const MAX: i64 = i32::MAX as i64;
+        const MIN: i64 = i32::MIN as i64;
+        let anchors = [-CAP, MIN, -1000, 0, 1000, MAX, CAP];
+        let points: Vec<i64> = anchors
+            .iter()
+            .flat_map(|&a| [-70_001, -3, -1, 0, 1, 2, 5, 65_537].map(|d| a + d))
+            .collect();
+        let mut checked = 0;
+        for &init in &points {
+            for &bound in &points {
+                for step in [1, 2, 3, 7, 1000, 1 << 16, 1 << 31] {
+                    for pred in [Pred::Slt, Pred::Sle, Pred::Ne] {
+                        // Only the shapes `counted_loop` admits, and only
+                        // walks the oracle finishes quickly.
+                        if pred == Pred::Ne && (step != 1 || init > bound) {
+                            continue;
+                        }
+                        if (bound.min(CAP + 1) - init) / step > 200_000 {
+                            continue;
+                        }
+                        assert_eq!(
+                            iv_exit_value(pred, init, step, bound),
+                            iv_exit_value_by_stepping(pred, init, step, bound),
+                            "{pred:?} init {init} step {step} bound {bound}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 5000, "the grid shrank to {checked} cases");
+        // The downward predicates `counted_loop` admits get no exit value.
+        for pred in [Pred::Sgt, Pred::Sge] {
+            assert_eq!(iv_exit_value(pred, 10, -1, 0), None);
+            assert_eq!(iv_exit_value_by_stepping(pred, 10, -1, 0), None);
+        }
+    }
+
     /// A function whose loop header *is* the entry block: no block outside
     /// the loop branches to the header, so no dedicated preheader can exist
     /// (and `loop-simplify` cannot create a reachable one).
@@ -2022,11 +2129,11 @@ pub(crate) mod oracle {
             let (cfg, _dom, forest) = analyze(f, ac);
             let mut did = false;
             for l in &forest.loops {
-                if l.exits.len() != 1 {
+                if l.exits().len() != 1 {
                     continue;
                 }
-                let exit = l.exits[0];
-                if cfg.unique_preds(exit).iter().any(|p| !l.contains(*p)) {
+                let exit = l.exits()[0];
+                if cfg.unique_preds(exit).any(|p| !l.contains(p)) {
                     continue;
                 }
                 let exit_preds = cfg.unique_preds(exit);
@@ -2062,14 +2169,13 @@ pub(crate) mod oracle {
                     let dom = ac.dom(f);
                     let def_bb = f
                         .block_ids()
-                        .into_iter()
                         .find(|b| f.blocks[b.index()].insts.contains(&v))
                         .expect("def block");
-                    if !exit_preds.iter().all(|p| dom.dominates(def_bb, *p)) {
+                    if !exit_preds.clone().all(|p| dom.dominates(def_bb, p)) {
                         continue;
                     }
                     let incoming: Vec<(BlockId, Operand)> =
-                        exit_preds.iter().map(|p| (*p, Operand::val(v))).collect();
+                        exit_preds.clone().map(|p| (p, Operand::val(v))).collect();
                     let phi = f.insert_inst(exit, 0, Op::Phi { incoming }, Some(ty));
                     for b2 in f.block_ids() {
                         if l.contains(b2) {
@@ -2140,7 +2246,7 @@ pub(crate) mod oracle {
                 continue;
             };
             // Exits must have no phis (pre-LCSSA shape).
-            for &e in &l.exits {
+            for &e in l.exits() {
                 if f.blocks[e.index()]
                     .insts
                     .iter()

@@ -113,8 +113,9 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
     let frontiers = ac.frontiers(f);
 
     // Phase 1: phi placement on iterated dominance frontiers of def blocks.
-    // Def blocks of every variable, each in ascending block order.
-    let mut defs: Vec<Vec<BlockId>> = vec![Vec::new(); vars.len()];
+    // Every (variable, def block) pair once, sorted: each variable's def
+    // blocks in ascending order.
+    let mut defs: Vec<(u32, BlockId)> = Vec::new();
     for b in f.block_ids() {
         if !cfg.is_reachable(b) {
             continue;
@@ -126,23 +127,27 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
             }) = f.op(i)
             {
                 if let Some(vi) = var_of(p) {
-                    let d = &mut defs[vi as usize];
-                    if d.last() != Some(&b) {
-                        d.push(b);
-                    }
+                    defs.push((vi, b));
                 }
             }
         }
     }
-    // Per block, its new phis as (variable, phi) in ascending variable
-    // order, which is also creation order.
-    let mut phis: Vec<Vec<(u32, ValueId)>> = vec![Vec::new(); f.blocks.len()];
-    for (vi, mut work) in defs.into_iter().enumerate() {
-        let ty = vars[vi].1;
+    defs.sort_unstable();
+    defs.dedup();
+    // The new phis as (block, variable, phi) in creation order, and per
+    // block the last variable given one there.
+    let mut placed: Vec<(BlockId, u32, ValueId)> = Vec::new();
+    let mut last_var = vec![u32::MAX; f.blocks.len()];
+    let mut work: Vec<BlockId> = Vec::new();
+    let mut rest = &defs[..];
+    for (vi, &(_, ty)) in vars.iter().enumerate() {
+        let vi = vi as u32;
+        let n = rest.iter().take_while(|d| d.0 == vi).count();
+        work.extend(rest[..n].iter().map(|d| d.1));
+        rest = &rest[n..];
         while let Some(b) = work.pop() {
             for &df in &frontiers[b.index()] {
-                let at = &mut phis[df.index()];
-                if at.last().is_some_and(|&(v, _)| v == vi as u32) {
+                if last_var[df.index()] == vi {
                     continue;
                 }
                 let phi = f.new_value(
@@ -151,64 +156,72 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                     },
                     Some(ty),
                 );
-                at.push((vi as u32, phi));
+                last_var[df.index()] = vi;
+                placed.push((df, vi, phi));
                 work.push(df);
             }
         }
     }
+    // Per block, its new phis in ascending variable order, which is also
+    // creation order: `placed[phi_at[b]..phi_at[b + 1]]`.
+    placed.sort_unstable_by_key(|&(b, vi, _)| (b, vi));
+    let mut phi_at = vec![0u32; f.blocks.len() + 1];
+    for &(b, ..) in &placed {
+        phi_at[b.index() + 1] += 1;
+    }
+    for i in 1..phi_at.len() {
+        phi_at[i] += phi_at[i - 1];
+    }
+    let phis_of = |b: BlockId| &placed[phi_at[b.index()] as usize..phi_at[b.index() + 1] as usize];
     // Each phi went in at the head of its block, so a block's phis stand
     // in reverse creation order before its old instructions.
     let mut var_of_phi: Vec<Option<u32>> = vec![None; f.values.len()];
-    for (b, at) in phis.iter().enumerate() {
+    for b in f.block_ids() {
+        let at = phis_of(b);
         if at.is_empty() {
             continue;
         }
-        let insts = &mut f.blocks[b].insts;
-        let old = std::mem::take(insts);
-        insts.extend(at.iter().rev().map(|&(_, phi)| phi));
-        insts.extend(old);
-        for &(vi, phi) in at {
+        let head = at.iter().rev().map(|&(_, _, phi)| phi);
+        f.blocks[b.index()].insts.splice(0..0, head);
+        for &(_, vi, phi) in at {
             var_of_phi[phi.index()] = Some(vi);
         }
     }
 
     // Phase 2: renaming along the dominator tree.
-    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
-    for b in f.block_ids() {
-        if let Some(d) = dom.idom(b) {
-            children[d.index()].push(b);
-        }
-    }
+    let children = dom.children();
     // Substitutions: load value -> operand (resolved transitively at the end).
     let mut subst = Substitution::new();
     let mut dead = vec![false; f.values.len()];
     let mut touched = vec![false; f.blocks.len()];
-    let mut stacks: Vec<Vec<Operand>> = vars.iter().map(|(_, ty)| vec![zero_of(*ty)]).collect();
-    // The variables pushed so far, innermost block last.
-    let mut pushed: Vec<u32> = Vec::new();
+    // Each variable's reaching value, and every value a definition
+    // shadowed, innermost block last.
+    let mut current: Vec<Operand> = vars.iter().map(|&(_, ty)| zero_of(ty)).collect();
+    let mut shadowed: Vec<(u32, Operand)> = Vec::new();
 
-    // Iterative DFS; leaving a block pops what entering it pushed.
+    // Iterative DFS; leaving a block restores what entering it shadowed.
     enum Step {
         Enter(BlockId),
-        Exit(usize), // `pushed.len()` on entry
+        Exit(usize), // `shadowed.len()` on entry
     }
     let mut stack = vec![Step::Enter(f.entry)];
     while let Some(step) = stack.pop() {
         match step {
             Step::Exit(mark) => {
-                for vi in pushed.drain(mark..) {
-                    stacks[vi as usize].pop();
+                for (vi, prev) in shadowed.drain(mark..).rev() {
+                    current[vi as usize] = prev;
                 }
             }
             Step::Enter(b) => {
-                let mark = pushed.len();
+                let mark = shadowed.len();
                 for &v in &f.blocks[b.index()].insts {
                     match f.op(v) {
                         Some(Op::Phi { .. }) => {
                             // Is it one of ours?
                             if let Some(vi) = var_of_phi[v.index()] {
-                                stacks[vi as usize].push(Operand::val(v));
-                                pushed.push(vi);
+                                let prev =
+                                    std::mem::replace(&mut current[vi as usize], Operand::val(v));
+                                shadowed.push((vi, prev));
                             }
                         }
                         Some(Op::Load {
@@ -216,8 +229,7 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                             ..
                         }) => {
                             if let Some(vi) = var_of(p) {
-                                let cur = *stacks[vi as usize].last().expect("stack");
-                                subst.insert(v, cur);
+                                subst.insert(v, current[vi as usize]);
                                 dead[v.index()] = true;
                                 touched[b.index()] = true;
                             }
@@ -228,8 +240,8 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                             ..
                         }) => {
                             if let Some(vi) = var_of(p) {
-                                stacks[vi as usize].push(*val);
-                                pushed.push(vi);
+                                let prev = std::mem::replace(&mut current[vi as usize], *val);
+                                shadowed.push((vi, prev));
                                 dead[v.index()] = true;
                                 touched[b.index()] = true;
                             }
@@ -238,9 +250,9 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                     }
                 }
                 // Fill phi operands in successors.
-                for s in f.blocks[b.index()].term.successors() {
-                    for &(vi, phi) in &phis[s.index()] {
-                        let cur = *stacks[vi as usize].last().expect("stack");
+                for s in f.blocks[b.index()].term.succs() {
+                    for &(_, vi, phi) in phis_of(s) {
+                        let cur = current[vi as usize];
                         if let Some(Op::Phi { incoming }) = f.op_mut(phi) {
                             if !incoming.iter().any(|(p, _)| *p == b) {
                                 incoming.push((b, cur));
@@ -249,7 +261,7 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
                     }
                 }
                 stack.push(Step::Exit(mark));
-                for &c in children[b.index()].iter().rev() {
+                for &c in children.of(b).iter().rev() {
                     stack.push(Step::Enter(c));
                 }
             }
@@ -293,11 +305,13 @@ pub fn collapse_trivial_phis(f: &mut Function) -> bool {
     // Replacements stay pending until the fixed point (one arena sweep, not
     // one per phi); every phi is resolved in place before it is judged.
     let mut subst = Substitution::new();
+    // Each block's list as the sweep found it (removals edit the live one).
+    let mut insts: Vec<ValueId> = Vec::new();
     loop {
         let mut again = false;
         for b in f.block_ids() {
-            let insts = f.blocks[b.index()].insts.clone();
-            for v in insts {
+            insts.clone_from(&f.blocks[b.index()].insts);
+            for &v in &insts {
                 let Some(Op::Phi { incoming }) = f.op_mut(v) else {
                     continue;
                 };
@@ -800,7 +814,7 @@ pub(crate) mod oracle {
                             _ => {}
                         }
                     }
-                    for s in f.blocks[b.index()].term.successors() {
+                    for s in f.blocks[b.index()].term.succs() {
                         for (vi, _) in vars.iter().enumerate() {
                             if let Some(&phi) = phi_at.get(&(s, vi)) {
                                 let cur = *stacks[vi].last().expect("stack");

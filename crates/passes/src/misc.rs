@@ -24,7 +24,7 @@ pub fn speculative_execution(
             continue;
         };
         for arm in [t, fb] {
-            if cfg_.unique_preds(arm).len() != 1 || arm == b {
+            if cfg_.unique_preds(arm).count() != 1 || arm == b {
                 continue;
             }
             // Hoist a leading run of speculatable instructions whose
@@ -134,9 +134,9 @@ pub fn bounds_checking(
             f.blocks[cont_bb.index()].insts = tail;
             let old_term = std::mem::replace(&mut f.blocks[b.index()].term, Term::Unreachable);
             // Fix successor phis: they now come from cont_bb.
-            for s in old_term.successors() {
-                let insts = f.blocks[s.index()].insts.clone();
-                for pv in insts {
+            for s in old_term.succs() {
+                for i in 0..f.blocks[s.index()].insts.len() {
+                    let pv = f.blocks[s.index()].insts[i];
                     if let Some(Op::Phi { incoming }) = f.op_mut(pv) {
                         for (p, _) in incoming.iter_mut() {
                             if *p == b {

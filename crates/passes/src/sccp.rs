@@ -44,16 +44,26 @@ struct Flow {
     executable: Vec<bool>,
     /// Executable blocks in discovery order — the sweep order.
     order: Vec<BlockId>,
-    /// Per block: the predecessors whose edge into it is executable.
-    exec_preds: Vec<Vec<BlockId>>,
+    /// Per block: bit `i` is set once the edge to its `i`-th successor is
+    /// executable (the slots of one target are set together).
+    exec_edges: Vec<u8>,
     changed: bool,
 }
 
+/// The successor slots of `term` that lead to `to`, as a bit mask.
+fn slots_to(term: &Term, to: BlockId) -> u8 {
+    term.succs()
+        .enumerate()
+        .filter(|&(_, s)| s == to)
+        .fold(0, |mask, (i, _)| mask | 1 << i)
+}
+
 impl Flow {
-    fn mark(&mut self, from: BlockId, to: BlockId) {
-        let preds = &mut self.exec_preds[to.index()];
-        if !preds.contains(&from) {
-            preds.push(from);
+    /// Mark the edge `from -> to`, where `from` ends in `term`.
+    fn mark(&mut self, from: BlockId, term: &Term, to: BlockId) {
+        let slots = slots_to(term, to);
+        if self.exec_edges[from.index()] & slots != slots {
+            self.exec_edges[from.index()] |= slots;
             self.changed = true;
         }
         if !std::mem::replace(&mut self.executable[to.index()], true) {
@@ -167,7 +177,7 @@ fn analyze_bounded(f: &Function, arg_lattice: &[Lat], max_sweeps: usize) -> Sccp
     let mut flow = Flow {
         executable: vec![false; f.blocks.len()],
         order: vec![f.entry],
-        exec_preds: vec![Vec::new(); f.blocks.len()],
+        exec_edges: vec![0; f.blocks.len()],
         changed: true,
     };
     flow.executable[f.entry.index()] = true;
@@ -203,7 +213,10 @@ fn analyze_bounded(f: &Function, arg_lattice: &[Lat], max_sweeps: usize) -> Sccp
                     Op::Phi { incoming } => {
                         let mut acc = Lat::Top;
                         for (p, o) in incoming {
-                            if flow.exec_preds[b.index()].contains(p) {
+                            let edge_exec = f.blocks.get(p.index()).is_some_and(|pb| {
+                                flow.exec_edges[p.index()] & slots_to(&pb.term, b) != 0
+                            });
+                            if edge_exec {
                                 acc = meet(acc, eval_operand(&values, o));
                             }
                         }
@@ -219,7 +232,7 @@ fn analyze_bounded(f: &Function, arg_lattice: &[Lat], max_sweeps: usize) -> Sccp
                 }
             }
             let term = &f.blocks[b.index()].term;
-            for_each_taken_edge(&values, term, |to| flow.mark(b, to));
+            for_each_taken_edge(&values, term, |to| flow.mark(b, term, to));
             if let Term::Ret(Some(o)) = term {
                 let lowered = meet(ret, eval_operand(&values, o));
                 if lowered != ret {
@@ -282,8 +295,8 @@ fn transform(f: &mut Function, res: &SccpResult) -> bool {
                 let dead = if v != 0 { fb } else { t };
                 f.blocks[b.index()].term = Term::Br(target);
                 if dead != target {
-                    let insts = f.blocks[dead.index()].insts.clone();
-                    for pv in insts {
+                    for i in 0..f.blocks[dead.index()].insts.len() {
+                        let pv = f.blocks[dead.index()].insts[i];
                         if let Some(Op::Phi { incoming }) = f.op_mut(pv) {
                             incoming.retain(|(p, _)| *p != b);
                         }
@@ -452,13 +465,13 @@ fn thread_one(f: &mut Function, cfg: &Cfg) -> bool {
             continue;
         }
         // Block shape: phis, optionally one icmp (phi vs const), condbr.
-        let insts = f.blocks[b.index()].insts.clone();
-        let phis: Vec<ValueId> = insts
+        // Threading edits terminators and phi lists, never `b`'s list, so
+        // its phis (the first `n_phis`) and the rest are read in place.
+        let n_phis = f.blocks[b.index()]
+            .insts
             .iter()
-            .copied()
-            .take_while(|&v| matches!(f.op(v), Some(Op::Phi { .. })))
-            .collect();
-        let rest: Vec<ValueId> = insts[phis.len()..].to_vec();
+            .take_while(|&&v| matches!(f.op(v), Some(Op::Phi { .. })))
+            .count();
         let Term::CondBr { c, t, f: fb } = f.blocks[b.index()].term.clone() else {
             continue;
         };
@@ -471,7 +484,7 @@ fn thread_one(f: &mut Function, cfg: &Cfg) -> bool {
         // would see an undominated use. This keeps the classic flag-diamond
         // threadable while refusing loop headers whose phis feed the body.
         let mut escapes = false;
-        for &v in &insts {
+        for &v in &f.blocks[b.index()].insts {
             for b2 in f.block_ids() {
                 if b2 == b {
                     continue;
@@ -495,6 +508,7 @@ fn thread_one(f: &mut Function, cfg: &Cfg) -> bool {
         //         non-phi instruction.
         let decide = |f: &Function, pred: BlockId| -> Option<bool> {
             let Operand::Value(cv) = c else { return None };
+            let (phis, rest) = f.blocks[b.index()].insts.split_at(n_phis);
             if phis.contains(&cv) {
                 let Some(Op::Phi { incoming }) = f.op(cv) else {
                     return None;
@@ -526,7 +540,7 @@ fn thread_one(f: &mut Function, cfg: &Cfg) -> bool {
             }
         };
         let preds = cfg.unique_preds(b);
-        if preds.len() < 2 {
+        if preds.clone().nth(1).is_none() {
             continue;
         }
         for pred in preds {
@@ -536,10 +550,10 @@ fn thread_one(f: &mut Function, cfg: &Cfg) -> bool {
             let target = if taken { t } else { fb };
             // The threaded target must be able to accept `pred` as a new
             // predecessor: fix its phis using b's phi values along this edge.
-            let target_insts = f.blocks[target.index()].insts.clone();
             let mut new_incomings: Vec<(ValueId, Operand)> = Vec::new();
             let mut ok = true;
-            for tv in &target_insts {
+            let (phis, rest) = f.blocks[b.index()].insts.split_at(n_phis);
+            for tv in &f.blocks[target.index()].insts {
                 let Some(Op::Phi { incoming }) = f.op(*tv) else {
                     continue;
                 };
@@ -574,7 +588,8 @@ fn thread_one(f: &mut Function, cfg: &Cfg) -> bool {
             }
             // Retarget pred -> target, remove pred's edges into b's phis.
             f.blocks[pred.index()].term.retarget(b, target);
-            for &pv in &phis {
+            for i in 0..n_phis {
+                let pv = f.blocks[b.index()].insts[i];
                 if let Some(Op::Phi { incoming }) = f.op_mut(pv) {
                     incoming.retain(|(p, _)| *p != pred);
                 }
@@ -622,7 +637,7 @@ pub fn correlated_propagation(
             continue;
         }
         // Sound only when the edge is the unique entry to the region.
-        if cfg_.unique_preds(known_block).len() != 1 {
+        if cfg_.unique_preds(known_block).count() != 1 {
             continue;
         }
         let ty = f.ty(*x);
@@ -835,11 +850,7 @@ pub(crate) mod oracle {
         }
         SccpResult {
             values,
-            executable: f
-                .block_ids()
-                .iter()
-                .map(|b| exec_blocks.contains(b))
-                .collect(),
+            executable: f.block_ids().map(|b| exec_blocks.contains(&b)).collect(),
             ret,
         }
     }

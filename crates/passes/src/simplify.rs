@@ -41,11 +41,13 @@ pub(crate) fn instsimplify_function(f: &mut Function) -> bool {
     // Replacements stay pending (one arena sweep at the end, not one per
     // folded instruction); every op is resolved in place before it is read.
     let mut subst = Substitution::new();
+    // Each block's list as the sweep found it (removals edit the live one).
+    let mut insts: Vec<ValueId> = Vec::new();
     loop {
         let mut local = false;
         for b in f.block_ids() {
-            let insts = f.blocks[b.index()].insts.clone();
-            for v in insts {
+            insts.clone_from(&f.blocks[b.index()].insts);
+            for &v in &insts {
                 if let Some(op) = f.op_mut(v) {
                     subst.resolve_op(op);
                 }
@@ -121,9 +123,15 @@ fn instcombine_function(f: &mut Function, cfg: &PassConfig) -> bool {
         let mut idx = 0;
         while idx < f.blocks[b.index()].insts.len() {
             let v = f.blocks[b.index()].insts[idx];
-            let Some(op) = f.op(v).cloned() else {
-                idx += 1;
-                continue;
+            // Only these shapes are rewritten; none owns a list to copy.
+            let op = match f.op(v) {
+                Some(
+                    op @ (Op::Bin { .. } | Op::Gep { .. } | Op::Select { .. } | Op::Icmp { .. }),
+                ) => op.clone(),
+                _ => {
+                    idx += 1;
+                    continue;
+                }
             };
             match op {
                 Op::Bin { op: bop, a, b: rhs } => {
@@ -440,9 +448,10 @@ pub fn dse(
     _cfg: &PassConfig,
 ) -> bool {
     let mut changed = false;
+    // One block's overwritten stores, found before any is removed.
+    let mut dead: Vec<ValueId> = Vec::new();
     for b in f.block_ids() {
-        let insts = f.blocks[b.index()].insts.clone();
-        let mut dead: Vec<ValueId> = Vec::new();
+        let insts = &f.blocks[b.index()].insts;
         for (i, &v) in insts.iter().enumerate() {
             let Some(Op::Store { ptr, ty, .. }) = f.op(v) else {
                 continue;
@@ -472,7 +481,7 @@ pub fn dse(
                 }
             }
         }
-        for v in dead {
+        for v in dead.drain(..) {
             f.remove_inst(b, v);
             changed = true;
         }
@@ -540,7 +549,7 @@ pub fn sink(
             let target = use_blocks[0];
             if target == b
                 || !cfg_.succs(b).contains(&target)
-                || cfg_.unique_preds(target).len() != 1
+                || cfg_.unique_preds(target).count() != 1
             {
                 continue;
             }
@@ -629,9 +638,9 @@ pub fn mldst_motion(
             continue;
         }
         let join = st[0];
-        if cfg_.unique_preds(t).len() != 1
-            || cfg_.unique_preds(fb).len() != 1
-            || cfg_.unique_preds(join).len() != 2
+        if cfg_.unique_preds(t).count() != 1
+            || cfg_.unique_preds(fb).count() != 1
+            || cfg_.unique_preds(join).count() != 2
         {
             continue;
         }
@@ -742,10 +751,7 @@ fn take_shape(f: &Function, shape: &mut Option<Cfg>) -> Cfg {
     debug_assert!(
         {
             let fresh = Cfg::new(f);
-            fresh.rpo() == cfg_.rpo()
-                && f.block_ids()
-                    .iter()
-                    .all(|&b| fresh.preds(b) == cfg_.preds(b))
+            fresh.rpo() == cfg_.rpo() && f.block_ids().all(|b| fresh.preds(b) == cfg_.preds(b))
         },
         "shared CFG went stale"
     );
@@ -805,16 +811,17 @@ fn remove_phi_edge(f: &mut Function, block: BlockId, pred: BlockId) {
 fn merge_straightline(f: &mut Function, shape: &mut Option<Cfg>) -> bool {
     let cfg_ = take_shape(f, shape);
     let mut changed = false;
+    let mut scratch = Vec::new();
     for &b1 in cfg_.rpo() {
         // A block absorbed into an earlier one is left `Unreachable`.
         while let Term::Br(b2) = f.blocks[b1.index()].term {
             if b2 == f.entry || b2 == b1 || cfg_.preds(b2).len() != 1 {
                 break;
             }
-            if f.blocks[b2.index()].term.successors().contains(&b2) {
+            if f.blocks[b2.index()].term.succs().any(|s| s == b2) {
                 break; // self-loop latch; merging would orphan the loop
             }
-            merge_into(f, b1, b2);
+            merge_into(f, b1, b2, &mut scratch);
             changed = true;
         }
     }
@@ -825,24 +832,25 @@ fn merge_straightline(f: &mut Function, shape: &mut Option<Cfg>) -> bool {
 }
 
 /// Splice `b2` (whose only predecessor is `b1`, by an unconditional branch)
-/// onto the end of `b1`.
-fn merge_into(f: &mut Function, b1: BlockId, b2: BlockId) {
+/// onto the end of `b1`. `scratch` is the caller's buffer for a snapshot of
+/// `b2`'s list.
+fn merge_into(f: &mut Function, b1: BlockId, b2: BlockId, scratch: &mut Vec<ValueId>) {
     // Collapse phis in b2 (single pred ⇒ trivial).
-    let insts2 = f.blocks[b2.index()].insts.clone();
-    for v in &insts2 {
-        if let Some(Op::Phi { incoming }) = f.op(*v) {
+    scratch.clone_from(&f.blocks[b2.index()].insts);
+    for &v in scratch.iter() {
+        if let Some(Op::Phi { incoming }) = f.op(v) {
             let val = incoming[0].1;
-            f.replace_all_uses(*v, val);
-            f.remove_inst(b2, *v);
+            f.replace_all_uses(v, val);
+            f.remove_inst(b2, v);
         }
     }
     let insts2 = std::mem::take(&mut f.blocks[b2.index()].insts);
     f.blocks[b1.index()].insts.extend(insts2);
     let term2 = std::mem::replace(&mut f.blocks[b2.index()].term, Term::Unreachable);
     // Phi edges in b2's successors must now name b1.
-    for s in term2.successors() {
-        let insts = f.blocks[s.index()].insts.clone();
-        for v in insts {
+    for s in term2.succs() {
+        for i in 0..f.blocks[s.index()].insts.len() {
+            let v = f.blocks[s.index()].insts[i];
             if let Some(Op::Phi { incoming }) = f.op_mut(v) {
                 for (p, _) in incoming.iter_mut() {
                     if *p == b2 {
@@ -883,7 +891,7 @@ fn forward_empty_blocks(f: &mut Function, shape: &mut Option<Cfg>) -> bool {
             continue;
         }
         let preds = cfg_.unique_preds(b);
-        if preds.is_empty() {
+        if preds.clone().next().is_none() {
             continue;
         }
         for p in preds {
@@ -895,6 +903,14 @@ fn forward_empty_blocks(f: &mut Function, shape: &mut Option<Cfg>) -> bool {
         *shape = Some(cfg_);
     }
     changed
+}
+
+/// The successor of a block that has exactly one (an unconditional branch).
+fn sole_succ(f: &Function, b: BlockId) -> Option<BlockId> {
+    match f.blocks[b.index()].term {
+        Term::Br(s) => Some(s),
+        _ => None,
+    }
 }
 
 /// Budgeted if-conversion: turn small diamonds/triangles into straight-line
@@ -910,7 +926,7 @@ fn if_convert(f: &mut Function, budget: usize, shape: &mut Option<Cfg>) -> bool 
             continue;
         }
         let arm_ok = |f: &Function, arm: BlockId| -> bool {
-            cfg_.unique_preds(arm).len() == 1
+            cfg_.unique_preds(arm).count() == 1
                 && f.blocks[arm.index()].insts.len() <= budget
                 && f.blocks[arm.index()]
                     .insts
@@ -918,12 +934,7 @@ fn if_convert(f: &mut Function, budget: usize, shape: &mut Option<Cfg>) -> bool 
                     .all(|&v| f.op(v).is_some_and(|o| o.is_speculatable()))
         };
         // Full diamond: b -> {t, fb} -> join.
-        let (ts, fs) = (
-            f.blocks[t.index()].term.successors(),
-            f.blocks[fb.index()].term.successors(),
-        );
-        if ts.len() == 1 && fs.len() == 1 && ts[0] == fs[0] {
-            let join = ts[0];
+        if let Some(join) = sole_succ(f, t).filter(|&j| sole_succ(f, fb) == Some(j)) {
             if arm_ok(f, t) && arm_ok(f, fb) && join != b {
                 // Hoist both arms into b, replace join phis with selects.
                 let t_insts = std::mem::take(&mut f.blocks[t.index()].insts);
@@ -961,8 +972,7 @@ fn if_convert(f: &mut Function, budget: usize, shape: &mut Option<Cfg>) -> bool 
         }
         // Triangle: b -> t -> join, b -> join.
         for (arm, other) in [(t, fb), (fb, t)] {
-            let asucc = f.blocks[arm.index()].term.successors();
-            if asucc.len() == 1 && asucc[0] == other && arm_ok(f, arm) && other != b {
+            if sole_succ(f, arm) == Some(other) && arm_ok(f, arm) && other != b {
                 let join = other;
                 let arm_insts = std::mem::take(&mut f.blocks[arm.index()].insts);
                 f.blocks[b.index()].insts.extend(arm_insts);
@@ -1222,10 +1232,10 @@ pub(crate) mod oracle {
                 if cfg_.preds(b2).len() != 1 {
                     continue;
                 }
-                if f.blocks[b2.index()].term.successors().contains(&b2) {
+                if f.blocks[b2.index()].term.succs().any(|s| s == b2) {
                     continue;
                 }
-                merge_into(f, b1, b2);
+                merge_into(f, b1, b2, &mut Vec::new());
                 merged = true;
                 break;
             }
@@ -1317,7 +1327,7 @@ pub(crate) mod oracle {
         let mut g = f.clone();
         assert!(merge_straightline(&mut g, &mut None));
         assert!(
-            g.blocks[b1.index()].term.successors().contains(&b1),
+            g.blocks[b1.index()].term.succs().any(|s| s == b1),
             "the head absorbed its whole chain and now loops on itself"
         );
 

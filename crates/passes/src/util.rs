@@ -2,7 +2,7 @@
 
 use zkvmopt_ir::func::Substitution;
 use zkvmopt_ir::{
-    BinOp, BlockId, CastKind, Function, GlobalId, Module, Op, Operand, Term, Ty, ValueId,
+    BinOp, BlockId, CastKind, Function, GlobalId, Module, Op, Operand, Term, Ty, ValueDef, ValueId,
 };
 
 /// What a pointer is ultimately based on.
@@ -166,30 +166,29 @@ pub fn sweep_dead(f: &mut Function) -> bool {
         Dead,
     }
     let removable = |f: &Function, v: ValueId| f.op(v).is_some_and(|op| !op.has_side_effects());
-    // Uses by each listed instruction (once, however often it is listed) and
-    // by every terminator.
-    let mut uses = vec![0u32; f.values.len()];
-    let mut slot = vec![Slot::Free; f.values.len()];
-    let mut count = |o: &Operand| {
+    // Per value: its uses by each listed instruction (once, however often it
+    // is listed) and by every terminator, and its state.
+    let mut state = vec![(0u32, Slot::Free); f.values.len()];
+    fn count(state: &mut [(u32, Slot)], o: &Operand) {
         if let Operand::Value(u) = o {
-            uses[u.index()] += 1;
+            state[u.index()].0 += 1;
         }
-    };
+    }
     for block in &f.blocks {
         for &v in &block.insts {
-            if std::mem::replace(&mut slot[v.index()], Slot::Listed) == Slot::Free {
+            if std::mem::replace(&mut state[v.index()].1, Slot::Listed) == Slot::Free {
                 if let Some(op) = f.op(v) {
-                    op.for_each_operand(&mut count);
+                    op.for_each_operand(|o| count(&mut state, o));
                 }
             }
         }
-        block.term.for_each_operand(&mut count);
+        block.term.for_each_operand(|o| count(&mut state, o));
     }
     let mut work: Vec<ValueId> = Vec::new();
     for block in &f.blocks {
         for &v in &block.insts {
-            if uses[v.index()] == 0 && slot[v.index()] == Slot::Listed && removable(f, v) {
-                slot[v.index()] = Slot::Dead;
+            if state[v.index()] == (0, Slot::Listed) && removable(f, v) {
+                state[v.index()].1 = Slot::Dead;
                 work.push(v);
             }
         }
@@ -197,23 +196,21 @@ pub fn sweep_dead(f: &mut Function) -> bool {
     if work.is_empty() {
         return false;
     }
-    let mut dead = Vec::new();
+    // A dead value is tombstoned once its operands are released; nothing
+    // reads it after that, since only `Listed` values are examined.
     while let Some(v) = work.pop() {
-        dead.push(v);
         f.op(v).expect("removable").for_each_operand(|o| {
             let Operand::Value(u) = o else { return };
-            uses[u.index()] -= 1;
-            if uses[u.index()] == 0 && slot[u.index()] == Slot::Listed && removable(f, *u) {
-                slot[u.index()] = Slot::Dead;
+            state[u.index()].0 -= 1;
+            if state[u.index()] == (0, Slot::Listed) && removable(f, *u) {
+                state[u.index()].1 = Slot::Dead;
                 work.push(*u);
             }
         });
+        f.kill_value(v);
     }
     for block in &mut f.blocks {
-        block.insts.retain(|v| slot[v.index()] != Slot::Dead);
-    }
-    for v in dead {
-        f.kill_value(v);
+        block.insts.retain(|v| state[v.index()].1 != Slot::Dead);
     }
     true
 }
@@ -223,10 +220,7 @@ pub fn sweep_dead(f: &mut Function) -> bool {
 /// Phis left with a single incoming value are replaced by that value.
 pub fn remove_unreachable(f: &mut Function) -> bool {
     let reachable = f.reachable_blocks();
-    let mut is_reachable = vec![false; f.blocks.len()];
-    for b in &reachable {
-        is_reachable[b.index()] = true;
-    }
+    let is_reachable = reachable_mask(f, &reachable);
     let mut changed = false;
     // Tombstone instructions of unreachable blocks.
     for b in f.block_ids() {
@@ -245,7 +239,7 @@ pub fn remove_unreachable(f: &mut Function) -> bool {
             changed = true;
         }
     }
-    changed |= cleanup_reachable_phis(f, &reachable);
+    changed |= cleanup_reachable_phis(f, &reachable, &is_reachable);
     changed
 }
 
@@ -253,16 +247,24 @@ pub fn remove_unreachable(f: &mut Function) -> bool {
 /// single-incoming phis.
 pub fn cleanup_phis(f: &mut Function) -> bool {
     let reachable = f.reachable_blocks();
-    cleanup_reachable_phis(f, &reachable)
+    let is_reachable = reachable_mask(f, &reachable);
+    cleanup_reachable_phis(f, &reachable, &is_reachable)
 }
 
-/// [`cleanup_phis`] given the reachable blocks. Linear in the function, and
-/// a function without phis pays only the scan that finds none.
-fn cleanup_reachable_phis(f: &mut Function, reachable: &[BlockId]) -> bool {
+/// One flag per block: whether it is among `reachable`.
+fn reachable_mask(f: &Function, reachable: &[BlockId]) -> Vec<bool> {
+    let mut mask = vec![false; f.blocks.len()];
+    for b in reachable {
+        mask[b.index()] = true;
+    }
+    mask
+}
+
+/// [`cleanup_phis`] given the reachable blocks, as a list and as a mask.
+/// Linear in the function, and a function without phis pays only the scan
+/// that finds none.
+fn cleanup_reachable_phis(f: &mut Function, reachable: &[BlockId], is_reachable: &[bool]) -> bool {
     let mut changed = false;
-    // Predecessors of every block over reachable edges, built at the first
-    // phi met.
-    let mut preds: Option<Vec<Vec<BlockId>>> = None;
     let mut singles: Vec<(BlockId, ValueId)> = Vec::new();
     // A collapsed phi's replacement may itself be a phi that collapses in
     // this same batch; the substitution resolves such chains, so no use is
@@ -271,23 +273,17 @@ fn cleanup_reachable_phis(f: &mut Function, reachable: &[BlockId]) -> bool {
     for &b in reachable {
         for i in 0..f.blocks[b.index()].insts.len() {
             let v = f.blocks[b.index()].insts[i];
-            if !matches!(f.op(v), Some(Op::Phi { .. })) {
-                continue;
-            }
-            let preds = preds.get_or_insert_with(|| {
-                let mut preds = vec![Vec::new(); f.blocks.len()];
-                for &p in reachable {
-                    for s in f.blocks[p.index()].term.succs() {
-                        preds[s.index()].push(p);
-                    }
-                }
-                preds
-            });
-            let Some(Op::Phi { incoming }) = f.op_mut(v) else {
+            let ValueDef::Inst(Op::Phi { incoming }) = &mut f.values[v.index()].def else {
                 continue;
             };
+            // `p` is a predecessor over a reachable edge iff it is reachable
+            // and branches to `b`.
+            let blocks = &f.blocks;
             let before = incoming.len();
-            incoming.retain(|(p, _)| preds[b.index()].contains(p));
+            incoming.retain(|(p, _)| {
+                is_reachable.get(p.index()) == Some(&true)
+                    && blocks[p.index()].term.succs().any(|s| s == b)
+            });
             if incoming.len() != before {
                 changed = true;
             }

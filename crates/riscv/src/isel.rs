@@ -184,14 +184,13 @@ pub fn lower_function(
 
 fn lower_inst(isel: &mut Isel<'_>, m: &Module, bi: usize, v: ValueId) -> Result<(), CodegenError> {
     let f = isel.f;
-    let op = match f.op(v) {
-        Some(op) => op.clone(),
-        None => return Ok(()),
+    let Some(op) = f.op(v) else {
+        return Ok(());
     };
     if isel.fused.contains(&v) {
         return Ok(()); // emitted as part of the branch
     }
-    match op {
+    match *op {
         Op::Phi { .. } => {
             // Materialized by edge copies; just ensure the vreg exists.
             isel.vreg(v);
@@ -428,7 +427,7 @@ fn lower_inst(isel: &mut Isel<'_>, m: &Module, bi: usize, v: ValueId) -> Result<
             let addr = isel.global_addrs[g.index()] as i32;
             isel.emit(bi, VInst::LoadImm { rd, imm: addr });
         }
-        Op::Call { callee, args } => {
+        Op::Call { callee, ref args } => {
             if args.len() > 8 {
                 return Err(CodegenError {
                     func: f.name.clone(),
@@ -451,7 +450,7 @@ fn lower_inst(isel: &mut Isel<'_>, m: &Module, bi: usize, v: ValueId) -> Result<
                 },
             );
         }
-        Op::Ecall { code, args } => {
+        Op::Ecall { code, ref args } => {
             if args.len() > 3 {
                 return Err(CodegenError {
                     func: f.name.clone(),

@@ -11,8 +11,10 @@
 
 use proptest::prelude::*;
 use zkvm_opt::ir::interp::InterpConfig;
-use zkvm_opt::ir::{Interp, NopEcalls};
+use zkvm_opt::ir::verify::verify_module;
+use zkvm_opt::ir::{ecall, Interp, NopEcalls, Op, Operand};
 use zkvm_opt::lang::compile_guest;
+use zkvm_opt::passes::{pass_names, run_pass, PassConfig, PassManager};
 
 /// Token vocabulary for structured soup: every lexeme class the language
 /// knows plus a few it doesn't, so the sampler reaches deep into the parser
@@ -107,6 +109,90 @@ fn must_not_panic(src: &str) {
             ..InterpConfig::default()
         };
         let _ = Interp::new(&m, config, NopEcalls).run_main();
+    }
+}
+
+/// One counting loop `for (i = init; i <pred> bound; i += step)` whose exit
+/// value is committed, and that value under i32 arithmetic, if it is reached
+/// without wrapping (`None`: the IV overflows before the test fails).
+fn counting_loop(init: i32, pred: &str, bound: i32, step: i32) -> (String, Option<i32>) {
+    let src = format!(
+        "fn main() -> i32 {{
+  let mut i: i32 = {init};
+  while (i {pred} {bound}) {{ i += {step}; }}
+  commit(i);
+  return 0;
+}}"
+    );
+    let (init, bound, step) = (i64::from(init), i64::from(bound), i64::from(step));
+    let trips = match pred {
+        _ if init >= bound && pred == "<" => 0,
+        _ if init > bound && pred == "<=" => 0,
+        "<" => (bound - init + step - 1) / step,
+        "<=" => (bound - init) / step + 1,
+        _ => (bound - init) / step,
+    };
+    (src, i32::try_from(init + trips * step).ok())
+}
+
+/// Hostile loop bounds: counting loops that end at or near `i32::MAX`, from
+/// 2·10⁹ trips down to a few, some whose IV would wrap. Every registered
+/// pass alone, and `-O3`, must leave IR the verifier accepts, and the exit
+/// value `indvars` substitutes for the IV must be the one the loop computes
+/// — or, where the IV would wrap, none at all. Nothing is executed: the
+/// longest loop here runs 2·10⁹ trips.
+#[test]
+fn loops_bounded_near_i32_max_compile_to_valid_ir_and_exact_exit_values() {
+    const MAX: i32 = i32::MAX;
+    let cases = [
+        (0, "<", 2_000_000_000, 1),
+        (0, "<", MAX, 1),
+        (MAX - 10, "<", MAX, 3),
+        (MAX - 10, "<", MAX, 5),
+        (MAX - 7, "<=", MAX - 1, 2),
+        (MAX - 9, "<=", MAX, 1),
+        (MAX - 100, "!=", MAX, 1),
+        (i32::MIN, "<", MAX, 1 << 20),
+        (-5, "<", MAX - 3, 1 << 30),
+    ];
+    let cfg = PassConfig::default();
+    for (init, pred, bound, step) in cases {
+        let (src, exit) = counting_loop(init, pred, bound, step);
+        let lowered = compile_guest(&src).expect("counting loop compiles");
+        let case = format!("i = {init}; i {pred} {bound}; i += {step}");
+        for name in pass_names() {
+            let mut m = lowered.clone();
+            run_pass(name, &mut m, &cfg);
+            verify_module(&m).unwrap_or_else(|e| panic!("{case}: `{name}` broke IR: {e}"));
+        }
+        let mut m = lowered.clone();
+        PassManager::o3().run(&mut m, &cfg);
+        verify_module(&m).unwrap_or_else(|e| panic!("{case}: -O3 broke IR: {e}"));
+        let mut m = lowered.clone();
+        for name in ["mem2reg", "indvars"] {
+            run_pass(name, &mut m, &cfg);
+        }
+        let main = m.main_func().expect("main");
+        let f = &m.funcs[main.index()];
+        let committed = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .find_map(|&v| match f.op(v) {
+                Some(Op::Ecall { code, args }) if *code == ecall::COMMIT => Some(args[0]),
+                _ => None,
+            })
+            .expect("the loop's exit value is committed");
+        match (exit, committed) {
+            (Some(x), Operand::Const { value, .. }) => {
+                assert_eq!(value, i64::from(x), "{case}: wrong exit value")
+            }
+            (Some(x), o) => panic!("{case}: exit value {x} not substituted, commit reads {o:?}"),
+            (None, o) => assert!(
+                matches!(o, Operand::Value(_)),
+                "{case}: the IV wraps, yet {o:?} was substituted"
+            ),
+        }
     }
 }
 
