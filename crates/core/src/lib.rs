@@ -560,12 +560,32 @@ mod tests {
         assert_equal_keys_compile_alike(&suite, single_pass_pairs().chain([os_o2_pair()]));
     }
 
+    /// Every suite program compiled twice at `-O3` in one process gives
+    /// equal printed IR and an equal linked program. Debug builds seed each
+    /// hash map on its own, so an output that came to depend on map
+    /// iteration order fails here.
+    #[test]
+    fn o3_compiles_alike_twice_in_one_process() {
+        let o3 = OptProfile::level(OptLevel::O3);
+        for w in zkvmopt_workloads::all() {
+            let compile = || {
+                let lowered = zkvmopt_lang::compile_guest(&w.source).expect("suite compiles");
+                let m = suite::passes(lowered, &o3).expect("passes run");
+                let cw = suite::codegen(&m, &o3.backend).expect("codegen runs");
+                (zkvmopt_ir::print::module_to_string(&m), cw.program)
+            };
+            let (first, second) = (compile(), compile());
+            assert_eq!(first.0, second.0, "{}: printed IR", w.name);
+            assert!(first.1 == second.1, "{}: linked program", w.name);
+        }
+    }
+
     #[test]
     fn equal_cache_keys_compile_alike_on_one_program() {
         let w = [zkvmopt_workloads::by_name("loop-sum").expect("workload exists")];
         assert_equal_keys_compile_alike(&w, single_pass_pairs().chain([os_o2_pair()]));
         // Distinct pipelines keep distinct keys.
-        let keys: std::collections::HashSet<String> = [
+        let keys: std::collections::BTreeSet<String> = [
             OptProfile::baseline(),
             OptProfile::level(OptLevel::O0),
             OptProfile::level(OptLevel::O3),

@@ -36,11 +36,12 @@
 use crate::{Measurement, OptProfile, PipelineError, RunReport};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use zkvmopt_ir::hash::FxHashMap;
 use zkvmopt_ir::Module;
 use zkvmopt_prover::{backend_for, check_segment_accounting, proving_cost_ms};
 use zkvmopt_riscv::{Program, TargetCostModel};
@@ -167,8 +168,8 @@ const MAX_CYCLES: u64 = 2_000_000_000;
 pub struct SuiteRunner {
     max_cycles: u64,
     cache_cap: usize,
-    modules: HashMap<(&'static str, u64), Module>,
-    compiled: HashMap<CacheKey, CompiledWorkload>,
+    modules: FxHashMap<(&'static str, u64), Module>,
+    compiled: FxHashMap<CacheKey, CompiledWorkload>,
     /// Insertion order of `compiled` keys, for FIFO eviction at `cache_cap`.
     order: VecDeque<CacheKey>,
 }
@@ -185,8 +186,8 @@ impl SuiteRunner {
         SuiteRunner {
             max_cycles: MAX_CYCLES,
             cache_cap: DEFAULT_CACHE_CAP,
-            modules: HashMap::new(),
-            compiled: HashMap::new(),
+            modules: FxHashMap::default(),
+            compiled: FxHashMap::default(),
             order: VecDeque::new(),
         }
     }
@@ -352,7 +353,7 @@ impl SuiteRunner {
             Vec::with_capacity(workloads.len() * profiles.len());
         for w in workloads {
             let (name, src) = workload_key(w);
-            let mut job_of: HashMap<&Program, usize> = HashMap::new();
+            let mut job_of: FxHashMap<&Program, usize> = FxHashMap::default();
             for (pi, p) in profiles.iter().enumerate() {
                 let slot = results.len();
                 if let Err(e) = &compiled[slot] {

@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn rate_boundaries() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for len in [0usize, 1, 135, 136, 137, 271, 272, 273] {
             let data = vec![0x5au8; len];
             assert!(seen.insert(keccak256(&data)), "collision at {len}");

@@ -27,7 +27,6 @@ use crate::ecall;
 use crate::func::{BlockId, Function, Module, ValueDef, GLOBAL_BASE};
 use crate::inst::{BinOp, CastKind, Op, Operand, Pred, Term};
 use crate::ty::Ty;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Total simulated memory size (8 MiB), shared with the zkVM memory map.
@@ -409,11 +408,15 @@ struct Code {
 }
 
 /// Decodes one [`Function`] into a [`Code`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "`consts` is keyed by constants from untrusted program text"
+)]
 struct Decoder<'f> {
     f: &'f Function,
     funcs: usize,
     global_addrs: &'f [u32],
-    consts: HashMap<i64, Slot>,
+    consts: std::collections::HashMap<i64, Slot>,
     /// First op of each block.
     block_pc: Vec<u32>,
     code: Code,
@@ -425,7 +428,7 @@ impl<'f> Decoder<'f> {
             f,
             funcs,
             global_addrs,
-            consts: HashMap::new(),
+            consts: Default::default(),
             block_pc: Vec::with_capacity(f.blocks.len()),
             code: Code {
                 ops: Vec::new(),

@@ -56,6 +56,7 @@ pub mod dom;
 pub mod ecall;
 pub mod features;
 pub mod func;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod loops;

@@ -7,9 +7,9 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::func::{BlockId, Function, Module, ValueDef, ValueId};
+use crate::hash::FxHashSet;
 use crate::inst::{CastKind, Op, Operand, Term};
 use crate::ty::Ty;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A verification failure, with enough context to locate the offending IR.
@@ -41,7 +41,7 @@ fn err(func: &Function, msg: impl Into<String>) -> VerifyError {
 /// # Errors
 /// Returns the first violation found.
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
-    let mut names = HashSet::new();
+    let mut names = FxHashSet::default();
     for f in &m.funcs {
         if !names.insert(f.name.as_str()) {
             return Err(err(f, "duplicate function name"));
@@ -63,8 +63,8 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
     if f.entry.index() >= f.blocks.len() {
         return Err(err(f, "entry block out of range"));
     }
-    // Map: which block does each instruction value live in, at which position?
-    let mut position: HashMap<ValueId, (BlockId, usize)> = HashMap::new();
+    // Per value id: the block each instruction lives in, and its position.
+    let mut position: Vec<Option<(BlockId, usize)>> = vec![None; f.values.len()];
     for b in f.block_ids() {
         for (i, &v) in f.blocks[b.index()].insts.iter().enumerate() {
             if v.index() >= f.values.len() {
@@ -79,7 +79,7 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
                     format!("bb{}: parameter %{} listed as instruction", b.0, v.0),
                 ));
             }
-            if position.insert(v, (b, i)).is_some() {
+            if position[v.index()].replace((b, i)).is_some() {
                 return Err(err(f, format!("%{} appears in more than one block", v.0)));
             }
         }
@@ -158,13 +158,12 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
                 }
                 // Both sides ascend without repeats, so equal sets read equal.
                 if !inc_blocks.iter().copied().eq(cfg.unique_preds(b)) {
-                    let preds_set: HashSet<BlockId> = cfg.unique_preds(b).collect();
-                    let inc_set: HashSet<BlockId> = inc_blocks.iter().copied().collect();
+                    let preds: Vec<BlockId> = cfg.unique_preds(b).collect();
                     return Err(err(
                         f,
                         format!(
                             "bb{}: phi %{} incoming {:?} != preds {:?}",
-                            b.0, v.0, inc_set, preds_set
+                            b.0, v.0, inc_blocks, preds
                         ),
                     ));
                 }
@@ -185,9 +184,9 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
                     ValueDef::Inst(Op::Nop) => {
                         *viol = Some(format!("use of deleted %{}", u.0));
                     }
-                    ValueDef::Inst(_) => match position.get(u) {
+                    ValueDef::Inst(_) => match position[u.index()] {
                         None => *viol = Some(format!("use of unplaced %{}", u.0)),
-                        Some(&(db, di)) => {
+                        Some((db, di)) => {
                             let ok = if db == use_block {
                                 match use_idx {
                                     Some(ui) => di < ui,
@@ -225,9 +224,9 @@ pub fn verify_function(f: &Function, m: &Module) -> Result<(), VerifyError> {
                 match &f.values[u.index()].def {
                     ValueDef::Param { .. } => {}
                     ValueDef::Inst(Op::Nop) => viol = Some(format!("term uses deleted %{}", u.0)),
-                    ValueDef::Inst(_) => match position.get(u) {
+                    ValueDef::Inst(_) => match position[u.index()] {
                         None => viol = Some(format!("term uses unplaced %{}", u.0)),
-                        Some(&(db, _)) => {
+                        Some((db, _)) => {
                             if db != b && !dom.strictly_dominates(db, b) {
                                 viol = Some(format!("term use of %{} not dominated", u.0));
                             }
@@ -464,6 +463,30 @@ mod tests {
         }
         let e = verify_function(&f, &Module::new()).unwrap_err();
         assert!(e.message.contains("phi"), "{e}");
+    }
+
+    #[test]
+    fn phi_pred_mismatch_lists_both_sides_in_block_order() {
+        // Join `j` has preds {a, c}; the phi names {c, entry, a}, out of order.
+        let mut b = FunctionBuilder::new("bad", vec![Ty::I32], Some(Ty::I32));
+        let entry = b.current_block();
+        let (a, c, j) = (b.new_block(), b.new_block(), b.new_block());
+        let cond = b.icmp(Pred::Eq, Operand::val(b.param(0)), Operand::i32(0));
+        b.cond_br(Operand::val(cond), a, c);
+        for arm in [a, c] {
+            b.switch_to(arm);
+            b.br(j);
+        }
+        b.switch_to(j);
+        let incoming = [c, entry, a].map(|p| (p, Operand::i32(p.0 as i32)));
+        let p = b.phi(Ty::I32, incoming.to_vec());
+        b.ret(Some(Operand::val(p)));
+        let e = verify_function(&b.finish(), &Module::new()).unwrap_err();
+        assert_eq!(
+            e.message,
+            "bb3: phi %2 incoming [BlockId(0), BlockId(1), BlockId(2)] \
+             != preds [BlockId(1), BlockId(2)]"
+        );
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! so `mem2reg`, `sroa`, `licm`, etc. have realistic work to do.
 
 use crate::ast::*;
-use std::collections::HashMap;
 use std::fmt;
 use zkvmopt_ir::{
     ecall, BinOp, BlockId, CastKind, FuncId, Function, Global, GlobalId, Module, Op, Operand, Pred,
@@ -139,18 +138,27 @@ struct FnSig {
     ret: Option<ETy>,
 }
 
+/// Every symbol table here is keyed by identifiers from the program text,
+/// which is untrusted, so it stays on std's keyed SipHash: crafted names
+/// cannot be made to collide.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed by identifiers from untrusted program text"
+)]
+type SymbolMap<V> = std::collections::HashMap<String, V>;
+
 struct Lowerer {
     module: Module,
-    consts: HashMap<String, i64>,
-    globals: HashMap<String, (GlobalId, ETy, bool)>,
-    fns: HashMap<String, FnSig>,
+    consts: SymbolMap<i64>,
+    globals: SymbolMap<(GlobalId, ETy, bool)>,
+    fns: SymbolMap<FnSig>,
 }
 
 struct FnCtx {
     func: Function,
     cur: BlockId,
     done: bool,
-    scopes: Vec<HashMap<String, Sym>>,
+    scopes: Vec<SymbolMap<Sym>>,
     /// (continue target, break target)
     loop_stack: Vec<(BlockId, BlockId)>,
     ret: Option<ETy>,
@@ -200,7 +208,7 @@ impl FnCtx {
         // but the frontend runs on untrusted text and must never abort:
         // recover by opening a scope rather than panicking.
         if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
+            self.scopes.push(SymbolMap::new());
         }
         if let Some(scope) = self.scopes.last_mut() {
             scope.insert(name.to_string(), sym);
@@ -215,9 +223,9 @@ impl FnCtx {
 pub fn lower(p: &Program) -> Result<Module, LowerError> {
     let mut lw = Lowerer {
         module: Module::new(),
-        consts: HashMap::new(),
-        globals: HashMap::new(),
-        fns: HashMap::new(),
+        consts: SymbolMap::new(),
+        globals: SymbolMap::new(),
+        fns: SymbolMap::new(),
     };
     for c in &p.consts {
         let v = lw.const_eval(&c.value, c.line)?;
@@ -370,7 +378,7 @@ impl Lowerer {
             func,
             cur: BlockId(0),
             done: false,
-            scopes: vec![HashMap::new()],
+            scopes: vec![SymbolMap::new()],
             loop_stack: Vec::new(),
             ret,
             entry_allocas: 0,
@@ -488,7 +496,7 @@ impl Lowerer {
     }
 
     fn lower_block(&mut self, cx: &mut FnCtx, stmts: &[Stmt]) -> Result<(), LowerError> {
-        cx.scopes.push(HashMap::new());
+        cx.scopes.push(SymbolMap::new());
         for s in stmts {
             self.lower_stmt(cx, s)?;
         }
@@ -654,7 +662,7 @@ impl Lowerer {
                 body,
                 line,
             } => {
-                cx.scopes.push(HashMap::new());
+                cx.scopes.push(SymbolMap::new());
                 if let Some(i) = init {
                     self.lower_stmt(cx, i)?;
                 }

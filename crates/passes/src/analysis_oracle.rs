@@ -8,9 +8,9 @@
 //! them. Both read only public API, so they are the old bodies verbatim save
 //! for returning plain data instead of the private fields they used to fill.
 
-use std::collections::HashSet;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::dom::DomTree;
+use zkvmopt_ir::hash::FxHashSet;
 use zkvmopt_ir::loops::LoopForest;
 use zkvmopt_ir::{BlockId, FuncId, Function, Op};
 
@@ -44,7 +44,7 @@ fn cfg_hashed(f: &Function) -> OldCfg {
     let n = f.blocks.len();
     let mut preds = vec![Vec::new(); n];
     let mut succs = vec![Vec::new(); n];
-    let reachable: HashSet<BlockId> = reachable_stacked(f).into_iter().collect();
+    let reachable: FxHashSet<BlockId> = reachable_stacked(f).into_iter().collect();
     for b in f.block_ids() {
         if !reachable.contains(&b) {
             continue;
@@ -88,7 +88,7 @@ fn cfg_hashed(f: &Function) -> OldCfg {
 /// What the old `LoopForest::new` computed for one loop.
 struct OldLoop {
     header: BlockId,
-    blocks: HashSet<BlockId>,
+    blocks: FxHashSet<BlockId>,
     latches: Vec<BlockId>,
     exiting: Vec<BlockId>,
     exits: Vec<BlockId>,
@@ -116,7 +116,7 @@ fn loops_hashed(f: &Function, cfg: &OldCfg, dom: &DomTree) -> Vec<OldLoop> {
     }
     let mut loops = Vec::new();
     for (h, latches) in headers.into_iter().zip(latches_of) {
-        let mut blocks: HashSet<BlockId> = HashSet::new();
+        let mut blocks: FxHashSet<BlockId> = FxHashSet::default();
         blocks.insert(h);
         let mut work: Vec<BlockId> = latches.clone();
         while let Some(b) = work.pop() {

@@ -4,9 +4,9 @@ use crate::framework::{FunctionContext, ModuleInfo};
 use crate::util;
 use crate::PassConfig;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::func::Substitution;
+use zkvmopt_ir::hash::{FxHashMap, FxHashSet};
 use zkvmopt_ir::{
     BinOp, BlockId, CastKind, FuncId, Function, GlobalId, Op, Operand, Pred, Ty, ValueId,
 };
@@ -100,9 +100,9 @@ fn early_cse_function(f: &mut Function, info: &ModuleInfo) -> bool {
     // Each block's list as the walk found it (removals edit the live one).
     let mut insts: Vec<ValueId> = Vec::new();
     for b in f.block_ids() {
-        let mut avail: HashMap<ExprKey, ValueId> = HashMap::new();
+        let mut avail: FxHashMap<ExprKey, ValueId> = FxHashMap::default();
         // Memory state: pointer operand -> last known value (from store or load).
-        let mut mem: HashMap<Operand, Operand> = HashMap::new();
+        let mut mem: FxHashMap<Operand, Operand> = FxHashMap::default();
         insts.clone_from(&f.blocks[b.index()].insts);
         for &v in &insts {
             let Some(op) = f.op_mut(v) else { continue };
@@ -175,12 +175,12 @@ fn early_cse_function(f: &mut Function, info: &ModuleInfo) -> bool {
 /// Which pointer bases are written anywhere in the function, and whether any
 /// instruction could write through an unknown pointer.
 struct MemFacts {
-    written: HashSet<util::PtrBase>,
+    written: FxHashSet<util::PtrBase>,
     unknown_writes: bool,
 }
 
 fn mem_facts(f: &Function, info: &ModuleInfo) -> MemFacts {
-    let mut written = HashSet::new();
+    let mut written = FxHashSet::default();
     let mut unknown_writes = false;
     for b in f.reachable_blocks() {
         for &v in &f.blocks[b.index()].insts {
@@ -238,7 +238,7 @@ fn gvn_function(
     let mut subst = Substitution::new();
     // Scoped table, and the keys it gained, innermost block last, to undo
     // on exit.
-    let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
+    let mut table: FxHashMap<ExprKey, ValueId> = FxHashMap::default();
     let mut inserted: Vec<ExprKey> = Vec::new();
     enum Step {
         Enter(BlockId),

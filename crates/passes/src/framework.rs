@@ -10,7 +10,7 @@
 //! - **Function pass** — transforms one function at a time and needs at most
 //!   read-only module facts. Signature:
 //!
-//!   ```ignore
+//!   ```text
 //!   fn my_pass(f: &mut Function, ac: &mut AnalysisCache,
 //!              cx: &FunctionContext<'_>, cfg: &PassConfig) -> bool
 //!   ```

@@ -11,8 +11,8 @@
 use crate::framework::FunctionContext;
 use crate::util;
 use crate::PassConfig;
-use std::collections::HashMap;
 use zkvmopt_ir::analysis::AnalysisCache;
+use zkvmopt_ir::hash::FxHashMap;
 use zkvmopt_ir::{BlockId, FuncId, Function, Module, Op, Operand, Term, Ty, ValueId};
 
 /// Upper bound on call sites inlined per pass invocation (growth guard).
@@ -193,16 +193,16 @@ fn inline_site(m: &mut Module, caller_id: FuncId, call_block: BlockId, call_v: V
 
     // 2. Create a caller block for every reachable callee block.
     let callee_blocks = callee.reachable_blocks();
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut bmap: FxHashMap<BlockId, BlockId> = FxHashMap::default();
     for &cb in &callee_blocks {
         bmap.insert(cb, caller.add_block());
     }
     // 3. Copy instructions with value remapping.
-    let mut vmap: HashMap<ValueId, Operand> = HashMap::new();
+    let mut vmap: FxHashMap<ValueId, Operand> = FxHashMap::default();
     for (i, a) in args.iter().enumerate() {
         vmap.insert(callee.param(i), *a);
     }
-    let remap = |o: &Operand, vmap: &HashMap<ValueId, Operand>| -> Operand {
+    let remap = |o: &Operand, vmap: &FxHashMap<ValueId, Operand>| -> Operand {
         match o {
             Operand::Value(v) => *vmap.get(v).unwrap_or(&Operand::Value(*v)),
             c => *c,
@@ -737,8 +737,8 @@ pub fn constmerge(m: &mut Module, _cfg: &PassConfig) -> bool {
             }
         }
     }
-    let mut canon: HashMap<(u32, Vec<u8>, u32), usize> = HashMap::new();
-    let mut replace: HashMap<usize, usize> = HashMap::new();
+    let mut canon: FxHashMap<(u32, Vec<u8>, u32), usize> = FxHashMap::default();
+    let mut replace: FxHashMap<usize, usize> = FxHashMap::default();
     for (i, g) in m.globals.iter().enumerate() {
         if written[i] {
             continue;

@@ -12,12 +12,12 @@
 use crate::framework::FunctionContext;
 use crate::util;
 use crate::PassConfig;
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::dom::DomTree;
 use zkvmopt_ir::func::Substitution;
+use zkvmopt_ir::hash::{FxHashMap, FxHashSet};
 use zkvmopt_ir::loops::{Loop, LoopForest};
 use zkvmopt_ir::{BinOp, BlockId, Function, Module, Op, Operand, Pred, Term, Ty, ValueId};
 
@@ -311,9 +311,9 @@ fn promote_loop_allocas(f: &mut Function, ac: &mut AnalysisCache) -> bool {
 }
 
 /// The pointer values loaded or stored inside some call-free natural loop.
-fn loop_accessed_pointers(f: &Function, ac: &mut AnalysisCache) -> HashSet<ValueId> {
+fn loop_accessed_pointers(f: &Function, ac: &mut AnalysisCache) -> FxHashSet<ValueId> {
     let (_, _, forest) = analyze(f, ac);
-    let mut in_loop: HashSet<ValueId> = HashSet::new();
+    let mut in_loop: FxHashSet<ValueId> = FxHashSet::default();
     for l in &forest.loops {
         // LLVM's promoteLoopAccessesToScalars gives up when the loop contains
         // instructions that may access memory it cannot reason about — in
@@ -430,8 +430,9 @@ fn clone_loop(
     f: &mut Function,
     l: &Loop,
     backedge_target: Option<BlockId>,
-) -> (HashMap<BlockId, BlockId>, HashMap<ValueId, Operand>) {
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::with_capacity(l.blocks.len());
+) -> (FxHashMap<BlockId, BlockId>, FxHashMap<ValueId, Operand>) {
+    let mut bmap: FxHashMap<BlockId, BlockId> =
+        FxHashMap::with_capacity_and_hasher(l.blocks.len(), Default::default());
     for b in l.blocks.iter() {
         bmap.insert(b, f.add_block());
     }
@@ -440,7 +441,8 @@ fn clone_loop(
         .iter()
         .map(|b| f.blocks[b.index()].insts.len())
         .sum();
-    let mut vmap: HashMap<ValueId, Operand> = HashMap::with_capacity(n_insts);
+    let mut vmap: FxHashMap<ValueId, Operand> =
+        FxHashMap::with_capacity_and_hasher(n_insts, Default::default());
     f.values.reserve(n_insts);
     for b in l.blocks.iter() {
         let nb = bmap[&b];
@@ -455,7 +457,7 @@ fn clone_loop(
         }
     }
     // Remap operands and phi blocks in the clones.
-    let remap = |o: &Operand, vmap: &HashMap<ValueId, Operand>| -> Operand {
+    let remap = |o: &Operand, vmap: &FxHashMap<ValueId, Operand>| -> Operand {
         match o {
             Operand::Value(v) => *vmap.get(v).unwrap_or(&Operand::Value(*v)),
             c => *c,
@@ -1196,7 +1198,7 @@ pub fn loop_fission(
         // No loads, no calls; stores to ≥ 2 distinct bases; nothing
         // escapes the loop.
         let mut bases: Vec<util::PtrBase> = Vec::new();
-        let mut store_of: HashMap<ValueId, util::PtrBase> = HashMap::new();
+        let mut store_of: FxHashMap<ValueId, util::PtrBase> = FxHashMap::default();
         for &v in &f.blocks[body.index()].insts {
             match f.op(v) {
                 Some(Op::Store { ptr, .. }) => {
@@ -1252,7 +1254,7 @@ pub fn loop_fission(
             // Cloned header phis: entry edges (from outside the clone)
             // must now come from pre2.
             let cloned_header = bmap[&l.header];
-            let cloned_set: HashSet<BlockId> = bmap.values().copied().collect();
+            let cloned_set: FxHashSet<BlockId> = bmap.values().copied().collect();
             let insts = f.blocks[cloned_header.index()].insts.clone();
             for v in insts {
                 if let Some(Op::Phi { incoming }) = f.op_mut(v) {
@@ -1357,7 +1359,7 @@ pub fn loop_unswitch(
         }
         // Find an invariant conditional branch inside (not the header's
         // own exit test).
-        let defined_in: HashSet<ValueId> = l
+        let defined_in: FxHashSet<ValueId> = l
             .blocks
             .iter()
             .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
@@ -1384,7 +1386,7 @@ pub fn loop_unswitch(
         // Clone the loop; original gets c := true, clone gets c := false.
         let (bmap, _vmap) = clone_loop(f, l, None);
         let cloned_header = bmap[&l.header];
-        let cloned_set: HashSet<BlockId> = bmap.values().copied().collect();
+        let cloned_set: FxHashSet<BlockId> = bmap.values().copied().collect();
         // Cloned header phis: entry edges must come from the preheader.
         let insts = f.blocks[cloned_header.index()].insts.clone();
         for v in insts {
@@ -1493,12 +1495,12 @@ fn extract_one(
     let ret = live_out.first().map(|(_, ty)| *ty);
     let mut nf = Function::new(format!("{caller_name}.loop{}", l.header.0), params, ret);
     nf.no_inline = true; // extraction must survive later inline runs
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut bmap: FxHashMap<BlockId, BlockId> = FxHashMap::default();
     let blocks: Vec<BlockId> = l.blocks.iter().collect();
     for &b in &blocks {
         bmap.insert(b, nf.add_block());
     }
-    let mut vmap: HashMap<ValueId, Operand> = HashMap::new();
+    let mut vmap: FxHashMap<ValueId, Operand> = FxHashMap::default();
     for (i, (v, _)) in live_in.iter().enumerate() {
         vmap.insert(*v, Operand::val(nf.param(i)));
     }
@@ -1513,7 +1515,7 @@ fn extract_one(
         }
     }
     // Remap (two passes for back-edge phis).
-    let remap = |o: &Operand, vmap: &HashMap<ValueId, Operand>| -> Operand {
+    let remap = |o: &Operand, vmap: &FxHashMap<ValueId, Operand>| -> Operand {
         match o {
             Operand::Value(v) => *vmap.get(v).unwrap_or(&Operand::Value(*v)),
             c => *c,
@@ -1609,7 +1611,7 @@ type LiveVals = Vec<(ValueId, Ty)>;
 
 /// Values flowing into / out of a loop: (value, type) lists.
 fn loop_liveness(f: &Function, l: &Loop) -> (LiveVals, LiveVals) {
-    let defined_in: HashSet<ValueId> = l
+    let defined_in: FxHashSet<ValueId> = l
         .blocks
         .iter()
         .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
@@ -1937,7 +1939,7 @@ fn rotate_one(f: &mut Function, ac: &mut AnalysisCache) -> bool {
         // Clone the condition computation into the preheader (entry values)
         // and into the latch (back-edge values).
         let clone_cond = |f: &mut Function, into: BlockId, edge_from: BlockId| -> Operand {
-            let mut local: HashMap<ValueId, Operand> = HashMap::new();
+            let mut local: FxHashMap<ValueId, Operand> = FxHashMap::default();
             for &pv in &phis {
                 if let Some(Op::Phi { incoming }) = f.op(pv) {
                     if let Some((_, o)) = incoming.iter().find(|(p, _)| *p == edge_from) {
@@ -2279,7 +2281,7 @@ pub(crate) mod oracle {
             }
             // Find an invariant conditional branch inside (not the header's
             // own exit test).
-            let defined_in: HashSet<ValueId> = l
+            let defined_in: FxHashSet<ValueId> = l
                 .blocks
                 .iter()
                 .flat_map(|b| f.blocks[b.index()].insts.iter().copied())
@@ -2306,7 +2308,7 @@ pub(crate) mod oracle {
             // Clone the loop; original gets c := true, clone gets c := false.
             let (bmap, _vmap) = clone_loop(f, l, None);
             let cloned_header = bmap[&l.header];
-            let cloned_set: HashSet<BlockId> = bmap.values().copied().collect();
+            let cloned_set: FxHashSet<BlockId> = bmap.values().copied().collect();
             // Cloned header phis: entry edges must come from the preheader.
             let insts = f.blocks[cloned_header.index()].insts.clone();
             for v in insts {
@@ -2343,7 +2345,7 @@ pub(crate) mod oracle {
     /// `loop_liveness` as it was: one whole-function scan per loop-defined
     /// value for the live-outs.
     pub(crate) fn loop_liveness(f: &Function, l: &Loop) -> (LiveVals, LiveVals) {
-        let defined_in: HashSet<ValueId> = l
+        let defined_in: FxHashSet<ValueId> = l
             .blocks
             .iter()
             .flat_map(|b| f.blocks[b.index()].insts.iter().copied())

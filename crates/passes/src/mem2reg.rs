@@ -12,9 +12,9 @@
 use crate::framework::FunctionContext;
 use crate::util;
 use crate::PassConfig;
-use std::collections::HashMap;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::func::Substitution;
+use zkvmopt_ir::hash::FxHashMap;
 use zkvmopt_ir::{BlockId, Function, Op, Operand, Ty, ValueId};
 
 fn zero_of(ty: Ty) -> Operand {
@@ -443,7 +443,7 @@ fn sroa_function(f: &mut Function) -> bool {
             }
         }
         // Split: one scalar alloca per element index in use.
-        let mut slot_of: HashMap<u32, ValueId> = HashMap::new();
+        let mut slot_of: FxHashMap<u32, ValueId> = FxHashMap::default();
         let mut indices: Vec<u32> = geps.iter().map(|(_, k)| *k).collect();
         indices.push(0); // direct loads/stores target element 0
         indices.sort_unstable();
@@ -669,7 +669,7 @@ fn demote_value(f: &mut Function, v: ValueId, def_bb: BlockId, ty: Ty) {
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
-    use std::collections::HashSet;
+    use zkvmopt_ir::hash::FxHashSet;
 
     /// `promotable_allocas` as it was: an escape scan and a type scan of the
     /// whole function per entry alloca.
@@ -714,13 +714,13 @@ pub(crate) mod oracle {
         if vars.is_empty() {
             return false;
         }
-        let var_index: HashMap<ValueId, usize> =
+        let var_index: FxHashMap<ValueId, usize> =
             vars.iter().enumerate().map(|(i, (v, _))| (*v, i)).collect();
         let cfg = ac.cfg(f);
         let dom = ac.dom(f);
         let frontiers = ac.frontiers(f);
-        let mut phi_at: HashMap<(BlockId, usize), ValueId> = HashMap::new();
-        let mut var_of_phi: HashMap<ValueId, usize> = HashMap::new();
+        let mut phi_at: FxHashMap<(BlockId, usize), ValueId> = FxHashMap::default();
+        let mut var_of_phi: FxHashMap<ValueId, usize> = FxHashMap::default();
         for (vi, (var, ty)) in vars.iter().enumerate() {
             let mut work: Vec<BlockId> = Vec::new();
             for b in f.block_ids() {
@@ -736,7 +736,7 @@ pub(crate) mod oracle {
                     }
                 }
             }
-            let mut has_phi: HashSet<BlockId> = HashSet::new();
+            let mut has_phi: FxHashSet<BlockId> = FxHashSet::default();
             while let Some(b) = work.pop() {
                 for &df in &frontiers[b.index()] {
                     if has_phi.insert(df) {
@@ -761,7 +761,7 @@ pub(crate) mod oracle {
                 children[d.index()].push(b);
             }
         }
-        let mut subst: HashMap<ValueId, Operand> = HashMap::new();
+        let mut subst: FxHashMap<ValueId, Operand> = FxHashMap::default();
         let mut kill: Vec<(BlockId, ValueId)> = Vec::new();
         let mut stacks: Vec<Vec<Operand>> = vars.iter().map(|(_, ty)| vec![zero_of(*ty)]).collect();
         enum Step {
@@ -833,7 +833,7 @@ pub(crate) mod oracle {
                 }
             }
         }
-        let resolve = |mut o: Operand, subst: &HashMap<ValueId, Operand>| -> Operand {
+        let resolve = |mut o: Operand, subst: &FxHashMap<ValueId, Operand>| -> Operand {
             for _ in 0..subst.len() + 1 {
                 match o {
                     Operand::Value(v) => match subst.get(&v) {

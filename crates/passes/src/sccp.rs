@@ -4,7 +4,6 @@
 use crate::framework::FunctionContext;
 use crate::util;
 use crate::PassConfig;
-use std::collections::HashMap;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::func::Substitution;
@@ -372,7 +371,8 @@ pub fn ipsccp(m: &mut Module, cfg: &PassConfig) -> bool {
         }
         // Analyze each function with its argument facts; record constant
         // returns.
-        let mut const_rets: HashMap<usize, Operand> = HashMap::new();
+        // Per function index: its constant return, if it has one.
+        let mut const_rets: Vec<Option<Operand>> = vec![None; m.funcs.len()];
         for (fi, f) in m.funcs.iter_mut().enumerate() {
             let is_main = f.name == "main";
             let lats: Vec<Lat> = if called[fi] && !is_main {
@@ -395,7 +395,7 @@ pub fn ipsccp(m: &mut Module, cfg: &PassConfig) -> bool {
             }
             let res = analyze(f, &lats);
             if let Lat::Const(c) = res.ret {
-                const_rets.insert(fi, c);
+                const_rets[fi] = Some(c);
             }
             round_changed |= transform(f, &res);
         }
@@ -408,9 +408,8 @@ pub fn ipsccp(m: &mut Module, cfg: &PassConfig) -> bool {
                     let Some(Op::Call { callee, .. }) = f.op(v) else {
                         continue;
                     };
-                    if let Some(c) = const_rets.get(&callee.index()) {
+                    if let Some(&Some(c)) = const_rets.get(callee.index()) {
                         if f.use_count(v) > 0 {
-                            let c = *c;
                             f.replace_all_uses(v, c);
                             round_changed = true;
                         }
@@ -792,7 +791,7 @@ mod tests {
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
-    use std::collections::HashSet;
+    use zkvmopt_ir::hash::FxHashSet;
 
     /// `analyze` as it was: each sweep visits a snapshot of the executable
     /// set in `HashSet` iteration order.
@@ -808,8 +807,8 @@ pub(crate) mod oracle {
         {
             *v = Lat::Bottom;
         }
-        let mut exec_edges: HashSet<(BlockId, BlockId)> = HashSet::new();
-        let mut exec_blocks: HashSet<BlockId> = HashSet::new();
+        let mut exec_edges: FxHashSet<(BlockId, BlockId)> = FxHashSet::default();
+        let mut exec_blocks: FxHashSet<BlockId> = FxHashSet::default();
         let mut ret = Lat::Top;
         exec_blocks.insert(f.entry);
         let mut changed = true;

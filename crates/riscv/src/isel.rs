@@ -11,11 +11,11 @@ use crate::inst::{AluImmOp, AluOp, BranchCond, MemWidth};
 use crate::reg::VReg;
 use crate::vinst::VInst;
 use crate::TargetCostModel;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use zkvmopt_ir::cfg::Cfg;
+use zkvmopt_ir::hash::FxHashSet;
 use zkvmopt_ir::{
-    BinOp, BlockId, CastKind, Function, Module, Op, Operand, Pred, Term, Ty, ValueId,
+    BinOp, BlockId, CastKind, Function, Module, Op, Operand, Pred, Term, Ty, ValueDef, ValueId,
 };
 
 /// A codegen failure (unsupported shape, e.g. more than 8 call arguments).
@@ -54,15 +54,15 @@ struct Isel<'a> {
     f: &'a Function,
     cm: &'a TargetCostModel,
     global_addrs: &'a [u32],
-    vmap: HashMap<ValueId, VReg>,
+    /// IR value → its vreg, once it has one.
+    vmap: Vec<Option<VReg>>,
     next_vreg: u32,
     blocks: Vec<Vec<VInst<VReg>>>,
-    /// IR block → layout index.
-    layout: HashMap<BlockId, usize>,
-    alloca_off: HashMap<ValueId, i32>,
+    /// IR block → layout index (`usize::MAX` for an unreachable block).
+    layout: Vec<usize>,
     alloca_bytes: u32,
     /// Icmp values fused into their (single) branch user.
-    fused: HashSet<ValueId>,
+    fused: Vec<bool>,
 }
 
 impl<'a> Isel<'a> {
@@ -73,11 +73,11 @@ impl<'a> Isel<'a> {
     }
 
     fn vreg(&mut self, v: ValueId) -> VReg {
-        if let Some(&r) = self.vmap.get(&v) {
+        if let Some(r) = self.vmap[v.index()] {
             return r;
         }
         let r = self.fresh();
-        self.vmap.insert(v, r);
+        self.vmap[v.index()] = Some(r);
         r
     }
 
@@ -130,38 +130,25 @@ pub fn lower_function(
     }
     let cfg = Cfg::new(f);
     let order: Vec<BlockId> = cfg.rpo().to_vec();
+    let mut layout = vec![usize::MAX; f.blocks.len()];
+    for (i, b) in order.iter().enumerate() {
+        layout[b.index()] = i;
+    }
     let mut isel = Isel {
         f,
         cm,
         global_addrs,
-        vmap: HashMap::new(),
+        vmap: vec![None; f.values.len()],
         next_vreg: 0,
         blocks: vec![Vec::new(); order.len()],
-        layout: order.iter().enumerate().map(|(i, b)| (*b, i)).collect(),
-        alloca_off: HashMap::new(),
+        layout,
         alloca_bytes: 0,
-        fused: HashSet::new(),
+        fused: fusible_icmps(f, &order),
     };
     // Pre-create vregs for every parameter and receive them.
     for i in 0..f.params.len() {
         let pv = isel.vreg(f.param(i));
         isel.emit(0, VInst::Param { rd: pv, index: i });
-    }
-    // Find icmps fusible into their branch (single use, same block, used as
-    // the branch condition).
-    for &b in &order {
-        if let Term::CondBr {
-            c: Operand::Value(cv),
-            ..
-        } = &f.blocks[b.index()].term
-        {
-            if f.blocks[b.index()].insts.contains(cv)
-                && f.use_count(*cv) == 1
-                && matches!(f.op(*cv), Some(Op::Icmp { .. }))
-            {
-                isel.fused.insert(*cv);
-            }
-        }
     }
     // Lower block bodies.
     for (bi, &b) in order.iter().enumerate() {
@@ -182,12 +169,49 @@ pub fn lower_function(
     })
 }
 
+/// Icmps fusible into their branch: the condition of a reachable block's
+/// `cond_br`, defined in that block and used nowhere else. Uses are counted
+/// as [`Function::use_count`] counts them (every instruction in the arena and
+/// every terminator), in one sweep for the whole function.
+fn fusible_icmps(f: &Function, order: &[BlockId]) -> Vec<bool> {
+    let mut uses = vec![0u32; f.values.len()];
+    let mut count = |o: &Operand| {
+        if let Operand::Value(u) = o {
+            uses[u.index()] += 1;
+        }
+    };
+    for vd in &f.values {
+        if let ValueDef::Inst(op) = &vd.def {
+            op.for_each_operand(&mut count);
+        }
+    }
+    for b in &f.blocks {
+        b.term.for_each_operand(&mut count);
+    }
+    let mut fused = vec![false; f.values.len()];
+    for &b in order {
+        if let Term::CondBr {
+            c: Operand::Value(cv),
+            ..
+        } = &f.blocks[b.index()].term
+        {
+            if uses[cv.index()] == 1
+                && matches!(f.op(*cv), Some(Op::Icmp { .. }))
+                && f.blocks[b.index()].insts.contains(cv)
+            {
+                fused[cv.index()] = true;
+            }
+        }
+    }
+    fused
+}
+
 fn lower_inst(isel: &mut Isel<'_>, m: &Module, bi: usize, v: ValueId) -> Result<(), CodegenError> {
     let f = isel.f;
     let Some(op) = f.op(v) else {
         return Ok(());
     };
-    if isel.fused.contains(&v) {
+    if isel.fused[v.index()] {
         return Ok(()); // emitted as part of the branch
     }
     match *op {
@@ -322,7 +346,6 @@ fn lower_inst(isel: &mut Isel<'_>, m: &Module, bi: usize, v: ValueId) -> Result<
             let bytes = (elem.size_bytes() * count + 3) & !3;
             let off = isel.alloca_bytes as i32;
             isel.alloca_bytes += bytes;
-            isel.alloca_off.insert(v, off);
             let rd = isel.vreg(v);
             isel.emit(bi, VInst::FrameAddr { rd, offset: off });
         }
@@ -832,14 +855,14 @@ fn lower_term(isel: &mut Isel<'_>, bi: usize, b: BlockId) {
     match term {
         Term::Br(t) => {
             emit_phi_copies(isel, bi, b, t);
-            let ti = isel.layout[&t];
+            let ti = isel.layout[t.index()];
             isel.emit(bi, VInst::Jump { target: ti });
         }
         Term::CondBr { c, t, f: fb } => {
             // Fused compare-and-branch when the condition is a single-use
             // icmp from this block.
             let fused = match &c {
-                Operand::Value(cv) if isel.fused.contains(cv) => match isel.f.op(*cv) {
+                Operand::Value(cv) if isel.fused[cv.index()] => match isel.f.op(*cv) {
                     Some(Op::Icmp { pred, a, b }) => Some((*pred, *a, *b)),
                     _ => None,
                 },
@@ -911,13 +934,13 @@ fn has_phis(f: &Function, b: BlockId) -> bool {
 /// with phi copies when needed.
 fn edge_target(isel: &mut Isel<'_>, _bi: usize, b: BlockId, succ: BlockId) -> usize {
     if !has_phis(isel.f, succ) {
-        return isel.layout[&succ];
+        return isel.layout[succ.index()];
     }
     // Create a dedicated edge block carrying the copies.
     let eb = isel.blocks.len();
     isel.blocks.push(Vec::new());
     emit_phi_copies_into(isel, eb, b, succ);
-    let ti = isel.layout[&succ];
+    let ti = isel.layout[succ.index()];
     isel.emit(eb, VInst::Jump { target: ti });
     eb
 }
@@ -935,16 +958,7 @@ fn emit_phi_copies_into(isel: &mut Isel<'_>, bi: usize, pred: BlockId, succ: Blo
     for &v in &f.blocks[succ.index()].insts {
         if let Some(Op::Phi { incoming }) = f.op(v) {
             if let Some((_, o)) = incoming.iter().find(|(p, _)| *p == pred) {
-                let dst = match isel.vmap.get(&v) {
-                    Some(&r) => r,
-                    None => {
-                        let r = VReg(isel.next_vreg);
-                        isel.next_vreg += 1;
-                        isel.vmap.insert(v, r);
-                        r
-                    }
-                };
-                pairs.push((dst, *o));
+                pairs.push((isel.vreg(v), *o));
             }
         }
     }
@@ -952,9 +966,9 @@ fn emit_phi_copies_into(isel: &mut Isel<'_>, bi: usize, pred: BlockId, succ: Blo
     // applied directly (the overwhelmingly common case — a couple of loop
     // phis). Only genuinely overlapping transfers pay the temp-based
     // parallel-copy sequence.
-    let dsts: std::collections::HashSet<VReg> = pairs.iter().map(|(d, _)| *d).collect();
+    let dsts: FxHashSet<VReg> = pairs.iter().map(|(d, _)| *d).collect();
     let overlaps = pairs.iter().any(|(_, o)| match o {
-        Operand::Value(v) => isel.vmap.get(v).is_some_and(|r| dsts.contains(r)),
+        Operand::Value(v) => isel.vmap[v.index()].is_some_and(|r| dsts.contains(&r)),
         _ => false,
     });
     let emit_src = |isel: &mut Isel<'_>, bi: usize, rd: VReg, o: &Operand| match o {
@@ -984,5 +998,112 @@ fn emit_phi_copies_into(isel: &mut Isel<'_>, bi: usize, pred: BlockId, succ: Blo
     }
     for ((dst, _), t) in pairs.iter().zip(temps) {
         isel.emit(bi, VInst::Mv { rd: *dst, rs: t });
+    }
+}
+
+/// The fusion test as it was, kept as a test oracle: one
+/// [`Function::use_count`] sweep of the whole arena per conditional branch.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn fusible_icmps(f: &Function, order: &[BlockId]) -> FxHashSet<ValueId> {
+        let mut fused = FxHashSet::default();
+        for &b in order {
+            if let Term::CondBr {
+                c: Operand::Value(cv),
+                ..
+            } = &f.blocks[b.index()].term
+            {
+                if f.blocks[b.index()].insts.contains(cv)
+                    && f.use_count(*cv) == 1
+                    && matches!(f.op(*cv), Some(Op::Icmp { .. }))
+                {
+                    fused.insert(*cv);
+                }
+            }
+        }
+        fused
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program_gen;
+    use zkvmopt_ir::FunctionBuilder;
+    use zkvmopt_passes::{PassConfig, PassManager};
+
+    /// The one-sweep fusion test against the per-branch oracle, on every
+    /// function of `m` as lowered, after `-O1` and after `-O3`.
+    fn check_fusion(name: &str, m: &Module) {
+        let (mut o1, mut o3) = (m.clone(), m.clone());
+        PassManager::o1().run(&mut o1, &PassConfig::default());
+        PassManager::o3().run(&mut o3, &PassConfig::default());
+        for (state, m) in [("lowered", m), ("O1", &o1), ("O3", &o3)] {
+            for f in &m.funcs {
+                let order = Cfg::new(f).rpo().to_vec();
+                let new: FxHashSet<ValueId> = fusible_icmps(f, &order)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &fused)| fused)
+                    .map(|(i, _)| ValueId(i as u32))
+                    .collect();
+                let old = oracle::fusible_icmps(f, &order);
+                assert_eq!(new, old, "{name}/{}@{state}", f.name);
+            }
+        }
+    }
+
+    #[test]
+    fn fusion_matches_the_oracle_on_the_suite() {
+        for w in zkvmopt_workloads::all() {
+            let m = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
+            check_fusion(w.name, &m);
+        }
+    }
+
+    #[test]
+    fn fusion_takes_a_single_use_compare_and_skips_a_shared_one() {
+        // bb0: %1 = icmp %0 == 0, used by its branch only (fused).
+        // bb1: %2 = icmp %0 < 7, used by its branch and by bb2's zext.
+        let mut b = FunctionBuilder::new("main", vec![Ty::I32], Some(Ty::I32));
+        let x = Operand::val(b.param(0));
+        let (b1, b2, b3) = (b.new_block(), b.new_block(), b.new_block());
+        let once = b.icmp(Pred::Eq, x, Operand::i32(0));
+        b.cond_br(Operand::val(once), b1, b3);
+        b.switch_to(b1);
+        let twice = b.icmp(Pred::Slt, x, Operand::i32(7));
+        b.cond_br(Operand::val(twice), b2, b3);
+        b.switch_to(b2);
+        let r = b.cast(CastKind::Zext, Operand::val(twice), Ty::I32);
+        b.ret(Some(Operand::val(r)));
+        b.switch_to(b3);
+        b.ret(Some(Operand::i32(1)));
+        let mut m = Module::new();
+        m.add_func(b.finish());
+        let f = &m.funcs[0];
+        let fused = fusible_icmps(f, Cfg::new(f).rpo());
+        assert!(fused[once.index()] && !fused[twice.index()]);
+        check_fusion("hand", &m);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 12,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The same over the `proptest_passes` generator's programs.
+        #[test]
+        fn fusion_matches_the_oracle_on_generated_programs(
+            es in proptest::collection::vec(program_gen::arb_expr(), 1..5),
+            trip in 1u8..20,
+        ) {
+            for src in [program_gen::program(&es, trip), program_gen::program_with_calls(&es, trip)] {
+                let m = zkvmopt_lang::compile_guest(&src).expect("generated program compiles");
+                check_fusion("generated", &m);
+            }
+        }
     }
 }

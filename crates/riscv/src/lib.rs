@@ -102,6 +102,11 @@ pub fn compile_module(m: &Module, cm: &TargetCostModel) -> Result<Program, Codeg
     emit::link(&funcs, globals, main.index())
 }
 
+/// The `proptest_passes` program generator, shared with the oracle tests.
+#[cfg(test)]
+#[path = "../../../tests/common/program_gen.rs"]
+mod program_gen;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -340,7 +340,7 @@ mod oracle {
     use crate::isel::VFunc;
     use crate::reg::{Reg, VReg, ALLOCATABLE};
     use crate::vinst::VInst;
-    use std::collections::{HashMap, HashSet};
+    use zkvmopt_ir::hash::{FxHashMap, FxHashSet};
 
     #[derive(Debug, Clone)]
     struct Interval {
@@ -348,7 +348,7 @@ mod oracle {
         start: usize,
         end: usize,
         /// Registers this interval must avoid (clobbered inside its range).
-        forbidden: HashSet<Reg>,
+        forbidden: FxHashSet<Reg>,
     }
 
     /// `allocate` as it was before the bitset rewrite.
@@ -370,13 +370,13 @@ mod oracle {
         }
         // Backward liveness to block fixpoint.
         let n = vf.nvregs as usize;
-        let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-        let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
+        let mut live_in: Vec<FxHashSet<VReg>> = vec![FxHashSet::default(); nblocks];
+        let mut live_out: Vec<FxHashSet<VReg>> = vec![FxHashSet::default(); nblocks];
         let mut changed = true;
         while changed {
             changed = false;
             for bi in (0..nblocks).rev() {
-                let mut out: HashSet<VReg> = HashSet::new();
+                let mut out: FxHashSet<VReg> = FxHashSet::default();
                 for &s in &succs[bi] {
                     out.extend(live_in[s].iter().copied());
                 }
@@ -456,7 +456,7 @@ mod oracle {
                 // the instruction starts its interval exactly at p yet its value
                 // has to survive the clobber (the conservative cost is that defs
                 // at p are also excluded, which only narrows the register pool).
-                let forbidden: HashSet<Reg> = clobbers
+                let forbidden: FxHashSet<Reg> = clobbers
                     .iter()
                     .filter(|(p, _)| s <= *p && *p < e)
                     .flat_map(|(_, rs)| rs.iter().copied())
@@ -472,14 +472,14 @@ mod oracle {
         intervals.sort_by_key(|iv| (iv.start, iv.end));
 
         // Linear scan.
-        let mut assignment: HashMap<VReg, Loc> = HashMap::new();
+        let mut assignment: FxHashMap<VReg, Loc> = FxHashMap::default();
         let mut active: Vec<(usize, Reg, VReg)> = Vec::new(); // (end, reg, vreg)
         let mut next_slot = 0u32;
-        let mut used_callee: HashSet<Reg> = HashSet::new();
+        let mut used_callee: FxHashSet<Reg> = FxHashSet::default();
         let mut spilled = 0u32;
         for iv in &intervals {
             active.retain(|(e, _, _)| *e >= iv.start);
-            let taken: HashSet<Reg> = active.iter().map(|(_, r, _)| *r).collect();
+            let taken: FxHashSet<Reg> = active.iter().map(|(_, r, _)| *r).collect();
             // Preference order: caller-saved first for call-free intervals so
             // callee-saved stay available for call-crossing ones.
             let crosses_call = iv.forbidden.iter().any(|r| r.is_caller_saved());
@@ -558,13 +558,10 @@ mod oracle {
 }
 
 #[cfg(test)]
-#[path = "../../../tests/common/program_gen.rs"]
-mod program_gen;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::isel::lower_function;
+    use crate::program_gen;
     use crate::TargetCostModel;
 
     fn lower(src: &str) -> Vec<VFunc> {

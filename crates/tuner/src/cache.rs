@@ -54,9 +54,9 @@ use crate::{canonicalize_sequence, lock_unpoisoned, Candidate};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use zkvmopt_ir::hash::FxHashMap;
 
 /// Cache key: one candidate on one program. Ordered field by field
 /// (fingerprint first) — the order snapshots, checkpoints and the
@@ -88,6 +88,15 @@ impl FitnessKey {
     }
 }
 
+/// One fitness-cache shard's map. The cache is snapshotted into checkpoint
+/// files and preloaded from them, and it is off the compile path, so it
+/// keeps std's hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "persisted tuner structure, off the compile path"
+)]
+type FitnessMap = std::collections::HashMap<FitnessKey, EvalResult>;
+
 /// Number of shards: enough that 8–16 worker threads rarely collide, small
 /// enough that an empty cache stays cheap.
 const SHARDS: usize = 64;
@@ -96,7 +105,7 @@ const SHARDS: usize = 64;
 /// evaluation outcome.
 #[derive(Debug)]
 pub struct ShardedFitnessCache {
-    shards: Vec<Mutex<HashMap<FitnessKey, EvalResult>>>,
+    shards: Vec<Mutex<FitnessMap>>,
 }
 
 impl Default for ShardedFitnessCache {
@@ -109,12 +118,12 @@ impl ShardedFitnessCache {
     /// An empty cache.
     pub fn new() -> ShardedFitnessCache {
         ShardedFitnessCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(FitnessMap::new())).collect(),
         }
     }
 
     /// The shard `key` lives in, locked.
-    fn locked(&self, key: &FitnessKey) -> MutexGuard<'_, HashMap<FitnessKey, EvalResult>> {
+    fn locked(&self, key: &FitnessKey) -> MutexGuard<'_, FitnessMap> {
         // FNV-1a over the key's fixed-width fields plus the canonical pass
         // pointers' names; `Hash` for HashMap stays the std one.
         let mut h: u64 = 0xcbf29ce484222325;
@@ -191,7 +200,7 @@ impl ShardedFitnessCache {
 }
 
 /// One shard of a [`PostPassMemo`]: `(context, fingerprint)` → value.
-type MemoShard = Mutex<HashMap<(u64, u64), Box<dyn Any + Send + Sync>>>;
+type MemoShard = Mutex<FxHashMap<(u64, u64), Box<dyn Any + Send + Sync>>>;
 
 /// One search's post-pass result memo (see the module docs): a sharded map
 /// from `(context, post-pass fingerprint)` to a type-erased value, plus the
@@ -206,7 +215,9 @@ impl PostPassMemo {
     /// An empty memo, for one search.
     pub(crate) fn new() -> PostPassMemo {
         PostPassMemo {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(FxHashMap::default()))
+                .collect(),
             hits: AtomicUsize::new(0),
         }
     }

@@ -23,8 +23,6 @@
 //!   buffer was measured and declined: 0.3 ms of zeroing per engine, no
 //!   per-instruction gain.)
 
-use std::collections::HashMap;
-
 /// Total guest memory size (shared with the IR interpreter's map).
 pub const MEM_SIZE: u32 = zkvmopt_ir::interp::MEM_SIZE;
 /// Initial stack pointer.
@@ -55,10 +53,14 @@ pub struct MemFault {
 /// write counts one (deferred) page-out; a segment flush resets the resident
 /// set, so the next segment pays again — exactly the continuations cost model
 /// the paper attributes licm's regressions to.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the reference memory model the engine is checked against stays as written"
+)]
 #[derive(Debug, Default)]
 pub struct PagedMemory {
-    pages: HashMap<u32, Vec<u8>>,
-    resident: HashMap<u32, bool>, // page -> dirty?
+    pages: std::collections::HashMap<u32, Vec<u8>>,
+    resident: std::collections::HashMap<u32, bool>, // page -> dirty?
     page_ins: u64,
     page_outs: u64,
 }

@@ -60,7 +60,7 @@ macro_rules! prop_assert_eq {
 ///
 /// Supports the two shapes the workspace uses:
 ///
-/// ```ignore
+/// ```text
 /// proptest! {
 ///     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 ///     #[test]
