@@ -243,21 +243,27 @@ impl Function {
     /// is never compacted) plus every terminator, per call. A pass that
     /// replaces many values should record them in a [`Substitution`] and pay
     /// for one sweep with [`Function::substitute_uses`].
-    pub fn replace_all_uses(&mut self, from: ValueId, to: Operand) {
+    ///
+    /// Returns the number of operands rewritten: [`Function::use_count`] of
+    /// `from` before the call, since both walk the same operands.
+    pub fn replace_all_uses(&mut self, from: ValueId, to: Operand) -> usize {
         let from = Operand::Value(from);
-        let rewrite = |o: &mut Operand| {
+        let mut n = 0;
+        let mut rewrite = |o: &mut Operand| {
             if *o == from {
                 *o = to;
+                n += 1;
             }
         };
         for vd in &mut self.values {
             if let ValueDef::Inst(op) = &mut vd.def {
-                op.for_each_operand_mut(rewrite);
+                op.for_each_operand_mut(&mut rewrite);
             }
         }
         for b in &mut self.blocks {
-            b.term.for_each_operand_mut(rewrite);
+            b.term.for_each_operand_mut(&mut rewrite);
         }
+        n
     }
 
     /// Apply every replacement recorded in `subst` at once: the bulk form of
@@ -281,8 +287,8 @@ impl Function {
     /// Number of uses of `v` across all instructions and terminators.
     ///
     /// Cost: one sweep over the whole value arena and every terminator, per
-    /// call; a caller asking about many values should count all uses in one
-    /// sweep of its own.
+    /// call; a caller asking about many values should read
+    /// [`Function::use_counts`] once instead.
     pub fn use_count(&self, v: ValueId) -> usize {
         let mut n = 0;
         for vd in &self.values {
@@ -302,6 +308,26 @@ impl Function {
             });
         }
         n
+    }
+
+    /// [`Function::use_count`] of every value, indexed by value, in one sweep
+    /// over the arena and the terminators.
+    pub fn use_counts(&self) -> Vec<u32> {
+        let mut uses = vec![0u32; self.values.len()];
+        let mut count = |o: &Operand| {
+            if let Operand::Value(u) = o {
+                uses[u.index()] += 1;
+            }
+        };
+        for vd in &self.values {
+            if let ValueDef::Inst(op) = &vd.def {
+                op.for_each_operand(&mut count);
+            }
+        }
+        for b in &self.blocks {
+            b.term.for_each_operand(&mut count);
+        }
+        uses
     }
 
     /// Ids of all blocks that exist when it is called, unreachable ones
@@ -578,7 +604,8 @@ mod tests {
     fn replace_all_uses_rewrites_terms_too() {
         let mut f = sample();
         let v = ValueId(1);
-        f.replace_all_uses(v, Operand::i32(7));
+        assert_eq!(f.replace_all_uses(v, Operand::i32(7)), 1);
+        assert_eq!(f.replace_all_uses(v, Operand::i32(7)), 0, "nothing left");
         match &f.blocks[0].term {
             Term::Ret(Some(o)) => assert!(o.is_const_val(7)),
             t => panic!("unexpected term {t:?}"),
@@ -634,6 +661,7 @@ mod tests {
         let f = sample();
         assert_eq!(f.use_count(ValueId(0)), 1); // param used by add
         assert_eq!(f.use_count(ValueId(1)), 1); // add used by ret
+        assert_eq!(f.use_counts(), [1, 1]);
     }
 
     #[test]

@@ -136,13 +136,10 @@ fn early_cse_function(f: &mut Function, info: &ModuleInfo) -> bool {
                     let ptr = *ptr;
                     let val = *val;
                     materialize_ptr_chain(f, &subst, ptr);
-                    let keys: Vec<Operand> = mem.keys().copied().collect();
-                    for k in keys {
+                    mem.retain(|&k, _| {
                         materialize_ptr_chain(f, &subst, k);
-                        if k != ptr && util::may_alias(f, &k, &ptr) {
-                            mem.remove(&k);
-                        }
-                    }
+                        k == ptr || !util::may_alias(f, &k, &ptr)
+                    });
                     mem.insert(ptr, val);
                     None
                 }

@@ -327,6 +327,7 @@ fn tailcall_function(f: &mut Function, fid: FuncId) -> bool {
     // Find tail sites: block ends `ret (call self(args))` where the call is
     // the last instruction.
     let mut sites: Vec<(BlockId, ValueId, Vec<Operand>)> = Vec::new();
+    let uses = f.use_counts();
     for b in f.reachable_blocks() {
         let Some(&last) = f.blocks[b.index()].insts.last() else {
             continue;
@@ -343,7 +344,7 @@ fn tailcall_function(f: &mut Function, fid: FuncId) -> bool {
             _ => false,
         };
         // The call result must not be used anywhere else.
-        if is_tail && f.use_count(last) <= 1 {
+        if is_tail && uses[last.index()] <= 1 {
             sites.push((b, last, args.clone()));
         }
     }
@@ -516,8 +517,9 @@ pub fn deadargelim(m: &mut Module, _cfg: &PassConfig) -> bool {
     let n = m.funcs.len();
     let mut dead: Vec<Vec<bool>> = Vec::with_capacity(n);
     for f in &m.funcs {
+        let uses = f.use_counts();
         let d: Vec<bool> = (0..f.params.len())
-            .map(|i| f.use_count(f.param(i)) == 0)
+            .map(|i| uses[f.param(i).index()] == 0)
             .collect();
         dead.push(d);
     }
@@ -572,38 +574,7 @@ fn m_ty(o: &Operand) -> Option<Ty> {
 /// Fold loads from never-written globals with constant addresses into
 /// constants.
 pub fn globalopt(m: &mut Module, _cfg: &PassConfig) -> bool {
-    // A global is read-only if nothing in the module stores through it and
-    // its address is never passed to a call/ecall or stored as data.
-    let ng = m.globals.len();
-    let mut readonly = vec![true; ng];
-    for f in &m.funcs {
-        for b in f.reachable_blocks() {
-            for &v in &f.blocks[b.index()].insts {
-                match f.op(v) {
-                    Some(Op::Store { ptr, val, .. }) => {
-                        if let util::PtrBase::Global(g) = util::ptr_base(f, ptr) {
-                            readonly[g.index()] = false;
-                        }
-                        if let Operand::Value(pv) = val {
-                            if let util::PtrBase::Global(g) =
-                                util::ptr_base(f, &Operand::Value(*pv))
-                            {
-                                readonly[g.index()] = false;
-                            }
-                        }
-                    }
-                    Some(Op::Call { args, .. }) | Some(Op::Ecall { args, .. }) => {
-                        for a in args {
-                            if let util::PtrBase::Global(g) = util::ptr_base(f, a) {
-                                readonly[g.index()] = false;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
+    let written = util::written_globals(m);
     // Fold loads at constant offsets.
     let globals = m.globals.clone();
     let mut changed = false;
@@ -617,7 +588,7 @@ pub fn globalopt(m: &mut Module, _cfg: &PassConfig) -> bool {
                 let Some((g, off)) = const_global_offset(f, &ptr) else {
                     continue;
                 };
-                if !readonly[g.index()] {
+                if written[g.index()] {
                     continue;
                 }
                 let data = &globals[g.index()];
@@ -713,30 +684,7 @@ pub fn globaldce(m: &mut Module, _cfg: &PassConfig) -> bool {
 
 /// Merge identical read-only globals (same size, init, alignment).
 pub fn constmerge(m: &mut Module, _cfg: &PassConfig) -> bool {
-    // Reuse globalopt's read-only analysis.
-    let ng = m.globals.len();
-    let mut written = vec![false; ng];
-    for f in &m.funcs {
-        for b in f.reachable_blocks() {
-            for &v in &f.blocks[b.index()].insts {
-                match f.op(v) {
-                    Some(Op::Store { ptr, .. }) => {
-                        if let util::PtrBase::Global(g) = util::ptr_base(f, ptr) {
-                            written[g.index()] = true;
-                        }
-                    }
-                    Some(Op::Call { args, .. }) | Some(Op::Ecall { args, .. }) => {
-                        for a in args {
-                            if let util::PtrBase::Global(g) = util::ptr_base(f, a) {
-                                written[g.index()] = true;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
+    let written = util::written_globals(m);
     let mut canon: FxHashMap<(u32, Vec<u8>, u32), usize> = FxHashMap::default();
     let mut replace: FxHashMap<usize, usize> = FxHashMap::default();
     for (i, g) in m.globals.iter().enumerate() {
@@ -1032,6 +980,48 @@ mod tests {
                    static B: [i32; 2] = [9, 9];
                    fn main() -> i32 { return A[0] + B[1]; }";
         check_pass_preserves(src, &["constmerge"], &PassConfig::default());
+    }
+
+    #[test]
+    fn constmerge_keeps_a_global_whose_address_is_stored() {
+        // Inlining spills `p`, so `A`'s address is stored as data and `A` is
+        // written through the reloaded pointer: merging `A` and `B` exits 44.
+        let src = "static A: [i32; 4];
+                   static B: [i32; 4];
+                   fn put(p: *i32, x: i32) { p[1] = x; }
+                   fn main() -> i32 {
+                     put(A, read_input(0) + 3);
+                     return B[1] * 10 + A[1];
+                   }";
+        check_pass_preserves(src, &["inline", "constmerge"], &PassConfig::default());
+    }
+
+    /// A program that stores through a pointer `mem2reg` turns into a phi of
+    /// two globals' addresses, then returns `ret`.
+    fn store_through_phi(ret: &str) -> String {
+        format!(
+            "static T: [i32; 1];
+             static U: [i32; 1];
+             fn main() -> i32 {{
+               let c: i32 = read_input(0);
+               let mut p: *i32 = U;
+               if (c > 0) {{ p = T; }}
+               p[0] = 9;
+               return {ret};
+             }}"
+        )
+    }
+
+    #[test]
+    fn globalopt_keeps_a_global_stored_through_a_phi() {
+        let src = store_through_phi("T[0]");
+        check_pass_preserves(&src, &["mem2reg", "globalopt"], &PassConfig::default());
+    }
+
+    #[test]
+    fn constmerge_keeps_a_global_stored_through_a_phi() {
+        let src = store_through_phi("T[0] * 10 + U[0]");
+        check_pass_preserves(&src, &["mem2reg", "constmerge"], &PassConfig::default());
     }
 
     #[test]

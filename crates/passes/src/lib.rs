@@ -74,8 +74,6 @@ pub struct PassConfig {
     pub inline_threshold: usize,
     /// Unrolled-body instruction budget for full loop unrolling.
     pub unroll_threshold: usize,
-    /// Partial-unroll factor used when full unrolling exceeds the budget.
-    pub unroll_factor: u32,
     /// Maximum speculatable instructions `simplifycfg` will if-convert per
     /// branch arm (LLVM's "speculation" budget). The zk-aware pipeline sets
     /// this to 0 (paper P4: keep branches).
@@ -84,9 +82,6 @@ pub struct PassConfig {
     /// (division → shift sequences, Fig. 2a). The zk-aware pipeline disables
     /// it (paper Change set 1: division is cheap on zkVMs).
     pub strength_reduce_div: bool,
-    /// Inline even when the callee contains calls/loops (aggressive mode used
-    /// with high thresholds).
-    pub inline_aggressive: bool,
     /// Run the IR verifier after every pass, panicking on broken IR (on by
     /// default in debug builds; the tuner's candidates turn it off so that
     /// codegen's verifier reports a broken sequence).
@@ -98,10 +93,8 @@ impl Default for PassConfig {
         PassConfig {
             inline_threshold: 225,
             unroll_threshold: 200,
-            unroll_factor: 4,
             simplifycfg_speculate: 2,
             strength_reduce_div: true,
-            inline_aggressive: false,
             verify_each: cfg!(debug_assertions),
         }
     }
@@ -116,7 +109,6 @@ impl PassConfig {
             inline_threshold: 4328,
             simplifycfg_speculate: 0,
             strength_reduce_div: false,
-            inline_aggressive: true,
             ..PassConfig::default()
         }
     }

@@ -386,9 +386,7 @@ pub fn ipsccp(m: &mut Module, cfg: &PassConfig) -> bool {
             // Substitute known-constant params.
             for (i, l) in lats.iter().enumerate() {
                 if let Lat::Const(c) = l {
-                    let p = f.param(i);
-                    if f.use_count(p) > 0 {
-                        f.replace_all_uses(p, *c);
+                    if f.replace_all_uses(f.param(i), *c) > 0 {
                         round_changed = true;
                     }
                 }
@@ -409,8 +407,7 @@ pub fn ipsccp(m: &mut Module, cfg: &PassConfig) -> bool {
                         continue;
                     };
                     if let Some(&Some(c)) = const_rets.get(callee.index()) {
-                        if f.use_count(v) > 0 {
-                            f.replace_all_uses(v, c);
+                        if f.replace_all_uses(v, c) > 0 {
                             round_changed = true;
                         }
                     }

@@ -106,6 +106,46 @@ pub fn escaping_values(f: &Function) -> Vec<bool> {
     escapes
 }
 
+/// Which globals the module may write, indexed by global. Each use of an
+/// address that [`ptr_base`] traces to a global is judged in place: a load's
+/// pointer and an `icmp` operand only read or compare it, and a `gep` base or
+/// a `copy` extends the chain `ptr_base` follows. Any other use marks the
+/// global written, because a pointer the analysis cannot follow may write
+/// through it: a store's pointer or value, a call or ecall argument, a phi or
+/// select operand, a cast or arithmetic operand, a `gep` index, a terminator
+/// operand. Blocks unreachable from entry never run and are not read.
+pub fn written_globals(m: &Module) -> Vec<bool> {
+    let mut written = vec![false; m.globals.len()];
+    for f in &m.funcs {
+        let mut mark = |o: &Operand| {
+            if let PtrBase::Global(g) = ptr_base(f, o) {
+                written[g.index()] = true;
+            }
+        };
+        for b in f.reachable_blocks() {
+            let block = &f.blocks[b.index()];
+            for &v in &block.insts {
+                match f.op(v) {
+                    Some(Op::Load { .. } | Op::Icmp { .. }) | None => {}
+                    Some(op @ (Op::Gep { base, .. } | Op::Copy(base))) => {
+                        // Past `ptr_base`'s depth bound the chain is lost,
+                        // so its last followable link counts as a write.
+                        if ptr_base(f, &Operand::Value(v)) == PtrBase::Unknown {
+                            mark(base);
+                        }
+                        if let Op::Gep { index, .. } = op {
+                            mark(index);
+                        }
+                    }
+                    Some(op) => op.for_each_operand(&mut mark),
+                }
+            }
+            block.term.for_each_operand(&mut mark);
+        }
+    }
+    written
+}
+
 /// Fold an instruction whose operands are all constants; returns the constant
 /// result if it folds.
 pub fn const_fold(f: &Function, op: &Op) -> Option<Operand> {
@@ -636,6 +676,57 @@ mod tests {
             assert_eq!(escapes[v.index()], want, "{v:?}");
             assert_eq!(oracle::alloca_escapes(&f, v), want, "{v:?} (oracle)");
         }
+    }
+
+    #[test]
+    fn written_globals_marks_every_use_but_reads_and_compares() {
+        // One global per use. Only a load's pointer, an icmp operand and a
+        // gep/copy chain ending in those leave a global unwritten.
+        let mut m = Module::new();
+        let g: Vec<GlobalId> = (0..13)
+            .map(|i| m.add_global(zkvmopt_ir::Global::zeroed(format!("g{i}"), 16)))
+            .collect();
+        let mut b = FunctionBuilder::new("callee", vec![Ty::Ptr], None);
+        b.ret(None);
+        let callee = m.add_func(b.finish());
+        let mut b = FunctionBuilder::new("f", vec![], Some(Ty::Ptr));
+        let a: Vec<Operand> = g.iter().map(|&g| Operand::val(b.global_addr(g))).collect();
+        let slot = b.alloca(Ty::Ptr, 1);
+        let elem = b.gep(a[0], Operand::i32(1), 4, 0);
+        b.icmp(zkvmopt_ir::Pred::Eq, a[1], a[2]);
+        b.store(a[3], Operand::i32(1), Ty::I32);
+        b.store(Operand::val(slot), a[4], Ty::Ptr);
+        b.call(callee, vec![a[5]], None);
+        b.ecall(0, vec![a[6]]);
+        b.select(Operand::bool(true), a[7], a[7]);
+        b.bin(BinOp::Add, a[8], Operand::i32(4));
+        b.gep(a[1], a[9], 4, 0);
+        // A store at the end of a chain longer than `ptr_base` follows.
+        let mut deep = a[12];
+        for _ in 0..64 {
+            deep = Operand::val(b.gep(deep, Operand::i32(0), 4, 0));
+        }
+        b.store(deep, Operand::i32(1), Ty::I32);
+        let entry = b.current_block();
+        let join = b.new_block();
+        b.br(join);
+        b.switch_to(join);
+        b.phi(Ty::Ptr, vec![(entry, a[10])]);
+        b.ret(Some(a[11]));
+        let mut f = b.finish();
+        let copy = f.add_inst(f.entry, Op::Copy(Operand::val(elem)), Some(Ty::Ptr));
+        f.add_inst(
+            f.entry,
+            Op::Load {
+                ptr: Operand::val(copy),
+                ty: Ty::I32,
+            },
+            Some(Ty::I32),
+        );
+        m.add_func(f);
+        let mut want = vec![true; 13];
+        want[..3].fill(false);
+        assert_eq!(written_globals(&m), want);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::hash::FxHashSet;
 use zkvmopt_ir::{
-    BinOp, BlockId, CastKind, Function, Module, Op, Operand, Pred, Term, Ty, ValueDef, ValueId,
+    BinOp, BlockId, CastKind, Function, Module, Op, Operand, Pred, Term, Ty, ValueId,
 };
 
 /// A codegen failure (unsupported shape, e.g. more than 8 call arguments).
@@ -171,23 +171,9 @@ pub fn lower_function(
 
 /// Icmps fusible into their branch: the condition of a reachable block's
 /// `cond_br`, defined in that block and used nowhere else. Uses are counted
-/// as [`Function::use_count`] counts them (every instruction in the arena and
-/// every terminator), in one sweep for the whole function.
+/// by [`Function::use_counts`], in one sweep for the whole function.
 fn fusible_icmps(f: &Function, order: &[BlockId]) -> Vec<bool> {
-    let mut uses = vec![0u32; f.values.len()];
-    let mut count = |o: &Operand| {
-        if let Operand::Value(u) = o {
-            uses[u.index()] += 1;
-        }
-    };
-    for vd in &f.values {
-        if let ValueDef::Inst(op) = &vd.def {
-            op.for_each_operand(&mut count);
-        }
-    }
-    for b in &f.blocks {
-        b.term.for_each_operand(&mut count);
-    }
+    let uses = f.use_counts();
     let mut fused = vec![false; f.values.len()];
     for &b in order {
         if let Term::CondBr {

@@ -194,6 +194,113 @@ fn suite_wide_differential_harness() {
     );
 }
 
+/// The last-pass census for the two passes that read which globals are
+/// written (`constmerge`, `globalopt`): on every suite program, each
+/// distinct module (by `stable_module_fingerprint`) that a prefix of at most
+/// two registry passes reaches (no-ops and aliases left out, `verify_each`
+/// off) is finished with each of the two. A finishing pass is blamed when the
+/// IR interpreter's output after it differs from the lowered program's while
+/// the prefix's own output does not. Prefixes that already diverge are
+/// counted and printed, not finished: they are other passes' defects.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the depth-2 census is release-only (CI: test-release)"
+)]
+fn no_prefix_of_depth_two_makes_constmerge_or_globalopt_diverge() {
+    use zkvm_opt::ir::hash::FxHashSet;
+    use zkvm_opt::ir::{analysis::stable_module_fingerprint, interp::InterpConfig, Module};
+    use zkvm_opt::passes::{run_pass, PassConfig, PASSES};
+
+    const FINAL: [&str; 2] = ["constmerge", "globalopt"];
+    let passes: Vec<&str> = PASSES
+        .iter()
+        .filter(|e| !e.noop && e.alias_of.is_none())
+        .map(|e| e.name)
+        .collect();
+    let cfg = PassConfig {
+        verify_each: false,
+        ..PassConfig::default()
+    };
+    let start = std::time::Instant::now();
+    let (mut modules, mut skipped) = (0usize, Vec::new());
+    let mut blamed = Vec::new();
+    for w in zkvm_opt::workloads::all() {
+        let lowered = zkvm_opt::lang::compile_guest(&w.source).expect("compiles");
+        let mut icfg = InterpConfig {
+            inputs: w.inputs.clone(),
+            ..Default::default()
+        };
+        let run = |m: &Module, icfg: &InterpConfig| {
+            zkvm_opt::ir::Interp::new(m, icfg.clone(), zkvm_opt::vm::CryptoEcalls)
+                .run_main()
+                .map(|o| (o.exit_value, o.journal))
+        };
+        let base = zkvm_opt::ir::Interp::new(&lowered, icfg.clone(), zkvm_opt::vm::CryptoEcalls)
+            .run_main()
+            .unwrap_or_else(|e| panic!("{} oracle: {e}", w.name));
+        // A miscompiled loop may never end; no pass sequence here needs
+        // sixteen times the lowered program's steps.
+        icfg.max_steps = base.steps * 16 + 1_000_000;
+        let want = Ok((base.exit_value, base.journal));
+        let mut seen = FxHashSet::default();
+        seen.insert(stable_module_fingerprint(&lowered));
+        let mut frontier: Vec<(Vec<&str>, Module)> = vec![(Vec::new(), lowered)];
+        for depth in 0..=2 {
+            let mut next = Vec::new();
+            for (prefix, m) in &frontier {
+                modules += 1;
+                if run(m, &icfg) != want {
+                    skipped.push(format!("{}: {prefix:?}", w.name));
+                } else {
+                    for last in FINAL {
+                        let mut done = m.clone();
+                        if run_pass(last, &mut done, &cfg) {
+                            let got = run(&done, &icfg);
+                            if got != want {
+                                blamed.push(format!(
+                                    "{}: {prefix:?} then {last}: {got:?}, want {want:?}",
+                                    w.name
+                                ));
+                            }
+                        }
+                    }
+                }
+                if depth == 2 {
+                    continue;
+                }
+                for &p in &passes {
+                    let mut out = m.clone();
+                    run_pass(p, &mut out, &cfg);
+                    if seen.insert(stable_module_fingerprint(&out)) {
+                        let mut path = prefix.clone();
+                        path.push(p);
+                        next.push((path, out));
+                    }
+                }
+            }
+            frontier = next;
+        }
+    }
+    println!(
+        "census: {modules} distinct modules of depth <= 2 on {} programs, {} passes, \
+         finished with {FINAL:?} in {:.1} s; {} prefixes skipped as already diverging",
+        zkvm_opt::workloads::all().len(),
+        passes.len(),
+        start.elapsed().as_secs_f64(),
+        skipped.len()
+    );
+    for s in &skipped {
+        println!("  skipped {s}");
+    }
+    assert!(
+        blamed.is_empty(),
+        "{} blamed:\n{}",
+        blamed.len(),
+        blamed.join("\n")
+    );
+}
+
 #[test]
 fn segmented_prover_binds_suite_outputs() {
     use zkvm_opt::prover::{prove_segmented, verify_segmented, RiscZeroBackend};
