@@ -4,9 +4,7 @@
 //! of the paper, each returning typed tables with the paper claims they
 //! check; the `report` binary (`cargo run -p zkvmopt-bench --release --bin
 //! report`) prints them, and `tests/paper_findings.rs` pins every claim's
-//! outcome and every reported number. The crate's five Criterion targets
-//! measure throughput of the engine, the pass layer, the prover and the
-//! tuner.
+//! outcome and every reported number.
 
 use zkvmopt_core::suite::check_and_measure;
 use zkvmopt_core::{gain, Measurement, OptProfile, PipelineError, RunReport, SuiteRunner};
@@ -14,12 +12,6 @@ use zkvmopt_vm::{SegmentRecord, VmKind};
 use zkvmopt_workloads::Workload;
 
 pub mod study;
-
-/// Whether a bench runs at smoke scale: criterion's own `--test` flag
-/// (`cargo bench .. -- --test`), which also has each routine run once.
-pub fn smoke() -> bool {
-    std::env::args().any(|a| a == "--test")
-}
 
 /// One pass-impact observation: percent gains vs. baseline.
 #[derive(Debug, Clone)]
@@ -65,7 +57,7 @@ pub(crate) fn by_names(names: &[&str]) -> Vec<&'static Workload> {
 }
 
 /// The reduced workload set: representative across suites, used by
-/// `report --quick` and the smoke-scale throughput benches.
+/// `report --quick`.
 pub fn bench_workloads() -> Vec<&'static Workload> {
     by_names(&[
         "polybench-floyd-warshall",
@@ -162,14 +154,6 @@ pub fn impact_matrix(
         }
     }
     out
-}
-
-/// The rule above and below a title.
-const RULE: &str = "================================================================";
-
-/// Print a paper-style header line.
-pub fn header(title: &str) {
-    println!("\n{RULE}\n{title}\n{RULE}");
 }
 
 #[cfg(test)]

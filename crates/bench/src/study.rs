@@ -13,7 +13,7 @@ use std::iter::once;
 use std::sync::OnceLock;
 
 use self::Cell::{Count, Num, Pct, Text, Times};
-use crate::{bench_workloads, by_names, impact_matrix, Impact, RULE};
+use crate::{bench_workloads, by_names, impact_matrix, Impact};
 use zkvmopt_core::{categorize, gain, OptLevel, OptProfile, Pipeline, RunReport};
 use zkvmopt_passes::PassConfig;
 use zkvmopt_stats::{kendall_tau, mean, pearson, summarize};
@@ -129,6 +129,9 @@ impl Table {
         self.findings.push(Finding { id, claim, holds });
     }
 }
+
+/// The rule above and below a table's title.
+const RULE: &str = "================================================================";
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

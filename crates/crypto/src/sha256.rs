@@ -31,8 +31,7 @@
 //! vectors by name, in one lane and in two, and to each other and to
 //! themselves across lanes on every length and alignment), so no digest,
 //! Merkle root or proof commitment can depend on which one ran or on how
-//! many lanes it ran; [`sha256_kernel`] reports the choice for logs and
-//! bench headers only.
+//! many lanes it ran; [`sha256_kernel`] reports the choice for logs only.
 //!
 //! The hardware kernel is the workspace's only `unsafe`: one `unsafe fn`
 //! (it must not run on a CPU without the instructions) and one call site,

@@ -682,13 +682,37 @@ pub fn globaldce(m: &mut Module, _cfg: &PassConfig) -> bool {
     changed
 }
 
-/// Merge identical read-only globals (same size, init, alignment).
+/// Which globals have their address compared, indexed by global: an `icmp`
+/// operand [`util::ptr_base`] traces to the global. Blocks unreachable from
+/// entry never run and are not read.
+fn compared_globals(m: &Module) -> Vec<bool> {
+    let mut compared = vec![false; m.globals.len()];
+    for f in &m.funcs {
+        for b in f.reachable_blocks() {
+            for &v in &f.blocks[b.index()].insts {
+                if let Some(Op::Icmp { a, b, .. }) = f.op(v) {
+                    for o in [a, b] {
+                        if let util::PtrBase::Global(g) = util::ptr_base(f, o) {
+                            compared[g.index()] = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    compared
+}
+
+/// Merge identical read-only globals (same size, init, alignment) whose
+/// addresses are never compared: merging two compared globals would make
+/// distinct addresses equal (LLVM merges only `unnamed_addr` globals).
 pub fn constmerge(m: &mut Module, _cfg: &PassConfig) -> bool {
     let written = util::written_globals(m);
+    let compared = compared_globals(m);
     let mut canon: FxHashMap<(u32, Vec<u8>, u32), usize> = FxHashMap::default();
     let mut replace: FxHashMap<usize, usize> = FxHashMap::default();
     for (i, g) in m.globals.iter().enumerate() {
-        if written[i] {
+        if written[i] || compared[i] {
             continue;
         }
         let key = (g.size, g.init.clone(), g.align);
@@ -1022,6 +1046,21 @@ mod tests {
     fn constmerge_keeps_a_global_stored_through_a_phi() {
         let src = store_through_phi("T[0] * 10 + U[0]");
         check_pass_preserves(&src, &["mem2reg", "constmerge"], &PassConfig::default());
+    }
+
+    #[test]
+    fn constmerge_keeps_globals_whose_addresses_are_compared() {
+        // Neither table is written, but merging them makes `p == q` hold:
+        // exit 0 becomes 1.
+        let src = "static A: [i32; 2];
+                   static B: [i32; 2];
+                   fn main() -> i32 {
+                     let p: *i32 = A;
+                     let q: *i32 = B;
+                     if (p == q) { return 1; }
+                     return 0;
+                   }";
+        check_pass_preserves(src, &["mem2reg", "constmerge"], &PassConfig::default());
     }
 
     #[test]

@@ -35,13 +35,12 @@
 //! Committing to padded trace area *is* a real STARK prover's dominant cost
 //! (the substitution note above), so the one piece of this crate that spends
 //! wall time spends it on the quantity the cost model prices, and everything
-//! that times it measures something — the `threads` fan-out and
-//! `prover_throughput`'s parallel gate, `prover.padded_mrows_per_s`, the
-//! benchmark's `prove_segmented` workload. A **record-only commitment**
-//! (hash the `SegmentRecord` itself: a few hundred bytes a segment, two
-//! orders less hashing) was weighed and declined: it binds nothing the
-//! accounting gate and the public leaf do not already bind, and it would
-//! leave all of the above timing a constant. What changed instead is that
+//! that times it measures something — the `threads` fan-out,
+//! `prover.padded_mrows_per_s`, the benchmark's `prove_segmented` workload.
+//! A **record-only commitment** (hash the `SegmentRecord` itself: a few
+//! hundred bytes a segment, two orders less hashing) was weighed and
+//! declined: it binds nothing the accounting gate and the public leaf do
+//! not already bind, and it would leave all of the above timing a constant. What changed instead is that
 //! hashing now costs what hashing costs — one SHA-256 dispatch point with a
 //! hardware kernel that hashes two independent leaves in lockstep
 //! (`zkvmopt_crypto::sha256_pair`), a run's leaves filled four at a time into
@@ -373,7 +372,8 @@ mod tests {
     )]
     fn suite_roots_match_the_oracle() {
         // The benchmark's `prove_segmented` op list: 58 programs x {baseline,
-        // -O3} x both VMs at the / 64 segment limit x the backend panel.
+        // -O3} x both VMs at the / 64 segment limit x the backend panel,
+        // proved on one thread and fanned out over up to four.
         let mut segments = 0;
         for w in zkvmopt_workloads::all() {
             let baseline = zkvmopt_lang::compile_guest(&w.source).unwrap();
@@ -395,9 +395,16 @@ mod tests {
                         .unwrap();
                     segments += records.len();
                     for backend in standard_backends() {
-                        let ctx = format!("{} at {level} on {kind}, {}", w.name, backend.name());
-                        let proof = prove_segmented(backend, &report, &records, 1).unwrap();
-                        assert_matches_oracle(&ctx, backend, &report, &records, &proof);
+                        for threads in [1, 4] {
+                            let ctx = format!(
+                                "{} at {level} on {kind}, {}, {threads} thread(s)",
+                                w.name,
+                                backend.name()
+                            );
+                            let proof =
+                                prove_segmented(backend, &report, &records, threads).unwrap();
+                            assert_matches_oracle(&ctx, backend, &report, &records, &proof);
+                        }
                     }
                 }
             }

@@ -157,8 +157,8 @@ impl ProverBackend for LookupCentricBackend {
     }
 }
 
-/// The standard backend panel for multi-backend studies (fig14, the prover
-/// throughput bench).
+/// The standard backend panel for multi-backend studies (fig14, the
+/// benchmark's `prove_segmented` workload).
 #[must_use]
 pub fn standard_backends() -> [&'static dyn ProverBackend; 3] {
     [&RiscZeroBackend, &Sp1Backend, &LookupCentricBackend]

@@ -126,8 +126,8 @@ impl Predictor {
     }
 
     /// [`Predictor::from_db`], excluding the entry with fingerprint
-    /// `exclude` — the leave-one-out constructor the `predictive_tuning`
-    /// bench evaluates generalization with.
+    /// `exclude` — the leave-one-out constructor `tests/tuner_service.rs`
+    /// gates generalization with.
     pub fn from_db_excluding(db: &TuneDb, k: usize, exclude: Option<u64>) -> Predictor {
         let mut raw: Vec<(&TuneDbEntry, Candidate)> = Vec::new();
         for e in db.iter() {

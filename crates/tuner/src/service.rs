@@ -2,8 +2,8 @@
 //! programs at once.
 //!
 //! [`tune_suite`] is the only search loop in the workspace — Figure 6's
-//! single-program tuning, the §4.2 example, the throughput benches and the
-//! tuning service all call it. It is structured the way GPU-scale
+//! single-program tuning, the §4.2 example, the benchmark's `tune_cold`
+//! workload and the tuning service all call it. It is structured the way GPU-scale
 //! combinatorial solvers are: a large population of small, independent
 //! evolution steps that worker threads chew through concurrently. One
 //! island on one thread is a plain single-population GA; more islands and

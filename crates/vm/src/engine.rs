@@ -567,7 +567,7 @@ impl<'p> Engine<'p> {
     /// recorder only has to fold the fast tier's block hit counts into the
     /// mix before it takes its deltas.
     ///
-    /// Guarantees (gated by tests and the prover throughput bench):
+    /// Guarantees (gated by tests):
     /// - the returned report equals [`Engine::run`]'s bit for bit;
     /// - records sum bit-identically to the report's totals (`instret`,
     ///   `user_cycles`, paging, page-ins/outs, mix);

@@ -493,7 +493,7 @@ pub fn alu_imm(op: AluImmOp, a: u32, imm: i32) -> u32 {
 }
 
 /// Run `program` through the **reference** step interpreter — the oracle the
-/// differential harness and the `engine_throughput` bench compare against.
+/// differential harness compares the engine against.
 ///
 /// # Errors
 /// Propagates [`ExecError`].

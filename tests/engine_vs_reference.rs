@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use zkvm_opt::prover::check_segment_accounting;
 use zkvm_opt::riscv::{Program, TargetCostModel};
+use zkvm_opt::study::{OptLevel, OptProfile, SuiteRunner};
 use zkvm_opt::vm::{
     DecodedProgram, Engine, ExecConfig, ExecError, ExecutionReport, Machine, VmKind, VmProfile,
 };
@@ -40,6 +41,30 @@ fn suite() -> &'static [Compiled] {
                     name: w.name,
                     decoded: DecodedProgram::decode(&p),
                     program: p,
+                    inputs: w.inputs.clone(),
+                }
+            })
+            .collect()
+    })
+}
+
+/// Every suite workload compiled once at -O2 through the study's compile
+/// path: fewer, denser blocks than at -O0.
+fn suite_o2() -> &'static [Compiled] {
+    static SUITE: OnceLock<Vec<Compiled>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        let mut runner = SuiteRunner::new();
+        let o2 = OptProfile::level(OptLevel::O2);
+        zkvm_opt::workloads::all()
+            .iter()
+            .map(|w| {
+                let cw = runner
+                    .compile(w, &o2)
+                    .unwrap_or_else(|e| panic!("{}: -O2 compiles: {e}", w.name));
+                Compiled {
+                    name: w.name,
+                    program: cw.program.clone(),
+                    decoded: cw.decoded.clone(),
                     inputs: w.inputs.clone(),
                 }
             })
@@ -131,23 +156,31 @@ fn engine_matches_reference_on_divergent_inputs() {
 }
 
 /// A 1000-cycle segment limit puts hundreds of boundaries inside fast
-/// blocks, on their last ops and on missing loads, in every workload:
-/// `run` and `run_segmented` must both match the oracle (budget tails
-/// included), and the records must sum to the report.
+/// blocks, on their last ops and on missing loads, in every workload at
+/// -O0; the production limits ÷ 64 cut all but the smallest -O2 workloads
+/// into several segments. `run` and `run_segmented` must both match the oracle
+/// (budget tails included), and the records must sum to the report.
 #[test]
 fn small_segment_limits_match_reference_across_the_suite() {
-    for c in suite() {
+    let o0 = suite().iter().map(|c| (c, None));
+    let o2 = suite_o2().iter().map(|c| (c, Some(64)));
+    for (c, divisor) in o0.chain(o2) {
         for kind in VmKind::BOTH {
+            let production = VmProfile::for_kind(kind);
             let profile = VmProfile {
-                segment_cycles: 1000,
-                ..VmProfile::for_kind(kind)
+                segment_cycles: divisor.map_or(1000, |d| production.segment_cycles / d),
+                ..production
             };
+            let limit = profile.segment_cycles;
             for budget in [997u64, 1003, 2_000_000] {
                 let config = ExecConfig {
                     inputs: c.inputs.clone(),
                     max_cycles: budget,
                 };
-                let ctx = format!("{} on {kind} (segments of 1000, budget {budget})", c.name);
+                let ctx = format!(
+                    "{} on {kind} (segments of {limit}, budget {budget})",
+                    c.name
+                );
                 let oracle = Machine::new(&c.program, profile.clone(), config.clone()).run();
                 let engine = Engine::new(&c.decoded, profile.clone(), config.clone()).run();
                 assert_lane_matches(&engine, &oracle, &ctx);

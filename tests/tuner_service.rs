@@ -19,6 +19,10 @@
 //!    outside any search, gives the identical result (payload included); on
 //!    one thread the memo answers exactly the calls whose post-pass IR the
 //!    search had already seen; and no memo state outlives a search.
+//! 6. **Leave-one-out prediction** — over all 58 suite programs, each one
+//!    predicted from a database without its own entry lands within 10 % of
+//!    its fully-tuned cycles and strictly beats `-O3` (geomeans), and a
+//!    predict-first search writes the same database on 1 and 4 threads.
 //!
 //! The search evaluates hundreds of real compiles, so the suite is
 //! release-only, like the suite-wide differential harness:
@@ -28,9 +32,14 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Mutex;
+use zkvm_opt::stats::geomean;
 use zkvm_opt::study::SuiteRunner;
-use zkvm_opt::tuner::{tune_suite, Candidate, EvalResult, ServiceConfig, TuneDb, TuneTarget};
+use zkvm_opt::tuner::{
+    canonicalize_sequence, predict::o3_fallback, tune_suite, Candidate, EvalResult, Predictor,
+    ServiceConfig, ServiceReport, TuneDb, TuneDbEntry, TuneTarget,
+};
 use zkvm_opt::vm::VmKind;
 use zkvmopt_core::{BatchEvaluator, OptProfile, PipelineError};
 use zkvmopt_passes::PassConfig;
@@ -86,11 +95,7 @@ fn service_config(threads: usize) -> ServiceConfig {
     }
 }
 
-fn run_service(
-    ev: &BatchEvaluator,
-    threads: usize,
-    db: &mut TuneDb,
-) -> zkvm_opt::tuner::ServiceReport {
+fn run_service(ev: &BatchEvaluator, threads: usize, db: &mut TuneDb) -> ServiceReport {
     tune_suite(&service_config(threads), &targets(ev), db, |widx, c| {
         classified(ev, widx, c)
     })
@@ -230,10 +235,7 @@ fn warm_start_through_disk_performs_zero_redundant_evaluations() {
 type Call = (usize, Candidate, Result<u64, PipelineError>);
 
 /// A search through the classified fitness that records every call.
-fn recorded_search(
-    ev: &BatchEvaluator,
-    threads: usize,
-) -> (zkvm_opt::tuner::ServiceReport, Vec<Call>) {
+fn recorded_search(ev: &BatchEvaluator, threads: usize) -> (ServiceReport, Vec<Call>) {
     let calls = Mutex::new(Vec::new());
     let report = tune_suite(
         &service_config(threads),
@@ -305,4 +307,163 @@ fn postpass_hits_are_the_repeated_postpass_modules_of_one_search() {
     let (again, _) = recorded_search(&ev, 1);
     assert_eq!(again.postpass_hits, report.postpass_hits);
     assert_eq!(again.fitness_evals, report.fitness_evals);
+}
+
+/// The leave-one-out gate's search geometry: a small budget, so tuning the
+/// whole suite three times stays near a second in release.
+fn loo_config(predict: bool, threads: usize) -> ServiceConfig {
+    ServiceConfig {
+        islands: 2,
+        population: 4,
+        generations: 2,
+        migration_interval: 2,
+        threads,
+        seed: SEED,
+        predict,
+        ..Default::default()
+    }
+}
+
+/// Tune `targets[range]` into `db`. The fitness re-bases workload indices so
+/// a sub-range of the suite still addresses the right program.
+fn tune_range(
+    ev: &BatchEvaluator,
+    targets: &[TuneTarget],
+    range: Range<usize>,
+    cfg: &ServiceConfig,
+    db: &mut TuneDb,
+) -> ServiceReport {
+    let fitness = ev.classified_fitness();
+    let lo = range.start;
+    tune_suite(cfg, &targets[range], db, |widx, c| fitness(lo + widx, c))
+}
+
+/// Floor `targets[range]`'s entries at the best of the `-O3` family: the
+/// canonical pipeline and the pipeline with its cleanup tail re-run (the
+/// fixed tail does not always converge), each at the default thresholds and
+/// at the paper's §6.1 zkVM-aware ones (inline far past the hardware
+/// default, unroll more aggressively). A database is bootstrapped the same
+/// way: the island search explores short specialised sequences rather than
+/// rediscovering the 28-pass pipeline, and the per-program winner of these
+/// four differs, which is the variation a k-NN predictor exists to transfer.
+fn record_o3_floor(
+    ev: &BatchEvaluator,
+    targets: &[TuneTarget],
+    range: Range<usize>,
+    db: &mut TuneDb,
+) {
+    let o3 = o3_fallback();
+    let mut tail = o3.passes.clone();
+    tail.extend(["gvn", "dse", "instcombine", "adce", "simplifycfg"]);
+    let mut family = Vec::new();
+    for passes in [o3.passes.clone(), canonicalize_sequence(&tail)] {
+        family.push(Candidate {
+            passes: passes.clone(),
+            ..o3.clone()
+        });
+        family.push(Candidate {
+            passes,
+            inline_threshold: 4328,
+            unroll_threshold: 512,
+        });
+    }
+    for i in range {
+        let t = &targets[i];
+        for c in &family {
+            if let Some(cycles) = ev.eval(i, &c.passes, &c.pass_config()) {
+                db.record(TuneDbEntry {
+                    fingerprint: t.fingerprint,
+                    passes: c.passes.iter().map(|p| (*p).to_string()).collect(),
+                    inline_threshold: c.inline_threshold,
+                    unroll_threshold: c.unroll_threshold,
+                    cycles,
+                    baseline_cycles: t.baseline_cycles.unwrap_or(0),
+                    features: t
+                        .features
+                        .as_ref()
+                        .map(|f| f.as_slice().to_vec())
+                        .unwrap_or_default(),
+                });
+            }
+        }
+    }
+}
+
+/// Copy a database by replaying its entries into a fresh in-memory one.
+fn clone_db(db: &TuneDb) -> TuneDb {
+    let mut out = TuneDb::in_memory();
+    for e in db.iter() {
+        out.record(e.clone());
+    }
+    out
+}
+
+/// The first half of the suite is tuned cold; the second half is tuned
+/// against it predict-first on 1 and 4 threads, and with the predictor off.
+/// The predictor-off database, floored at the `-O3` family, holds every
+/// program's fully-tuned entry. Each program is then predicted from it minus
+/// its own entry (features only: `predict` never runs the fitness) and the
+/// predicted candidate is measured once.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "suite-wide real-compile search is release-only (CI: test-release)"
+)]
+fn leave_one_out_predictions_land_near_tuned_and_beat_o3_across_the_suite() {
+    let ws: Vec<&'static Workload> = zkvm_opt::workloads::all().iter().collect();
+    let ev = SuiteRunner::new()
+        .batch_evaluator(&ws, VmKind::RiscZero)
+        .expect("suite workloads compile");
+    let targets = targets(&ev);
+    let (n, half) = (targets.len(), targets.len() / 2);
+
+    let mut known = TuneDb::in_memory();
+    tune_range(&ev, &targets, 0..half, &loo_config(false, 4), &mut known);
+    record_o3_floor(&ev, &targets, 0..half, &mut known);
+
+    let [one, four] = [1, 4].map(|threads| {
+        let mut db = clone_db(&known);
+        let cfg = loo_config(true, threads);
+        let report = tune_range(&ev, &targets, half..n, &cfg, &mut db);
+        (db.to_string_pretty(), report.predicted_hits)
+    });
+    assert_eq!(
+        one, four,
+        "predict-first tune database must not depend on thread count"
+    );
+
+    let mut full = known;
+    tune_range(&ev, &targets, half..n, &loo_config(false, 4), &mut full);
+    record_o3_floor(&ev, &targets, half..n, &mut full);
+    assert_eq!(full.len(), n, "every program tuned");
+
+    let k = ServiceConfig::default().predict_k;
+    let (mut vs_tuned, mut vs_o3, mut fallbacks) = (Vec::new(), Vec::new(), 0);
+    for (i, t) in targets.iter().enumerate() {
+        let p = Predictor::from_db_excluding(&full, k, Some(t.fingerprint)).predict(ev.features(i));
+        fallbacks += usize::from(p.fallback);
+        let o3 = ev.o3_cycles(i);
+        // A predicted candidate that fails to validate counts as `-O3`.
+        let predicted = ev
+            .eval(i, &p.candidate.passes, &p.candidate.pass_config())
+            .unwrap_or(o3);
+        let tuned = full.get(t.fingerprint).expect("suite was tuned").cycles;
+        vs_tuned.push(predicted as f64 / tuned as f64);
+        vs_o3.push(predicted as f64 / o3 as f64);
+    }
+    let (g_tuned, g_o3) = (geomean(&vs_tuned), geomean(&vs_o3));
+    println!(
+        "leave-one-out over {n} programs: predicted/tuned {g_tuned:.4}, predicted/-O3 {g_o3:.4}, \
+         {fallbacks} fallback(s); predict-first {}/{} predicted hits",
+        one.1,
+        n - half
+    );
+    assert!(
+        g_tuned <= 1.10,
+        "predictions must land within 10 % of fully-tuned (geomean {g_tuned:.4})"
+    );
+    assert!(
+        g_o3 < 1.0,
+        "predictions must strictly beat -O3 (geomean {g_o3:.4})"
+    );
 }
