@@ -114,11 +114,12 @@ fn impact_of(
     }
 }
 
-/// Run a (workloads × profiles × vms) impact matrix through one
-/// [`SuiteRunner`]: one [`SuiteRunner::run_matrix`] row per workload over
-/// the baseline plus `profiles`, so each workload compiles once per
-/// distinct pipeline and executes each distinct linked program once per VM
-/// (and once on x86). Impacts come in (workload, vm, profile) order; a
+/// Run a (workloads × profiles × vms) impact matrix: one
+/// [`SuiteRunner::run_matrix`] row per workload over the baseline plus
+/// `profiles`, each on its own [`SuiteRunner`] (rows share no cache key, so
+/// only one row's programs are held at a time). Each workload compiles once
+/// per distinct pipeline and executes each distinct linked program once
+/// per VM (and once on x86). Impacts come in (workload, vm, profile) order; a
 /// profile that fails or changes the baseline's observable behaviour is
 /// skipped with a `[skip]` line.
 ///
@@ -130,13 +131,12 @@ pub fn impact_matrix(
     vms: &[VmKind],
     with_x86: bool,
 ) -> Vec<Impact> {
-    let mut runner = SuiteRunner::new();
     let row: Vec<OptProfile> = std::iter::once(OptProfile::baseline())
         .chain(profiles.iter().cloned())
         .collect();
     let mut out = Vec::new();
     for w in workloads {
-        let cells = runner.run_matrix(&[w], &row, vms, with_x86, 1);
+        let cells = SuiteRunner::new().run_matrix(&[w], &row, vms, with_x86, 1);
         for (vi, vm) in vms.iter().enumerate() {
             let (bm, br) = cells[vi]
                 .result

@@ -71,30 +71,16 @@ pub use error::PipelineError;
 pub use suite::{codegen, execute, passes, CompiledWorkload, MatrixCell, SuiteRunner};
 pub use zkvmopt_passes::OptLevel;
 
-/// How a profile transforms the module.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProfileKind {
-    /// No passes at all (the paper's *baseline* with MIR opts off).
-    Baseline,
-    /// A standard `-Ox` pipeline.
-    Level(OptLevel),
-    /// One pass applied in isolation (the RQ1 axis).
-    SinglePass(&'static str),
-    /// An explicit pass sequence (autotuner output, RQ2).
-    Sequence(Vec<&'static str>),
-    /// The paper's zkVM-aware `-O3` (§6.1): `-O3`'s pass list under
-    /// [`PassConfig::zk_aware`] and [`TargetCostModel::zk`].
-    ZkAwareO3,
-}
-
 /// A named optimization profile: passes + pass parameters + backend cost
 /// model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptProfile {
     /// Display name (used in tables/figures).
     pub name: String,
-    /// What to run.
-    pub kind: ProfileKind,
+    /// The pass names this profile runs, in order: the resolved pipeline of
+    /// a level or zk-O3, `[p]` for a single pass, the sequence itself, and
+    /// nothing for the baseline.
+    pub passes: Vec<&'static str>,
     /// Pass parameters.
     pub pass_config: PassConfig,
     /// Instruction-selection cost model.
@@ -102,37 +88,24 @@ pub struct OptProfile {
 }
 
 impl OptProfile {
-    /// The unoptimized baseline.
+    /// The unoptimized baseline (the paper's *baseline* with MIR opts off):
+    /// no passes at all.
     pub fn baseline() -> OptProfile {
-        OptProfile {
-            name: "baseline".into(),
-            kind: ProfileKind::Baseline,
-            pass_config: PassConfig::default(),
-            backend: TargetCostModel::cpu(),
-        }
+        OptProfile::sequence("baseline", Vec::new(), PassConfig::default())
     }
 
-    /// A standard optimization level.
+    /// A standard `-Ox` pipeline.
     pub fn level(level: OptLevel) -> OptProfile {
-        OptProfile {
-            name: level.flag().to_string(),
-            kind: ProfileKind::Level(level),
-            pass_config: PassConfig::default(),
-            backend: TargetCostModel::cpu(),
-        }
+        let passes = PassManager::for_level(level).names();
+        OptProfile::sequence(level.flag(), passes, PassConfig::default())
     }
 
-    /// One pass in isolation.
+    /// One pass in isolation (the RQ1 axis).
     pub fn single_pass(pass: &'static str) -> OptProfile {
-        OptProfile {
-            name: pass.to_string(),
-            kind: ProfileKind::SinglePass(pass),
-            pass_config: PassConfig::default(),
-            backend: TargetCostModel::cpu(),
-        }
+        OptProfile::sequence(pass, vec![pass], PassConfig::default())
     }
 
-    /// An explicit sequence (autotuner candidates).
+    /// An explicit sequence (autotuner output, RQ2).
     pub fn sequence(
         name: impl Into<String>,
         passes: Vec<&'static str>,
@@ -140,32 +113,21 @@ impl OptProfile {
     ) -> OptProfile {
         OptProfile {
             name: name.into(),
-            kind: ProfileKind::Sequence(passes),
+            passes,
             pass_config: cfg,
             backend: TargetCostModel::cpu(),
         }
     }
 
-    /// The zkVM-aware `-O3` of §6.1.
+    /// The paper's zkVM-aware `-O3` (§6.1): `-O3`'s pass list verbatim,
+    /// under [`PassConfig::zk_aware`] (e.g. `simplifycfg` stops
+    /// if-converting branches) and [`TargetCostModel::zk`].
     pub fn zk_o3() -> OptProfile {
         OptProfile {
             name: "zk-O3".into(),
-            kind: ProfileKind::ZkAwareO3,
+            passes: PassManager::o3().names(),
             pass_config: PassConfig::zk_aware(),
             backend: TargetCostModel::zk(),
-        }
-    }
-
-    /// The pass names this profile runs, in order: the resolved pipeline of
-    /// a level or zk-O3, `[p]` for a single pass, the sequence itself, and
-    /// nothing for the baseline.
-    pub fn passes(&self) -> Vec<&'static str> {
-        match &self.kind {
-            ProfileKind::Baseline => Vec::new(),
-            ProfileKind::Level(l) => PassManager::for_level(*l).names(),
-            ProfileKind::SinglePass(p) => vec![*p],
-            ProfileKind::Sequence(ps) => ps.clone(),
-            ProfileKind::ZkAwareO3 => PassManager::zk_o3().names(),
         }
     }
 
@@ -179,9 +141,7 @@ impl OptProfile {
     pub fn cache_key(&self) -> String {
         format!(
             "{:?}|{:?}|{:?}",
-            self.passes(),
-            self.pass_config,
-            self.backend
+            self.passes, self.pass_config, self.backend
         )
     }
 
@@ -189,7 +149,7 @@ impl OptProfile {
     /// one [`PassManager`], so a pipeline's passes share the executor's
     /// analysis caches (a pipeline of one is exactly `run_pass`).
     pub fn apply(&self, m: &mut Module) {
-        PassManager::from_names(self.passes()).run(m, &self.pass_config);
+        PassManager::from_names(self.passes.iter().copied()).run(m, &self.pass_config);
     }
 }
 

@@ -1,18 +1,21 @@
 //! The batched suite runner: compile once, execute many.
 //!
-//! Every experiment in the paper re-executes the 58-program suite thousands
-//! of times (the opt-level and single-pass matrices, the autotuner runs).
-//! This module holds the crate's three stage functions, which every
-//! evaluation path runs ([`Pipeline`](crate::Pipeline) through a fresh
-//! runner, [`SuiteRunner`], [`BatchEvaluator`](crate::BatchEvaluator)):
-//! [`passes`], [`codegen`] (verifier, backend, pre-decode) and
-//! [`execute`] (one segmented engine call, whose records price the run's
-//! proving cost, gated by the accounting check). [`SuiteRunner`] caches the
-//! compile side:
+//! Every experiment in the paper re-executes the 58-program suite under
+//! many profiles (the opt-level and single-pass matrices). This module
+//! holds the crate's three stage functions, which every evaluation path
+//! runs ([`Pipeline`](crate::Pipeline) through a fresh runner,
+//! [`SuiteRunner`], [`BatchEvaluator`](crate::BatchEvaluator)): [`passes`],
+//! [`codegen`] (verifier, backend, pre-decode) and [`execute`] (one
+//! segmented engine call, whose records price the run's proving cost,
+//! gated by the accounting check). [`SuiteRunner`] caches the compile side,
+//! and its caches live exactly as long as the runner, with no bound of
+//! their own: a caller that streams unboundedly many programs through one
+//! runner should use one runner per batch (the impact matrices use one per
+//! workload row).
 //!
 //! - the **lowered base module** of each workload is cached, so a workload's
 //!   source is lexed/parsed/lowered exactly once no matter how many profiles
-//!   (or autotuner candidates) run it;
+//!   run it;
 //! - each workload is compiled and **pre-decoded once per distinct
 //!   pipeline**: the cache is keyed by [`OptProfile::cache_key`], the
 //!   resolved pass list plus config and backend, so `-Os` reuses `-O2`'s
@@ -30,13 +33,14 @@
 //!   is that VM's run executed too. On the study's rows (baseline, six
 //!   levels, zk-O3) 285 of the 311 distinct programs are derived for SP1.
 //!
-//! `bench/`'s impact matrices, the tuner fitness loops, and the report
-//! generator all run on top of this.
+//! The autotuner's fitness loop does not come through here: it runs on a
+//! [`BatchEvaluator`](crate::BatchEvaluator), which shares only the
+//! runner's lowered modules. `bench/`'s impact matrices and the report
+//! generator run on top of this.
 
 use crate::{Measurement, OptProfile, PipelineError, RunReport};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,22 +160,16 @@ fn workload_key(w: &Workload) -> (&'static str, u64) {
 
 type CacheKey = (&'static str, u64, String);
 
-/// Default bound on cached compiled programs — comfortably above the full
-/// suite × all standard levels, small enough that a 1600-iteration autotuner
-/// run (one fresh candidate per iteration) cannot grow memory unboundedly.
-const DEFAULT_CACHE_CAP: usize = 512;
-
 /// The default guest cycle budget ([`SuiteRunner::with_max_cycles`]).
 const MAX_CYCLES: u64 = 2_000_000_000;
 
-/// Compile-once execute-many driver for the benchmark suite.
+/// Compile-once execute-many driver for the benchmark suite. Every
+/// lowered module and compiled program it builds stays cached until the
+/// runner is dropped.
 pub struct SuiteRunner {
     max_cycles: u64,
-    cache_cap: usize,
     modules: FxHashMap<(&'static str, u64), Module>,
     compiled: FxHashMap<CacheKey, CompiledWorkload>,
-    /// Insertion order of `compiled` keys, for FIFO eviction at `cache_cap`.
-    order: VecDeque<CacheKey>,
 }
 
 impl Default for SuiteRunner {
@@ -185,10 +183,8 @@ impl SuiteRunner {
     pub fn new() -> SuiteRunner {
         SuiteRunner {
             max_cycles: MAX_CYCLES,
-            cache_cap: DEFAULT_CACHE_CAP,
             modules: FxHashMap::default(),
             compiled: FxHashMap::default(),
-            order: VecDeque::new(),
         }
     }
 
@@ -198,13 +194,7 @@ impl SuiteRunner {
         self
     }
 
-    /// Override the compiled-program cache bound (FIFO eviction beyond it).
-    pub fn with_cache_capacity(mut self, cap: usize) -> SuiteRunner {
-        self.cache_cap = cap.max(1);
-        self
-    }
-
-    /// Number of `{workload × distinct cache key}` programs currently cached.
+    /// Number of `{workload × distinct cache key}` programs the runner holds.
     pub fn cached_programs(&self) -> usize {
         self.compiled.len()
     }
@@ -243,13 +233,6 @@ impl SuiteRunner {
         let key = (name, src, profile.cache_key());
         if !self.compiled.contains_key(&key) {
             let cw = codegen(&passes(self.lower(w)?, profile)?, &profile.backend)?;
-            while self.compiled.len() >= self.cache_cap {
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                self.compiled.remove(&oldest);
-            }
-            self.order.push_back(key.clone());
             self.compiled.insert(key.clone(), cw);
         }
         Ok(&self.compiled[&key])
@@ -314,13 +297,6 @@ impl SuiteRunner {
         with_x86: bool,
         threads: usize,
     ) -> Vec<MatrixCell> {
-        // Phase 2 borrows every compiled pair at once, so the cache bound is
-        // temporarily raised past everything already cached plus the whole
-        // matrix — no compile in this loop can evict a matrix pair (including
-        // pairs that were already resident before the call). The caller's
-        // bound is restored (and the cache shrunk back) before returning.
-        let saved_cap = self.cache_cap;
-        self.cache_cap = self.compiled.len() + workloads.len() * profiles.len() + 1;
         let profile_keys: Vec<String> = profiles.iter().map(OptProfile::cache_key).collect();
         let mut compiled: Vec<Result<(), PipelineError>> = Vec::new();
         for w in workloads {
@@ -420,14 +396,6 @@ impl SuiteRunner {
             }
             work();
         });
-        // Restore the configured bound and shrink back down to it.
-        self.cache_cap = saved_cap;
-        while self.compiled.len() > self.cache_cap {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            self.compiled.remove(&oldest);
-        }
         #[expect(
             clippy::expect_used,
             reason = "every empty slot belongs to a job, and the scope ran every job or \
@@ -621,41 +589,13 @@ mod tests {
         assert_eq!(b.exec.exit_code, 22);
     }
 
+    /// Pairs already compiled before `run_matrix` asks for them are read
+    /// from the cache in phase 2 like the pairs it compiles itself.
     #[test]
-    fn compile_cache_is_bounded_with_fifo_eviction() {
-        // Autotuner-style usage: a long stream of unique candidates must not
-        // grow the cache past its bound, and evicted entries recompile fine.
+    fn matrix_reuses_pairs_cached_before_the_call() {
         let w = zkvmopt_workloads::by_name("loop-sum").unwrap();
-        let mut runner = SuiteRunner::new().with_cache_capacity(4);
-        let seqs: [&[&str]; 6] = [
-            &["mem2reg"],
-            &["mem2reg", "gvn"],
-            &["mem2reg", "licm"],
-            &["instcombine"],
-            &["dce"],
-            &["sccp"],
-        ];
-        for seq in seqs {
-            let p = OptProfile::sequence("candidate", seq.to_vec(), Default::default());
-            runner.run(w, &p, VmKind::Sp1, false).unwrap();
-            assert!(runner.cached_programs() <= 4, "cache must stay bounded");
-        }
-        // The first (evicted) candidate still runs, via recompilation.
-        let first = OptProfile::sequence("candidate", vec!["mem2reg"], Default::default());
-        let r = runner.run(w, &first, VmKind::Sp1, false).unwrap();
-        assert!(r.exec.total_cycles > 0);
-    }
-
-    /// Regression: a matrix pair that was already resident at the FIFO front
-    /// must not be evicted by phase-1 compiles of *other* matrix pairs
-    /// (previously panicked with "no entry found for key" in phase 2), and
-    /// `run_matrix` must hand back the caller's cache bound afterwards.
-    #[test]
-    fn matrix_protects_pre_resident_pairs_and_restores_cache_bound() {
-        let w = zkvmopt_workloads::by_name("loop-sum").unwrap();
-        let mut runner = SuiteRunner::new().with_cache_capacity(3);
+        let mut runner = SuiteRunner::new();
         let o2 = OptProfile::level(OptLevel::O2);
-        // Warm the cache so (loop-sum, -O2) sits at the FIFO front.
         runner.run(w, &o2, VmKind::Sp1, false).unwrap();
         runner
             .run(w, &OptProfile::baseline(), VmKind::Sp1, false)
@@ -674,10 +614,6 @@ mod tests {
         for c in &cells {
             assert!(c.result.is_ok(), "{}: {:?}", c.profile, c.result);
         }
-        assert!(
-            runner.cached_programs() <= 3,
-            "run_matrix must restore the configured cache bound"
-        );
     }
 
     /// Everything a cell reports that its run determines: the whole

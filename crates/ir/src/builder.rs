@@ -75,11 +75,6 @@ impl FunctionBuilder {
         self.current = b;
     }
 
-    /// Whether `b` has been sealed with a terminator.
-    pub fn is_sealed(&self, b: BlockId) -> bool {
-        self.sealed[b.index()]
-    }
-
     fn emit(&mut self, op: Op, ty: Option<Ty>) -> ValueId {
         assert!(
             !self.sealed[self.current.index()],

@@ -56,14 +56,6 @@ impl Operand {
         }
     }
 
-    /// Returns the value id if this operand is an SSA value.
-    pub fn as_value(&self) -> Option<ValueId> {
-        match self {
-            Operand::Value(v) => Some(*v),
-            Operand::Const { .. } => None,
-        }
-    }
-
     /// True if this operand is the constant `c` (of any integer type).
     pub fn is_const_val(&self, c: i64) -> bool {
         matches!(self, Operand::Const { value, .. } if *value == c)
@@ -410,16 +402,6 @@ impl Op {
         matches!(self, Op::Store { .. } | Op::Call { .. } | Op::Ecall { .. })
     }
 
-    /// Whether the instruction reads memory.
-    pub fn reads_memory(&self) -> bool {
-        matches!(self, Op::Load { .. } | Op::Call { .. } | Op::Ecall { .. })
-    }
-
-    /// Whether the instruction writes memory.
-    pub fn writes_memory(&self) -> bool {
-        matches!(self, Op::Store { .. } | Op::Call { .. } | Op::Ecall { .. })
-    }
-
     /// Whether the instruction is a phi node.
     pub fn is_phi(&self) -> bool {
         matches!(self, Op::Phi { .. })
@@ -638,11 +620,6 @@ mod tests {
             ty: Ty::I32
         }
         .has_side_effects());
-        assert!(Op::Load {
-            ptr: Operand::i32(0),
-            ty: Ty::I32
-        }
-        .reads_memory());
         assert!(Op::Bin {
             op: BinOp::Add,
             a: Operand::i32(0),

@@ -285,19 +285,6 @@ impl LoopForest {
         }
         LoopForest { loops }
     }
-
-    /// The innermost loop containing `b`, if any.
-    pub fn innermost_containing(&self, b: BlockId) -> Option<&Loop> {
-        self.loops
-            .iter()
-            .filter(|l| l.contains(b))
-            .max_by_key(|l| l.depth)
-    }
-
-    /// Loop depth of block `b` (0 if not in any loop).
-    pub fn depth_of(&self, b: BlockId) -> usize {
-        self.innermost_containing(b).map(|l| l.depth).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -387,7 +374,6 @@ mod tests {
         let outer = &forest.loops[0];
         assert_eq!(outer.latches().len(), 1);
         assert_eq!(outer.exits().len(), 1);
-        assert_eq!(forest.depth_of(f.entry), 0);
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl Ty {
         }
     }
 
-    /// Natural alignment in bytes.
-    pub fn align_bytes(self) -> u32 {
-        self.size_bytes()
-    }
-
     /// Whether the type is an integer (everything except `Ptr`).
     pub fn is_int(self) -> bool {
         !matches!(self, Ty::Ptr)

@@ -412,7 +412,7 @@ mod tests {
         for (level, pm, cfg) in [
             ("O1", PassManager::o1(), PassConfig::default()),
             ("O3", PassManager::o3(), PassConfig::default()),
-            ("zkO3", PassManager::zk_o3(), PassConfig::zk_aware()),
+            ("zkO3", PassManager::o3(), PassConfig::zk_aware()),
         ] {
             let mut opt = m.clone();
             pm.run(&mut opt, &cfg);

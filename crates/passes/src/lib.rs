@@ -402,12 +402,6 @@ impl PassManager {
         ])
     }
 
-    /// `-Os`: exactly `-O2`'s pipeline. No pass here trades speed for size,
-    /// so `-Os` and `-O2` compile every program to the same code.
-    pub fn os() -> PassManager {
-        PassManager::o2()
-    }
-
     /// `-Oz`: minimal size — skip inlining and unrolling entirely.
     pub fn oz() -> PassManager {
         PassManager::from_names([
@@ -430,17 +424,11 @@ impl PassManager {
             OptLevel::O1 => PassManager::o1(),
             OptLevel::O2 => PassManager::o2(),
             OptLevel::O3 => PassManager::o3(),
-            OptLevel::Os => PassManager::os(),
+            // No pass here trades speed for size, so `-Os` is exactly
+            // `-O2`'s pipeline and compiles every program to the same code.
+            OptLevel::Os => PassManager::o2(),
             OptLevel::Oz => PassManager::oz(),
         }
-    }
-
-    /// The paper's zkVM-aware `-O3` (§6.1). The pass list is `-O3`'s,
-    /// verbatim; the zk-awareness lives in [`PassConfig::zk_aware`] (e.g.
-    /// `simplifycfg` stops if-converting branches) and in the backend's
-    /// `TargetCostModel::zk`, which the caller pairs with this pipeline.
-    pub fn zk_o3() -> PassManager {
-        PassManager::o3()
     }
 }
 
@@ -655,7 +643,6 @@ mod tests {
             let pm = PassManager::for_level(level);
             assert!(!pm.names().is_empty());
         }
-        assert!(!PassManager::zk_o3().names().is_empty());
     }
 
     #[test]
@@ -810,11 +797,10 @@ mod tests {
         ignore = "full-suite sweep is release-only (CI: test-release)"
     )]
     fn manager_matches_uncached_execution() {
-        let mut pipelines: Vec<(&str, PassManager)> = OptLevel::ALL
+        let pipelines: Vec<(&str, PassManager)> = OptLevel::ALL
             .iter()
             .map(|&l| (l.flag(), PassManager::for_level(l)))
             .collect();
-        pipelines.push(("zk-O3", PassManager::zk_o3()));
         for w in zkvmopt_workloads::all() {
             let base = zkvmopt_lang::compile_guest(&w.source).expect("suite program compiles");
             for (cfg_name, cfg) in [

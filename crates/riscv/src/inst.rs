@@ -64,21 +64,6 @@ impl AluOp {
             _ => MixClass::Alu,
         }
     }
-
-    /// Whether this is an RV32M (multiply/divide extension) operation.
-    pub fn is_m_ext(self) -> bool {
-        matches!(
-            self,
-            AluOp::Mul
-                | AluOp::Mulh
-                | AluOp::Mulhsu
-                | AluOp::Mulhu
-                | AluOp::Div
-                | AluOp::Divu
-                | AluOp::Rem
-                | AluOp::Remu
-        )
-    }
 }
 
 /// ALU operations with an immediate form (`addi`, `slti`, …).

@@ -160,14 +160,6 @@ pub fn column_stats(rows: &[&[f64]]) -> (Vec<f64>, Vec<f64>) {
     (means, sds)
 }
 
-/// Percent change of `new` relative to `old` (positive = increase).
-pub fn pct_change(old: f64, new: f64) -> f64 {
-    if old == 0.0 {
-        return 0.0;
-    }
-    (new - old) / old * 100.0
-}
-
 /// Performance gain of `new` over `old` in the paper's convention:
 /// positive when `new` is *faster* (smaller time/cycles).
 pub fn perf_gain(old: f64, new: f64) -> f64 {
@@ -263,7 +255,6 @@ mod tests {
 
     #[test]
     fn percent_helpers() {
-        assert_eq!(pct_change(100.0, 110.0), 10.0);
         assert_eq!(perf_gain(100.0, 60.0), 40.0);
         assert_eq!(perf_gain(100.0, 140.0), -40.0);
     }

@@ -1,19 +1,19 @@
-//! The search's two cache layers: the concurrent sharded fitness cache,
-//! keyed by candidate, and the post-pass result memo, keyed by the IR the
-//! candidate's passes produced. Both live exactly as long as one
-//! [`crate::tune_suite`] call.
+//! The search's two cache layers: the fitness cache, keyed by candidate,
+//! and the post-pass result memo, keyed by the IR the candidate's passes
+//! produced. Each is one map behind one mutex, and both live exactly as
+//! long as one [`crate::tune_suite`] call.
 //!
 //! ## The fitness cache
 //!
 //! Genetic search re-visits candidates constantly (crossover reassembles
 //! parents, mutation undoes itself, no-op passes pad otherwise-equal
 //! sequences), and every fitness evaluation re-optimizes and re-runs a whole
-//! program. This is the memo that makes a revisit free: a `DashMap`-style
-//! sharded map shared by **every island of every workload** in a service
-//! run. Keys carry the workload's stable IR fingerprint and the candidate's
-//! *canonical* sequence, so one map serves the whole suite, and lock
-//! contention is spread over key-hashed shards instead of one global mutex.
-//! Islands searching the same workload (and duplicate programs across
+//! program. This is the memo that makes a revisit free: one map shared by
+//! **every island of every workload** in a service run. Keys carry the
+//! workload's stable IR fingerprint and the candidate's *canonical*
+//! sequence, so one map serves the whole suite. The lock is held only for a
+//! lookup or an insert, never while a fitness call runs. Islands searching
+//! the same workload (and duplicate programs across
 //! workloads with equal fingerprints) therefore never pay for the same
 //! candidate twice.
 //!
@@ -55,7 +55,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use zkvmopt_ir::hash::FxHashMap;
 
 /// Cache key: one candidate on one program. Ordered field by field
@@ -88,79 +88,46 @@ impl FitnessKey {
     }
 }
 
-/// One fitness-cache shard's map. The cache is snapshotted into checkpoint
-/// files and preloaded from them, and it is off the compile path, so it
-/// keeps std's hasher.
+/// The fitness cache's map. The cache is snapshotted into checkpoint files
+/// and preloaded from them, and it is off the compile path, so it keeps
+/// std's hasher.
 #[expect(
     clippy::disallowed_types,
     reason = "persisted tuner structure, off the compile path"
 )]
 type FitnessMap = std::collections::HashMap<FitnessKey, EvalResult>;
 
-/// Number of shards: enough that 8–16 worker threads rarely collide, small
-/// enough that an empty cache stays cheap.
-const SHARDS: usize = 64;
-
-/// A sharded concurrent map from [`FitnessKey`] to its classified
-/// evaluation outcome.
-#[derive(Debug)]
-pub struct ShardedFitnessCache {
-    shards: Vec<Mutex<FitnessMap>>,
+/// A concurrent map from [`FitnessKey`] to its classified evaluation
+/// outcome.
+#[derive(Debug, Default)]
+pub struct FitnessCache {
+    map: Mutex<FitnessMap>,
 }
 
-impl Default for ShardedFitnessCache {
-    fn default() -> ShardedFitnessCache {
-        ShardedFitnessCache::new()
-    }
-}
-
-impl ShardedFitnessCache {
+impl FitnessCache {
     /// An empty cache.
-    pub fn new() -> ShardedFitnessCache {
-        ShardedFitnessCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(FitnessMap::new())).collect(),
-        }
-    }
-
-    /// The shard `key` lives in, locked.
-    fn locked(&self, key: &FitnessKey) -> MutexGuard<'_, FitnessMap> {
-        // FNV-1a over the key's fixed-width fields plus the canonical pass
-        // pointers' names; `Hash` for HashMap stays the std one.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        mix(key.fingerprint);
-        mix(key.inline_threshold as u64);
-        mix(key.unroll_threshold as u64);
-        for p in &key.passes {
-            for b in p.bytes() {
-                mix(b as u64);
-            }
-            mix(u64::MAX);
-        }
-        lock_unpoisoned(&self.shards[(h % SHARDS as u64) as usize])
+    pub fn new() -> FitnessCache {
+        FitnessCache::default()
     }
 
     /// Look `key` up.
     pub fn get(&self, key: &FitnessKey) -> Option<EvalResult> {
-        self.locked(key).get(key).copied()
+        lock_unpoisoned(&self.map).get(key).copied()
     }
 
     /// Record `value` for `key`. First write wins on the benign
     /// evaluate-twice race (both writers hold the same deterministic value).
     pub fn insert(&self, key: FitnessKey, value: EvalResult) {
-        self.locked(&key).entry(key).or_insert(value);
+        lock_unpoisoned(&self.map).entry(key).or_insert(value);
     }
 
     /// Preload entries (a resumed checkpoint). First write wins, as with
     /// [`Self::insert`]. Returns the number of entries actually added.
     pub fn preload(&self, entries: impl IntoIterator<Item = (FitnessKey, EvalResult)>) -> usize {
+        let mut map = lock_unpoisoned(&self.map);
         let mut added = 0usize;
         for (key, value) in entries {
-            let mut shard = self.locked(&key);
-            if let Entry::Vacant(e) = shard.entry(key) {
+            if let Entry::Vacant(e) = map.entry(key) {
                 e.insert(value);
                 added += 1;
             }
@@ -174,23 +141,17 @@ impl ShardedFitnessCache {
     /// while workers are mid-generation — is a valid checkpoint: resuming
     /// from it replays the search with those evaluations pre-answered.
     pub fn snapshot(&self) -> Vec<(FitnessKey, EvalResult)> {
-        let mut out: Vec<(FitnessKey, EvalResult)> = self
-            .shards
+        let mut out: Vec<(FitnessKey, EvalResult)> = lock_unpoisoned(&self.map)
             .iter()
-            .flat_map(|s| {
-                lock_unpoisoned(s)
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(k, v)| (k.clone(), *v))
             .collect();
         out.sort_by(|(a, _), (b, _)| a.cmp(b));
         out
     }
 
-    /// Cached entries across all shards.
+    /// Cached entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_unpoisoned(s).len()).sum()
+        lock_unpoisoned(&self.map).len()
     }
 
     /// Whether nothing has been cached yet.
@@ -199,15 +160,12 @@ impl ShardedFitnessCache {
     }
 }
 
-/// One shard of a [`PostPassMemo`]: `(context, fingerprint)` → value.
-type MemoShard = Mutex<FxHashMap<(u64, u64), Box<dyn Any + Send + Sync>>>;
-
-/// One search's post-pass result memo (see the module docs): a sharded map
-/// from `(context, post-pass fingerprint)` to a type-erased value, plus the
+/// One search's post-pass result memo (see the module docs): a map from
+/// `(context, post-pass fingerprint)` to a type-erased value, plus the
 /// number of lookups it answered.
 #[derive(Debug)]
 pub struct PostPassMemo {
-    shards: Vec<MemoShard>,
+    map: Mutex<FxHashMap<(u64, u64), Box<dyn Any + Send + Sync>>>,
     hits: AtomicUsize,
 }
 
@@ -215,9 +173,7 @@ impl PostPassMemo {
     /// An empty memo, for one search.
     pub(crate) fn new() -> PostPassMemo {
         PostPassMemo {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
+            map: Mutex::default(),
             hits: AtomicUsize::new(0),
         }
     }
@@ -235,11 +191,9 @@ impl PostPassMemo {
         T: Any + Clone + PartialEq + Send + Sync,
     {
         let key = (context, fingerprint);
-        let mixed = (context ^ fingerprint).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let shard = &self.shards[mixed as usize % SHARDS];
-        // Nothing panics while a shard is held, except the debug assert
+        // Nothing panics while the map is held, except the debug assert
         // below, after which the map is still consistent.
-        let lock = || shard.lock().unwrap_or_else(PoisonError::into_inner);
+        let lock = || self.map.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = lock().get(&key).and_then(|v| v.downcast_ref::<T>()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
@@ -305,7 +259,7 @@ mod tests {
 
     #[test]
     fn get_insert_round_trip() {
-        let c = ShardedFitnessCache::new();
+        let c = FitnessCache::new();
         let k = key(7, &["mem2reg", "gvn"], 225, 200);
         assert_eq!(c.get(&k), None);
         c.insert(k.clone(), Ok(1234));
@@ -321,7 +275,7 @@ mod tests {
 
     #[test]
     fn keys_distinguish_workload_sequence_and_thresholds() {
-        let c = ShardedFitnessCache::new();
+        let c = FitnessCache::new();
         c.insert(key(1, &["dce"], 10, 20), Ok(1));
         assert_eq!(c.get(&key(2, &["dce"], 10, 20)), None, "fingerprint");
         assert_eq!(c.get(&key(1, &["gvn"], 10, 20)), None, "sequence");
@@ -332,13 +286,13 @@ mod tests {
 
     #[test]
     fn first_insert_wins_and_concurrent_use_is_safe() {
-        let c = ShardedFitnessCache::new();
+        let c = FitnessCache::new();
         let k = key(3, &["sccp"], 1, 2);
         c.insert(k.clone(), Ok(10));
         c.insert(k.clone(), Ok(99)); // racy duplicate: ignored
         assert_eq!(c.get(&k), Some(Ok(10)));
 
-        let shared = ShardedFitnessCache::new();
+        let shared = FitnessCache::new();
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let shared = &shared;
@@ -410,7 +364,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_preload_round_trips() {
-        let c = ShardedFitnessCache::new();
+        let c = FitnessCache::new();
         c.insert(key(9, &["gvn"], 1, 1), Ok(50));
         c.insert(key(2, &["dce"], 0, 0), Err(FailureClass::Trap));
         c.insert(key(2, &["mem2reg", "dce"], 0, 0), Ok(7));
@@ -419,7 +373,7 @@ mod tests {
         let fps: Vec<u64> = snap.iter().map(|(k, _)| k.fingerprint).collect();
         assert_eq!(fps, vec![2, 2, 9], "sorted by key");
 
-        let re = ShardedFitnessCache::new();
+        let re = FitnessCache::new();
         assert_eq!(re.preload(snap.clone()), 3);
         assert_eq!(re.preload(snap.clone()), 0, "idempotent");
         assert_eq!(re.snapshot(), snap);

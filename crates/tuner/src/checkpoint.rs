@@ -87,7 +87,7 @@ impl fmt::Display for CheckpointStatus {
     }
 }
 
-/// Serialize `entries` (a [`crate::ShardedFitnessCache::snapshot`]) to the
+/// Serialize `entries` (a [`crate::FitnessCache::snapshot`]) to the
 /// checkpoint text format.
 pub fn checkpoint_to_string(digest: u64, entries: &[(FitnessKey, EvalResult)]) -> String {
     let mut out = format!(

@@ -18,7 +18,7 @@
 //!   canonicalizes the sequence ([`canonicalize_sequence`]: resolve registry
 //!   aliases, drop registered no-ops, collapse idempotent adjacent repeats —
 //!   all output-preserving by the registry's tested metadata), looks the
-//!   [`FitnessKey`] up in the shared [`ShardedFitnessCache`], and only on a
+//!   [`FitnessKey`] up in the shared [`FitnessCache`], and only on a
 //!   miss calls the fitness function, once and panic-isolated; its outcome,
 //!   failure or not, is final. Fitness must be deterministic (cycle counts
 //!   are), so the memo cannot change any search outcome — only its cost. Behind the cache, a
@@ -59,7 +59,7 @@ pub mod predict;
 pub mod rng;
 pub mod service;
 
-pub use cache::{current_postpass_memo, FitnessKey, PostPassMemo, ShardedFitnessCache};
+pub use cache::{current_postpass_memo, FitnessCache, FitnessKey, PostPassMemo};
 pub use checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointStatus, CHECKPOINT_SCHEMA_VERSION,
 };

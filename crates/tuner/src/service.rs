@@ -14,7 +14,7 @@
 //! the **search** of the cold targets → **collection** (fold the islands
 //! into a best, record it back, report it), and every measurement in all
 //! three goes through one evaluate-through-cache step: canonical
-//! [`FitnessKey`] → the [`ShardedFitnessCache`] shared across islands *and*
+//! [`FitnessKey`] → the [`FitnessCache`] shared across islands *and*
 //! workloads → on a miss, one panic-isolated fitness call, run with the
 //! call's [`PostPassMemo`] current so an evaluator can skip the back half
 //! for IR this search already compiled and ran.
@@ -74,7 +74,7 @@
 //! [`crate::fault`]) are final outcomes like any other, so they land in the
 //! same quarantine at every thread count.
 
-use crate::cache::{with_postpass_memo, FitnessKey, PostPassMemo, ShardedFitnessCache};
+use crate::cache::{with_postpass_memo, FitnessCache, FitnessKey, PostPassMemo};
 use crate::checkpoint::{load_checkpoint, save_checkpoint, CheckpointStatus};
 use crate::db::{TuneDb, TuneDbEntry};
 use crate::fault::{EvalResult, FailureClass};
@@ -258,7 +258,7 @@ pub struct WorkloadTuneReport {
     pub evaluated: usize,
     /// Actual fitness-function calls (budget minus cache hits).
     pub fitness_evals: usize,
-    /// Evaluations served by the sharded cache.
+    /// Evaluations served by the fitness cache.
     pub cache_hits: usize,
     /// Whether the result came straight from the tune database.
     pub warm_started: bool,
@@ -307,7 +307,7 @@ pub struct ServiceReport {
     pub evaluated: usize,
     /// Total fitness-function calls.
     pub fitness_evals: usize,
-    /// Total sharded-cache hits.
+    /// Total fitness-cache hits.
     pub cache_hits: usize,
     /// Fitness calls whose back half the search's [`PostPassMemo`] answered:
     /// their passes ran, and produced IR an earlier call of this search had
@@ -357,7 +357,7 @@ impl std::ops::AddAssign for Cost {
 /// collection all measure through it.
 struct Run<'a> {
     config: &'a ServiceConfig,
-    cache: ShardedFitnessCache,
+    cache: FitnessCache,
     /// Current on the worker's thread during every fitness call.
     postpass: Arc<PostPassMemo>,
     fitness: &'a (dyn Fn(usize, &Candidate) -> EvalResult + Sync),
@@ -529,7 +529,7 @@ where
     let digest = config.run_digest(targets);
     let run = Run {
         config,
-        cache: ShardedFitnessCache::new(),
+        cache: FitnessCache::new(),
         postpass: Arc::new(PostPassMemo::new()),
         fitness: &fitness,
         checkpoint: config.checkpoint_path.as_deref().map(|p| (p, digest)),

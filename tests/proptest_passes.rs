@@ -18,7 +18,7 @@
 use program_gen::{arb_expr, program, program_with_calls};
 use proptest::prelude::*;
 use zkvm_opt::passes::{run_pass, PassConfig, PassManager};
-use zkvm_opt::study::{OptLevel, OptProfile, Pipeline, ProfileKind};
+use zkvm_opt::study::{OptLevel, OptProfile, Pipeline};
 use zkvm_opt::vm::VmKind;
 
 #[path = "common/program_gen.rs"]
@@ -338,9 +338,8 @@ proptest! {
             for level in [OptLevel::O2, OptLevel::O3] {
                 let profile = OptProfile {
                     name: format!("{level:?}-{name}"),
-                    kind: ProfileKind::Level(level),
                     pass_config: cfg.clone(),
-                    backend: zkvm_opt::riscv::TargetCostModel::cpu(),
+                    ..OptProfile::level(level)
                 };
                 let r = Pipeline::new(profile)
                     .run_source(&src, &inputs, VmKind::Sp1)

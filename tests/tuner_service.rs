@@ -459,8 +459,8 @@ fn leave_one_out_predictions_land_near_tuned_and_beat_o3_across_the_suite() {
         n - half
     );
     assert!(
-        g_tuned <= 1.10,
-        "predictions must land within 10 % of fully-tuned (geomean {g_tuned:.4})"
+        g_tuned <= 1.05,
+        "predictions must land within 5 % of fully-tuned (geomean {g_tuned:.4})"
     );
     assert!(
         g_o3 < 1.0,
