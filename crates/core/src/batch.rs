@@ -4,8 +4,8 @@
 //! The island-model tuner evaluates thousands of pass-sequence candidates
 //! across worker threads. The compile (passes + codegen on a module clone)
 //! owns a traffic-dependent share of each evaluation — the benchmark's
-//! `core.compile_share` reads 0.91 on `-O3`-neighbour candidates, 0.11 on
-//! random sequences, 0.41 on a cold search — and [`SuiteRunner`]'s
+//! `core.compile_share` reads 0.84 on `-O3`-neighbour candidates, 0.08 on
+//! random sequences, 0.30 on a cold search — and [`SuiteRunner`]'s
 //! compiled-program cache is `&mut self` and would serialize those compiles
 //! behind a lock, so the service instead snapshots what it needs up front
 //! into a [`BatchEvaluator`]:
@@ -16,7 +16,9 @@
 //! - a **baseline run** (journal + exit code + cycles) that every candidate
 //!   is differentially checked against — a candidate that changes observable
 //!   behaviour is a miscompile and evaluates to `None`, the same channel
-//!   through which the paper's autotuner surfaced a real SP1 soundness bug.
+//!   through which the paper's autotuner surfaced a real SP1 soundness bug,
+//! - the `-O3` run the predictor normalizes against, and the linked
+//!   [`Program`] of both runs as **references**.
 //!
 //! Evaluation is then a `&self` function of the candidate, made of the
 //! crate's shared stages, in two halves: the **front** is [`passes`] on a
@@ -24,7 +26,20 @@
 //! code, pre-decode) and [`execute`] under the candidate budget, then the
 //! check against the baseline — the stages and the segmented run the study
 //! paths use, so a fitness equals the figure's cycle count for the same
-//! program. The back half is a pure function of the post-pass
+//! program.
+//!
+//! A candidate whose linked program equals a reference's, and whose
+//! reference run used no more user cycles than the candidate budget, takes
+//! that run's answer (its cycles, or [`PipelineError::Divergence`] for an
+//! `-O3` whose output differs from the baseline's) instead of executing:
+//! equal programs execute identically on equal inputs, and the engine
+//! stops a run only when its user cycles exceed the budget, so the
+//! candidate's run would be that run. Random sequences often leave a
+//! program as lowered, and `-O3` neighbours often link `-O3`. The
+//! references are runs construction makes anyway, and their number is
+//! fixed, so a call costs the same whatever ran before it.
+//!
+//! The back half is a pure function of the post-pass
 //! module and of the entry's fixed context (base program, inputs, VM kind,
 //! cycle budget, backend cost model), and on a cold search most candidates
 //! that miss the tuner's sequence-keyed cache still produce IR a sibling
@@ -32,8 +47,9 @@
 //! a [`zkvmopt_tuner::tune_suite`] fitness call, it keys the back half by
 //! (context, post-pass fingerprint) in that search's
 //! [`zkvmopt_tuner::PostPassMemo`], and compile and execution run once per
-//! distinct post-pass module. Outside a search there is no memo, no
-//! fingerprint and no lookup.
+//! distinct post-pass module; the reference rule applies under the memo.
+//! Outside a search there is no memo and no fingerprint: only the
+//! references are consulted.
 //!
 //! The memo belongs to the search, not to this evaluator: an
 //! evaluator-lifetime map would let every later search (and every round a
@@ -50,17 +66,18 @@
 //! a length, but no pass changes a global and the context fixes the base
 //! module. Instruction selection's compare-and-branch fusion counts uses in
 //! unreachable blocks too. `tests/tuner_service.rs` therefore re-evaluates
-//! every call of real searches outside any search and requires equal
-//! results.
+//! every call of real searches through the stages alone, with no memo and
+//! no reference, and requires equal results; it holds the suite's
+//! references to that chain too.
 
 use crate::{codegen, execute, passes, OptLevel, OptProfile, PipelineError, SuiteRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use zkvmopt_ir::analysis::stable_fingerprint_bytes;
 use zkvmopt_ir::{stable_module_fingerprint, FeatureVector, Module};
 use zkvmopt_passes::PassConfig;
-use zkvmopt_riscv::TargetCostModel;
+use zkvmopt_riscv::{Program, TargetCostModel};
 use zkvmopt_tuner::{Candidate, EvalResult, TuneTarget};
-use zkvmopt_vm::VmKind;
+use zkvmopt_vm::{ExecutionReport, VmKind};
 use zkvmopt_workloads::Workload;
 
 /// Per-candidate cycle-budget headroom over the workload's baseline: an
@@ -94,6 +111,49 @@ struct Entry {
     /// depends on, hashed: the post-pass memo's key is (this, the post-pass
     /// fingerprint).
     context: u64,
+    /// The baseline and `-O3` runs (module docs).
+    references: Vec<Reference>,
+}
+
+/// A run construction made: the program it linked, its user cycles, and
+/// the answer a candidate linking that program gets.
+#[derive(Debug, Clone)]
+struct Reference {
+    program: Program,
+    user_cycles: u64,
+    answer: Result<u64, PipelineError>,
+}
+
+impl Entry {
+    /// A run's answer: its cycles, or [`PipelineError::Divergence`] when its
+    /// journal or exit code differs from the baseline's.
+    fn answer(&self, exec: &ExecutionReport) -> Result<u64, PipelineError> {
+        if exec.journal != self.baseline_journal || exec.exit_code != self.baseline_exit {
+            return Err(PipelineError::Divergence); // miscompile: must never win
+        }
+        Ok(exec.total_cycles)
+    }
+
+    /// Keep `exec`, a run of `program` on this entry's inputs and VM, as a
+    /// reference.
+    fn add_reference(&mut self, program: Program, exec: &ExecutionReport) {
+        let answer = self.answer(exec);
+        self.references.push(Reference {
+            program,
+            user_cycles: exec.user_cycles,
+            answer,
+        });
+    }
+
+    /// The answer of a reference run of `program` that stayed within the
+    /// candidate budget, so that running `program` under it again would
+    /// give the same report; `None` when there is none.
+    fn reference_answer(&self, program: &Program) -> Option<Result<u64, PipelineError>> {
+        self.references
+            .iter()
+            .find(|r| r.user_cycles <= self.budget && r.program == *program)
+            .map(|r| r.answer.clone())
+    }
 }
 
 /// Immutable, `Sync` fitness oracle over a fixed set of workloads on one VM.
@@ -107,7 +167,8 @@ impl SuiteRunner {
     /// Build a [`BatchEvaluator`] for `workloads` on `vm`: lower each
     /// workload once (through this runner's module cache), fingerprint the
     /// base IR, and record the unoptimized baseline run each candidate will
-    /// be differentially checked against.
+    /// be differentially checked against and the `-O3` run, each with its
+    /// linked program as a reference.
     ///
     /// # Errors
     /// Returns [`PipelineError`] if any workload fails to compile or its
@@ -123,8 +184,9 @@ impl SuiteRunner {
             let module = self.lower(w)?;
             let fingerprint = stable_module_fingerprint(&module);
             let features = FeatureVector::extract(&module);
-            let (_, baseline) = self.measure(w, &OptProfile::baseline(), vm, false, None)?;
-            let (_, o3) = self.measure(w, &OptProfile::level(OptLevel::O3), vm, false, None)?;
+            let profiles = [OptProfile::baseline(), OptProfile::level(OptLevel::O3)];
+            let (_, baseline) = self.measure(w, &profiles[0], vm, false, None)?;
+            let (_, o3) = self.measure(w, &profiles[1], vm, false, None)?;
             let budget = max_cycles.min(
                 baseline
                     .exec
@@ -140,7 +202,7 @@ impl SuiteRunner {
                 )
                 .as_bytes(),
             );
-            entries.push(Entry {
+            let mut entry = Entry {
                 name: w.name,
                 module,
                 inputs: w.inputs.clone(),
@@ -152,7 +214,13 @@ impl SuiteRunner {
                 o3_cycles: o3.exec.total_cycles,
                 budget,
                 context,
-            });
+                references: Vec::with_capacity(profiles.len()),
+            };
+            for (profile, run) in profiles.iter().zip([&baseline, &o3]) {
+                let program = self.compile(w, profile)?.program.clone();
+                entry.add_reference(program, &run.exec);
+            }
+            entries.push(entry);
         }
         Ok(BatchEvaluator { entries, vm })
     }
@@ -236,9 +304,12 @@ impl BatchEvaluator {
     /// runs under the per-candidate [`BatchEvaluator::candidate_budget`].
     /// Deterministic and `&self`: safe to call from any number of threads.
     ///
-    /// Inside a [`zkvmopt_tuner::tune_suite`] fitness call, everything after
-    /// the passes runs once per distinct post-pass module of that search; a
-    /// repeat returns the first result, payload included (module docs).
+    /// A candidate that links the baseline or `-O3` program takes the answer
+    /// of construction's run of it, when that run stayed within the
+    /// candidate budget, instead of executing again. Inside a
+    /// [`zkvmopt_tuner::tune_suite`] fitness call, everything after the
+    /// passes also runs once per distinct post-pass module of that search;
+    /// a repeat returns the first result, payload included (module docs).
     ///
     /// # Errors
     /// Every failure mode of the candidate pipeline, classified — see the
@@ -265,20 +336,22 @@ impl BatchEvaluator {
         }
     }
 
-    /// [`codegen`] → [`execute`] under the entry's budget → check against
-    /// the baseline: everything after the passes, a pure function of the
-    /// post-pass module `m` and the entry's context.
+    /// [`codegen`] → a reference's answer, or [`execute`] under the
+    /// entry's budget → check against the baseline: everything after the
+    /// passes, a pure function of the post-pass module `m` and the entry's
+    /// context.
     fn back_half(
         &self,
         e: &Entry,
         m: &Module,
         backend: &TargetCostModel,
     ) -> Result<u64, PipelineError> {
-        let (exec, _) = execute(&codegen(m, backend)?, &e.inputs, self.vm, e.budget)?;
-        if exec.journal != e.baseline_journal || exec.exit_code != e.baseline_exit {
-            return Err(PipelineError::Divergence); // miscompile: must never win
+        let cw = codegen(m, backend)?;
+        if let Some(answer) = e.reference_answer(&cw.program) {
+            return answer;
         }
-        Ok(exec.total_cycles)
+        let (exec, _) = execute(&cw, &e.inputs, self.vm, e.budget)?;
+        e.answer(&exec)
     }
 
     /// The [`TuneTarget`] list for this evaluator's workloads, in index
@@ -398,6 +471,77 @@ mod tests {
                 .map_err(|e| e.class())
         );
         assert!(fit(0, &c).is_ok());
+    }
+
+    /// The program `seq` links on entry `widx`, and its fresh run under the
+    /// candidate budget.
+    fn fresh(
+        ev: &BatchEvaluator,
+        widx: usize,
+        seq: &[&'static str],
+    ) -> (Program, Result<ExecutionReport, PipelineError>) {
+        let e = &ev.entries[widx];
+        let profile = candidate_profile(seq, &PassConfig::default());
+        let m = passes(e.module.clone(), &profile).expect("passes run");
+        let cw = codegen(&m, &profile.backend).expect("program links");
+        let run = execute(&cw, &e.inputs, ev.vm, e.budget).map(|(exec, _)| exec);
+        (cw.program, run)
+    }
+
+    /// The baseline and `-O3` programs take construction's answer, which
+    /// equals a fresh run's; any other program gets none.
+    #[test]
+    fn references_answer_their_own_programs_as_a_fresh_run_would() {
+        let ev = evaluator(&["loop-sum", "fibonacci", "bigmem"]);
+        let o3 = zkvmopt_passes::PassManager::o3().names();
+        let cfg = PassConfig::default();
+        for (widx, e) in ev.entries.iter().enumerate() {
+            let at = e.name;
+            for seq in [&[][..], &o3[..]] {
+                let (program, run) = fresh(&ev, widx, seq);
+                let answer = run.and_then(|exec| e.answer(&exec));
+                assert!(answer.is_ok(), "{at} {seq:?}");
+                assert_eq!(e.reference_answer(&program), Some(answer.clone()), "{at}");
+                assert_eq!(ev.eval_classified(widx, seq, &cfg), answer, "{at}");
+            }
+            let (program, _) = fresh(&ev, widx, &["mem2reg"]);
+            assert!(e.references.iter().all(|r| r.program != program), "{at}");
+            assert_eq!(e.reference_answer(&program), None, "{at}");
+        }
+    }
+
+    /// A reference whose run used more user cycles than the candidate
+    /// budget answers nothing, so the candidate executes and is cut off.
+    #[test]
+    fn a_reference_over_the_budget_falls_through_to_execution() {
+        let mut ev = evaluator(&["loop-sum"]);
+        let e = &mut ev.entries[0];
+        e.budget = e.references[0].user_cycles / 2;
+        let limit = e.budget;
+        let (program, _) = fresh(&ev, 0, &[]);
+        assert_eq!(ev.entries[0].reference_answer(&program), None);
+        assert_eq!(
+            ev.eval_classified(0, &[], &PassConfig::default()),
+            Err(PipelineError::Budget { limit })
+        );
+    }
+
+    /// A reference run whose journal differs from the baseline's answers
+    /// [`PipelineError::Divergence`] for every candidate linking its program.
+    #[test]
+    fn a_diverging_reference_answers_divergence() {
+        let mut ev = evaluator(&["fibonacci"]);
+        let o3 = zkvmopt_passes::PassManager::o3().names();
+        let (program, run) = fresh(&ev, 0, &o3);
+        let mut exec = run.expect("-O3 runs");
+        exec.journal.push(1);
+        let e = &mut ev.entries[0];
+        e.references.clear();
+        e.add_reference(program, &exec);
+        assert_eq!(
+            ev.eval_classified(0, &o3, &PassConfig::default()),
+            Err(PipelineError::Divergence)
+        );
     }
 
     /// The four random draws, `Candidate::random(SeedTree::new(s).seed(2,

@@ -21,7 +21,11 @@
 //!   [`check_segment_accounting`](zkvmopt_prover::check_segment_accounting).
 //!
 //! So a figure and a tuner fitness are the same number for the same
-//! program, and neither is ever measured on IR the verifier rejects.
+//! program, and neither is ever measured on IR the verifier rejects. Where
+//! a program was already executed on the same inputs, both take that run
+//! instead of executing again: [`SuiteRunner::run_matrix`] runs each
+//! distinct program of a row once, and the [`BatchEvaluator`] answers a
+//! candidate that links its baseline or `-O3` program from its own runs.
 //!
 //! ## Example
 //!

@@ -11,7 +11,10 @@ use crate::regalloc::{AllocatedFunc, Loc};
 use crate::vinst::VInst;
 
 /// A linked guest program. Equal programs execute identically on equal
-/// inputs, which is what lets a study matrix run a repeated one once.
+/// inputs, which is what lets a study matrix (`SuiteRunner::run_matrix`)
+/// run a repeated one once and the tuner's fitness backend
+/// (`BatchEvaluator`) answer a candidate that links its baseline or `-O3`
+/// program with the run it made when it was built.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Instruction stream (word-indexed).

@@ -16,13 +16,18 @@
 //! 4. **Warm start** — a populated database (reloaded through disk) answers
 //!    every workload with zero fitness evaluations.
 //! 5. **Post-pass memo** — every fitness call of a search, re-evaluated
-//!    outside any search, gives the identical result (payload included); on
-//!    one thread the memo answers exactly the calls whose post-pass IR the
-//!    search had already seen; and no memo state outlives a search.
+//!    through the stages alone (no memo, no reference run), gives the
+//!    identical result (payload included); on one thread the memo answers
+//!    exactly the calls whose post-pass IR the search had already seen; and
+//!    no memo state outlives a search.
 //! 6. **Leave-one-out prediction** — over all 58 suite programs, each one
-//!    predicted from a database without its own entry lands within 10 % of
+//!    predicted from a database without its own entry lands within 5 % of
 //!    its fully-tuned cycles and strictly beats `-O3` (geomeans), and a
 //!    predict-first search writes the same database on 1 and 4 threads.
+//! 7. **Reference runs** — over all 58 suite programs on both VMs, the
+//!    baseline, `-O3` and 20 random candidates each evaluate exactly as the
+//!    stages alone do, so a candidate that takes the evaluator's baseline
+//!    or `-O3` run gets what executing it would give.
 //!
 //! The search evaluates hundreds of real compiles, so the suite is
 //! release-only, like the suite-wide differential harness:
@@ -38,24 +43,72 @@ use zkvm_opt::stats::geomean;
 use zkvm_opt::study::SuiteRunner;
 use zkvm_opt::tuner::{
     canonicalize_sequence, predict::o3_fallback, tune_suite, Candidate, EvalResult, Predictor,
-    ServiceConfig, ServiceReport, TuneDb, TuneDbEntry, TuneTarget,
+    SeedTree, ServiceConfig, ServiceReport, TuneDb, TuneDbEntry, TuneTarget,
 };
-use zkvm_opt::vm::VmKind;
-use zkvmopt_core::{BatchEvaluator, OptProfile, PipelineError};
-use zkvmopt_passes::PassConfig;
+use zkvm_opt::vm::{ExecutionReport, VmKind};
+use zkvmopt_core::{codegen, execute, passes, BatchEvaluator, OptProfile, PipelineError};
+use zkvmopt_ir::Module;
+use zkvmopt_passes::{PassConfig, PassManager};
 use zkvmopt_workloads::Workload;
 
 const WORKLOADS: [&str; 3] = ["loop-sum", "fibonacci", "tailcall"];
 const SEED: u64 = 0xC0FFEE;
 
-fn evaluator() -> BatchEvaluator {
-    let ws: Vec<&'static Workload> = WORKLOADS
+fn workloads() -> Vec<&'static Workload> {
+    WORKLOADS
         .iter()
         .map(|n| zkvm_opt::workloads::by_name(n).expect("suite workload"))
-        .collect();
+        .collect()
+}
+
+fn evaluator() -> BatchEvaluator {
     SuiteRunner::new()
-        .batch_evaluator(&ws, VmKind::RiscZero)
+        .batch_evaluator(&workloads(), VmKind::RiscZero)
         .expect("suite workloads compile")
+}
+
+/// One evaluator workload evaluated through the stages alone, reusing
+/// nothing: what `eval_classified` must answer for every candidate.
+struct StageChain {
+    module: Module,
+    inputs: Vec<i32>,
+    vm: VmKind,
+    budget: u64,
+    baseline: ExecutionReport,
+}
+
+impl StageChain {
+    /// `passes → codegen → execute` under the candidate budget, then the
+    /// journal and exit code against the baseline run.
+    fn eval(&self, c: &Candidate) -> Result<u64, PipelineError> {
+        let profile = OptProfile::sequence("candidate", c.passes.clone(), c.pass_config());
+        let m = passes(self.module.clone(), &profile)?;
+        let cw = codegen(&m, &profile.backend)?;
+        let (exec, _) = execute(&cw, &self.inputs, self.vm, self.budget)?;
+        if exec.journal != self.baseline.journal || exec.exit_code != self.baseline.exit_code {
+            return Err(PipelineError::Divergence);
+        }
+        Ok(exec.total_cycles)
+    }
+}
+
+/// A stage chain per workload of `ev`, which holds `ws`, each with a
+/// baseline run of its own.
+fn stage_chains(ev: &BatchEvaluator, ws: &[&'static Workload]) -> Vec<StageChain> {
+    let mut runner = SuiteRunner::new();
+    ws.iter()
+        .enumerate()
+        .map(|(widx, w)| StageChain {
+            baseline: runner
+                .run(w, &OptProfile::baseline(), ev.vm(), false)
+                .expect("baseline runs")
+                .exec,
+            module: runner.lower(w).expect("suite workload lowers"),
+            inputs: w.inputs.clone(),
+            vm: ev.vm(),
+            budget: ev.candidate_budget(widx),
+        })
+        .collect()
 }
 
 fn targets(ev: &BatchEvaluator) -> Vec<TuneTarget> {
@@ -257,6 +310,7 @@ fn recorded_search(ev: &BatchEvaluator, threads: usize) -> (ServiceReport, Vec<C
 )]
 fn memoized_results_equal_fresh_evaluations_outside_the_search() {
     let ev = evaluator();
+    let chains = stage_chains(&ev, &workloads());
     for threads in [1, 2] {
         let (report, calls) = recorded_search(&ev, threads);
         assert_eq!(calls.len(), report.fitness_evals, "threads={threads}");
@@ -265,7 +319,7 @@ fn memoized_results_equal_fresh_evaluations_outside_the_search() {
             "threads={threads}: the search must exercise the memo"
         );
         for (widx, c, in_search) in &calls {
-            let fresh = ev.eval_classified(*widx, &c.passes, &c.pass_config());
+            let fresh = chains[*widx].eval(c);
             assert_eq!(
                 in_search, &fresh,
                 "threads={threads}: {c:?} on {} answered differently inside the search",
@@ -466,4 +520,38 @@ fn leave_one_out_predictions_land_near_tuned_and_beat_o3_across_the_suite() {
         g_o3 < 1.0,
         "predictions must strictly beat -O3 (geomean {g_o3:.4})"
     );
+}
+
+/// Every suite program on both VMs: the empty sequence and `-O3`'s names
+/// link the evaluator's reference programs, as do many random draws; each
+/// candidate must evaluate as the stage chain does.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "suite-wide real-compile evaluation is release-only (CI: test-release)"
+)]
+fn reference_answers_equal_the_stage_chain_across_the_suite() {
+    let ws: Vec<&'static Workload> = zkvm_opt::workloads::all().iter().collect();
+    let fixed = |passes| Candidate {
+        passes,
+        inline_threshold: 225,
+        unroll_threshold: 200,
+    };
+    let mut candidates = vec![fixed(Vec::new()), fixed(PassManager::o3().names())];
+    candidates.extend((0..20).map(|i| Candidate::random(SeedTree::new(1).seed(2, i), 20)));
+    for vm in [VmKind::RiscZero, VmKind::Sp1] {
+        let ev = SuiteRunner::new()
+            .batch_evaluator(&ws, vm)
+            .expect("suite workloads compile");
+        for (widx, chain) in stage_chains(&ev, &ws).iter().enumerate() {
+            for c in &candidates {
+                assert_eq!(
+                    ev.eval_classified(widx, &c.passes, &c.pass_config()),
+                    chain.eval(c),
+                    "{} on {vm:?} under {c:?}",
+                    ws[widx].name
+                );
+            }
+        }
+    }
 }
