@@ -522,8 +522,13 @@ pub(crate) mod testutil {
         vec![
             function("mem2reg", mem2reg::oracle::mem2reg),
             function("sroa", mem2reg::oracle::sroa),
+            function("loop-simplify", loopopt::oracle::loop_simplify),
+            function("lcssa", loopopt::oracle::lcssa),
+            function("loop-rotate", loopopt::oracle::loop_rotate),
             function("licm", loopopt::oracle::licm),
             function("loop-versioning-licm", loopopt::oracle::licm),
+            module("loop-unroll", loopopt::oracle::loop_unroll),
+            module("loop-unroll-and-jam", loopopt::oracle::loop_unroll_and_jam),
             function("reg2mem", mem2reg::oracle::reg2mem),
             function("simple-loop-unswitch", loopopt::oracle::loop_unswitch),
             module("loop-extract", loopopt::oracle::loop_extract),

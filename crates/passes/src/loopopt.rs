@@ -2116,12 +2116,371 @@ mod tests {
     }
 }
 
-/// The per-value rescanning body `lcssa_function` replaced, kept as a test
-/// oracle: same phis, same order, so old and new must agree on the whole
-/// `Function`.
+/// Old bodies kept as test oracles: the per-value rescanning
+/// `lcssa_function`, the liveness and unswitch scans, and the
+/// analysis-rebuilding loop kernels (`loop-simplify` rebuilding after every
+/// block it inserts, `loop-rotate` after every rotation, the unrollers after
+/// every unrolled loop). Old and new must agree on the whole `Function`.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
+
+    /// `loop_simplify_function` as it was: one preheader or dedicated exit
+    /// per round, then every analysis rebuilt.
+    pub(crate) fn loop_simplify_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
+        let mut changed = false;
+        for _ in 0..16 {
+            let (cfg, _dom, forest) = analyze(f, ac);
+            let mut did = false;
+            for l in &forest.loops {
+                if l.preheader(f, &cfg).is_none() && make_preheader(f, &cfg, l) {
+                    did = true;
+                    break;
+                }
+                for &e in l.exits() {
+                    let outside_pred = cfg.unique_preds(e).any(|p| !l.contains(p));
+                    if outside_pred {
+                        make_dedicated_exit(f, &cfg, l, e);
+                        did = true;
+                        break;
+                    }
+                }
+                if did {
+                    break;
+                }
+            }
+            changed |= did;
+            if !did {
+                break;
+            }
+            ac.invalidate_all();
+        }
+        changed
+    }
+
+    fn make_preheader(f: &mut Function, cfg: &Cfg, l: &Loop) -> bool {
+        let header = l.header;
+        let outside: Vec<BlockId> = cfg
+            .unique_preds(header)
+            .filter(|p| !l.contains(*p))
+            .collect();
+        if outside.is_empty() {
+            return false;
+        }
+        let pre = f.add_block();
+        f.blocks[pre.index()].term = Term::Br(header);
+        for i in 0..f.blocks[header.index()].insts.len() {
+            let v = f.blocks[header.index()].insts[i];
+            let Some(Op::Phi { incoming }) = f.op(v) else {
+                continue;
+            };
+            let outs: Vec<(BlockId, Operand)> = incoming
+                .iter()
+                .filter(|(p, _)| outside.contains(p))
+                .cloned()
+                .collect();
+            let ins: Vec<(BlockId, Operand)> = incoming
+                .iter()
+                .filter(|(p, _)| !outside.contains(p))
+                .cloned()
+                .collect();
+            let merged: Operand = if outs.iter().all(|(_, o)| *o == outs[0].1) {
+                outs[0].1
+            } else {
+                let ty = f.ty(v).expect("phi typed");
+                let np = f.insert_inst(pre, 0, Op::Phi { incoming: outs }, Some(ty));
+                Operand::val(np)
+            };
+            if let Some(Op::Phi { incoming }) = f.op_mut(v) {
+                *incoming = ins;
+                incoming.push((pre, merged));
+            }
+        }
+        for p in outside {
+            f.blocks[p.index()].term.retarget(header, pre);
+        }
+        true
+    }
+
+    fn make_dedicated_exit(f: &mut Function, cfg: &Cfg, l: &Loop, e: BlockId) {
+        let inside: Vec<BlockId> = cfg.unique_preds(e).filter(|p| l.contains(*p)).collect();
+        let ded = f.add_block();
+        f.blocks[ded.index()].term = Term::Br(e);
+        for i in 0..f.blocks[e.index()].insts.len() {
+            let v = f.blocks[e.index()].insts[i];
+            let Some(Op::Phi { incoming }) = f.op(v) else {
+                continue;
+            };
+            let ins: Vec<(BlockId, Operand)> = incoming
+                .iter()
+                .filter(|(p, _)| inside.contains(p))
+                .cloned()
+                .collect();
+            let outs: Vec<(BlockId, Operand)> = incoming
+                .iter()
+                .filter(|(p, _)| !inside.contains(p))
+                .cloned()
+                .collect();
+            if ins.is_empty() {
+                continue;
+            }
+            let merged = if ins.iter().all(|(_, o)| *o == ins[0].1) {
+                ins[0].1
+            } else {
+                let ty = f.ty(v).expect("phi typed");
+                let np = f.insert_inst(ded, 0, Op::Phi { incoming: ins }, Some(ty));
+                Operand::val(np)
+            };
+            if let Some(Op::Phi { incoming }) = f.op_mut(v) {
+                *incoming = outs;
+                incoming.push((ded, merged));
+            }
+        }
+        for p in inside {
+            f.blocks[p.index()].term.retarget(e, ded);
+        }
+    }
+
+    /// The registry's `loop-simplify` on the old body.
+    pub(crate) fn loop_simplify(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        loop_simplify_function(f, ac)
+    }
+
+    /// The registry's `lcssa` on the rescanning body.
+    pub(crate) fn lcssa(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        lcssa_function_rescanning(f, ac)
+    }
+
+    /// The registry's `loop-rotate` on the old bodies.
+    pub(crate) fn loop_rotate(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        _cx: &FunctionContext<'_>,
+        _cfg: &PassConfig,
+    ) -> bool {
+        let mut changed = false;
+        changed |= loop_simplify_function(f, ac);
+        let mut guard = 0;
+        loop {
+            guard += 1;
+            if guard > 8 || !rotate_one(f, ac) {
+                break;
+            }
+            changed = true;
+        }
+        changed
+    }
+
+    /// `rotate_one` as it was: the first rotatable loop, every analysis
+    /// rebuilt after it, and one whole-function scan per header value.
+    fn rotate_one(f: &mut Function, ac: &mut AnalysisCache) -> bool {
+        let (cfg, _dom, forest) = analyze(f, ac);
+        'loops: for l in &forest.loops {
+            if l.latches().len() != 1 || l.exits().len() != 1 {
+                continue;
+            }
+            let latch = l.latches()[0];
+            let Some(pre) = l.preheader(f, &cfg) else {
+                continue;
+            };
+            let exit = l.exits()[0];
+            let Term::CondBr { c, t, f: fb } = f.blocks[l.header.index()].term.clone() else {
+                continue;
+            };
+            if !(l.contains(t) && fb == exit) {
+                continue;
+            }
+            if latch == l.header {
+                continue;
+            }
+            if !matches!(f.blocks[latch.index()].term, Term::Br(h) if h == l.header) {
+                continue;
+            }
+            if f.blocks[exit.index()]
+                .insts
+                .iter()
+                .any(|&v| matches!(f.op(v), Some(Op::Phi { .. })))
+            {
+                continue;
+            }
+            let header_insts = f.blocks[l.header.index()].insts.clone();
+            let phis: Vec<ValueId> = header_insts
+                .iter()
+                .copied()
+                .take_while(|&v| matches!(f.op(v), Some(Op::Phi { .. })))
+                .collect();
+            let body_insts: Vec<ValueId> = header_insts[phis.len()..].to_vec();
+            if body_insts.len() > 8
+                || !body_insts
+                    .iter()
+                    .all(|&v| f.op(v).is_some_and(|o| o.is_speculatable()))
+            {
+                continue;
+            }
+            for &v in &header_insts {
+                for b2 in f.block_ids() {
+                    if l.contains(b2) {
+                        continue;
+                    }
+                    let mut used = false;
+                    for &u in &f.blocks[b2.index()].insts {
+                        if let Some(op) = f.op(u) {
+                            op.for_each_operand(|o| used |= *o == Operand::Value(v));
+                        }
+                    }
+                    f.blocks[b2.index()]
+                        .term
+                        .for_each_operand(|o| used |= *o == Operand::Value(v));
+                    if used {
+                        continue 'loops;
+                    }
+                }
+            }
+            let clone_cond = |f: &mut Function, into: BlockId, edge_from: BlockId| -> Operand {
+                let mut local: FxHashMap<ValueId, Operand> = FxHashMap::default();
+                for &pv in &phis {
+                    if let Some(Op::Phi { incoming }) = f.op(pv) {
+                        if let Some((_, o)) = incoming.iter().find(|(p, _)| *p == edge_from) {
+                            local.insert(pv, *o);
+                        }
+                    }
+                }
+                for &bv in &body_insts {
+                    let mut op = f.op(bv).expect("inst").clone();
+                    let ty = f.ty(bv);
+                    op.for_each_operand_mut(|o| {
+                        if let Operand::Value(u) = o {
+                            if let Some(r) = local.get(u) {
+                                *o = *r;
+                            }
+                        }
+                    });
+                    let at = f.blocks[into.index()].insts.len();
+                    let nv = f.insert_inst(into, at, op, ty);
+                    local.insert(bv, Operand::val(nv));
+                }
+                match &c {
+                    Operand::Value(v) => *local.get(v).unwrap_or(&Operand::Value(*v)),
+                    k => *k,
+                }
+            };
+            let c_pre = clone_cond(f, pre, pre);
+            f.blocks[pre.index()].term = Term::CondBr {
+                c: c_pre,
+                t: l.header,
+                f: exit,
+            };
+            let c_latch = clone_cond(f, latch, latch);
+            f.blocks[latch.index()].term = Term::CondBr {
+                c: c_latch,
+                t: l.header,
+                f: exit,
+            };
+            f.blocks[l.header.index()].term = Term::Br(t);
+            ac.invalidate_all();
+            return true;
+        }
+        false
+    }
+
+    /// The registry's `loop-unroll` on the old bodies.
+    pub(crate) fn loop_unroll(m: &mut Module, cfg: &PassConfig) -> bool {
+        unroll_module(m, cfg, cfg.unroll_threshold, 0)
+    }
+
+    /// The registry's `loop-unroll-and-jam` on the old bodies.
+    pub(crate) fn loop_unroll_and_jam(m: &mut Module, cfg: &PassConfig) -> bool {
+        unroll_module(m, cfg, cfg.unroll_threshold / 2, 2)
+    }
+
+    fn unroll_module(m: &mut Module, cfg: &PassConfig, threshold: usize, min_depth: usize) -> bool {
+        let mut changed = false;
+        for f in &mut m.funcs {
+            let mut ac = AnalysisCache::new();
+            changed |= loop_simplify_function(f, &mut ac);
+            changed |= lcssa_function_rescanning(f, &mut ac);
+            changed |= unroll_function(f, &mut ac, threshold, min_depth);
+        }
+        if changed {
+            crate::simplify::instsimplify_module(m);
+            crate::sccp::sccp_module(m);
+            crate::simplify::simplifycfg_module(m, cfg);
+        }
+        changed
+    }
+
+    /// `unroll_function` as it was: every analysis rebuilt, and the whole
+    /// function swept four times, after every unrolled loop.
+    fn unroll_function(
+        f: &mut Function,
+        ac: &mut AnalysisCache,
+        threshold: usize,
+        min_depth: usize,
+    ) -> bool {
+        let mut changed = false;
+        for _round in 0..8 {
+            let (cfg, _dom, forest) = analyze(f, ac);
+            let mut has_child = vec![false; forest.loops.len()];
+            for l in &forest.loops {
+                if let Some(p) = l.parent {
+                    has_child[p] = true;
+                }
+            }
+            let mut candidate: Option<(usize, u64)> = None;
+            let mut order: Vec<usize> = (0..forest.loops.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
+            for li in order {
+                let l = &forest.loops[li];
+                if l.depth < min_depth || has_child[li] {
+                    continue;
+                }
+                let Some(counted) = counted_loop(f, &cfg, l) else {
+                    continue;
+                };
+                let body_size: usize = l
+                    .blocks
+                    .iter()
+                    .map(|b| f.blocks[b.index()].insts.len())
+                    .sum();
+                if counted.trips == 0 || counted.trips > 128 {
+                    continue;
+                }
+                if (counted.trips as usize).saturating_mul(body_size) > threshold {
+                    continue;
+                }
+                candidate = Some((li, counted.trips));
+                break;
+            }
+            let Some((li, trips)) = candidate else { break };
+            let l = forest.loops[li].clone();
+            let Some(pre) = l.preheader(f, &cfg) else {
+                break;
+            };
+            let mut collapsed = Substitution::new();
+            let mut entry_from = pre;
+            let mut scratch = Vec::new();
+            for _ in 0..trips {
+                entry_from = peel_once(f, &l, entry_from, &mut collapsed, &mut scratch);
+            }
+            f.substitute_uses(&collapsed);
+            changed = true;
+            crate::mem2reg::collapse_trivial_phis(f);
+            util::remove_unreachable(f);
+            util::sweep_dead(f);
+            ac.invalidate_all();
+        }
+        changed
+    }
 
     /// `lcssa_function` as it was: every outside block rescanned once per
     /// loop-defined value, and once more per escaping value to rewrite it.
@@ -2414,7 +2773,7 @@ pub(crate) mod oracle {
                 in_loop.contains(&v)
             });
         }
-        changed |= lcssa_function(f, ac);
+        changed |= lcssa_function_rescanning(f, ac);
         changed |= licm_function(f, ac);
         changed
     }
