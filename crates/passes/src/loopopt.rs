@@ -40,55 +40,223 @@ pub fn loop_simplify(
     loop_simplify_function(f, ac)
 }
 
+/// Insert every missing preheader and dedicated exit, one block at a time in
+/// the order a fresh analysis after each block would choose (at most 16),
+/// from one analysis.
+///
+/// Splitting edges into a new block leaves reachability, the reverse
+/// postorder of the old blocks and dominance among them as they were, so
+/// every back edge, loop header and discovery order survives; what moves is
+/// local: the split blocks' predecessor lists, the loops that gain the new
+/// block (every loop holding its successor, except the loop that successor
+/// heads), their sizes — and with them the forest's largest-first order —
+/// and the exits of loops holding a retargeted block. [`Canon`] tracks
+/// exactly that. The one split that creates or removes a back edge — a
+/// dedicated exit whose target dominates a block retargeted to it — is
+/// followed by a fresh analysis.
 pub(crate) fn loop_simplify_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
-    let mut changed = false;
-    // Iterate: creating blocks invalidates the analysis.
-    for _ in 0..16 {
-        let (cfg, _dom, forest) = analyze(f, ac);
-        let mut did = false;
-        for l in &forest.loops {
-            // Dedicated preheader (not obtainable for every shape — e.g. a
-            // loop whose header is the entry block has no outside edge to
-            // splice one into; such loops simply stay non-canonical).
-            if l.preheader(f, &cfg).is_none() && make_preheader(f, &cfg, l) {
-                did = true;
-                break;
-            }
-            // Dedicated exits: every exit block's predecessors must all be
-            // inside the loop.
-            for &e in l.exits() {
-                let outside_pred = cfg.unique_preds(e).any(|p| !l.contains(p));
-                if outside_pred {
-                    make_dedicated_exit(f, &cfg, l, e);
-                    did = true;
-                    break;
-                }
-            }
-            if did {
-                break;
+    let mut inserted = 0;
+    'analysis: while inserted < 16 {
+        let (cfg, dom, forest) = analyze(f, ac);
+        let mut canon = Canon::new(f, &cfg, &forest);
+        while inserted < 16 {
+            let Some((li, target)) = canon.next_split(f) else {
+                break 'analysis;
+            };
+            inserted += 1;
+            if target == forest.loops[li].header {
+                canon.split_preheader(f, li);
+            } else if canon.split_exit(f, li, target, &dom) {
+                ac.invalidate_all();
+                continue 'analysis;
             }
         }
-        changed |= did;
-        if !did {
-            break;
-        }
-        // A preheader/dedicated exit was spliced in: the shape changed.
+    }
+    if inserted > 0 {
+        // The blocks spliced in changed the shape.
         ac.invalidate_all();
     }
-    changed
+    inserted > 0
 }
 
-fn make_preheader(f: &mut Function, cfg: &Cfg, l: &Loop) -> bool {
-    let header = l.header;
-    let outside: Vec<BlockId> = cfg
-        .unique_preds(header)
-        .filter(|p| !l.contains(*p))
-        .collect();
-    if outside.is_empty() {
-        // Entry-header loop: there is no edge to reroute through a
-        // preheader; splicing one in would only create unreachable blocks.
-        return false;
+/// The loop forest of one analysis, kept current across the preheaders and
+/// dedicated exits `loop_simplify_function` splices in (see there).
+struct Canon<'a> {
+    cfg: &'a Cfg,
+    loops: Vec<CanonLoop<'a>>,
+    /// Loop indices, largest first, ties in discovery order: the order a
+    /// fresh [`LoopForest`] lists them in.
+    order: Vec<usize>,
+    /// Predecessor lists that differ from `cfg`'s, as a fresh [`Cfg`] would
+    /// list them (ascending, with multiplicity).
+    preds: Vec<(BlockId, Vec<BlockId>)>,
+    /// Block count at the analysis: blocks from here on are new.
+    n: usize,
+}
+
+struct CanonLoop<'a> {
+    l: &'a Loop,
+    /// New blocks inside the loop.
+    added: Vec<BlockId>,
+    /// The exits, once they differ from `l.exits()`.
+    exits: Option<Vec<BlockId>>,
+    /// Position of the loop's first back edge in the analysis's walk: the
+    /// tie-break of the forest's size order.
+    discovered: (usize, usize),
+}
+
+impl CanonLoop<'_> {
+    fn contains(&self, b: BlockId) -> bool {
+        self.l.contains(b) || self.added.contains(&b)
     }
+
+    fn size(&self) -> usize {
+        self.l.blocks.len() + self.added.len()
+    }
+
+    fn exits(&self) -> &[BlockId] {
+        self.exits.as_deref().unwrap_or(self.l.exits())
+    }
+}
+
+/// `preds` without repeats (it is sorted).
+fn unique(preds: &[BlockId]) -> impl Iterator<Item = BlockId> + '_ {
+    preds
+        .iter()
+        .enumerate()
+        .filter(move |&(i, p)| i == 0 || preds[i - 1] != *p)
+        .map(|(_, &p)| p)
+}
+
+impl<'a> Canon<'a> {
+    fn new(f: &Function, cfg: &'a Cfg, forest: &'a LoopForest) -> Canon<'a> {
+        let loops = forest
+            .loops
+            .iter()
+            .map(|l| {
+                let first = l.latches()[0];
+                let at = cfg.succs(first).iter().position(|&s| s == l.header);
+                CanonLoop {
+                    l,
+                    added: Vec::new(),
+                    exits: None,
+                    discovered: (cfg.rpo_index(first), at.unwrap_or(0)),
+                }
+            })
+            .collect();
+        Canon {
+            cfg,
+            loops,
+            order: (0..forest.loops.len()).collect(),
+            preds: Vec::new(),
+            n: f.blocks.len(),
+        }
+    }
+
+    fn preds(&self, b: BlockId) -> &[BlockId] {
+        match self.preds.iter().find(|(x, _)| *x == b) {
+            Some((_, p)) => p,
+            None => self.cfg.preds(b),
+        }
+    }
+
+    /// The first split a fresh analysis would make: the loop, and the
+    /// header (a preheader) or the exit (a dedicated exit) it is for.
+    fn next_split(&self, f: &Function) -> Option<(usize, BlockId)> {
+        self.order.iter().find_map(|&li| {
+            let cl = &self.loops[li];
+            let h = cl.l.header;
+            let mut outside = self.preds(h).iter().filter(|&&p| !cl.contains(p));
+            if let Some(&p) = outside.next() {
+                let dedicated = outside.all(|&q| q == p) && {
+                    let mut succs = f.blocks[p.index()].term.succs();
+                    succs.next() == Some(h) && succs.next().is_none()
+                };
+                if !dedicated {
+                    return Some((li, h));
+                }
+            }
+            let e = cl
+                .exits()
+                .iter()
+                .find(|&&e| self.preds(e).iter().any(|&p| !cl.contains(p)))?;
+            Some((li, *e))
+        })
+    }
+
+    /// Splice a preheader in front of loop `li`'s header.
+    fn split_preheader(&mut self, f: &mut Function, li: usize) {
+        let h = self.loops[li].l.header;
+        let outside: Vec<BlockId> = unique(self.preds(h))
+            .filter(|&p| !self.loops[li].contains(p))
+            .collect();
+        let pre = make_preheader(f, h, &outside);
+        self.split(f, h, pre, &outside, |cl| cl.l.header != h);
+    }
+
+    /// Splice a dedicated exit between loop `li` and its exit `e`; returns
+    /// whether the split moved a back edge, so the analysis is stale.
+    fn split_exit(&mut self, f: &mut Function, li: usize, e: BlockId, dom: &DomTree) -> bool {
+        let inside: Vec<BlockId> = unique(self.preds(e))
+            .filter(|&p| self.loops[li].contains(p))
+            .collect();
+        let n = self.n;
+        let stale = e.index() >= n
+            || inside
+                .iter()
+                .any(|&p| p.index() >= n || dom.dominates(e, p));
+        let ded = make_dedicated_exit(f, e, &inside);
+        self.split(f, e, ded, &inside, |cl| cl.l.header != e);
+        stale
+    }
+
+    /// Record that the edges from `moved` into `target` now run through the
+    /// new block `new`, which every loop holding `target` and passing
+    /// `holds_new` contains.
+    fn split(
+        &mut self,
+        f: &Function,
+        target: BlockId,
+        new: BlockId,
+        moved: &[BlockId],
+        holds_new: impl Fn(&CanonLoop<'_>) -> bool,
+    ) {
+        let (mut stay, into_new): (Vec<BlockId>, Vec<BlockId>) =
+            self.preds(target).iter().partition(|p| !moved.contains(p));
+        stay.push(new);
+        for (b, list) in [(target, stay), (new, into_new)] {
+            match self.preds.iter_mut().find(|(x, _)| *x == b) {
+                Some((_, p)) => *p = list,
+                None => self.preds.push((b, list)),
+            }
+        }
+        let mut grew = false;
+        for cl in &mut self.loops {
+            if cl.contains(target) && holds_new(cl) {
+                cl.added.push(new);
+                grew = true;
+            }
+            if moved.iter().any(|&b| cl.contains(b)) {
+                let mut exits = Vec::new();
+                for b in cl.l.blocks.iter().chain(cl.added.iter().copied()) {
+                    exits.extend(f.blocks[b.index()].term.succs().filter(|&s| !cl.contains(s)));
+                }
+                exits.sort_unstable();
+                exits.dedup();
+                cl.exits = Some(exits);
+            }
+        }
+        if grew {
+            let loops = &self.loops;
+            self.order
+                .sort_by_key(|&i| (std::cmp::Reverse(loops[i].size()), loops[i].discovered));
+        }
+    }
+}
+
+/// Route the edges from `outside` into `header` through a new block that
+/// branches to it, merging their phi operands there; returns the block.
+fn make_preheader(f: &mut Function, header: BlockId, outside: &[BlockId]) -> BlockId {
     let pre = f.add_block();
     f.blocks[pre.index()].term = Term::Br(header);
     // Header phis: merge the outside edges in the preheader.
@@ -119,14 +287,15 @@ fn make_preheader(f: &mut Function, cfg: &Cfg, l: &Loop) -> bool {
             incoming.push((pre, merged));
         }
     }
-    for p in outside {
+    for &p in outside {
         f.blocks[p.index()].term.retarget(header, pre);
     }
-    true
+    pre
 }
 
-fn make_dedicated_exit(f: &mut Function, cfg: &Cfg, l: &Loop, e: BlockId) {
-    let inside: Vec<BlockId> = cfg.unique_preds(e).filter(|p| l.contains(*p)).collect();
+/// Route the edges from `inside` into exit `e` through a new block that
+/// branches to it, merging their phi operands there; returns the block.
+fn make_dedicated_exit(f: &mut Function, e: BlockId, inside: &[BlockId]) -> BlockId {
     let ded = f.add_block();
     f.blocks[ded.index()].term = Term::Br(e);
     // Phis in e: split incoming between the dedicated block and direct preds.
@@ -160,9 +329,10 @@ fn make_dedicated_exit(f: &mut Function, cfg: &Cfg, l: &Loop, e: BlockId) {
             incoming.push((ded, merged));
         }
     }
-    for p in inside {
+    for &p in inside {
         f.blocks[p.index()].term.retarget(e, ded);
     }
+    ded
 }
 
 /// Put loops into loop-closed SSA form: values defined in a loop and used
