@@ -239,7 +239,12 @@ impl<'a> Canon<'a> {
             if moved.iter().any(|&b| cl.contains(b)) {
                 let mut exits = Vec::new();
                 for b in cl.l.blocks.iter().chain(cl.added.iter().copied()) {
-                    exits.extend(f.blocks[b.index()].term.succs().filter(|&s| !cl.contains(s)));
+                    exits.extend(
+                        f.blocks[b.index()]
+                            .term
+                            .succs()
+                            .filter(|&s| !cl.contains(s)),
+                    );
                 }
                 exits.sort_unstable();
                 exits.dedup();
@@ -842,24 +847,40 @@ fn unroll_function(
     threshold: usize,
     min_depth: usize,
 ) -> bool {
+    // Peeling an innermost loop adds blocks in front of its header, which
+    // only its ancestors gain; the cleanups below leave the reachable
+    // blocks' terminators alone. So the innermost loops keep their blocks,
+    // latches, exits and depth for the whole function: only the `Cfg` is
+    // rebuilt per round, for the preheaders it answers and the reverse
+    // postorder that orders loops of equal depth and size.
+    let (mut cfg, _dom, forest) = analyze(f, ac);
+    let mut has_child = vec![false; forest.loops.len()];
+    for l in &forest.loops {
+        if let Some(p) = l.parent {
+            has_child[p] = true;
+        }
+    }
+    let mut order: Vec<usize> = (0..forest.loops.len())
+        .filter(|&li| !has_child[li] && forest.loops[li].depth >= min_depth)
+        .collect();
     let mut changed = false;
     for _round in 0..8 {
-        let (cfg, _dom, forest) = analyze(f, ac);
-        // Only innermost loops unroll: those that are no loop's parent.
-        let mut has_child = vec![false; forest.loops.len()];
-        for l in &forest.loops {
-            if let Some(p) = l.parent {
-                has_child[p] = true;
-            }
+        if changed {
+            cfg = Rc::new(Cfg::new(f));
+            order.sort_by_key(|&li| {
+                let l = &forest.loops[li];
+                (
+                    std::cmp::Reverse(l.depth),
+                    std::cmp::Reverse(l.blocks.len()),
+                    discovery(&cfg, l),
+                )
+            });
+        } else {
+            order.sort_by_key(|&li| std::cmp::Reverse(forest.loops[li].depth));
         }
         let mut candidate: Option<(usize, u64)> = None;
-        let mut order: Vec<usize> = (0..forest.loops.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(forest.loops[i].depth));
-        for li in order {
+        for &li in &order {
             let l = &forest.loops[li];
-            if l.depth < min_depth || has_child[li] {
-                continue;
-            }
             let Some(counted) = counted_loop(f, &cfg, l) else {
                 continue;
             };
@@ -878,7 +899,7 @@ fn unroll_function(
             break;
         }
         let Some((li, trips)) = candidate else { break };
-        let l = forest.loops[li].clone();
+        let l = &forest.loops[li];
         let Some(pre) = l.preheader(f, &cfg) else {
             break;
         };
@@ -886,17 +907,33 @@ fn unroll_function(
         // its header check folds away. Each peel collapses its cloned header
         // phis; nothing between peels reads a use of one, so the
         // replacements stay pending until the last peel.
+        let first_clone = f.blocks.len();
         let mut collapsed = Substitution::new();
         let mut entry_from = pre;
         let mut scratch = Vec::new();
         for _ in 0..trips {
-            entry_from = peel_once(f, &l, entry_from, &mut collapsed, &mut scratch);
+            entry_from = peel_once(f, l, entry_from, &mut collapsed, &mut scratch);
         }
-        f.substitute_uses(&collapsed);
+        // Only the clones and the phis of the header and the exit can read
+        // a collapsed phi.
+        let touched = (first_clone..f.blocks.len()).map(|b| BlockId(b as u32));
+        for b in touched.chain([l.header]).chain(l.exits().iter().copied()) {
+            for i in 0..f.blocks[b.index()].insts.len() {
+                let v = f.blocks[b.index()].insts[i];
+                if let Some(op) = f.op_mut(v) {
+                    collapsed.resolve_op(op);
+                }
+            }
+            f.blocks[b.index()]
+                .term
+                .for_each_operand_mut(|o| *o = collapsed.resolve(*o));
+        }
         changed = true;
         crate::mem2reg::collapse_trivial_phis(f);
         util::remove_unreachable(f);
         util::sweep_dead(f);
+    }
+    if changed {
         ac.invalidate_all();
     }
     changed
@@ -2025,135 +2062,203 @@ pub fn loop_rotate(
     _cx: &FunctionContext<'_>,
     _cfg: &PassConfig,
 ) -> bool {
-    let mut changed = false;
-    changed |= loop_simplify_function(f, ac);
-    let mut guard = 0;
-    loop {
-        guard += 1;
-        if guard > 8 || !rotate_one(f, ac) {
-            break;
-        }
-        changed = true;
-    }
+    let mut changed = loop_simplify_function(f, ac);
+    changed |= rotate_loops(f, ac);
     changed
 }
 
-fn rotate_one(f: &mut Function, ac: &mut AnalysisCache) -> bool {
-    let (cfg, _dom, forest) = analyze(f, ac);
-    'loops: for l in &forest.loops {
-        if l.latches().len() != 1 || l.exits().len() != 1 {
-            continue;
-        }
-        let latch = l.latches()[0];
-        let Some(pre) = l.preheader(f, &cfg) else {
-            continue;
-        };
-        let exit = l.exits()[0];
-        // Header must be the exiting block with a small, speculatable body.
-        let Term::CondBr { c, t, f: fb } = f.blocks[l.header.index()].term.clone() else {
-            continue;
-        };
-        if !(l.contains(t) && fb == exit) {
-            continue;
-        }
-        // Already rotated? (latch == header means do-while.)
-        if latch == l.header {
-            continue;
-        }
-        // Latch currently jumps straight to the header.
-        if !matches!(f.blocks[latch.index()].term, Term::Br(h) if h == l.header) {
-            continue;
-        }
-        // Exit must have no phis (rotate before LCSSA).
-        if f.blocks[exit.index()]
-            .insts
-            .iter()
-            .any(|&v| matches!(f.op(v), Some(Op::Phi { .. })))
-        {
-            continue;
-        }
-        let header_insts = f.blocks[l.header.index()].insts.clone();
-        let phis: Vec<ValueId> = header_insts
-            .iter()
-            .copied()
-            .take_while(|&v| matches!(f.op(v), Some(Op::Phi { .. })))
-            .collect();
-        let body_insts: Vec<ValueId> = header_insts[phis.len()..].to_vec();
-        if body_insts.len() > 8
-            || !body_insts
-                .iter()
-                .all(|&v| f.op(v).is_some_and(|o| o.is_speculatable()))
-        {
-            continue;
-        }
-        // No header value may be used outside the loop (pre-LCSSA).
-        for &v in &header_insts {
-            for b2 in f.block_ids() {
-                if l.contains(b2) {
-                    continue;
-                }
-                let mut used = false;
-                for &u in &f.blocks[b2.index()].insts {
-                    if let Some(op) = f.op(u) {
-                        op.for_each_operand(|o| used |= *o == Operand::Value(v));
-                    }
-                }
-                f.blocks[b2.index()]
-                    .term
-                    .for_each_operand(|o| used |= *o == Operand::Value(v));
-                if used {
-                    continue 'loops;
-                }
+/// Rotate at most 8 loops, one at a time, each the first rotatable loop in
+/// the order a fresh [`LoopForest`] would list them.
+///
+/// A rotation moves the header's exit edge to the preheader and the latch.
+/// Every loop keeps its blocks, latches and exits, and dominance among the
+/// blocks only shrinks (the header stops dominating what lies past the
+/// exit), unless the exit dominates the header: then the moved edge is an
+/// outer loop's back edge, and a fresh analysis follows. Otherwise only the
+/// [`Cfg`] is rebuilt, for the preheaders it answers and the reverse
+/// postorder that orders loops of equal size.
+fn rotate_loops(f: &mut Function, ac: &mut AnalysisCache) -> bool {
+    let mut rotated = 0;
+    let mut in_header = Vec::new();
+    'analysis: while rotated < 8 {
+        let (mut cfg, dom, forest) = analyze(f, ac);
+        let mut order: Vec<usize> = (0..forest.loops.len()).collect();
+        loop {
+            let Some((l, r)) = order.iter().find_map(|&li| {
+                let l = &forest.loops[li];
+                rotation(f, &cfg, l, &mut in_header).map(|r| (l, r))
+            }) else {
+                break 'analysis;
+            };
+            let stale = dom.dominates(r.exit, l.header);
+            rotate(f, l, r);
+            rotated += 1;
+            if stale {
+                ac.invalidate_all();
+                continue 'analysis;
             }
+            if rotated == 8 {
+                break 'analysis;
+            }
+            cfg = Rc::new(Cfg::new(f));
+            order.sort_by_key(|&li| {
+                let l = &forest.loops[li];
+                (std::cmp::Reverse(l.blocks.len()), discovery(&cfg, l))
+            });
         }
-        // Clone the condition computation into the preheader (entry values)
-        // and into the latch (back-edge values).
-        let clone_cond = |f: &mut Function, into: BlockId, edge_from: BlockId| -> Operand {
-            let mut local: FxHashMap<ValueId, Operand> = FxHashMap::default();
-            for &pv in &phis {
-                if let Some(Op::Phi { incoming }) = f.op(pv) {
-                    if let Some((_, o)) = incoming.iter().find(|(p, _)| *p == edge_from) {
-                        local.insert(pv, *o);
-                    }
-                }
-            }
-            for &bv in &body_insts {
-                let mut op = f.op(bv).expect("inst").clone();
-                let ty = f.ty(bv);
-                op.for_each_operand_mut(|o| {
-                    if let Operand::Value(u) = o {
-                        if let Some(r) = local.get(u) {
-                            *o = *r;
-                        }
-                    }
-                });
-                let at = f.blocks[into.index()].insts.len();
-                let nv = f.insert_inst(into, at, op, ty);
-                local.insert(bv, Operand::val(nv));
-            }
-            match &c {
-                Operand::Value(v) => *local.get(v).unwrap_or(&Operand::Value(*v)),
-                k => *k,
-            }
-        };
-        let c_pre = clone_cond(f, pre, pre);
-        f.blocks[pre.index()].term = Term::CondBr {
-            c: c_pre,
-            t: l.header,
-            f: exit,
-        };
-        let c_latch = clone_cond(f, latch, latch);
-        f.blocks[latch.index()].term = Term::CondBr {
-            c: c_latch,
-            t: l.header,
-            f: exit,
-        };
-        // Header now falls through into the body unconditionally.
-        f.blocks[l.header.index()].term = Term::Br(t);
-        ac.invalidate_all();
-        return true;
     }
-    false
+    if rotated > 0 {
+        ac.invalidate_all();
+    }
+    rotated > 0
+}
+
+/// Where `l`'s first back edge sits in a walk over `cfg`'s reverse
+/// postorder: the tie-break of [`LoopForest`]'s largest-first order.
+fn discovery(cfg: &Cfg, l: &Loop) -> (usize, usize) {
+    l.latches()
+        .iter()
+        .map(|&b| {
+            let at = cfg.succs(b).iter().position(|&s| s == l.header);
+            (cfg.rpo_index(b), at.unwrap_or(0))
+        })
+        .min()
+        .unwrap_or((usize::MAX, 0))
+}
+
+/// What rotating one loop rewrites.
+struct Rotation {
+    pre: BlockId,
+    latch: BlockId,
+    exit: BlockId,
+    /// The header's in-loop successor and branch condition.
+    t: BlockId,
+    c: Operand,
+    /// The header's phis, then the rest of its instructions.
+    phis: Vec<ValueId>,
+    body: Vec<ValueId>,
+}
+
+/// How to rotate `l`, if it is a rotatable while-loop. `in_header` is the
+/// caller's scratch buffer (all `false` between calls).
+fn rotation(f: &Function, cfg: &Cfg, l: &Loop, in_header: &mut Vec<bool>) -> Option<Rotation> {
+    if l.latches().len() != 1 || l.exits().len() != 1 {
+        return None;
+    }
+    let latch = l.latches()[0];
+    let pre = l.preheader(f, cfg)?;
+    let exit = l.exits()[0];
+    // Header must be the exiting block with a small, speculatable body.
+    let Term::CondBr { c, t, f: fb } = f.blocks[l.header.index()].term else {
+        return None;
+    };
+    if !(l.contains(t) && fb == exit) {
+        return None;
+    }
+    // Already rotated? (latch == header means do-while.)
+    if latch == l.header {
+        return None;
+    }
+    // Latch currently jumps straight to the header.
+    if !matches!(f.blocks[latch.index()].term, Term::Br(h) if h == l.header) {
+        return None;
+    }
+    // Exit must have no phis (rotate before LCSSA).
+    if f.blocks[exit.index()]
+        .insts
+        .iter()
+        .any(|&v| matches!(f.op(v), Some(Op::Phi { .. })))
+    {
+        return None;
+    }
+    let header_insts = &f.blocks[l.header.index()].insts;
+    let n_phis = header_insts
+        .iter()
+        .take_while(|&&v| matches!(f.op(v), Some(Op::Phi { .. })))
+        .count();
+    let (phis, body) = header_insts.split_at(n_phis);
+    if body.len() > 8
+        || !body
+            .iter()
+            .all(|&v| f.op(v).is_some_and(|o| o.is_speculatable()))
+    {
+        return None;
+    }
+    // No header value may be used outside the loop (pre-LCSSA): one sweep
+    // over the outside blocks.
+    in_header.resize(f.values.len(), false);
+    for &v in header_insts {
+        in_header[v.index()] = true;
+    }
+    let used_outside = f.block_ids().filter(|&b| !l.contains(b)).any(|b| {
+        let mut used = false;
+        let mut check = |o: &Operand| {
+            used |= matches!(o, Operand::Value(v) if in_header[v.index()]);
+        };
+        for &u in &f.blocks[b.index()].insts {
+            if let Some(op) = f.op(u) {
+                op.for_each_operand(&mut check);
+            }
+        }
+        f.blocks[b.index()].term.for_each_operand(&mut check);
+        used
+    });
+    for &v in header_insts {
+        in_header[v.index()] = false;
+    }
+    (!used_outside).then(|| Rotation {
+        pre,
+        latch,
+        exit,
+        t,
+        c,
+        phis: phis.to_vec(),
+        body: body.to_vec(),
+    })
+}
+
+/// Rotate `l` as `r` plans: clone the condition computation into the
+/// preheader (entry values) and into the latch (back-edge values), and let
+/// both branch on it.
+fn rotate(f: &mut Function, l: &Loop, r: Rotation) {
+    let clone_cond = |f: &mut Function, into: BlockId| -> Operand {
+        let mut local: FxHashMap<ValueId, Operand> = FxHashMap::default();
+        for &pv in &r.phis {
+            if let Some(Op::Phi { incoming }) = f.op(pv) {
+                if let Some((_, o)) = incoming.iter().find(|(p, _)| *p == into) {
+                    local.insert(pv, *o);
+                }
+            }
+        }
+        for &bv in &r.body {
+            let mut op = f.op(bv).expect("inst").clone();
+            let ty = f.ty(bv);
+            op.for_each_operand_mut(|o| {
+                if let Operand::Value(u) = o {
+                    if let Some(x) = local.get(u) {
+                        *o = *x;
+                    }
+                }
+            });
+            let at = f.blocks[into.index()].insts.len();
+            let nv = f.insert_inst(into, at, op, ty);
+            local.insert(bv, Operand::val(nv));
+        }
+        match &r.c {
+            Operand::Value(v) => *local.get(v).unwrap_or(&Operand::Value(*v)),
+            k => *k,
+        }
+    };
+    for from in [r.pre, r.latch] {
+        let c = clone_cond(f, from);
+        f.blocks[from.index()].term = Term::CondBr {
+            c,
+            t: l.header,
+            f: r.exit,
+        };
+    }
+    // Header now falls through into the body unconditionally.
+    f.blocks[l.header.index()].term = Term::Br(r.t);
 }
 
 #[cfg(test)]
