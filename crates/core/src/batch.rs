@@ -17,8 +17,8 @@
 //!   is differentially checked against — a candidate that changes observable
 //!   behaviour is a miscompile and evaluates to `None`, the same channel
 //!   through which the paper's autotuner surfaced a real SP1 soundness bug,
-//! - the `-O3` run the predictor normalizes against, and the linked
-//!   [`Program`] of both runs as **references**.
+//! - the `-O3` run the predictor normalizes against, and the post-pass
+//!   [`Module`] and linked [`Program`] of both runs as **references**.
 //!
 //! Evaluation is then a `&self` function of the candidate, made of the
 //! crate's shared stages, in two halves: the **front** is [`passes`] on a
@@ -28,16 +28,20 @@
 //! paths use, so a fitness equals the figure's cycle count for the same
 //! program.
 //!
-//! A candidate whose linked program equals a reference's, and whose
-//! reference run used no more user cycles than the candidate budget, takes
-//! that run's answer (its cycles, or [`PipelineError::Divergence`] for an
-//! `-O3` whose output differs from the baseline's) instead of executing:
-//! equal programs execute identically on equal inputs, and the engine
-//! stops a run only when its user cycles exceed the budget, so the
-//! candidate's run would be that run. Random sequences often leave a
-//! program as lowered, and `-O3` neighbours often link `-O3`. The
-//! references are runs construction makes anyway, and their number is
-//! fixed, so a call costs the same whatever ran before it.
+//! A candidate whose post-pass module equals a reference's (checked before
+//! code generation), or whose linked program does (checked after), and
+//! whose reference run used no more user cycles than the candidate budget,
+//! takes that run's answer (its cycles, or [`PipelineError::Divergence`]
+//! for an `-O3` whose output differs from the baseline's) instead of
+//! executing: equal modules generate equal programs under the one backend
+//! every candidate uses, equal programs execute identically on equal
+//! inputs, and the engine stops a run only when its user cycles exceed the
+//! budget, so the candidate's run would be that run. Random sequences often
+//! leave a program as lowered, and `-O3` neighbours often reach `-O3`'s
+//! module. The references are runs construction makes anyway (the
+//! baseline's module is the entry's own, and `-O3`'s is kept from the
+//! passes run that compiles it), and their number is fixed, so a call
+//! costs the same whatever ran before it.
 //!
 //! The back half is a pure function of the post-pass
 //! module and of the entry's fixed context (base program, inputs, VM kind,
@@ -115,10 +119,14 @@ struct Entry {
     references: Vec<Reference>,
 }
 
-/// A run construction made: the program it linked, its user cycles, and
-/// the answer a candidate linking that program gets.
+/// A run construction made: the module and program it linked, its user
+/// cycles, and the answer a candidate reaching that module or linking that
+/// program gets.
 #[derive(Debug, Clone)]
 struct Reference {
+    /// The post-pass module; `None` for the baseline, whose module is the
+    /// entry's lowered [`Entry::module`].
+    module: Option<Module>,
     program: Program,
     user_cycles: u64,
     answer: Result<u64, PipelineError>,
@@ -134,11 +142,12 @@ impl Entry {
         Ok(exec.total_cycles)
     }
 
-    /// Keep `exec`, a run of `program` on this entry's inputs and VM, as a
-    /// reference.
-    fn add_reference(&mut self, program: Program, exec: &ExecutionReport) {
+    /// Keep `exec`, a run of `program`, linked from `module`, on this
+    /// entry's inputs and VM, as a reference.
+    fn add_reference(&mut self, module: Option<Module>, program: Program, exec: &ExecutionReport) {
         let answer = self.answer(exec);
         self.references.push(Reference {
+            module,
             program,
             user_cycles: exec.user_cycles,
             answer,
@@ -149,9 +158,21 @@ impl Entry {
     /// candidate budget, so that running `program` under it again would
     /// give the same report; `None` when there is none.
     fn reference_answer(&self, program: &Program) -> Option<Result<u64, PipelineError>> {
+        self.answer_of(|r| r.program == *program)
+    }
+
+    /// [`Entry::reference_answer`] for a candidate whose post-pass module is
+    /// `m`, before code generation.
+    fn module_answer(&self, m: &Module) -> Option<Result<u64, PipelineError>> {
+        self.answer_of(|r| r.module.as_ref().unwrap_or(&self.module) == m)
+    }
+
+    /// The answer of the first reference that `links` picks and whose run
+    /// stayed within the candidate budget.
+    fn answer_of(&self, links: impl Fn(&Reference) -> bool) -> Option<Result<u64, PipelineError>> {
         self.references
             .iter()
-            .find(|r| r.user_cycles <= self.budget && r.program == *program)
+            .find(|r| r.user_cycles <= self.budget && links(r))
             .map(|r| r.answer.clone())
     }
 }
@@ -186,6 +207,7 @@ impl SuiteRunner {
             let features = FeatureVector::extract(&module);
             let profiles = [OptProfile::baseline(), OptProfile::level(OptLevel::O3)];
             let (_, baseline) = self.measure(w, &profiles[0], vm, false, None)?;
+            let o3_module = self.compile_with_module(w, &profiles[1])?.0;
             let (_, o3) = self.measure(w, &profiles[1], vm, false, None)?;
             let budget = max_cycles.min(
                 baseline
@@ -216,9 +238,10 @@ impl SuiteRunner {
                 context,
                 references: Vec::with_capacity(profiles.len()),
             };
-            for (profile, run) in profiles.iter().zip([&baseline, &o3]) {
+            let runs = [(None, &baseline), (Some(o3_module), &o3)];
+            for (profile, (module, run)) in profiles.iter().zip(runs) {
                 let program = self.compile(w, profile)?.program.clone();
-                entry.add_reference(program, &run.exec);
+                entry.add_reference(module, program, &run.exec);
             }
             entries.push(entry);
         }
@@ -304,9 +327,10 @@ impl BatchEvaluator {
     /// runs under the per-candidate [`BatchEvaluator::candidate_budget`].
     /// Deterministic and `&self`: safe to call from any number of threads.
     ///
-    /// A candidate that links the baseline or `-O3` program takes the answer
-    /// of construction's run of it, when that run stayed within the
-    /// candidate budget, instead of executing again. Inside a
+    /// A candidate that reaches the baseline or `-O3` module, or links its
+    /// program, takes the answer of construction's run of it, when that run
+    /// stayed within the candidate budget, instead of generating code or
+    /// executing again. Inside a
     /// [`zkvmopt_tuner::tune_suite`] fitness call, everything after the
     /// passes also runs once per distinct post-pass module of that search;
     /// a repeat returns the first result, payload included (module docs).
@@ -336,16 +360,19 @@ impl BatchEvaluator {
         }
     }
 
-    /// [`codegen`] → a reference's answer, or [`execute`] under the
-    /// entry's budget → check against the baseline: everything after the
-    /// passes, a pure function of the post-pass module `m` and the entry's
-    /// context.
+    /// A reference's answer, or [`codegen`] → a reference's answer, or
+    /// [`execute`] under the entry's budget → check against the baseline:
+    /// everything after the passes, a pure function of the post-pass module
+    /// `m` and the entry's context.
     fn back_half(
         &self,
         e: &Entry,
         m: &Module,
         backend: &TargetCostModel,
     ) -> Result<u64, PipelineError> {
+        if let Some(answer) = e.module_answer(m) {
+            return answer;
+        }
         let cw = codegen(m, backend)?;
         if let Some(answer) = e.reference_answer(&cw.program) {
             return answer;
@@ -473,23 +500,23 @@ mod tests {
         assert!(fit(0, &c).is_ok());
     }
 
-    /// The program `seq` links on entry `widx`, and its fresh run under the
-    /// candidate budget.
+    /// The module `seq` reaches on entry `widx`, the program it links, and
+    /// its fresh run under the candidate budget: the plain stage chain.
     fn fresh(
         ev: &BatchEvaluator,
         widx: usize,
         seq: &[&'static str],
-    ) -> (Program, Result<ExecutionReport, PipelineError>) {
+    ) -> (Module, Program, Result<ExecutionReport, PipelineError>) {
         let e = &ev.entries[widx];
         let profile = candidate_profile(seq, &PassConfig::default());
         let m = passes(e.module.clone(), &profile).expect("passes run");
         let cw = codegen(&m, &profile.backend).expect("program links");
         let run = execute(&cw, &e.inputs, ev.vm, e.budget).map(|(exec, _)| exec);
-        (cw.program, run)
+        (m, cw.program, run)
     }
 
-    /// The baseline and `-O3` programs take construction's answer, which
-    /// equals a fresh run's; any other program gets none.
+    /// The baseline and `-O3` modules and programs take construction's
+    /// answer, which equals a fresh run's; any other gets none.
     #[test]
     fn references_answer_their_own_programs_as_a_fresh_run_would() {
         let ev = evaluator(&["loop-sum", "fibonacci", "bigmem"]);
@@ -498,32 +525,60 @@ mod tests {
         for (widx, e) in ev.entries.iter().enumerate() {
             let at = e.name;
             for seq in [&[][..], &o3[..]] {
-                let (program, run) = fresh(&ev, widx, seq);
+                let (m, program, run) = fresh(&ev, widx, seq);
                 let answer = run.and_then(|exec| e.answer(&exec));
                 assert!(answer.is_ok(), "{at} {seq:?}");
+                assert_eq!(e.module_answer(&m), Some(answer.clone()), "{at}");
                 assert_eq!(e.reference_answer(&program), Some(answer.clone()), "{at}");
                 assert_eq!(ev.eval_classified(widx, seq, &cfg), answer, "{at}");
             }
-            let (program, _) = fresh(&ev, widx, &["mem2reg"]);
+            let (m, program, _) = fresh(&ev, widx, &["mem2reg"]);
             assert!(e.references.iter().all(|r| r.program != program), "{at}");
+            assert_eq!(e.module_answer(&m), None, "{at}");
             assert_eq!(e.reference_answer(&program), None, "{at}");
         }
     }
 
+    /// `-O3` followed by a registered no-op pass reaches `-O3`'s module, so
+    /// it is answered before code generation, as the stage chain answers it.
+    #[test]
+    fn o3_and_a_trailing_noop_answer_as_the_stage_chain_would() {
+        let ev = evaluator(&["loop-sum", "fibonacci"]);
+        let mut seq = zkvmopt_passes::PassManager::o3().names();
+        seq.push("loop-data-prefetch");
+        assert!(zkvmopt_passes::is_noop_pass("loop-data-prefetch"));
+        for (widx, e) in ev.entries.iter().enumerate() {
+            let (m, _, run) = fresh(&ev, widx, &seq);
+            let answer = run.and_then(|exec| e.answer(&exec));
+            assert_eq!(e.module_answer(&m), Some(answer.clone()), "{}", e.name);
+            assert_eq!(
+                ev.eval_classified(widx, &seq, &PassConfig::default()),
+                answer,
+                "{}",
+                e.name
+            );
+        }
+    }
+
     /// A reference whose run used more user cycles than the candidate
-    /// budget answers nothing, so the candidate executes and is cut off.
+    /// budget answers nothing, so the candidate executes and is cut off:
+    /// at half the baseline's user cycles, and at one cycle short of them
+    /// (the halt's own cycle is over the budget).
     #[test]
     fn a_reference_over_the_budget_falls_through_to_execution() {
         let mut ev = evaluator(&["loop-sum"]);
-        let e = &mut ev.entries[0];
-        e.budget = e.references[0].user_cycles / 2;
-        let limit = e.budget;
-        let (program, _) = fresh(&ev, 0, &[]);
-        assert_eq!(ev.entries[0].reference_answer(&program), None);
-        assert_eq!(
-            ev.eval_classified(0, &[], &PassConfig::default()),
-            Err(PipelineError::Budget { limit })
-        );
+        let user_cycles = ev.entries[0].references[0].user_cycles;
+        for limit in [user_cycles / 2, user_cycles - 1] {
+            ev.entries[0].budget = limit;
+            let (m, program, run) = fresh(&ev, 0, &[]);
+            assert!(run.is_err(), "budget {limit}");
+            assert_eq!(ev.entries[0].module_answer(&m), None);
+            assert_eq!(ev.entries[0].reference_answer(&program), None);
+            assert_eq!(
+                ev.eval_classified(0, &[], &PassConfig::default()),
+                Err(PipelineError::Budget { limit })
+            );
+        }
     }
 
     /// A reference run whose journal differs from the baseline's answers
@@ -532,12 +587,12 @@ mod tests {
     fn a_diverging_reference_answers_divergence() {
         let mut ev = evaluator(&["fibonacci"]);
         let o3 = zkvmopt_passes::PassManager::o3().names();
-        let (program, run) = fresh(&ev, 0, &o3);
+        let (m, program, run) = fresh(&ev, 0, &o3);
         let mut exec = run.expect("-O3 runs");
         exec.journal.push(1);
         let e = &mut ev.entries[0];
         e.references.clear();
-        e.add_reference(program, &exec);
+        e.add_reference(Some(m), program, &exec);
         assert_eq!(
             ev.eval_classified(0, &o3, &PassConfig::default()),
             Err(PipelineError::Divergence)

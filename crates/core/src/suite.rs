@@ -238,6 +238,26 @@ impl SuiteRunner {
         Ok(&self.compiled[&key])
     }
 
+    /// [`compile`](Self::compile), also returning the post-pass module; the
+    /// passes run even when the program is cached.
+    ///
+    /// # Errors
+    /// As [`compile`](Self::compile).
+    pub(crate) fn compile_with_module(
+        &mut self,
+        w: &Workload,
+        profile: &OptProfile,
+    ) -> Result<(Module, &CompiledWorkload), PipelineError> {
+        let (name, src) = workload_key(w);
+        let key = (name, src, profile.cache_key());
+        let m = passes(self.lower(w)?, profile)?;
+        if !self.compiled.contains_key(&key) {
+            let cw = codegen(&m, &profile.backend)?;
+            self.compiled.insert(key.clone(), cw);
+        }
+        Ok((m, &self.compiled[&key]))
+    }
+
     /// Compile (cached) and execute `w` under `profile` on `vm`.
     ///
     /// # Errors

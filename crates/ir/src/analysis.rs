@@ -159,7 +159,8 @@ pub struct AnalysisCache {
     frontiers: Option<Rc<Vec<Vec<BlockId>>>>,
     loops: Option<Rc<LoopForest>>,
     /// [`cfg_shape_fingerprint`] of the function at compute time
-    /// (debug-assertion fuel; absent until something is cached).
+    /// (debug-assertion fuel, never computed in release builds; absent until
+    /// something is cached).
     fingerprint: Option<u64>,
 }
 
@@ -169,7 +170,12 @@ impl AnalysisCache {
         AnalysisCache::default()
     }
 
+    /// In debug builds, panic if `f`'s CFG shape moved since the first
+    /// query after the last invalidation.
     fn check_fresh(&mut self, f: &Function) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         match self.fingerprint {
             None => self.fingerprint = Some(cfg_shape_fingerprint(f)),
             Some(fp) => debug_assert_eq!(

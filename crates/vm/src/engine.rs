@@ -335,6 +335,10 @@ fn exec_stepped(
                     ecall::HALT => {
                         lane.instret += 1;
                         lane.user_cycles += cost;
+                        // The halt's own cycle counts against the budget.
+                        if lane.user_cycles > lane.max_cycles {
+                            return StepOut::Err(ExecError::CycleLimit);
+                        }
                         return StepOut::Halt(a0 as i32);
                     }
                     ecall::COMMIT => {
@@ -1147,6 +1151,44 @@ mod tests {
         let d = DecodedProgram::decode(&p);
         let r = Engine::new(&d, VmProfile::risc_zero(), cfg).run();
         assert_eq!(r.unwrap_err(), ExecError::CycleLimit);
+    }
+
+    #[test]
+    fn a_halt_counts_against_the_budget() {
+        // The halt's own cycle is the run's last: a budget of exactly the
+        // run's user cycles fits, one less does not, on every executor.
+        let p = build("fn main() -> i32 { return 6 * 7; }", None);
+        let d = DecodedProgram::decode(&p);
+        let n = run_decoded(&d, VmKind::RiscZero, &[]).unwrap().user_cycles;
+        for max_cycles in [n, n - 1] {
+            let cfg = ExecConfig {
+                max_cycles,
+                ..ExecConfig::default()
+            };
+            let profile = VmProfile::risc_zero();
+            let runs = [
+                (
+                    "Engine::run",
+                    Engine::new(&d, profile.clone(), cfg.clone()).run(),
+                ),
+                (
+                    "run_segmented",
+                    Engine::new(&d, profile.clone(), cfg.clone())
+                        .run_segmented()
+                        .map(|(r, _)| r),
+                ),
+                ("Machine::run", Machine::new(&p, profile, cfg).run()),
+            ];
+            for (what, r) in runs {
+                let got = r.map(|r| r.user_cycles);
+                let want = if max_cycles == n {
+                    Ok(n)
+                } else {
+                    Err(ExecError::CycleLimit)
+                };
+                assert_eq!(got, want, "{what} at budget {max_cycles} of {n}");
+            }
+        }
     }
 
     #[test]

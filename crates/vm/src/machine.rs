@@ -348,6 +348,11 @@ impl<'p> Machine<'p> {
                             halted = true;
                             instret += 1;
                             user_cycles += cost;
+                            // The halt's own cycle counts against the
+                            // budget.
+                            if user_cycles > self.config.max_cycles {
+                                return Err(ExecError::CycleLimit);
+                            }
                             break 'run;
                         }
                         ecall::COMMIT => {
