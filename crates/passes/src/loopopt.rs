@@ -8,6 +8,29 @@
 //! `loop-unroll` (only pays off when dynamic instruction count drops, P3).
 //! LCSSA phi insertion before loop transforms is deliberately faithful — the
 //! paper identifies it as the source of licm's extra `gep`/load/store work.
+//!
+//! **Which analyses survive which edits.** Instruction edits (hoisting,
+//! LCSSA phis, promotion) leave `Cfg`, `DomTree` and `LoopForest` valid. The
+//! loop family's own CFG edits keep what they provably leave alone, and each
+//! result equals the old body's that re-analysed after every edit (kept in
+//! `oracle` under `cfg(test)`):
+//!
+//! - *Splitting edges into a new block* (`loop_simplify_function`'s
+//!   preheaders and dedicated exits) keeps reachability, the reverse
+//!   postorder of the old blocks and dominance among them, so every back
+//!   edge, header and discovery order survives; the split blocks'
+//!   predecessors, the loops that gain the block, their sizes and exits
+//!   are updated in place. A dedicated exit whose target dominates a block
+//!   retargeted to it moves a back edge and is followed by a fresh analysis.
+//! - *Rotating a loop* keeps every loop's blocks, latches and exits, and
+//!   dominance only shrinks, so the forest and dominator tree are kept and
+//!   the `Cfg` is rebuilt (reverse postorder orders loops of equal size).
+//!   A rotation whose exit dominates the header moves an outer loop's back
+//!   edge and is followed by a fresh analysis.
+//! - *Peeling an innermost loop* splices blocks in between its preheader
+//!   and header, which only its ancestors gain: every other innermost loop
+//!   keeps its blocks, latches, exits, depth, preheader and place in the
+//!   reverse postorder, so the unrollers analyse each function once.
 
 use crate::framework::FunctionContext;
 use crate::util;
@@ -28,6 +51,19 @@ fn analyze(f: &Function, ac: &mut AnalysisCache) -> (Rc<Cfg>, Rc<DomTree>, Rc<Lo
     let dom = ac.dom(f);
     let forest = ac.loops(f);
     (cfg, dom, forest)
+}
+
+/// Where `l`'s first back edge sits in a walk over `cfg`'s reverse
+/// postorder: the tie-break of [`LoopForest`]'s largest-first order.
+fn discovery(cfg: &Cfg, l: &Loop) -> (usize, usize) {
+    l.latches()
+        .iter()
+        .map(|&b| {
+            let at = cfg.succs(b).iter().position(|&s| s == l.header);
+            (cfg.rpo_index(b), at.unwrap_or(0))
+        })
+        .min()
+        .unwrap_or((usize::MAX, 0))
 }
 
 /// Ensure every loop has a dedicated preheader and dedicated exit blocks.
@@ -133,15 +169,11 @@ impl<'a> Canon<'a> {
         let loops = forest
             .loops
             .iter()
-            .map(|l| {
-                let first = l.latches()[0];
-                let at = cfg.succs(first).iter().position(|&s| s == l.header);
-                CanonLoop {
-                    l,
-                    added: Vec::new(),
-                    exits: None,
-                    discovered: (cfg.rpo_index(first), at.unwrap_or(0)),
-                }
+            .map(|l| CanonLoop {
+                l,
+                added: Vec::new(),
+                exits: None,
+                discovered: discovery(cfg, l),
             })
             .collect();
         Canon {
@@ -847,13 +879,14 @@ fn unroll_function(
     threshold: usize,
     min_depth: usize,
 ) -> bool {
-    // Peeling an innermost loop adds blocks in front of its header, which
-    // only its ancestors gain; the cleanups below leave the reachable
-    // blocks' terminators alone. So the innermost loops keep their blocks,
-    // latches, exits and depth for the whole function: only the `Cfg` is
-    // rebuilt per round, for the preheaders it answers and the reverse
-    // postorder that orders loops of equal depth and size.
-    let (mut cfg, _dom, forest) = analyze(f, ac);
+    // Peeling an innermost loop splices blocks in between its preheader and
+    // its header, which only its ancestors gain, and the cleanups below
+    // leave the reachable blocks' terminators alone. So every other
+    // innermost loop keeps its blocks, latches, exits, depth, preheader and
+    // place in the reverse postorder, and a peeled loop has no preheader
+    // left in this analysis: one analysis serves every round.
+    let (cfg, _dom, forest) = analyze(f, ac);
+    // Only innermost loops unroll: those that are no loop's parent.
     let mut has_child = vec![false; forest.loops.len()];
     for l in &forest.loops {
         if let Some(p) = l.parent {
@@ -863,21 +896,9 @@ fn unroll_function(
     let mut order: Vec<usize> = (0..forest.loops.len())
         .filter(|&li| !has_child[li] && forest.loops[li].depth >= min_depth)
         .collect();
+    order.sort_by_key(|&li| std::cmp::Reverse(forest.loops[li].depth));
     let mut changed = false;
     for _round in 0..8 {
-        if changed {
-            cfg = Rc::new(Cfg::new(f));
-            order.sort_by_key(|&li| {
-                let l = &forest.loops[li];
-                (
-                    std::cmp::Reverse(l.depth),
-                    std::cmp::Reverse(l.blocks.len()),
-                    discovery(&cfg, l),
-                )
-            });
-        } else {
-            order.sort_by_key(|&li| std::cmp::Reverse(forest.loops[li].depth));
-        }
         let mut candidate: Option<(usize, u64)> = None;
         for &li in &order {
             let l = &forest.loops[li];
@@ -2111,19 +2132,6 @@ fn rotate_loops(f: &mut Function, ac: &mut AnalysisCache) -> bool {
         ac.invalidate_all();
     }
     rotated > 0
-}
-
-/// Where `l`'s first back edge sits in a walk over `cfg`'s reverse
-/// postorder: the tie-break of [`LoopForest`]'s largest-first order.
-fn discovery(cfg: &Cfg, l: &Loop) -> (usize, usize) {
-    l.latches()
-        .iter()
-        .map(|&b| {
-            let at = cfg.succs(b).iter().position(|&s| s == l.header);
-            (cfg.rpo_index(b), at.unwrap_or(0))
-        })
-        .min()
-        .unwrap_or((usize::MAX, 0))
 }
 
 /// What rotating one loop rewrites.
